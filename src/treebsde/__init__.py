@@ -7,6 +7,7 @@ from .measure_core import (
     MarkSpace,
     ScenarioModel,
     ScenarioTree,
+    SlotBlock,
     SlotView,
     build_tree,
     doleans_exponential,

@@ -103,11 +103,12 @@ def _build_generator(spec, tree) -> solver.Generator:
         return solver.Generator.zero()
     if preset == "constant":
         c0 = float(p.get("c0", 0.0))
-        return solver.Generator.from_path(lambda slot: c0)
+        return solver.Generator.batched(lambda block, y, zeta: np.full(y.shape, c0),
+                                        lip_y=0.0, lip_z=0.0)
     if preset == "affine_y":
         c0, c1 = float(p.get("c0", 0.0)), float(p.get("c1", 0.0))
-        return solver.Generator(lambda slot, y, zeta: c0 + c1 * y,
-                                lip_y=abs(c1), lip_z=0.0)
+        return solver.Generator.batched(lambda block, y, zeta: c0 + c1 * y,
+                                        lip_y=abs(c1), lip_z=0.0)
     if preset == "affine_z":
         c0 = float(p.get("c0", 0.0))
         c1 = float(p.get("c1", 0.0))          # seminorm coefficient
@@ -120,20 +121,20 @@ def _build_generator(spec, tree) -> solver.Generator:
             ratio = float(np.max(np.sqrt(da / (1.0 - da)))) if da.size else 0.0
             lip += abs(c2) * ratio
 
-        def fn(slot, y, zeta):
-            val = c0 + c1 * norms.lipschitz_seminorm(zeta, slot)
+        def fn(block, y, zeta):
+            val = c0 + c1 * norms.lipschitz_seminorm_rows(zeta, block)
             if c2 != 0.0:
-                val += c2 * norms.hat_z(zeta, slot)
+                val += c2 * norms.hat_z_rows(zeta, block)
             return val
 
-        return solver.Generator(fn, lip_y=0.0, lip_z=lip)
+        return solver.Generator.batched(fn, lip_y=0.0, lip_z=lip)
     if preset == "saturating":
         c0 = float(p.get("c0", 0.0))
         cy = float(p.get("cy", 0.0))
         cz = float(p.get("cz", 0.0))
-        return solver.Generator(
-            lambda slot, y, zeta: c0 + cy * np.tanh(y)
-            + cz * np.tanh(norms.lipschitz_seminorm(zeta, slot)),
+        return solver.Generator.batched(
+            lambda block, y, zeta: c0 + cy * np.tanh(y)
+            + cz * np.tanh(norms.lipschitz_seminorm_rows(zeta, block)),
             lip_y=abs(cy), lip_z=abs(cz))
     raise ConfigError(f"unknown generator preset {preset!r}")
 
@@ -151,14 +152,23 @@ def _build_terminal(spec):
     raise ConfigError(f"unknown terminal preset {preset!r}")
 
 
-def _build_problem(cfg: RunConfig):
-    """Construct the problem and the condition diagnostics from a config."""
+def _build_tree(cfg: RunConfig):
+    """Construct the model of a config and enumerate its tree."""
     try:
         model = scenarios.ModelSpec(cfg.model["preset"],
                                     cfg.model.get("params", {})).build()
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model spec: {exc}") from exc
-    tree = solver.build_tree(model)
+    return model, solver.build_tree(model)
+
+
+def _build_problem(cfg: RunConfig, built=None):
+    """Construct the problem and the condition diagnostics from a config.
+
+    ``built`` is a ``(model, tree)`` pair from ``_build_tree`` to reuse;
+    it must come from a config with the same model section.
+    """
+    model, tree = built or _build_tree(cfg)
     gen = _build_generator(cfg.generator, tree)
     xi = _build_terminal(cfg.terminal)
 
@@ -339,11 +349,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
+    # beta and delta leave the model alone: one tree serves every value
+    built = _build_tree(cfg) if param != "K" and values else None
     for v in values:
         sub = RunConfig(**{**asdict_config(cfg), "sweep": None})
         if param == "beta":
             if cfg.sweep.get("relative_to_beta_min"):
-                _, diag0 = _build_problem(sub)
+                _, diag0 = _build_problem(sub, built)
                 if diag0["beta_min"] is None:
                     raise ConfigError("relative beta sweep needs a valid beta_min")
                 sub.beta = float(v) * diag0["beta_min"]
@@ -354,7 +366,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         else:
             sub.model = {**cfg.model,
                          "params": {**cfg.model.get("params", {}), "K": int(v)}}
-        problem, diag = _build_problem(sub)
+        problem, diag = _build_problem(sub, built)
         try:
             sol, rep = solver.picard_solve(problem, tol=sub.tol,
                                            max_iter=sub.max_iter, delta=diag["delta"])

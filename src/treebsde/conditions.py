@@ -78,22 +78,26 @@ def check_main_hypothesis(model_or_tree, lip_y: float) -> float:
     return 1.0 - worst
 
 
-def hat_Lz(delta: float, lip_y: float, lip_z: float, delta_A: float) -> float:
-    """Auxiliary squared Lipschitz level for one slot.
+def hat_Lz(delta: float, lip_y: float, lip_z: float, delta_A):
+    """Auxiliary squared Lipschitz level for one slot or an array of slots.
 
     ``max(lip_z^2 + delta, (1-delta) lip_y / (sqrt(2(1-delta)) - 2 lip_y dA))``;
-    requires ``0 < delta < 1`` and ``2 lip_y^2 dA^2 <= 1 - delta`` so the
-    second branch's denominator stays positive.
+    requires ``0 < delta < 1`` and ``2 lip_y^2 dA^2 <= 1 - delta`` on every
+    slot so the second branch's denominator stays positive.  Returns a
+    float for a scalar ``delta_A`` and an array for an array.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if 2.0 * lip_y ** 2 * delta_A ** 2 > 1.0 - delta:
+    da = np.asarray(delta_A, dtype=float)
+    if np.any(2.0 * lip_y ** 2 * da ** 2 > 1.0 - delta):
         raise ValueError("delta out of range: 2 lip_y^2 dA^2 exceeds 1 - delta")
     first = lip_z ** 2 + delta
     if lip_y == 0.0:
-        return first
-    second = (1.0 - delta) * lip_y / (np.sqrt(2.0 * (1.0 - delta)) - 2.0 * lip_y * delta_A)
-    return float(max(first, second))
+        hat = np.full(da.shape, first)
+    else:
+        second = (1.0 - delta) * lip_y / (np.sqrt(2.0 * (1.0 - delta)) - 2.0 * lip_y * da)
+        hat = np.maximum(first, second)
+    return float(hat) if hat.ndim == 0 else hat
 
 
 def proof_weights(beta: float, delta: float, slot, hat_lz_sq: float):
@@ -143,12 +147,28 @@ def contraction_profile_H(delta: float, lip_y: float, delta_A: float):
     return h, H, float(ell_star)
 
 
-def _threshold_terms(delta, lip_y, lip_z, da):
-    hat = np.array([hat_Lz(delta, lip_y, lip_z, x) for x in np.atleast_1d(da)])
-    da = np.atleast_1d(np.asarray(da, dtype=float))
+def _threshold(tree: ScenarioTree, lip_y: float, lip_z: float, delta: float):
+    """Hypothesis slack, per-slot ``hat`` and ``beta_min`` with their checks.
+
+    The one home of the threshold data ``beta_threshold`` returns and
+    ``contraction_profile`` builds on.
+    """
+    eps_star = check_main_hypothesis(tree, lip_y)
+    if not 0.0 < delta < eps_star:
+        raise ValueError("delta must lie strictly between 0 and the hypothesis slack")
+    if tree.n_slots == 0:
+        return eps_star, np.zeros(0), 0.0
+    da = tree.slot_dA
+    hat = hat_Lz(delta, lip_y, lip_z, da)
     r = lip_y ** 2 / hat + 2.0 * hat / (1.0 - delta + 2.0 * hat * da)
     den = 1.0 - da * r
-    return hat, r, den
+    if np.any(den <= 0):
+        raise DenominatorNonpositive("threshold denominator lost positivity")
+    vals = r / den
+    simple = lip_y ** 2 / hat + 2.0 * hat / (1.0 - delta)
+    if np.any(simple > vals * (1.0 + 1e-9) + 1e-15):
+        raise DenominatorNonpositive("dominated branch exceeded the threshold branch")
+    return eps_star, hat, float(np.max(vals))
 
 
 def beta_threshold(model_or_tree, lip_y: float, lip_z: float, delta: float) -> float:
@@ -162,20 +182,7 @@ def beta_threshold(model_or_tree, lip_y: float, lip_z: float, delta: float) -> f
     lower bound ``lip_y^2/hat + 2 hat/(1-delta)`` never exceeds the
     returned one (they coincide on ``dA = 0`` slots).
     """
-    tree = _as_tree(model_or_tree)
-    eps_star = check_main_hypothesis(tree, lip_y)
-    if not 0.0 < delta < eps_star:
-        raise ValueError("delta must lie strictly between 0 and the hypothesis slack")
-    if tree.n_slots == 0:
-        return 0.0
-    hat, r, den = _threshold_terms(delta, lip_y, lip_z, tree.slot_dA)
-    if np.any(den <= 0):
-        raise DenominatorNonpositive("threshold denominator lost positivity")
-    vals = r / den
-    simple = lip_y ** 2 / hat + 2.0 * hat / (1.0 - delta)
-    if np.any(simple > vals * (1.0 + 1e-9) + 1e-15):
-        raise DenominatorNonpositive("dominated branch exceeded the threshold branch")
-    return float(np.max(vals))
+    return _threshold(_as_tree(model_or_tree), lip_y, lip_z, delta)[2]
 
 
 def detect_counterexample(model_or_tree, lip_y: float):
@@ -197,19 +204,8 @@ def contraction_profile(model_or_tree, lip_y: float, lip_z: float,
                         beta: float, delta: float) -> ContractionProfile:
     """Assemble the full per-slot contraction data for a problem."""
     tree = _as_tree(model_or_tree)
-    eps_star = check_main_hypothesis(tree, lip_y)
-    if not 0.0 < delta < eps_star:
-        raise ValueError("delta must lie strictly between 0 and the hypothesis slack")
-    n = tree.n_slots
+    eps_star, hat, beta_min = _threshold(tree, lip_y, lip_z, delta)
     da = tree.slot_dA
-    if n == 0:
-        z = np.zeros(0)
-        return ContractionProfile(z, z, z, z, z, z, eps_star, delta,
-                                  1.0 - delta, beta, 0.0)
-    hat, r, den = _threshold_terms(delta, lip_y, lip_z, da)
-    if np.any(den <= 0):
-        raise DenominatorNonpositive("threshold denominator lost positivity")
-    beta_min = float(np.max(r / den))
     c = (1.0 - delta) / (2.0 * hat)
     d = c + da
     a = 2.0 * hat * np.maximum(c, d - da)

@@ -26,7 +26,7 @@ made concrete).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "MarkSpace",
     "ScenarioModel",
     "SlotView",
+    "SlotBlock",
     "ScenarioTree",
     "build_tree",
     "doleans_exponential",
@@ -130,6 +131,28 @@ class SlotView:
     dAc: float
 
 
+@dataclass(frozen=True)
+class SlotBlock:
+    """Predictable data of a set of slots, one array entry per slot.
+
+    ``index`` holds the slot ids (parent node ids), ``step`` the 0-based
+    slot steps, ``delta_A`` the jump sizes and ``phi`` the mark laws as
+    rows of shape ``(n, m)``.  Like :class:`SlotView` it carries nothing
+    about a slot's own outcome.
+    """
+
+    index: np.ndarray
+    step: np.ndarray
+    delta_A: np.ndarray
+    phi: np.ndarray
+
+    @classmethod
+    def of_view(cls, slot: SlotView) -> "SlotBlock":
+        """One-slot block of a view."""
+        return cls(index=np.array([slot.index]), step=np.array([slot.step]),
+                   delta_A=np.array([slot.delta_A]), phi=slot.phi[None, :])
+
+
 class ScenarioTree:
     """Exhaustive enumeration of the outcome histories of a model.
 
@@ -159,7 +182,7 @@ class ScenarioTree:
         for k in range(self.level_start.size - 1):
             self.depth[self.level_start[k]:self.level_start[k + 1]] = k
         self._doleans_cache: dict[float, np.ndarray] = {}
-        self._slot_views: list[SlotView] | None = None
+        self._views: list[SlotView | None] = [None] * int(level_start[-2])
 
     # -- shape ----------------------------------------------------------
 
@@ -197,29 +220,45 @@ class ScenarioTree:
     # -- views ----------------------------------------------------------
 
     def slot(self, i: int) -> SlotView:
-        return self.slot_views[i]
+        """View of one slot, built on first use and kept."""
+        i = int(i)
+        if not 0 <= i < len(self._views):
+            raise IndexError(f"slot {i} outside 0..{len(self._views) - 1}")
+        view = self._views[i]
+        if view is None:
+            step = int(self.depth[i])
+            view = self._views[i] = SlotView(
+                index=i, step=step, time=float(self.model.grid[step + 1]),
+                history=self.histories[i], delta_A=float(self.slot_dA[i]),
+                phi=self.slot_phi[i], dAc=float(self.slot_dAc[i]))
+        return view
 
     @property
     def slot_views(self) -> list:
-        if self._slot_views is None:
-            grid = self.model.grid
-            depth = self.depth
-            self._slot_views = [
-                SlotView(
-                    index=i,
-                    step=int(depth[i]),
-                    time=float(grid[depth[i] + 1]),
-                    history=self.histories[i],
-                    delta_A=float(self.slot_dA[i]),
-                    phi=self.slot_phi[i],
-                    dAc=float(self.slot_dAc[i]),
-                )
-                for i in range(self.n_slots)
-            ]
-        return self._slot_views
+        """Views of every slot; per-slot code uses ``slot`` instead."""
+        return [self.slot(i) for i in range(self.n_slots)]
 
-    def iter_slots(self) -> Iterator[SlotView]:
-        return iter(self.slot_views)
+    def block(self, ids) -> SlotBlock:
+        """Array data of the slots ``ids`` (a slice or an array of slot ids)."""
+        if isinstance(ids, slice):
+            index = np.arange(*ids.indices(self.n_slots))
+        else:
+            index = np.asarray(ids, dtype=np.int64)
+        return SlotBlock(index=index, step=self.slot_step[ids],
+                         delta_A=self.slot_dA[ids], phi=self.slot_phi[ids])
+
+    def accumulate(self, per_slot: np.ndarray) -> np.ndarray:
+        """Per-node sum of ``per_slot`` over the slots on the path from the root.
+
+        The root gets 0 and each child its parent's sum plus the parent
+        slot's value, added level by level in a fixed order.
+        """
+        out = np.zeros(self.n_nodes)
+        for k in range(self.horizon):
+            nodes = slice(int(self.level_start[k + 1]), int(self.level_start[k + 2]))
+            par = self.parent[nodes]
+            out[nodes] = out[par] + per_slot[par]
+        return out
 
     # -- weights --------------------------------------------------------
 

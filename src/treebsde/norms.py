@@ -22,21 +22,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measure_core import ScenarioTree, SlotView
+from .measure_core import ScenarioTree, SlotBlock, SlotView
 
 __all__ = [
     "hat_z",
     "hat_z_all",
+    "hat_z_rows",
     "slot_z_contribution",
     "y_norm_sq",
     "z_norm_sq",
     "mixed_norm_sq",
     "lipschitz_seminorm",
+    "lipschitz_seminorm_rows",
     "jump_second_moment",
     "canonical_field",
     "adapted_zeros",
     "field_zeros",
-    "adapted_from_terminal",
 ]
 
 
@@ -48,12 +49,10 @@ def field_zeros(tree: ScenarioTree) -> np.ndarray:
     return np.zeros((tree.n_slots, tree.n_marks))
 
 
-def adapted_from_terminal(tree: ScenarioTree, fn) -> np.ndarray:
-    """Leaf values from a terminal functional of the full history."""
-    out = np.zeros(tree.n_nodes)
-    lo, hi = tree.leaf_slice.start, tree.leaf_slice.stop
-    out[lo:hi] = [float(fn(tree.histories[i])) for i in range(lo, hi)]
-    return out
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # row-wise np.dot through the same BLAS dot kernel, so each entry equals
+    # the scalar form's np.dot to the bit (einsum sums in another order)
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def hat_z(zeta, slot: SlotView) -> float:
@@ -61,6 +60,13 @@ def hat_z(zeta, slot: SlotView) -> float:
     if slot.delta_A == 0.0:
         return 0.0
     return float(slot.delta_A * np.dot(np.asarray(zeta, dtype=float), slot.phi))
+
+
+def hat_z_rows(zeta, block: SlotBlock) -> np.ndarray:
+    """Row-wise ``hat_z`` of ``zeta[n, m]`` over a block of slots."""
+    out = block.delta_A * _row_dot(np.asarray(zeta, dtype=float), block.phi)
+    out[block.delta_A == 0.0] = 0.0
+    return out
 
 
 def hat_z_all(Z: np.ndarray, tree: ScenarioTree) -> np.ndarray:
@@ -153,6 +159,16 @@ def lipschitz_seminorm(dzeta, slot: SlotView) -> float:
     dev = dz - da * mean
     val = float(np.dot(dev * dev, slot.phi)) + da * (1.0 - da) * mean * mean
     return float(np.sqrt(val))
+
+
+def lipschitz_seminorm_rows(dzeta, block: SlotBlock) -> np.ndarray:
+    """Row-wise ``lipschitz_seminorm`` of ``dzeta[n, m]`` over a block of slots."""
+    dz = np.asarray(dzeta, dtype=float)
+    da = block.delta_A
+    mean = _row_dot(dz, block.phi)
+    dev = dz - (da * mean)[:, None]
+    val = _row_dot(dev * dev, block.phi) + da * (1.0 - da) * mean * mean
+    return np.sqrt(val)
 
 
 def jump_second_moment(zeta, slot: SlotView) -> float:

@@ -126,7 +126,7 @@ def counterexample_model(p: float, t0_index: int = 0, K: int = 1,
     it).
 
     Returns:
-        ``(model, generator)`` with ``generator.fn(slot, y, zeta) = y/p``.
+        ``(model, generator)`` with the driver ``f(slot, y, zeta) = y/p``.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
@@ -138,7 +138,7 @@ def counterexample_model(p: float, t0_index: int = 0, K: int = 1,
         jump_size=lambda k, hist: float(p) if k == t0_index else 0.0,
         mark_law=_phi_fn(None, m),
     )
-    gen = Generator(lambda slot, y, zeta: y / p, lip_y=1.0 / p, lip_z=0.0)
+    gen = Generator.batched(lambda block, y, zeta: y / p, lip_y=1.0 / p, lip_z=0.0)
     return model, gen
 
 

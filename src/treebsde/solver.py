@@ -9,9 +9,12 @@ Three routes to the same solution pair (Y, Z):
   at the current iterate and re-solves the linear equation, monitored in
   the b-weighted mixed norm in which the map contracts.
 * ``backward_oracle``: an independent sweep from the leaves that solves
-  the scalar implicit equation ``y = cond_mean + dA * f(slot, y, Z)``
-  slot by slot.  It is the reference the other routes are checked
-  against.
+  the implicit equation ``y = cond_mean + dA * f(slot, y, Z)`` on every
+  slot of a level at once.  It is the reference the other routes are
+  checked against.
+
+Every route evaluates the driver through ``Generator.on_slots``, which
+rejects non-finite values with ``NonFinite``.
 
 On every slot the martingale representation is solved exactly from the
 children's values (``represent_martingale``); fields returned by all
@@ -26,7 +29,8 @@ from typing import Callable
 import numpy as np
 
 from . import conditions, norms
-from .measure_core import ScenarioModel, ScenarioTree, SlotView, build_tree
+from .measure_core import (ScenarioModel, ScenarioTree, SlotBlock, SlotView,
+                           build_tree)
 
 __all__ = [
     "SolverError",
@@ -86,18 +90,58 @@ class ConditionViolated(SolverError):
 class Generator:
     """Driver of the backward equation with its declared Lipschitz constants.
 
-    ``fn(slot, y, zeta) -> float`` may use the slot's step, history, jump
-    size and mark law; it never sees the slot's own outcome, which keeps
-    it predictable.  ``lip_y`` bounds the y-increments, ``lip_z`` the
-    zeta-increments measured in :func:`treebsde.norms.lipschitz_seminorm`.
+    Two forms, one evaluation entry point (:meth:`on_slots`):
+
+    * scalar, ``Generator(fn, lip_y, lip_z)`` with
+      ``fn(slot, y, zeta) -> float``; ``slot`` is a
+      :class:`~treebsde.measure_core.SlotView` (step, time, history, jump
+      size, mark law).  ``on_slots`` adapts it with one loop over the
+      slots.
+    * level batch, ``Generator.batched(fn, lip_y, lip_z)`` with
+      ``fn(block, y[n], zeta[n, m]) -> f[n]``; ``block`` is a
+      :class:`~treebsde.measure_core.SlotBlock` whose ``index``, ``step``,
+      ``delta_A`` and ``phi`` arrays describe the ``n`` slots.  History
+      dependence goes through arrays indexed by ``block.index``.  Calling
+      such a generator on one slot view evaluates a one-slot block.
+
+    Predictability: neither form ever sees a slot's own outcome.
+    ``lip_y`` bounds the y-increments, ``lip_z`` the zeta-increments
+    measured in :func:`treebsde.norms.lipschitz_seminorm`.
     """
 
     fn: Callable[[SlotView, float, np.ndarray], float]
     lip_y: float
     lip_z: float
+    batch: Callable[[SlotBlock, np.ndarray, np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False)
 
     def __call__(self, slot, y, zeta) -> float:
         return float(self.fn(slot, y, zeta))
+
+    def on_slots(self, tree: ScenarioTree, ids, y, zeta) -> np.ndarray:
+        """Driver values on the slots ``ids`` at ``y[n]``, ``zeta[n, m]``.
+
+        ``ids`` is a slice or an array of slot ids; ``y`` and ``zeta`` are
+        aligned with it.  Raises ``NonFinite`` on any non-finite value.
+        """
+        block = tree.block(ids)
+        index = block.index
+        if index.size == 0:
+            return np.zeros(0)
+        if self.batch is None:
+            vals = np.array([self(tree.slot(s), y[j], zeta[j])
+                             for j, s in enumerate(index)], dtype=float)
+        else:
+            vals = np.asarray(self.batch(block, y, zeta), dtype=float)
+            if vals.shape != index.shape:
+                raise ValueError(f"batched generator returned shape {vals.shape}, "
+                                 f"expected {index.shape}")
+        finite = np.isfinite(vals)
+        if not np.all(finite):
+            j = int(np.argmin(finite))
+            raise NonFinite(f"generator value {vals[j]} at slot {int(index[j])} "
+                            f"(step {int(block.step[j])})")
+        return vals
 
     @property
     def is_path(self) -> bool:
@@ -105,8 +149,17 @@ class Generator:
         return self.lip_y == 0.0 and self.lip_z == 0.0
 
     @classmethod
+    def batched(cls, fn, lip_y: float, lip_z: float) -> "Generator":
+        """Driver given in level-batch form ``fn(block, y[n], zeta[n, m]) -> f[n]``."""
+        def one_slot(slot, y, zeta):
+            zeta = np.asarray(zeta, dtype=float).reshape(1, -1)
+            return fn(SlotBlock.of_view(slot), np.array([y], dtype=float), zeta)[0]
+
+        return cls(one_slot, lip_y, lip_z, batch=fn)
+
+    @classmethod
     def zero(cls) -> "Generator":
-        return cls(lambda slot, y, zeta: 0.0, 0.0, 0.0)
+        return cls.batched(lambda block, y, zeta: np.zeros(y.shape), 0.0, 0.0)
 
     @classmethod
     def from_path(cls, path_fn) -> "Generator":
@@ -257,29 +310,23 @@ def _require_discrete(tree):
 
 def _solve_linear_path(tree: ScenarioTree, xi_leaf: np.ndarray,
                        f_path: np.ndarray) -> Solution:
-    n = tree.n_nodes
-    K = tree.horizon
-    Y = np.empty(n)
+    Y = np.empty(tree.n_nodes)
     Y[tree.leaf_slice] = xi_leaf
     Z = np.zeros((tree.n_slots, tree.n_marks))
-    for k in range(K - 1, -1, -1):
+    for k in range(tree.horizon - 1, -1, -1):
         sl = tree.slot_level_slice(k)
         V = _child_values(tree, Y, sl)
         cm = _cond_means(tree, V, sl)
         Y[sl] = cm + f_path[sl] * tree.slot_dA[sl]
         Z[sl] = _represent_block(tree, V, sl)
-    cum = np.zeros(n)
-    for k in range(K):
-        ids = np.arange(tree.level_start[k + 1], tree.level_start[k + 2])
-        par = tree.parent[ids]
-        cum[ids] = cum[par] + f_path[par] * tree.slot_dA[par]
-    return Solution(Y=Y, Z=Z, martingale=Y + cum)
+    return Solution(Y=Y, Z=Z, martingale=Y + tree.accumulate(f_path * tree.slot_dA))
 
 
 def _eval_path(tree: ScenarioTree, f: Generator, Y: np.ndarray,
                Z: np.ndarray) -> np.ndarray:
-    views = tree.slot_views
-    return np.array([f(views[s], Y[s], Z[s]) for s in range(tree.n_slots)])
+    """Driver frozen along (Y, Z): one value per slot (``Y`` per node)."""
+    n = tree.n_slots
+    return f.on_slots(tree, slice(0, n), Y[:n], Z)
 
 
 def solve_linear(problem: BsdeProblem) -> Solution:
@@ -292,9 +339,7 @@ def solve_linear(problem: BsdeProblem) -> Solution:
     """
     tree = problem.tree()
     _require_discrete(tree)
-    zeta0 = np.zeros(tree.n_marks)
-    views = tree.slot_views
-    f_path = np.array([problem.f(views[s], 0.0, zeta0) for s in range(tree.n_slots)])
+    f_path = _eval_path(tree, problem.f, norms.adapted_zeros(tree), norms.field_zeros(tree))
     return _solve_linear_path(tree, problem.terminal_values(tree), f_path)
 
 
@@ -345,40 +390,65 @@ def implicit_step_solve(cond_mean: float, delta_A: float, slot: SlotView,
 # -- independent backward oracle ------------------------------------------
 
 
-def backward_oracle(problem: BsdeProblem, tol: float = 1e-13) -> Solution:
-    """Reference solver: backward induction with per-slot implicit solves.
+def _implicit_level(tree: ScenarioTree, f: Generator, sl: slice, cm: np.ndarray,
+                    Z: np.ndarray, tol: float, max_iter: int = 200) -> np.ndarray:
+    """``implicit_step_solve`` on every slot of one level at once.
 
-    Works leaf to root: at each slot the field row is represented from
-    the children's values, then the parent value solves the scalar
-    implicit equation.  Exact up to the per-step tolerance; propagates
-    ``StepSingular`` from the blow-up regime.
+    A masked fixed point: each slot leaves the active set at the iterate
+    where the per-slot stopping rule of ``implicit_step_solve`` first
+    holds, so every slot ends on the same iterate as the scalar solve.
+    A slot without contraction is handed to ``implicit_step_solve``,
+    which raises ``StepSingular`` with its ``degenerate`` flag.
+    """
+    da = tree.slot_dA[sl]
+    ids = np.arange(sl.start, sl.stop)
+    Y = cm.copy()
+    live = np.nonzero(da != 0.0)[0]
+    if live.size == 0:
+        return Y
+    singular = live[da[live] * f.lip_y >= 1.0]
+    if singular.size:
+        j = int(singular[0])   # raises StepSingular, telling degenerate steps apart
+        implicit_step_solve(cm[j], da[j], tree.slot(ids[j]), Z[j], f, tol, max_iter)
+    if f.lip_y == 0.0:
+        Y[live] = cm[live] + da[live] * f.on_slots(tree, ids[live], cm[live], Z[live])
+        return Y
+    y = Y[live]
+    for _ in range(max_iter):
+        y_new = cm[live] + da[live] * f.on_slots(tree, ids[live], y, Z[live])
+        if not np.all(np.isfinite(y_new)):
+            raise NonFinite("implicit step iterates left the finite range")
+        done = np.abs(y_new - y) <= np.maximum(tol, 8.0 * np.finfo(float).eps * np.abs(y_new))
+        Y[live[done]] = y_new[done]
+        live, y = live[~done], y_new[~done]
+        if live.size == 0:
+            return Y
+    raise NoConvergence("implicit step did not reach tolerance")
+
+
+def backward_oracle(problem: BsdeProblem, tol: float = 1e-13) -> Solution:
+    """Reference solver: backward induction with implicit one-step solves.
+
+    Works leaf to root: at each level the field rows are represented from
+    the children's values, then the parent values solve the implicit
+    equations ``y = cond_mean + dA * f(slot, y, Z)``, one level array at a
+    time.  Exact up to the per-step tolerance; propagates ``StepSingular``
+    from the blow-up regime.
     """
     tree = problem.tree()
     _require_discrete(tree)
     f = problem.f
-    n = tree.n_nodes
-    Y = np.empty(n)
+    Y = np.empty(tree.n_nodes)
     Y[tree.leaf_slice] = problem.terminal_values(tree)
     Z = np.zeros((tree.n_slots, tree.n_marks))
-    views = tree.slot_views
     for k in range(tree.horizon - 1, -1, -1):
         sl = tree.slot_level_slice(k)
         V = _child_values(tree, Y, sl)
         cm = _cond_means(tree, V, sl)
         Z[sl] = _represent_block(tree, V, sl)
-        for off, s in enumerate(range(sl.start, sl.stop)):
-            da = tree.slot_dA[s]
-            if da == 0.0:
-                Y[s] = cm[off]
-            else:
-                Y[s] = implicit_step_solve(cm[off], da, views[s], Z[s], f, tol)
+        Y[sl] = _implicit_level(tree, f, sl, cm, Z[sl], tol)
     f_path = _eval_path(tree, f, Y, Z)
-    cum = np.zeros(n)
-    for k in range(tree.horizon):
-        ids = np.arange(tree.level_start[k + 1], tree.level_start[k + 2])
-        par = tree.parent[ids]
-        cum[ids] = cum[par] + f_path[par] * tree.slot_dA[par]
-    return Solution(Y=Y, Z=Z, martingale=Y + cum)
+    return Solution(Y=Y, Z=Z, martingale=Y + tree.accumulate(f_path * tree.slot_dA))
 
 
 # -- fixed-point iteration -------------------------------------------------

@@ -77,9 +77,8 @@ def _skipped(name, note):
 def _path_values(problem, tree):
     if not problem.f.is_path:
         raise ValueError("generator must be (y, zeta)-free for this check")
-    zeta0 = np.zeros(tree.n_marks)
-    views = tree.slot_views
-    return np.array([problem.f(views[s], 0.0, zeta0) for s in range(tree.n_slots)])
+    n = tree.n_slots
+    return problem.f.on_slots(tree, slice(0, n), np.zeros(n), norms.field_zeros(tree))
 
 
 def check_identity_lemma(problem, solution, t_index: int, beta=None) -> CheckResult:
@@ -166,13 +165,8 @@ def check_apriori_estimate(problem, solution, beta=None, c_scale: float = 1.0) -
     term_xi = float(np.sum(tree.prob[leaves] * E[leaves] * solution.Y[leaves] ** 2))
     # per-path accumulators: sum of dA^2 and of E |f|^2 dA along each history
     E_end = tree.doleans_at_slot_end(beta)
-    S1 = np.zeros(tree.n_nodes)
-    S2 = np.zeros(tree.n_nodes)
-    for k in range(tree.horizon):
-        ids = np.arange(tree.level_start[k + 1], tree.level_start[k + 2])
-        par = tree.parent[ids]
-        S1[ids] = S1[par] + tree.slot_dA[par] ** 2
-        S2[ids] = S2[par] + E_end[par] * f_path[par] ** 2 * tree.slot_dA[par]
+    S1 = tree.accumulate(tree.slot_dA ** 2)
+    S2 = tree.accumulate(E_end * f_path ** 2 * tree.slot_dA)
     term_f = float(np.sum(tree.prob[leaves]
                           * (1.0 / beta + beta * S1[leaves]) * S2[leaves]))
     c_beta = c_scale * (2.0 + 4.0 * (1.0 + beta) / beta)
@@ -269,8 +263,7 @@ def check_solution_jump_identity(solution, problem, tol: float = 1e-10) -> Check
     n = tree.n_slots
     if n == 0:
         return _inequality("jump_identity", 0.0, 0.0, slack=tol)
-    views = tree.slot_views
-    f_path = np.array([problem.f(views[s], Y[s], Z[s]) for s in range(n)])
+    f_path = problem.f.on_slots(tree, slice(0, n), Y[:n], Z)
     zh = norms.hat_z_all(Z, tree)
     ch = tree.children
     Yc = Y[np.maximum(ch, 0)]
@@ -311,12 +304,11 @@ def run_suite(problem, solution, rng=None, n_paths=200, n_fields=25,
     beta = problem.beta
 
     Y, Z = solution.Y, solution.Z
-    views = tree.slot_views
-    frozen_vals = np.array([problem.f(views[s], Y[s], Z[s])
-                            for s in range(tree.n_slots)])
+    frozen_vals = problem.f.on_slots(tree, slice(0, tree.n_slots), Y[:tree.n_slots], Z)
     frozen = solver.BsdeProblem(
         model=problem.model, beta=beta, xi=problem.xi,
-        f=solver.Generator.from_path(lambda slot: frozen_vals[slot.index]),
+        f=solver.Generator.batched(lambda block, y, zeta: frozen_vals[block.index],
+                                   0.0, 0.0),
         _tree=tree,
     )
 

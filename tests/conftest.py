@@ -161,3 +161,63 @@ def m1_problem():
     model = scenarios.deterministic_grid(K=1, m=1, a=0.5)
     return BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_jump_count(),
                        f=Generator.zero())
+
+
+# -- scalar twins of the level-batch paths ----------------------------------------
+
+
+def scalar_preset(name, params, tree):
+    """Per-slot form of the CLI generator presets, one scalar call per slot."""
+    p = params
+    c0 = float(p.get("c0", 0.0))
+    if name == "zero":
+        return Generator(lambda slot, y, zeta: 0.0, 0.0, 0.0)
+    if name == "constant":
+        return Generator(lambda slot, y, zeta: c0, 0.0, 0.0)
+    if name == "affine_y":
+        c1 = float(p.get("c1", 0.0))
+        return Generator(lambda slot, y, zeta: c0 + c1 * y, abs(c1), 0.0)
+    if name == "affine_z":
+        c1, c2 = float(p.get("c1", 0.0)), float(p.get("c2", 0.0))
+        da = tree.slot_dA
+        ratio = float(np.max(np.sqrt(da / (1.0 - da)))) if c2 != 0.0 and da.size else 0.0
+
+        def fn(slot, y, zeta):
+            val = c0 + c1 * norms.lipschitz_seminorm(zeta, slot)
+            if c2 != 0.0:
+                val += c2 * norms.hat_z(zeta, slot)
+            return val
+
+        return Generator(fn, 0.0, abs(c1) + abs(c2) * ratio)
+    if name == "saturating":
+        cy, cz = float(p.get("cy", 0.0)), float(p.get("cz", 0.0))
+        return Generator(
+            lambda slot, y, zeta: c0 + cy * np.tanh(y)
+            + cz * np.tanh(norms.lipschitz_seminorm(zeta, slot)), abs(cy), abs(cz))
+    raise ValueError(name)
+
+
+def per_slot_oracle(problem, tol=1e-13):
+    """Backward induction with one ``implicit_step_solve`` call per slot.
+
+    Shares the level arithmetic of ``backward_oracle`` (child values,
+    conditional means, field rows) and differs only in solving the
+    implicit step slot by slot, so both must agree to the bit.  Returns
+    ``(Y, Z)``.
+    """
+    from treebsde import implicit_step_solve
+    from treebsde.solver import _child_values, _cond_means, _represent_block
+    tree = problem.tree()
+    Y = np.empty(tree.n_nodes)
+    Y[tree.leaf_slice] = problem.terminal_values(tree)
+    Z = np.zeros((tree.n_slots, tree.n_marks))
+    for k in range(tree.horizon - 1, -1, -1):
+        sl = tree.slot_level_slice(k)
+        V = _child_values(tree, Y, sl)
+        cm = _cond_means(tree, V, sl)
+        Z[sl] = _represent_block(tree, V, sl)
+        for off, s in enumerate(range(sl.start, sl.stop)):
+            da = tree.slot_dA[s]
+            Y[s] = cm[off] if da == 0.0 else implicit_step_solve(
+                cm[off], da, tree.slot(s), Z[s], problem.f, tol)
+    return Y, Z

@@ -1,0 +1,183 @@
+"""The level-batch generator path against its per-slot twins in conftest."""
+
+import collections
+
+import numpy as np
+import pytest
+
+from treebsde import (BsdeProblem, Generator, NonFinite, StepSingular, backward_oracle,
+                      build_tree, cli, picard_solve, scenarios, solve_linear)
+from treebsde.measure_core import ScenarioTree
+
+from conftest import leaf_paths, per_slot_oracle, random_problem, scalar_preset
+
+PRESETS = [
+    ("zero", {}),
+    ("constant", {"c0": 0.7}),
+    ("affine_y", {"c0": 0.2, "c1": -0.6}),
+    ("affine_z", {"c0": -0.1, "c1": 0.8}),
+    ("affine_z", {"c0": 0.3, "c1": 0.5, "c2": -0.4}),
+    ("saturating", {"c0": 0.2, "cy": 0.4, "cz": 0.8}),
+]
+
+
+def mixed_model(m, unit=True):
+    """Jump sizes 0, 1 (or 0.45) and a history-dependent interior value by step."""
+    top = 1.0 if unit else 0.45
+
+    def rule(k, hist):
+        return (0.0, top, 0.3 if sum(hist) % 2 else 0.7)[k % 3]
+
+    return scenarios.predictable_random_jumps(K=5, m=m, rule=rule)
+
+
+def trees_for(seed, unit):
+    rng = np.random.default_rng(seed)
+    random_tree = build_tree(scenarios.random_model(rng, K=4, include_unit=unit))
+    return rng, [build_tree(mixed_model(1 + seed % 3, unit)), random_tree]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name,params", PRESETS)
+def test_on_slots_matches_scalar_twin(seed, name, params):
+    unit = not params.get("c2")
+    rng, trees = trees_for(seed, unit)
+    for tree in trees:
+        gen = cli._build_generator({"preset": name, "params": params}, tree)
+        twin = scalar_preset(name, params, tree)
+        assert (gen.lip_y, gen.lip_z) == (twin.lip_y, twin.lip_z)
+        n, m = tree.n_slots, tree.n_marks
+        y, Z = rng.normal(0, 2, n), rng.normal(0, 2, (n, m))
+        ref = np.array([twin(tree.slot(s), y[s], Z[s]) for s in range(n)])
+        assert np.max(np.abs(gen.on_slots(tree, slice(0, n), y, Z) - ref)) <= 1e-12
+        ids = rng.permutation(n)[: max(1, n // 3)]
+        assert np.max(np.abs(gen.on_slots(tree, ids, y[ids], Z[ids]) - ref[ids])) <= 1e-12
+        # the one-slot form of a batched generator
+        s = int(ids[0])
+        assert abs(gen(tree.slot(s), y[s], Z[s]) - ref[s]) <= 1e-12
+    if seed == 0:
+        das = np.concatenate([t.slot_dA for t in trees])
+        assert np.any(das == 0.0) and np.any((das > 0.0) & (das < 1.0))
+        assert np.any(das == 1.0) == unit
+
+
+def test_on_slots_scalar_adapter_and_shape_check():
+    tree = build_tree(mixed_model(2))
+    n = tree.n_slots
+    scalar = Generator(lambda slot, y, zeta: slot.step + 10.0 * slot.index + y, 1.0, 0.0)
+    y = np.arange(n, dtype=float)
+    got = scalar.on_slots(tree, slice(0, n), y, np.zeros((n, 2)))
+    assert np.array_equal(got, tree.slot_step + 10.0 * np.arange(n) + y)
+    bad = Generator.batched(lambda block, y, zeta: np.zeros(y.size + 1), 0.0, 0.0)
+    with pytest.raises(ValueError, match="shape"):
+        bad.on_slots(tree, slice(0, n), y, np.zeros((n, 2)))
+
+
+# -- backward oracle -----------------------------------------------------------------
+
+
+def counting(gen):
+    """Scalar copy of ``gen`` that counts its evaluations per slot."""
+    calls = collections.Counter()
+
+    def fn(slot, y, zeta):
+        calls[slot.index] += 1
+        return gen(slot, y, zeta)
+
+    return Generator(fn, gen.lip_y, gen.lip_z), calls
+
+
+def test_level_oracle_equals_per_slot_sweep():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        problem, _ = random_problem(rng, max_horizon=5)
+        sol = backward_oracle(problem)
+        Y, Z = per_slot_oracle(problem)
+        assert np.array_equal(sol.Y, Y) and np.array_equal(sol.Z, Z)
+
+
+def test_level_oracle_stops_each_slot_at_the_scalar_iterate():
+    # the two slots of level 2 contract at rates 0.5 * dA with dA = 0.3 and
+    # 0.7, so they need different numbers of iterations
+    model = mixed_model(2)
+    tree = build_tree(model)
+    base = cli._build_generator({"preset": "affine_y",
+                                 "params": {"c0": 0.2, "c1": 0.5}}, tree)
+    problem = BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_jump_count(2.0),
+                          f=base, _tree=tree)
+    sol = backward_oracle(problem)
+    Y, Z = per_slot_oracle(problem)
+    assert np.array_equal(sol.Y, Y) and np.array_equal(sol.Z, Z)
+
+    level, per_slot = counting(base)
+    backward_oracle(BsdeProblem(model=model, beta=1.0, xi=problem.xi, f=level, _tree=tree))
+    scalar, single = counting(base)
+    per_slot_oracle(BsdeProblem(model=model, beta=1.0, xi=problem.xi, f=scalar, _tree=tree))
+    for s in single:
+        assert per_slot[s] == single[s] + 1   # plus the martingale-part pass
+    sl = tree.slot_level_slice(2)
+    assert len({single[s] for s in range(sl.start, sl.stop)}) > 1
+
+
+@pytest.mark.parametrize("scale,degenerate", [(0.0, True), (1.0, False)])
+def test_level_oracle_step_singular_like_per_slot(scale, degenerate):
+    # level 1: the slot after a jump contracts (dA = 0.2), the one after no
+    # jump has dA * lip_y = 1; a zero terminal makes that step degenerate
+    p = 0.5
+    model = scenarios.predictable_random_jumps(
+        K=2, m=1, rule=lambda k, hist: 0.5 if k == 0 or hist[-1] == -1 else 0.2)
+    problem = BsdeProblem(model=model, beta=0.0, xi=scenarios.xi_jump_count(scale),
+                          f=Generator.batched(lambda block, y, zeta: y / p, 1.0 / p, 0.0))
+    with pytest.raises(StepSingular) as batch:
+        backward_oracle(problem)
+    with pytest.raises(StepSingular) as single:
+        per_slot_oracle(problem)
+    assert batch.value.degenerate == single.value.degenerate == degenerate
+
+
+# -- finiteness guard ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gen", [
+    Generator.from_path(lambda s: float("nan")),
+    Generator.batched(lambda block, y, zeta: np.where(block.step == 1, np.inf, 0.0), 0.0, 0.0),
+])
+def test_non_finite_driver_fails_alike_on_all_routes(gen):
+    model = scenarios.deterministic_grid(K=3, m=2, a=0.4)
+    problem = BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_jump_count(), f=gen)
+    for route in (solve_linear, backward_oracle, picard_solve):
+        with pytest.raises(NonFinite):
+            route(problem)
+
+
+# -- slot views and path sums --------------------------------------------------------
+
+
+def test_slot_views_built_on_demand_only(monkeypatch):
+    def refuse(self):
+        raise AssertionError("slot_views list built")
+
+    monkeypatch.setattr(ScenarioTree, "slot_views", property(refuse))
+    rng = np.random.default_rng(5)
+    problem, delta = random_problem(rng, K=3)
+    tree = problem.tree()
+    views = [tree.slot(i) for i in range(tree.n_slots)]
+    assert [v.index for v in views] == list(range(tree.n_slots))
+    assert all(v.history == tree.histories[v.index] for v in views)
+    picard_solve(problem, delta=delta)
+    backward_oracle(problem)
+    monkeypatch.undo()
+    assert tree.slot_views == views
+    with pytest.raises(IndexError):
+        tree.slot(tree.n_slots)
+
+
+def test_accumulate_matches_path_sums():
+    rng = np.random.default_rng(9)
+    tree = build_tree(scenarios.random_model(rng, K=4))
+    vals = rng.normal(0, 1, tree.n_slots)
+    acc = tree.accumulate(vals)
+    for leaf, path in leaf_paths(tree):
+        for depth, node in enumerate(path):
+            assert acc[node] == pytest.approx(sum(vals[p] for p in path[:depth]),
+                                              abs=1e-14)

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from treebsde import cli
 
 
@@ -142,6 +144,20 @@ def test_sweep_horizon_refinement_gaps_shrink(tmp_path):
     y0 = [float(r["Y0"]) for r in rows]
     gaps = [abs(y0[i + 1] - y0[i]) for i in range(len(y0) - 1)]
     assert gaps[1] < gaps[0]
+
+
+@pytest.mark.parametrize("param,values,builds", [
+    ("beta", [1.0, 2.0, 4.0], 1), ("delta", [0.1, 0.2], 1), ("K", [1, 2, 3], 3)])
+def test_sweep_builds_one_tree_per_model(tmp_path, monkeypatch, param, values, builds):
+    calls = []
+    build = cli.solver.build_tree
+    monkeypatch.setattr(cli.solver, "build_tree", lambda model: calls.append(1) or build(model))
+    cfg = write_config(tmp_path, generator={"preset": "affine_y",
+                                            "params": {"c0": 0.1, "c1": 0.3}},
+                       sweep={"param": param, "values": values,
+                              "relative_to_beta_min": True})
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == builds
 
 
 def test_sweep_empty_grid_empty_table(tmp_path):

@@ -59,6 +59,16 @@ def test_hat_lz_rejects_bad_delta():
         hat_Lz(0.9, 1.0, 1.0, 1.0)   # 2*1*1 > 1 - 0.9
 
 
+def test_hat_lz_array_form_matches_per_slot():
+    da = np.array([0.0, 0.2, 0.55, 1.0])
+    for lip_y in (0.0, 0.4):
+        got = hat_Lz(0.1, lip_y, 0.7, da)
+        assert got.shape == da.shape
+        assert np.array_equal(got, [hat_Lz(0.1, lip_y, 0.7, float(x)) for x in da])
+    with pytest.raises(ValueError):
+        hat_Lz(0.5, 0.6, 0.7, da)   # only the dA = 1 slot violates it
+
+
 def test_hat_lz_dominates_the_chain():
     # hat^2 >= (1-d)Ly/(sqrt(2(1-d)) - 2 Ly dA) > (1-d)Ly^2 dA/(1-d-2Ly^2 dA^2)
     rng = np.random.default_rng(7)

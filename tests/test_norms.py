@@ -134,6 +134,19 @@ def test_z_norm_matches_brute_outcome_enumeration(seed):
 # -- lipschitz_seminorm -------------------------------------------------------------
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_row_forms_equal_scalar_forms(seed):
+    rng = np.random.default_rng(seed)
+    tree = build_tree(scenarios.random_model(rng, K=4))
+    n = tree.n_slots
+    Z = rng.normal(0, 3, (n, tree.n_marks))
+    block = tree.block(slice(0, n))
+    sem = [norms.lipschitz_seminorm(Z[s], tree.slot(s)) for s in range(n)]
+    hat = [norms.hat_z(Z[s], tree.slot(s)) for s in range(n)]
+    assert np.array_equal(norms.lipschitz_seminorm_rows(Z, block), sem)
+    assert np.array_equal(norms.hat_z_rows(Z, block), hat)
+
+
 def test_seminorm_zero():
     assert norms.lipschitz_seminorm(np.zeros(2), slot_of(m=2, a=0.5)) == 0.0
 

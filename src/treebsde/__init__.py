@@ -4,11 +4,13 @@ on exactly enumerated scenario trees."""
 
 from .measure_core import (
     NO_JUMP,
+    LevelRules,
     MarkSpace,
     ScenarioModel,
     ScenarioTree,
     SlotBlock,
     SlotView,
+    TreeTooLarge,
     build_tree,
     doleans_exponential,
     doleans_sqrt_factorization,
@@ -45,6 +47,7 @@ from .solver import (
     SolverError,
     StepSingular,
     backward_oracle,
+    batched_terminal,
     bsde_residual,
     implicit_step_solve,
     picard_map,

@@ -153,13 +153,17 @@ def _build_terminal(spec):
 
 
 def _build_tree(cfg: RunConfig):
-    """Construct the model of a config and enumerate its tree."""
+    """Construct the model of a config and enumerate its tree.
+
+    A bad model section, an invalid rule value and a tree over the node
+    budget (``TreeTooLarge``) are config errors.
+    """
     try:
         model = scenarios.ModelSpec(cfg.model["preset"],
                                     cfg.model.get("params", {})).build()
+        return model, solver.build_tree(model)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model spec: {exc}") from exc
-    return model, solver.build_tree(model)
 
 
 def _build_problem(cfg: RunConfig, built=None):
@@ -180,15 +184,21 @@ def _build_problem(cfg: RunConfig, built=None):
     beta_min = None
     if eps_star > 0 and delta is not None and 0 < delta < eps_star:
         beta_min = conditions.beta_threshold(tree, gen.lip_y, gen.lip_z, delta)
+    # an explicit delta the contraction weights cannot use is refused, as
+    # picard_solve refuses it; a violated hypothesis is reported instead
+    bad_delta = eps_star > 0 and beta_min is None
     if cfg.beta == "auto":
         if beta_min is None:
-            raise ConfigError("beta=auto needs the main hypothesis to hold")
+            raise ConfigError(f"delta {delta!r} outside (0, {eps_star!r})" if bad_delta
+                              else "beta=auto needs the main hypothesis to hold")
         beta = beta_min * float(cfg.beta_margin)
     else:
         try:
             beta = float(cfg.beta)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad beta {cfg.beta!r}") from exc
+        if bad_delta and beta > 0:
+            raise ConfigError(f"delta {delta!r} outside (0, {eps_star!r})")
 
     problem = solver.BsdeProblem(model=model, beta=beta, xi=xi, f=gen, _tree=tree)
     diag = {

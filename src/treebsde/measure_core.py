@@ -10,11 +10,19 @@ products, so every expectation on the tree is a finite sum with no
 sampling error.
 
 Outcome encoding: a step outcome is an ``int``, a mark index ``0..m-1``
-when a point occurs, ``NO_JUMP`` (= -1) when none does.  A history is a
-tuple of outcomes, one per elapsed step.  Slot ``k`` (0-based) covers the
-interval ``(t_k, t_{k+1}]`` with its atom at ``t_{k+1}``; on the tree the
-slots are in bijection with the internal nodes, and a slot's index equals
-the node index of its parent.
+when a point occurs, ``NO_JUMP`` (= -1) when none does.  A history is the
+sequence of outcomes, one per elapsed step.  Slot ``k`` (0-based) covers
+the interval ``(t_k, t_{k+1}]`` with its atom at ``t_{k+1}``; on the tree
+the slots are in bijection with the internal nodes, and a slot's index
+equals the node index of its parent.
+
+The tree is built one level at a time: a model in level-batch form
+(:meth:`ScenarioModel.batched`) sees the int8 matrix ``H`` of the
+histories of every node of a depth at once, one row per node; a model
+given by scalar ``(k, history)`` callables is evaluated row by row.  The
+tree keeps those int8 level matrices (``ScenarioTree.level_histories``);
+history tuples of Python ints are built only on demand
+(``ScenarioTree.history``, ``ScenarioTree.histories``, ``SlotView``).
 
 Multiplicative path weights: ``doleans_exponential`` evaluates the
 Doleans-Dade exponential of ``beta * A`` along a deterministic path of
@@ -25,21 +33,26 @@ made concrete).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 NO_JUMP = -1   # outcome code: no point at this step
 _ROOT = -2     # incoming-outcome code of the root node
+MAX_MARKS = 127          # outcomes are stored as int8
+MAX_NODES = 5_000_000    # default node budget of build_tree
 
 __all__ = [
     "NO_JUMP",
+    "MAX_NODES",
     "MarkSpace",
+    "LevelRules",
     "ScenarioModel",
     "SlotView",
     "SlotBlock",
     "ScenarioTree",
+    "TreeTooLarge",
     "build_tree",
     "doleans_exponential",
     "doleans_sqrt_factorization",
@@ -68,6 +81,24 @@ class MarkSpace:
 
 
 @dataclass(frozen=True)
+class LevelRules:
+    """Level-batch form of a model's step rules.
+
+    ``jump_sizes(k, H) -> dA[n]`` and ``mark_laws(k, H) -> phi[n, m]``,
+    where ``H`` is the ``(n, k)`` int8 matrix of the outcomes of slots
+    ``0..k-1`` of the ``n`` nodes of depth ``k``, one row per node in node
+    order.  Row ``i`` of each result belongs to node ``i``.
+    """
+
+    jump_sizes: Callable[[int, np.ndarray], np.ndarray]
+    mark_laws: Callable[[int, np.ndarray], np.ndarray]
+
+
+def _one_row(history) -> np.ndarray:
+    return np.array(history, dtype=np.int8).reshape(1, len(history))
+
+
+@dataclass(frozen=True)
 class ScenarioModel:
     """Predictable step-by-step specification of the driving measure.
 
@@ -82,6 +113,11 @@ class ScenarioModel:
             of the continuous part of ``A``; used by the path utilities
             and the weighted norms, but must be identically zero in any
             model handed to a solver.
+        batch: optional :class:`LevelRules`, the same rules on a whole
+            tree level at once; ``build_tree`` uses it when present and
+            otherwise calls the scalar pair once per node.  Build models
+            with ``batch`` through :meth:`batched`, which derives the
+            scalar pair from it.
     """
 
     marks: MarkSpace
@@ -89,6 +125,26 @@ class ScenarioModel:
     jump_size: Callable[[int, tuple], float]
     mark_law: Callable[[int, tuple], np.ndarray]
     continuous_increments: np.ndarray | None = None
+    batch: LevelRules | None = field(default=None, repr=False)
+
+    @classmethod
+    def batched(cls, marks: MarkSpace, grid, jump_sizes, mark_laws,
+                continuous_increments=None) -> "ScenarioModel":
+        """Model given in level-batch form (see :class:`LevelRules`).
+
+        Predictability: row ``i`` of ``H`` holds node ``i``'s outcomes
+        strictly before step ``k``, never the outcome of step ``k``.  The
+        scalar ``jump_size`` and ``mark_law`` are one-row adapters of the
+        batch rules.
+        """
+        def jump_size(k, history):
+            return float(jump_sizes(k, _one_row(history))[0])
+
+        def mark_law(k, history):
+            return np.asarray(mark_laws(k, _one_row(history)))[0]
+
+        return cls(marks, grid, jump_size, mark_law, continuous_increments,
+                   batch=LevelRules(jump_sizes, mark_laws))
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -158,13 +214,15 @@ class ScenarioTree:
 
     Nodes are stored level by level; ``level_start[k] : level_start[k+1]``
     slices depth ``k``.  Children of a node at depth ``k``: one per mark
-    when ``delta_A > 0`` plus a no-jump child when ``delta_A < 1``.
-    Internal nodes double as slots, so slot arrays are indexed by the
-    parent's node id.
+    when ``delta_A > 0`` plus a no-jump child when ``delta_A < 1``, in
+    that order.  Internal nodes double as slots, so slot arrays are
+    indexed by the parent's node id.  ``level_histories[k]`` is the
+    ``(n_k, k)`` int8 matrix of the histories of depth ``k``, one row per
+    node in node order.
     """
 
     def __init__(self, model, level_start, parent, outcome, branch_prob,
-                 prob, cum_A, histories, slot_dA, slot_phi, slot_dAc,
+                 prob, cum_A, level_histories, slot_dA, slot_phi, slot_dAc,
                  children):
         self.model = model
         self.level_start = level_start
@@ -173,16 +231,15 @@ class ScenarioTree:
         self.branch_prob = branch_prob
         self.prob = prob
         self.cum_A = cum_A
-        self.histories = histories
+        self.level_histories = level_histories
         self.slot_dA = slot_dA
         self.slot_phi = slot_phi
         self.slot_dAc = slot_dAc
         self.children = children
-        self.depth = np.empty(self.prob.size, dtype=np.int64)
-        for k in range(self.level_start.size - 1):
-            self.depth[self.level_start[k]:self.level_start[k + 1]] = k
+        self.depth = np.repeat(np.arange(level_start.size - 1), np.diff(level_start))
         self._doleans_cache: dict[float, np.ndarray] = {}
         self._views: list[SlotView | None] = [None] * int(level_start[-2])
+        self._histories: list[tuple] | None = None
 
     # -- shape ----------------------------------------------------------
 
@@ -219,6 +276,19 @@ class ScenarioTree:
 
     # -- views ----------------------------------------------------------
 
+    def history(self, node: int) -> tuple:
+        """Outcomes before ``node`` as a tuple of Python ints."""
+        k = int(self.depth[node])
+        return tuple(self.level_histories[k][node - int(self.level_start[k])].tolist())
+
+    @property
+    def histories(self) -> list:
+        """History tuple of every node, built on first use and kept."""
+        if self._histories is None:
+            self._histories = [tuple(row) for H in self.level_histories
+                               for row in H.tolist()]
+        return self._histories
+
     def slot(self, i: int) -> SlotView:
         """View of one slot, built on first use and kept."""
         i = int(i)
@@ -229,7 +299,7 @@ class ScenarioTree:
             step = int(self.depth[i])
             view = self._views[i] = SlotView(
                 index=i, step=step, time=float(self.model.grid[step + 1]),
-                history=self.histories[i], delta_A=float(self.slot_dA[i]),
+                history=self.history(i), delta_A=float(self.slot_dA[i]),
                 phi=self.slot_phi[i], dAc=float(self.slot_dAc[i]))
         return view
 
@@ -293,86 +363,128 @@ class ScenarioTree:
         return E[:n] * np.exp(beta * dAc_per_slot) * (1.0 + beta * self.slot_dA[:n])
 
 
-def build_tree(model: ScenarioModel) -> ScenarioTree:
-    """Enumerate all reachable outcome histories of ``model``.
+class TreeTooLarge(ValueError):
+    """The tree would hold more nodes than the build budget allows."""
+
+    def __init__(self, depth: int, nodes: int, budget: int):
+        super().__init__(f"tree would hold {nodes} nodes through depth {depth}, "
+                         f"over the budget of {budget} (max_nodes)")
+        self.depth, self.nodes, self.budget = depth, nodes, budget
+
+
+def _level_rules(model: ScenarioModel, k: int, H: np.ndarray):
+    """Checked jump sizes ``dA[n]`` and normalized mark laws ``phi[n, m]`` of depth k.
+
+    A model without ``batch`` goes through one loop over the rows of
+    ``H``, calling its scalar pair on history tuples of Python ints.
+    """
+    n, m = H.shape[0], model.marks.size
+    if model.batch is not None:
+        dA = np.asarray(model.batch.jump_sizes(k, H), dtype=float)
+        if dA.shape != (n,):
+            raise ValueError(f"jump sizes must have shape ({n},) at slot {k}")
+    else:
+        hists = [tuple(row) for row in H.tolist()]
+        dA = np.array([float(model.jump_size(k, h)) for h in hists])
+    bad = ~((dA >= 0.0) & (dA <= 1.0))          # also catches NaN
+    if np.any(bad):
+        raise ValueError(f"jump size {float(dA[np.argmax(bad)])!r} outside [0, 1] at slot {k}")
+    if model.batch is not None:
+        phi = np.ascontiguousarray(model.batch.mark_laws(k, H), dtype=float)
+        if phi.shape != (n, m):
+            raise ValueError(f"mark law must have shape ({m},) at slot {k}")
+    else:
+        phi = np.empty((n, m))
+        for i, h in enumerate(hists):
+            row = np.asarray(model.mark_law(k, h), dtype=float)
+            if row.shape != (m,):
+                raise ValueError(f"mark law must have shape ({m},) at slot {k}")
+            phi[i] = row
+    total = phi.sum(axis=1)
+    if not np.all(phi >= 0) or not np.all(np.abs(total - 1.0) <= 1e-12):
+        raise ValueError(f"mark law is not a probability vector at slot {k}")
+    return dA, phi / total[:, None]
+
+
+def build_tree(model: ScenarioModel, max_nodes: int | None = None) -> ScenarioTree:
+    """Enumerate all reachable outcome histories of ``model``, one level at a time.
 
     Branch layout per slot: a jump child per mark when ``delta_A > 0``
     (probability ``delta_A * phi[x]``) and a no-jump child when
-    ``delta_A < 1`` (probability ``1 - delta_A``).  Zero-probability
-    branch *kinds* are never created, which keeps every conditional law
-    normalized.
+    ``delta_A < 1`` (probability ``1 - delta_A``), in that order.
+    Zero-probability branch *kinds* are never created, which keeps every
+    conditional law normalized.
+
+    Raises:
+        ValueError: a jump size outside [0, 1] (or NaN), a mark law of the
+            wrong shape or not a probability vector, or more than 127 marks.
+        TreeTooLarge: the next level would take the node count past
+            ``max_nodes`` (default ``MAX_NODES``); raised before that
+            level is allocated.
     """
     K = model.horizon
     m = model.marks.size
+    if m > MAX_MARKS:
+        raise ValueError(f"at most {MAX_MARKS} marks (outcomes are stored as int8)")
+    budget = MAX_NODES if max_nodes is None else int(max_nodes)
     dAc = model.continuous_increments
+    # outcome of the child in each column: marks 0..m-1, then no jump
+    codes = np.append(np.arange(m), NO_JUMP)
 
-    histories: list[tuple] = [()]
-    parent = [-1]
-    outcome = [_ROOT]
-    branch_prob = [1.0]
-    prob = [1.0]
-    cum_A = [0.0]
+    H = np.zeros((1, 0), dtype=np.int8)
+    level_histories = [H]
+    parent = [np.array([-1])]
+    outcome = [np.array([_ROOT])]
+    branch_prob = [np.ones(1)]
+    prob = [np.ones(1)]
+    cum_A = [np.zeros(1)]
     level_start = [0, 1]
-    slot_dA: list[float] = []
-    slot_phi: list[np.ndarray] = []
-    children: list[np.ndarray] = []
+    slot_dA, slot_phi, children = [], [], []
 
     for k in range(K):
-        for node in range(level_start[k], level_start[k + 1]):
-            hist = histories[node]
-            da = float(model.jump_size(k, hist))
-            if not 0.0 <= da <= 1.0:
-                raise ValueError(f"jump size {da!r} outside [0, 1] at slot {k}")
-            phi = np.asarray(model.mark_law(k, hist), dtype=float)
-            if phi.shape != (m,):
-                raise ValueError(f"mark law must have shape ({m},) at slot {k}")
-            if np.any(phi < 0) or abs(phi.sum() - 1.0) > 1e-12:
-                raise ValueError(f"mark law is not a probability vector at slot {k}")
-            phi = phi / phi.sum()
-            a_next = cum_A[node] + dAc[k] + da
-            ch = np.full(m + 1, -1, dtype=np.int64)
-            if da > 0.0:
-                for j in range(m):
-                    ch[j] = len(histories)
-                    histories.append(hist + (j,))
-                    parent.append(node)
-                    outcome.append(j)
-                    bp = da * phi[j]
-                    branch_prob.append(bp)
-                    prob.append(prob[node] * bp)
-                    cum_A.append(a_next)
-            if da < 1.0:
-                ch[m] = len(histories)
-                histories.append(hist + (NO_JUMP,))
-                parent.append(node)
-                outcome.append(NO_JUMP)
-                branch_prob.append(1.0 - da)
-                prob.append(prob[node] * (1.0 - da))
-                cum_A.append(a_next)
-            slot_dA.append(da)
-            slot_phi.append(phi)
-            children.append(ch)
-        level_start.append(len(histories))
+        n = H.shape[0]
+        dA, phi = _level_rules(model, k, H)
+        mask = np.empty((n, m + 1), dtype=bool)
+        mask[:, :m] = (dA > 0.0)[:, None]
+        mask[:, m] = dA < 1.0
+        total = level_start[-1] + int(np.count_nonzero(mask))
+        if total > budget:
+            raise TreeTooLarge(k + 1, total, budget)
+        bp = np.empty((n, m + 1))
+        bp[:, :m] = dA[:, None] * phi
+        bp[:, m] = 1.0 - dA
+        bp = bp[mask]
+        local = np.nonzero(mask)[0]             # parent of each child, within the level
+        ch = np.full((n, m + 1), -1, dtype=np.int64)
+        ch[mask] = np.arange(level_start[-1], total)
+        out = np.broadcast_to(codes, (n, m + 1))[mask]
+        parent.append(level_start[k] + local)
+        outcome.append(out)
+        branch_prob.append(bp)
+        prob.append(prob[-1][local] * bp)
+        cum_A.append(((cum_A[-1] + dAc[k]) + dA)[local])
+        H = np.concatenate([H[local], out[:, None].astype(np.int8)], axis=1)
+        level_histories.append(H)
+        slot_dA.append(dA)
+        slot_phi.append(phi)
+        children.append(ch)
+        level_start.append(total)
 
-    n_slots = level_start[K]
-    slot_dAc = np.empty(n_slots)
-    for k in range(K):
-        slot_dAc[level_start[k]:level_start[k + 1]] = dAc[k]
-
+    level_start = np.asarray(level_start, dtype=np.int64)
     return ScenarioTree(
         model=model,
-        level_start=np.asarray(level_start, dtype=np.int64),
-        parent=np.asarray(parent, dtype=np.int64),
-        outcome=np.asarray(outcome, dtype=np.int64),
-        branch_prob=np.asarray(branch_prob),
-        prob=np.asarray(prob),
-        cum_A=np.asarray(cum_A),
-        histories=histories,
-        slot_dA=np.asarray(slot_dA) if n_slots else np.zeros(0),
-        slot_phi=np.asarray(slot_phi) if n_slots else np.zeros((0, m)),
-        slot_dAc=slot_dAc,
-        children=(np.asarray(children, dtype=np.int64).reshape(n_slots, m + 1)
-                  if n_slots else np.zeros((0, m + 1), dtype=np.int64)),
+        level_start=level_start,
+        parent=np.concatenate(parent),
+        outcome=np.concatenate(outcome),
+        branch_prob=np.concatenate(branch_prob),
+        prob=np.concatenate(prob),
+        cum_A=np.concatenate(cum_A),
+        level_histories=level_histories,
+        slot_dA=np.concatenate(slot_dA) if K else np.zeros(0),
+        slot_phi=np.concatenate(slot_phi) if K else np.zeros((0, m)),
+        slot_dAc=np.repeat(dAc, np.diff(level_start[:-1])),
+        children=(np.concatenate(children) if K
+                  else np.zeros((0, m + 1), dtype=np.int64)),
     )
 
 

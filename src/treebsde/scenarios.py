@@ -4,27 +4,32 @@ Deterministic step sizes, genuinely predictable (history-dependent) step
 sizes, forced unit jumps, discretized constant-intensity arrivals, and
 the single-slot blow-up configuration.  Every constructor returns a
 :class:`treebsde.measure_core.ScenarioModel`; all randomness lives in the
-caller-supplied generator of :func:`random_model`.
+caller-supplied generator of :func:`random_model`.  The constructors give
+their models in level-batch form (``ScenarioModel.batched``) unless the
+caller passes a scalar rule or mark law, and the terminal factories give
+theirs on the leaf matrix (``solver.batched_terminal``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .measure_core import MarkSpace, ScenarioModel, NO_JUMP
-from .solver import Generator
+from .solver import Generator, batched_terminal
 
 __all__ = [
     "ModelSpec",
     "deterministic_grid",
     "predictable_random_jumps",
+    "two_state_rule",
     "pdmp_like",
     "discretized_intensity",
     "counterexample_model",
     "random_model",
     "jump_count",
+    "jump_counts",
     "xi_constant",
     "xi_jump_count",
     "xi_last_mark_indicator",
@@ -35,19 +40,46 @@ def _uniform_grid(K: int, T: float = 1.0) -> np.ndarray:
     return np.linspace(0.0, float(T), int(K) + 1)
 
 
+def _law_vector(phi, m) -> np.ndarray:
+    return np.full(m, 1.0 / m) if phi is None else np.asarray(phi, dtype=float)
+
+
 def _phi_fn(phi, m):
-    if phi is None:
-        vec = np.full(m, 1.0 / m)
-        return lambda k, hist: vec
+    """Scalar mark law ``(k, history) -> phi`` from None, a vector or a callable."""
     if callable(phi):
         return phi
-    vec = np.asarray(phi, dtype=float)
+    vec = _law_vector(phi, m)
     return lambda k, hist: vec
+
+
+def _uniform_model(K: int, m: int, jump_sizes, phi=None, T: float = 1.0) -> ScenarioModel:
+    """Level-batch model on a uniform grid with a history-free mark law ``phi``.
+
+    A callable ``phi`` is a scalar ``(k, history)`` law, which keeps the
+    whole model on the scalar path.
+    """
+    vec = _law_vector(None if callable(phi) else phi, m)
+    model = ScenarioModel.batched(
+        MarkSpace.of_size(m), _uniform_grid(K, T), jump_sizes,
+        lambda k, H: np.broadcast_to(vec, (H.shape[0],) + vec.shape))
+    if callable(phi):
+        model = replace(model, mark_law=phi, batch=None)
+    return model
+
+
+def _per_step(a_arr):
+    """Level-batch jump sizes ``a_arr[k]`` on every node of depth ``k``."""
+    return lambda k, H: np.full(H.shape[0], a_arr[k])
 
 
 def jump_count(history) -> int:
     """Number of realized points in a history."""
     return sum(1 for o in history if o != NO_JUMP)
+
+
+def jump_counts(H: np.ndarray) -> np.ndarray:
+    """Number of realized points in each row of a history matrix."""
+    return np.count_nonzero(H != NO_JUMP, axis=1)
 
 
 # -- constructors ----------------------------------------------------------
@@ -58,12 +90,7 @@ def deterministic_grid(K: int, m: int, a, phi=None, T: float = 1.0) -> ScenarioM
     a_arr = np.broadcast_to(np.asarray(a, dtype=float), (K,)).copy()
     if np.any(a_arr < 0) or np.any(a_arr > 1):
         raise ValueError("jump sizes must lie in [0, 1]")
-    return ScenarioModel(
-        marks=MarkSpace.of_size(m),
-        grid=_uniform_grid(K, T),
-        jump_size=lambda k, hist: float(a_arr[k]),
-        mark_law=_phi_fn(phi, m),
-    )
+    return _uniform_model(K, m, _per_step(a_arr), phi, T)
 
 
 def predictable_random_jumps(K: int, m: int, rule, phi=None, T: float = 1.0) -> ScenarioModel:
@@ -71,7 +98,8 @@ def predictable_random_jumps(K: int, m: int, rule, phi=None, T: float = 1.0) -> 
 
     This is the regime the solver exists for; the integrator is
     predictable but not deterministic, so the weight paths differ across
-    same-depth histories.
+    same-depth histories.  ``rule`` is scalar, so the tree is built row
+    by row; the ``two_state_rule`` preset is the level-batch example.
     """
     return ScenarioModel(
         marks=MarkSpace.of_size(m),
@@ -81,18 +109,29 @@ def predictable_random_jumps(K: int, m: int, rule, phi=None, T: float = 1.0) -> 
     )
 
 
+def two_state_rule(K: int, m: int, a_after_jump: float, a_after_no_jump: float,
+                   phi=None, T: float = 1.0) -> ScenarioModel:
+    """Jump size ``a_after_jump`` right after a point, else ``a_after_no_jump``.
+
+    Step 0 has no previous outcome and uses ``a_after_no_jump``.
+    """
+    after_jump, after_none = float(a_after_jump), float(a_after_no_jump)
+
+    def jump_sizes(k, H):
+        if k == 0:
+            return np.full(H.shape[0], after_none)
+        return np.where(H[:, -1] == NO_JUMP, after_none, after_jump)
+
+    return _uniform_model(K, m, jump_sizes, phi, T)
+
+
 def pdmp_like(K: int, m: int, phi=None, T: float = 1.0) -> ScenarioModel:
     """Unit jump at every step: each slot forces a mark, no no-jump branch.
 
     In this regime the main hypothesis reduces to ``lip_y < 1/sqrt(2)``
     and is automatic for drivers that do not depend on y.
     """
-    return ScenarioModel(
-        marks=MarkSpace.of_size(m),
-        grid=_uniform_grid(K, T),
-        jump_size=lambda k, hist: 1.0,
-        mark_law=_phi_fn(phi, m),
-    )
+    return _uniform_model(K, m, lambda k, H: np.ones(H.shape[0]), phi, T)
 
 
 def discretized_intensity(lam: float, K: int, m: int, phi=None,
@@ -105,14 +144,8 @@ def discretized_intensity(lam: float, K: int, m: int, phi=None,
     """
     if lam < 0:
         raise ValueError("intensity must be nonnegative")
-    grid = _uniform_grid(K, T)
-    a_arr = 1.0 - np.exp(-lam * np.diff(grid))
-    return ScenarioModel(
-        marks=MarkSpace.of_size(m),
-        grid=grid,
-        jump_size=lambda k, hist: float(a_arr[k]),
-        mark_law=_phi_fn(phi, m),
-    )
+    a_arr = 1.0 - np.exp(-lam * np.diff(_uniform_grid(K, T)))
+    return _uniform_model(K, m, _per_step(a_arr), phi, T)
 
 
 def counterexample_model(p: float, t0_index: int = 0, K: int = 1,
@@ -132,12 +165,8 @@ def counterexample_model(p: float, t0_index: int = 0, K: int = 1,
         raise ValueError("p must lie in (0, 1)")
     if not 0 <= t0_index < K:
         raise ValueError("t0_index must address a step of the grid")
-    model = ScenarioModel(
-        marks=MarkSpace.of_size(m),
-        grid=_uniform_grid(K, T),
-        jump_size=lambda k, hist: float(p) if k == t0_index else 0.0,
-        mark_law=_phi_fn(None, m),
-    )
+    a_arr = np.where(np.arange(K) == t0_index, float(p), 0.0)
+    model = _uniform_model(K, m, _per_step(a_arr), None, T)
     gen = Generator.batched(lambda block, y, zeta: y / p, lip_y=1.0 / p, lip_z=0.0)
     return model, gen
 
@@ -150,7 +179,7 @@ def random_model(rng, K=None, m=None, max_horizon=6, max_marks=3,
     1, and with probability 1/2 makes the size rule genuinely predictable
     (it switches on the parity of the jump count so far).  The mark law
     is a random distribution that may also depend on that parity.  All
-    draws happen up front; the returned callables are pure.
+    draws happen up front; the returned rules are pure.
     """
     K = int(rng.integers(1, max_horizon + 1)) if K is None else int(K)
     m = int(rng.integers(1, max_marks + 1)) if m is None else int(m)
@@ -161,51 +190,55 @@ def random_model(rng, K=None, m=None, max_horizon=6, max_marks=3,
     zero &= ~unit
     history_dependent = bool(rng.random() < 0.5)
 
-    def jump_size(k, hist):
+    def jump_sizes(k, H):
+        n = H.shape[0]
         if unit[k]:
-            return 1.0
+            return np.ones(n)
         if zero[k]:
-            return 0.0
-        if history_dependent and jump_count(hist) % 2 == 1:
-            return float(alt[k])
-        return float(base[k])
+            return np.zeros(n)
+        if history_dependent:
+            return np.where(jump_counts(H) % 2 == 1, alt[k], base[k])
+        return np.full(n, base[k])
 
     raw = rng.uniform(0.2, 1.0, (2, m))
     laws = raw / raw.sum(axis=1, keepdims=True)
     law_dependent = bool(rng.random() < 0.5)
 
-    def mark_law(k, hist):
-        row = 1 if (law_dependent and jump_count(hist) % 2 == 1) else 0
-        return laws[row]
+    def mark_laws(k, H):
+        odd = jump_counts(H) % 2 if law_dependent else np.zeros(H.shape[0], dtype=int)
+        return laws[odd]
 
-    return ScenarioModel(
-        marks=MarkSpace.of_size(m),
-        grid=_uniform_grid(K, T),
-        jump_size=jump_size,
-        mark_law=mark_law,
-    )
+    return ScenarioModel.batched(MarkSpace.of_size(m), _uniform_grid(K, T),
+                                 jump_sizes, mark_laws)
 
 
 # -- terminal functionals ---------------------------------------------------
+#
+# Each factory returns a scalar ``xi(history) -> float`` carrying its
+# level-batch form ``xi.batch(H) -> values`` on the leaf matrix.
 
 
 def xi_constant(c: float):
-    return lambda hist: float(c)
+    c = float(c)
+    return batched_terminal(lambda H: np.full(H.shape[0], c))
 
 
 def xi_jump_count(scale: float = 1.0):
     """Terminal value proportional to the number of realized points."""
-    return lambda hist: scale * jump_count(hist)
+    return batched_terminal(lambda H: scale * jump_counts(H))
 
 
 def xi_last_mark_indicator(mark_index: int, scale: float = 1.0):
     """Indicator that the last realized point carried the given mark."""
-    def xi(hist):
-        for o in reversed(hist):
-            if o != NO_JUMP:
-                return scale if o == mark_index else 0.0
-        return 0.0
-    return xi
+    def xi(H):
+        n, K = H.shape
+        if K == 0:
+            return np.zeros(n)
+        # entry in the last column holding a point (NO_JUMP in a row without one)
+        last = H[np.arange(n), K - 1 - np.argmax(H[:, ::-1] != NO_JUMP, axis=1)]
+        return np.where((last == mark_index) & (last != NO_JUMP), float(scale), 0.0)
+
+    return batched_terminal(xi)
 
 
 # -- named presets -----------------------------------------------------------
@@ -213,6 +246,7 @@ def xi_last_mark_indicator(mark_index: int, scale: float = 1.0):
 _CONSTRUCTORS = {
     "deterministic_grid": deterministic_grid,
     "predictable_random_jumps": predictable_random_jumps,
+    "two_state_rule": two_state_rule,
     "pdmp_like": pdmp_like,
     "discretized_intensity": discretized_intensity,
 }
@@ -229,19 +263,6 @@ class ModelSpec:
         if self.name == "counterexample":
             model, _ = counterexample_model(**self.params)
             return model
-        if self.name == "two_state_rule":
-            # convenience preset: jump size a_after_jump / a_after_no_jump
-            # depending on the previous step's outcome
-            p = dict(self.params)
-            after_jump = float(p.pop("a_after_jump"))
-            after_none = float(p.pop("a_after_no_jump"))
-
-            def rule(k, hist):
-                if k == 0 or hist[-1] == NO_JUMP:
-                    return after_none
-                return after_jump
-
-            return predictable_random_jumps(rule=rule, **p)
         try:
             ctor = _CONSTRUCTORS[self.name]
         except KeyError:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import conditions, norms
 from .measure_core import (ScenarioModel, ScenarioTree, SlotBlock, SlotView,
-                           build_tree)
+                           _one_row, build_tree)
 
 __all__ = [
     "SolverError",
@@ -40,6 +40,7 @@ __all__ = [
     "ConditionViolated",
     "Generator",
     "BsdeProblem",
+    "batched_terminal",
     "Solution",
     "SolveReport",
     "represent_martingale",
@@ -187,9 +188,37 @@ class BsdeProblem:
         return self._tree
 
     def terminal_values(self, tree=None) -> np.ndarray:
+        """``xi`` on every leaf, in leaf order.
+
+        A batched terminal (see :func:`batched_terminal`) is evaluated once
+        on the leaf history matrix; any other ``xi`` is called once per
+        leaf on a history tuple of Python ints.
+        """
         tree = tree or self.tree()
-        lo, hi = tree.leaf_slice.start, tree.leaf_slice.stop
-        return np.array([float(self.xi(tree.histories[i])) for i in range(lo, hi)])
+        H = tree.level_histories[tree.horizon]
+        batch = getattr(self.xi, "batch", None)
+        if batch is None:
+            return np.array([float(self.xi(tuple(h))) for h in H.tolist()])
+        vals = np.asarray(batch(H), dtype=float)
+        if vals.shape != (H.shape[0],):
+            raise ValueError(f"batched terminal returned shape {vals.shape}, "
+                             f"expected ({H.shape[0]},)")
+        return vals
+
+
+def batched_terminal(fn) -> Callable[[tuple], float]:
+    """Terminal functional given on the leaf matrix: ``fn(H[n, K]) -> xi[n]``.
+
+    ``H`` holds one leaf history per row as int8 outcomes (mark index or
+    ``NO_JUMP``).  Returns the scalar form ``xi(history) -> float``, a
+    one-row adapter that carries ``fn`` as its ``batch`` attribute, which
+    ``BsdeProblem.terminal_values`` uses.
+    """
+    def xi(history):
+        return float(fn(_one_row(history))[0])
+
+    xi.batch = fn
+    return xi
 
 
 @dataclass
@@ -480,6 +509,8 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
     ``tol``.
 
     Args:
+        delta: contraction margin; with ``beta > 0`` and the hypothesis
+            checked, an explicit value must lie in ``(0, eps_star)``.
         check_hypothesis: when True (default), a violated main hypothesis
             raises ``ConditionViolated`` up front; pass False to iterate
             anyway (unit b-weights) and watch the blow-up.
@@ -489,6 +520,8 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
 
     Raises:
         ConditionViolated: ``2 lip_y^2 dA^2 >= 1`` somewhere.
+        ValueError: an explicit ``delta`` outside ``(0, eps_star)`` (see
+            ``delta``); it never falls back to unit b-weights.
         NoConvergence: ``max_iter`` sweeps without meeting ``tol`` (the
             report so far is attached to the exception).
     """
@@ -500,6 +533,9 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
     if check_hypothesis and eps_star <= 0.0:
         raise ConditionViolated(
             f"main hypothesis violated: slack {eps_star}", flagged=flagged)
+    if check_hypothesis and beta > 0.0 and delta is not None and not 0.0 < delta < eps_star:
+        raise ValueError(f"delta {delta!r} outside (0, {eps_star!r}), "
+                         "the range the contraction weights need")
     if delta is None and eps_star > 0.0:
         delta = eps_star / 2.0
     profile = None

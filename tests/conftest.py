@@ -221,3 +221,72 @@ def per_slot_oracle(problem, tol=1e-13):
             Y[s] = cm[off] if da == 0.0 else implicit_step_solve(
                 cm[off], da, tree.slot(s), Z[s], problem.f, tol)
     return Y, Z
+
+
+# -- scalar twins of the level-batch model and terminal forms ----------------------
+
+
+def scalar_path(model):
+    """The same model with its scalar callables only (``batch`` dropped)."""
+    return type(model)(marks=model.marks, grid=model.grid, jump_size=model.jump_size,
+                       mark_law=model.mark_law,
+                       continuous_increments=model.continuous_increments)
+
+
+def scalar_random_model(rng, K=None, m=None, max_horizon=6, max_marks=3,
+                        include_unit=True, include_zero=True, T=1.0):
+    """Per-history form of ``scenarios.random_model``: same draws, scalar rules."""
+    from treebsde import MarkSpace, ScenarioModel
+    K = int(rng.integers(1, max_horizon + 1)) if K is None else int(K)
+    m = int(rng.integers(1, max_marks + 1)) if m is None else int(m)
+    base = rng.uniform(0.05, 0.95, K)
+    alt = rng.uniform(0.05, 0.95, K)
+    unit = (rng.random(K) < 0.15) if include_unit else np.zeros(K, dtype=bool)
+    zero = (rng.random(K) < 0.10) if include_zero else np.zeros(K, dtype=bool)
+    zero &= ~unit
+    history_dependent = bool(rng.random() < 0.5)
+
+    def jump_size(k, hist):
+        if unit[k]:
+            return 1.0
+        if zero[k]:
+            return 0.0
+        if history_dependent and scenarios.jump_count(hist) % 2 == 1:
+            return float(alt[k])
+        return float(base[k])
+
+    raw = rng.uniform(0.2, 1.0, (2, m))
+    laws = raw / raw.sum(axis=1, keepdims=True)
+    law_dependent = bool(rng.random() < 0.5)
+
+    def mark_law(k, hist):
+        return laws[1 if (law_dependent and scenarios.jump_count(hist) % 2 == 1) else 0]
+
+    return ScenarioModel(marks=MarkSpace.of_size(m), grid=np.linspace(0.0, T, K + 1),
+                         jump_size=jump_size, mark_law=mark_law)
+
+
+def scalar_two_state_rule(K, m, a_after_jump, a_after_no_jump, phi=None):
+    """Per-history form of the ``two_state_rule`` preset."""
+    def rule(k, hist):
+        return a_after_no_jump if k == 0 or hist[-1] == NO_JUMP else a_after_jump
+
+    return scenarios.predictable_random_jumps(K=K, m=m, rule=rule, phi=phi)
+
+
+def scalar_terminals():
+    """Per-history forms of the three terminal factories, keyed by preset."""
+    def last_mark(mark, scale):
+        def xi(hist):
+            for o in reversed(hist):
+                if o != NO_JUMP:
+                    return scale if o == mark else 0.0
+            return 0.0
+        return xi
+
+    return {
+        "constant": (scenarios.xi_constant(0.37), lambda hist: 0.37),
+        "jump_count": (scenarios.xi_jump_count(0.53),
+                       lambda hist: 0.53 * scenarios.jump_count(hist)),
+        "last_mark": (scenarios.xi_last_mark_indicator(1, 1.3), last_mark(1, 1.3)),
+    }

@@ -161,9 +161,12 @@ def _build_tree(cfg: RunConfig):
     try:
         model = scenarios.ModelSpec(cfg.model["preset"],
                                     cfg.model.get("params", {})).build()
-        return model, solver.build_tree(model)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model spec: {exc}") from exc
+    try:
+        return model, solver.build_tree(model)
+    except ValueError as exc:
+        raise ConfigError(f"bad model: {exc}") from exc
 
 
 def _build_problem(cfg: RunConfig, built=None):

@@ -41,7 +41,7 @@ import numpy as np
 NO_JUMP = -1   # outcome code: no point at this step
 _ROOT = -2     # incoming-outcome code of the root node
 MAX_MARKS = 127          # outcomes are stored as int8
-MAX_NODES = 5_000_000    # default node budget of build_tree
+MAX_NODES = 5_000_000    # node budget of build_tree
 
 __all__ = [
     "NO_JUMP",
@@ -118,6 +118,10 @@ class ScenarioModel:
             otherwise calls the scalar pair once per node.  Build models
             with ``batch`` through :meth:`batched`, which derives the
             scalar pair from it.
+
+    ``batch`` takes precedence over the scalar pair, and
+    ``dataclasses.replace`` keeps it: replacing ``jump_size`` or
+    ``mark_law`` with a different rule must also set or clear ``batch``.
     """
 
     marks: MarkSpace
@@ -364,11 +368,11 @@ class ScenarioTree:
 
 
 class TreeTooLarge(ValueError):
-    """The tree would hold more nodes than the build budget allows."""
+    """The tree would hold more nodes than the build budget ``MAX_NODES`` allows."""
 
     def __init__(self, depth: int, nodes: int, budget: int):
         super().__init__(f"tree would hold {nodes} nodes through depth {depth}, "
-                         f"over the budget of {budget} (max_nodes)")
+                         f"over the budget of {budget} (MAX_NODES)")
         self.depth, self.nodes, self.budget = depth, nodes, budget
 
 
@@ -406,7 +410,7 @@ def _level_rules(model: ScenarioModel, k: int, H: np.ndarray):
     return dA, phi / total[:, None]
 
 
-def build_tree(model: ScenarioModel, max_nodes: int | None = None) -> ScenarioTree:
+def build_tree(model: ScenarioModel) -> ScenarioTree:
     """Enumerate all reachable outcome histories of ``model``, one level at a time.
 
     Branch layout per slot: a jump child per mark when ``delta_A > 0``
@@ -418,15 +422,14 @@ def build_tree(model: ScenarioModel, max_nodes: int | None = None) -> ScenarioTr
     Raises:
         ValueError: a jump size outside [0, 1] (or NaN), a mark law of the
             wrong shape or not a probability vector, or more than 127 marks.
-        TreeTooLarge: the next level would take the node count past
-            ``max_nodes`` (default ``MAX_NODES``); raised before that
-            level is allocated.
+        TreeTooLarge: the next level would take the node count past the
+            module budget ``MAX_NODES``; raised before that level is
+            allocated.
     """
     K = model.horizon
     m = model.marks.size
     if m > MAX_MARKS:
         raise ValueError(f"at most {MAX_MARKS} marks (outcomes are stored as int8)")
-    budget = MAX_NODES if max_nodes is None else int(max_nodes)
     dAc = model.continuous_increments
     # outcome of the child in each column: marks 0..m-1, then no jump
     codes = np.append(np.arange(m), NO_JUMP)
@@ -448,8 +451,8 @@ def build_tree(model: ScenarioModel, max_nodes: int | None = None) -> ScenarioTr
         mask[:, :m] = (dA > 0.0)[:, None]
         mask[:, m] = dA < 1.0
         total = level_start[-1] + int(np.count_nonzero(mask))
-        if total > budget:
-            raise TreeTooLarge(k + 1, total, budget)
+        if total > MAX_NODES:
+            raise TreeTooLarge(k + 1, total, MAX_NODES)
         bp = np.empty((n, m + 1))
         bp[:, :m] = dA[:, None] * phi
         bp[:, m] = 1.0 - dA

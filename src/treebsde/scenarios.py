@@ -12,11 +12,11 @@ theirs on the leaf matrix (``solver.batched_terminal``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure_core import MarkSpace, ScenarioModel, NO_JUMP
+from .measure_core import LevelRules, MarkSpace, ScenarioModel, NO_JUMP
 from .solver import Generator, batched_terminal
 
 __all__ = [
@@ -52,24 +52,27 @@ def _phi_fn(phi, m):
     return lambda k, hist: vec
 
 
-def _uniform_model(K: int, m: int, jump_sizes, phi=None, T: float = 1.0) -> ScenarioModel:
-    """Level-batch model on a uniform grid with a history-free mark law ``phi``.
+def _uniform_model(K: int, m: int, jump_size, jump_sizes, phi=None,
+                   T: float = 1.0) -> ScenarioModel:
+    """Model on a uniform grid with a history-free mark law ``phi``.
 
-    A callable ``phi`` is a scalar ``(k, history)`` law, which keeps the
-    whole model on the scalar path.
+    ``jump_size`` and ``jump_sizes`` are the scalar and the level-batch
+    form of one rule.  A callable ``phi`` is a scalar ``(k, history)``
+    law, which keeps the whole model on the scalar path.
     """
-    vec = _law_vector(None if callable(phi) else phi, m)
-    model = ScenarioModel.batched(
-        MarkSpace.of_size(m), _uniform_grid(K, T), jump_sizes,
-        lambda k, H: np.broadcast_to(vec, (H.shape[0],) + vec.shape))
-    if callable(phi):
-        model = replace(model, mark_law=phi, batch=None)
-    return model
+    batch = None
+    if not callable(phi):
+        vec = _law_vector(phi, m)
+        batch = LevelRules(jump_sizes,
+                           lambda k, H: np.broadcast_to(vec, (H.shape[0],) + vec.shape))
+    return ScenarioModel(MarkSpace.of_size(m), _uniform_grid(K, T), jump_size,
+                         _phi_fn(phi, m), batch=batch)
 
 
 def _per_step(a_arr):
-    """Level-batch jump sizes ``a_arr[k]`` on every node of depth ``k``."""
-    return lambda k, H: np.full(H.shape[0], a_arr[k])
+    """Scalar and level-batch forms of the jump sizes ``a_arr[k]`` at step ``k``."""
+    return (lambda k, hist: float(a_arr[k]),
+            lambda k, H: np.full(H.shape[0], a_arr[k]))
 
 
 def jump_count(history) -> int:
@@ -90,7 +93,7 @@ def deterministic_grid(K: int, m: int, a, phi=None, T: float = 1.0) -> ScenarioM
     a_arr = np.broadcast_to(np.asarray(a, dtype=float), (K,)).copy()
     if np.any(a_arr < 0) or np.any(a_arr > 1):
         raise ValueError("jump sizes must lie in [0, 1]")
-    return _uniform_model(K, m, _per_step(a_arr), phi, T)
+    return _uniform_model(K, m, *_per_step(a_arr), phi, T)
 
 
 def predictable_random_jumps(K: int, m: int, rule, phi=None, T: float = 1.0) -> ScenarioModel:
@@ -117,12 +120,15 @@ def two_state_rule(K: int, m: int, a_after_jump: float, a_after_no_jump: float,
     """
     after_jump, after_none = float(a_after_jump), float(a_after_no_jump)
 
+    def jump_size(k, hist):
+        return after_none if k == 0 or hist[-1] == NO_JUMP else after_jump
+
     def jump_sizes(k, H):
         if k == 0:
             return np.full(H.shape[0], after_none)
         return np.where(H[:, -1] == NO_JUMP, after_none, after_jump)
 
-    return _uniform_model(K, m, jump_sizes, phi, T)
+    return _uniform_model(K, m, jump_size, jump_sizes, phi, T)
 
 
 def pdmp_like(K: int, m: int, phi=None, T: float = 1.0) -> ScenarioModel:
@@ -131,7 +137,8 @@ def pdmp_like(K: int, m: int, phi=None, T: float = 1.0) -> ScenarioModel:
     In this regime the main hypothesis reduces to ``lip_y < 1/sqrt(2)``
     and is automatic for drivers that do not depend on y.
     """
-    return _uniform_model(K, m, lambda k, H: np.ones(H.shape[0]), phi, T)
+    return _uniform_model(K, m, lambda k, hist: 1.0,
+                          lambda k, H: np.ones(H.shape[0]), phi, T)
 
 
 def discretized_intensity(lam: float, K: int, m: int, phi=None,
@@ -145,7 +152,7 @@ def discretized_intensity(lam: float, K: int, m: int, phi=None,
     if lam < 0:
         raise ValueError("intensity must be nonnegative")
     a_arr = 1.0 - np.exp(-lam * np.diff(_uniform_grid(K, T)))
-    return _uniform_model(K, m, _per_step(a_arr), phi, T)
+    return _uniform_model(K, m, *_per_step(a_arr), phi, T)
 
 
 def counterexample_model(p: float, t0_index: int = 0, K: int = 1,
@@ -166,7 +173,7 @@ def counterexample_model(p: float, t0_index: int = 0, K: int = 1,
     if not 0 <= t0_index < K:
         raise ValueError("t0_index must address a step of the grid")
     a_arr = np.where(np.arange(K) == t0_index, float(p), 0.0)
-    model = _uniform_model(K, m, _per_step(a_arr), None, T)
+    model = _uniform_model(K, m, *_per_step(a_arr), None, T)
     gen = Generator.batched(lambda block, y, zeta: y / p, lip_y=1.0 / p, lip_z=0.0)
     return model, gen
 
@@ -220,17 +227,24 @@ def random_model(rng, K=None, m=None, max_horizon=6, max_marks=3,
 
 def xi_constant(c: float):
     c = float(c)
-    return batched_terminal(lambda H: np.full(H.shape[0], c))
+    return batched_terminal(lambda H: np.full(H.shape[0], c), scalar=lambda hist: c)
 
 
 def xi_jump_count(scale: float = 1.0):
     """Terminal value proportional to the number of realized points."""
-    return batched_terminal(lambda H: scale * jump_counts(H))
+    return batched_terminal(lambda H: scale * jump_counts(H),
+                            scalar=lambda hist: scale * jump_count(hist))
 
 
 def xi_last_mark_indicator(mark_index: int, scale: float = 1.0):
     """Indicator that the last realized point carried the given mark."""
-    def xi(H):
+    def xi(hist):
+        for o in reversed(hist):
+            if o != NO_JUMP:
+                return scale if o == mark_index else 0.0
+        return 0.0
+
+    def xi_level(H):
         n, K = H.shape
         if K == 0:
             return np.zeros(n)
@@ -238,7 +252,7 @@ def xi_last_mark_indicator(mark_index: int, scale: float = 1.0):
         last = H[np.arange(n), K - 1 - np.argmax(H[:, ::-1] != NO_JUMP, axis=1)]
         return np.where((last == mark_index) & (last != NO_JUMP), float(scale), 0.0)
 
-    return batched_terminal(xi)
+    return batched_terminal(xi_level, scalar=xi)
 
 
 # -- named presets -----------------------------------------------------------

@@ -206,16 +206,25 @@ class BsdeProblem:
         return vals
 
 
-def batched_terminal(fn) -> Callable[[tuple], float]:
+def batched_terminal(fn, scalar=None) -> Callable[[tuple], float]:
     """Terminal functional given on the leaf matrix: ``fn(H[n, K]) -> xi[n]``.
 
     ``H`` holds one leaf history per row as int8 outcomes (mark index or
-    ``NO_JUMP``).  Returns the scalar form ``xi(history) -> float``, a
-    one-row adapter that carries ``fn`` as its ``batch`` attribute, which
-    ``BsdeProblem.terminal_values`` uses.
+    ``NO_JUMP``).  Returns the scalar form ``xi(history) -> float``, which
+    carries ``fn`` as its ``batch`` attribute; ``BsdeProblem.terminal_values``
+    uses ``batch`` whenever it is present.  ``scalar`` is the same
+    functional on one history tuple; without it ``xi`` is a one-row
+    adapter of ``fn``, which costs a numpy round trip per call.
+
+    A wrapper made with ``functools.wraps`` copies ``batch``, so a wrapper
+    that changes the values must set its own ``batch`` or delete it.
     """
-    def xi(history):
-        return float(fn(_one_row(history))[0])
+    if scalar is None:
+        def xi(history):
+            return float(fn(_one_row(history))[0])
+    else:
+        def xi(history):
+            return scalar(history)
 
     xi.batch = fn
     return xi

@@ -79,3 +79,14 @@ def test_cli_bad_rule_value_is_a_config_error(tmp_path):
                                         "params": {"K": 3, "m": 1, "a_after_jump": 1.5,
                                                    "a_after_no_jump": 0.5}})
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+
+
+def test_cli_internal_build_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # only ValueError from the tree build maps to exit 1; a bug keeps its traceback
+    def broken(model):
+        raise TypeError("internal")
+
+    monkeypatch.setattr(cli.solver, "build_tree", broken)
+    cfg = write_config(tmp_path)
+    with pytest.raises(TypeError, match="internal"):
+        cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])

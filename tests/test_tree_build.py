@@ -220,12 +220,13 @@ def test_solver_routes_never_build_history_tuples(monkeypatch):
 # -- node budget -------------------------------------------------------------------------
 
 
-def test_node_budget_refuses_before_allocating():
+def test_node_budget_refuses_before_allocating(monkeypatch):
     model = scenarios.deterministic_grid(K=40, m=1, a=0.5)   # 2^41 - 1 nodes
+    monkeypatch.setattr(measure_core, "MAX_NODES", 10_000)
     tracemalloc.start()
     try:
         with pytest.raises(TreeTooLarge, match="through depth 13") as exc:
-            build_tree(model, max_nodes=10_000)
+            build_tree(model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -234,8 +235,8 @@ def test_node_budget_refuses_before_allocating():
     assert "16383 nodes" in str(exc.value)
     assert peak < 2 ** 20
     # exactly at the budget is allowed
-    assert build_tree(scenarios.deterministic_grid(K=12, m=1, a=0.5),
-                      max_nodes=2 ** 13 - 1).n_nodes == 2 ** 13 - 1
+    monkeypatch.setattr(measure_core, "MAX_NODES", 2 ** 13 - 1)
+    assert build_tree(scenarios.deterministic_grid(K=12, m=1, a=0.5)).n_nodes == 2 ** 13 - 1
 
 
 def test_default_budget_applies_to_plain_calls(monkeypatch):

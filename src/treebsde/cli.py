@@ -19,7 +19,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,25 +58,48 @@ class RunConfig:
 
     @classmethod
     def load(cls, path, overrides=None) -> "RunConfig":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        """Config of a JSON file (of the built-in counterexample run for None) with overrides.
+
+        Numeric fields, ``beta`` included, are parsed here; anything
+        malformed is a ``ConfigError``.
+        """
+        if path is None:
+            raw = {"model": {"preset": "counterexample"},
+                   "terminal": {"preset": "constant", "params": {"c": 5e4}}}
+        else:
+            try:
+                raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            except (OSError, json.JSONDecodeError) as exc:
+                raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if "model" not in raw:
+            raise ConfigError("config needs a 'model' section")
         cfg = cls(**raw)
         for key, val in (overrides or {}).items():
             if val is not None:
                 setattr(cfg, key, val)
+        for key in ("model", "generator", "terminal", "debug"):
+            section = getattr(cfg, key)
+            params = section.get("params", {}) if isinstance(section, dict) else None
+            if not isinstance(params, dict):
+                raise ConfigError(f"{key} and its params must be JSON objects")
+        if not isinstance(cfg.out, str):
+            raise ConfigError(f"out must be a path, not {cfg.out!r}")
         try:
             cfg.beta_margin = float(cfg.beta_margin)
             cfg.tol = float(cfg.tol)
             cfg.max_iter = int(cfg.max_iter)
             cfg.seed = int(cfg.seed)
+            if cfg.seed < 0:
+                raise ValueError(f"seed {cfg.seed} is negative")
             if cfg.delta is not None:
                 cfg.delta = float(cfg.delta)
+            if cfg.beta != "auto":
+                cfg.beta = float(cfg.beta)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad numeric field: {exc}") from exc
         return cfg
@@ -96,23 +119,32 @@ class RunReport:
 # -- presets ------------------------------------------------------------------
 
 
+def _num(params, key, default, kind=float):
+    """``kind(params.get(key, default))``; a malformed value is a config error."""
+    value = params.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad parameter {key}: {value!r}") from exc
+
+
 def _build_generator(spec, tree) -> solver.Generator:
     preset = spec.get("preset", "zero")
     p = spec.get("params", {})
     if preset == "zero":
         return solver.Generator.zero()
     if preset == "constant":
-        c0 = float(p.get("c0", 0.0))
+        c0 = _num(p, "c0", 0.0)
         return solver.Generator.batched(lambda block, y, zeta: np.full(y.shape, c0),
                                         lip_y=0.0, lip_z=0.0)
     if preset == "affine_y":
-        c0, c1 = float(p.get("c0", 0.0)), float(p.get("c1", 0.0))
+        c0, c1 = _num(p, "c0", 0.0), _num(p, "c1", 0.0)
         return solver.Generator.batched(lambda block, y, zeta: c0 + c1 * y,
                                         lip_y=abs(c1), lip_z=0.0)
     if preset == "affine_z":
-        c0 = float(p.get("c0", 0.0))
-        c1 = float(p.get("c1", 0.0))          # seminorm coefficient
-        c2 = float(p.get("c2", 0.0))          # hat-projection coefficient
+        c0 = _num(p, "c0", 0.0)
+        c1 = _num(p, "c1", 0.0)          # seminorm coefficient
+        c2 = _num(p, "c2", 0.0)          # hat-projection coefficient
         lip = abs(c1)
         if c2 != 0.0:
             da = tree.slot_dA
@@ -129,9 +161,7 @@ def _build_generator(spec, tree) -> solver.Generator:
 
         return solver.Generator.batched(fn, lip_y=0.0, lip_z=lip)
     if preset == "saturating":
-        c0 = float(p.get("c0", 0.0))
-        cy = float(p.get("cy", 0.0))
-        cz = float(p.get("cz", 0.0))
+        c0, cy, cz = _num(p, "c0", 0.0), _num(p, "cy", 0.0), _num(p, "cz", 0.0)
         return solver.Generator.batched(
             lambda block, y, zeta: c0 + cy * np.tanh(y)
             + cz * np.tanh(norms.lipschitz_seminorm_rows(zeta, block)),
@@ -143,12 +173,11 @@ def _build_terminal(spec):
     preset = spec.get("preset", "constant")
     p = spec.get("params", {})
     if preset == "constant":
-        return scenarios.xi_constant(float(p.get("c", 0.0)))
+        return scenarios.xi_constant(_num(p, "c", 0.0))
     if preset == "jump_count":
-        return scenarios.xi_jump_count(float(p.get("scale", 1.0)))
+        return scenarios.xi_jump_count(_num(p, "scale", 1.0))
     if preset == "last_mark":
-        return scenarios.xi_last_mark_indicator(int(p.get("mark", 0)),
-                                                float(p.get("scale", 1.0)))
+        return scenarios.xi_last_mark_indicator(_num(p, "mark", 0, int), _num(p, "scale", 1.0))
     raise ConfigError(f"unknown terminal preset {preset!r}")
 
 
@@ -194,14 +223,13 @@ def _build_problem(cfg: RunConfig, built=None):
         if beta_min is None:
             raise ConfigError(f"delta {delta!r} outside (0, {eps_star!r})" if bad_delta
                               else "beta=auto needs the main hypothesis to hold")
-        beta = beta_min * float(cfg.beta_margin)
+        beta = beta_min * cfg.beta_margin
     else:
-        try:
-            beta = float(cfg.beta)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad beta {cfg.beta!r}") from exc
+        beta = cfg.beta
         if bad_delta and beta > 0:
             raise ConfigError(f"delta {delta!r} outside (0, {eps_star!r})")
+    if beta < 0:
+        raise ConfigError(f"beta {beta!r} is negative")
 
     problem = solver.BsdeProblem(model=model, beta=beta, xi=xi, f=gen, _tree=tree)
     diag = {
@@ -275,28 +303,42 @@ def _solver_dict(sol, rep, tree, beta):
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+def _solved(cfg: RunConfig, noun: str, oracle: bool = False):
+    """Build, check and Picard-solve a config: the start ``solve`` and ``verify`` share.
+
+    Returns ``(code, problem, report, out, (solution, solve_report, oracle))``;
+    a nonzero ``code`` comes with the summary written and no solution.
+    """
     problem, diag = _build_problem(cfg)
-    tree = problem.tree()
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     report = RunReport(seed=cfg.seed, conditions=diag)
     if diag["epsilon_star"] <= 0:
-        report.notes.append("main hypothesis violated; no solve attempted")
-        _write_json(out / "summary.json", asdict(report))
-        print(f"condition violated: epsilon_star = {diag['epsilon_star']}, "
-              f"{len(diag['flagged'])} slot(s) flagged")
-        return EXIT_CONDITION
-    try:
-        sol, rep = solver.picard_solve(problem, tol=cfg.tol,
-                                       max_iter=cfg.max_iter, delta=diag["delta"])
-        oracle = solver.backward_oracle(problem)
-    except solver.SolverError as exc:
-        report.notes.append(f"solver failure: {exc}")
-        _write_json(out / "summary.json", asdict(report))
-        print(f"solver failure: {exc}")
-        return EXIT_SOLVER
+        code, note = EXIT_CONDITION, f"main hypothesis violated; no {noun} attempted"
+        message = (f"condition violated: epsilon_star = {diag['epsilon_star']}, "
+                   f"{len(diag['flagged'])} slot(s) flagged")
+    else:
+        try:
+            sol, rep = solver.picard_solve(problem, tol=cfg.tol,
+                                           max_iter=cfg.max_iter, delta=diag["delta"])
+            solved = (sol, rep, solver.backward_oracle(problem) if oracle else None)
+            return EXIT_OK, problem, report, out, solved
+        except solver.SolverError as exc:
+            code = EXIT_SOLVER
+            note = message = f"solver failure: {exc}"
+    report.notes.append(note)
+    _write_json(out / "summary.json", asdict(report))
+    print(message)
+    return code, problem, report, out, None
+
+
+def cmd_solve(cfg: RunConfig) -> int:
+    t0 = time.perf_counter()
+    code, problem, report, out, solved = _solved(cfg, "solve", oracle=True)
+    if code:
+        return code
+    sol, rep, oracle = solved
+    tree = problem.tree()
     sdict = _solver_dict(sol, rep, tree, problem.beta)
     sdict["oracle_Y0"] = float(oracle.Y[0])
     sdict["y0_gap"] = abs(float(sol.Y[0]) - float(oracle.Y[0]))
@@ -314,28 +356,14 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    problem, diag = _build_problem(cfg)
-    tree = problem.tree()
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report = RunReport(seed=cfg.seed, conditions=diag)
-    if diag["epsilon_star"] <= 0:
-        report.notes.append("main hypothesis violated; no verification attempted")
-        _write_json(out / "summary.json", asdict(report))
-        print("condition violated; nothing verified")
-        return EXIT_CONDITION
-    try:
-        sol, rep = solver.picard_solve(problem, tol=cfg.tol,
-                                       max_iter=cfg.max_iter, delta=diag["delta"])
-    except solver.SolverError as exc:
-        report.notes.append(f"solver failure: {exc}")
-        _write_json(out / "summary.json", asdict(report))
-        print(f"solver failure: {exc}")
-        return EXIT_SOLVER
+    code, problem, report, out, solved = _solved(cfg, "verification")
+    if code:
+        return code
+    sol, rep, _ = solved
     rng = np.random.default_rng(cfg.seed)
     c_scale = 0.0 if cfg.debug.get("wrong_c_beta") else 1.0
     checks = verification.run_suite(problem, sol, rng=rng, c_scale=c_scale)
-    report.solver = _solver_dict(sol, rep, tree, problem.beta)
+    report.solver = _solver_dict(sol, rep, problem.tree(), problem.beta)
     report.checks = [_check_dict(c) for c in checks]
     if problem.beta == 0:
         report.notes.append("beta = 0: integral inequality and a priori "
@@ -353,44 +381,45 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    if not cfg.sweep:
+    if not isinstance(cfg.sweep, dict) or not cfg.sweep:
         raise ConfigError("sweep needs a 'sweep' section in the config")
     param = cfg.sweep.get("param")
-    values = cfg.sweep.get("values", [])
     if param not in ("beta", "delta", "K"):
         raise ConfigError("sweep param must be one of beta, delta, K")
+    try:
+        values = [float(v) for v in cfg.sweep.get("values", [])]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sweep value: {exc}") from exc
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     # beta and delta leave the model alone: one tree serves every value
     built = _build_tree(cfg) if param != "K" and values else None
+    relative = param == "beta" and values and cfg.sweep.get("relative_to_beta_min")
+    if relative:
+        beta_min = _build_problem(cfg, built)[1]["beta_min"]
+        if beta_min is None:
+            raise ConfigError("relative beta sweep needs a valid beta_min")
     for v in values:
-        sub = RunConfig(**{**asdict_config(cfg), "sweep": None})
         if param == "beta":
-            if cfg.sweep.get("relative_to_beta_min"):
-                _, diag0 = _build_problem(sub, built)
-                if diag0["beta_min"] is None:
-                    raise ConfigError("relative beta sweep needs a valid beta_min")
-                sub.beta = float(v) * diag0["beta_min"]
-            else:
-                sub.beta = float(v)
+            sub = replace(cfg, beta=v * beta_min if relative else v)
         elif param == "delta":
-            sub.delta = float(v)
+            sub = replace(cfg, delta=v)
         else:
-            sub.model = {**cfg.model,
-                         "params": {**cfg.model.get("params", {}), "K": int(v)}}
+            sub = replace(cfg, model={**cfg.model,
+                                      "params": {**cfg.model.get("params", {}), "K": int(v)}})
         problem, diag = _build_problem(sub, built)
         try:
             sol, rep = solver.picard_solve(problem, tol=sub.tol,
                                            max_iter=sub.max_iter, delta=diag["delta"])
             worst = max(rep.ratio_sq) if rep.ratio_sq else ""
-            rows.append((param, float(v), diag["beta"], diag["delta"],
+            rows.append((param, v, diag["beta"], diag["delta"],
                          int(rep.converged), rep.iterations, worst,
                          float(sol.Y[0]), rep.residual))
         except solver.NoConvergence as exc:
             rep = exc.report
             worst = max(rep.ratio_sq) if rep and rep.ratio_sq else ""
-            rows.append((param, float(v), diag["beta"], diag["delta"], 0,
+            rows.append((param, v, diag["beta"], diag["delta"], 0,
                          rep.iterations if rep else cfg.max_iter, worst, "", ""))
     _write_csv(out / "sweep.csv", SWEEP_HEADER, rows)
     elapsed = time.perf_counter() - t0
@@ -402,11 +431,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_counterexample(cfg: RunConfig) -> int:
     """Reproduce the blow-up regime end to end and report what happened."""
     t0 = time.perf_counter()
-    p = float(cfg.model.get("params", {}).get("p", 0.5)) if cfg.model else 0.5
-    K = int(cfg.model.get("params", {}).get("K", 1)) if cfg.model else 1
-    t0_index = int(cfg.model.get("params", {}).get("t0_index", 0)) if cfg.model else 0
-    xi_scale = float(cfg.terminal.get("params", {}).get("c", 5e4))
-    model, gen = scenarios.counterexample_model(p, t0_index=t0_index, K=K)
+    params = cfg.model.get("params", {})
+    p = _num(params, "p", 0.5)
+    K, t0_index = _num(params, "K", 1, int), _num(params, "t0_index", 0, int)
+    xi_scale = _num(cfg.terminal.get("params", {}), "c", 5e4)
+    try:
+        model, gen = scenarios.counterexample_model(p, t0_index=t0_index, K=K)
+    except ValueError as exc:
+        raise ConfigError(f"bad model spec: {exc}") from exc
     problem = solver.BsdeProblem(model=model, beta=0.0,
                                  xi=scenarios.xi_constant(xi_scale), f=gen)
     tree = problem.tree()
@@ -441,10 +473,6 @@ def cmd_counterexample(cfg: RunConfig) -> int:
     return EXIT_OK if reproduced else EXIT_SOLVER
 
 
-def asdict_config(cfg: RunConfig) -> dict:
-    return {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
-
-
 # -- entry point -----------------------------------------------------------------
 
 
@@ -457,10 +485,11 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None,
                         help="JSON config (optional for counterexample)")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=None)
+        # values are parsed with the config, so a malformed one is a config error
+        sp.add_argument("--seed", default=None)
         sp.add_argument("--beta", default=None, help="'auto' or a number")
-        sp.add_argument("--delta", type=float, default=None)
-        sp.add_argument("--tol", type=float, default=None)
+        sp.add_argument("--delta", default=None)
+        sp.add_argument("--tol", default=None)
     return ap
 
 
@@ -469,18 +498,9 @@ def main(argv=None) -> int:
     overrides = {"out": args.out, "seed": args.seed, "beta": args.beta,
                  "delta": args.delta, "tol": args.tol}
     try:
-        if args.config is None:
-            if args.command != "counterexample":
-                raise ConfigError("--config is required")
-            cfg = RunConfig(model={"preset": "counterexample"},
-                            terminal={"preset": "constant", "params": {"c": 5e4}})
-            for key, val in overrides.items():
-                if val is not None:
-                    setattr(cfg, key, val)
-        else:
-            cfg = RunConfig.load(args.config, overrides)
-        if args.beta is not None and args.beta != "auto":
-            cfg.beta = float(args.beta)
+        if args.config is None and args.command != "counterexample":
+            raise ConfigError("--config is required")
+        cfg = RunConfig.load(args.config, overrides)
         handler = {"solve": cmd_solve, "verify": cmd_verify,
                    "sweep": cmd_sweep, "counterexample": cmd_counterexample}
         return handler[args.command](cfg)

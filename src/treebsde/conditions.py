@@ -91,12 +91,8 @@ def hat_Lz(delta: float, lip_y: float, lip_z: float, delta_A):
     da = np.asarray(delta_A, dtype=float)
     if np.any(2.0 * lip_y ** 2 * da ** 2 > 1.0 - delta):
         raise ValueError("delta out of range: 2 lip_y^2 dA^2 exceeds 1 - delta")
-    first = lip_z ** 2 + delta
-    if lip_y == 0.0:
-        hat = np.full(da.shape, first)
-    else:
-        second = (1.0 - delta) * lip_y / (np.sqrt(2.0 * (1.0 - delta)) - 2.0 * lip_y * da)
-        hat = np.maximum(first, second)
+    second = (1.0 - delta) * lip_y / (np.sqrt(2.0 * (1.0 - delta)) - 2.0 * lip_y * da)
+    hat = np.maximum(lip_z ** 2 + delta, second)
     return float(hat) if hat.ndim == 0 else hat
 
 
@@ -140,10 +136,7 @@ def contraction_profile_H(delta: float, lip_y: float, delta_A: float):
         g = 1.0 - delta_A * v
         return v / g if g > 0 else np.inf
 
-    if lip_y == 0.0:
-        ell_star = 0.0
-    else:
-        ell_star = (1.0 - delta) * lip_y / (np.sqrt(2.0 * (1.0 - delta)) - 2.0 * lip_y * delta_A)
+    ell_star = (1.0 - delta) * lip_y / (np.sqrt(2.0 * (1.0 - delta)) - 2.0 * lip_y * delta_A)
     return h, H, float(ell_star)
 
 
@@ -193,8 +186,6 @@ def detect_counterexample(model_or_tree, lip_y: float):
     iff the hypothesis can hold with some positive slack.
     """
     tree = _as_tree(model_or_tree)
-    if tree.n_slots == 0:
-        return []
     vals = 2.0 * lip_y ** 2 * tree.slot_dA ** 2
     idx = np.nonzero(vals >= 1.0)[0]
     return [(tree.slot(int(i)), float(vals[i])) for i in idx]

@@ -442,7 +442,8 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
     prob = [np.ones(1)]
     cum_A = [np.zeros(1)]
     level_start = [0, 1]
-    slot_dA, slot_phi, children = [], [], []
+    slot_dA, slot_phi = [np.zeros(0)], [np.zeros((0, m))]
+    children = [np.zeros((0, m + 1), dtype=np.int64)]
 
     for k in range(K):
         n = H.shape[0]
@@ -483,11 +484,10 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
         prob=np.concatenate(prob),
         cum_A=np.concatenate(cum_A),
         level_histories=level_histories,
-        slot_dA=np.concatenate(slot_dA) if K else np.zeros(0),
-        slot_phi=np.concatenate(slot_phi) if K else np.zeros((0, m)),
+        slot_dA=np.concatenate(slot_dA),
+        slot_phi=np.concatenate(slot_phi),
         slot_dAc=np.repeat(dAc, np.diff(level_start[:-1])),
-        children=(np.concatenate(children) if K
-                  else np.zeros((0, m + 1), dtype=np.int64)),
+        children=np.concatenate(children),
     )
 
 

@@ -71,8 +71,6 @@ def hat_z_rows(zeta, block: SlotBlock) -> np.ndarray:
 
 def hat_z_all(Z: np.ndarray, tree: ScenarioTree) -> np.ndarray:
     """Vectorized ``hat_z`` over every slot."""
-    if tree.n_slots == 0:
-        return np.zeros(0)
     return tree.slot_dA * np.einsum("sm,sm->s", Z, tree.slot_phi)
 
 
@@ -81,8 +79,6 @@ def slot_z_contribution(Z: np.ndarray, tree: ScenarioTree) -> np.ndarray:
 
     ``delta_A * sum(|Z - hat_z|^2 phi) + (1 - delta_A) * hat_z**2``
     """
-    if tree.n_slots == 0:
-        return np.zeros(0)
     zh = hat_z_all(Z, tree)
     dev = Z - zh[:, None]
     spread = np.einsum("sm,sm->s", dev * dev, tree.slot_phi)
@@ -105,8 +101,6 @@ def y_norm_sq(Y: np.ndarray, tree: ScenarioTree, beta: float) -> float:
     for solver models).
     """
     n = tree.n_slots
-    if n == 0:
-        return 0.0
     P = tree.prob[:n]
     Ypar = Y[:n]
     E_end = tree.doleans_at_slot_end(beta)
@@ -119,10 +113,7 @@ def y_norm_sq(Y: np.ndarray, tree: ScenarioTree, beta: float) -> float:
 
 def z_norm_sq(Z: np.ndarray, tree: ScenarioTree, beta: float) -> float:
     """Weighted square norm of a predictable field (atomic slots only)."""
-    n = tree.n_slots
-    if n == 0:
-        return 0.0
-    P = tree.prob[:n]
+    P = tree.prob[:tree.n_slots]
     E_end = tree.doleans_at_slot_end(beta)
     return float(np.sum(P * E_end * slot_z_contribution(Z, tree)))
 
@@ -135,8 +126,6 @@ def mixed_norm_sq(Y: np.ndarray, Z: np.ndarray, tree: ScenarioTree,
     purely discrete model this is ``y_norm_sq + z_norm_sq``.
     """
     n = tree.n_slots
-    if n == 0:
-        return 0.0
     P = tree.prob[:n]
     Ypar = Y[:n]
     E_end = tree.doleans_at_slot_end(beta)
@@ -194,8 +183,6 @@ def canonical_field(Z: np.ndarray, tree: ScenarioTree) -> np.ndarray:
     rows on ``delta_A = 1`` slots are centered to ``sum(Z * phi) = 0``.
     """
     out = np.array(Z, dtype=float, copy=True)
-    if tree.n_slots == 0:
-        return out
     zero = tree.slot_dA == 0.0
     out[zero] = 0.0
     unit = tree.slot_dA == 1.0

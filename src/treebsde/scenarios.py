@@ -60,19 +60,13 @@ def _uniform_model(K: int, m: int, jump_size, jump_sizes, phi=None,
     form of one rule.  A callable ``phi`` is a scalar ``(k, history)``
     law, which keeps the whole model on the scalar path.
     """
+    marks = MarkSpace.of_size(m)      # rejects m = 0 before the uniform law divides by it
     batch = None
     if not callable(phi):
         vec = _law_vector(phi, m)
         batch = LevelRules(jump_sizes,
                            lambda k, H: np.broadcast_to(vec, (H.shape[0],) + vec.shape))
-    return ScenarioModel(MarkSpace.of_size(m), _uniform_grid(K, T), jump_size,
-                         _phi_fn(phi, m), batch=batch)
-
-
-def _per_step(a_arr):
-    """Scalar and level-batch forms of the jump sizes ``a_arr[k]`` at step ``k``."""
-    return (lambda k, hist: float(a_arr[k]),
-            lambda k, H: np.full(H.shape[0], a_arr[k]))
+    return ScenarioModel(marks, _uniform_grid(K, T), jump_size, _phi_fn(phi, m), batch=batch)
 
 
 def jump_count(history) -> int:
@@ -90,10 +84,11 @@ def jump_counts(H: np.ndarray) -> np.ndarray:
 
 def deterministic_grid(K: int, m: int, a, phi=None, T: float = 1.0) -> ScenarioModel:
     """Deterministic step sizes: ``a`` is a constant or per-step array in [0, 1]."""
-    a_arr = np.broadcast_to(np.asarray(a, dtype=float), (K,)).copy()
+    a_arr = np.broadcast_to(np.asarray(a, dtype=float), (int(K),)).copy()
     if np.any(a_arr < 0) or np.any(a_arr > 1):
         raise ValueError("jump sizes must lie in [0, 1]")
-    return _uniform_model(K, m, *_per_step(a_arr), phi, T)
+    return _uniform_model(K, m, lambda k, hist: float(a_arr[k]),
+                          lambda k, H: np.full(H.shape[0], a_arr[k]), phi, T)
 
 
 def predictable_random_jumps(K: int, m: int, rule, phi=None, T: float = 1.0) -> ScenarioModel:
@@ -137,8 +132,7 @@ def pdmp_like(K: int, m: int, phi=None, T: float = 1.0) -> ScenarioModel:
     In this regime the main hypothesis reduces to ``lip_y < 1/sqrt(2)``
     and is automatic for drivers that do not depend on y.
     """
-    return _uniform_model(K, m, lambda k, hist: 1.0,
-                          lambda k, H: np.ones(H.shape[0]), phi, T)
+    return deterministic_grid(K, m, 1.0, phi, T)
 
 
 def discretized_intensity(lam: float, K: int, m: int, phi=None,
@@ -151,8 +145,8 @@ def discretized_intensity(lam: float, K: int, m: int, phi=None,
     """
     if lam < 0:
         raise ValueError("intensity must be nonnegative")
-    a_arr = 1.0 - np.exp(-lam * np.diff(_uniform_grid(K, T)))
-    return _uniform_model(K, m, *_per_step(a_arr), phi, T)
+    dt = np.diff(_uniform_grid(K, T))
+    return deterministic_grid(K, m, 1.0 - np.exp(-lam * dt), phi, T)
 
 
 def counterexample_model(p: float, t0_index: int = 0, K: int = 1,
@@ -172,8 +166,7 @@ def counterexample_model(p: float, t0_index: int = 0, K: int = 1,
         raise ValueError("p must lie in (0, 1)")
     if not 0 <= t0_index < K:
         raise ValueError("t0_index must address a step of the grid")
-    a_arr = np.where(np.arange(K) == t0_index, float(p), 0.0)
-    model = _uniform_model(K, m, *_per_step(a_arr), None, T)
+    model = deterministic_grid(K, m, np.where(np.arange(K) == t0_index, float(p), 0.0), T=T)
     gen = Generator.batched(lambda block, y, zeta: y / p, lip_y=1.0 / p, lip_z=0.0)
     return model, gen
 

@@ -323,8 +323,6 @@ def _represent_block(tree, V, sl):
 
 def conditional_means(tree: ScenarioTree, Y: np.ndarray) -> np.ndarray:
     """Per-slot conditional mean of the children's Y values."""
-    if tree.n_slots == 0:
-        return np.zeros(0)
     sl = slice(0, tree.n_slots)
     return _cond_means(tree, _child_values(tree, Y, sl), sl)
 
@@ -346,17 +344,25 @@ def _require_discrete(tree):
         raise ValueError("solvers need a purely discrete model (no continuous part)")
 
 
-def _solve_linear_path(tree: ScenarioTree, xi_leaf: np.ndarray,
-                       f_path: np.ndarray) -> Solution:
+def _backward(tree: ScenarioTree, xi_leaf: np.ndarray, parent_values):
+    """Leaf-to-root sweep shared by every route; returns ``(Y, Z)``.
+
+    ``parent_values(sl, cond_mean, Z[sl])`` gives ``Y[sl]`` level by level.
+    """
     Y = np.empty(tree.n_nodes)
     Y[tree.leaf_slice] = xi_leaf
     Z = np.zeros((tree.n_slots, tree.n_marks))
     for k in range(tree.horizon - 1, -1, -1):
         sl = tree.slot_level_slice(k)
         V = _child_values(tree, Y, sl)
-        cm = _cond_means(tree, V, sl)
-        Y[sl] = cm + f_path[sl] * tree.slot_dA[sl]
         Z[sl] = _represent_block(tree, V, sl)
+        Y[sl] = parent_values(sl, _cond_means(tree, V, sl), Z[sl])
+    return Y, Z
+
+
+def _solve_linear_path(tree: ScenarioTree, xi_leaf: np.ndarray,
+                       f_path: np.ndarray) -> Solution:
+    Y, Z = _backward(tree, xi_leaf, lambda sl, cm, _: cm + f_path[sl] * tree.slot_dA[sl])
     return Solution(Y=Y, Z=Z, martingale=Y + tree.accumulate(f_path * tree.slot_dA))
 
 
@@ -442,8 +448,6 @@ def _implicit_level(tree: ScenarioTree, f: Generator, sl: slice, cm: np.ndarray,
     ids = np.arange(sl.start, sl.stop)
     Y = cm.copy()
     live = np.nonzero(da != 0.0)[0]
-    if live.size == 0:
-        return Y
     singular = live[da[live] * f.lip_y >= 1.0]
     if singular.size:
         j = int(singular[0])   # raises StepSingular, telling degenerate steps apart
@@ -476,15 +480,8 @@ def backward_oracle(problem: BsdeProblem, tol: float = 1e-13) -> Solution:
     tree = problem.tree()
     _require_discrete(tree)
     f = problem.f
-    Y = np.empty(tree.n_nodes)
-    Y[tree.leaf_slice] = problem.terminal_values(tree)
-    Z = np.zeros((tree.n_slots, tree.n_marks))
-    for k in range(tree.horizon - 1, -1, -1):
-        sl = tree.slot_level_slice(k)
-        V = _child_values(tree, Y, sl)
-        cm = _cond_means(tree, V, sl)
-        Z[sl] = _represent_block(tree, V, sl)
-        Y[sl] = _implicit_level(tree, f, sl, cm, Z[sl], tol)
+    Y, Z = _backward(tree, problem.terminal_values(tree),
+                     lambda sl, cm, Zl: _implicit_level(tree, f, sl, cm, Zl, tol))
     f_path = _eval_path(tree, f, Y, Z)
     return Solution(Y=Y, Z=Z, martingale=Y + tree.accumulate(f_path * tree.slot_dA))
 
@@ -579,7 +576,7 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
         if prev_dsq is not None and prev_dsq > 0:
             ratio_sq.append(dsq / prev_dsq)
         prev_dsq = dsq
-        sup = float(np.max(np.abs(sol.Y))) if sol.Y.size else 0.0
+        sup = float(np.max(np.abs(sol.Y)))
         y_sup.append(sup)
         if not np.isfinite(sup):
             raise NonFinite("fixed-point iterates left the finite range")

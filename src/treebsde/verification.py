@@ -14,6 +14,7 @@ the data against the weighted compensator is automatic on a finite tree
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,10 @@ __all__ = [
 
 IDENTITY_RTOL = 1e-10
 INEQUALITY_SLACK = 1e-12
+# run_suite's random fields per norm comparison, Lipschitz samples and slots
+N_FIELDS = 25
+N_SAMPLES = 50
+MAX_SLOTS = 25
 
 
 @dataclass(frozen=True)
@@ -185,14 +190,9 @@ def check_norm_equivalence(Z, tree: ScenarioTree, beta: float, gamma: float) -> 
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    if tree.n_slots and np.any(tree.slot_dA > 1.0 - gamma + 1e-15):
+    if np.any(tree.slot_dA > 1.0 - gamma + 1e-15):
         raise ValueError("a jump size exceeds 1 - gamma")
-    n = tree.n_slots
-    if n == 0:
-        return _inequality("norm_equivalence", 0.0, 0.0,
-                           detail={"gamma": gamma, "lower": 0.0, "mid": 0.0,
-                                   "upper": 0.0})
-    P = tree.prob[:n]
+    P = tree.prob[:tree.n_slots]
     E_end = tree.doleans_at_slot_end(beta)
     sq = np.einsum("sm,sm->s", Z * Z, tree.slot_phi)
     full = float(np.sum(P * E_end * tree.slot_dA * sq))
@@ -211,7 +211,9 @@ def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResu
     and the squared form with any level ``hat_lz_sq > lip_z^2``, whose
     zeta term carries the ``(1 - dA)/dA`` expansion; the two seminorm
     forms are also compared as an exact algebraic identity.  The reported
-    lhs is the worst margin over samples and sub-checks.
+    lhs is the worst margin over samples and sub-checks; a NaN margin (a
+    driver value that is not a number) fails the check and stops it, with
+    that sample as the witness.
     """
     if hat_lz_sq is None:
         hat_lz_sq = f.lip_z ** 2 + 0.1
@@ -241,11 +243,13 @@ def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResu
                                + 2.0 * hat_lz_sq * expanded)
         forms = abs(expanded - s ** 2) / max(s ** 2, 1.0) - 1e-12
         margin = max(plain, squared, forms)
-        if margin > worst:
+        if margin > worst or math.isnan(margin):
             worst = margin
             witness = {"y": float(y), "y2": float(y2),
                        "z": np.asarray(z, float).tolist(),
                        "z2": np.asarray(z2, float).tolist()}
+            if math.isnan(margin):
+                break
     return _inequality("lipschitz_bound", worst, 0.0,
                        detail={"hat_lz_sq": float(hat_lz_sq),
                                "n_samples": len(draws), "witness": witness})
@@ -287,8 +291,7 @@ def _random_path(rng, max_steps=6):
     return np.column_stack([dAc, dA]), rng.normal(0.0, 1.5, K)
 
 
-def run_suite(problem, solution, rng=None, n_paths=200, n_fields=25,
-              n_samples=50, max_slots=25, c_scale=1.0):
+def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     """Run every check against one solved problem plus randomized inputs.
 
     The generator is frozen along the solved pair, which turns any
@@ -339,7 +342,7 @@ def run_suite(problem, solution, rng=None, n_paths=200, n_fields=25,
     if max_da < 1.0:
         gamma = 1.0 - max_da
         worst = check_norm_equivalence(Z, tree, beta, gamma)
-        for _ in range(n_fields):
+        for _ in range(N_FIELDS):
             W = rng.normal(0.0, 1.0, (tree.n_slots, tree.n_marks))
             r = check_norm_equivalence(W, tree, beta, gamma)
             if r.abs_gap > worst.abs_gap:
@@ -352,12 +355,11 @@ def run_suite(problem, solution, rng=None, n_paths=200, n_fields=25,
     # Lipschitz bound on a spread of slots
     if tree.n_slots:
         take = np.unique(np.linspace(0, tree.n_slots - 1,
-                                     min(max_slots, tree.n_slots)).astype(int))
+                                     min(MAX_SLOTS, tree.n_slots)).astype(int))
         worst = None
         for s in take:
-            r = check_lipschitz(problem.f, tree.slot(int(s)), samples=n_samples,
-                                rng=rng)
-            if worst is None or r.abs_gap > worst.abs_gap:
+            r = check_lipschitz(problem.f, tree.slot(int(s)), samples=N_SAMPLES, rng=rng)
+            if worst is None or r.abs_gap > worst.abs_gap or math.isnan(r.abs_gap):
                 worst = r
         results.append(worst)
     else:

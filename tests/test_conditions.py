@@ -276,3 +276,16 @@ def test_detect_boundary_is_flagged():
     else:   # floating-point landed just below the boundary
         assert flagged == []
     assert value == pytest.approx(1.0, abs=1e-15)
+
+
+def test_zero_lip_y_values_are_exact():
+    # lip_y = 0 leaves only the first branch of hat_Lz and puts the
+    # minimizer of H at 0, to the bit
+    da = np.array([0.0, 0.3, 1.0])
+    got = hat_Lz(0.3, 0.0, 1.2, da)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.full(3, 1.2 ** 2 + 0.3))
+    one = hat_Lz(0.3, 0.0, 1.2, 0.8)
+    assert type(one) is float and one == 1.2 ** 2 + 0.3
+    _, _, ell_star = contraction_profile_H(0.3, 0.0, 0.5)
+    assert type(ell_star) is float and repr(ell_star) == "0.0"

@@ -90,3 +90,38 @@ def test_cli_internal_build_error_is_not_a_config_error(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     with pytest.raises(TypeError, match="internal"):
         cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("command,config,flags", [
+    ("solve", "{}", []),                                   # no model section
+    ("solve", "3", []),                                    # not a JSON object
+    ("solve", {"generator": "saturating"}, []),
+    ("solve", {"generator": {"preset": "constant", "params": {"c0": "abc"}}}, []),
+    ("solve", {"generator": {"preset": "constant", "params": [1]}}, []),
+    ("verify", {"terminal": {"preset": "last_mark", "params": {"mark": "z"}}}, []),
+    ("verify", {"debug": []}, []),
+    ("verify", {"seed": -1}, []),
+    ("solve", {"out": 5}, []),
+    ("solve", {"model": {"preset": "pdmp_like", "params": {"K": 2, "m": 0}}}, []),
+    ("sweep", {"sweep": {"param": "beta", "values": ["x"]}}, []),
+    ("sweep", {"sweep": {"param": "K", "values": [2, "three"]}}, []),
+    ("sweep", {"sweep": "beta"}, []),
+    ("counterexample", {"model": {"params": {"p": "half"}}}, []),
+    ("counterexample", {"model": {"params": {"p": 2.0}}}, []),
+    ("solve", {}, ["--beta", "abc"]),
+    ("solve", {}, ["--beta", "-1"]),
+    ("solve", {}, ["--delta", "abc"]),
+])
+def test_cli_malformed_input_is_a_config_error(tmp_path, capsys, command, config, flags):
+    # a str is the whole JSON document, a dict overrides keys of a good one
+    if isinstance(config, str):
+        path = tmp_path / "raw.json"
+        path.write_text(config)
+        cfg = str(path)
+    else:
+        cfg = write_config(tmp_path, **config)
+    argv = [command, "--config", cfg, *flags]
+    if not isinstance(config, dict) or "out" not in config:
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")

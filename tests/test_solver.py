@@ -313,3 +313,48 @@ def test_empty_horizon_end_to_end():
     assert lin.Y[0] == ora.Y[0] == sol.Y[0] == 3.0
     assert rep.iterations == 1
     assert norms.mixed_norm_sq(sol.Y, sol.Z, problem.tree(), 1.0) == 0.0
+
+
+def test_empty_tree_results_of_every_layer():
+    # the K=0 model above: one node, no slots; every layer answers with
+    # empty float arrays, exact zeros and passing checks
+    from treebsde import MarkSpace, ScenarioModel, conditions, run_suite
+    from treebsde.verification import check_norm_equivalence
+    model = ScenarioModel(marks=MarkSpace.of_size(2), grid=np.array([0.0]),
+                          jump_size=lambda k, h: 0.5,
+                          mark_law=lambda k, h: np.array([0.5, 0.5]))
+    problem = BsdeProblem(model=model, beta=1.0,
+                          xi=scenarios.xi_constant(3.0), f=Generator.zero())
+    tree = problem.tree()
+    assert (tree.n_nodes, tree.n_slots) == (1, 0)
+    for arr, shape, dtype in [(tree.slot_dA, (0,), np.float64),
+                              (tree.slot_phi, (0, 2), np.float64),
+                              (tree.children, (0, 3), np.int64)]:
+        assert arr.shape == shape and arr.dtype == dtype
+
+    Y, Z = np.array([3.0]), norms.field_zeros(tree)
+    for arr in (norms.hat_z_all(Z, tree), norms.slot_z_contribution(Z, tree),
+                conditional_means(tree, Y)):
+        assert arr.shape == (0,) and arr.dtype == np.float64
+    canon = norms.canonical_field(Z, tree)
+    assert canon.shape == (0, 2) and canon.dtype == np.float64 and canon is not Z
+    for value in (norms.y_norm_sq(Y, tree, 1.0), norms.z_norm_sq(Z, tree, 1.0),
+                  norms.mixed_norm_sq(Y, Z, tree, 1.0, np.ones(0))):
+        assert type(value) is float and repr(value) == "0.0"
+    assert conditions.detect_counterexample(tree, 5.0) == []
+
+    r = check_norm_equivalence(Z, tree, 1.0, 0.5)
+    assert r.passed and r.kind == "inequality"
+    assert [repr(x) for x in (r.lhs, r.rhs, r.abs_gap, r.rel_gap)] == ["0.0"] * 4
+    assert r.detail == {"gamma": 0.5, "lower": 0.0, "mid": 0.0, "upper": 0.0}
+
+    sol = backward_oracle(problem)
+    results = run_suite(problem, sol, rng=np.random.default_rng(0))
+    assert [(c.name, c.kind, c.passed) for c in results] == [
+        ("identity_lemma", "identity", True),
+        ("integral_inequality", "inequality", True),
+        ("apriori_estimate", "inequality", True),
+        ("norm_equivalence", "inequality", True),
+        ("lipschitz_bound", "skipped", True),
+        ("jump_identity", "inequality", True),
+    ]

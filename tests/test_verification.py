@@ -287,3 +287,29 @@ def test_seminorm_expanded_form_is_algebraic_identity():
                 expanded += (1.0 - slot.delta_A) / slot.delta_A * zh ** 2
             sem_sq = norms.lipschitz_seminorm(dz, slot) ** 2
             assert expanded == pytest.approx(sem_sq, rel=1e-12, abs=1e-14)
+
+
+def test_lipschitz_fails_on_a_nan_driver():
+    slot = build_tree(scenarios.deterministic_grid(K=1, m=2, a=0.5)).slot(0)
+    r = check_lipschitz(Generator(lambda s, y, z: float("nan"), 0.1, 0.1), slot)
+    assert not r.passed and np.isnan(r.lhs)
+    assert r.detail["witness"] is not None
+    # the first non-finite sample is the witness, whatever follows it
+    draws = [(0.0, 1.0, [0.0, 0.0], [0.1, 0.0]), (2.0, 1.0, [0.0, 1.0], [0.0, 0.0]),
+             (0.0, 3.0, [1.0, 0.0], [0.0, 0.0])]
+    f = Generator(lambda s, y, z: float("nan") if y == 2.0 else 0.0, 0.1, 0.1)
+    r = check_lipschitz(f, slot, samples=draws)
+    assert not r.passed and np.isnan(r.lhs)
+    assert r.detail["witness"] == {"y": 2.0, "y2": 1.0, "z": [0.0, 1.0], "z2": [0.0, 0.0]}
+
+
+def test_suite_keeps_a_nan_lipschitz_slot():
+    # NaN on one slot, away from the solution only: the solve succeeds,
+    # and the suite's row must still fail on that slot's sample
+    model = scenarios.deterministic_grid(K=3, m=2, a=0.5)
+    f = Generator(lambda s, y, z: float("nan") if s.index == 6 and abs(y) > 1.0 else 0.1,
+                  0.0, 0.0)
+    problem = BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_constant(0.0), f=f)
+    results = run_suite(problem, solve_linear(problem), rng=np.random.default_rng(0))
+    row = next(r for r in results if r.name == "lipschitz_bound")
+    assert not row.passed and np.isnan(row.lhs)

@@ -19,7 +19,6 @@ from .norms import (
     canonical_field,
     hat_z,
     hat_z_all,
-    jump_second_moment,
     lipschitz_seminorm,
     mixed_norm_sq,
     y_norm_sq,
@@ -34,7 +33,6 @@ from .conditions import (
     contraction_profile_H,
     detect_counterexample,
     hat_Lz,
-    proof_weights,
 )
 from .solver import (
     BsdeProblem,
@@ -52,7 +50,6 @@ from .solver import (
     implicit_step_solve,
     picard_map,
     picard_solve,
-    represent_martingale,
     solve_linear,
 )
 from .verification import (

@@ -428,9 +428,30 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _refuse_ignored(cfg: RunConfig) -> None:
+    """``ConfigError`` on any input the counterexample run would not read.
+
+    It reads the ``counterexample`` model's ``p``, ``K`` and ``t0_index``, a
+    constant terminal's ``c``, ``seed`` and ``out``; it solves its own driver.
+    """
+    default = RunConfig(model={})
+    ignored = [key for key in ("generator", "beta", "beta_margin", "delta", "tol",
+                               "max_iter", "sweep", "debug")
+               if getattr(cfg, key) != getattr(default, key)]
+    for key, preset, read in (("model", "counterexample", {"p", "K", "t0_index"}),
+                              ("terminal", "constant", {"c"})):
+        spec = getattr(cfg, key)
+        if spec.get("preset", "constant") != preset:
+            ignored.append(f"{key} preset {spec.get('preset')!r}")
+        ignored += [f"{key} param {k!r}" for k in sorted(set(spec.get("params", {})) - read)]
+    if ignored:
+        raise ConfigError(f"counterexample ignores {', '.join(ignored)}")
+
+
 def cmd_counterexample(cfg: RunConfig) -> int:
     """Reproduce the blow-up regime end to end and report what happened."""
     t0 = time.perf_counter()
+    _refuse_ignored(cfg)
     params = cfg.model.get("params", {})
     p = _num(params, "p", 0.5)
     K, t0_index = _num(params, "K", 1, int), _num(params, "t0_index", 0, int)
@@ -500,6 +521,9 @@ def main(argv=None) -> int:
     try:
         if args.config is None and args.command != "counterexample":
             raise ConfigError("--config is required")
+        flags = [f"--{k}" for k in ("beta", "delta", "tol") if overrides[k] is not None]
+        if args.command == "counterexample" and flags:
+            raise ConfigError(f"counterexample ignores {', '.join(flags)}")
         cfg = RunConfig.load(args.config, overrides)
         handler = {"solve": cmd_solve, "verify": cmd_verify,
                    "sweep": cmd_sweep, "counterexample": cmd_counterexample}

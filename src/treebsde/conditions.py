@@ -22,7 +22,6 @@ __all__ = [
     "ContractionProfile",
     "check_main_hypothesis",
     "hat_Lz",
-    "proof_weights",
     "contraction_profile_H",
     "beta_threshold",
     "detect_counterexample",
@@ -59,10 +58,6 @@ def _as_tree(model_or_tree) -> ScenarioTree:
     raise TypeError("expected a ScenarioModel or ScenarioTree")
 
 
-def _slot_da(slot) -> float:
-    return float(getattr(slot, "delta_A", slot))
-
-
 def check_main_hypothesis(model_or_tree, lip_y: float) -> float:
     """Slack of the main hypothesis over every slot of the tree.
 
@@ -72,10 +67,7 @@ def check_main_hypothesis(model_or_tree, lip_y: float) -> float:
     ``lip_y < 1/sqrt(2)``.
     """
     tree = _as_tree(model_or_tree)
-    if tree.n_slots == 0:
-        return 1.0
-    worst = float(np.max(2.0 * lip_y ** 2 * tree.slot_dA ** 2))
-    return 1.0 - worst
+    return 1.0 - float(np.max(2.0 * lip_y ** 2 * tree.slot_dA ** 2, initial=0.0))
 
 
 def hat_Lz(delta: float, lip_y: float, lip_z: float, delta_A):
@@ -94,25 +86,6 @@ def hat_Lz(delta: float, lip_y: float, lip_z: float, delta_A):
     second = (1.0 - delta) * lip_y / (np.sqrt(2.0 * (1.0 - delta)) - 2.0 * lip_y * da)
     hat = np.maximum(lip_z ** 2 + delta, second)
     return float(hat) if hat.ndim == 0 else hat
-
-
-def proof_weights(beta: float, delta: float, slot, hat_lz_sq: float):
-    """Explicit slot weights ``(c, d, a, b)`` of the contraction argument.
-
-    ``c = (1-delta)/(2 hat_lz_sq)``, ``d = c + dA``,
-    ``a = 2 hat_lz_sq * max(c, d - dA)`` (which equals ``1 - delta`` with
-    this choice), and ``b = min(beta - 1/c, beta/(1+beta dA) - 1/d)``.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be strictly positive")
-    if hat_lz_sq <= 0:
-        raise ValueError("hat_lz_sq must be strictly positive")
-    da = _slot_da(slot)
-    c = (1.0 - delta) / (2.0 * hat_lz_sq)
-    d = c + da
-    a = 2.0 * hat_lz_sq * max(c, d - da)
-    b = min(beta - 1.0 / c, beta / (1.0 + beta * da) - 1.0 / d)
-    return c, d, a, b
 
 
 def contraction_profile_H(delta: float, lip_y: float, delta_A: float):
@@ -149,8 +122,6 @@ def _threshold(tree: ScenarioTree, lip_y: float, lip_z: float, delta: float):
     eps_star = check_main_hypothesis(tree, lip_y)
     if not 0.0 < delta < eps_star:
         raise ValueError("delta must lie strictly between 0 and the hypothesis slack")
-    if tree.n_slots == 0:
-        return eps_star, np.zeros(0), 0.0
     da = tree.slot_dA
     hat = hat_Lz(delta, lip_y, lip_z, da)
     r = lip_y ** 2 / hat + 2.0 * hat / (1.0 - delta + 2.0 * hat * da)
@@ -161,7 +132,7 @@ def _threshold(tree: ScenarioTree, lip_y: float, lip_z: float, delta: float):
     simple = lip_y ** 2 / hat + 2.0 * hat / (1.0 - delta)
     if np.any(simple > vals * (1.0 + 1e-9) + 1e-15):
         raise DenominatorNonpositive("dominated branch exceeded the threshold branch")
-    return eps_star, hat, float(np.max(vals))
+    return eps_star, hat, float(np.max(vals, initial=0.0))
 
 
 def beta_threshold(model_or_tree, lip_y: float, lip_z: float, delta: float) -> float:
@@ -193,7 +164,14 @@ def detect_counterexample(model_or_tree, lip_y: float):
 
 def contraction_profile(model_or_tree, lip_y: float, lip_z: float,
                         beta: float, delta: float) -> ContractionProfile:
-    """Assemble the full per-slot contraction data for a problem."""
+    """Assemble the full per-slot contraction data for a problem.
+
+    The slot weights of the contraction argument are
+    ``c = (1-delta)/(2 hat)``, ``d = c + dA``, ``a = 2 hat * max(c, d - dA)``
+    (which equals ``1 - delta`` with this choice) and
+    ``b = min(beta - 1/c, beta/(1+beta dA) - 1/d)``, with ``hat`` from
+    ``hat_Lz``.
+    """
     tree = _as_tree(model_or_tree)
     eps_star, hat, beta_min = _threshold(tree, lip_y, lip_z, delta)
     da = tree.slot_dA

@@ -173,10 +173,6 @@ class ScenarioModel:
         """Number of steps K."""
         return self.grid.size - 1
 
-    @property
-    def is_purely_discrete(self) -> bool:
-        return not np.any(self.continuous_increments > 0)
-
 
 @dataclass(frozen=True)
 class SlotView:

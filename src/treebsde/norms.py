@@ -34,7 +34,6 @@ __all__ = [
     "mixed_norm_sq",
     "lipschitz_seminorm",
     "lipschitz_seminorm_rows",
-    "jump_second_moment",
     "canonical_field",
     "adapted_zeros",
     "field_zeros",
@@ -160,20 +159,17 @@ def lipschitz_seminorm_rows(dzeta, block: SlotBlock) -> np.ndarray:
     return np.sqrt(val)
 
 
-def jump_second_moment(zeta, slot: SlotView) -> float:
-    """Conditional second moment of the compensated one-step integral.
+def _canonical_rows(Z: np.ndarray, delta_A: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Make the rows of ``Z`` canonical in place and return it.
 
-    Equals ``dA * sum(phi * (zeta - hat)^2) + (1 - dA) * hat**2`` with
-    ``hat = hat_z(zeta, slot)``, which is the same expression as the
-    slot's Z-norm integrand.
+    Rows with ``delta_A = 0`` are zeroed; rows with ``delta_A = 1`` are
+    centered to ``sum(Z * phi) = 0``.
     """
-    z = np.asarray(zeta, dtype=float)
-    da = slot.delta_A
-    if da == 0.0:
-        return 0.0
-    zh = hat_z(z, slot)
-    dev = z - zh
-    return float(da * np.dot(dev * dev, slot.phi) + (1.0 - da) * zh * zh)
+    Z[delta_A == 0.0] = 0.0
+    unit = delta_A == 1.0
+    if np.any(unit):
+        Z[unit] -= np.einsum("sm,sm->s", Z[unit], phi[unit])[:, None]
+    return Z
 
 
 def canonical_field(Z: np.ndarray, tree: ScenarioTree) -> np.ndarray:
@@ -182,11 +178,4 @@ def canonical_field(Z: np.ndarray, tree: ScenarioTree) -> np.ndarray:
     Rows on ``delta_A = 0`` slots are zeroed (they carry no norm weight);
     rows on ``delta_A = 1`` slots are centered to ``sum(Z * phi) = 0``.
     """
-    out = np.array(Z, dtype=float, copy=True)
-    zero = tree.slot_dA == 0.0
-    out[zero] = 0.0
-    unit = tree.slot_dA == 1.0
-    if np.any(unit):
-        mean = np.einsum("sm,sm->s", out[unit], tree.slot_phi[unit])
-        out[unit] -= mean[:, None]
-    return out
+    return _canonical_rows(np.array(Z, dtype=float, copy=True), tree.slot_dA, tree.slot_phi)

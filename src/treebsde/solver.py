@@ -14,11 +14,13 @@ Three routes to the same solution pair (Y, Z):
   checked against.
 
 Every route evaluates the driver through ``Generator.on_slots``, which
-rejects non-finite values with ``NonFinite``.
+rejects non-finite values with ``NonFinite``; ``_eval_path`` is the one
+place that evaluates it on every slot of a tree.
 
 On every slot the martingale representation is solved exactly from the
-children's values (``represent_martingale``); fields returned by all
-solvers are canonical in the sense of :mod:`treebsde.norms`.
+children's values, one tree level at a time (``_represent_block``); its
+rows follow the canonical-row rule of :func:`treebsde.norms.canonical_field`,
+so fields returned by all solvers are canonical.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ __all__ = [
     "batched_terminal",
     "Solution",
     "SolveReport",
-    "represent_martingale",
     "conditional_means",
     "bsde_residual",
     "solve_linear",
@@ -258,45 +259,6 @@ class SolveReport:
 # -- martingale representation -------------------------------------------
 
 
-def represent_martingale(values, slot: SlotView):
-    """Solve the one-slot martingale representation from child values.
-
-    Args:
-        values: array of length m+1 in outcome order; entry j is the
-            value on the mark-j child, entry m on the no-jump child;
-            entries of children that do not exist are ignored.
-        slot: the predictable slot.
-
-    Returns:
-        ``(Z, check)`` where the centered increment ``g`` satisfies
-        ``g(jump x) = Z[x] - hat_z(Z)`` and ``g(no jump) = -hat_z(Z)``,
-        and ``check`` is the max reconstruction error (0 up to rounding).
-        For ``delta_A < 1`` the unique row is ``value(x) - value(no
-        jump)``; for ``delta_A = 1`` the centered representative is
-        returned; a ``delta_A = 0`` slot carries no information and
-        yields ``Z = 0``.
-    """
-    vals = np.asarray(values, dtype=float)
-    m = slot.phi.size
-    da = slot.delta_A
-    if da == 0.0:
-        return np.zeros(m), 0.0
-    vm = vals[:m]
-    jump_mean = float(np.dot(slot.phi, vm))
-    if da < 1.0:
-        vn = float(vals[m])
-        Z = vm - vn
-        mean = da * jump_mean + (1.0 - da) * vn
-    else:
-        Z = vm - jump_mean
-        mean = jump_mean
-    zh = norms.hat_z(Z, slot)
-    err = float(np.max(np.abs(vm - (mean + Z - zh))))
-    if da < 1.0:
-        err = max(err, abs(vn - (mean - zh)))
-    return Z, err
-
-
 def _child_values(tree: ScenarioTree, Y: np.ndarray, sl: slice) -> np.ndarray:
     ch = tree.children[sl]
     V = Y[np.maximum(ch, 0)]
@@ -311,14 +273,10 @@ def _cond_means(tree, V, sl):
 
 
 def _represent_block(tree, V, sl):
-    da = tree.slot_dA[sl]
+    # value(x) - value(no jump) is the unique row when dA < 1; a unit slot
+    # has no no-jump child (its V entry is 0), so its row is then centered
     Z = V[:, :-1] - V[:, -1][:, None]
-    unit = da == 1.0
-    if np.any(unit):
-        jm = np.einsum("sm,sm->s", tree.slot_phi[sl][unit], V[unit, :-1])
-        Z[unit] = V[unit, :-1] - jm[:, None]
-    Z[da == 0.0] = 0.0
-    return Z
+    return norms._canonical_rows(Z, tree.slot_dA[sl], tree.slot_phi[sl])
 
 
 def conditional_means(tree: ScenarioTree, Y: np.ndarray) -> np.ndarray:
@@ -329,11 +287,9 @@ def conditional_means(tree: ScenarioTree, Y: np.ndarray) -> np.ndarray:
 
 def bsde_residual(tree: ScenarioTree, Y: np.ndarray, f_path: np.ndarray) -> float:
     """Max slot residual of ``Y = cond_mean + dA * f`` over the tree."""
-    if tree.n_slots == 0:
-        return 0.0
     cm = conditional_means(tree, Y)
     res = Y[: tree.n_slots] - cm - tree.slot_dA * f_path
-    return float(np.max(np.abs(res)))
+    return float(np.max(np.abs(res), initial=0.0))
 
 
 # -- explicit linear solve ------------------------------------------------
@@ -341,7 +297,7 @@ def bsde_residual(tree: ScenarioTree, Y: np.ndarray, f_path: np.ndarray) -> floa
 
 def _require_discrete(tree):
     if np.any(tree.slot_dAc > 0):
-        raise ValueError("solvers need a purely discrete model (no continuous part)")
+        raise ValueError("the model must be purely discrete (no continuous part)")
 
 
 def _backward(tree: ScenarioTree, xi_leaf: np.ndarray, parent_values):
@@ -368,9 +324,21 @@ def _solve_linear_path(tree: ScenarioTree, xi_leaf: np.ndarray,
 
 def _eval_path(tree: ScenarioTree, f: Generator, Y: np.ndarray,
                Z: np.ndarray) -> np.ndarray:
-    """Driver frozen along (Y, Z): one value per slot (``Y`` per node)."""
+    """Driver frozen along (Y, Z): one value per slot (``Y`` per node).
+
+    The one place that evaluates a driver on every slot of a tree.
+    """
     n = tree.n_slots
     return f.on_slots(tree, slice(0, n), Y[:n], Z)
+
+
+def _path_values(problem: BsdeProblem, tree: ScenarioTree) -> np.ndarray:
+    """Per-slot values of a (y, zeta)-free driver; any other driver is refused."""
+    f = problem.f
+    if not f.is_path:
+        raise ValueError(f"generator must be (y, zeta)-free, not lip_y = {f.lip_y}, "
+                         f"lip_z = {f.lip_z}")
+    return _eval_path(tree, f, norms.adapted_zeros(tree), norms.field_zeros(tree))
 
 
 def solve_linear(problem: BsdeProblem) -> Solution:
@@ -380,18 +348,24 @@ def solve_linear(problem: BsdeProblem) -> Solution:
     the remaining drift; Z comes from the exact martingale representation
     of the increments.  The one-step recursion residual of the result is
     zero up to rounding.
+
+    Raises:
+        ValueError: the generator declares a nonzero ``lip_y`` or
+            ``lip_z``; it is never solved as if frozen at (0, 0).
     """
     tree = problem.tree()
     _require_discrete(tree)
-    f_path = _eval_path(tree, problem.f, norms.adapted_zeros(tree), norms.field_zeros(tree))
+    f_path = _path_values(problem, tree)
     return _solve_linear_path(tree, problem.terminal_values(tree), f_path)
 
 
 # -- implicit one-step solve ----------------------------------------------
 
+STEP_TOL = 1e-13     # absolute stopping tolerance of the backward oracle's steps
+
 
 def implicit_step_solve(cond_mean: float, delta_A: float, slot: SlotView,
-                        zeta: np.ndarray, f: Generator, tol: float = 1e-13,
+                        zeta: np.ndarray, f: Generator, tol: float = STEP_TOL,
                         max_iter: int = 200) -> float:
     """Unique root of ``y = cond_mean + delta_A * f(slot, y, zeta)``.
 
@@ -435,7 +409,7 @@ def implicit_step_solve(cond_mean: float, delta_A: float, slot: SlotView,
 
 
 def _implicit_level(tree: ScenarioTree, f: Generator, sl: slice, cm: np.ndarray,
-                    Z: np.ndarray, tol: float, max_iter: int = 200) -> np.ndarray:
+                    Z: np.ndarray, max_iter: int = 200) -> np.ndarray:
     """``implicit_step_solve`` on every slot of one level at once.
 
     A masked fixed point: each slot leaves the active set at the iterate
@@ -451,7 +425,7 @@ def _implicit_level(tree: ScenarioTree, f: Generator, sl: slice, cm: np.ndarray,
     singular = live[da[live] * f.lip_y >= 1.0]
     if singular.size:
         j = int(singular[0])   # raises StepSingular, telling degenerate steps apart
-        implicit_step_solve(cm[j], da[j], tree.slot(ids[j]), Z[j], f, tol, max_iter)
+        implicit_step_solve(cm[j], da[j], tree.slot(ids[j]), Z[j], f, STEP_TOL, max_iter)
     if f.lip_y == 0.0:
         Y[live] = cm[live] + da[live] * f.on_slots(tree, ids[live], cm[live], Z[live])
         return Y
@@ -460,7 +434,7 @@ def _implicit_level(tree: ScenarioTree, f: Generator, sl: slice, cm: np.ndarray,
         y_new = cm[live] + da[live] * f.on_slots(tree, ids[live], y, Z[live])
         if not np.all(np.isfinite(y_new)):
             raise NonFinite("implicit step iterates left the finite range")
-        done = np.abs(y_new - y) <= np.maximum(tol, 8.0 * np.finfo(float).eps * np.abs(y_new))
+        done = np.abs(y_new - y) <= np.maximum(STEP_TOL, 8.0 * np.finfo(float).eps * np.abs(y_new))
         Y[live[done]] = y_new[done]
         live, y = live[~done], y_new[~done]
         if live.size == 0:
@@ -468,20 +442,20 @@ def _implicit_level(tree: ScenarioTree, f: Generator, sl: slice, cm: np.ndarray,
     raise NoConvergence("implicit step did not reach tolerance")
 
 
-def backward_oracle(problem: BsdeProblem, tol: float = 1e-13) -> Solution:
+def backward_oracle(problem: BsdeProblem) -> Solution:
     """Reference solver: backward induction with implicit one-step solves.
 
     Works leaf to root: at each level the field rows are represented from
     the children's values, then the parent values solve the implicit
     equations ``y = cond_mean + dA * f(slot, y, Z)``, one level array at a
-    time.  Exact up to the per-step tolerance; propagates ``StepSingular``
-    from the blow-up regime.
+    time.  Exact up to the per-step tolerance ``STEP_TOL``; propagates
+    ``StepSingular`` from the blow-up regime.
     """
     tree = problem.tree()
     _require_discrete(tree)
     f = problem.f
     Y, Z = _backward(tree, problem.terminal_values(tree),
-                     lambda sl, cm, Zl: _implicit_level(tree, f, sl, cm, Zl, tol))
+                     lambda sl, cm, Zl: _implicit_level(tree, f, sl, cm, Zl))
     f_path = _eval_path(tree, f, Y, Z)
     return Solution(Y=Y, Z=Z, martingale=Y + tree.accumulate(f_path * tree.slot_dA))
 

@@ -37,6 +37,7 @@ __all__ = [
 
 IDENTITY_RTOL = 1e-10
 INEQUALITY_SLACK = 1e-12
+JUMP_SLACK = 1e-10      # absolute slack of the per-slot jump identity of a solution
 # run_suite's random fields per norm comparison, Lipschitz samples and slots
 N_FIELDS = 25
 N_SAMPLES = 50
@@ -79,13 +80,6 @@ def _skipped(name, note):
                        {"note": note})
 
 
-def _path_values(problem, tree):
-    if not problem.f.is_path:
-        raise ValueError("generator must be (y, zeta)-free for this check")
-    n = tree.n_slots
-    return problem.f.on_slots(tree, slice(0, n), np.zeros(n), norms.field_zeros(tree))
-
-
 def check_identity_lemma(problem, solution, t_index: int, beta=None) -> CheckResult:
     """Energy identity of the linear solve, evaluated at one grid time.
 
@@ -96,10 +90,9 @@ def check_identity_lemma(problem, solution, t_index: int, beta=None) -> CheckRes
     the squared-drift atom correction.
     """
     tree = problem.tree()
-    if np.any(tree.slot_dAc > 0):
-        raise ValueError("identity check needs a purely discrete model")
+    solver._require_discrete(tree)
     beta = problem.beta if beta is None else beta
-    f_path = _path_values(problem, tree)
+    f_path = solver._path_values(problem, tree)
     j = int(t_index)
     if not 0 <= j <= tree.horizon:
         raise ValueError("t_index outside the grid")
@@ -162,7 +155,7 @@ def check_apriori_estimate(problem, solution, beta=None, c_scale: float = 1.0) -
     beta = problem.beta if beta is None else beta
     if beta <= 0:
         raise ValueError("beta must be strictly positive")
-    f_path = _path_values(problem, tree)
+    f_path = solver._path_values(problem, tree)
     lhs = (norms.y_norm_sq(solution.Y, tree, beta)
            + norms.z_norm_sq(solution.Z, tree, beta))
     E = tree.doleans(beta)
@@ -255,7 +248,7 @@ def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResu
                                "n_samples": len(draws), "witness": witness})
 
 
-def check_solution_jump_identity(solution, problem, tol: float = 1e-10) -> CheckResult:
+def check_solution_jump_identity(solution, problem) -> CheckResult:
     """Per-slot jump identity of a solved pair.
 
     For each slot and each existing child:
@@ -265,9 +258,7 @@ def check_solution_jump_identity(solution, problem, tol: float = 1e-10) -> Check
     tree = problem.tree()
     Y, Z = solution.Y, solution.Z
     n = tree.n_slots
-    if n == 0:
-        return _inequality("jump_identity", 0.0, 0.0, slack=tol)
-    f_path = problem.f.on_slots(tree, slice(0, n), Y[:n], Z)
+    f_path = solver._eval_path(tree, problem.f, Y, Z)
     zh = norms.hat_z_all(Z, tree)
     ch = tree.children
     Yc = Y[np.maximum(ch, 0)]
@@ -275,8 +266,8 @@ def check_solution_jump_identity(solution, problem, tol: float = 1e-10) -> Check
     g = np.concatenate([Z - zh[:, None], -zh[:, None]], axis=1)
     expected = Y[:n, None] + g - (f_path * tree.slot_dA)[:, None]
     res = np.where(ch >= 0, Yc - expected, 0.0)
-    worst = float(np.max(np.abs(res)))
-    return _inequality("jump_identity", worst, 0.0, slack=tol)
+    worst = float(np.max(np.abs(res), initial=0.0))
+    return _inequality("jump_identity", worst, 0.0, slack=JUMP_SLACK)
 
 
 # -- randomized suite ------------------------------------------------------
@@ -307,7 +298,7 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     beta = problem.beta
 
     Y, Z = solution.Y, solution.Z
-    frozen_vals = problem.f.on_slots(tree, slice(0, tree.n_slots), Y[:tree.n_slots], Z)
+    frozen_vals = solver._eval_path(tree, problem.f, Y, Z)
     frozen = solver.BsdeProblem(
         model=problem.model, beta=beta, xi=problem.xi,
         f=solver.Generator.batched(lambda block, y, zeta: frozen_vals[block.index],

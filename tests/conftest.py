@@ -84,6 +84,84 @@ def brute_expectation_at_depth(tree, values, depth):
                for i in range(sl.start, sl.stop))
 
 
+# -- scalar twins of the per-slot formulas -------------------------------------
+
+
+def represent_martingale(values, slot):
+    """Solve the one-slot martingale representation from child values.
+
+    Args:
+        values: array of length m+1 in outcome order; entry j is the
+            value on the mark-j child, entry m on the no-jump child;
+            entries of children that do not exist are ignored.
+        slot: the predictable slot.
+
+    Returns:
+        ``(Z, check)`` where the centered increment ``g`` satisfies
+        ``g(jump x) = Z[x] - hat_z(Z)`` and ``g(no jump) = -hat_z(Z)``,
+        and ``check`` is the max reconstruction error (0 up to rounding).
+        For ``delta_A < 1`` the unique row is ``value(x) - value(no
+        jump)``; for ``delta_A = 1`` the centered representative is
+        returned; a ``delta_A = 0`` slot carries no information and
+        yields ``Z = 0``.
+    """
+    vals = np.asarray(values, dtype=float)
+    m = slot.phi.size
+    da = slot.delta_A
+    if da == 0.0:
+        return np.zeros(m), 0.0
+    vm = vals[:m]
+    jump_mean = float(np.dot(slot.phi, vm))
+    if da < 1.0:
+        vn = float(vals[m])
+        Z = vm - vn
+        mean = da * jump_mean + (1.0 - da) * vn
+    else:
+        Z = vm - jump_mean
+        mean = jump_mean
+    zh = norms.hat_z(Z, slot)
+    err = float(np.max(np.abs(vm - (mean + Z - zh))))
+    if da < 1.0:
+        err = max(err, abs(vn - (mean - zh)))
+    return Z, err
+
+
+def jump_second_moment(zeta, slot):
+    """Conditional second moment of the compensated one-step integral.
+
+    Equals ``dA * sum(phi * (zeta - hat)^2) + (1 - dA) * hat**2`` with
+    ``hat = hat_z(zeta, slot)``, which is the same expression as the
+    slot's Z-norm integrand.
+    """
+    z = np.asarray(zeta, dtype=float)
+    da = slot.delta_A
+    if da == 0.0:
+        return 0.0
+    zh = norms.hat_z(z, slot)
+    dev = z - zh
+    return float(da * np.dot(dev * dev, slot.phi) + (1.0 - da) * zh * zh)
+
+
+def proof_weights(beta, delta, slot, hat_lz_sq):
+    """Explicit slot weights ``(c, d, a, b)`` of the contraction argument.
+
+    ``c = (1-delta)/(2 hat_lz_sq)``, ``d = c + dA``,
+    ``a = 2 hat_lz_sq * max(c, d - dA)`` (which equals ``1 - delta`` with
+    this choice), and ``b = min(beta - 1/c, beta/(1+beta dA) - 1/d)``.
+    ``slot`` is a slot view or its jump size.
+    """
+    if beta <= 0:
+        raise ValueError("beta must be strictly positive")
+    if hat_lz_sq <= 0:
+        raise ValueError("hat_lz_sq must be strictly positive")
+    da = float(getattr(slot, "delta_A", slot))
+    c = (1.0 - delta) / (2.0 * hat_lz_sq)
+    d = c + da
+    a = 2.0 * hat_lz_sq * max(c, d - da)
+    b = min(beta - 1.0 / c, beta / (1.0 + beta * da) - 1.0 / d)
+    return c, d, a, b
+
+
 # -- random problem factories --------------------------------------------------
 
 

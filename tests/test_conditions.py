@@ -4,7 +4,9 @@ import pytest
 from treebsde import build_tree, scenarios
 from treebsde.conditions import (beta_threshold, check_main_hypothesis,
                                  contraction_profile, contraction_profile_H,
-                                 detect_counterexample, hat_Lz, proof_weights)
+                                 detect_counterexample, hat_Lz)
+
+from conftest import proof_weights
 
 
 def tree_const(K, m, a):
@@ -113,6 +115,21 @@ def test_weights_accept_slot_view():
     c1 = proof_weights(2.0, 0.1, tree.slot(0), 1.0)
     c2 = proof_weights(2.0, 0.1, 0.5, 1.0)
     assert c1 == c2
+
+
+def test_profile_weights_match_the_slot_oracle():
+    rng = np.random.default_rng(23)
+    for _ in range(15):
+        tree = build_tree(scenarios.random_model(rng, max_horizon=4))
+        maxda = float(tree.slot_dA.max())
+        lip_y = float(rng.uniform(0.0, 0.95 * np.sqrt(0.5) / max(maxda, 1e-9)))
+        lip_z = float(rng.uniform(0, 1.5))
+        delta = check_main_hypothesis(tree, lip_y) / 2
+        beta = float(rng.uniform(0.1, 10.0))
+        prof = contraction_profile(tree, lip_y, lip_z, beta, delta)
+        for s in range(tree.n_slots):
+            weights = proof_weights(beta, delta, tree.slot(s), float(prof.hat_lz_sq[s]))
+            assert (prof.c[s], prof.d[s], prof.a[s], prof.b[s]) == weights
 
 
 def test_b_tight_at_threshold():

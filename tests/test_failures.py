@@ -3,9 +3,15 @@
 import csv
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treebsde import BsdeProblem, cli, conditions, measure_core, picard_solve, scenarios
+from treebsde import (BsdeProblem, Generator, NonFinite, backward_oracle, cli, conditions,
+                      measure_core, picard_solve, scenarios, solve_linear)
+
+from conftest import random_linear_problem, random_problem
 
 
 def affine_y_problem(beta=1.0):
@@ -125,3 +131,96 @@ def test_cli_malformed_input_is_a_config_error(tmp_path, capsys, command, config
         argv += ["--out", str(tmp_path / "o")]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_solve_linear_refuses_a_feedback_driver():
+    # this used to solve the driver frozen at (0, 0): Y0 = 3.0 against 6.2963
+    problem = BsdeProblem(model=scenarios.deterministic_grid(3, 2, 0.5), beta=1.0,
+                          xi=scenarios.xi_jump_count(),
+                          f=Generator.batched(lambda b, y, z: 0.5 * y + 1.0, 0.5, 0.0))
+    with pytest.raises(ValueError, match=r"generator must be \(y, zeta\)-free"):
+        solve_linear(problem)
+    assert picard_solve(problem)[0].Y[0] == pytest.approx(6.2963, abs=1e-4)
+    assert backward_oracle(problem).Y[0] == pytest.approx(6.2963, abs=1e-4)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), linear=st.booleans())
+def test_three_routes_agree_and_fail_alike(seed, linear):
+    rng = np.random.default_rng(seed)
+    if linear:
+        problem = random_linear_problem(rng, max_horizon=4)
+    else:
+        problem = random_problem(rng, max_horizon=4)[0]
+    f, tree = problem.f, problem.tree()
+    sol = picard_solve(problem)[0]
+    solutions = [backward_oracle(problem)]
+    if f.is_path:
+        solutions.append(solve_linear(problem))
+    else:
+        with pytest.raises(ValueError, match="free"):
+            solve_linear(problem)
+    for other in solutions:
+        assert np.max(np.abs(sol.Y - other.Y)) <= 1e-8
+        assert np.max(np.abs(sol.Z - other.Z)) <= 1e-8
+
+    bad = int(rng.integers(tree.n_slots))
+    broken = Generator(lambda slot, y, z: np.nan if slot.index == bad else f(slot, y, z),
+                       f.lip_y, f.lip_z)
+    nan_problem = BsdeProblem(model=problem.model, beta=problem.beta, xi=problem.xi,
+                              f=broken, _tree=tree)
+    for route in [picard_solve, backward_oracle] + [solve_linear] * broken.is_path:
+        with pytest.raises(NonFinite):
+            route(nan_problem)
+
+
+COUNTEREXAMPLE = {"model": {"preset": "counterexample", "params": {"p": 0.5, "K": 2}},
+                  "terminal": {"preset": "constant", "params": {"c": 5e4}}}
+
+
+@pytest.mark.parametrize("config,flags", [
+    ({}, ["--beta", "2"]),
+    ({}, ["--beta", "auto"]),
+    ({}, ["--delta", "0.1"]),
+    ({}, ["--tol", "1e-10"]),
+    ({"model": {"preset": "deterministic_grid", "params": {"K": 2, "m": 1, "a": 0.5}}}, []),
+    ({"model": {"preset": "counterexample", "params": {"p": 0.5, "m": 2}}}, []),
+    ({"terminal": {"preset": "jump_count"}}, []),
+    ({"terminal": {"preset": "constant", "params": {"c": 1.0, "scale": 2.0}}}, []),
+    ({"generator": {"preset": "affine_y", "params": {"c1": 2.0}}}, []),
+    ({"beta": 0.0}, []),
+    ({"beta_margin": 2.0}, []),
+    ({"delta": 0.1}, []),
+    ({"tol": 1e-6}, []),
+    ({"max_iter": 10}, []),
+    ({"sweep": {"param": "beta", "values": [1]}}, []),
+    ({"debug": {"wrong_c_beta": True}}, []),
+], ids=["beta-flag", "auto-beta-flag", "delta-flag", "tol-flag", "model-preset",
+        "model-param", "terminal-preset", "terminal-param", "generator", "beta",
+        "beta_margin", "delta", "tol", "max_iter", "sweep", "debug"])
+def test_counterexample_refuses_input_it_ignores(tmp_path, capsys, config, flags):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**COUNTEREXAMPLE, **config}))
+    argv = ["counterexample", "--config", str(path), "--out", str(tmp_path / "o"), *flags]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: counterexample ignores ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_counterexample_reads_every_input_it_accepts(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**COUNTEREXAMPLE, "seed": 4, "beta": "auto"}))
+    out = tmp_path / "o"
+    assert cli.main(["counterexample", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["seed"] == 4 and summary["p"] == 0.5
+    assert summary["observed"]["picard"]["diverged"]
+
+
+@pytest.mark.parametrize("p,message", [("half", "bad parameter p"), (2.0, "bad model spec")])
+def test_counterexample_bad_p_is_a_config_error(tmp_path, capsys, p, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {"preset": "counterexample", "params": {"p": p}}}))
+    argv = ["counterexample", "--config", str(path), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")

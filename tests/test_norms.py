@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from treebsde import build_tree, norms, scenarios
 
-from conftest import brute_y_norm, brute_z_norm
+from conftest import brute_y_norm, brute_z_norm, jump_second_moment
 
 
 def slot_of(K=1, m=1, a=0.5, phi=None):
@@ -180,12 +180,12 @@ def test_seminorm_squared_times_da_is_slot_contribution(seed):
 
 
 def test_jump_second_moment_zero_jump():
-    assert norms.jump_second_moment([3.0], slot_of(a=0.0)) == 0.0
+    assert jump_second_moment([3.0], slot_of(a=0.0)) == 0.0
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.75])
 def test_jump_second_moment_bernoulli(p):
-    assert norms.jump_second_moment([1.0], slot_of(a=p)) == pytest.approx(
+    assert jump_second_moment([1.0], slot_of(a=p)) == pytest.approx(
         p * (1 - p), rel=1e-15)
 
 
@@ -195,7 +195,7 @@ def test_jump_second_moment_equals_slot_integrand():
     Z = rng.normal(0, 1, (tree.n_slots, tree.n_marks))
     contrib = norms.slot_z_contribution(Z, tree)
     for s in range(tree.n_slots):
-        assert norms.jump_second_moment(Z[s], tree.slot(s)) == pytest.approx(
+        assert jump_second_moment(Z[s], tree.slot(s)) == pytest.approx(
             contrib[s], rel=1e-13, abs=1e-15)
 
 

@@ -3,12 +3,13 @@ import pytest
 
 from treebsde import (BsdeProblem, ConditionViolated, Generator, NoConvergence,
                       StepSingular, backward_oracle, build_tree, implicit_step_solve,
-                      norms, picard_map, picard_solve, represent_martingale,
-                      solve_linear)
+                      norms, picard_map, picard_solve, solve_linear)
 from treebsde import scenarios
-from treebsde.solver import bsde_residual, conditional_means, _eval_path
+from treebsde.solver import (bsde_residual, conditional_means, _child_values, _cond_means,
+                             _eval_path, _represent_block)
 
-from conftest import random_linear_problem, random_problem, random_terminal
+from conftest import (random_linear_problem, random_problem, random_terminal,
+                      represent_martingale)
 
 
 def slot_of(K=1, m=1, a=0.5, phi=None):
@@ -53,6 +54,28 @@ def test_represent_reconstruction_error_is_rounding_level():
         vals = rng.normal(0, 2, tree.n_marks + 1)
         _, check = represent_martingale(vals, slot)
         assert check < 1e-13
+
+
+def test_level_representation_matches_the_slot_oracle():
+    rng = np.random.default_rng(17)
+    seen = set()
+    for _ in range(15):
+        tree = build_tree(scenarios.random_model(rng, max_horizon=4))
+        sl = slice(0, tree.n_slots)
+        V = _child_values(tree, rng.normal(0, 2, tree.n_nodes), sl)
+        Z, cm = _represent_block(tree, V, sl), _cond_means(tree, V, sl)
+        for s in range(tree.n_slots):
+            slot = tree.slot(s)
+            seen.add(slot.delta_A if slot.delta_A in (0.0, 1.0) else "inner")
+            Zo, check = represent_martingale(V[s], slot)
+            assert check < 1e-13
+            assert np.max(np.abs(Z[s] - Zo)) <= 1e-13
+            # every existing child is cond_mean + g(outcome) for the oracle's row
+            zh = norms.hat_z(Zo, slot)
+            g = np.append(Zo - zh, -zh)
+            exists = tree.children[s] >= 0
+            assert np.max(np.abs(V[s][exists] - (cm[s] + g[exists]))) <= 1e-13
+    assert seen == {0.0, 1.0, "inner"}
 
 
 # -- solve_linear --------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .measure_core import (
 from .norms import (
     canonical_field,
     hat_z,
-    hat_z_all,
     lipschitz_seminorm,
     mixed_norm_sq,
     y_norm_sq,

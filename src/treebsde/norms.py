@@ -9,13 +9,19 @@ of a row against the atomic part of the compensator,
 ``delta_A * sum(zeta * phi)``, and is 0 by convention on slots with
 ``delta_A = 0``.
 
+One row kernel (``_moments``) gives ``hat_z_rows``,
+``lipschitz_seminorm_rows`` and ``slot_z_contribution`` (``delta_A``
+times the squared seminorm).  The scalar ``hat_z`` and
+``lipschitz_seminorm`` are one-row calls (10-15 us each, for scalar
+drivers); a driver that needs speed uses the row forms.
+
 On slots with ``delta_A = 1`` the squared norm cannot see an additive
 constant in the row, so fields are only norm-unique there; the canonical
 representative (``canonical_field``) centers those rows to
 ``sum(Z * phi) = 0`` and zeroes the weightless ``delta_A = 0`` rows.
 
 All sums run in fixed node-index order so repeated evaluations are bit
-identical.
+identical; ``np.vecdot`` gives each row the bits of ``np.dot`` on it.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from .measure_core import ScenarioTree, SlotBlock, SlotView
 
 __all__ = [
     "hat_z",
-    "hat_z_all",
     "hat_z_rows",
     "slot_z_contribution",
     "y_norm_sq",
@@ -48,40 +53,53 @@ def field_zeros(tree: ScenarioTree) -> np.ndarray:
     return np.zeros((tree.n_slots, tree.n_marks))
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # row-wise np.dot through the same BLAS dot kernel, so each entry equals
-    # the scalar form's np.dot to the bit (einsum sums in another order)
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+def _moments(zeta, delta_A: np.ndarray, phi: np.ndarray):
+    """Per-row ``mean = sum(zeta * phi)`` and ``spread = sum((zeta - delta_A*mean)^2 phi)``."""
+    z = np.asarray(zeta, dtype=float)
+    mean = np.vecdot(z, phi)
+    dev = z - (delta_A * mean)[:, None]
+    return mean, np.vecdot(dev * dev, phi)
 
 
-def hat_z(zeta, slot: SlotView) -> float:
-    """Projection of a mark vector on the slot's atomic compensator."""
-    if slot.delta_A == 0.0:
-        return 0.0
-    return float(slot.delta_A * np.dot(np.asarray(zeta, dtype=float), slot.phi))
+def _seminorm_sq(zeta, delta_A: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    mean, spread = _moments(zeta, delta_A, phi)  # squared seminorm, per row
+    return spread + delta_A * (1.0 - delta_A) * mean * mean
 
 
 def hat_z_rows(zeta, block: SlotBlock) -> np.ndarray:
-    """Row-wise ``hat_z`` of ``zeta[n, m]`` over a block of slots."""
-    out = block.delta_A * _row_dot(np.asarray(zeta, dtype=float), block.phi)
+    """Projection ``delta_A * sum(zeta * phi)`` of each row; 0 where ``delta_A = 0``."""
+    out = block.delta_A * _moments(zeta, block.delta_A, block.phi)[0]
     out[block.delta_A == 0.0] = 0.0
     return out
 
 
-def hat_z_all(Z: np.ndarray, tree: ScenarioTree) -> np.ndarray:
-    """Vectorized ``hat_z`` over every slot."""
-    return tree.slot_dA * np.einsum("sm,sm->s", Z, tree.slot_phi)
+def lipschitz_seminorm_rows(dzeta, block: SlotBlock) -> np.ndarray:
+    """Seminorm of each row of ``dzeta[n, m]`` used by generator Lipschitz bounds.
+
+    ``sqrt( sum(|dz - dA*mean|^2 phi) + dA (1 - dA) mean**2 )`` with
+    ``mean = sum(dz * phi)``; on ``delta_A = 0`` slots the plain L2(phi) norm.
+    """
+    return np.sqrt(_seminorm_sq(dzeta, block.delta_A, block.phi))
+
+
+def hat_z(zeta, slot: SlotView) -> float:
+    """``hat_z_rows`` of one mark vector on one slot."""
+    return float(hat_z_rows(np.reshape(zeta, (1, -1)), SlotBlock.of_view(slot))[0])
+
+
+def lipschitz_seminorm(dzeta, slot: SlotView) -> float:
+    """``lipschitz_seminorm_rows`` of one mark-vector increment on one slot."""
+    return float(lipschitz_seminorm_rows(np.reshape(dzeta, (1, -1)),
+                                         SlotBlock.of_view(slot))[0])
 
 
 def slot_z_contribution(Z: np.ndarray, tree: ScenarioTree) -> np.ndarray:
     """Per-slot integrand of the Z norm, without probability or weight.
 
-    ``delta_A * sum(|Z - hat_z|^2 phi) + (1 - delta_A) * hat_z**2``
+    ``delta_A * seminorm**2``, which equals
+    ``delta_A * sum(|Z - hat_z|^2 phi) + (1 - delta_A) * hat_z**2``.
     """
-    zh = hat_z_all(Z, tree)
-    dev = Z - zh[:, None]
-    spread = np.einsum("sm,sm->s", dev * dev, tree.slot_phi)
-    return tree.slot_dA * spread + (1.0 - tree.slot_dA) * zh * zh
+    return tree.slot_dA * _seminorm_sq(Z, tree.slot_dA, tree.slot_phi)
 
 
 def _cont_weight(beta: float, dAc: np.ndarray) -> np.ndarray:
@@ -131,32 +149,6 @@ def mixed_norm_sq(Y: np.ndarray, Z: np.ndarray, tree: ScenarioTree,
     b = np.broadcast_to(np.asarray(b, dtype=float), (n,))
     y_part = float(np.sum(P * b * E_end * Ypar * Ypar * tree.slot_dA))
     return y_part + z_norm_sq(Z, tree, beta)
-
-
-def lipschitz_seminorm(dzeta, slot: SlotView) -> float:
-    """Seminorm on mark-vector increments used by generator Lipschitz bounds.
-
-    ``sqrt( sum(|dz - dA*mean|^2 phi) + dA (1 - dA) mean**2 )`` with
-    ``mean = sum(dz * phi)``.  Scaled by ``delta_A`` it reproduces the
-    slot's Z-norm integrand; on ``delta_A = 0`` slots it reduces to the
-    plain L2(phi) norm.
-    """
-    dz = np.asarray(dzeta, dtype=float)
-    da = slot.delta_A
-    mean = float(np.dot(dz, slot.phi))
-    dev = dz - da * mean
-    val = float(np.dot(dev * dev, slot.phi)) + da * (1.0 - da) * mean * mean
-    return float(np.sqrt(val))
-
-
-def lipschitz_seminorm_rows(dzeta, block: SlotBlock) -> np.ndarray:
-    """Row-wise ``lipschitz_seminorm`` of ``dzeta[n, m]`` over a block of slots."""
-    dz = np.asarray(dzeta, dtype=float)
-    da = block.delta_A
-    mean = _row_dot(dz, block.phi)
-    dev = dz - (da * mean)[:, None]
-    val = _row_dot(dev * dev, block.phi) + da * (1.0 - da) * mean * mean
-    return np.sqrt(val)
 
 
 def _canonical_rows(Z: np.ndarray, delta_A: np.ndarray, phi: np.ndarray) -> np.ndarray:

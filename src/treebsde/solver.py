@@ -92,13 +92,12 @@ class ConditionViolated(SolverError):
 class Generator:
     """Driver of the backward equation with its declared Lipschitz constants.
 
-    Two forms, one evaluation entry point (:meth:`on_slots`):
+    Two forms:
 
     * scalar, ``Generator(fn, lip_y, lip_z)`` with
       ``fn(slot, y, zeta) -> float``; ``slot`` is a
       :class:`~treebsde.measure_core.SlotView` (step, time, history, jump
-      size, mark law).  ``on_slots`` adapts it with one loop over the
-      slots.
+      size, mark law).
     * level batch, ``Generator.batched(fn, lip_y, lip_z)`` with
       ``fn(block, y[n], zeta[n, m]) -> f[n]``; ``block`` is a
       :class:`~treebsde.measure_core.SlotBlock` whose ``index``, ``step``,
@@ -106,9 +105,14 @@ class Generator:
       dependence goes through arrays indexed by ``block.index``.  Calling
       such a generator on one slot view evaluates a one-slot block.
 
+    ``_values`` evaluates either form on a block (a scalar one with one
+    ``__call__`` per row) for :meth:`on_slots` (every solver route) and
+    ``check_lipschitz`` (all samples of a slot); only the one-slot
+    implicit step calls the generator directly.
+
     Predictability: neither form ever sees a slot's own outcome.
     ``lip_y`` bounds the y-increments, ``lip_z`` the zeta-increments
-    measured in :func:`treebsde.norms.lipschitz_seminorm`.
+    measured in :func:`treebsde.norms.lipschitz_seminorm_rows`.
     """
 
     fn: Callable[[SlotView, float, np.ndarray], float]
@@ -130,19 +134,22 @@ class Generator:
         index = block.index
         if index.size == 0:
             return np.zeros(0)
-        if self.batch is None:
-            vals = np.array([self(tree.slot(s), y[j], zeta[j])
-                             for j, s in enumerate(index)], dtype=float)
-        else:
-            vals = np.asarray(self.batch(block, y, zeta), dtype=float)
-            if vals.shape != index.shape:
-                raise ValueError(f"batched generator returned shape {vals.shape}, "
-                                 f"expected {index.shape}")
+        vals = self._values(block, map(tree.slot, index), y, zeta)
         finite = np.isfinite(vals)
         if not np.all(finite):
             j = int(np.argmin(finite))
             raise NonFinite(f"generator value {vals[j]} at slot {int(index[j])} "
                             f"(step {int(block.step[j])})")
+        return vals
+
+    def _values(self, block: SlotBlock, views, y, zeta) -> np.ndarray:
+        """Raw driver values on the rows of ``block``; ``views`` yields their slot views."""
+        if self.batch is None:
+            return np.array([self(v, a, z) for v, a, z in zip(views, y, zeta)], dtype=float)
+        vals = np.asarray(self.batch(block, y, zeta), dtype=float)
+        if vals.shape != block.index.shape:
+            raise ValueError(f"batched generator returned shape {vals.shape}, "
+                             f"expected {block.index.shape}")
         return vals
 
     @property

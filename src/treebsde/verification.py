@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import norms, solver
-from .measure_core import ScenarioTree, doleans_exponential, _as_path
+from .measure_core import ScenarioTree, SlotBlock, doleans_exponential, _as_path
 
 __all__ = [
     "CheckResult",
@@ -203,10 +203,10 @@ def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResu
     ``|f(y', z') - f(y, z)| <= lip_y |y' - y| + lip_z * seminorm(z' - z)``
     and the squared form with any level ``hat_lz_sq > lip_z^2``, whose
     zeta term carries the ``(1 - dA)/dA`` expansion; the two seminorm
-    forms are also compared as an exact algebraic identity.  The reported
-    lhs is the worst margin over samples and sub-checks; a NaN margin (a
-    driver value that is not a number) fails the check and stops it, with
-    that sample as the witness.
+    forms are also compared as an exact algebraic identity.  All samples
+    form one block.  The reported lhs is the worst margin (the first
+    sample wins a tie); a NaN margin (a driver value that is not a number)
+    fails the check, with the first such sample as the witness.
     """
     if hat_lz_sq is None:
         hat_lz_sq = f.lip_z ** 2 + 0.1
@@ -221,31 +221,33 @@ def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResu
                  for _ in range(samples)]
     else:
         draws = list(samples)
-    worst = -np.inf
-    witness = None
-    for y, y2, z, z2 in draws:
-        dz = np.asarray(z2, dtype=float) - np.asarray(z, dtype=float)
-        s = norms.lipschitz_seminorm(dz, slot)
-        fbar = f(slot, y2, z2) - f(slot, y, z)
-        plain = abs(fbar) - (f.lip_y * abs(y2 - y) + f.lip_z * s)
-        zh = norms.hat_z(dz, slot)
-        expanded = float(np.dot((dz - zh) ** 2, slot.phi))
-        if da != 0.0:
-            expanded += (1.0 - da) / da * zh ** 2
-        squared = fbar ** 2 - (2.0 * f.lip_y ** 2 * (y2 - y) ** 2
-                               + 2.0 * hat_lz_sq * expanded)
-        forms = abs(expanded - s ** 2) / max(s ** 2, 1.0) - 1e-12
-        margin = max(plain, squared, forms)
-        if margin > worst or math.isnan(margin):
-            worst = margin
-            witness = {"y": float(y), "y2": float(y2),
-                       "z": np.asarray(z, float).tolist(),
-                       "z2": np.asarray(z2, float).tolist()}
-            if math.isnan(margin):
-                break
+    n = len(draws)
+    y, y2 = (np.array([d[i] for d in draws], dtype=float) for i in (0, 1))
+    z, z2 = (np.array([d[i] for d in draws], dtype=float).reshape(n, m) for i in (2, 3))
+    block = SlotBlock(index=np.full(n, slot.index), step=np.full(n, slot.step),
+                      delta_A=np.full(n, da), phi=np.broadcast_to(slot.phi, (n, m)))
+    dz = z2 - z
+    s = norms.lipschitz_seminorm_rows(dz, block)
+    fbar = f._values(block, [slot] * n, y2, z2) - f._values(block, [slot] * n, y, z)
+    plain = np.abs(fbar) - (f.lip_y * np.abs(y2 - y) + f.lip_z * s)
+    zh = norms.hat_z_rows(dz, block)
+    # np.float_power calls the C library's pow, as Python's float ``**`` does, so
+    # each margin has the bits of a per-sample evaluation (x * x can differ)
+    fbar2, dy2, zh2, s2 = np.float_power([fbar, y2 - y, zh, s], 2.0)
+    expanded = np.vecdot((dz - zh[:, None]) ** 2, block.phi)
+    if da != 0.0:
+        expanded += (1.0 - da) / da * zh2
+    squared = fbar2 - (2.0 * f.lip_y ** 2 * dy2 + 2.0 * hat_lz_sq * expanded)
+    forms = np.abs(expanded - s2) / np.maximum(s2, 1.0) - 1e-12
+    margin = np.maximum(np.maximum(plain, squared), forms)
+    worst, witness = -np.inf, None
+    if n:
+        nan = np.isnan(margin)
+        j = int(np.argmax(nan) if nan.any() else np.argmax(margin))
+        worst = margin[j]
+        witness = {"y": float(y[j]), "y2": float(y2[j]), "z": z[j].tolist(), "z2": z2[j].tolist()}
     return _inequality("lipschitz_bound", worst, 0.0,
-                       detail={"hat_lz_sq": float(hat_lz_sq),
-                               "n_samples": len(draws), "witness": witness})
+                       detail={"hat_lz_sq": float(hat_lz_sq), "n_samples": n, "witness": witness})
 
 
 def check_solution_jump_identity(solution, problem) -> CheckResult:
@@ -259,7 +261,7 @@ def check_solution_jump_identity(solution, problem) -> CheckResult:
     Y, Z = solution.Y, solution.Z
     n = tree.n_slots
     f_path = solver._eval_path(tree, problem.f, Y, Z)
-    zh = norms.hat_z_all(Z, tree)
+    zh = norms.hat_z_rows(Z, tree.block(slice(None)))
     ch = tree.children
     Yc = Y[np.maximum(ch, 0)]
     # expected child values: parent + g(outcome) - f dA

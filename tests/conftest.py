@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from treebsde import (BsdeProblem, Generator, build_tree, norms)
+from treebsde import BsdeProblem, Generator, build_tree
 from treebsde import conditions, scenarios
 from treebsde.measure_core import NO_JUMP
 
@@ -87,6 +87,29 @@ def brute_expectation_at_depth(tree, values, depth):
 # -- scalar twins of the per-slot formulas -------------------------------------
 
 
+def scalar_hat_z(zeta, slot) -> float:
+    """Projection of a mark vector on the slot's atomic compensator."""
+    if slot.delta_A == 0.0:
+        return 0.0
+    return float(slot.delta_A * np.dot(np.asarray(zeta, dtype=float), slot.phi))
+
+
+def scalar_seminorm(dzeta, slot) -> float:
+    """Seminorm on mark-vector increments used by generator Lipschitz bounds.
+
+    ``sqrt( sum(|dz - dA*mean|^2 phi) + dA (1 - dA) mean**2 )`` with
+    ``mean = sum(dz * phi)``.  Scaled by ``delta_A`` it reproduces the
+    slot's Z-norm integrand; on ``delta_A = 0`` slots it reduces to the
+    plain L2(phi) norm.
+    """
+    dz = np.asarray(dzeta, dtype=float)
+    da = slot.delta_A
+    mean = float(np.dot(dz, slot.phi))
+    dev = dz - da * mean
+    val = float(np.dot(dev * dev, slot.phi)) + da * (1.0 - da) * mean * mean
+    return float(np.sqrt(val))
+
+
 def represent_martingale(values, slot):
     """Solve the one-slot martingale representation from child values.
 
@@ -119,7 +142,7 @@ def represent_martingale(values, slot):
     else:
         Z = vm - jump_mean
         mean = jump_mean
-    zh = norms.hat_z(Z, slot)
+    zh = scalar_hat_z(Z, slot)
     err = float(np.max(np.abs(vm - (mean + Z - zh))))
     if da < 1.0:
         err = max(err, abs(vn - (mean - zh)))
@@ -130,14 +153,14 @@ def jump_second_moment(zeta, slot):
     """Conditional second moment of the compensated one-step integral.
 
     Equals ``dA * sum(phi * (zeta - hat)^2) + (1 - dA) * hat**2`` with
-    ``hat = hat_z(zeta, slot)``, which is the same expression as the
+    ``hat = scalar_hat_z(zeta, slot)``, which is the same expression as the
     slot's Z-norm integrand.
     """
     z = np.asarray(zeta, dtype=float)
     da = slot.delta_A
     if da == 0.0:
         return 0.0
-    zh = norms.hat_z(z, slot)
+    zh = scalar_hat_z(z, slot)
     dev = z - zh
     return float(da * np.dot(dev * dev, slot.phi) + (1.0 - da) * zh * zh)
 
@@ -175,7 +198,7 @@ def random_generator(rng, tree, eps_floor=0.5, forms=(0, 1, 2)):
     form = int(rng.choice(forms))
 
     def fn(slot, y, zeta):
-        s = norms.lipschitz_seminorm(zeta, slot)
+        s = scalar_seminorm(zeta, slot)
         base = c0 + 0.3 * math.sin(2.0 * slot.step + scenarios.jump_count(slot.history))
         if form == 0:
             return base + lip_y * y + lip_z * s
@@ -261,9 +284,9 @@ def scalar_preset(name, params, tree):
         ratio = float(np.max(np.sqrt(da / (1.0 - da)))) if c2 != 0.0 and da.size else 0.0
 
         def fn(slot, y, zeta):
-            val = c0 + c1 * norms.lipschitz_seminorm(zeta, slot)
+            val = c0 + c1 * scalar_seminorm(zeta, slot)
             if c2 != 0.0:
-                val += c2 * norms.hat_z(zeta, slot)
+                val += c2 * scalar_hat_z(zeta, slot)
             return val
 
         return Generator(fn, 0.0, abs(c1) + abs(c2) * ratio)
@@ -271,7 +294,7 @@ def scalar_preset(name, params, tree):
         cy, cz = float(p.get("cy", 0.0)), float(p.get("cz", 0.0))
         return Generator(
             lambda slot, y, zeta: c0 + cy * np.tanh(y)
-            + cz * np.tanh(norms.lipschitz_seminorm(zeta, slot)), abs(cy), abs(cz))
+            + cz * np.tanh(scalar_seminorm(zeta, slot)), abs(cy), abs(cz))
     raise ValueError(name)
 
 

@@ -233,3 +233,20 @@ def test_solver_failure_exits_three(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_SOLVER
     assert "solver failure" in " ".join(read_summary(out)["notes"])
+
+
+def test_solve_exits_three_when_the_oracle_disagrees(tmp_path):
+    # beta far below beta_min: Picard stops after one sweep, 3.6 off the oracle
+    cfg = write_config(tmp_path,
+                      model={"preset": "deterministic_grid",
+                             "params": {"K": 6, "m": 2, "a": 1.0}},
+                      generator={"preset": "saturating",
+                                 "params": {"c0": 0.3, "cy": 0.6, "cz": 0.0}},
+                      terminal={"preset": "jump_count", "params": {"scale": 1.0}},
+                      beta=4.0)
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_SOLVER
+    summary = read_summary(out)
+    assert summary["solver"]["y0_gap"] > cli.Y0_GAP_TOL
+    assert "disagrees with the backward oracle" in " ".join(summary["notes"])
+    assert (out / "iterations.csv").exists()

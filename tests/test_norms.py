@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsde import build_tree, norms, scenarios
+from treebsde import MarkSpace, ScenarioModel, build_tree, norms, scenarios
 
-from conftest import brute_y_norm, brute_z_norm, jump_second_moment
+from conftest import (brute_y_norm, brute_z_norm, jump_second_moment, scalar_hat_z,
+                      scalar_seminorm)
 
 
 def slot_of(K=1, m=1, a=0.5, phi=None):
@@ -145,6 +146,35 @@ def test_row_forms_equal_scalar_forms(seed):
     hat = [norms.hat_z(Z[s], tree.slot(s)) for s in range(n)]
     assert np.array_equal(norms.lipschitz_seminorm_rows(Z, block), sem)
     assert np.array_equal(norms.hat_z_rows(Z, block), hat)
+
+
+def mixed_regime_tree(rng, m, K=3):
+    """Tree whose slots mix delta_A = 0, 1 and inner sizes, with random mark laws."""
+    inner = rng.uniform(0.05, 0.95, K)
+    laws = rng.dirichlet(np.ones(m), (K, 2))
+
+    def rule(k, hist):
+        return (inner[k], 1.0, 0.0)[(k + scenarios.jump_count(hist)) % 3]
+
+    return build_tree(ScenarioModel(marks=MarkSpace.of_size(m), grid=np.linspace(0.0, 1.0, K + 1),
+                                    jump_size=rule,
+                                    mark_law=lambda k, hist: laws[k, int(rule(k, hist) == 1.0)]))
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_row_forms_are_the_scalar_twins_to_the_bit(m):
+    rng = np.random.default_rng(100 + m)
+    tree = mixed_regime_tree(rng, m)
+    assert {0.0, 1.0} < set(tree.slot_dA.tolist())
+    Z = rng.normal(0, 3, (tree.n_slots, m))
+    block = tree.block(slice(None))
+    views = [tree.slot(s) for s in range(tree.n_slots)]
+    hat = [scalar_hat_z(Z[s], v) for s, v in enumerate(views)]
+    sem = [scalar_seminorm(Z[s], v) for s, v in enumerate(views)]
+    assert np.array_equal(norms.hat_z_rows(Z, block), hat)
+    assert np.array_equal(norms.lipschitz_seminorm_rows(Z, block), sem)
+    assert [norms.hat_z(Z[s], v) for s, v in enumerate(views)] == hat
+    assert [norms.lipschitz_seminorm(Z[s], v) for s, v in enumerate(views)] == sem
 
 
 def test_seminorm_zero():

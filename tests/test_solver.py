@@ -255,7 +255,7 @@ def test_picard_jump_identity_of_solution():
     tree = problem.tree()
     sol, _ = picard_solve(problem, delta=delta)
     f_path = _eval_path(tree, problem.f, sol.Y, sol.Z)
-    zh = norms.hat_z_all(sol.Z, tree)
+    zh = norms.hat_z_rows(sol.Z, tree.block(slice(None)))
     for s in range(tree.n_slots):
         ch = tree.children[s]
         for j, c in enumerate(ch):
@@ -356,7 +356,7 @@ def test_empty_tree_results_of_every_layer():
         assert arr.shape == shape and arr.dtype == dtype
 
     Y, Z = np.array([3.0]), norms.field_zeros(tree)
-    for arr in (norms.hat_z_all(Z, tree), norms.slot_z_contribution(Z, tree),
+    for arr in (norms.hat_z_rows(Z, tree.block(slice(None))), norms.slot_z_contribution(Z, tree),
                 conditional_means(tree, Y)):
         assert arr.shape == (0,) and arr.dtype == np.float64
     canon = norms.canonical_field(Z, tree)

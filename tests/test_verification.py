@@ -219,6 +219,38 @@ def test_lipschitz_detects_understated_constant():
     assert r.detail["witness"] is not None
 
 
+def block_and_scalar_twins(fn, lip_y, lip_z):
+    """The batched driver ``fn`` and the same driver as a scalar generator."""
+    batched = Generator.batched(fn, lip_y, lip_z)
+    return batched, Generator(batched.fn, lip_y, lip_z)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.35, 1.0])
+def test_lipschitz_block_is_the_same_check_for_both_forms(a):
+    slot = build_tree(scenarios.deterministic_grid(K=2, m=3, a=a)).slot(1)
+    pair = block_and_scalar_twins(
+        lambda block, y, zeta: 0.4 * np.sin(y)
+        + 0.9 * np.tanh(norms.lipschitz_seminorm_rows(zeta, block)), 0.4, 0.9)
+    rows = [check_lipschitz(f, slot, samples=60, rng=np.random.default_rng(3))
+            for f in pair]
+    assert rows[0] == rows[1]
+    assert rows[0].lhs.hex() == rows[1].lhs.hex() and rows[0].passed
+
+
+def test_lipschitz_block_nan_sample_is_the_witness_for_both_forms():
+    # sample 1 is NaN; sample 2 has the largest finite margin and must not win
+    slot = build_tree(scenarios.deterministic_grid(K=1, m=2, a=0.5)).slot(0)
+    draws = [(0.0, 1.0, [0.0, 0.0], [0.1, 0.0]), (2.0, 1.0, [0.0, 1.0], [0.0, 0.0]),
+             (0.0, 3.0, [1.0, 0.0], [0.0, 0.0]), (1.0, 0.5, [0.0, 0.0], [0.0, 0.0])]
+    pair = block_and_scalar_twins(
+        lambda block, y, zeta: np.where(y == 2.0, np.nan, 5.0 * y), 0.1, 0.1)
+    rows = [check_lipschitz(f, slot, samples=draws) for f in pair]
+    for r in rows:
+        assert not r.passed and np.isnan(r.lhs)
+        assert r.detail["witness"] == {"y": 2.0, "y2": 1.0, "z": [0.0, 1.0], "z2": [0.0, 0.0]}
+    assert rows[0].detail == rows[1].detail
+
+
 def test_lipschitz_rejects_hat_below_lip_z():
     slot = build_tree(scenarios.deterministic_grid(K=1, m=1, a=0.5)).slot(0)
     f = Generator(lambda s, y, z: 0.0, 0.0, 1.0)

@@ -1,0 +1,281 @@
+"""Compare the reports of two treebsde source trees, case by case.
+
+Run from the root of a checkout:
+
+    python3 tools/report_diff.py --old ../treebsde-main --new .
+
+``--old`` and ``--new`` are checkout roots (each holds ``src/treebsde``).
+Every case of a fixed list runs once per tree, as ``python -m treebsde.cli``
+in a fresh process with ``PYTHONPATH`` set to that tree's ``src``.
+Then every report file and the exit code are compared.  A differing
+number is printed with its JSON path or CSV cell and its distance in units
+in the last place (ulp); any other difference is printed as text.  The
+last lines summarise the cases, the moved fields with their largest
+distance in ulp and in absolute value, and the changed exit codes.  The
+exit status is 0 when every case is identical.
+
+The case list:
+
+* the three benchmark workloads (``perfbench/workloads.py``) at seeds 5
+  and 31;
+* every generator preset with every terminal preset on two models, under
+  ``solve`` and ``verify``;
+* a ``beta``, a relative ``beta`` and a ``delta`` sweep;
+* a K=0 tree under ``solve`` and ``verify``;
+* a ``solve`` and a ``verify`` with beta far below ``beta_min``;
+* the built-in ``counterexample`` run.
+
+Reports carry no timings, so a case whose code did not change must match to
+the byte.  Console output is not compared.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import importlib.util
+import json
+import math
+import os
+import shutil
+import struct
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+GENERATORS = {
+    "zero": {},
+    "constant": {"c0": 0.4},
+    "affine_y": {"c0": 0.2, "c1": 0.5},
+    "affine_z": {"c0": 0.1, "c1": 0.6, "c2": 0.3},
+    "saturating": {"c0": 0.3, "cy": 0.5, "cz": 0.7},
+}
+TERMINALS = {
+    "constant": {"c": 0.7},
+    "jump_count": {"scale": 0.9},
+    "last_mark": {"mark": 1, "scale": 1.3},
+}
+MODELS = {
+    "grid": {"preset": "deterministic_grid", "params": {"K": 4, "m": 2, "a": 0.4}},
+    "two_state": {"preset": "two_state_rule",
+                  "params": {"K": 5, "m": 3, "a_after_jump": 0.3,
+                             "a_after_no_jump": 0.6, "phi": [0.2, 0.3, 0.5]}},
+}
+
+
+class Diff(NamedTuple):
+    where: str          # file and JSON path or CSV cell, or "exit code"
+    field: str          # ``where`` without row numbers: what the summary groups by
+    old: object
+    new: object
+    ulps: int | None    # distance of two finite floats, else None
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def cases() -> list[tuple[str, str, dict | None]]:
+    """``(name, command, config)`` of every case; ``None`` is the built-in config."""
+    out = []
+    for name, (command, config_of, _, _) in _workloads().items():
+        for seed in (5, 31):
+            out.append((f"{name}-seed{seed}", command, config_of(seed)[0]))
+    for model_name, model in MODELS.items():
+        for gen, gparams in GENERATORS.items():
+            for term, tparams in TERMINALS.items():
+                config = {"model": model,
+                          "generator": {"preset": gen, "params": gparams},
+                          "terminal": {"preset": term, "params": tparams},
+                          "seed": 3}
+                for command in ("solve", "verify"):
+                    out.append((f"{command}-{model_name}-{gen}-{term}", command, config))
+    base = {"model": MODELS["two_state"],
+            "generator": {"preset": "saturating", "params": GENERATORS["saturating"]},
+            "terminal": {"preset": "jump_count", "params": TERMINALS["jump_count"]},
+            "seed": 4}
+    for name, sweep in (("beta", {"param": "beta", "values": [2.0, 8.0, 32.0]}),
+                        ("relative-beta", {"param": "beta", "values": [1.0, 2.0, 4.0],
+                                           "relative_to_beta_min": True}),
+                        ("delta", {"param": "delta", "values": [0.05, 0.1, 0.2]})):
+        out.append((f"sweep-{name}", "sweep", {**base, "sweep": sweep}))
+    k0 = {**base, "model": {"preset": "deterministic_grid", "params": {"K": 0, "m": 2}},
+          "beta": 1.0}
+    low_beta = {"model": {"preset": "deterministic_grid", "params": {"K": 6, "m": 2, "a": 1.0}},
+                "generator": {"preset": "saturating",
+                              "params": {"c0": 0.3, "cy": 0.6, "cz": 0.0}},
+                "terminal": {"preset": "jump_count", "params": {"scale": 1.0}},
+                "beta": 4.0}
+    for command in ("solve", "verify"):
+        out.append((f"{command}-K0", command, k0))
+        out.append((f"{command}-beta-below-beta-min", command, low_beta))
+    out.append(("counterexample", "counterexample", None))
+    return out
+
+
+def run_case(tree: Path, command: str, config: dict | None, workdir: Path) -> int:
+    """Run one case against the source tree ``tree``; reports go to ``workdir/out``."""
+    workdir.mkdir(parents=True)
+    argv = [sys.executable, "-m", "treebsde.cli", command, "--out", str(workdir / "out")]
+    if config is not None:
+        (workdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(workdir / "config.json")]
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"),
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run(argv, cwd=workdir, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    (workdir / "stderr.txt").write_text(done.stderr, encoding="utf-8")
+    return done.returncode
+
+
+# -- comparison ------------------------------------------------------------------
+
+
+def ulp_distance(a: float, b: float) -> int:
+    """Number of doubles from ``a`` to ``b`` (0.0 and -0.0 coincide)."""
+    def key(x):
+        i = struct.unpack("<q", struct.pack("<d", x))[0]
+        return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+    return abs(key(a) - key(b))
+
+
+def _number_diff(where, field, a: float, b: float) -> list[Diff]:
+    if repr(a) == repr(b):
+        return []
+    finite = math.isfinite(a) and math.isfinite(b)
+    return [Diff(where, field, a, b, ulp_distance(a, b) if finite else None)]
+
+
+def _json_diffs(where: str, field: str, a, b) -> list[Diff]:
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for key in sorted(set(a) | set(b), key=str):
+            w, f = f"{where}.{key}", f"{field}.{key}"
+            out += (_json_diffs(w, f, a[key], b[key]) if key in a and key in b
+                    else [Diff(w, f, a.get(key), b.get(key), None)])
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        out = []
+        for i, (x, y) in enumerate(zip(a, b)):
+            # a list of named rows (the check table) is keyed by the row name
+            label = x["name"] if isinstance(x, dict) and "name" in x else None
+            out += _json_diffs(f"{where}[{label or i}]",
+                               f"{field}[{label}]" if label else field, x, y)
+        return out
+    numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
+    if numbers and (isinstance(a, float) or isinstance(b, float)):
+        return _number_diff(where, field, float(a), float(b))
+    return [] if a == b and type(a) is type(b) else [Diff(where, field, a, b, None)]
+
+
+def _as_float(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _csv_diffs(name: str, a: str, b: str) -> list[Diff]:
+    rows_a, rows_b = list(csv.reader(a.splitlines())), list(csv.reader(b.splitlines()))
+    if len(rows_a) != len(rows_b) or not rows_a or rows_a[0] != rows_b[0]:
+        return [Diff(name, name, f"{len(rows_a)} rows", f"{len(rows_b)} rows", None)]
+    header, out = rows_a[0], []
+    for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
+        if len(ra) != len(rb):
+            out.append(Diff(f"{name}[row {i}]", name, f"{len(ra)} cells", f"{len(rb)} cells",
+                            None))
+            continue
+        # a row whose first cell is a name (the check table) is grouped by it
+        label = f"[{ra[0]}]" if _as_float(ra[0]) is None else ""
+        for col, x, y in zip(header, ra, rb):
+            if x == y:
+                continue
+            where, field = f"{name}[row {i}].{col}", f"{name}{label}.{col}"
+            fx, fy = _as_float(x), _as_float(y)
+            out += (_number_diff(where, field, fx, fy) if fx is not None and fy is not None
+                    else [Diff(where, field, x, y, None)])
+    return out
+
+
+def compare_dirs(old: Path, new: Path) -> list[Diff]:
+    """Every difference between the report files of two output directories."""
+    def files(d):
+        return {p.relative_to(d).as_posix() for p in d.rglob("*") if p.is_file()} \
+            if d.is_dir() else set()
+
+    out = []
+    for name in sorted(files(old) | files(new)):
+        pa, pb = old / name, new / name
+        if not (pa.is_file() and pb.is_file()):
+            out.append(Diff(name, name, "present" if pa.is_file() else "missing",
+                            "present" if pb.is_file() else "missing", None))
+            continue
+        a, b = pa.read_text(encoding="utf-8"), pb.read_text(encoding="utf-8")
+        if a == b:
+            continue
+        if name.endswith(".json"):
+            out += _json_diffs(name, name, json.loads(a), json.loads(b))
+        elif name.endswith(".csv"):
+            out += _csv_diffs(name, a, b)
+        else:
+            out.append(Diff(name, name, "differs", "differs", None))
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--old", required=True, type=Path, help="checkout root of the old tree")
+    ap.add_argument("--new", required=True, type=Path, help="checkout root of the new tree")
+    ap.add_argument("--work", type=Path, default=None,
+                    help="keep the runs in this (new) directory instead of a temporary one")
+    args = ap.parse_args(argv)
+    trees = {"old": args.old.resolve(), "new": args.new.resolve()}
+    for side, tree in trees.items():
+        if not (tree / "src" / "treebsde").is_dir():
+            ap.error(f"--{side} {tree} holds no src/treebsde")
+    work = args.work or Path(tempfile.mkdtemp(prefix="report_diff_"))
+    identical, moved, exits = 0, {}, []
+    try:
+        all_cases = cases()
+        for name, command, config in all_cases:
+            codes = {side: run_case(tree, command, config, work / side / name)
+                     for side, tree in trees.items()}
+            diffs = compare_dirs(work / "old" / name / "out", work / "new" / name / "out")
+            if codes["old"] != codes["new"]:
+                diffs.insert(0, Diff("exit code", "exit code", codes["old"], codes["new"], None))
+                exits.append((name, codes["old"], codes["new"]))
+            identical += not diffs
+            for d in diffs:
+                dist = "" if d.ulps is None else f"  ({d.ulps} ulp, change {d.new - d.old:.3g})"
+                print(f"{name}  {d.where}: {d.old!r} -> {d.new!r}{dist}")
+                if d.where != "exit code":
+                    moved.setdefault(d.field, []).append(d)
+    finally:
+        if args.work is None:
+            shutil.rmtree(work, ignore_errors=True)
+    print(f"{len(all_cases)} cases, {identical} identical, "
+          f"{len(all_cases) - identical} differ")
+    # a gap near 0 moves by many of its own ulps when a norm moves by one,
+    # so the summary also gives the largest absolute change
+    for field, ds in sorted(moved.items()):
+        num = [d for d in ds if d.ulps is not None]
+        worst = (f", at most {max(d.ulps for d in num)} ulp and "
+                 f"{max(abs(d.new - d.old) for d in num):.3g} absolute" if num else "")
+        other = len(ds) - len(num)
+        print(f"moved: {field}  {len(ds)} value(s){worst}"
+              + (f", {other} non-float" if other else ""))
+    for name, old, new in exits:
+        print(f"exit code: {name}  {old} -> {new}")
+    return 0 if identical == len(all_cases) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,207 @@
+"""In-process stage timings and peak memory of a treebsde source tree.
+
+Run from the root of a checkout:
+
+    python3 bench/scale.py                              # this tree
+    python3 bench/scale.py --old ../treebsde-main --new . --out BENCH.json
+
+``--old`` and ``--new`` are checkout roots (each holds ``src/treebsde``).
+Each case runs ``--repeat`` times per tree, every run in a fresh process
+with ``PYTHONPATH`` set to that tree's ``src`` and one BLAS thread.  A run
+times, once each and in this order:
+
+* ``build_tree``: enumerating the config's tree;
+* ``picard_solve``: the fixed-point solve ``treebsde verify`` runs;
+* ``backward_oracle``: the reference solve ``treebsde solve`` adds;
+* ``run_suite``: the check suite on the Picard solution, with the time
+  of each check inside it (the outermost call of the functions that
+  ``run_suite`` calls for that check, whichever of them the tree has);
+
+and reports the ``resource.getrusage`` peak RSS of the process at the end.
+The output is the median of each stage over the runs and the largest
+peak RSS, per tree and case, with the host and library versions.  It is
+a measurement, not a gate: nothing here fails on a slow tree.
+
+The cases:
+
+* ``verify_intensity_seed7``: the ``verify_intensity`` benchmark workload
+  at seed 7 (K=16, one mark, 131,071 nodes);
+* ``two_state_k12_m2``: the ``two_state_rule`` model with K=12 and two
+  marks (531,441 nodes), the saturating driver and beta = 8.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _cases() -> dict:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    verify_cfg, _ = workloads.verify_intensity(7)
+    two_state = {
+        "model": {"preset": "two_state_rule",
+                  "params": {"K": 12, "m": 2, "a_after_jump": 0.3, "a_after_no_jump": 0.6}},
+        "generator": {"preset": "saturating", "params": {"c0": 0.3, "cy": 0.5, "cz": 0.7}},
+        "terminal": {"preset": "jump_count", "params": {"scale": 1.0}},
+        "beta": 8.0,
+        "seed": 3,
+    }
+    return {"verify_intensity_seed7": verify_cfg, "two_state_k12_m2": two_state}
+
+
+# the functions run_suite calls for each check; a tree has some of them
+CHECKS = {
+    "identity_lemma": ("check_identity_lemma", "_identity_lemma_rows"),
+    "integral_inequality": ("check_integral_inequality", "_worst_integral_inequality"),
+    "apriori_estimate": ("check_apriori_estimate",),
+    "norm_equivalence": ("check_norm_equivalence", "_worst_norm_equivalence"),
+    "lipschitz_bound": ("check_lipschitz",),
+    "jump_identity": ("check_solution_jump_identity",),
+}
+
+
+def _child(config_path: str) -> None:
+    """One run of one case in this process; prints its JSON record."""
+    import functools
+    import inspect
+    import resource
+    import time
+
+    import numpy as np
+    from treebsde import cli, solver, verification
+
+    stages, checks = {}, dict.fromkeys(CHECKS, 0.0)
+    depth = [0]
+
+    def timed(check, fn):
+        def record(t0):
+            depth[0] -= 1
+            if depth[0] == 0:
+                checks[check] += time.perf_counter() - t0
+
+        if inspect.isgeneratorfunction(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                depth[0] += 1
+                t0 = time.perf_counter()
+                rows = list(fn(*args, **kwargs))
+                record(t0)
+                return iter(rows)
+        else:
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                depth[0] += 1
+                t0 = time.perf_counter()
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    record(t0)
+        return wrapper
+
+    cfg = cli.RunConfig.load(config_path)
+    t0 = time.perf_counter()
+    built = cli._build_tree(cfg)
+    stages["build_tree"] = time.perf_counter() - t0
+    problem, diag = cli._build_problem(cfg, built)
+    tree = problem.tree()
+
+    t0 = time.perf_counter()
+    sol, rep = solver.picard_solve(problem, tol=cfg.tol, max_iter=cfg.max_iter,
+                                   delta=diag["delta"])
+    stages["picard_solve"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    solver.backward_oracle(problem)
+    stages["backward_oracle"] = time.perf_counter() - t0
+
+    for check, names in CHECKS.items():
+        for name in names:
+            if hasattr(verification, name):
+                setattr(verification, name, timed(check, getattr(verification, name)))
+    t0 = time.perf_counter()
+    results = verification.run_suite(problem, sol, rng=np.random.default_rng(cfg.seed))
+    stages["run_suite"] = time.perf_counter() - t0
+
+    print(json.dumps({
+        "nodes": tree.n_nodes, "slots": tree.n_slots, "sweeps": rep.iterations,
+        "failed_checks": sum(1 for r in results if not r.passed),
+        "stages_s": stages, "run_suite_checks_s": checks,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }))
+
+
+def _run(src: Path, config_path: Path) -> dict:
+    env = dict(os.environ)
+    env.update({var: "1" for var in THREAD_VARS})
+    env["PYTHONPATH"] = str(src / "src")
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                           "--child", str(config_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _summary(runs: list) -> dict:
+    def med(key):
+        return {k: round(statistics.median(r[key][k] for r in runs), 5) for k in runs[0][key]}
+
+    first = runs[0]
+    return {"nodes": first["nodes"], "slots": first["slots"], "sweeps": first["sweeps"],
+            "failed_checks": first["failed_checks"], "runs": len(runs),
+            "stages_s": med("stages_s"), "run_suite_checks_s": med("run_suite_checks_s"),
+            "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 2)}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--old", type=Path, help="checkout root of the baseline tree")
+    ap.add_argument("--new", type=Path, default=ROOT, help="checkout root to measure")
+    ap.add_argument("--repeat", type=int, default=3, help="runs per case and tree")
+    ap.add_argument("--case", action="append", help="run only this case (repeatable)")
+    ap.add_argument("--out", type=Path, help="write the JSON here as well")
+    ap.add_argument("--child", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        _child(args.child)
+        return 0
+
+    import numpy as np
+    trees = {"old": args.old, "new": args.new} if args.old else {"new": args.new}
+    cases = _cases()
+    out = {"host": {"nproc": len(os.sched_getaffinity(0)),
+                    "python": platform.python_version(), "numpy": np.__version__,
+                    "platform": platform.platform()},
+           "repeat": args.repeat, "cases": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in args.case or cases:
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(cases[name]))
+            runs = {key: [] for key in trees}
+            for _ in range(args.repeat):      # alternate the trees run by run
+                for key, src in trees.items():
+                    runs[key].append(_run(src.resolve(), path))
+            out["cases"][name] = {"config": cases[name],
+                                  **{key: _summary(r) for key, r in runs.items()}}
+            print(f"{name}: " + "  ".join(
+                f"{key} run_suite {out['cases'][name][key]['stages_s']['run_suite']:.3f} s, "
+                f"rss {out['cases'][name][key]['peak_rss_mb']:.1f} MiB" for key in trees),
+                file=sys.stderr)
+    text = json.dumps(out, indent=2, sort_keys=True)
+    if args.out:
+        args.out.write_text(text + "\n")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

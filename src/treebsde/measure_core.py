@@ -506,10 +506,10 @@ def _as_path(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _doleans_product(cont: np.ndarray, jumps: np.ndarray) -> np.ndarray:
-    # exp of the accumulated continuous part times the product of (1 + jump),
-    # with the pre-root value 1 prepended
-    vals = np.exp(np.cumsum(cont)) * np.cumprod(1.0 + jumps)
-    return np.concatenate(([1.0], vals))
+    # exp of the accumulated continuous part times the product of (1 + jump)
+    # along the last axis (one path per row), with the pre-root value 1 prepended
+    vals = np.exp(np.cumsum(cont, axis=-1)) * np.cumprod(1.0 + jumps, axis=-1)
+    return np.concatenate([np.ones(vals.shape[:-1] + (1,)), vals], axis=-1)
 
 
 def doleans_exponential(path, beta: float) -> np.ndarray:

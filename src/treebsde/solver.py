@@ -25,6 +25,7 @@ so fields returned by all solvers are canonical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -369,6 +370,19 @@ def solve_linear(problem: BsdeProblem) -> Solution:
 # -- implicit one-step solve ----------------------------------------------
 
 STEP_TOL = 1e-13     # absolute stopping tolerance of the backward oracle's steps
+STEP_MARGIN = 16     # steps beyond the contraction count of ``_step_budget``
+
+
+def _step_budget(q: float, first: float, tol: float, floor: int) -> int:
+    """Fixed-point steps a ``q``-contraction needs, at least ``floor``.
+
+    The ``k``-th step of the iteration is at most ``q**k * first``, with
+    ``first`` the size of the first step, so it falls to ``tol`` within
+    ``log(tol / first) / log(q)`` steps; a margin absorbs rounding.
+    """
+    if first <= tol:
+        return floor
+    return max(floor, math.ceil(math.log(tol / first) / math.log(q)) + STEP_MARGIN)
 
 
 def implicit_step_solve(cond_mean: float, delta_A: float, slot: SlotView,
@@ -377,15 +391,17 @@ def implicit_step_solve(cond_mean: float, delta_A: float, slot: SlotView,
     """Unique root of ``y = cond_mean + delta_A * f(slot, y, zeta)``.
 
     Plain fixed-point iteration with contraction factor
-    ``delta_A * lip_y < 1``; the absolute stopping tolerance is floored
+    ``q = delta_A * lip_y < 1``; the absolute stopping tolerance is floored
     at the rounding scale of the iterate so large solutions terminate.
+    The step budget is ``max_iter`` or, when ``q`` is close to 1, the
+    number of steps a ``q``-contraction needs from its first step.
 
     Raises:
         StepSingular: when ``delta_A * lip_y >= 1`` (no contraction; the
             blow-up regime).  ``degenerate=True`` when the one-step map
             is the identity and every y solves the equation.
         NonFinite: iterates left the finite range.
-        NoConvergence: tolerance not met within ``max_iter``.
+        NoConvergence: tolerance not met within the step budget.
     """
     if delta_A == 0.0:
         return float(cond_mean)
@@ -402,13 +418,17 @@ def implicit_step_solve(cond_mean: float, delta_A: float, slot: SlotView,
     if f.lip_y == 0.0:
         return float(cond_mean + delta_A * f(slot, cond_mean, zeta))
     y = float(cond_mean)
-    for _ in range(max_iter):
+    it, budget = 0, max_iter
+    while it < budget:
         y_new = cond_mean + delta_A * f(slot, y, zeta)
         if not np.isfinite(y_new):
             raise NonFinite("implicit step iterates left the finite range")
         if abs(y_new - y) <= max(tol, 8.0 * np.finfo(float).eps * abs(y_new)):
             return float(y_new)
+        if it == 0:
+            budget = _step_budget(q, abs(y_new - y), tol, max_iter)
         y = y_new
+        it += 1
     raise NoConvergence("implicit step did not reach tolerance")
 
 
@@ -422,8 +442,10 @@ def _implicit_level(tree: ScenarioTree, f: Generator, sl: slice, cm: np.ndarray,
     A masked fixed point: each slot leaves the active set at the iterate
     where the per-slot stopping rule of ``implicit_step_solve`` first
     holds, so every slot ends on the same iterate as the scalar solve.
-    A slot without contraction is handed to ``implicit_step_solve``,
-    which raises ``StepSingular`` with its ``degenerate`` flag.
+    The step budget follows from the level's largest contraction factor
+    and first step (``_step_budget``).  A slot without contraction is
+    handed to ``implicit_step_solve``, which raises ``StepSingular`` with
+    its ``degenerate`` flag.
     """
     da = tree.slot_dA[sl]
     ids = np.arange(sl.start, sl.stop)
@@ -437,15 +459,21 @@ def _implicit_level(tree: ScenarioTree, f: Generator, sl: slice, cm: np.ndarray,
         Y[live] = cm[live] + da[live] * f.on_slots(tree, ids[live], cm[live], Z[live])
         return Y
     y = Y[live]
-    for _ in range(max_iter):
+    q = float(np.max(da[live], initial=0.0)) * f.lip_y
+    it, budget = 0, max_iter
+    while it < budget:
         y_new = cm[live] + da[live] * f.on_slots(tree, ids[live], y, Z[live])
         if not np.all(np.isfinite(y_new)):
             raise NonFinite("implicit step iterates left the finite range")
-        done = np.abs(y_new - y) <= np.maximum(STEP_TOL, 8.0 * np.finfo(float).eps * np.abs(y_new))
+        step = np.abs(y_new - y)
+        if it == 0:
+            budget = _step_budget(q, float(np.max(step, initial=0.0)), STEP_TOL, max_iter)
+        done = step <= np.maximum(STEP_TOL, 8.0 * np.finfo(float).eps * np.abs(y_new))
         Y[live[done]] = y_new[done]
         live, y = live[~done], y_new[~done]
         if live.size == 0:
             return Y
+        it += 1
     raise NoConvergence("implicit step did not reach tolerance")
 
 
@@ -491,9 +519,10 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
     Each sweep freezes the generator at the current iterate and re-solves
     the linear equation; the b-weights come from the contraction profile
     at the problem's ``beta`` and ``delta`` (default ``delta`` is half
-    the hypothesis slack).  Iteration stops when the successive-iterate
-    mixed-norm distance or the one-step recursion residual drops to
-    ``tol``.
+    the hypothesis slack).  Iteration stops when the one-step recursion
+    residual drops to ``tol``.  The successive-iterate mixed-norm distance
+    is reported but never stops it: with every b-weight 0 (``beta`` far
+    below ``beta_min``) that distance vanishes away from the solution.
 
     Args:
         delta: contraction margin; with ``beta > 0`` and the hypothesis
@@ -564,7 +593,7 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
         U, V = sol.Y, sol.Z
         f_path = _eval_path(tree, f, U, V)
         residual = bsde_residual(tree, U, f_path)
-        if residual <= tol or diff_norms[-1] <= tol:
+        if residual <= tol:
             converged = True
             break
     report = SolveReport(

@@ -7,6 +7,13 @@ up to ``(m+1)^K`` terms); inequalities use an absolute slack of 1e-12.
 Randomized checks take a seeded ``numpy.random.Generator`` so every run
 is replayable.
 
+``run_suite`` computes each quantity that depends only on the solved pair
+once: one set of per-slot integrands serves the energy identity at every
+grid time, and one weight array the norm sandwich of every field.  Its
+randomized checks draw in the order of one public ``check_*`` call per
+item and evaluate the draws as numpy blocks, so each row has the bits of
+that per-item call and the random stream ends in the same state.
+
 One condition is deliberately not checked: the square-integrability of
 the data against the weighted compensator is automatic on a finite tree
 (every sum is finite), so no check row is emitted for it.
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import norms, solver
-from .measure_core import ScenarioTree, SlotBlock, doleans_exponential, _as_path
+from .measure_core import ScenarioTree, SlotBlock, _as_path, _doleans_product
 
 __all__ = [
     "CheckResult",
@@ -80,6 +87,49 @@ def _skipped(name, note):
                        {"note": note})
 
 
+def _identity_lemma_rows(problem, solution, steps, beta=None):
+    """Energy identity rows of ``check_identity_lemma``, one per grid time in ``steps``.
+
+    The driver values, the weights and the four per-slot integrands depend
+    only on the solved pair, so they are computed once; slots are stored in
+    step order, so the slots after grid time ``j`` are the slice
+    ``level_start[j]:n_slots`` of each integrand.
+    """
+    tree = problem.tree()
+    solver._require_discrete(tree)
+    beta = problem.beta if beta is None else beta
+    f_path = solver._path_values(problem, tree)
+    Y, Z = solution.Y, solution.Z
+    E = tree.doleans(beta)
+    n = tree.n_slots
+    da = tree.slot_dA
+    Yp = Y[:n]
+    w = tree.prob[:n] * tree.doleans_at_slot_end(beta)
+    y_part = w / (1.0 + beta * da) * Yp ** 2 * da
+    z_part = w * norms.slot_z_contribution(Z, tree)
+    cross = w * Yp * f_path * da
+    atom = w * f_path ** 2 * da ** 2
+    del w
+
+    def depth_term(nodes):
+        return float(np.sum(tree.prob[nodes] * E[nodes] * Y[nodes] ** 2))
+
+    leaf_term = depth_term(tree.leaf_slice)
+    for j in steps:
+        j = int(j)
+        if not 0 <= j <= tree.horizon:
+            raise ValueError("t_index outside the grid")
+        after = slice(int(tree.level_start[j]), n)
+        lhs = depth_term(tree.depth_slice(j))
+        lhs += beta * float(np.sum(y_part[after]))
+        lhs += float(np.sum(z_part[after]))
+        rhs = leaf_term
+        rhs += 2.0 * float(np.sum(cross[after]))
+        rhs -= float(np.sum(atom[after]))
+        yield _identity("identity_lemma", lhs, rhs,
+                        detail={"t_index": j, "beta": beta})
+
+
 def check_identity_lemma(problem, solution, t_index: int, beta=None) -> CheckResult:
     """Energy identity of the linear solve, evaluated at one grid time.
 
@@ -89,33 +139,28 @@ def check_identity_lemma(problem, solution, t_index: int, beta=None) -> CheckRes
     the weighted terminal square, twice the Y-drift cross term and minus
     the squared-drift atom correction.
     """
-    tree = problem.tree()
-    solver._require_discrete(tree)
-    beta = problem.beta if beta is None else beta
-    f_path = solver._path_values(problem, tree)
-    j = int(t_index)
-    if not 0 <= j <= tree.horizon:
-        raise ValueError("t_index outside the grid")
-    Y, Z = solution.Y, solution.Z
-    E = tree.doleans(beta)
-    n = tree.n_slots
-    P = tree.prob[:n]
-    da = tree.slot_dA
-    E_end = tree.doleans_at_slot_end(beta)
-    after = tree.slot_step >= j
+    return next(_identity_lemma_rows(problem, solution, [t_index], beta))
 
-    nodes = tree.depth_slice(j)
-    lhs = float(np.sum(tree.prob[nodes] * E[nodes] * Y[nodes] ** 2))
-    lhs += beta * float(np.sum(
-        (P * E_end / (1.0 + beta * da) * Y[:n] ** 2 * da)[after]))
-    lhs += float(np.sum((P * E_end * norms.slot_z_contribution(Z, tree))[after]))
 
-    leaves = tree.leaf_slice
-    rhs = float(np.sum(tree.prob[leaves] * E[leaves] * Y[leaves] ** 2))
-    rhs += 2.0 * float(np.sum((P * E_end * Y[:n] * f_path * da)[after]))
-    rhs -= float(np.sum((P * E_end * f_path ** 2 * da ** 2)[after]))
-    return _identity("identity_lemma", lhs, rhs,
-                     detail={"t_index": j, "beta": beta})
+def _integral_inequality_rows(dAc, dA, f_vals, steps, beta: float, j: int):
+    """Both sides of the integral inequality for each row of ``(n, K)`` path arrays.
+
+    Row ``i`` holds a path of ``steps[i]`` steps, padded with zeros at the
+    end; padded terms are masked to 0, so each row sum (sequential for
+    short rows) sees its own terms in order followed by exact zeros.
+    Returns ``(lhs[n], rhs[n])``.
+    """
+    E = _doleans_product(beta * dAc, beta * dA)
+    sel = (slice(None), slice(j, None))
+    # the drift is squared with C's pow, as Python's float ``**`` does
+    drift = np.sum(np.abs(f_vals[sel]) * (dAc[sel] + dA[sel]), axis=1)
+    lhs = E[:, j] * np.float_power(drift, 2.0)
+    cont_w = (np.exp(beta * dAc[sel]) - 1.0) / beta
+    terms = f_vals[sel] ** 2 * (E[:, j:-1] * cont_w + E[:, j + 1:] * dA[sel])
+    padded = np.arange(dAc.shape[1])[j:] >= np.asarray(steps)[:, None]
+    integral = np.sum(np.where(padded, 0.0, terms), axis=1)
+    bracket = 1.0 / beta + beta * np.sum(dA[sel] ** 2, axis=1)
+    return lhs, bracket * integral
 
 
 def check_integral_inequality(path, f_path, beta: float, t_index: int = 0) -> CheckResult:
@@ -131,17 +176,10 @@ def check_integral_inequality(path, f_path, beta: float, t_index: int = 0) -> Ch
     f_vals = np.asarray(f_path, dtype=float)
     if f_vals.shape != dAc.shape:
         raise ValueError("f_path must hold one value per step")
-    E = doleans_exponential(np.column_stack([dAc, dA]), beta)
     j = int(t_index)
-    sel = slice(j, dAc.size)
-    drift = float(np.sum(np.abs(f_vals[sel]) * (dAc[sel] + dA[sel])))
-    lhs = E[j] * drift ** 2
-    cont_w = (np.exp(beta * dAc[sel]) - 1.0) / beta
-    integral = float(np.sum(f_vals[sel] ** 2 * (E[j:-1][: dAc.size - j] * cont_w
-                                                + E[j + 1:] * dA[sel])))
-    bracket = 1.0 / beta + beta * float(np.sum(dA[sel] ** 2))
-    rhs = bracket * integral
-    return _inequality("integral_inequality", lhs, rhs,
+    lhs, rhs = _integral_inequality_rows(dAc[None], dA[None], f_vals[None], [dAc.size],
+                                        beta, j)
+    return _inequality("integral_inequality", lhs[0], rhs[0],
                        detail={"t_index": j, "beta": beta})
 
 
@@ -185,11 +223,15 @@ def check_norm_equivalence(Z, tree: ScenarioTree, beta: float, gamma: float) -> 
         raise ValueError("gamma must lie in (0, 1]")
     if np.any(tree.slot_dA > 1.0 - gamma + 1e-15):
         raise ValueError("a jump size exceeds 1 - gamma")
-    P = tree.prob[:tree.n_slots]
-    E_end = tree.doleans_at_slot_end(beta)
+    w = tree.prob[:tree.n_slots] * tree.doleans_at_slot_end(beta)
+    return _norm_equivalence(Z, tree, w, gamma)
+
+
+def _norm_equivalence(Z, tree: ScenarioTree, w, gamma: float) -> CheckResult:
+    # w = P * E_end per slot; mid has the bits of norms.z_norm_sq
     sq = np.einsum("sm,sm->s", Z * Z, tree.slot_phi)
-    full = float(np.sum(P * E_end * tree.slot_dA * sq))
-    mid = norms.z_norm_sq(Z, tree, beta)
+    full = float(np.sum(w * tree.slot_dA * sq))
+    mid = float(np.sum(w * norms.slot_z_contribution(Z, tree)))
     violation = max(gamma * full - mid, mid - full)
     return _inequality("norm_equivalence", violation, 0.0,
                        detail={"gamma": gamma, "lower": gamma * full,
@@ -216,14 +258,17 @@ def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResu
     da = slot.delta_A
     if isinstance(samples, int):
         rng = rng or np.random.default_rng(0)
-        draws = [(rng.normal(0, 2.0), rng.normal(0, 2.0),
-                  rng.normal(0, 2.0, m), rng.normal(0, 2.0, m))
-                 for _ in range(samples)]
+        # one draw of rows (y, y2, z[m], z2[m]) is the stream of per-sample
+        # draws; the driver gets contiguous copies, as it did from those
+        draws = rng.normal(0, 2.0, (max(samples, 0), 2 + 2 * m))
+        n = draws.shape[0]
+        y, y2 = draws[:, 0].copy(), draws[:, 1].copy()
+        z, z2 = draws[:, 2:2 + m].copy(), draws[:, 2 + m:].copy()
     else:
         draws = list(samples)
-    n = len(draws)
-    y, y2 = (np.array([d[i] for d in draws], dtype=float) for i in (0, 1))
-    z, z2 = (np.array([d[i] for d in draws], dtype=float).reshape(n, m) for i in (2, 3))
+        n = len(draws)
+        y, y2 = (np.array([d[i] for d in draws], dtype=float) for i in (0, 1))
+        z, z2 = (np.array([d[i] for d in draws], dtype=float).reshape(n, m) for i in (2, 3))
     block = SlotBlock(index=np.full(n, slot.index), step=np.full(n, slot.step),
                       delta_A=np.full(n, da), phi=np.broadcast_to(slot.phi, (n, m)))
     dz = z2 - z
@@ -262,14 +307,16 @@ def check_solution_jump_identity(solution, problem) -> CheckResult:
     n = tree.n_slots
     f_path = solver._eval_path(tree, problem.f, Y, Z)
     zh = norms.hat_z_rows(Z, tree.block(slice(None)))
-    ch = tree.children
-    Yc = Y[np.maximum(ch, 0)]
-    # expected child values: parent + g(outcome) - f dA
-    g = np.concatenate([Z - zh[:, None], -zh[:, None]], axis=1)
-    expected = Y[:n, None] + g - (f_path * tree.slot_dA)[:, None]
-    res = np.where(ch >= 0, Yc - expected, 0.0)
-    worst = float(np.max(np.abs(res), initial=0.0))
-    return _inequality("jump_identity", worst, 0.0, slack=JUMP_SLACK)
+    f_dA = f_path * tree.slot_dA
+    # one outcome column at a time: child value minus the expected
+    # parent + g(outcome) - f dA; the last column is the no-jump child
+    worst = 0.0
+    for c, ch in enumerate(tree.children.T):
+        g = Z[:, c] - zh if c < tree.n_marks else -zh
+        expected = Y[:n] + g - f_dA
+        res = np.where(ch >= 0, Y[np.maximum(ch, 0)] - expected, 0.0)
+        worst = np.max(np.abs(res), initial=worst)
+    return _inequality("jump_identity", float(worst), 0.0, slack=JUMP_SLACK)
 
 
 # -- randomized suite ------------------------------------------------------
@@ -284,6 +331,38 @@ def _random_path(rng, max_steps=6):
     return np.column_stack([dAc, dA]), rng.normal(0.0, 1.5, K)
 
 
+def _worst_integral_inequality(rng, beta: float, n_paths: int) -> CheckResult:
+    # the draws stay one path at a time (their RNG calls interleave); the
+    # evaluation is one block of zero-padded paths; first strict maximum wins
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, not {n_paths}")
+    draws = [_random_path(rng) for _ in range(n_paths)]
+    steps = np.array([f.size for _, f in draws], dtype=np.int64)
+    dAc, dA, f_vals = np.zeros((3, n_paths, int(steps.max())))
+    for i, (path, f) in enumerate(draws):
+        dAc[i, :f.size], dA[i, :f.size] = path.T
+        f_vals[i, :f.size] = f
+    lhs, rhs = _integral_inequality_rows(dAc, dA, f_vals, steps, beta, 0)
+    # as a per-path ``>`` scan from the first path: a NaN gap never wins later
+    gap = lhs - rhs
+    i = 0 if np.isnan(gap[0]) else int(np.argmax(np.where(np.isnan(gap), -np.inf, gap)))
+    return _inequality("integral_inequality", lhs[i], rhs[i],
+                       detail={"t_index": 0, "beta": beta})
+
+
+def _worst_norm_equivalence(Z, tree: ScenarioTree, beta: float, gamma: float,
+                            rng) -> CheckResult:
+    # the solution field, then N_FIELDS random ones; one weight array for all
+    w = tree.prob[:tree.n_slots] * tree.doleans_at_slot_end(beta)
+    worst = _norm_equivalence(Z, tree, w, gamma)
+    for _ in range(N_FIELDS):
+        W = rng.normal(0.0, 1.0, (tree.n_slots, tree.n_marks))
+        r = _norm_equivalence(W, tree, w, gamma)
+        if r.abs_gap > worst.abs_gap:
+            worst = r
+    return worst
+
+
 def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     """Run every check against one solved problem plus randomized inputs.
 
@@ -291,6 +370,14 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     solution into the solution of a linear problem, so the energy
     identity and the a priori bound apply verbatim.  Randomized inputs
     (paths, fields, Lipschitz samples) come from ``rng``.
+
+    Quantities that depend only on the solved pair are computed once: the
+    energy identity at every grid time shares one set of per-slot
+    integrands, and the norm sandwich one weight array.  The randomized
+    checks draw from ``rng`` in the same order as one check call per item
+    would, and evaluate their draws as blocks (all paths of the integral
+    inequality, all samples of a Lipschitz slot), so every row keeps the
+    bits of the public ``check_*`` function on the same input.
 
     Returns a list of :class:`CheckResult`, one aggregate row per check.
     """
@@ -310,21 +397,14 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
 
     # energy identity at every grid time
     worst = None
-    for j in range(tree.horizon + 1):
-        r = check_identity_lemma(frozen, solution, j)
+    for r in _identity_lemma_rows(frozen, solution, range(tree.horizon + 1)):
         if worst is None or r.rel_gap > worst.rel_gap:
             worst = r
     results.append(worst)
 
     # path inequality and a priori bound need beta > 0
     if beta > 0:
-        worst = None
-        for _ in range(n_paths):
-            path, fvals = _random_path(rng)
-            r = check_integral_inequality(path, fvals, beta)
-            if worst is None or r.abs_gap > worst.abs_gap:
-                worst = r
-        results.append(worst)
+        results.append(_worst_integral_inequality(rng, beta, n_paths))
         results.append(check_apriori_estimate(frozen, solution, c_scale=c_scale))
     else:
         results.append(_skipped("integral_inequality", "needs beta > 0"))
@@ -333,14 +413,7 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     # norm equivalence on the solution field and random fields
     max_da = float(np.max(tree.slot_dA)) if tree.n_slots else 0.0
     if max_da < 1.0:
-        gamma = 1.0 - max_da
-        worst = check_norm_equivalence(Z, tree, beta, gamma)
-        for _ in range(N_FIELDS):
-            W = rng.normal(0.0, 1.0, (tree.n_slots, tree.n_marks))
-            r = check_norm_equivalence(W, tree, beta, gamma)
-            if r.abs_gap > worst.abs_gap:
-                worst = r
-        results.append(worst)
+        results.append(_worst_norm_equivalence(Z, tree, beta, 1.0 - max_da, rng))
     else:
         results.append(_skipped("norm_equivalence",
                                 "unit jumps present: no gamma in (0, 1]"))

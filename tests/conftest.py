@@ -391,3 +391,168 @@ def scalar_terminals():
                        lambda hist: 0.53 * scenarios.jump_count(hist)),
         "last_mark": (scenarios.xi_last_mark_indicator(1, 1.3), last_mark(1, 1.3)),
     }
+
+
+# -- per-item loop forms of the check suite ---------------------------------------
+
+
+def loop_identity_lemma(problem, solution, t_index, beta=None):
+    """``check_identity_lemma`` recomputing every integrand for one grid time."""
+    from treebsde import norms, solver, verification
+    tree = problem.tree()
+    solver._require_discrete(tree)
+    beta = problem.beta if beta is None else beta
+    f_path = solver._path_values(problem, tree)
+    j = int(t_index)
+    if not 0 <= j <= tree.horizon:
+        raise ValueError("t_index outside the grid")
+    Y, Z = solution.Y, solution.Z
+    E = tree.doleans(beta)
+    n = tree.n_slots
+    P = tree.prob[:n]
+    da = tree.slot_dA
+    E_end = tree.doleans_at_slot_end(beta)
+    after = tree.slot_step >= j
+
+    nodes = tree.depth_slice(j)
+    lhs = float(np.sum(tree.prob[nodes] * E[nodes] * Y[nodes] ** 2))
+    lhs += beta * float(np.sum(
+        (P * E_end / (1.0 + beta * da) * Y[:n] ** 2 * da)[after]))
+    lhs += float(np.sum((P * E_end * norms.slot_z_contribution(Z, tree))[after]))
+
+    leaves = tree.leaf_slice
+    rhs = float(np.sum(tree.prob[leaves] * E[leaves] * Y[leaves] ** 2))
+    rhs += 2.0 * float(np.sum((P * E_end * Y[:n] * f_path * da)[after]))
+    rhs -= float(np.sum((P * E_end * f_path ** 2 * da ** 2)[after]))
+    return verification._identity("identity_lemma", lhs, rhs,
+                                  detail={"t_index": j, "beta": beta})
+
+
+def loop_integral_inequality(path, f_path, beta, t_index=0):
+    """``check_integral_inequality`` on one path with Python-float sums."""
+    from treebsde import verification
+    from treebsde.measure_core import _as_path, doleans_exponential
+    if beta <= 0:
+        raise ValueError("beta must be strictly positive")
+    dAc, dA = _as_path(path)
+    f_vals = np.asarray(f_path, dtype=float)
+    E = doleans_exponential(np.column_stack([dAc, dA]), beta)
+    j = int(t_index)
+    sel = slice(j, dAc.size)
+    drift = float(np.sum(np.abs(f_vals[sel]) * (dAc[sel] + dA[sel])))
+    lhs = E[j] * drift ** 2
+    cont_w = (np.exp(beta * dAc[sel]) - 1.0) / beta
+    integral = float(np.sum(f_vals[sel] ** 2 * (E[j:-1][: dAc.size - j] * cont_w
+                                                + E[j + 1:] * dA[sel])))
+    bracket = 1.0 / beta + beta * float(np.sum(dA[sel] ** 2))
+    rhs = bracket * integral
+    return verification._inequality("integral_inequality", lhs, rhs,
+                                    detail={"t_index": j, "beta": beta})
+
+
+def loop_norm_equivalence(Z, tree, beta, gamma):
+    """``check_norm_equivalence`` with its weights recomputed per call."""
+    from treebsde import norms, verification
+    P = tree.prob[:tree.n_slots]
+    E_end = tree.doleans_at_slot_end(beta)
+    sq = np.einsum("sm,sm->s", Z * Z, tree.slot_phi)
+    full = float(np.sum(P * E_end * tree.slot_dA * sq))
+    mid = norms.z_norm_sq(Z, tree, beta)
+    violation = max(gamma * full - mid, mid - full)
+    return verification._inequality("norm_equivalence", violation, 0.0,
+                                     detail={"gamma": gamma, "lower": gamma * full,
+                                             "mid": mid, "upper": full})
+
+
+def per_sample_draws(rng, samples, m):
+    """Lipschitz samples ``(y, y2, z, z2)`` drawn one scalar or vector at a time."""
+    return [(rng.normal(0, 2.0), rng.normal(0, 2.0),
+             rng.normal(0, 2.0, m), rng.normal(0, 2.0, m))
+            for _ in range(samples)]
+
+
+def full_matrix_jump_identity(solution, problem):
+    """``check_solution_jump_identity`` on the full ``(n_slots, m+1)`` residual matrix."""
+    from treebsde import norms, solver, verification
+    tree = problem.tree()
+    Y, Z = solution.Y, solution.Z
+    n = tree.n_slots
+    f_path = solver._eval_path(tree, problem.f, Y, Z)
+    zh = norms.hat_z_rows(Z, tree.block(slice(None)))
+    ch = tree.children
+    Yc = Y[np.maximum(ch, 0)]
+    g = np.concatenate([Z - zh[:, None], -zh[:, None]], axis=1)
+    expected = Y[:n, None] + g - (f_path * tree.slot_dA)[:, None]
+    res = np.where(ch >= 0, Yc - expected, 0.0)
+    worst = float(np.max(np.abs(res), initial=0.0))
+    return verification._inequality("jump_identity", worst, 0.0,
+                                    slack=verification.JUMP_SLACK)
+
+
+def loop_run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
+    """``run_suite`` with one check call per grid time, path, field and sample."""
+    from treebsde import solver, verification as v
+    rng = rng or np.random.default_rng(0)
+    tree = problem.tree()
+    results = []
+    beta = problem.beta
+
+    Y, Z = solution.Y, solution.Z
+    frozen_vals = solver._eval_path(tree, problem.f, Y, Z)
+    frozen = solver.BsdeProblem(
+        model=problem.model, beta=beta, xi=problem.xi,
+        f=solver.Generator.batched(lambda block, y, zeta: frozen_vals[block.index],
+                                   0.0, 0.0),
+        _tree=tree,
+    )
+
+    worst = None
+    for j in range(tree.horizon + 1):
+        r = loop_identity_lemma(frozen, solution, j)
+        if worst is None or r.rel_gap > worst.rel_gap:
+            worst = r
+    results.append(worst)
+
+    if beta > 0:
+        worst = None
+        for _ in range(n_paths):
+            path, fvals = v._random_path(rng)
+            r = loop_integral_inequality(path, fvals, beta)
+            if worst is None or r.abs_gap > worst.abs_gap:
+                worst = r
+        results.append(worst)
+        results.append(v.check_apriori_estimate(frozen, solution, c_scale=c_scale))
+    else:
+        results.append(v._skipped("integral_inequality", "needs beta > 0"))
+        results.append(v._skipped("apriori_estimate", "needs beta > 0"))
+
+    max_da = float(np.max(tree.slot_dA)) if tree.n_slots else 0.0
+    if max_da < 1.0:
+        gamma = 1.0 - max_da
+        worst = loop_norm_equivalence(Z, tree, beta, gamma)
+        for _ in range(v.N_FIELDS):
+            W = rng.normal(0.0, 1.0, (tree.n_slots, tree.n_marks))
+            r = loop_norm_equivalence(W, tree, beta, gamma)
+            if r.abs_gap > worst.abs_gap:
+                worst = r
+        results.append(worst)
+    else:
+        results.append(v._skipped("norm_equivalence",
+                                  "unit jumps present: no gamma in (0, 1]"))
+
+    if tree.n_slots:
+        take = np.unique(np.linspace(0, tree.n_slots - 1,
+                                     min(v.MAX_SLOTS, tree.n_slots)).astype(int))
+        worst = None
+        for s in take:
+            slot = tree.slot(int(s))
+            draws = per_sample_draws(rng, v.N_SAMPLES, tree.n_marks)
+            r = v.check_lipschitz(problem.f, slot, samples=draws)
+            if worst is None or r.abs_gap > worst.abs_gap or math.isnan(r.abs_gap):
+                worst = r
+        results.append(worst)
+    else:
+        results.append(v._skipped("lipschitz_bound", "no slots"))
+
+    results.append(full_matrix_jump_identity(solution, problem))
+    return results

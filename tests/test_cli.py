@@ -235,8 +235,16 @@ def test_solver_failure_exits_three(tmp_path):
     assert "solver failure" in " ".join(read_summary(out)["notes"])
 
 
-def test_solve_exits_three_when_the_oracle_disagrees(tmp_path):
-    # beta far below beta_min: Picard stops after one sweep, 3.6 off the oracle
+def test_solve_exits_three_when_the_oracle_disagrees(tmp_path, monkeypatch):
+    # an oracle whose Y0 is 1e-6 off: the gap exceeds Y0_GAP_TOL
+    oracle = cli.solver.backward_oracle
+
+    def offset_oracle(problem):
+        sol = oracle(problem)
+        sol.Y[0] += 1e-6
+        return sol
+
+    monkeypatch.setattr(cli.solver, "backward_oracle", offset_oracle)
     cfg = write_config(tmp_path,
                       model={"preset": "deterministic_grid",
                              "params": {"K": 6, "m": 2, "a": 1.0}},
@@ -250,3 +258,20 @@ def test_solve_exits_three_when_the_oracle_disagrees(tmp_path):
     assert summary["solver"]["y0_gap"] > cli.Y0_GAP_TOL
     assert "disagrees with the backward oracle" in " ".join(summary["notes"])
     assert (out / "iterations.csv").exists()
+
+
+def test_solve_below_beta_min_agrees_with_the_oracle(tmp_path):
+    # beta far below beta_min zeroes every b-weight; Picard used to stop after
+    # one sweep on the vanishing weighted distance, 3.6 off the oracle
+    cfg = write_config(tmp_path,
+                      model={"preset": "deterministic_grid",
+                             "params": {"K": 6, "m": 2, "a": 1.0}},
+                      generator={"preset": "saturating",
+                                 "params": {"c0": 0.3, "cy": 0.6, "cz": 0.0}},
+                      terminal={"preset": "jump_count", "params": {"scale": 1.0}},
+                      beta=4.0)
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    summary = read_summary(out)
+    assert summary["solver"]["y0_gap"] <= 1e-8
+    assert summary["conditions"]["beta"] < summary["conditions"]["beta_min"]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from treebsde import (BsdeProblem, Generator, NonFinite, backward_oracle, cli, conditions,
                       measure_core, picard_solve, scenarios, solve_linear)
+from treebsde import NoConvergence
 
 from conftest import random_linear_problem, random_problem
 
@@ -224,3 +225,19 @@ def test_counterexample_bad_p_is_a_config_error(tmp_path, capsys, p, message):
     argv = ["counterexample", "--config", str(path), "--out", str(tmp_path / "o")]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       beta_factor=st.sampled_from([1e-3, 0.05, 0.5, 1.5, 4.0]))
+def test_converged_picard_agrees_with_the_oracle(seed, beta_factor):
+    # beta below beta_min zeroes b-weights; convergence is still declared only
+    # on the residual, so a converged report must hold the oracle's solution
+    rng = np.random.default_rng(seed)
+    problem, delta = random_problem(rng, max_horizon=4, beta_factor=beta_factor)
+    try:
+        sol, rep = picard_solve(problem, delta=delta, max_iter=200)
+    except NoConvergence:
+        return
+    assert rep.converged
+    assert sol.Y[0] == pytest.approx(backward_oracle(problem).Y[0], abs=1e-8)

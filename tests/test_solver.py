@@ -381,3 +381,29 @@ def test_empty_tree_results_of_every_layer():
         ("lipschitz_bound", "skipped", True),
         ("jump_identity", "inequality", True),
     ]
+
+
+def test_oracle_step_budget_follows_the_contraction_factor():
+    # q = dA * lip_y = 0.95: the 200-step cap stopped short of STEP_TOL
+    model = scenarios.deterministic_grid(6, 2, 1.0)
+    f = Generator.batched(lambda block, y, zeta: 0.3 + 0.95 * np.sin(y), 0.95, 0.0)
+    problem = BsdeProblem(model=model, beta=4.0, xi=scenarios.xi_jump_count(1.0), f=f)
+    sol = backward_oracle(problem)
+    tree = problem.tree()
+    assert sol.Y[0] == pytest.approx(9.6031991564, abs=1e-9)
+    assert bsde_residual(tree, sol.Y, _eval_path(tree, f, sol.Y, sol.Z)) <= 1e-12
+    # the one-slot form: a root at pi, where the step map contracts by 0.95
+    y = implicit_step_solve(2.84, 1.0, tree.slot(0), np.zeros(2), f)
+    assert abs(y - 2.84 - (0.3 + 0.95 * np.sin(y))) <= 1e-12
+
+
+def test_picard_converges_only_on_the_residual():
+    # beta far below beta_min: every b-weight is 0, so the weighted distance
+    # vanishes after one sweep while the iterate is still far off
+    model = scenarios.deterministic_grid(6, 2, 1.0)
+    f = Generator.batched(lambda block, y, zeta: 0.3 + 0.6 * np.sin(y), 0.6, 0.0)
+    problem = BsdeProblem(model=model, beta=4.0, xi=scenarios.xi_jump_count(1.0), f=f)
+    sol, rep = picard_solve(problem)
+    assert rep.beta < rep.beta_min and rep.converged
+    assert rep.residual <= 1e-10
+    assert sol.Y[0] == pytest.approx(backward_oracle(problem).Y[0], abs=1e-8)

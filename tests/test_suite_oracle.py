@@ -1,0 +1,148 @@
+"""The block forms of the check suite against their per-item loop oracles.
+
+``run_suite`` shares integrands across grid times and evaluates its
+randomized checks as blocks; every row must keep the bits of the loop
+forms in ``conftest`` and leave the random generator in the same state.
+"""
+
+import numpy as np
+import pytest
+
+from treebsde import (BsdeProblem, Generator, Solution, backward_oracle, build_tree,
+                      check_identity_lemma, check_integral_inequality,
+                      check_lipschitz, check_solution_jump_identity, run_suite,
+                      scenarios)
+from treebsde.verification import _integral_inequality_rows, _random_path
+
+from conftest import (full_matrix_jump_identity, loop_identity_lemma,
+                      loop_integral_inequality, loop_run_suite, per_sample_draws,
+                      random_generator, random_linear_problem, random_problem)
+
+
+def _bits(r):
+    return (r.name, r.kind, r.lhs.hex(), r.rhs.hex(), r.abs_gap.hex(),
+            r.rel_gap.hex(), bool(r.passed), r.tol, r.detail)
+
+
+def _perturbed(rng, sol, scale):
+    # off the solution, so the identity gaps and the jump residuals are not 0
+    return Solution(Y=sol.Y + rng.normal(0.0, scale, sol.Y.shape),
+                    Z=sol.Z + rng.normal(0.0, scale, sol.Z.shape))
+
+
+def _suite_problem(seed):
+    rng = np.random.default_rng(1000 + seed)
+    problem, _ = random_problem(rng, m=1 + seed % 4, max_horizon=7)
+    if seed % 3 == 0:
+        problem = BsdeProblem(model=problem.model, beta=0.0, xi=problem.xi,
+                              f=problem.f, _tree=problem.tree())
+    return problem, rng
+
+
+def _suite_case(seed):
+    problem, rng = _suite_problem(seed)
+    sol = backward_oracle(problem)
+    if seed % 2:
+        sol = _perturbed(rng, sol, 1e-3)
+    return problem, sol
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_run_suite_is_the_loop_suite_to_the_bit(seed):
+    problem, sol = _suite_case(seed)
+    rng_block, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = run_suite(problem, sol, rng=rng_block, n_paths=60)
+    loop = loop_run_suite(problem, sol, rng=rng_loop, n_paths=60)
+    assert [_bits(r) for r in block] == [_bits(r) for r in loop]
+    assert rng_block.bit_generator.state == rng_loop.bit_generator.state
+
+
+def test_suite_cases_cover_zero_beta_unit_jumps_and_four_marks():
+    problems = [_suite_problem(seed)[0] for seed in range(24)]
+    assert any(p.beta == 0.0 for p in problems)
+    assert any(p.tree().slot_dA.max() == 1.0 for p in problems)
+    assert any(p.tree().slot_dA.max() < 1.0 for p in problems)
+    assert {p.tree().n_marks for p in problems} == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_identity_lemma_rows_are_the_loop_rows(seed):
+    rng = np.random.default_rng(seed)
+    problem = random_linear_problem(rng, max_horizon=6)
+    sol = _perturbed(rng, backward_oracle(problem), 1e-2)
+    for beta in (None, 0.0, 2.5):
+        for j in range(problem.tree().horizon + 1):
+            assert (_bits(check_identity_lemma(problem, sol, j, beta))
+                    == _bits(loop_identity_lemma(problem, sol, j, beta)))
+
+
+def test_integral_inequality_one_row_is_the_loop_form():
+    # longer paths than the suite draws, so the sums are pairwise, and every t
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        K = int(rng.integers(1, 14))
+        dAc = np.where(rng.random(K) < 0.5, rng.uniform(0.0, 0.5, K), 0.0)
+        dA = rng.uniform(0.0, 1.0, K)
+        dA[rng.random(K) < 0.2] = 0.0
+        path, f_vals = np.column_stack([dAc, dA]), rng.normal(0.0, 1.5, K)
+        beta = float(rng.uniform(0.1, 6.0))
+        for t in range(K + 1):
+            assert (_bits(check_integral_inequality(path, f_vals, beta, t))
+                    == _bits(loop_integral_inequality(path, f_vals, beta, t)))
+
+
+@pytest.mark.parametrize("beta", [1.7, 3000.0])
+def test_integral_inequality_block_rows_are_the_loop_rows(beta):
+    # every row of the suite's padded block, not only the worst one; the
+    # square of the drift goes through C's pow, which is not always x * x,
+    # and at beta = 3000 the weights overflow, so a padded term must not
+    # turn an infinite row into a NaN one
+    rng = np.random.default_rng(17)
+    draws = [_random_path(rng) for _ in range(4000)]
+    steps = np.array([f.size for _, f in draws])
+    dAc, dA, f_vals = np.zeros((3, len(draws), steps.max()))
+    for i, (path, f) in enumerate(draws):
+        dAc[i, :f.size], dA[i, :f.size] = path.T
+        f_vals[i, :f.size] = f
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs = _integral_inequality_rows(dAc, dA, f_vals, steps, beta, 0)
+        loop = [loop_integral_inequality(path, f, beta) for path, f in draws]
+    assert lhs.tobytes() == np.array([r.lhs for r in loop]).tobytes()
+    assert rhs.tobytes() == np.array([r.rhs for r in loop]).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_lipschitz_block_draw_is_the_per_sample_stream(m):
+    rng_block, rng_loop = np.random.default_rng(40 + m), np.random.default_rng(40 + m)
+    block = rng_block.normal(0, 2.0, (50, 2 + 2 * m))
+    draws = per_sample_draws(rng_loop, 50, m)
+    for col, part in ((block[:, 0], 0), (block[:, 1], 1)):
+        assert col.tobytes() == np.array([d[part] for d in draws]).tobytes()
+    assert block[:, 2:2 + m].tobytes() == np.array([d[2] for d in draws]).tobytes()
+    assert block[:, 2 + m:].tobytes() == np.array([d[3] for d in draws]).tobytes()
+    assert rng_block.bit_generator.state == rng_loop.bit_generator.state
+
+    tree = build_tree(scenarios.deterministic_grid(K=2, m=m, a=0.4))
+    f = random_generator(np.random.default_rng(m), tree)
+    rng_block, rng_loop = np.random.default_rng(7), np.random.default_rng(7)
+    r_block = check_lipschitz(f, tree.slot(0), samples=50, rng=rng_block)
+    r_loop = check_lipschitz(f, tree.slot(0), samples=per_sample_draws(rng_loop, 50, m))
+    assert _bits(r_block) == _bits(r_loop)
+    assert rng_block.bit_generator.state == rng_loop.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_jump_identity_columns_are_the_full_matrix(seed):
+    rng = np.random.default_rng(300 + seed)
+    problem, _ = random_problem(rng, m=1 + seed % 4, max_horizon=6)
+    sol = backward_oracle(problem)
+    for case in (sol, _perturbed(rng, sol, 1e-6), _perturbed(rng, sol, 1.0)):
+        assert (_bits(check_solution_jump_identity(case, problem))
+                == _bits(full_matrix_jump_identity(case, problem)))
+
+
+def test_run_suite_refuses_an_empty_path_sample():
+    problem = BsdeProblem(model=scenarios.deterministic_grid(K=2, m=1, a=0.5), beta=1.0,
+                          xi=scenarios.xi_jump_count(), f=Generator.zero())
+    with pytest.raises(ValueError, match="n_paths"):
+        run_suite(problem, backward_oracle(problem), n_paths=0)

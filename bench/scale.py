@@ -27,7 +27,9 @@ The cases:
 * ``verify_intensity_seed7``: the ``verify_intensity`` benchmark workload
   at seed 7 (K=16, one mark, 131,071 nodes);
 * ``two_state_k12_m2``: the ``two_state_rule`` model with K=12 and two
-  marks (531,441 nodes), the saturating driver and beta = 8.
+  marks (797,161 nodes), the saturating driver and beta = 8;
+* ``two_state_k13_m2``: the same model and driver with K=13 (2,391,484
+  nodes, about 0.5 GiB peak RSS).
 """
 
 from __future__ import annotations
@@ -50,25 +52,29 @@ def _cases() -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     verify_cfg, _ = workloads.verify_intensity(7)
-    two_state = {
-        "model": {"preset": "two_state_rule",
-                  "params": {"K": 12, "m": 2, "a_after_jump": 0.3, "a_after_no_jump": 0.6}},
-        "generator": {"preset": "saturating", "params": {"c0": 0.3, "cy": 0.5, "cz": 0.7}},
-        "terminal": {"preset": "jump_count", "params": {"scale": 1.0}},
-        "beta": 8.0,
-        "seed": 3,
-    }
-    return {"verify_intensity_seed7": verify_cfg, "two_state_k12_m2": two_state}
+
+    def two_state(K):
+        return {
+            "model": {"preset": "two_state_rule",
+                      "params": {"K": K, "m": 2, "a_after_jump": 0.3, "a_after_no_jump": 0.6}},
+            "generator": {"preset": "saturating", "params": {"c0": 0.3, "cy": 0.5, "cz": 0.7}},
+            "terminal": {"preset": "jump_count", "params": {"scale": 1.0}},
+            "beta": 8.0,
+            "seed": 3,
+        }
+
+    return {"verify_intensity_seed7": verify_cfg, "two_state_k12_m2": two_state(12),
+            "two_state_k13_m2": two_state(13)}
 
 
 # the functions run_suite calls for each check; a tree has some of them
 CHECKS = {
     "identity_lemma": ("check_identity_lemma", "_identity_lemma_rows"),
     "integral_inequality": ("check_integral_inequality", "_worst_integral_inequality"),
-    "apriori_estimate": ("check_apriori_estimate",),
+    "apriori_estimate": ("check_apriori_estimate", "_apriori_estimate"),
     "norm_equivalence": ("check_norm_equivalence", "_worst_norm_equivalence"),
     "lipschitz_bound": ("check_lipschitz",),
-    "jump_identity": ("check_solution_jump_identity",),
+    "jump_identity": ("check_solution_jump_identity", "_jump_identity"),
 }
 
 

@@ -21,7 +21,10 @@ representative (``canonical_field``) centers those rows to
 ``sum(Z * phi) = 0`` and zeroes the weightless ``delta_A = 0`` rows.
 
 All sums run in fixed node-index order so repeated evaluations are bit
-identical; ``np.vecdot`` gives each row the bits of ``np.dot`` on it.
+identical; ``np.vecdot`` gives each row the bits of ``np.dot`` on it.  A
+one-mark row is its one product, which equals ``np.vecdot`` but for the
+sign of an exact zero (vecdot adds it to ``+0.0``): the norms square the
+mean and keep every bit, ``hat_z_rows`` may return ``-0.0`` for ``+0.0``.
 """
 
 from __future__ import annotations
@@ -56,14 +59,22 @@ def field_zeros(tree: ScenarioTree) -> np.ndarray:
 def _moments(zeta, delta_A: np.ndarray, phi: np.ndarray):
     """Per-row ``mean = sum(zeta * phi)`` and ``spread = sum((zeta - delta_A*mean)^2 phi)``."""
     z = np.asarray(zeta, dtype=float)
+    if z.shape[1] == 1:   # one mark: the row's product, without a BLAS call
+        p = phi[:, 0]
+        mean = z[:, 0] * p
+        dev = z[:, 0] - delta_A * mean
+        return mean, dev * dev * p
     mean = np.vecdot(z, phi)
     dev = z - (delta_A * mean)[:, None]
     return mean, np.vecdot(dev * dev, phi)
 
 
-def _seminorm_sq(zeta, delta_A: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    mean, spread = _moments(zeta, delta_A, phi)  # squared seminorm, per row
-    return spread + delta_A * (1.0 - delta_A) * mean * mean
+def _seminorm_sq(zeta, delta_A: np.ndarray, phi: np.ndarray, c=None) -> np.ndarray:
+    # squared seminorm per row; c = delta_A * (1 - delta_A), if the caller has it
+    mean, spread = _moments(zeta, delta_A, phi)
+    if c is None:
+        c = delta_A * (1.0 - delta_A)
+    return spread + c * mean * mean
 
 
 def hat_z_rows(zeta, block: SlotBlock) -> np.ndarray:
@@ -109,6 +120,23 @@ def _cont_weight(beta: float, dAc: np.ndarray) -> np.ndarray:
     return (np.exp(beta * dAc) - 1.0) / beta
 
 
+# The atomic norms are slot sums against w = P(parent) * E_end; a caller
+# taking several norms at one beta builds w once for the _weighted_* forms.
+def _slot_weights(tree: ScenarioTree, beta: float) -> np.ndarray:
+    return tree.prob[:tree.n_slots] * tree.doleans_at_slot_end(beta)
+
+
+def _weighted_y_sq(Y: np.ndarray, tree: ScenarioTree, w: np.ndarray) -> float:
+    Ypar = Y[:tree.n_slots]
+    return float(np.sum(w * Ypar * Ypar * tree.slot_dA))
+
+
+def _weighted_z_sq(Z: np.ndarray, tree: ScenarioTree, w: np.ndarray, c=None) -> float:
+    # sum(w * slot_z_contribution(Z)); c as in _seminorm_sq
+    da = tree.slot_dA
+    return float(np.sum(w * (da * _seminorm_sq(Z, da, tree.slot_phi, c))))
+
+
 def y_norm_sq(Y: np.ndarray, tree: ScenarioTree, beta: float) -> float:
     """Weighted square norm of the left limits of an adapted process.
 
@@ -117,22 +145,19 @@ def y_norm_sq(Y: np.ndarray, tree: ScenarioTree, beta: float) -> float:
     closed-form continuous-part terms when the model carries any (zero
     for solver models).
     """
-    n = tree.n_slots
-    P = tree.prob[:n]
-    Ypar = Y[:n]
-    E_end = tree.doleans_at_slot_end(beta)
-    total = float(np.sum(P * E_end * Ypar * Ypar * tree.slot_dA))
+    total = _weighted_y_sq(Y, tree, _slot_weights(tree, beta))
     if np.any(tree.slot_dAc > 0):
+        n = tree.n_slots
+        Ypar = Y[:n]
         E_start = tree.doleans(beta)[:n]
-        total += float(np.sum(P * E_start * Ypar * Ypar * _cont_weight(beta, tree.slot_dAc)))
+        total += float(np.sum(tree.prob[:n] * E_start * Ypar * Ypar
+                              * _cont_weight(beta, tree.slot_dAc)))
     return total
 
 
 def z_norm_sq(Z: np.ndarray, tree: ScenarioTree, beta: float) -> float:
     """Weighted square norm of a predictable field (atomic slots only)."""
-    P = tree.prob[:tree.n_slots]
-    E_end = tree.doleans_at_slot_end(beta)
-    return float(np.sum(P * E_end * slot_z_contribution(Z, tree)))
+    return _weighted_z_sq(Z, tree, _slot_weights(tree, beta))
 
 
 def mixed_norm_sq(Y: np.ndarray, Z: np.ndarray, tree: ScenarioTree,
@@ -144,11 +169,9 @@ def mixed_norm_sq(Y: np.ndarray, Z: np.ndarray, tree: ScenarioTree,
     """
     n = tree.n_slots
     P = tree.prob[:n]
-    Ypar = Y[:n]
     E_end = tree.doleans_at_slot_end(beta)
     b = np.broadcast_to(np.asarray(b, dtype=float), (n,))
-    y_part = float(np.sum(P * b * E_end * Ypar * Ypar * tree.slot_dA))
-    return y_part + z_norm_sq(Z, tree, beta)
+    return _weighted_y_sq(Y, tree, P * b * E_end) + _weighted_z_sq(Z, tree, P * E_end)
 
 
 def _canonical_rows(Z: np.ndarray, delta_A: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -295,7 +295,11 @@ def conditional_means(tree: ScenarioTree, Y: np.ndarray) -> np.ndarray:
 
 def bsde_residual(tree: ScenarioTree, Y: np.ndarray, f_path: np.ndarray) -> float:
     """Max slot residual of ``Y = cond_mean + dA * f`` over the tree."""
-    cm = conditional_means(tree, Y)
+    return _residual(tree, Y, conditional_means(tree, Y), f_path)
+
+
+def _residual(tree, Y, cm, f_path) -> float:
+    # cm: the conditional means of Y's children, one per slot
     res = Y[: tree.n_slots] - cm - tree.slot_dA * f_path
     return float(np.max(np.abs(res), initial=0.0))
 
@@ -324,10 +328,26 @@ def _backward(tree: ScenarioTree, xi_leaf: np.ndarray, parent_values):
     return Y, Z
 
 
+def _linear_sweep(tree: ScenarioTree, xi_leaf: np.ndarray, f_path: np.ndarray,
+                  cm_out: np.ndarray | None = None):
+    # (Y, Z) of the linear equation; cm_out receives the conditional means
+    da = tree.slot_dA
+
+    def parent_values(sl, cm, _):
+        if cm_out is not None:
+            cm_out[sl] = cm
+        return cm + f_path[sl] * da[sl]
+
+    return _backward(tree, xi_leaf, parent_values)
+
+
+def _with_martingale(tree: ScenarioTree, Y, Z, f_path) -> Solution:
+    return Solution(Y=Y, Z=Z, martingale=Y + tree.accumulate(f_path * tree.slot_dA))
+
+
 def _solve_linear_path(tree: ScenarioTree, xi_leaf: np.ndarray,
                        f_path: np.ndarray) -> Solution:
-    Y, Z = _backward(tree, xi_leaf, lambda sl, cm, _: cm + f_path[sl] * tree.slot_dA[sl])
-    return Solution(Y=Y, Z=Z, martingale=Y + tree.accumulate(f_path * tree.slot_dA))
+    return _with_martingale(tree, *_linear_sweep(tree, xi_leaf, f_path), f_path)
 
 
 def _eval_path(tree: ScenarioTree, f: Generator, Y: np.ndarray,
@@ -491,8 +511,7 @@ def backward_oracle(problem: BsdeProblem) -> Solution:
     f = problem.f
     Y, Z = _backward(tree, problem.terminal_values(tree),
                      lambda sl, cm, Zl: _implicit_level(tree, f, sl, cm, Zl))
-    f_path = _eval_path(tree, f, Y, Z)
-    return Solution(Y=Y, Z=Z, martingale=Y + tree.accumulate(f_path * tree.slot_dA))
+    return _with_martingale(tree, Y, Z, _eval_path(tree, f, Y, Z))
 
 
 # -- fixed-point iteration -------------------------------------------------
@@ -523,6 +542,8 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
     residual drops to ``tol``.  The successive-iterate mixed-norm distance
     is reported but never stops it: with every b-weight 0 (``beta`` far
     below ``beta_min``) that distance vanishes away from the solution.
+    The norm weights are built once per solve, and the martingale part
+    once, for the returned pair.
 
     Args:
         delta: contraction margin; with ``beta > 0`` and the hypothesis
@@ -570,32 +591,40 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
 
     xi_leaf = problem.terminal_values(tree)
     f_path = _eval_path(tree, f, U, V)
+    # the weights of mixed_norm_sq, once; cm: the conditional means of a sweep
+    n = tree.n_slots
+    E_end = tree.doleans_at_slot_end(beta)
+    wb, w = tree.prob[:n] * b * E_end, tree.prob[:n] * E_end
+    del E_end
+    cm = np.empty(n)
     diff_norms: list[float] = []
     ratio_sq: list[float] = []
     y_sup: list[float] = []
     prev_dsq = None
-    sol = Solution(U, V)
+    f_used = f_path        # the driver values the current iterate solved
     residual = np.inf
     converged = False
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        sol = _solve_linear_path(tree, xi_leaf, f_path)
-        dsq = norms.mixed_norm_sq(sol.Y - U, sol.Z - V, tree, beta, b)
+        Y, Z = _linear_sweep(tree, xi_leaf, f_path, cm)
+        dsq = norms._weighted_y_sq(Y - U, tree, wb) + norms._weighted_z_sq(Z - V, tree, w)
         diff_norms.append(float(np.sqrt(dsq)))
         if prev_dsq is not None and prev_dsq > 0:
             ratio_sq.append(dsq / prev_dsq)
         prev_dsq = dsq
-        sup = float(np.max(np.abs(sol.Y)))
+        sup = float(np.max(np.abs(Y)))
         y_sup.append(sup)
         if not np.isfinite(sup):
             raise NonFinite("fixed-point iterates left the finite range")
-        U, V = sol.Y, sol.Z
+        U, V, f_used = Y, Z, f_path
         f_path = _eval_path(tree, f, U, V)
-        residual = bsde_residual(tree, U, f_path)
+        residual = _residual(tree, U, cm, f_path)
         if residual <= tol:
             converged = True
             break
+    del wb, w, cm
+    sol = _with_martingale(tree, U, V, f_used) if iterations else Solution(U, V)
     report = SolveReport(
         iterations=iterations, converged=converged, diff_norms=diff_norms,
         ratio_sq=ratio_sq, residual=float(residual), y_sup=y_sup, beta=beta,

@@ -7,9 +7,9 @@ up to ``(m+1)^K`` terms); inequalities use an absolute slack of 1e-12.
 Randomized checks take a seeded ``numpy.random.Generator`` so every run
 is replayable.
 
-``run_suite`` computes each quantity that depends only on the solved pair
-once: one set of per-slot integrands serves the energy identity at every
-grid time, and one weight array the norm sandwich of every field.  Its
+``run_suite`` computes each quantity that depends only on the tree, beta
+or the solved pair once and passes it to the private kernels that the
+public ``check_*`` functions also call, so the rows keep their bits.  Its
 randomized checks draw in the order of one public ``check_*`` call per
 item and evaluate the draws as numpy blocks, so each row has the bits of
 that per-item call and the random stream ends in the same state.
@@ -87,29 +87,21 @@ def _skipped(name, note):
                        {"note": note})
 
 
-def _identity_lemma_rows(problem, solution, steps, beta=None):
+def _identity_lemma_rows(tree, Y, f_path, beta, w, z_part, steps):
     """Energy identity rows of ``check_identity_lemma``, one per grid time in ``steps``.
 
-    The driver values, the weights and the four per-slot integrands depend
-    only on the solved pair, so they are computed once; slots are stored in
-    step order, so the slots after grid time ``j`` are the slice
-    ``level_start[j]:n_slots`` of each integrand.
+    ``w`` is the slot weight ``P * E_end`` and ``z_part`` the weighted Z
+    integrand ``w * slot_z_contribution(Z)``; the other per-slot integrands
+    are computed once here.  Slots are stored in step order, so the slots
+    after grid time ``j`` are the slice ``level_start[j]:n_slots``.
     """
-    tree = problem.tree()
-    solver._require_discrete(tree)
-    beta = problem.beta if beta is None else beta
-    f_path = solver._path_values(problem, tree)
-    Y, Z = solution.Y, solution.Z
     E = tree.doleans(beta)
     n = tree.n_slots
     da = tree.slot_dA
     Yp = Y[:n]
-    w = tree.prob[:n] * tree.doleans_at_slot_end(beta)
     y_part = w / (1.0 + beta * da) * Yp ** 2 * da
-    z_part = w * norms.slot_z_contribution(Z, tree)
     cross = w * Yp * f_path * da
     atom = w * f_path ** 2 * da ** 2
-    del w
 
     def depth_term(nodes):
         return float(np.sum(tree.prob[nodes] * E[nodes] * Y[nodes] ** 2))
@@ -139,7 +131,13 @@ def check_identity_lemma(problem, solution, t_index: int, beta=None) -> CheckRes
     the weighted terminal square, twice the Y-drift cross term and minus
     the squared-drift atom correction.
     """
-    return next(_identity_lemma_rows(problem, solution, [t_index], beta))
+    tree = problem.tree()
+    solver._require_discrete(tree)
+    beta = problem.beta if beta is None else beta
+    f_path = solver._path_values(problem, tree)
+    w = norms._slot_weights(tree, beta)
+    z_part = w * norms.slot_z_contribution(solution.Z, tree)
+    return next(_identity_lemma_rows(tree, solution.Y, f_path, beta, w, z_part, [t_index]))
 
 
 def _integral_inequality_rows(dAc, dA, f_vals, steps, beta: float, j: int):
@@ -196,11 +194,16 @@ def check_apriori_estimate(problem, solution, beta=None, c_scale: float = 1.0) -
     f_path = solver._path_values(problem, tree)
     lhs = (norms.y_norm_sq(solution.Y, tree, beta)
            + norms.z_norm_sq(solution.Z, tree, beta))
+    return _apriori_estimate(tree, solution.Y, f_path, beta,
+                             tree.doleans_at_slot_end(beta), lhs, c_scale)
+
+
+def _apriori_estimate(tree, Y, f_path, beta, E_end, lhs, c_scale) -> CheckResult:
+    # lhs is the solution's squared norm; the data side is computed here
     E = tree.doleans(beta)
     leaves = tree.leaf_slice
-    term_xi = float(np.sum(tree.prob[leaves] * E[leaves] * solution.Y[leaves] ** 2))
+    term_xi = float(np.sum(tree.prob[leaves] * E[leaves] * Y[leaves] ** 2))
     # per-path accumulators: sum of dA^2 and of E |f|^2 dA along each history
-    E_end = tree.doleans_at_slot_end(beta)
     S1 = tree.accumulate(tree.slot_dA ** 2)
     S2 = tree.accumulate(E_end * f_path ** 2 * tree.slot_dA)
     term_f = float(np.sum(tree.prob[leaves]
@@ -223,15 +226,15 @@ def check_norm_equivalence(Z, tree: ScenarioTree, beta: float, gamma: float) -> 
         raise ValueError("gamma must lie in (0, 1]")
     if np.any(tree.slot_dA > 1.0 - gamma + 1e-15):
         raise ValueError("a jump size exceeds 1 - gamma")
-    w = tree.prob[:tree.n_slots] * tree.doleans_at_slot_end(beta)
-    return _norm_equivalence(Z, tree, w, gamma)
+    w = norms._slot_weights(tree, beta)
+    return _norm_equivalence(Z, tree, w * tree.slot_dA, norms._weighted_z_sq(Z, tree, w),
+                             gamma)
 
 
-def _norm_equivalence(Z, tree: ScenarioTree, w, gamma: float) -> CheckResult:
-    # w = P * E_end per slot; mid has the bits of norms.z_norm_sq
+def _norm_equivalence(Z, tree: ScenarioTree, wd, mid: float, gamma: float) -> CheckResult:
+    # wd = P * E_end * dA per slot; mid is the Z norm of the field (z_norm_sq)
     sq = np.einsum("sm,sm->s", Z * Z, tree.slot_phi)
-    full = float(np.sum(w * tree.slot_dA * sq))
-    mid = float(np.sum(w * norms.slot_z_contribution(Z, tree)))
+    full = float(np.sum(wd * sq))
     violation = max(gamma * full - mid, mid - full)
     return _inequality("norm_equivalence", violation, 0.0,
                        detail={"gamma": gamma, "lower": gamma * full,
@@ -257,16 +260,20 @@ def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResu
     m = slot.phi.size
     da = slot.delta_A
     if isinstance(samples, int):
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, not {samples}")
         rng = rng or np.random.default_rng(0)
         # one draw of rows (y, y2, z[m], z2[m]) is the stream of per-sample
         # draws; the driver gets contiguous copies, as it did from those
-        draws = rng.normal(0, 2.0, (max(samples, 0), 2 + 2 * m))
+        draws = rng.normal(0, 2.0, (samples, 2 + 2 * m))
         n = draws.shape[0]
         y, y2 = draws[:, 0].copy(), draws[:, 1].copy()
         z, z2 = draws[:, 2:2 + m].copy(), draws[:, 2 + m:].copy()
     else:
         draws = list(samples)
         n = len(draws)
+        if n < 1:
+            raise ValueError("samples must hold at least one sample")
         y, y2 = (np.array([d[i] for d in draws], dtype=float) for i in (0, 1))
         z, z2 = (np.array([d[i] for d in draws], dtype=float).reshape(n, m) for i in (2, 3))
     block = SlotBlock(index=np.full(n, slot.index), step=np.full(n, slot.step),
@@ -285,13 +292,10 @@ def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResu
     squared = fbar2 - (2.0 * f.lip_y ** 2 * dy2 + 2.0 * hat_lz_sq * expanded)
     forms = np.abs(expanded - s2) / np.maximum(s2, 1.0) - 1e-12
     margin = np.maximum(np.maximum(plain, squared), forms)
-    worst, witness = -np.inf, None
-    if n:
-        nan = np.isnan(margin)
-        j = int(np.argmax(nan) if nan.any() else np.argmax(margin))
-        worst = margin[j]
-        witness = {"y": float(y[j]), "y2": float(y2[j]), "z": z[j].tolist(), "z2": z2[j].tolist()}
-    return _inequality("lipschitz_bound", worst, 0.0,
+    nan = np.isnan(margin)
+    j = int(np.argmax(nan) if nan.any() else np.argmax(margin))
+    witness = {"y": float(y[j]), "y2": float(y2[j]), "z": z[j].tolist(), "z2": z2[j].tolist()}
+    return _inequality("lipschitz_bound", margin[j], 0.0,
                        detail={"hat_lz_sq": float(hat_lz_sq), "n_samples": n, "witness": witness})
 
 
@@ -303,9 +307,13 @@ def check_solution_jump_identity(solution, problem) -> CheckResult:
     representation increment of the solution's field row.
     """
     tree = problem.tree()
-    Y, Z = solution.Y, solution.Z
+    f_path = solver._eval_path(tree, problem.f, solution.Y, solution.Z)
+    return _jump_identity(tree, solution.Y, solution.Z, f_path)
+
+
+def _jump_identity(tree, Y, Z, f_path) -> CheckResult:
+    # f_path: the driver along (Y, Z), one value per slot
     n = tree.n_slots
-    f_path = solver._eval_path(tree, problem.f, Y, Z)
     zh = norms.hat_z_rows(Z, tree.block(slice(None)))
     f_dA = f_path * tree.slot_dA
     # one outcome column at a time: child value minus the expected
@@ -350,14 +358,18 @@ def _worst_integral_inequality(rng, beta: float, n_paths: int) -> CheckResult:
                        detail={"t_index": 0, "beta": beta})
 
 
-def _worst_norm_equivalence(Z, tree: ScenarioTree, beta: float, gamma: float,
+def _worst_norm_equivalence(Z, tree: ScenarioTree, w, mid: float, gamma: float,
                             rng) -> CheckResult:
-    # the solution field, then N_FIELDS random ones; one weight array for all
-    w = tree.prob[:tree.n_slots] * tree.doleans_at_slot_end(beta)
-    worst = _norm_equivalence(Z, tree, w, gamma)
+    # the solution field Z (Z norm ``mid``), then N_FIELDS random ones; the
+    # per-tree factors are built once, so each field costs only its own rows
+    da = tree.slot_dA
+    wd = w * da
+    c = da * (1.0 - da)
+    worst = _norm_equivalence(Z, tree, wd, mid, gamma)
     for _ in range(N_FIELDS):
-        W = rng.normal(0.0, 1.0, (tree.n_slots, tree.n_marks))
-        r = _norm_equivalence(W, tree, w, gamma)
+        # the stream and values of rng.normal(0.0, 1.0, ...), without its loc/scale pass
+        W = rng.standard_normal((tree.n_slots, tree.n_marks))
+        r = _norm_equivalence(W, tree, wd, norms._weighted_z_sq(W, tree, w, c), gamma)
         if r.abs_gap > worst.abs_gap:
             worst = r
     return worst
@@ -371,13 +383,15 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     identity and the a priori bound apply verbatim.  Randomized inputs
     (paths, fields, Lipschitz samples) come from ``rng``.
 
-    Quantities that depend only on the solved pair are computed once: the
-    energy identity at every grid time shares one set of per-slot
-    integrands, and the norm sandwich one weight array.  The randomized
-    checks draw from ``rng`` in the same order as one check call per item
-    would, and evaluate their draws as blocks (all paths of the integral
-    inequality, all samples of a Lipschitz slot), so every row keeps the
-    bits of the public ``check_*`` function on the same input.
+    Quantities that depend only on the tree, ``beta`` or the solved pair
+    are computed once: the frozen driver values, the slot weights and the
+    weighted Z integrand serve the energy identity at every grid time,
+    the a priori estimate, the norm sandwich and the jump identity.  The
+    randomized checks draw from ``rng`` in the same order as one check
+    call per item would, and evaluate their draws as blocks (all paths of
+    the integral inequality, all samples of a Lipschitz slot), so every
+    row keeps the bits of the public ``check_*`` function on the same
+    input.
 
     Returns a list of :class:`CheckResult`, one aggregate row per check.
     """
@@ -386,26 +400,30 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     results: list[CheckResult] = []
     beta = problem.beta
 
+    # the generator frozen along the solved pair, the slot weights and the
+    # weighted Z integrand: every check below shares them
     Y, Z = solution.Y, solution.Z
-    frozen_vals = solver._eval_path(tree, problem.f, Y, Z)
-    frozen = solver.BsdeProblem(
-        model=problem.model, beta=beta, xi=problem.xi,
-        f=solver.Generator.batched(lambda block, y, zeta: frozen_vals[block.index],
-                                   0.0, 0.0),
-        _tree=tree,
-    )
+    f_path = solver._eval_path(tree, problem.f, Y, Z)
+    solver._require_discrete(tree)
+    E_end = tree.doleans_at_slot_end(beta)
+    w = tree.prob[:tree.n_slots] * E_end
+    z_part = w * norms.slot_z_contribution(Z, tree)
+    z_sq = float(np.sum(z_part))
 
     # energy identity at every grid time
     worst = None
-    for r in _identity_lemma_rows(frozen, solution, range(tree.horizon + 1)):
+    for r in _identity_lemma_rows(tree, Y, f_path, beta, w, z_part, range(tree.horizon + 1)):
         if worst is None or r.rel_gap > worst.rel_gap:
             worst = r
     results.append(worst)
+    del z_part
 
     # path inequality and a priori bound need beta > 0
     if beta > 0:
         results.append(_worst_integral_inequality(rng, beta, n_paths))
-        results.append(check_apriori_estimate(frozen, solution, c_scale=c_scale))
+        # y_norm_sq + z_norm_sq: on a discrete tree y_norm_sq is its atomic part
+        lhs = norms._weighted_y_sq(Y, tree, w) + z_sq
+        results.append(_apriori_estimate(tree, Y, f_path, beta, E_end, lhs, c_scale))
     else:
         results.append(_skipped("integral_inequality", "needs beta > 0"))
         results.append(_skipped("apriori_estimate", "needs beta > 0"))
@@ -413,7 +431,7 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     # norm equivalence on the solution field and random fields
     max_da = float(np.max(tree.slot_dA)) if tree.n_slots else 0.0
     if max_da < 1.0:
-        results.append(_worst_norm_equivalence(Z, tree, beta, 1.0 - max_da, rng))
+        results.append(_worst_norm_equivalence(Z, tree, w, z_sq, 1.0 - max_da, rng))
     else:
         results.append(_skipped("norm_equivalence",
                                 "unit jumps present: no gamma in (0, 1]"))
@@ -431,5 +449,6 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     else:
         results.append(_skipped("lipschitz_bound", "no slots"))
 
-    results.append(check_solution_jump_identity(solution, problem))
+    del E_end, w
+    results.append(_jump_identity(tree, Y, Z, f_path))
     return results

@@ -94,6 +94,18 @@ def scalar_hat_z(zeta, slot) -> float:
     return float(slot.delta_A * np.dot(np.asarray(zeta, dtype=float), slot.phi))
 
 
+def vecdot_moments(zeta, delta_A, phi):
+    """Row moments ``(mean, spread)`` by ``np.vecdot`` for every mark count.
+
+    ``mean = sum(zeta * phi)`` and ``spread = sum((zeta - delta_A*mean)^2 phi)``,
+    each row with the bits of ``np.dot`` on it.
+    """
+    z = np.asarray(zeta, dtype=float)
+    mean = np.vecdot(z, phi)
+    dev = z - (delta_A * mean)[:, None]
+    return mean, np.vecdot(dev * dev, phi)
+
+
 def scalar_seminorm(dzeta, slot) -> float:
     """Seminorm on mark-vector increments used by generator Lipschitz bounds.
 

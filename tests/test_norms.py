@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from treebsde import MarkSpace, ScenarioModel, build_tree, norms, scenarios
 
 from conftest import (brute_y_norm, brute_z_norm, jump_second_moment, scalar_hat_z,
-                      scalar_seminorm)
+                      scalar_seminorm, vecdot_moments)
 
 
 def slot_of(K=1, m=1, a=0.5, phi=None):
@@ -175,6 +175,38 @@ def test_row_forms_are_the_scalar_twins_to_the_bit(m):
     assert np.array_equal(norms.lipschitz_seminorm_rows(Z, block), sem)
     assert [norms.hat_z(Z[s], v) for s, v in enumerate(views)] == hat
     assert [norms.lipschitz_seminorm(Z[s], v) for s, v in enumerate(views)] == sem
+
+
+def mixed_rows(rng, m, n=4000):
+    """Rows mixing delta_A = 0, inner sizes and 1, with zero rows and signed zeros."""
+    delta_A = rng.choice([0.0, 1.0, 0.25, 0.5], n)
+    inner = delta_A == 0.5
+    delta_A[inner] = rng.uniform(0.0, 1.0, int(inner.sum()))
+    phi = rng.dirichlet(np.ones(m), n)
+    Z = rng.normal(0.0, 3.0, (n, m))
+    Z[rng.random(n) < 0.1] = 0.0
+    Z[rng.random(n) < 0.05] = -0.0
+    Z[rng.random((n, m)) < 0.05] = -0.0
+    return Z, delta_A, phi
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_moments_are_vecdot(m):
+    # one mark: equal values, the sign of an exact zero free; more marks: every bit
+    rng = np.random.default_rng(80 + m)
+    Z, delta_A, phi = mixed_rows(rng, m)
+    if m == 1:
+        phi[rng.random(phi.shape[0]) < 0.5] = 1.0   # the normalized one-mark law
+    assert {0.0, 1.0} < set(delta_A.tolist()) and np.any(np.all(Z == 0.0, axis=1))
+    mean, spread = vecdot_moments(Z, delta_A, phi)
+    for got, want in zip(norms._moments(Z, delta_A, phi), (mean, spread)):
+        assert np.all(got == want)
+        bits = want != 0.0 if m == 1 else slice(None)
+        assert np.array_equal(got[bits].view(np.int64), want[bits].view(np.int64))
+    # the squared seminorm squares the mean, so it keeps every bit
+    want = spread + delta_A * (1.0 - delta_A) * mean * mean
+    got = norms._seminorm_sq(Z, delta_A, phi)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_seminorm_zero():

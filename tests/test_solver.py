@@ -5,8 +5,8 @@ from treebsde import (BsdeProblem, ConditionViolated, Generator, NoConvergence,
                       StepSingular, backward_oracle, build_tree, implicit_step_solve,
                       norms, picard_map, picard_solve, solve_linear)
 from treebsde import scenarios
-from treebsde.solver import (bsde_residual, conditional_means, _child_values, _cond_means,
-                             _eval_path, _represent_block)
+from treebsde.solver import (Solution, bsde_residual, conditional_means, _child_values,
+                             _cond_means, _eval_path, _represent_block)
 
 from conftest import (random_linear_problem, random_problem, random_terminal,
                       represent_martingale)
@@ -407,3 +407,26 @@ def test_picard_converges_only_on_the_residual():
     assert rep.beta < rep.beta_min and rep.converged
     assert rep.residual <= 1e-10
     assert sol.Y[0] == pytest.approx(backward_oracle(problem).Y[0], abs=1e-8)
+
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_picard_diagnostics_are_those_of_the_returned_pair(seed):
+    # the martingale part, the residual and the last distance, recomputed
+    # from the returned pair and the iterate before it
+    problem, delta = random_problem(np.random.default_rng(700 + seed), max_horizon=5)
+    tree = problem.tree()
+    sol, rep = picard_solve(problem, delta=delta)
+    prev = Solution(np.zeros(tree.n_nodes), np.zeros((tree.n_slots, tree.n_marks)))
+    if rep.iterations > 1:
+        with pytest.raises(NoConvergence) as exc:
+            picard_solve(problem, delta=delta, max_iter=rep.iterations - 1)
+        prev = exc.value.last
+    f_prev = _eval_path(tree, problem.f, prev.Y, prev.Z)
+    f_sol = _eval_path(tree, problem.f, sol.Y, sol.Z)
+    martingale = sol.Y + tree.accumulate(f_prev * tree.slot_dA)
+    assert np.array_equal(sol.martingale.view(np.int64), martingale.view(np.int64))
+    assert rep.residual.hex() == bsde_residual(tree, sol.Y, f_sol).hex()
+    b = np.maximum(rep.profile.b, 0.0)
+    dsq = norms.mixed_norm_sq(sol.Y - prev.Y, sol.Z - prev.Z, tree, problem.beta, b)
+    assert rep.diff_norms[-1].hex() == float(np.sqrt(dsq)).hex()

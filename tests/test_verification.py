@@ -219,6 +219,15 @@ def test_lipschitz_detects_understated_constant():
     assert r.detail["witness"] is not None
 
 
+@pytest.mark.parametrize("samples", [0, -3, []])
+def test_lipschitz_refuses_no_samples(samples):
+    # a check that sampled nothing would pass vacuously
+    slot = build_tree(scenarios.deterministic_grid(2, 1, 0.5)).slot(0)
+    f = Generator(lambda s, y, z: 2.0 * y, 0.5, 0.0)
+    with pytest.raises(ValueError, match="sample"):
+        check_lipschitz(f, slot, samples=samples)
+
+
 def block_and_scalar_twins(fn, lip_y, lip_z):
     """The batched driver ``fn`` and the same driver as a scalar generator."""
     batched = Generator.batched(fn, lip_y, lip_z)

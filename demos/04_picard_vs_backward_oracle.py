@@ -25,22 +25,23 @@ driver = Generator(
     + 0.8 * norms.lipschitz_seminorm(zeta, slot),
     lip_y=0.5, lip_z=0.8,
 )
-delta = conditions.check_main_hypothesis(build_tree(model), driver.lip_y) / 2
-beta = conditions.beta_threshold(model, driver.lip_y, driver.lip_z, delta)
+tree = build_tree(model)
+delta = conditions.check_main_hypothesis(tree, driver.lip_y) / 2
+beta = conditions.beta_threshold(tree, driver.lip_y, driver.lip_z, delta)
 problem = BsdeProblem(model=model, beta=beta,
-                      xi=scenarios.xi_last_mark_indicator(0, 2.0), f=driver)
+                      xi=scenarios.xi_last_mark_indicator(0, 2.0), f=driver, _tree=tree)
 
 sol, rep = picard_solve(problem)
 print(f"hypothesis slack eps* = {rep.epsilon_star:.4f}, delta = {rep.delta:.4f}, "
       f"beta_min = {rep.beta_min:.4f}, beta = {rep.beta}")
 print(f"converged in {rep.iterations} sweeps, final residual {rep.residual:.2e}")
 print("\nsweep  distance          squared ratio")
+ratios = iter(rep.ratio_sq)    # one ratio after each nonzero distance
 for i, d in enumerate(rep.diff_norms, start=1):
-    ratio = f"{rep.ratio_sq[i - 2]:.4f}" if i >= 2 else "      "
+    ratio = f"{next(ratios):.4f}" if i >= 2 and rep.diff_norms[i - 2] > 0 else "      "
     print(f"{i:5d}  {d:.12e}  {ratio}")
 
 oracle = backward_oracle(problem)
-tree = problem.tree()
 gap = abs(sol.Y[0] - oracle.Y[0])
 dist = np.sqrt(norms.mixed_norm_sq(sol.Y - oracle.Y, sol.Z - oracle.Z,
                                    tree, problem.beta))

@@ -284,14 +284,17 @@ def _check_dict(c: verification.CheckResult) -> dict:
 
 
 def _iteration_rows(report: solver.SolveReport):
+    # picard_solve records a ratio only after a nonzero distance
+    ratios = iter(report.ratio_sq)
     rows = []
     for i, dn in enumerate(report.diff_norms, start=1):
-        ratio = report.ratio_sq[i - 2] if i >= 2 and len(report.ratio_sq) >= i - 1 else ""
-        rows.append((i, float(dn), float(ratio) if ratio != "" else "", report.y_sup[i - 1]))
+        ratio = float(next(ratios)) if i >= 2 and report.diff_norms[i - 2] > 0 else ""
+        rows.append((i, float(dn), ratio, report.y_sup[i - 1]))
     return rows
 
 
 def _solver_dict(sol, rep, tree, beta):
+    w = norms._slot_weights(tree, beta)
     return {
         "Y0": float(sol.Y[0]),
         "iterations": rep.iterations,
@@ -299,8 +302,8 @@ def _solver_dict(sol, rep, tree, beta):
         "residual": rep.residual,
         "diff_norms": [float(x) for x in rep.diff_norms],
         "ratio_sq": [float(x) for x in rep.ratio_sq],
-        "y_norm_sq": norms.y_norm_sq(sol.Y, tree, beta),
-        "z_norm_sq": norms.z_norm_sq(sol.Z, tree, beta),
+        "y_norm_sq": norms._weighted_y_sq(sol.Y, tree, w),
+        "z_norm_sq": norms._weighted_z_sq(sol.Z, tree, w),
     }
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure_core import ScenarioModel, ScenarioTree, build_tree
+from .measure_core import ScenarioTree
 
 __all__ = [
     "DenominatorNonpositive",
@@ -50,15 +50,7 @@ class ContractionProfile:
     beta_min: float
 
 
-def _as_tree(model_or_tree) -> ScenarioTree:
-    if isinstance(model_or_tree, ScenarioTree):
-        return model_or_tree
-    if isinstance(model_or_tree, ScenarioModel):
-        return build_tree(model_or_tree)
-    raise TypeError("expected a ScenarioModel or ScenarioTree")
-
-
-def check_main_hypothesis(model_or_tree, lip_y: float) -> float:
+def check_main_hypothesis(tree: ScenarioTree, lip_y: float) -> float:
     """Slack of the main hypothesis over every slot of the tree.
 
     Returns ``eps_star = 1 - max_slots 2 lip_y^2 dA^2``.  The hypothesis
@@ -66,7 +58,6 @@ def check_main_hypothesis(model_or_tree, lip_y: float) -> float:
     the blow-up regime.  With unit jumps everywhere this reduces to
     ``lip_y < 1/sqrt(2)``.
     """
-    tree = _as_tree(model_or_tree)
     return 1.0 - float(np.max(2.0 * lip_y ** 2 * tree.slot_dA ** 2, initial=0.0))
 
 
@@ -135,7 +126,7 @@ def _threshold(tree: ScenarioTree, lip_y: float, lip_z: float, delta: float):
     return eps_star, hat, float(np.max(vals, initial=0.0))
 
 
-def beta_threshold(model_or_tree, lip_y: float, lip_z: float, delta: float) -> float:
+def beta_threshold(tree: ScenarioTree, lip_y: float, lip_z: float, delta: float) -> float:
     """Smallest weight exponent for which the contraction argument applies.
 
     Maximum over slots of ``r / (1 - dA * r)`` with
@@ -146,23 +137,22 @@ def beta_threshold(model_or_tree, lip_y: float, lip_z: float, delta: float) -> f
     lower bound ``lip_y^2/hat + 2 hat/(1-delta)`` never exceeds the
     returned one (they coincide on ``dA = 0`` slots).
     """
-    return _threshold(_as_tree(model_or_tree), lip_y, lip_z, delta)[2]
+    return _threshold(tree, lip_y, lip_z, delta)[2]
 
 
-def detect_counterexample(model_or_tree, lip_y: float):
+def detect_counterexample(tree: ScenarioTree, lip_y: float):
     """Slots violating the main hypothesis, with their ``2 lip_y^2 dA^2``.
 
     Returns ``[(slot_view, value), ...]`` for every slot whose value is
     >= 1 (the boundary is flagged: no strict slack exists there).  Empty
     iff the hypothesis can hold with some positive slack.
     """
-    tree = _as_tree(model_or_tree)
     vals = 2.0 * lip_y ** 2 * tree.slot_dA ** 2
     idx = np.nonzero(vals >= 1.0)[0]
     return [(tree.slot(int(i)), float(vals[i])) for i in idx]
 
 
-def contraction_profile(model_or_tree, lip_y: float, lip_z: float,
+def contraction_profile(tree: ScenarioTree, lip_y: float, lip_z: float,
                         beta: float, delta: float) -> ContractionProfile:
     """Assemble the full per-slot contraction data for a problem.
 
@@ -172,7 +162,6 @@ def contraction_profile(model_or_tree, lip_y: float, lip_z: float,
     ``b = min(beta - 1/c, beta/(1+beta dA) - 1/d)``, with ``hat`` from
     ``hat_Lz``.
     """
-    tree = _as_tree(model_or_tree)
     eps_star, hat, beta_min = _threshold(tree, lip_y, lip_z, delta)
     da = tree.slot_dA
     c = (1.0 - delta) / (2.0 * hat)

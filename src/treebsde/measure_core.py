@@ -24,11 +24,12 @@ tree keeps those int8 level matrices (``ScenarioTree.level_histories``);
 history tuples of Python ints are built only on demand
 (``ScenarioTree.history``, ``ScenarioTree.histories``, ``SlotView``).
 
-Multiplicative path weights: ``doleans_exponential`` evaluates the
-Doleans-Dade exponential of ``beta * A`` along a deterministic path of
-increments, and each tree caches the same weight per node (the value is
-determined by the parent history, which is the predictability of ``A``
-made concrete).
+Trees are purely atomic: ``A`` moves only by its jumps ``delta_A``, so a
+node's Doleans-Dade weight of ``beta * A`` is the product of
+``1 + beta * delta_A`` over the slots above it, fixed by the parent
+history (the predictability of ``A`` made concrete).  A continuous part of
+``A`` lives only on the deterministic ``(dAc, dA)`` paths of
+``doleans_exponential`` and ``doleans_sqrt_factorization``.
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ def _one_row(history) -> np.ndarray:
 class ScenarioModel:
     """Predictable step-by-step specification of the driving measure.
 
+    ``A`` is purely atomic: it moves only by the jumps ``delta_A``.
+
     Args:
         marks: the finite mark space.
         grid: strictly increasing times ``t_0 = 0 < t_1 < ... < t_K``.
@@ -109,10 +112,6 @@ class ScenarioModel:
             where ``history`` holds the outcomes of slots ``0..k-1`` only
             (this is what makes ``A`` predictable).
         mark_law: ``(k, history) -> probability vector`` of length ``m``.
-        continuous_increments: optional per-slot deterministic increments
-            of the continuous part of ``A``; used by the path utilities
-            and the weighted norms, but must be identically zero in any
-            model handed to a solver.
         batch: optional :class:`LevelRules`, the same rules on a whole
             tree level at once; ``build_tree`` uses it when present and
             otherwise calls the scalar pair once per node.  Build models
@@ -128,12 +127,10 @@ class ScenarioModel:
     grid: np.ndarray
     jump_size: Callable[[int, tuple], float]
     mark_law: Callable[[int, tuple], np.ndarray]
-    continuous_increments: np.ndarray | None = None
     batch: LevelRules | None = field(default=None, repr=False)
 
     @classmethod
-    def batched(cls, marks: MarkSpace, grid, jump_sizes, mark_laws,
-                continuous_increments=None) -> "ScenarioModel":
+    def batched(cls, marks: MarkSpace, grid, jump_sizes, mark_laws) -> "ScenarioModel":
         """Model given in level-batch form (see :class:`LevelRules`).
 
         Predictability: row ``i`` of ``H`` holds node ``i``'s outcomes
@@ -147,8 +144,7 @@ class ScenarioModel:
         def mark_law(k, history):
             return np.asarray(mark_laws(k, _one_row(history)))[0]
 
-        return cls(marks, grid, jump_size, mark_law, continuous_increments,
-                   batch=LevelRules(jump_sizes, mark_laws))
+        return cls(marks, grid, jump_size, mark_law, batch=LevelRules(jump_sizes, mark_laws))
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -159,14 +155,6 @@ class ScenarioModel:
             raise ValueError("grid must start at t_0 = 0")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid not strictly increasing")
-        K = grid.size - 1
-        dAc = self.continuous_increments
-        dAc = np.zeros(K) if dAc is None else np.asarray(dAc, dtype=float)
-        if dAc.shape != (K,):
-            raise ValueError(f"continuous_increments must have shape ({K},)")
-        if np.any(dAc < 0):
-            raise ValueError("continuous increments must be nonnegative")
-        object.__setattr__(self, "continuous_increments", dAc)
 
     @property
     def horizon(self) -> int:
@@ -184,7 +172,6 @@ class SlotView:
     history: tuple      # outcomes strictly before the slot
     delta_A: float
     phi: np.ndarray
-    dAc: float
 
 
 @dataclass(frozen=True)
@@ -221,20 +208,16 @@ class ScenarioTree:
     node in node order.
     """
 
-    def __init__(self, model, level_start, parent, outcome, branch_prob,
-                 prob, cum_A, level_histories, slot_dA, slot_phi, slot_dAc,
-                 children):
+    def __init__(self, model, level_start, parent, outcome, prob,
+                 level_histories, slot_dA, slot_phi, children):
         self.model = model
         self.level_start = level_start
         self.parent = parent
         self.outcome = outcome
-        self.branch_prob = branch_prob
         self.prob = prob
-        self.cum_A = cum_A
         self.level_histories = level_histories
         self.slot_dA = slot_dA
         self.slot_phi = slot_phi
-        self.slot_dAc = slot_dAc
         self.children = children
         self.depth = np.repeat(np.arange(level_start.size - 1), np.diff(level_start))
         self._doleans_cache: dict[float, np.ndarray] = {}
@@ -300,7 +283,7 @@ class ScenarioTree:
             view = self._views[i] = SlotView(
                 index=i, step=step, time=float(self.model.grid[step + 1]),
                 history=self.history(i), delta_A=float(self.slot_dA[i]),
-                phi=self.slot_phi[i], dAc=float(self.slot_dAc[i]))
+                phi=self.slot_phi[i])
         return view
 
     @property
@@ -335,9 +318,9 @@ class ScenarioTree:
     def doleans(self, beta: float) -> np.ndarray:
         """Per-node Doleans-Dade weight of ``beta * A`` at the node's time.
 
-        The value at a node is fixed by the parent history, so siblings of
-        one slot share it.  Cached per ``beta``; treat the result as
-        read-only.
+        The product of ``1 + beta * delta_A`` over the slots above the
+        node, so siblings of one slot share it.  Cached per ``beta``; treat
+        the result as read-only.
         """
         if beta < 0:
             raise ValueError("beta must be nonnegative")
@@ -347,11 +330,10 @@ class ScenarioTree:
             return cached
         E = np.empty(self.n_nodes)
         E[0] = 1.0
-        dAc = self.model.continuous_increments
         for k in range(self.horizon):
             ids = np.arange(self.level_start[k + 1], self.level_start[k + 2])
             par = self.parent[ids]
-            E[ids] = E[par] * np.exp(beta * dAc[k]) * (1.0 + beta * self.slot_dA[par])
+            E[ids] = E[par] * (1.0 + beta * self.slot_dA[par])
         self._doleans_cache[key] = E
         return E
 
@@ -359,8 +341,7 @@ class ScenarioTree:
         """Weight at each slot's atom time (equal across the slot's children)."""
         E = self.doleans(beta)
         n = self.n_slots
-        dAc_per_slot = self.slot_dAc[:n]
-        return E[:n] * np.exp(beta * dAc_per_slot) * (1.0 + beta * self.slot_dA[:n])
+        return E[:n] * (1.0 + beta * self.slot_dA[:n])
 
 
 class TreeTooLarge(ValueError):
@@ -426,7 +407,6 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
     m = model.marks.size
     if m > MAX_MARKS:
         raise ValueError(f"at most {MAX_MARKS} marks (outcomes are stored as int8)")
-    dAc = model.continuous_increments
     # outcome of the child in each column: marks 0..m-1, then no jump
     codes = np.append(np.arange(m), NO_JUMP)
 
@@ -434,9 +414,7 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
     level_histories = [H]
     parent = [np.array([-1])]
     outcome = [np.array([_ROOT])]
-    branch_prob = [np.ones(1)]
     prob = [np.ones(1)]
-    cum_A = [np.zeros(1)]
     level_start = [0, 1]
     slot_dA, slot_phi = [np.zeros(0)], [np.zeros((0, m))]
     children = [np.zeros((0, m + 1), dtype=np.int64)]
@@ -460,9 +438,7 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
         out = np.broadcast_to(codes, (n, m + 1))[mask]
         parent.append(level_start[k] + local)
         outcome.append(out)
-        branch_prob.append(bp)
         prob.append(prob[-1][local] * bp)
-        cum_A.append(((cum_A[-1] + dAc[k]) + dA)[local])
         H = np.concatenate([H[local], out[:, None].astype(np.int8)], axis=1)
         level_histories.append(H)
         slot_dA.append(dA)
@@ -476,13 +452,10 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
         level_start=level_start,
         parent=np.concatenate(parent),
         outcome=np.concatenate(outcome),
-        branch_prob=np.concatenate(branch_prob),
         prob=np.concatenate(prob),
-        cum_A=np.concatenate(cum_A),
         level_histories=level_histories,
         slot_dA=np.concatenate(slot_dA),
         slot_phi=np.concatenate(slot_phi),
-        slot_dAc=np.repeat(dAc, np.diff(level_start[:-1])),
         children=np.concatenate(children),
     )
 

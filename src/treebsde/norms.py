@@ -113,14 +113,7 @@ def slot_z_contribution(Z: np.ndarray, tree: ScenarioTree) -> np.ndarray:
     return tree.slot_dA * _seminorm_sq(Z, tree.slot_dA, tree.slot_phi)
 
 
-def _cont_weight(beta: float, dAc: np.ndarray) -> np.ndarray:
-    # exact integral of the weight against the continuous part over one step
-    if beta == 0.0:
-        return dAc
-    return (np.exp(beta * dAc) - 1.0) / beta
-
-
-# The atomic norms are slot sums against w = P(parent) * E_end; a caller
+# The norms are slot sums against w = P(parent) * E_end; a caller
 # taking several norms at one beta builds w once for the _weighted_* forms.
 def _slot_weights(tree: ScenarioTree, beta: float) -> np.ndarray:
     return tree.prob[:tree.n_slots] * tree.doleans_at_slot_end(beta)
@@ -141,22 +134,13 @@ def y_norm_sq(Y: np.ndarray, tree: ScenarioTree, beta: float) -> float:
     """Weighted square norm of the left limits of an adapted process.
 
     Exact sum over slots of
-    ``P(parent) * weight(atom time) * Y_parent**2 * delta_A`` plus the
-    closed-form continuous-part terms when the model carries any (zero
-    for solver models).
+    ``P(parent) * weight(atom time) * Y_parent**2 * delta_A``.
     """
-    total = _weighted_y_sq(Y, tree, _slot_weights(tree, beta))
-    if np.any(tree.slot_dAc > 0):
-        n = tree.n_slots
-        Ypar = Y[:n]
-        E_start = tree.doleans(beta)[:n]
-        total += float(np.sum(tree.prob[:n] * E_start * Ypar * Ypar
-                              * _cont_weight(beta, tree.slot_dAc)))
-    return total
+    return _weighted_y_sq(Y, tree, _slot_weights(tree, beta))
 
 
 def z_norm_sq(Z: np.ndarray, tree: ScenarioTree, beta: float) -> float:
-    """Weighted square norm of a predictable field (atomic slots only)."""
+    """Weighted square norm of a predictable field."""
     return _weighted_z_sq(Z, tree, _slot_weights(tree, beta))
 
 
@@ -164,8 +148,8 @@ def mixed_norm_sq(Y: np.ndarray, Z: np.ndarray, tree: ScenarioTree,
                   beta: float, b=1.0) -> float:
     """Slot-weighted Y part plus the Z norm: the contraction functional.
 
-    ``b`` is a per-slot weight array (or scalar).  With ``b = 1`` and a
-    purely discrete model this is ``y_norm_sq + z_norm_sq``.
+    ``b`` is a per-slot weight array (or scalar).  With ``b = 1`` this
+    is ``y_norm_sq + z_norm_sq``.
     """
     n = tree.n_slots
     P = tree.prob[:n]

@@ -307,11 +307,6 @@ def _residual(tree, Y, cm, f_path) -> float:
 # -- explicit linear solve ------------------------------------------------
 
 
-def _require_discrete(tree):
-    if np.any(tree.slot_dAc > 0):
-        raise ValueError("the model must be purely discrete (no continuous part)")
-
-
 def _backward(tree: ScenarioTree, xi_leaf: np.ndarray, parent_values):
     """Leaf-to-root sweep shared by every route; returns ``(Y, Z)``.
 
@@ -382,7 +377,6 @@ def solve_linear(problem: BsdeProblem) -> Solution:
             ``lip_z``; it is never solved as if frozen at (0, 0).
     """
     tree = problem.tree()
-    _require_discrete(tree)
     f_path = _path_values(problem, tree)
     return _solve_linear_path(tree, problem.terminal_values(tree), f_path)
 
@@ -507,7 +501,6 @@ def backward_oracle(problem: BsdeProblem) -> Solution:
     ``StepSingular`` from the blow-up regime.
     """
     tree = problem.tree()
-    _require_discrete(tree)
     f = problem.f
     Y, Z = _backward(tree, problem.terminal_values(tree),
                      lambda sl, cm, Zl: _implicit_level(tree, f, sl, cm, Zl))
@@ -525,7 +518,6 @@ def picard_map(problem: BsdeProblem, U: np.ndarray, V: np.ndarray) -> Solution:
     resulting linear equation exactly.
     """
     tree = problem.tree()
-    _require_discrete(tree)
     f_path = _eval_path(tree, problem.f, U, V)
     return _solve_linear_path(tree, problem.terminal_values(tree), f_path)
 
@@ -563,7 +555,6 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
             report so far is attached to the exception).
     """
     tree = problem.tree()
-    _require_discrete(tree)
     f, beta = problem.f, problem.beta
     eps_star = conditions.check_main_hypothesis(tree, f.lip_y)
     flagged = conditions.detect_counterexample(tree, f.lip_y)

@@ -132,7 +132,6 @@ def check_identity_lemma(problem, solution, t_index: int, beta=None) -> CheckRes
     the squared-drift atom correction.
     """
     tree = problem.tree()
-    solver._require_discrete(tree)
     beta = problem.beta if beta is None else beta
     f_path = solver._path_values(problem, tree)
     w = norms._slot_weights(tree, beta)
@@ -404,7 +403,6 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     # weighted Z integrand: every check below shares them
     Y, Z = solution.Y, solution.Z
     f_path = solver._eval_path(tree, problem.f, Y, Z)
-    solver._require_discrete(tree)
     E_end = tree.doleans_at_slot_end(beta)
     w = tree.prob[:tree.n_slots] * E_end
     z_part = w * norms.slot_z_contribution(Z, tree)
@@ -421,7 +419,7 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     # path inequality and a priori bound need beta > 0
     if beta > 0:
         results.append(_worst_integral_inequality(rng, beta, n_paths))
-        # y_norm_sq + z_norm_sq: on a discrete tree y_norm_sq is its atomic part
+        # y_norm_sq + z_norm_sq
         lhs = norms._weighted_y_sq(Y, tree, w) + z_sq
         results.append(_apriori_estimate(tree, Y, f_path, beta, E_end, lhs, c_scale))
     else:

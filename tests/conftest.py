@@ -35,14 +35,13 @@ def brute_doleans(tree, beta, node):
     while tree.parent[path[0]] >= 0:
         path.insert(0, int(tree.parent[path[0]]))
     val = 1.0
-    dAc = tree.model.continuous_increments
-    for k, nid in enumerate(path[:-1]):
-        val *= math.exp(beta * dAc[k]) * (1.0 + beta * float(tree.slot_dA[nid]))
+    for nid in path[:-1]:
+        val *= 1.0 + beta * float(tree.slot_dA[nid])
     return val
 
 
 def brute_y_norm(Y, tree, beta):
-    """Leafwise regrouping of the Y norm (purely discrete models)."""
+    """Leafwise regrouping of the Y norm."""
     total = 0.0
     for leaf, path in leaf_paths(tree):
         p = float(tree.prob[leaf])
@@ -342,8 +341,7 @@ def per_slot_oracle(problem, tol=1e-13):
 def scalar_path(model):
     """The same model with its scalar callables only (``batch`` dropped)."""
     return type(model)(marks=model.marks, grid=model.grid, jump_size=model.jump_size,
-                       mark_law=model.mark_law,
-                       continuous_increments=model.continuous_increments)
+                       mark_law=model.mark_law)
 
 
 def scalar_random_model(rng, K=None, m=None, max_horizon=6, max_marks=3,
@@ -412,7 +410,6 @@ def loop_identity_lemma(problem, solution, t_index, beta=None):
     """``check_identity_lemma`` recomputing every integrand for one grid time."""
     from treebsde import norms, solver, verification
     tree = problem.tree()
-    solver._require_discrete(tree)
     beta = problem.beta if beta is None else beta
     f_path = solver._path_values(problem, tree)
     j = int(t_index)

@@ -275,3 +275,27 @@ def test_solve_below_beta_min_agrees_with_the_oracle(tmp_path):
     summary = read_summary(out)
     assert summary["solver"]["y0_gap"] <= 1e-8
     assert summary["conditions"]["beta"] < summary["conditions"]["beta_min"]
+
+
+def test_iteration_rows_align_after_a_zero_distance(tmp_path):
+    # with c0 = 0 the first sweep lands on a zero b-weighted distance, so
+    # picard_solve records no ratio for row 2; row i carries (d_i/d_{i-1})^2
+    cfg = write_config(tmp_path,
+                      model={"preset": "two_state_rule",
+                             "params": {"K": 5, "m": 1, "a_after_jump": 0.3,
+                                        "a_after_no_jump": 0.6}},
+                      generator={"preset": "saturating",
+                                 "params": {"c0": 0.0, "cy": 0.4, "cz": 0.0}},
+                      terminal={"preset": "constant", "params": {"c": 1.0}},
+                      beta=0.05)
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    solver = read_summary(out)["solver"]
+    with open(out / "iterations.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    d = solver["diff_norms"]
+    assert d[0] == 0.0 and len(rows) == len(d) > 3
+    assert rows[0]["ratio_sq"] == rows[1]["ratio_sq"] == ""
+    for i in range(2, len(rows)):
+        assert float(rows[i]["ratio_sq"]) == pytest.approx((d[i] / d[i - 1]) ** 2, rel=1e-9)
+    assert [float(r["ratio_sq"]) for r in rows[2:]] == solver["ratio_sq"]

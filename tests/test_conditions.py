@@ -29,11 +29,6 @@ def test_hypothesis_violated_by_reciprocal_lipschitz():
     assert check_main_hypothesis(tree_const(1, 1, p), 1.0 / p) == pytest.approx(-1.0)
 
 
-def test_hypothesis_accepts_model_argument():
-    model = scenarios.deterministic_grid(K=1, m=1, a=1.0)
-    assert check_main_hypothesis(model, 0.5) == pytest.approx(0.5)
-
-
 # -- hat_Lz ----------------------------------------------------------------------
 
 

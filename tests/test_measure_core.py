@@ -13,14 +13,13 @@ from treebsde.measure_core import NO_JUMP
 from conftest import brute_doleans
 
 
-def constant_model(K, m, a, phi=None, dAc=None):
+def constant_model(K, m, a, phi=None):
     phi_vec = np.full(m, 1.0 / m) if phi is None else np.asarray(phi, float)
     return ScenarioModel(
         marks=MarkSpace.of_size(m),
         grid=np.linspace(0.0, 1.0, K + 1) if K else np.array([0.0]),
         jump_size=lambda k, hist: a,
         mark_law=lambda k, hist: phi_vec,
-        continuous_increments=dAc,
     )
 
 
@@ -78,7 +77,7 @@ def test_tree_invariants_on_random_models(seed):
     # branch masses at each slot sum to 1
     for s in range(tree.n_slots):
         ch = tree.children[s]
-        assert abs(tree.branch_prob[ch[ch >= 0]].sum() - 1.0) < 1e-14
+        assert abs((tree.prob[ch[ch >= 0]] / tree.prob[s]).sum() - 1.0) < 1e-14
         da = tree.slot_dA[s]
         if da == 1.0:
             assert ch[-1] == -1

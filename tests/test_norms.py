@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from treebsde import MarkSpace, ScenarioModel, build_tree, norms, scenarios
 
-from conftest import (brute_y_norm, brute_z_norm, jump_second_moment, scalar_hat_z,
-                      scalar_seminorm, vecdot_moments)
+from conftest import (brute_y_norm, brute_z_norm, jump_second_moment, leaf_paths,
+                      scalar_hat_z, scalar_seminorm, vecdot_moments)
 
 
 def slot_of(K=1, m=1, a=0.5, phi=None):
@@ -70,8 +70,8 @@ def test_y_norm_constant_one_is_expected_total_mass():
     rng = np.random.default_rng(3)
     tree = build_tree(scenarios.random_model(rng, K=4))
     # telescoping oracle: E[A_T] as a leafwise sum of the raw jump sizes
-    expected = sum(float(tree.prob[leaf]) * float(tree.cum_A[leaf])
-                   for leaf in range(tree.leaf_slice.start, tree.leaf_slice.stop))
+    expected = sum(float(tree.prob[leaf]) * sum(float(tree.slot_dA[nid]) for nid in path[:-1])
+                   for leaf, path in leaf_paths(tree))
     got = norms.y_norm_sq(np.ones(tree.n_nodes), tree, 0.0)
     assert got == pytest.approx(expected, rel=1e-13)
 
@@ -84,18 +84,6 @@ def test_y_norm_matches_brute_leafwise_sum(seed):
     beta = float(rng.uniform(0, 3))
     assert norms.y_norm_sq(Y, tree, beta) == pytest.approx(
         brute_y_norm(Y, tree, beta), rel=1e-12)
-
-
-def test_y_norm_continuous_part_closed_form():
-    # pure continuous path: E[int E_s dA^c] = (e^{beta A^c_T} - 1)/beta
-    model = scenarios.deterministic_grid(K=4, m=1, a=0.0)
-    model = type(model)(marks=model.marks, grid=model.grid,
-                        jump_size=model.jump_size, mark_law=model.mark_law,
-                        continuous_increments=np.full(4, 0.25))
-    tree = build_tree(model)
-    beta = 2.0
-    got = norms.y_norm_sq(np.ones(tree.n_nodes), tree, beta)
-    assert got == pytest.approx((np.exp(beta) - 1.0) / beta, rel=1e-13)
 
 
 # -- z_norm_sq --------------------------------------------------------------------

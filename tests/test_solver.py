@@ -134,16 +134,6 @@ def test_solve_linear_is_linear_in_data():
     assert s.Z == pytest.approx(s1.Z + lam * s2.Z, rel=1e-12, abs=1e-12)
 
 
-def test_solve_linear_rejects_continuous_part():
-    model = scenarios.deterministic_grid(K=2, m=1, a=0.5)
-    model = type(model)(marks=model.marks, grid=model.grid,
-                        jump_size=model.jump_size, mark_law=model.mark_law,
-                        continuous_increments=np.array([0.1, 0.0]))
-    with pytest.raises(ValueError, match="purely discrete"):
-        solve_linear(BsdeProblem(model=model, beta=1.0,
-                                 xi=scenarios.xi_constant(1.0), f=Generator.zero()))
-
-
 # -- implicit_step_solve ----------------------------------------------------------------
 
 

@@ -16,8 +16,8 @@ from treebsde.measure_core import ScenarioTree
 from conftest import (random_problem, scalar_path, scalar_random_model, scalar_terminals,
                       scalar_two_state_rule)
 
-TREE_ARRAYS = ("level_start", "parent", "outcome", "branch_prob", "prob", "cum_A",
-               "slot_dA", "slot_phi", "slot_dAc", "children", "depth")
+TREE_ARRAYS = ("level_start", "parent", "outcome", "prob", "slot_dA", "slot_phi",
+               "children", "depth")
 
 
 def assert_same_tree(a, b):

@@ -23,6 +23,8 @@ The case list:
 * a ``beta``, a relative ``beta`` and a ``delta`` sweep;
 * a K=0 tree under ``solve`` and ``verify``;
 * a ``solve`` and a ``verify`` with beta far below ``beta_min``;
+* a ``solve`` whose first fixed-point distance is exactly 0 (the
+  ``iterations.csv`` ratio column after a zero distance);
 * the built-in ``counterexample`` run.
 
 Reports carry no timings, so a case whose code did not change must match to
@@ -117,6 +119,14 @@ def cases() -> list[tuple[str, str, dict | None]]:
     for command in ("solve", "verify"):
         out.append((f"{command}-K0", command, k0))
         out.append((f"{command}-beta-below-beta-min", command, low_beta))
+    zero_first = {"model": {"preset": "two_state_rule",
+                            "params": {"K": 5, "m": 1, "a_after_jump": 0.3,
+                                       "a_after_no_jump": 0.6}},
+                  "generator": {"preset": "saturating",
+                                "params": {"c0": 0.0, "cy": 0.4, "cz": 0.0}},
+                  "terminal": {"preset": "constant", "params": {"c": 1.0}},
+                  "beta": 0.05}
+    out.append(("solve-zero-first-distance", "solve", zero_first))
     out.append(("counterexample", "counterexample", None))
     return out
 

@@ -11,6 +11,8 @@ with ``PYTHONPATH`` set to that tree's ``src`` and one BLAS thread.  A run
 times, once each and in this order:
 
 * ``build_tree``: enumerating the config's tree;
+* ``build_problem``: the rest of the CLI's problem set-up on that tree
+  (driver, terminal, hypothesis slack, ``beta_min``);
 * ``picard_solve``: the fixed-point solve ``treebsde verify`` runs;
 * ``backward_oracle``: the reference solve ``treebsde solve`` adds;
 * ``run_suite``: the check suite on the Picard solution, with the time
@@ -29,7 +31,11 @@ The cases:
 * ``two_state_k12_m2``: the ``two_state_rule`` model with K=12 and two
   marks (797,161 nodes), the saturating driver and beta = 8;
 * ``two_state_k13_m2``: the same model and driver with K=13 (2,391,484
-  nodes, about 0.5 GiB peak RSS).
+  nodes, about 0.5 GiB peak RSS);
+* ``pdmp_k11_m3``: unit jumps at every step (``pdmp_like``) with K=11 and
+  three marks (265,720 nodes), the ``affine_z`` driver, the ``last_mark``
+  terminal and ``beta = auto``: the ``sweep_unit_jumps`` workload's tree
+  two steps deeper.
 """
 
 from __future__ import annotations
@@ -63,8 +69,15 @@ def _cases() -> dict:
             "seed": 3,
         }
 
+    pdmp = {
+        "model": {"preset": "pdmp_like", "params": {"K": 11, "m": 3, "phi": [0.2, 0.3, 0.5]}},
+        "generator": {"preset": "affine_z", "params": {"c0": 0.1, "c1": 0.5}},
+        "terminal": {"preset": "last_mark", "params": {"mark": 0, "scale": 1.0}},
+        "beta": "auto",
+        "seed": 3,
+    }
     return {"verify_intensity_seed7": verify_cfg, "two_state_k12_m2": two_state(12),
-            "two_state_k13_m2": two_state(13)}
+            "two_state_k13_m2": two_state(13), "pdmp_k11_m3": pdmp}
 
 
 # the functions run_suite calls for each check; a tree has some of them
@@ -120,7 +133,9 @@ def _child(config_path: str) -> None:
     t0 = time.perf_counter()
     built = cli._build_tree(cfg)
     stages["build_tree"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     problem, diag = cli._build_problem(cfg, built)
+    stages["build_problem"] = time.perf_counter() - t0
     tree = problem.tree()
 
     t0 = time.perf_counter()

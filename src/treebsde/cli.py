@@ -96,8 +96,8 @@ class RunConfig:
         try:
             cfg.beta_margin = float(cfg.beta_margin)
             cfg.tol = float(cfg.tol)
-            cfg.max_iter = int(cfg.max_iter)
-            cfg.seed = int(cfg.seed)
+            cfg.max_iter = scenarios._whole(cfg.max_iter)
+            cfg.seed = scenarios._whole(cfg.seed)
             if cfg.seed < 0:
                 raise ValueError(f"seed {cfg.seed} is negative")
             if cfg.delta is not None:
@@ -181,7 +181,8 @@ def _build_terminal(spec):
     if preset == "jump_count":
         return scenarios.xi_jump_count(_num(p, "scale", 1.0))
     if preset == "last_mark":
-        return scenarios.xi_last_mark_indicator(_num(p, "mark", 0, int), _num(p, "scale", 1.0))
+        return scenarios.xi_last_mark_indicator(_num(p, "mark", 0, scenarios._whole),
+                                                _num(p, "scale", 1.0))
     raise ConfigError(f"unknown terminal preset {preset!r}")
 
 
@@ -202,24 +203,28 @@ def _build_tree(cfg: RunConfig):
         raise ConfigError(f"bad model: {exc}") from exc
 
 
-def _build_problem(cfg: RunConfig, built=None):
-    """Construct the problem and the condition diagnostics from a config.
+def _base_problem(cfg: RunConfig, built=None):
+    """``(problem at beta 0, its solver._setup_of)``: all of a config's problem but beta.
 
-    ``built`` is a ``(model, tree)`` pair from ``_build_tree`` to reuse;
-    it must come from a config with the same model section.
+    ``built`` as in ``_build_problem``.
     """
     model, tree = built or _build_tree(cfg)
     gen = _build_generator(cfg.generator, tree)
-    xi = _build_terminal(cfg.terminal)
+    problem = solver.BsdeProblem(model=model, beta=0.0, xi=_build_terminal(cfg.terminal),
+                                 f=gen, _tree=tree)
+    return problem, solver._setup_of(problem, cfg.delta)
 
-    eps_star = conditions.check_main_hypothesis(tree, gen.lip_y)
-    flagged = conditions.detect_counterexample(tree, gen.lip_y)
-    delta = cfg.delta
-    if delta is None and eps_star > 0:
-        delta = eps_star / 2.0
-    beta_min = None
-    if eps_star > 0 and delta is not None and 0 < delta < eps_star:
-        beta_min = conditions.beta_threshold(tree, gen.lip_y, gen.lip_z, delta)
+
+def _build_problem(cfg: RunConfig, built=None, base=None):
+    """Construct the problem and the condition diagnostics from a config.
+
+    Reused parts must come from a config like ``cfg``: ``built`` (a
+    ``(model, tree)`` pair from ``_build_tree``) from one with the same
+    model section, ``base`` (a ``_base_problem`` pair) from one that
+    differs at most in ``beta`` and ``beta_margin``.
+    """
+    base_problem, setup = base or _base_problem(cfg, built)
+    eps_star, delta, beta_min = setup.eps_star, setup.delta, setup.beta_min
     # an explicit delta the contraction weights cannot use is refused, as
     # picard_solve refuses it; a violated hypothesis is reported instead
     bad_delta = eps_star > 0 and beta_min is None
@@ -235,7 +240,7 @@ def _build_problem(cfg: RunConfig, built=None):
     if beta < 0:
         raise ConfigError(f"beta {beta!r} is negative")
 
-    problem = solver.BsdeProblem(model=model, beta=beta, xi=xi, f=gen, _tree=tree)
+    problem = replace(base_problem, beta=beta, _setup=setup)
     diag = {
         "epsilon_star": eps_star,
         "beta_min": beta_min,
@@ -244,7 +249,7 @@ def _build_problem(cfg: RunConfig, built=None):
         "flagged": [
             {"step": s.step, "history": list(s.history),
              "delta_A": s.delta_A, "value": v}
-            for s, v in flagged
+            for s, v in setup.flagged
         ],
     }
     return problem, diag
@@ -399,6 +404,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep param must be one of beta, delta, K")
     try:
         values = [float(v) for v in cfg.sweep.get("values", [])]
+        if param == "K":
+            horizons = [scenarios._whole(v) for v in values]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad sweep value: {exc}") from exc
     out = Path(cfg.out)
@@ -406,20 +413,22 @@ def cmd_sweep(cfg: RunConfig) -> int:
     rows = []
     # beta and delta leave the model alone: one tree serves every value
     built = _build_tree(cfg) if param != "K" and values else None
+    # beta leaves the driver, terminal and delta alone too: one set-up
+    base = _base_problem(cfg, built) if param == "beta" and values else None
     relative = param == "beta" and values and cfg.sweep.get("relative_to_beta_min")
     if relative:
-        beta_min = _build_problem(cfg, built)[1]["beta_min"]
+        beta_min = _build_problem(cfg, base=base)[1]["beta_min"]
         if beta_min is None:
             raise ConfigError("relative beta sweep needs a valid beta_min")
-    for v in values:
+    for i, v in enumerate(values):
         if param == "beta":
             sub = replace(cfg, beta=v * beta_min if relative else v)
         elif param == "delta":
             sub = replace(cfg, delta=v)
         else:
             sub = replace(cfg, model={**cfg.model,
-                                      "params": {**cfg.model.get("params", {}), "K": int(v)}})
-        problem, diag = _build_problem(sub, built)
+                                      "params": {**cfg.model.get("params", {}), "K": horizons[i]}})
+        problem, diag = _build_problem(sub, built, base)
         try:
             sol, rep = solver.picard_solve(problem, tol=sub.tol,
                                            max_iter=sub.max_iter, delta=diag["delta"])
@@ -465,7 +474,8 @@ def cmd_counterexample(cfg: RunConfig) -> int:
     _refuse_ignored(cfg)
     params = cfg.model.get("params", {})
     p = _num(params, "p", 0.5)
-    K, t0_index = _num(params, "K", 1, int), _num(params, "t0_index", 0, int)
+    K = _num(params, "K", 1, scenarios._whole)
+    t0_index = _num(params, "t0_index", 0, scenarios._whole)
     xi_scale = _num(cfg.terminal.get("params", {}), "c", 5e4)
     try:
         model, gen = scenarios.counterexample_model(p, t0_index=t0_index, K=K)

@@ -104,13 +104,16 @@ def contraction_profile_H(delta: float, lip_y: float, delta_A: float):
     return h, H, float(ell_star)
 
 
-def _threshold(tree: ScenarioTree, lip_y: float, lip_z: float, delta: float):
+def _threshold(tree: ScenarioTree, lip_y: float, lip_z: float, delta: float,
+               eps_star: float | None = None):
     """Hypothesis slack, per-slot ``hat`` and ``beta_min`` with their checks.
 
     The one home of the threshold data ``beta_threshold`` returns and
-    ``contraction_profile`` builds on.
+    ``contraction_profile`` builds on.  ``eps_star`` is the slack, if the
+    caller has it.
     """
-    eps_star = check_main_hypothesis(tree, lip_y)
+    if eps_star is None:
+        eps_star = check_main_hypothesis(tree, lip_y)
     if not 0.0 < delta < eps_star:
         raise ValueError("delta must lie strictly between 0 and the hypothesis slack")
     da = tree.slot_dA
@@ -162,7 +165,13 @@ def contraction_profile(tree: ScenarioTree, lip_y: float, lip_z: float,
     ``b = min(beta - 1/c, beta/(1+beta dA) - 1/d)``, with ``hat`` from
     ``hat_Lz``.
     """
-    eps_star, hat, beta_min = _threshold(tree, lip_y, lip_z, delta)
+    return _profile(tree, *_threshold(tree, lip_y, lip_z, delta), beta, delta)
+
+
+def _profile(tree: ScenarioTree, eps_star: float, hat: np.ndarray, beta_min: float,
+             beta: float, delta: float) -> ContractionProfile:
+    # contraction_profile from the threshold data of _threshold at delta;
+    # of the slot weights only b depends on beta
     da = tree.slot_dA
     c = (1.0 - delta) / (2.0 * hat)
     d = c + da

@@ -202,8 +202,10 @@ class ScenarioTree:
     Nodes are stored level by level; ``level_start[k] : level_start[k+1]``
     slices depth ``k``.  Children of a node at depth ``k``: one per mark
     when ``delta_A > 0`` plus a no-jump child when ``delta_A < 1``, in
-    that order.  Internal nodes double as slots, so slot arrays are
-    indexed by the parent's node id.  ``level_histories[k]`` is the
+    that order; a level's children are consecutive nodes in slot order,
+    so a level whose slots share their branch kinds has them as one
+    ``(slots, children per slot)`` block.  Internal nodes double as slots,
+    so slot arrays are indexed by the parent's node id.  ``level_histories[k]`` is the
     ``(n_k, k)`` int8 matrix of the histories of depth ``k``, one row per
     node in node order.
     """
@@ -220,6 +222,17 @@ class ScenarioTree:
         self.slot_phi = slot_phi
         self.children = children
         self.depth = np.repeat(np.arange(level_start.size - 1), np.diff(level_start))
+        # (start, stop) of a slot level -> (columns, nodes) when its children
+        # are the nodes ``nodes`` in slot and column order, filling ``columns``
+        # of every slot: the levels whose slots share their branch kinds
+        self._child_blocks = {}
+        for k in range(self.horizon):
+            sl, nodes = self.depth_slice(k), self.depth_slice(k + 1)
+            ch = children[sl]
+            filled = np.nonzero(ch[0] >= 0)[0]
+            cols = slice(int(filled[0]), int(filled[-1]) + 1)
+            if np.array_equal(ch[:, cols].ravel(), np.arange(nodes.start, nodes.stop)):
+                self._child_blocks[sl.start, sl.stop] = cols, nodes
         self._doleans_cache: dict[float, np.ndarray] = {}
         self._views: list[SlotView | None] = [None] * int(level_start[-2])
         self._histories: list[tuple] | None = None

@@ -164,10 +164,12 @@ def _canonical_rows(Z: np.ndarray, delta_A: np.ndarray, phi: np.ndarray) -> np.n
     Rows with ``delta_A = 0`` are zeroed; rows with ``delta_A = 1`` are
     centered to ``sum(Z * phi) = 0``.
     """
-    Z[delta_A == 0.0] = 0.0
     unit = delta_A == 1.0
-    if np.any(unit):
-        Z[unit] -= np.einsum("sm,sm->s", Z[unit], phi[unit])[:, None]
+    if np.all(unit):
+        Z -= np.einsum("sm,sm->s", Z, phi)[:, None]
+    elif np.any(unit):   # every row's mean, subtracted on the unit rows only
+        np.subtract(Z, np.einsum("sm,sm->s", Z, phi)[:, None], out=Z, where=unit[:, None])
+    Z[delta_A == 0.0] = 0.0
     return Z
 
 

@@ -36,8 +36,15 @@ __all__ = [
 ]
 
 
+def _whole(value) -> int:
+    """``int(value)`` of a whole number; a fraction is refused, never truncated."""
+    if not isinstance(value, str) and value % 1:   # nan and inf too
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def _uniform_grid(K: int, T: float = 1.0) -> np.ndarray:
-    return np.linspace(0.0, float(T), int(K) + 1)
+    return np.linspace(0.0, float(T), _whole(K) + 1)
 
 
 def _law_vector(phi, m) -> np.ndarray:
@@ -60,6 +67,7 @@ def _uniform_model(K: int, m: int, jump_size, jump_sizes, phi=None,
     form of one rule.  A callable ``phi`` is a scalar ``(k, history)``
     law, which keeps the whole model on the scalar path.
     """
+    m = _whole(m)
     marks = MarkSpace.of_size(m)      # rejects m = 0 before the uniform law divides by it
     batch = None
     if not callable(phi):
@@ -84,7 +92,7 @@ def jump_counts(H: np.ndarray) -> np.ndarray:
 
 def deterministic_grid(K: int, m: int, a, phi=None, T: float = 1.0) -> ScenarioModel:
     """Deterministic step sizes: ``a`` is a constant or per-step array in [0, 1]."""
-    a_arr = np.broadcast_to(np.asarray(a, dtype=float), (int(K),)).copy()
+    a_arr = np.broadcast_to(np.asarray(a, dtype=float), (_whole(K),)).copy()
     if np.any(a_arr < 0) or np.any(a_arr > 1):
         raise ValueError("jump sizes must lie in [0, 1]")
     return _uniform_model(K, m, lambda k, hist: float(a_arr[k]),
@@ -99,6 +107,7 @@ def predictable_random_jumps(K: int, m: int, rule, phi=None, T: float = 1.0) -> 
     same-depth histories.  ``rule`` is scalar, so the tree is built row
     by row; the ``two_state_rule`` preset is the level-batch example.
     """
+    m = _whole(m)
     return ScenarioModel(
         marks=MarkSpace.of_size(m),
         grid=_uniform_grid(K, T),
@@ -164,6 +173,7 @@ def counterexample_model(p: float, t0_index: int = 0, K: int = 1,
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
+    K, t0_index, m = _whole(K), _whole(t0_index), _whole(m)
     if not 0 <= t0_index < K:
         raise ValueError("t0_index must address a step of the grid")
     model = deterministic_grid(K, m, np.where(np.arange(K) == t0_index, float(p), 0.0), T=T)

@@ -186,6 +186,8 @@ class BsdeProblem:
     xi: Callable[[tuple], float]
     f: Generator
     _tree: ScenarioTree | None = field(default=None, repr=False, compare=False)
+    # the beta-free data of this tree, xi and f, shared across beta
+    _setup: _Setup | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.beta < 0:
@@ -239,6 +241,42 @@ def batched_terminal(fn, scalar=None) -> Callable[[tuple], float]:
     return xi
 
 
+@dataclass(frozen=True)
+class _Setup:
+    """What ``picard_solve`` reads of a problem that does not depend on ``beta``.
+
+    The leaf values, the hypothesis slack and flagged slots, and at
+    ``delta`` (half the slack unless given) ``conditions._threshold``'s
+    ``hat`` and ``beta_min``, None unless ``0 < delta < eps_star``.
+    Read-only.
+    """
+
+    xi_leaf: np.ndarray
+    eps_star: float
+    flagged: tuple
+    delta: float | None
+    hat: np.ndarray | None
+    beta_min: float | None
+
+
+def _setup_of(problem: BsdeProblem, delta: float | None = None) -> _Setup:
+    """The beta-free set-up of ``problem`` at ``delta``; ``problem.beta`` is not read."""
+    tree, f = problem.tree(), problem.f
+    eps_star = conditions.check_main_hypothesis(tree, f.lip_y)
+    flagged = tuple(conditions.detect_counterexample(tree, f.lip_y))
+    if delta is None and eps_star > 0.0:
+        delta = eps_star / 2.0
+    hat = beta_min = None
+    if delta is not None and 0.0 < delta < eps_star:
+        _, hat, beta_min = conditions._threshold(tree, f.lip_y, f.lip_z, delta, eps_star)
+    return _Setup(problem.terminal_values(tree), eps_star, flagged, delta, hat, beta_min)
+
+
+def _leaf_values(problem: BsdeProblem, tree: ScenarioTree) -> np.ndarray:
+    setup = problem._setup
+    return problem.terminal_values(tree) if setup is None else setup.xi_leaf
+
+
 @dataclass
 class Solution:
     """Solution pair on the tree plus the martingale-part diagnostic."""
@@ -268,9 +306,24 @@ class SolveReport:
 
 
 def _child_values(tree: ScenarioTree, Y: np.ndarray, sl: slice) -> np.ndarray:
-    ch = tree.children[sl]
-    V = Y[np.maximum(ch, 0)]
-    V[ch < 0] = 0.0
+    """Children's values of the slots ``sl``: one column per outcome, 0 where none.
+
+    A level whose slots share their branch kinds has its children as one
+    block of nodes, read as a reshape of ``Y`` (a view of ``Y`` when every
+    column is filled); any other slice gathers through ``tree.children``.
+    """
+    block = tree._child_blocks.get((sl.start, sl.stop))
+    if block is None:
+        ch = tree.children[sl]
+        V = Y[np.maximum(ch, 0)]
+        V[ch < 0] = 0.0
+        return V
+    cols, nodes = block
+    kids = Y[nodes].reshape(sl.stop - sl.start, cols.stop - cols.start)
+    if cols.stop - cols.start == tree.n_marks + 1:
+        return kids
+    V = np.zeros((kids.shape[0], tree.n_marks + 1))
+    V[:, cols] = kids
     return V
 
 
@@ -289,8 +342,11 @@ def _represent_block(tree, V, sl):
 
 def conditional_means(tree: ScenarioTree, Y: np.ndarray) -> np.ndarray:
     """Per-slot conditional mean of the children's Y values."""
-    sl = slice(0, tree.n_slots)
-    return _cond_means(tree, _child_values(tree, Y, sl), sl)
+    cm = np.empty(tree.n_slots)
+    for k in range(tree.horizon):
+        sl = tree.slot_level_slice(k)
+        cm[sl] = _cond_means(tree, _child_values(tree, Y, sl), sl)
+    return cm
 
 
 def bsde_residual(tree: ScenarioTree, Y: np.ndarray, f_path: np.ndarray) -> float:
@@ -378,7 +434,7 @@ def solve_linear(problem: BsdeProblem) -> Solution:
     """
     tree = problem.tree()
     f_path = _path_values(problem, tree)
-    return _solve_linear_path(tree, problem.terminal_values(tree), f_path)
+    return _solve_linear_path(tree, _leaf_values(problem, tree), f_path)
 
 
 # -- implicit one-step solve ----------------------------------------------
@@ -502,7 +558,7 @@ def backward_oracle(problem: BsdeProblem) -> Solution:
     """
     tree = problem.tree()
     f = problem.f
-    Y, Z = _backward(tree, problem.terminal_values(tree),
+    Y, Z = _backward(tree, _leaf_values(problem, tree),
                      lambda sl, cm, Zl: _implicit_level(tree, f, sl, cm, Zl))
     return _with_martingale(tree, Y, Z, _eval_path(tree, f, Y, Z))
 
@@ -519,7 +575,7 @@ def picard_map(problem: BsdeProblem, U: np.ndarray, V: np.ndarray) -> Solution:
     """
     tree = problem.tree()
     f_path = _eval_path(tree, problem.f, U, V)
-    return _solve_linear_path(tree, problem.terminal_values(tree), f_path)
+    return _solve_linear_path(tree, _leaf_values(problem, tree), f_path)
 
 
 def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
@@ -535,7 +591,8 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
     is reported but never stops it: with every b-weight 0 (``beta`` far
     below ``beta_min``) that distance vanishes away from the solution.
     The norm weights are built once per solve, and the martingale part
-    once, for the returned pair.
+    once, for the returned pair.  Problems that differ only in ``beta``
+    share their beta-free set-up (``_Setup``) when given its ``delta``.
 
     Args:
         delta: contraction margin; with ``beta > 0`` and the hypothesis
@@ -556,21 +613,22 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
     """
     tree = problem.tree()
     f, beta = problem.f, problem.beta
-    eps_star = conditions.check_main_hypothesis(tree, f.lip_y)
-    flagged = conditions.detect_counterexample(tree, f.lip_y)
+    setup = problem._setup
+    if setup is None or delta != setup.delta:
+        setup = _setup_of(problem, delta)
+    eps_star, flagged = setup.eps_star, list(setup.flagged)
     if check_hypothesis and eps_star <= 0.0:
         raise ConditionViolated(
             f"main hypothesis violated: slack {eps_star}", flagged=flagged)
     if check_hypothesis and beta > 0.0 and delta is not None and not 0.0 < delta < eps_star:
         raise ValueError(f"delta {delta!r} outside (0, {eps_star!r}), "
                          "the range the contraction weights need")
-    if delta is None and eps_star > 0.0:
-        delta = eps_star / 2.0
+    delta = setup.delta
     profile = None
     beta_min = np.nan
     b = np.ones(tree.n_slots)
-    if delta is not None and 0.0 < delta < eps_star and beta > 0.0:
-        profile = conditions.contraction_profile(tree, f.lip_y, f.lip_z, beta, delta)
+    if setup.hat is not None and beta > 0.0:
+        profile = conditions._profile(tree, eps_star, setup.hat, setup.beta_min, beta, delta)
         beta_min = profile.beta_min
         b = np.maximum(profile.b, 0.0)
 
@@ -580,7 +638,7 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
     else:
         U, V = np.array(initial.Y, dtype=float), np.array(initial.Z, dtype=float)
 
-    xi_leaf = problem.terminal_values(tree)
+    xi_leaf = setup.xi_leaf
     f_path = _eval_path(tree, f, U, V)
     # the weights of mixed_norm_sq, once; cm: the conditional means of a sweep
     n = tree.n_slots

@@ -312,16 +312,16 @@ def check_solution_jump_identity(solution, problem) -> CheckResult:
 
 def _jump_identity(tree, Y, Z, f_path) -> CheckResult:
     # f_path: the driver along (Y, Z), one value per slot
-    n = tree.n_slots
     zh = norms.hat_z_rows(Z, tree.block(slice(None)))
     f_dA = f_path * tree.slot_dA
-    # one outcome column at a time: child value minus the expected
-    # parent + g(outcome) - f dA; the last column is the no-jump child
+    # one level at a time: child value minus the expected parent
+    # + g(outcome) - f dA; the last column is the no-jump child
     worst = 0.0
-    for c, ch in enumerate(tree.children.T):
-        g = Z[:, c] - zh if c < tree.n_marks else -zh
-        expected = Y[:n] + g - f_dA
-        res = np.where(ch >= 0, Y[np.maximum(ch, 0)] - expected, 0.0)
+    for k in range(tree.horizon):
+        sl = tree.slot_level_slice(k)
+        g = np.concatenate([Z[sl] - zh[sl, None], -zh[sl, None]], axis=1)
+        expected = Y[sl, None] + g - f_dA[sl, None]
+        res = np.where(tree.children[sl] >= 0, solver._child_values(tree, Y, sl) - expected, 0.0)
         worst = np.max(np.abs(res), initial=worst)
     return _inequality("jump_identity", float(worst), 0.0, slack=JUMP_SLACK)
 

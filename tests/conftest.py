@@ -335,6 +335,48 @@ def per_slot_oracle(problem, tol=1e-13):
     return Y, Z
 
 
+# -- gather forms of the level kernels ---------------------------------------------
+
+
+def gather_child_values(tree, Y, sl):
+    """Children's values of the slots ``sl`` through ``tree.children``, 0 where none.
+
+    The one gather every slice takes; ``solver._child_values``, which reads
+    a level of uniform branch kinds as a block of ``Y``, must match it to
+    the bit.
+    """
+    ch = tree.children[sl]
+    V = Y[np.maximum(ch, 0)]
+    V[ch < 0] = 0.0
+    return V
+
+
+def masked_canonical_rows(Z, delta_A, phi):
+    """``norms._canonical_rows`` by boolean gathers and scatters of the rows."""
+    Z[delta_A == 0.0] = 0.0
+    unit = delta_A == 1.0
+    if np.any(unit):
+        Z[unit] -= np.einsum("sm,sm->s", Z[unit], phi[unit])[:, None]
+    return Z
+
+
+def gather_linear_sweep(tree, xi_leaf, f_path):
+    """The linear backward sweep on the two gather forms above: ``(Y, Z, cm)``."""
+    from treebsde.solver import _cond_means
+    Y = np.empty(tree.n_nodes)
+    Y[tree.leaf_slice] = xi_leaf
+    Z = np.zeros((tree.n_slots, tree.n_marks))
+    cm = np.empty(tree.n_slots)
+    for k in range(tree.horizon - 1, -1, -1):
+        sl = tree.slot_level_slice(k)
+        V = gather_child_values(tree, Y, sl)
+        Z[sl] = masked_canonical_rows(V[:, :-1] - V[:, -1][:, None],
+                                      tree.slot_dA[sl], tree.slot_phi[sl])
+        cm[sl] = _cond_means(tree, V, sl)
+        Y[sl] = cm[sl] + f_path[sl] * tree.slot_dA[sl]
+    return Y, Z, cm
+
+
 # -- scalar twins of the level-batch model and terminal forms ----------------------
 
 

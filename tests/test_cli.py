@@ -299,3 +299,96 @@ def test_iteration_rows_align_after_a_zero_distance(tmp_path):
     for i in range(2, len(rows)):
         assert float(rows[i]["ratio_sq"]) == pytest.approx((d[i] / d[i - 1]) ** 2, rel=1e-9)
     assert [float(r["ratio_sq"]) for r in rows[2:]] == solver["ratio_sq"]
+
+
+# -- whole-number parameters ----------------------------------------------------------
+
+GRID = {"preset": "deterministic_grid", "params": {"K": 2, "m": 2, "a": 0.5}}
+
+
+def _with(section, **params):
+    return {**section, "params": {**section["params"], **params}}
+
+
+# one config per entry point that reads a whole number; each ran truncated
+WHOLE_NUMBER_CASES = {
+    "two_state_rule-K": ("solve", {"model": {"preset": "two_state_rule",
+                                             "params": {"K": 2.5, "m": 2, "a_after_jump": 0.3,
+                                                        "a_after_no_jump": 0.6}}}),
+    "deterministic_grid-K": ("solve", {"model": _with(GRID, K=2.5)}),
+    "sweep-K": ("sweep", {"model": GRID, "sweep": {"param": "K", "values": [2, 2.5]}}),
+    "counterexample-K": ("counterexample", {"model": {"preset": "counterexample",
+                                                      "params": {"K": 2.5}}}),
+    "counterexample-t0_index": ("counterexample", {"model": {"preset": "counterexample",
+                                                             "params": {"K": 2, "t0_index": 0.5}}}),
+    "last_mark-mark": ("solve", {"model": GRID,
+                                 "terminal": {"preset": "last_mark", "params": {"mark": 1.5}}}),
+    "max_iter": ("solve", {"model": GRID, "max_iter": 2.5}),
+    "seed": ("verify", {"model": GRID, "seed": 1.5}),
+}
+
+
+@pytest.mark.parametrize("case", WHOLE_NUMBER_CASES)
+def test_a_fractional_whole_number_is_a_config_error(tmp_path, capsys, case):
+    command, config = WHOLE_NUMBER_CASES[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"beta": 1.0, **config} if command != "counterexample"
+                               else config))
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command,whole,integral", [
+    ("solve", {"model": _with(GRID, K=3, m=2)}, {"model": _with(GRID, K=3.0, m=2.0)}),
+    ("solve", {"model": GRID, "terminal": {"preset": "last_mark", "params": {"mark": 1}}},
+     {"model": GRID, "terminal": {"preset": "last_mark", "params": {"mark": 1.0}}}),
+    ("verify", {"model": GRID, "seed": 5, "max_iter": 40},
+     {"model": GRID, "seed": 5.0, "max_iter": 40.0}),
+    ("sweep", {"model": GRID, "sweep": {"param": "K", "values": [1, 3]}},
+     {"model": GRID, "sweep": {"param": "K", "values": [1.0, 3.0]}}),
+])
+def test_an_integral_float_runs_as_its_integer(tmp_path, command, whole, integral):
+    reports = []
+    for name, config in (("whole", whole), ("integral", integral)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"beta": 1.0, **config}))
+        out = tmp_path / name
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert reports[0] == reports[1]
+
+
+def test_counterexample_takes_integral_floats(tmp_path):
+    reports = []
+    for name, params in (("whole", {"K": 2, "t0_index": 1}),
+                         ("integral", {"K": 2.0, "t0_index": 1.0})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"model": {"preset": "counterexample", "params": params},
+                                    "terminal": {"preset": "constant", "params": {"c": 5e4}}}))
+        out = tmp_path / name
+        assert cli.main(["counterexample", "--config", str(path), "--out", str(out)]) == 0
+        reports.append((out / "summary.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_beta_sweep_sets_up_once(tmp_path, monkeypatch):
+    # the leaf values and the threshold data do not depend on beta
+    calls = {"terminal": 0, "threshold": 0}
+    terminal, threshold = cli.solver.BsdeProblem.terminal_values, cli.conditions._threshold
+
+    def count(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli.solver.BsdeProblem, "terminal_values", count("terminal", terminal))
+    monkeypatch.setattr(cli.conditions, "_threshold", count("threshold", threshold))
+    cfg = write_config(tmp_path, generator={"preset": "affine_y",
+                                            "params": {"c0": 0.1, "c1": 0.3}},
+                       sweep={"param": "beta", "values": [1.0, 2.0, 4.0],
+                              "relative_to_beta_min": True})
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert calls == {"terminal": 1, "threshold": 1}

@@ -6,10 +6,12 @@ from treebsde import (BsdeProblem, ConditionViolated, Generator, NoConvergence,
                       norms, picard_map, picard_solve, solve_linear)
 from treebsde import scenarios
 from treebsde.solver import (Solution, bsde_residual, conditional_means, _child_values,
-                             _cond_means, _eval_path, _represent_block)
+                             _cond_means, _eval_path, _linear_sweep, _represent_block)
+from treebsde.verification import check_solution_jump_identity
 
-from conftest import (random_linear_problem, random_problem, random_terminal,
-                      represent_martingale)
+from conftest import (full_matrix_jump_identity, gather_child_values, gather_linear_sweep,
+                      masked_canonical_rows, random_linear_problem, random_problem,
+                      random_terminal, represent_martingale)
 
 
 def slot_of(K=1, m=1, a=0.5, phi=None):
@@ -76,6 +78,118 @@ def test_level_representation_matches_the_slot_oracle():
             exists = tree.children[s] >= 0
             assert np.max(np.abs(V[s][exists] - (cm[s] + g[exists]))) <= 1e-13
     assert seen == {0.0, 1.0, "inner"}
+
+
+# -- child layout: levels read as blocks, levels that mix branch kinds ----------------
+#
+# two_state_rule with a_after_jump 0 or 1 and an interior a_after_no_jump
+# mixes dA = 0 or dA = 1 slots with interior ones on every level past the
+# first, the only input of the gather path; the other models are all blocks
+
+
+def _law(m):
+    w = np.arange(1.0, m + 1.0)
+    return w / w.sum()
+
+
+def _mixed_model(m, a_jump, K=5):
+    return scenarios.two_state_rule(K, m, a_jump, 0.35, phi=_law(m))
+
+
+# (model, number of levels read as blocks)
+LAYOUT_MODELS = (
+    [pytest.param(_mixed_model(m, a), 1, id=f"mixed-m{m}-a{a:g}")
+     for m in range(1, 5) for a in (0.0, 1.0)]
+    + [pytest.param(scenarios.pdmp_like(4, m, phi=_law(m)), 4, id=f"unit-m{m}")
+       for m in (1, 3)]
+    + [pytest.param(scenarios.deterministic_grid(4, 3, [0.4, 0.0, 1.0, 0.7], phi=_law(3)), 4,
+                    id="kinds-by-step")])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _signed_values(rng, n):
+    # mixed magnitudes with exact +0.0 and -0.0 entries: the sign of a zero
+    # is part of the bits
+    v = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-4, 5, n)
+    v[rng.random(n) < 0.05] = 0.0
+    v[rng.random(n) < 0.05] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("model,blocks", LAYOUT_MODELS)
+def test_block_levels_are_the_levels_of_one_branch_kind(model, blocks):
+    tree = build_tree(model)
+    for k in range(tree.horizon):
+        sl = tree.slot_level_slice(k)
+        kinds = {0.0 if d == 0.0 else 1.0 if d == 1.0 else "inner" for d in tree.slot_dA[sl]}
+        assert ((sl.start, sl.stop) in tree._child_blocks) == (len(kinds) == 1)
+    assert len(tree._child_blocks) == blocks
+
+
+@pytest.mark.parametrize("model,blocks", LAYOUT_MODELS)
+def test_level_kernels_equal_the_gather_forms_to_the_bit(model, blocks):
+    tree = build_tree(model)
+    rng = np.random.default_rng(tree.n_nodes)
+    buf = _signed_values(rng, tree.n_nodes + 7)
+    for off in (0, 1, 3, 7):     # views of Y at odd offsets
+        Y = buf[off:off + tree.n_nodes]
+        for k in range(tree.horizon):
+            sl = tree.slot_level_slice(k)
+            V, Vg = _child_values(tree, Y, sl), gather_child_values(tree, Y, sl)
+            assert _bits(V) == _bits(Vg)
+            assert _bits(_cond_means(tree, V, sl)) == _bits(_cond_means(tree, Vg, sl))
+            Zg = masked_canonical_rows(Vg[:, :-1] - Vg[:, -1][:, None],
+                                       tree.slot_dA[sl], tree.slot_phi[sl])
+            assert _bits(_represent_block(tree, V, sl)) == _bits(Zg)
+        whole = slice(0, tree.n_slots)
+        assert (_bits(conditional_means(tree, Y))
+                == _bits(_cond_means(tree, gather_child_values(tree, Y, whole), whole)))
+    Z = _signed_values(rng, tree.n_slots * tree.n_marks).reshape(tree.n_slots, -1)
+    assert _bits(norms.canonical_field(Z, tree)) == _bits(
+        masked_canonical_rows(Z.copy(), tree.slot_dA, tree.slot_phi))
+    xi_leaf = _signed_values(rng, tree.n_nodes - tree.n_slots)
+    f_path = _signed_values(rng, tree.n_slots)
+    cm = np.empty(tree.n_slots)
+    Y, Z = _linear_sweep(tree, xi_leaf, f_path, cm)
+    oracle = gather_linear_sweep(tree, xi_leaf, f_path)
+    assert [_bits(a) for a in (Y, Z, cm)] == [_bits(a) for a in oracle]
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("a_jump", [0.0, 1.0])
+def test_routes_agree_on_levels_that_mix_branch_kinds(m, a_jump):
+    model = _mixed_model(m, a_jump)
+    tree = build_tree(model)
+    xi = scenarios.xi_jump_count(0.8)
+
+    def path(block, y, zeta):
+        return 0.2 + 0.3 * np.cos(block.step + 2.0 * block.delta_A)
+
+    linear = BsdeProblem(model=model, beta=2.0, xi=xi,
+                         f=Generator.batched(path, 0.0, 0.0), _tree=tree)
+    routes = [solve_linear(linear), picard_solve(linear)[0], backward_oracle(linear)]
+    for other in routes[1:]:
+        assert np.max(np.abs(other.Y - routes[0].Y)) <= 1e-8
+        assert np.max(np.abs(other.Z - routes[0].Z)) <= 1e-8
+
+    def feedback(block, y, zeta):
+        return (path(block, y, zeta) + 0.4 * np.tanh(y)
+                + 0.5 * np.tanh(norms.lipschitz_seminorm_rows(zeta, block)))
+
+    problem = BsdeProblem(model=model, beta=2.0, xi=xi,
+                          f=Generator.batched(feedback, 0.4, 0.5), _tree=tree)
+    sol, rep = picard_solve(problem)
+    oracle = backward_oracle(problem)
+    assert rep.converged
+    assert np.max(np.abs(sol.Y - oracle.Y)) <= 1e-8
+    assert np.max(np.abs(sol.Z - oracle.Z)) <= 1e-8
+    for case in (sol, oracle):
+        r = check_solution_jump_identity(case, problem)
+        full = full_matrix_jump_identity(case, problem)
+        assert (r.lhs.hex(), r.passed) == (full.lhs.hex(), full.passed)
 
 
 # -- solve_linear --------------------------------------------------------------------
@@ -420,3 +534,36 @@ def test_picard_diagnostics_are_those_of_the_returned_pair(seed):
     b = np.maximum(rep.profile.b, 0.0)
     dsq = norms.mixed_norm_sq(sol.Y - prev.Y, sol.Z - prev.Z, tree, problem.beta, b)
     assert rep.diff_norms[-1].hex() == float(np.sqrt(dsq)).hex()
+
+
+# -- the beta-free set-up ------------------------------------------------------------------
+
+
+def _report_bits(sol, rep):
+    return ([_bits(a) for a in (sol.Y, sol.Z, sol.martingale, rep.profile.b)],
+            [float(x).hex() for x in rep.diff_norms + rep.ratio_sq + rep.y_sup],
+            rep.residual.hex(), rep.beta_min.hex(), rep.delta, rep.epsilon_star,
+            [(s.index, v) for s, v in rep.flagged])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_picard_reads_a_shared_setup_and_keeps_every_bit(seed, monkeypatch):
+    from dataclasses import replace
+    from treebsde import conditions
+    from treebsde.solver import _setup_of
+    problem, delta = random_problem(np.random.default_rng(900 + seed), max_horizon=5)
+    fresh = [_report_bits(*picard_solve(replace(problem, beta=problem.beta * f), delta=delta))
+             for f in (1.0, 2.0, 4.0)]
+    setup = _setup_of(problem, delta)
+    calls = []
+    monkeypatch.setattr(conditions, "_threshold", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(BsdeProblem, "terminal_values", lambda *a, **k: calls.append(a))
+    shared = [_report_bits(*picard_solve(replace(problem, beta=problem.beta * f, _setup=setup),
+                                         delta=delta))
+              for f in (1.0, 2.0, 4.0)]
+    assert shared == fresh and calls == []
+    # a set-up made at another delta is not used
+    monkeypatch.undo()
+    other = replace(problem, _setup=_setup_of(problem, delta / 2.0))
+    sol, rep = picard_solve(other, delta=delta)
+    assert rep.delta == delta and _report_bits(sol, rep) == fresh[0]

@@ -25,6 +25,10 @@ The case list:
 * a ``solve`` and a ``verify`` with beta far below ``beta_min``;
 * a ``solve`` whose first fixed-point distance is exactly 0 (the
   ``iterations.csv`` ratio column after a zero distance);
+* ``solve`` and ``verify`` on two ``two_state_rule`` models whose levels
+  mix branch kinds (``a_after_jump`` 0 and 1 with an interior
+  ``a_after_no_jump``), the only input of the gather path of
+  ``solver._child_values``;
 * the built-in ``counterexample`` run.
 
 Reports carry no timings, so a case whose code did not change must match to
@@ -127,6 +131,12 @@ def cases() -> list[tuple[str, str, dict | None]]:
                   "terminal": {"preset": "constant", "params": {"c": 1.0}},
                   "beta": 0.05}
     out.append(("solve-zero-first-distance", "solve", zero_first))
+    for a_jump in (0.0, 1.0):
+        mixed = {**base, "model": {"preset": "two_state_rule",
+                                   "params": {"K": 6, "m": 2, "a_after_jump": a_jump,
+                                              "a_after_no_jump": 0.45, "phi": [0.3, 0.7]}}}
+        for command in ("solve", "verify"):
+            out.append((f"{command}-mixed-kinds-a{a_jump:g}", command, mixed))
     out.append(("counterexample", "counterexample", None))
     return out
 

@@ -19,7 +19,10 @@ times, once each and in this order:
   of each check inside it (the outermost call of the functions that
   ``run_suite`` calls for that check, whichever of them the tree has);
 
-and reports the ``resource.getrusage`` peak RSS of the process at the end.
+and reports the ``resource.getrusage`` peak RSS of the process at the end,
+and the bytes of the built tree's arrays (``nbytes`` summed over the
+tree's numpy attributes and its ``level_histories``), in total and per
+node.
 The output is the median of each stage over the runs and the largest
 peak RSS, per tree and case, with the host and library versions.  It is
 a measurement, not a gate: nothing here fails on a slow tree.
@@ -133,10 +136,12 @@ def _child(config_path: str) -> None:
     t0 = time.perf_counter()
     built = cli._build_tree(cfg)
     stages["build_tree"] = time.perf_counter() - t0
+    tree = built[1]
+    arrays = [v for v in vars(tree).values() if isinstance(v, np.ndarray)]
+    tree_bytes = sum(a.nbytes for a in arrays + list(tree.level_histories))
     t0 = time.perf_counter()
     problem, diag = cli._build_problem(cfg, built)
     stages["build_problem"] = time.perf_counter() - t0
-    tree = problem.tree()
 
     t0 = time.perf_counter()
     sol, rep = solver.picard_solve(problem, tol=cfg.tol, max_iter=cfg.max_iter,
@@ -157,6 +162,7 @@ def _child(config_path: str) -> None:
     print(json.dumps({
         "nodes": tree.n_nodes, "slots": tree.n_slots, "sweeps": rep.iterations,
         "failed_checks": sum(1 for r in results if not r.passed),
+        "tree_bytes": tree_bytes, "tree_bytes_per_node": round(tree_bytes / tree.n_nodes, 2),
         "stages_s": stages, "run_suite_checks_s": checks,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }))
@@ -179,6 +185,7 @@ def _summary(runs: list) -> dict:
     first = runs[0]
     return {"nodes": first["nodes"], "slots": first["slots"], "sweeps": first["sweeps"],
             "failed_checks": first["failed_checks"], "runs": len(runs),
+            "tree_bytes": first["tree_bytes"], "tree_bytes_per_node": first["tree_bytes_per_node"],
             "stages_s": med("stages_s"), "run_suite_checks_s": med("run_suite_checks_s"),
             "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 2)}
 

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import conditions, norms, scenarios, solver, verification
+from .measure_core import _whole
 
 __all__ = ["RunConfig", "RunReport", "main", "cmd_solve", "cmd_verify",
            "cmd_sweep", "cmd_counterexample"]
@@ -96,8 +97,8 @@ class RunConfig:
         try:
             cfg.beta_margin = float(cfg.beta_margin)
             cfg.tol = float(cfg.tol)
-            cfg.max_iter = scenarios._whole(cfg.max_iter)
-            cfg.seed = scenarios._whole(cfg.seed)
+            cfg.max_iter = _whole(cfg.max_iter)
+            cfg.seed = _whole(cfg.seed)
             if cfg.seed < 0:
                 raise ValueError(f"seed {cfg.seed} is negative")
             if cfg.delta is not None:
@@ -181,7 +182,7 @@ def _build_terminal(spec):
     if preset == "jump_count":
         return scenarios.xi_jump_count(_num(p, "scale", 1.0))
     if preset == "last_mark":
-        return scenarios.xi_last_mark_indicator(_num(p, "mark", 0, scenarios._whole),
+        return scenarios.xi_last_mark_indicator(_num(p, "mark", 0, _whole),
                                                 _num(p, "scale", 1.0))
     raise ConfigError(f"unknown terminal preset {preset!r}")
 
@@ -405,7 +406,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     try:
         values = [float(v) for v in cfg.sweep.get("values", [])]
         if param == "K":
-            horizons = [scenarios._whole(v) for v in values]
+            horizons = [_whole(v) for v in values]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad sweep value: {exc}") from exc
     out = Path(cfg.out)
@@ -474,8 +475,8 @@ def cmd_counterexample(cfg: RunConfig) -> int:
     _refuse_ignored(cfg)
     params = cfg.model.get("params", {})
     p = _num(params, "p", 0.5)
-    K = _num(params, "K", 1, scenarios._whole)
-    t0_index = _num(params, "t0_index", 0, scenarios._whole)
+    K = _num(params, "K", 1, _whole)
+    t0_index = _num(params, "t0_index", 0, _whole)
     xi_scale = _num(cfg.terminal.get("params", {}), "c", 5e4)
     try:
         model, gen = scenarios.counterexample_model(p, t0_index=t0_index, K=K)

@@ -24,6 +24,12 @@ tree keeps those int8 level matrices (``ScenarioTree.level_histories``);
 history tuples of Python ints are built only on demand
 (``ScenarioTree.history``, ``ScenarioTree.histories``, ``SlotView``).
 
+The tree keeps per-level data only.  One rule, ``_branches``, gives a
+slot's children from its jump size, and a level's children are
+consecutive nodes in slot and column order, so two tree operators carry
+the child layout: the child read ``_child_values`` of the backward sweeps
+and the parent broadcast ``_parent_broadcast`` of the forward ones.
+
 Trees are purely atomic: ``A`` moves only by its jumps ``delta_A``, so a
 node's Doleans-Dade weight of ``beta * A`` is the product of
 ``1 + beta * delta_A`` over the slots above it, fixed by the parent
@@ -40,7 +46,6 @@ from typing import Callable
 import numpy as np
 
 NO_JUMP = -1   # outcome code: no point at this step
-_ROOT = -2     # incoming-outcome code of the root node
 MAX_MARKS = 127          # outcomes are stored as int8
 MAX_NODES = 5_000_000    # node budget of build_tree
 
@@ -58,6 +63,13 @@ __all__ = [
     "doleans_exponential",
     "doleans_sqrt_factorization",
 ]
+
+
+def _whole(value) -> int:
+    """``int(value)`` of a whole number; a fraction is refused, never truncated."""
+    if not isinstance(value, str) and value % 1:   # nan and inf too
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -78,7 +90,8 @@ class MarkSpace:
 
     @classmethod
     def of_size(cls, m: int) -> "MarkSpace":
-        return cls(tuple(range(int(m))))
+        """Marks ``0..m-1``; ``m`` must be a whole number."""
+        return cls(tuple(range(_whole(m))))
 
 
 @dataclass(frozen=True)
@@ -200,39 +213,35 @@ class ScenarioTree:
     """Exhaustive enumeration of the outcome histories of a model.
 
     Nodes are stored level by level; ``level_start[k] : level_start[k+1]``
-    slices depth ``k``.  Children of a node at depth ``k``: one per mark
-    when ``delta_A > 0`` plus a no-jump child when ``delta_A < 1``, in
-    that order; a level's children are consecutive nodes in slot order,
-    so a level whose slots share their branch kinds has them as one
-    ``(slots, children per slot)`` block.  Internal nodes double as slots,
-    so slot arrays are indexed by the parent's node id.  ``level_histories[k]`` is the
+    slices depth ``k``.  Internal nodes double as slots, so slot arrays
+    are indexed by the parent's node id.  ``level_histories[k]`` is the
     ``(n_k, k)`` int8 matrix of the histories of depth ``k``, one row per
     node in node order.
+
+    Child layout, per level: ``_block_columns[k]`` is the column range
+    every slot fills when the level's slots share their branch kind, so
+    its children are one ``(slots, columns)`` block of nodes; a level that
+    mixes kinds keeps nothing beyond its ``slot_dA`` (None).
+    ``_child_values`` and ``_parent_broadcast`` are the only readers.
     """
 
-    def __init__(self, model, level_start, parent, outcome, prob,
-                 level_histories, slot_dA, slot_phi, children):
+    def __init__(self, model, level_start, prob, level_histories, slot_dA, slot_phi):
         self.model = model
         self.level_start = level_start
-        self.parent = parent
-        self.outcome = outcome
         self.prob = prob
         self.level_histories = level_histories
         self.slot_dA = slot_dA
         self.slot_phi = slot_phi
-        self.children = children
-        self.depth = np.repeat(np.arange(level_start.size - 1), np.diff(level_start))
-        # (start, stop) of a slot level -> (columns, nodes) when its children
-        # are the nodes ``nodes`` in slot and column order, filling ``columns``
-        # of every slot: the levels whose slots share their branch kinds
-        self._child_blocks = {}
+        self.slot_step = np.repeat(np.arange(self.horizon), np.diff(level_start[:-1]))
+        # per slot level: the columns every slot fills when they share their
+        # branch kind, None when the level mixes kinds
+        self._block_columns: list[slice | None] = []
         for k in range(self.horizon):
-            sl, nodes = self.depth_slice(k), self.depth_slice(k + 1)
-            ch = children[sl]
-            filled = np.nonzero(ch[0] >= 0)[0]
-            cols = slice(int(filled[0]), int(filled[-1]) + 1)
-            if np.array_equal(ch[:, cols].ravel(), np.arange(nodes.start, nodes.stop)):
-                self._child_blocks[sl.start, sl.stop] = cols, nodes
+            kinds = _branches(slot_dA[self.depth_slice(k)], self.n_marks)
+            filled = np.nonzero(kinds[0])[0]
+            self._block_columns.append(
+                slice(int(filled[0]), int(filled[-1]) + 1)
+                if np.array_equal(kinds.all(axis=0), kinds.any(axis=0)) else None)
         self._doleans_cache: dict[float, np.ndarray] = {}
         self._views: list[SlotView | None] = [None] * int(level_start[-2])
         self._histories: list[tuple] | None = None
@@ -266,15 +275,11 @@ class ScenarioTree:
         """Slots whose parent sits at depth k (atom at grid[k+1])."""
         return self.depth_slice(k)
 
-    @property
-    def slot_step(self) -> np.ndarray:
-        return self.depth[: self.n_slots]
-
     # -- views ----------------------------------------------------------
 
     def history(self, node: int) -> tuple:
         """Outcomes before ``node`` as a tuple of Python ints."""
-        k = int(self.depth[node])
+        k = int(np.searchsorted(self.level_start, node, side="right")) - 1
         return tuple(self.level_histories[k][node - int(self.level_start[k])].tolist())
 
     @property
@@ -292,7 +297,7 @@ class ScenarioTree:
             raise IndexError(f"slot {i} outside 0..{len(self._views) - 1}")
         view = self._views[i]
         if view is None:
-            step = int(self.depth[i])
+            step = int(self.slot_step[i])
             view = self._views[i] = SlotView(
                 index=i, step=step, time=float(self.model.grid[step + 1]),
                 history=self.history(i), delta_A=float(self.slot_dA[i]),
@@ -321,10 +326,36 @@ class ScenarioTree:
         """
         out = np.zeros(self.n_nodes)
         for k in range(self.horizon):
-            nodes = slice(int(self.level_start[k + 1]), int(self.level_start[k + 2]))
-            par = self.parent[nodes]
-            out[nodes] = out[par] + per_slot[par]
+            sl = self.depth_slice(k)
+            out[self.depth_slice(k + 1)] = self._parent_broadcast(out[sl] + per_slot[sl], k)
         return out
+
+    # -- child layout ---------------------------------------------------
+
+    def _child_values(self, Y: np.ndarray, k: int) -> np.ndarray:
+        """Children's values of the slots of level ``k``: one column per outcome, 0 where none.
+
+        A block level is a reshape of one slice of ``Y`` (a view of ``Y``
+        when every column is filled); a mixed level places its children
+        by ``_branches``.
+        """
+        sl, nodes, m = self.depth_slice(k), self.depth_slice(k + 1), self.n_marks
+        n, cols = sl.stop - sl.start, self._block_columns[k]
+        if cols == slice(0, m + 1):
+            return Y[nodes].reshape(n, m + 1)
+        V = np.zeros((n, m + 1))
+        if cols is None:
+            V[_branches(self.slot_dA[sl], m)] = Y[nodes]
+        else:
+            V[:, cols] = Y[nodes].reshape(n, cols.stop - cols.start)
+        return V
+
+    def _parent_broadcast(self, values: np.ndarray, k: int) -> np.ndarray:
+        """Each value of the slots of level ``k`` repeated over its children, in node order."""
+        cols = self._block_columns[k]
+        counts = (np.count_nonzero(_branches(self.slot_dA[self.depth_slice(k)], self.n_marks), 1)
+                  if cols is None else cols.stop - cols.start)
+        return np.repeat(values, counts)
 
     # -- weights --------------------------------------------------------
 
@@ -344,9 +375,9 @@ class ScenarioTree:
         E = np.empty(self.n_nodes)
         E[0] = 1.0
         for k in range(self.horizon):
-            ids = np.arange(self.level_start[k + 1], self.level_start[k + 2])
-            par = self.parent[ids]
-            E[ids] = E[par] * (1.0 + beta * self.slot_dA[par])
+            sl = self.depth_slice(k)
+            E[self.depth_slice(k + 1)] = self._parent_broadcast(
+                E[sl] * (1.0 + beta * self.slot_dA[sl]), k)
         self._doleans_cache[key] = E
         return E
 
@@ -400,12 +431,24 @@ def _level_rules(model: ScenarioModel, k: int, H: np.ndarray):
     return dA, phi / total[:, None]
 
 
+def _branches(dA: np.ndarray, m: int) -> np.ndarray:
+    """Children of slots with jump sizes ``dA``: an ``(n, m + 1)`` bool mask.
+
+    Columns are the marks, then no jump: a child per mark when
+    ``delta_A > 0`` and a no-jump child when ``delta_A < 1``.
+    """
+    mask = np.empty((dA.size, m + 1), dtype=bool)
+    mask[:, :m] = (dA > 0.0)[:, None]
+    mask[:, m] = dA < 1.0
+    return mask
+
+
 def build_tree(model: ScenarioModel) -> ScenarioTree:
     """Enumerate all reachable outcome histories of ``model``, one level at a time.
 
-    Branch layout per slot: a jump child per mark when ``delta_A > 0``
-    (probability ``delta_A * phi[x]``) and a no-jump child when
-    ``delta_A < 1`` (probability ``1 - delta_A``), in that order.
+    Branch layout per slot (``_branches``): a jump child per mark when
+    ``delta_A > 0`` (probability ``delta_A * phi[x]``) and a no-jump child
+    when ``delta_A < 1`` (probability ``1 - delta_A``), in that order.
     Zero-probability branch *kinds* are never created, which keeps every
     conditional law normalized.
 
@@ -421,55 +464,40 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
     if m > MAX_MARKS:
         raise ValueError(f"at most {MAX_MARKS} marks (outcomes are stored as int8)")
     # outcome of the child in each column: marks 0..m-1, then no jump
-    codes = np.append(np.arange(m), NO_JUMP)
+    codes = np.append(np.arange(m), NO_JUMP).astype(np.int8)
 
     H = np.zeros((1, 0), dtype=np.int8)
     level_histories = [H]
-    parent = [np.array([-1])]
-    outcome = [np.array([_ROOT])]
     prob = [np.ones(1)]
     level_start = [0, 1]
     slot_dA, slot_phi = [np.zeros(0)], [np.zeros((0, m))]
-    children = [np.zeros((0, m + 1), dtype=np.int64)]
 
     for k in range(K):
         n = H.shape[0]
         dA, phi = _level_rules(model, k, H)
-        mask = np.empty((n, m + 1), dtype=bool)
-        mask[:, :m] = (dA > 0.0)[:, None]
-        mask[:, m] = dA < 1.0
+        mask = _branches(dA, m)
         total = level_start[-1] + int(np.count_nonzero(mask))
         if total > MAX_NODES:
             raise TreeTooLarge(k + 1, total, MAX_NODES)
         bp = np.empty((n, m + 1))
         bp[:, :m] = dA[:, None] * phi
         bp[:, m] = 1.0 - dA
-        bp = bp[mask]
         local = np.nonzero(mask)[0]             # parent of each child, within the level
-        ch = np.full((n, m + 1), -1, dtype=np.int64)
-        ch[mask] = np.arange(level_start[-1], total)
+        prob.append(prob[-1][local] * bp[mask])
         out = np.broadcast_to(codes, (n, m + 1))[mask]
-        parent.append(level_start[k] + local)
-        outcome.append(out)
-        prob.append(prob[-1][local] * bp)
-        H = np.concatenate([H[local], out[:, None].astype(np.int8)], axis=1)
+        H = np.concatenate([H[local], out[:, None]], axis=1)
         level_histories.append(H)
         slot_dA.append(dA)
         slot_phi.append(phi)
-        children.append(ch)
         level_start.append(total)
 
-    level_start = np.asarray(level_start, dtype=np.int64)
     return ScenarioTree(
         model=model,
-        level_start=level_start,
-        parent=np.concatenate(parent),
-        outcome=np.concatenate(outcome),
+        level_start=np.asarray(level_start, dtype=np.int64),
         prob=np.concatenate(prob),
         level_histories=level_histories,
         slot_dA=np.concatenate(slot_dA),
         slot_phi=np.concatenate(slot_phi),
-        children=np.concatenate(children),
     )
 
 

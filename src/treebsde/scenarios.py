@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure_core import LevelRules, MarkSpace, ScenarioModel, NO_JUMP
+from .measure_core import LevelRules, MarkSpace, ScenarioModel, NO_JUMP, _whole
 from .solver import Generator, batched_terminal
 
 __all__ = [
@@ -34,13 +34,6 @@ __all__ = [
     "xi_jump_count",
     "xi_last_mark_indicator",
 ]
-
-
-def _whole(value) -> int:
-    """``int(value)`` of a whole number; a fraction is refused, never truncated."""
-    if not isinstance(value, str) and value % 1:   # nan and inf too
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
 
 
 def _uniform_grid(K: int, T: float = 1.0) -> np.ndarray:
@@ -67,8 +60,8 @@ def _uniform_model(K: int, m: int, jump_size, jump_sizes, phi=None,
     form of one rule.  A callable ``phi`` is a scalar ``(k, history)``
     law, which keeps the whole model on the scalar path.
     """
-    m = _whole(m)
     marks = MarkSpace.of_size(m)      # rejects m = 0 before the uniform law divides by it
+    m = marks.size
     batch = None
     if not callable(phi):
         vec = _law_vector(phi, m)
@@ -107,13 +100,8 @@ def predictable_random_jumps(K: int, m: int, rule, phi=None, T: float = 1.0) -> 
     same-depth histories.  ``rule`` is scalar, so the tree is built row
     by row; the ``two_state_rule`` preset is the level-batch example.
     """
-    m = _whole(m)
-    return ScenarioModel(
-        marks=MarkSpace.of_size(m),
-        grid=_uniform_grid(K, T),
-        jump_size=rule,
-        mark_law=_phi_fn(phi, m),
-    )
+    marks = MarkSpace.of_size(m)
+    return ScenarioModel(marks, _uniform_grid(K, T), rule, _phi_fn(phi, marks.size))
 
 
 def two_state_rule(K: int, m: int, a_after_jump: float, a_after_no_jump: float,
@@ -173,7 +161,7 @@ def counterexample_model(p: float, t0_index: int = 0, K: int = 1,
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    K, t0_index, m = _whole(K), _whole(t0_index), _whole(m)
+    K, t0_index = _whole(K), _whole(t0_index)
     if not 0 <= t0_index < K:
         raise ValueError("t0_index must address a step of the grid")
     model = deterministic_grid(K, m, np.where(np.arange(K) == t0_index, float(p), 0.0), T=T)
@@ -191,8 +179,8 @@ def random_model(rng, K=None, m=None, max_horizon=6, max_marks=3,
     is a random distribution that may also depend on that parity.  All
     draws happen up front; the returned rules are pure.
     """
-    K = int(rng.integers(1, max_horizon + 1)) if K is None else int(K)
-    m = int(rng.integers(1, max_marks + 1)) if m is None else int(m)
+    K = int(rng.integers(1, max_horizon + 1)) if K is None else _whole(K)
+    m = int(rng.integers(1, max_marks + 1)) if m is None else _whole(m)
     base = rng.uniform(0.05, 0.95, K)
     alt = rng.uniform(0.05, 0.95, K)
     unit = (rng.random(K) < 0.15) if include_unit else np.zeros(K, dtype=bool)

@@ -305,28 +305,6 @@ class SolveReport:
 # -- martingale representation -------------------------------------------
 
 
-def _child_values(tree: ScenarioTree, Y: np.ndarray, sl: slice) -> np.ndarray:
-    """Children's values of the slots ``sl``: one column per outcome, 0 where none.
-
-    A level whose slots share their branch kinds has its children as one
-    block of nodes, read as a reshape of ``Y`` (a view of ``Y`` when every
-    column is filled); any other slice gathers through ``tree.children``.
-    """
-    block = tree._child_blocks.get((sl.start, sl.stop))
-    if block is None:
-        ch = tree.children[sl]
-        V = Y[np.maximum(ch, 0)]
-        V[ch < 0] = 0.0
-        return V
-    cols, nodes = block
-    kids = Y[nodes].reshape(sl.stop - sl.start, cols.stop - cols.start)
-    if cols.stop - cols.start == tree.n_marks + 1:
-        return kids
-    V = np.zeros((kids.shape[0], tree.n_marks + 1))
-    V[:, cols] = kids
-    return V
-
-
 def _cond_means(tree, V, sl):
     da = tree.slot_dA[sl]
     jump_mean = np.einsum("sm,sm->s", tree.slot_phi[sl], V[:, :-1])
@@ -345,7 +323,7 @@ def conditional_means(tree: ScenarioTree, Y: np.ndarray) -> np.ndarray:
     cm = np.empty(tree.n_slots)
     for k in range(tree.horizon):
         sl = tree.slot_level_slice(k)
-        cm[sl] = _cond_means(tree, _child_values(tree, Y, sl), sl)
+        cm[sl] = _cond_means(tree, tree._child_values(Y, k), sl)
     return cm
 
 
@@ -373,7 +351,7 @@ def _backward(tree: ScenarioTree, xi_leaf: np.ndarray, parent_values):
     Z = np.zeros((tree.n_slots, tree.n_marks))
     for k in range(tree.horizon - 1, -1, -1):
         sl = tree.slot_level_slice(k)
-        V = _child_values(tree, Y, sl)
+        V = tree._child_values(Y, k)
         Z[sl] = _represent_block(tree, V, sl)
         Y[sl] = parent_values(sl, _cond_means(tree, V, sl), Z[sl])
     return Y, Z

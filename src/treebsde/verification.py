@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import norms, solver
-from .measure_core import ScenarioTree, SlotBlock, _as_path, _doleans_product
+from .measure_core import ScenarioTree, SlotBlock, _as_path, _branches, _doleans_product
 
 __all__ = [
     "CheckResult",
@@ -321,7 +321,8 @@ def _jump_identity(tree, Y, Z, f_path) -> CheckResult:
         sl = tree.slot_level_slice(k)
         g = np.concatenate([Z[sl] - zh[sl, None], -zh[sl, None]], axis=1)
         expected = Y[sl, None] + g - f_dA[sl, None]
-        res = np.where(tree.children[sl] >= 0, solver._child_values(tree, Y, sl) - expected, 0.0)
+        exists = _branches(tree.slot_dA[sl], tree.n_marks)
+        res = np.where(exists, tree._child_values(Y, k) - expected, 0.0)
         worst = np.max(np.abs(res), initial=worst)
     return _inequality("jump_identity", float(worst), 0.0, slack=JUMP_SLACK)
 

@@ -6,6 +6,7 @@ arithmetic, independently of the vectorized slot sums they check.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,25 +16,73 @@ from treebsde import conditions, scenarios
 from treebsde.measure_core import NO_JUMP
 
 
+ROOT_OUTCOME = -2     # incoming-outcome code of the root node
+
+
+# -- node layout rebuilt from the histories ------------------------------------
+#
+# The tree keeps per-level data only; these rebuild the per-node layout from
+# ``tree.histories`` alone, through a {history: node} map, independently of
+# the tree's own child operators.
+
+_LAYOUTS = weakref.WeakKeyDictionary()   # a tree never changes: one layout per tree
+
+
+def _node_layout(tree):
+    layout = _LAYOUTS.get(tree)
+    if layout is None:
+        hists = tree.histories
+        node_of = {h: i for i, h in enumerate(hists)}
+        parents = np.array([-1] + [node_of[h[:-1]] for h in hists[1:]], dtype=np.int64)
+        outcomes = np.array([ROOT_OUTCOME] + [h[-1] for h in hists[1:]], dtype=np.int64)
+        codes = list(range(tree.n_marks)) + [NO_JUMP]
+        children = np.array([[node_of.get(h + (c,), -1) for c in codes]
+                             for h in hists[:tree.n_slots]], dtype=np.int64)
+        layout = _LAYOUTS[tree] = (parents, children.reshape(tree.n_slots, len(codes)),
+                                   outcomes)
+    return layout
+
+
+def node_parents(tree):
+    """Parent node of every node, -1 at the root (the node of ``history[:-1]``)."""
+    return _node_layout(tree)[0]
+
+
+def node_children(tree):
+    """``(n_slots, m + 1)`` child node of each slot per outcome column, -1 where none.
+
+    Columns are the marks, then no jump: column ``c`` holds the node of
+    ``history + (code_c,)``.
+    """
+    return _node_layout(tree)[1]
+
+
+def node_outcomes(tree):
+    """Outcome of the last step of every node; ``ROOT_OUTCOME`` at the root."""
+    return _node_layout(tree)[2]
+
+
 # -- brute-force oracles -----------------------------------------------------
 
 
 def leaf_paths(tree):
     """List of (leaf index, [node ids root..leaf])."""
+    parent = node_parents(tree)
     out = []
     for leaf in range(tree.leaf_slice.start, tree.leaf_slice.stop):
         path = [leaf]
-        while tree.parent[path[0]] >= 0:
-            path.insert(0, int(tree.parent[path[0]]))
+        while parent[path[0]] >= 0:
+            path.insert(0, int(parent[path[0]]))
         out.append((leaf, path))
     return out
 
 
 def brute_doleans(tree, beta, node):
     """Weight at a node rebuilt from the raw increments along its path."""
+    parent = node_parents(tree)
     path = [node]
-    while tree.parent[path[0]] >= 0:
-        path.insert(0, int(tree.parent[path[0]]))
+    while parent[path[0]] >= 0:
+        path.insert(0, int(parent[path[0]]))
     val = 1.0
     for nid in path[:-1]:
         val *= 1.0 + beta * float(tree.slot_dA[nid])
@@ -60,6 +109,7 @@ def brute_z_norm(Z, tree, beta):
     closed-form slot variance, which is the independence that makes it an
     oracle for z_norm_sq.
     """
+    outcome = node_outcomes(tree)
     total = 0.0
     for leaf, path in leaf_paths(tree):
         p = float(tree.prob[leaf])
@@ -69,7 +119,7 @@ def brute_z_norm(Z, tree, beta):
             da = float(tree.slot_dA[nid])
             phi = tree.slot_phi[nid]
             zh = da * float(np.dot(Z[nid], phi))
-            o = int(tree.outcome[path[step + 1]])
+            o = int(outcome[path[step + 1]])
             g = (float(Z[nid][o]) - zh) if o != NO_JUMP else -zh
             acc += brute_doleans(tree, beta, path[step + 1]) * g * g
         total += p * acc
@@ -318,14 +368,14 @@ def per_slot_oracle(problem, tol=1e-13):
     ``(Y, Z)``.
     """
     from treebsde import implicit_step_solve
-    from treebsde.solver import _child_values, _cond_means, _represent_block
+    from treebsde.solver import _cond_means, _represent_block
     tree = problem.tree()
     Y = np.empty(tree.n_nodes)
     Y[tree.leaf_slice] = problem.terminal_values(tree)
     Z = np.zeros((tree.n_slots, tree.n_marks))
     for k in range(tree.horizon - 1, -1, -1):
         sl = tree.slot_level_slice(k)
-        V = _child_values(tree, Y, sl)
+        V = tree._child_values(Y, k)
         cm = _cond_means(tree, V, sl)
         Z[sl] = _represent_block(tree, V, sl)
         for off, s in enumerate(range(sl.start, sl.stop)):
@@ -339,16 +389,46 @@ def per_slot_oracle(problem, tol=1e-13):
 
 
 def gather_child_values(tree, Y, sl):
-    """Children's values of the slots ``sl`` through ``tree.children``, 0 where none.
+    """Children's values of the slots ``sl`` through ``node_children``, 0 where none.
 
-    The one gather every slice takes; ``solver._child_values``, which reads
-    a level of uniform branch kinds as a block of ``Y``, must match it to
+    The one gather every slice takes; ``ScenarioTree._child_values``, which
+    reads a level of one branch kind as a block of ``Y``, must match it to
     the bit.
     """
-    ch = tree.children[sl]
+    ch = node_children(tree)[sl]
     V = Y[np.maximum(ch, 0)]
     V[ch < 0] = 0.0
     return V
+
+
+def gather_parent_broadcast(tree, values, sl):
+    """Each value of the slots ``sl`` at their children, gathered through ``node_parents``."""
+    parent = node_parents(tree)
+    kids = np.nonzero((parent >= sl.start) & (parent < sl.stop))[0]
+    return values[parent[kids] - sl.start]
+
+
+def gather_doleans(tree, beta):
+    """``ScenarioTree.doleans`` by a gather of each level's parents."""
+    parent = node_parents(tree)
+    E = np.empty(tree.n_nodes)
+    E[0] = 1.0
+    for k in range(tree.horizon):
+        ids = np.arange(tree.level_start[k + 1], tree.level_start[k + 2])
+        par = parent[ids]
+        E[ids] = E[par] * (1.0 + beta * tree.slot_dA[par])
+    return E
+
+
+def gather_accumulate(tree, per_slot):
+    """``ScenarioTree.accumulate`` by a gather of each level's parents."""
+    parent = node_parents(tree)
+    out = np.zeros(tree.n_nodes)
+    for k in range(tree.horizon):
+        nodes = slice(int(tree.level_start[k + 1]), int(tree.level_start[k + 2]))
+        par = parent[nodes]
+        out[nodes] = out[par] + per_slot[par]
+    return out
 
 
 def masked_canonical_rows(Z, delta_A, phi):
@@ -530,7 +610,7 @@ def full_matrix_jump_identity(solution, problem):
     n = tree.n_slots
     f_path = solver._eval_path(tree, problem.f, Y, Z)
     zh = norms.hat_z_rows(Z, tree.block(slice(None)))
-    ch = tree.children
+    ch = node_children(tree)
     Yc = Y[np.maximum(ch, 0)]
     g = np.concatenate([Z - zh[:, None], -zh[:, None]], axis=1)
     expected = Y[:n, None] + g - (f_path * tree.slot_dA)[:, None]

@@ -10,7 +10,7 @@ from treebsde import (MarkSpace, ScenarioModel, build_tree,
 from treebsde import scenarios
 from treebsde.measure_core import NO_JUMP
 
-from conftest import brute_doleans
+from conftest import brute_doleans, node_children, node_outcomes
 
 
 def constant_model(K, m, a, phi=None):
@@ -46,13 +46,30 @@ def test_unit_jump_suppresses_no_jump_branch():
     leaves = tree.prob[tree.leaf_slice]
     assert tree.n_nodes == 3
     assert sorted(leaves) == [0.3, 0.7]
-    assert np.all(tree.outcome[tree.leaf_slice] != NO_JUMP)
+    assert np.all(node_outcomes(tree)[tree.leaf_slice] != NO_JUMP)
 
 
 def test_zero_jump_creates_single_branch():
     tree = build_tree(constant_model(3, 2, 0.0))
     assert tree.n_nodes == 4
-    assert np.all(tree.outcome[1:] == NO_JUMP)
+    assert np.all(node_outcomes(tree)[1:] == NO_JUMP)
+
+
+@pytest.mark.parametrize("m", [2.5, float("nan"), float("inf")])
+def test_mark_space_of_size_refuses_a_size_that_is_not_whole(m):
+    with pytest.raises(ValueError, match="not a whole number"):
+        MarkSpace.of_size(m)
+
+
+def test_a_model_built_directly_refuses_a_fractional_mark_count():
+    # of_size used to truncate 2.5 to two marks without a word
+    with pytest.raises(ValueError, match="2.5 is not a whole number"):
+        ScenarioModel(marks=MarkSpace.of_size(2.5), grid=np.linspace(0.0, 1.0, 2),
+                      jump_size=lambda k, hist: 0.5,
+                      mark_law=lambda k, hist: np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="2.5 is not a whole number"):
+        scenarios.random_model(np.random.default_rng(0), m=2.5)
+    assert MarkSpace.of_size(3.0) == MarkSpace.of_size(3) == MarkSpace((0, 1, 2))
 
 
 def test_build_errors():
@@ -76,7 +93,7 @@ def test_tree_invariants_on_random_models(seed):
         assert abs(tree.prob[sl].sum() - 1.0) < 1e-13
     # branch masses at each slot sum to 1
     for s in range(tree.n_slots):
-        ch = tree.children[s]
+        ch = node_children(tree)[s]
         assert abs((tree.prob[ch[ch >= 0]] / tree.prob[s]).sum() - 1.0) < 1e-14
         da = tree.slot_dA[s]
         if da == 1.0:
@@ -92,7 +109,7 @@ def test_tree_doleans_parent_measurable_and_matches_brute(beta):
     E = tree.doleans(beta)
     assert E[0] == 1.0
     for s in range(tree.n_slots):
-        ch = tree.children[s]
+        ch = node_children(tree)[s]
         vals = E[ch[ch >= 0]]
         assert np.all(vals == vals[0])          # siblings share the weight
     for node in range(tree.n_nodes):

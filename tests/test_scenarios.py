@@ -7,6 +7,8 @@ from treebsde import scenarios
 from treebsde.measure_core import NO_JUMP
 from treebsde.scenarios import ModelSpec
 
+from conftest import node_outcomes
+
 
 # -- deterministic_grid ------------------------------------------------------------
 
@@ -25,7 +27,7 @@ def test_deterministic_zero_size_single_path():
 
 def test_deterministic_unit_size_has_no_nojump_branch():
     tree = build_tree(scenarios.deterministic_grid(K=2, m=2, a=1.0))
-    assert np.all(tree.outcome[1:] != NO_JUMP)
+    assert np.all(node_outcomes(tree)[1:] != NO_JUMP)
 
 
 def test_deterministic_per_step_sizes_and_validation():
@@ -44,7 +46,7 @@ def test_constant_rule_matches_deterministic_node_for_node():
                                                         rule=lambda k, h: 0.4))
     assert det.n_nodes == rul.n_nodes
     assert np.array_equal(det.prob, rul.prob)
-    assert np.array_equal(det.outcome, rul.outcome)
+    assert np.array_equal(node_outcomes(det), node_outcomes(rul))
 
 
 def test_two_state_rule_weight_differs_across_depth_three_nodes():

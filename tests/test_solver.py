@@ -5,13 +5,14 @@ from treebsde import (BsdeProblem, ConditionViolated, Generator, NoConvergence,
                       StepSingular, backward_oracle, build_tree, implicit_step_solve,
                       norms, picard_map, picard_solve, solve_linear)
 from treebsde import scenarios
-from treebsde.solver import (Solution, bsde_residual, conditional_means, _child_values,
-                             _cond_means, _eval_path, _linear_sweep, _represent_block)
+from treebsde.solver import (Solution, bsde_residual, conditional_means, _cond_means,
+                             _eval_path, _linear_sweep, _represent_block)
 from treebsde.verification import check_solution_jump_identity
 
-from conftest import (full_matrix_jump_identity, gather_child_values, gather_linear_sweep,
-                      masked_canonical_rows, random_linear_problem, random_problem,
-                      random_terminal, represent_martingale)
+from conftest import (full_matrix_jump_identity, gather_accumulate, gather_child_values,
+                      gather_doleans, gather_linear_sweep, gather_parent_broadcast,
+                      masked_canonical_rows, node_children, random_linear_problem,
+                      random_problem, random_terminal, represent_martingale)
 
 
 def slot_of(K=1, m=1, a=0.5, phi=None):
@@ -64,7 +65,8 @@ def test_level_representation_matches_the_slot_oracle():
     for _ in range(15):
         tree = build_tree(scenarios.random_model(rng, max_horizon=4))
         sl = slice(0, tree.n_slots)
-        V = _child_values(tree, rng.normal(0, 2, tree.n_nodes), sl)
+        Y = rng.normal(0, 2, tree.n_nodes)
+        V = np.concatenate([tree._child_values(Y, k) for k in range(tree.horizon)])
         Z, cm = _represent_block(tree, V, sl), _cond_means(tree, V, sl)
         for s in range(tree.n_slots):
             slot = tree.slot(s)
@@ -75,7 +77,7 @@ def test_level_representation_matches_the_slot_oracle():
             # every existing child is cond_mean + g(outcome) for the oracle's row
             zh = norms.hat_z(Zo, slot)
             g = np.append(Zo - zh, -zh)
-            exists = tree.children[s] >= 0
+            exists = node_children(tree)[s] >= 0
             assert np.max(np.abs(V[s][exists] - (cm[s] + g[exists]))) <= 1e-13
     assert seen == {0.0, 1.0, "inner"}
 
@@ -122,11 +124,47 @@ def _signed_values(rng, n):
 @pytest.mark.parametrize("model,blocks", LAYOUT_MODELS)
 def test_block_levels_are_the_levels_of_one_branch_kind(model, blocks):
     tree = build_tree(model)
+    m = tree.n_marks
+    filled = {0.0: slice(m, m + 1), 1.0: slice(0, m), "inner": slice(0, m + 1)}
     for k in range(tree.horizon):
         sl = tree.slot_level_slice(k)
         kinds = {0.0 if d == 0.0 else 1.0 if d == 1.0 else "inner" for d in tree.slot_dA[sl]}
-        assert ((sl.start, sl.stop) in tree._child_blocks) == (len(kinds) == 1)
-    assert len(tree._child_blocks) == blocks
+        cols = tree._block_columns[k]
+        assert (cols is not None) == (len(kinds) == 1)
+        if cols is not None:
+            # the kind's columns, filled in every slot by the next level's nodes
+            assert cols == filled[kinds.pop()]
+            ch = node_children(tree)[sl]
+            nodes = tree.depth_slice(k + 1)
+            assert np.array_equal(ch[:, cols].ravel(), np.arange(nodes.start, nodes.stop))
+            assert np.all(np.delete(ch, np.arange(cols.start, cols.stop), axis=1) == -1)
+    assert len(tree._block_columns) == tree.horizon
+    assert sum(cols is not None for cols in tree._block_columns) == blocks
+
+
+# LAYOUT_MODELS and seeded random models, K = 0 among them
+OPERATOR_MODELS = (
+    [pytest.param(p.values[0], id=p.id) for p in LAYOUT_MODELS]
+    + [pytest.param(scenarios.random_model(np.random.default_rng(seed), K=seed % 5),
+                    id=f"random-{seed}-K{seed % 5}") for seed in range(15)])
+
+
+@pytest.mark.parametrize("model", OPERATOR_MODELS)
+def test_child_operators_and_forward_sweep_equal_the_gather_forms_to_the_bit(model):
+    tree = build_tree(model)
+    rng = np.random.default_rng(tree.n_nodes + 1)
+    buf = _signed_values(rng, tree.n_nodes + 7)
+    n = tree.n_slots
+    for off in (0, 1, 3, 7):     # views of Y at odd offsets
+        Y = buf[off:off + tree.n_nodes]
+        for k in range(tree.horizon):
+            sl = tree.slot_level_slice(k)
+            assert _bits(tree._child_values(Y, k)) == _bits(gather_child_values(tree, Y, sl))
+            assert (_bits(tree._parent_broadcast(Y[sl], k))
+                    == _bits(gather_parent_broadcast(tree, Y[sl], sl)))
+        assert _bits(tree.accumulate(Y[:n])) == _bits(gather_accumulate(tree, Y[:n]))
+    for beta in (0.0, 0.7, 8.0):
+        assert _bits(tree.doleans(beta)) == _bits(gather_doleans(tree, beta))
 
 
 @pytest.mark.parametrize("model,blocks", LAYOUT_MODELS)
@@ -138,7 +176,7 @@ def test_level_kernels_equal_the_gather_forms_to_the_bit(model, blocks):
         Y = buf[off:off + tree.n_nodes]
         for k in range(tree.horizon):
             sl = tree.slot_level_slice(k)
-            V, Vg = _child_values(tree, Y, sl), gather_child_values(tree, Y, sl)
+            V, Vg = tree._child_values(Y, k), gather_child_values(tree, Y, sl)
             assert _bits(V) == _bits(Vg)
             assert _bits(_cond_means(tree, V, sl)) == _bits(_cond_means(tree, Vg, sl))
             Zg = masked_canonical_rows(Vg[:, :-1] - Vg[:, -1][:, None],
@@ -361,7 +399,7 @@ def test_picard_jump_identity_of_solution():
     f_path = _eval_path(tree, problem.f, sol.Y, sol.Z)
     zh = norms.hat_z_rows(sol.Z, tree.block(slice(None)))
     for s in range(tree.n_slots):
-        ch = tree.children[s]
+        ch = node_children(tree)[s]
         for j, c in enumerate(ch):
             if c < 0:
                 continue
@@ -456,7 +494,7 @@ def test_empty_tree_results_of_every_layer():
     assert (tree.n_nodes, tree.n_slots) == (1, 0)
     for arr, shape, dtype in [(tree.slot_dA, (0,), np.float64),
                               (tree.slot_phi, (0, 2), np.float64),
-                              (tree.children, (0, 3), np.int64)]:
+                              (node_children(tree), (0, 3), np.int64)]:
         assert arr.shape == shape and arr.dtype == dtype
 
     Y, Z = np.array([3.0]), norms.field_zeros(tree)

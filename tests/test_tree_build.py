@@ -13,16 +13,17 @@ from treebsde import (BsdeProblem, Generator, MarkSpace, ScenarioModel, TreeTooL
                       solve_linear)
 from treebsde.measure_core import ScenarioTree
 
-from conftest import (random_problem, scalar_path, scalar_random_model, scalar_terminals,
+from conftest import (node_children, node_outcomes, node_parents, random_problem,
+                      scalar_path, scalar_random_model, scalar_terminals,
                       scalar_two_state_rule)
 
-TREE_ARRAYS = ("level_start", "parent", "outcome", "prob", "slot_dA", "slot_phi",
-               "children", "depth")
+TREE_ARRAYS = ("level_start", "prob", "slot_dA", "slot_phi", "slot_step")
+NODE_LAYOUTS = (node_parents, node_outcomes, node_children)
 
 
 def assert_same_tree(a, b):
-    for name in TREE_ARRAYS:
-        x, y = getattr(a, name), getattr(b, name)
+    for name, x, y in ([(name, getattr(a, name), getattr(b, name)) for name in TREE_ARRAYS]
+                       + [(fn.__name__, fn(a), fn(b)) for fn in NODE_LAYOUTS]):
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert x.tobytes() == y.tobytes(), name
     assert len(a.level_histories) == len(b.level_histories)
@@ -97,7 +98,7 @@ def test_scalar_mark_law_keeps_a_preset_on_the_scalar_path():
     assert model.batch is None
     tree = build_tree(model)
     assert np.array_equal(tree.slot_phi[0], [0.5, 0.5])
-    assert np.array_equal(tree.slot_phi[tree.children[0, 0]], [0.2, 0.8])
+    assert np.array_equal(tree.slot_phi[node_children(tree)[0, 0]], [0.2, 0.8])
 
 
 # -- bad rules raise the same error on both paths ------------------------------------
@@ -170,12 +171,14 @@ def test_histories_are_python_int_tuples_built_on_demand():
     tree = build_tree(scenarios.two_state_rule(K=3, m=2, a_after_jump=0.3,
                                                a_after_no_jump=0.6))
     assert tree._histories is None
+    depth = np.repeat(np.arange(tree.horizon + 1), np.diff(tree.level_start))
+    parent, outcome = node_parents(tree), node_outcomes(tree)
     for i in range(tree.n_nodes):
         hist = tree.history(i)
-        assert len(hist) == tree.depth[i]
+        assert len(hist) == depth[i]
         assert all(type(o) is int for o in hist)
         if i:
-            assert hist == tree.history(int(tree.parent[i])) + (int(tree.outcome[i]),)
+            assert hist == tree.history(int(parent[i])) + (int(outcome[i]),)
     assert tree.histories == [tree.history(i) for i in range(tree.n_nodes)]
     assert tree.slot(4).history == tree.history(4)
 

@@ -8,8 +8,8 @@ from treebsde import (BsdeProblem, Generator, backward_oracle, build_tree,
                       norms, picard_solve, run_suite, solve_linear)
 from treebsde import scenarios
 
-from conftest import (brute_doleans, leaf_paths, random_linear_problem,
-                      random_problem)
+from conftest import (brute_doleans, leaf_paths, node_children, node_outcomes,
+                      random_linear_problem, random_problem)
 
 
 # -- energy identity --------------------------------------------------------------
@@ -43,7 +43,7 @@ def test_identity_m1_both_sides_by_brute_force(m1_problem):
         da = float(tree.slot_dA[0])
         lhs += p * beta * E1 / (1 + beta * da) * sol.Y[0] ** 2 * da
         zh = da * float(sol.Z[0, 0])
-        g = (sol.Z[0, 0] - zh) if tree.outcome[leaf] >= 0 else -zh
+        g = (sol.Z[0, 0] - zh) if node_outcomes(tree)[leaf] >= 0 else -zh
         lhs += p * E1 * g * g
     rhs = sum(float(tree.prob[leaf]) * brute_doleans(tree, beta, leaf)
               * float(sol.Y[leaf]) ** 2 for leaf, _ in leaf_paths(tree))
@@ -281,7 +281,7 @@ def test_jump_identity_constant_solution():
 def test_jump_identity_m1_displacements(m1_problem):
     sol = solve_linear(m1_problem)
     tree = m1_problem.tree()
-    jump_child, nojump_child = tree.children[0, 0], tree.children[0, 1]
+    jump_child, nojump_child = node_children(tree)[0, 0], node_children(tree)[0, 1]
     assert sol.Y[jump_child] - sol.Y[0] == pytest.approx(0.5)
     assert sol.Y[nojump_child] - sol.Y[0] == pytest.approx(-0.5)
     assert check_solution_jump_identity(sol, m1_problem).passed

@@ -27,8 +27,8 @@ The case list:
   ``iterations.csv`` ratio column after a zero distance);
 * ``solve`` and ``verify`` on two ``two_state_rule`` models whose levels
   mix branch kinds (``a_after_jump`` 0 and 1 with an interior
-  ``a_after_no_jump``), the only input of the gather path of
-  ``solver._child_values``;
+  ``a_after_no_jump``), the only input of the mixed-level path of the
+  tree's child read and parent broadcast;
 * the built-in ``counterexample`` run.
 
 Reports carry no timings, so a case whose code did not change must match to

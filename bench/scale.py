@@ -84,11 +84,12 @@ def _cases() -> dict:
 
 
 # the functions run_suite calls for each check; a tree has some of them
+# (older trees name the norm sandwich ``_worst_norm_equivalence``)
 CHECKS = {
     "identity_lemma": ("check_identity_lemma", "_identity_lemma_rows"),
     "integral_inequality": ("check_integral_inequality", "_worst_integral_inequality"),
     "apriori_estimate": ("check_apriori_estimate", "_apriori_estimate"),
-    "norm_equivalence": ("check_norm_equivalence", "_worst_norm_equivalence"),
+    "norm_equivalence": ("check_norm_equivalence", "_worst_norm_equivalence", "_norm_sandwich"),
     "lipschitz_bound": ("check_lipschitz",),
     "jump_identity": ("check_solution_jump_identity", "_jump_identity"),
 }

@@ -69,12 +69,10 @@ def _moments(zeta, delta_A: np.ndarray, phi: np.ndarray):
     return mean, np.vecdot(dev * dev, phi)
 
 
-def _seminorm_sq(zeta, delta_A: np.ndarray, phi: np.ndarray, c=None) -> np.ndarray:
-    # squared seminorm per row; c = delta_A * (1 - delta_A), if the caller has it
+def _seminorm_sq(zeta, delta_A: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    # squared seminorm per row
     mean, spread = _moments(zeta, delta_A, phi)
-    if c is None:
-        c = delta_A * (1.0 - delta_A)
-    return spread + c * mean * mean
+    return spread + delta_A * (1.0 - delta_A) * mean * mean
 
 
 def hat_z_rows(zeta, block: SlotBlock) -> np.ndarray:
@@ -124,10 +122,8 @@ def _weighted_y_sq(Y: np.ndarray, tree: ScenarioTree, w: np.ndarray) -> float:
     return float(np.sum(w * Ypar * Ypar * tree.slot_dA))
 
 
-def _weighted_z_sq(Z: np.ndarray, tree: ScenarioTree, w: np.ndarray, c=None) -> float:
-    # sum(w * slot_z_contribution(Z)); c as in _seminorm_sq
-    da = tree.slot_dA
-    return float(np.sum(w * (da * _seminorm_sq(Z, da, tree.slot_phi, c))))
+def _weighted_z_sq(Z: np.ndarray, tree: ScenarioTree, w: np.ndarray) -> float:
+    return float(np.sum(w * slot_z_contribution(Z, tree)))
 
 
 def y_norm_sq(Y: np.ndarray, tree: ScenarioTree, beta: float) -> float:

@@ -9,10 +9,10 @@ is replayable.
 
 ``run_suite`` computes each quantity that depends only on the tree, beta
 or the solved pair once and passes it to the private kernels that the
-public ``check_*`` functions also call, so the rows keep their bits.  Its
-randomized checks draw in the order of one public ``check_*`` call per
-item and evaluate the draws as numpy blocks, so each row has the bits of
-that per-item call and the random stream ends in the same state.
+public ``check_*`` functions also call, so the rows keep their bits.  Each
+randomized check has its own stream (the caller's ``rng`` for the paths, one
+child each of ``rng.spawn(2)`` for the sandwich and the Lipschitz samples)
+and evaluates its draws as numpy blocks with the bits of one call per item.
 
 One condition is deliberately not checked: the square-integrability of
 the data against the weighted compensator is automatic on a finite tree
@@ -45,7 +45,8 @@ __all__ = [
 IDENTITY_RTOL = 1e-10
 INEQUALITY_SLACK = 1e-12
 JUMP_SLACK = 1e-10      # absolute slack of the per-slot jump identity of a solution
-# run_suite's random fields per norm comparison, Lipschitz samples and slots
+# run_suite's spread of up to MAX_SLOTS slots: the norm sandwich checks
+# N_FIELDS normal rows on each, the Lipschitz check N_SAMPLES samples
 N_FIELDS = 25
 N_SAMPLES = 50
 MAX_SLOTS = 25
@@ -69,22 +70,19 @@ class CheckResult:
 def _identity(name, lhs, rhs, rtol=IDENTITY_RTOL, detail=None):
     abs_gap = abs(lhs - rhs)
     rel_gap = abs_gap / max(abs(lhs), abs(rhs), 1.0)
-    return CheckResult(name, float(lhs), float(rhs), float(abs_gap),
-                       float(rel_gap), rel_gap <= rtol, rtol, "identity",
-                       detail or {})
+    return CheckResult(name, float(lhs), float(rhs), float(abs_gap), float(rel_gap),
+                       rel_gap <= rtol, rtol, "identity", detail or {})
 
 
 def _inequality(name, lhs, rhs, slack=INEQUALITY_SLACK, detail=None):
     abs_gap = lhs - rhs
     rel_gap = abs_gap / max(abs(lhs), abs(rhs), 1.0)
-    return CheckResult(name, float(lhs), float(rhs), float(abs_gap),
-                       float(rel_gap), lhs <= rhs + slack, slack,
-                       "inequality", detail or {})
+    return CheckResult(name, float(lhs), float(rhs), float(abs_gap), float(rel_gap),
+                       lhs <= rhs + slack, slack, "inequality", detail or {})
 
 
 def _skipped(name, note):
-    return CheckResult(name, 0.0, 0.0, 0.0, 0.0, True, 0.0, "skipped",
-                       {"note": note})
+    return CheckResult(name, 0.0, 0.0, 0.0, 0.0, True, 0.0, "skipped", {"note": note})
 
 
 def _identity_lemma_rows(tree, Y, f_path, beta, w, z_part, steps):
@@ -118,8 +116,7 @@ def _identity_lemma_rows(tree, Y, f_path, beta, w, z_part, steps):
         rhs = leaf_term
         rhs += 2.0 * float(np.sum(cross[after]))
         rhs -= float(np.sum(atom[after]))
-        yield _identity("identity_lemma", lhs, rhs,
-                        detail={"t_index": j, "beta": beta})
+        yield _identity("identity_lemma", lhs, rhs, detail={"t_index": j, "beta": beta})
 
 
 def check_identity_lemma(problem, solution, t_index: int, beta=None) -> CheckResult:
@@ -176,8 +173,7 @@ def check_integral_inequality(path, f_path, beta: float, t_index: int = 0) -> Ch
     j = int(t_index)
     lhs, rhs = _integral_inequality_rows(dAc[None], dA[None], f_vals[None], [dAc.size],
                                         beta, j)
-    return _inequality("integral_inequality", lhs[0], rhs[0],
-                       detail={"t_index": j, "beta": beta})
+    return _inequality("integral_inequality", lhs[0], rhs[0], detail={"t_index": j, "beta": beta})
 
 
 def check_apriori_estimate(problem, solution, beta=None, c_scale: float = 1.0) -> CheckResult:
@@ -191,8 +187,7 @@ def check_apriori_estimate(problem, solution, beta=None, c_scale: float = 1.0) -
     if beta <= 0:
         raise ValueError("beta must be strictly positive")
     f_path = solver._path_values(problem, tree)
-    lhs = (norms.y_norm_sq(solution.Y, tree, beta)
-           + norms.z_norm_sq(solution.Z, tree, beta))
+    lhs = norms.y_norm_sq(solution.Y, tree, beta) + norms.z_norm_sq(solution.Z, tree, beta)
     return _apriori_estimate(tree, solution.Y, f_path, beta,
                              tree.doleans_at_slot_end(beta), lhs, c_scale)
 
@@ -205,12 +200,10 @@ def _apriori_estimate(tree, Y, f_path, beta, E_end, lhs, c_scale) -> CheckResult
     # per-path accumulators: sum of dA^2 and of E |f|^2 dA along each history
     S1 = tree.accumulate(tree.slot_dA ** 2)
     S2 = tree.accumulate(E_end * f_path ** 2 * tree.slot_dA)
-    term_f = float(np.sum(tree.prob[leaves]
-                          * (1.0 / beta + beta * S1[leaves]) * S2[leaves]))
+    term_f = float(np.sum(tree.prob[leaves] * (1.0 / beta + beta * S1[leaves]) * S2[leaves]))
     c_beta = c_scale * (2.0 + 4.0 * (1.0 + beta) / beta)
     rhs = c_beta * (term_xi + term_f)
-    return _inequality("apriori_estimate", lhs, rhs,
-                       detail={"beta": beta, "c_beta": c_beta})
+    return _inequality("apriori_estimate", lhs, rhs, detail={"beta": beta, "c_beta": c_beta})
 
 
 def check_norm_equivalence(Z, tree: ScenarioTree, beta: float, gamma: float) -> CheckResult:
@@ -226,18 +219,10 @@ def check_norm_equivalence(Z, tree: ScenarioTree, beta: float, gamma: float) -> 
     if np.any(tree.slot_dA > 1.0 - gamma + 1e-15):
         raise ValueError("a jump size exceeds 1 - gamma")
     w = norms._slot_weights(tree, beta)
-    return _norm_equivalence(Z, tree, w * tree.slot_dA, norms._weighted_z_sq(Z, tree, w),
-                             gamma)
-
-
-def _norm_equivalence(Z, tree: ScenarioTree, wd, mid: float, gamma: float) -> CheckResult:
-    # wd = P * E_end * dA per slot; mid is the Z norm of the field (z_norm_sq)
-    sq = np.einsum("sm,sm->s", Z * Z, tree.slot_phi)
-    full = float(np.sum(wd * sq))
-    violation = max(gamma * full - mid, mid - full)
-    return _inequality("norm_equivalence", violation, 0.0,
-                       detail={"gamma": gamma, "lower": gamma * full,
-                               "mid": mid, "upper": full})
+    mid = norms._weighted_z_sq(Z, tree, w)
+    full = float(np.sum(w * tree.slot_dA * np.einsum("sm,sm->s", Z * Z, tree.slot_phi)))
+    return _inequality("norm_equivalence", max(gamma * full - mid, mid - full), 0.0,
+                       detail={"gamma": gamma, "lower": gamma * full, "mid": mid, "upper": full})
 
 
 def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResult:
@@ -291,11 +276,15 @@ def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResu
     squared = fbar2 - (2.0 * f.lip_y ** 2 * dy2 + 2.0 * hat_lz_sq * expanded)
     forms = np.abs(expanded - s2) / np.maximum(s2, 1.0) - 1e-12
     margin = np.maximum(np.maximum(plain, squared), forms)
-    nan = np.isnan(margin)
-    j = int(np.argmax(nan) if nan.any() else np.argmax(margin))
+    j = _worst_row(margin)
     witness = {"y": float(y[j]), "y2": float(y2[j]), "z": z[j].tolist(), "z2": z2[j].tolist()}
     return _inequality("lipschitz_bound", margin[j], 0.0,
                        detail={"hat_lz_sq": float(hat_lz_sq), "n_samples": n, "witness": witness})
+
+
+def _worst_row(v) -> int:
+    # the first NaN row, else the first maximum
+    return int(np.argmax(np.isnan(v)) if np.isnan(v).any() else np.argmax(v))
 
 
 def check_solution_jump_identity(solution, problem) -> CheckResult:
@@ -354,25 +343,51 @@ def _worst_integral_inequality(rng, beta: float, n_paths: int) -> CheckResult:
     # as a per-path ``>`` scan from the first path: a NaN gap never wins later
     gap = lhs - rhs
     i = 0 if np.isnan(gap[0]) else int(np.argmax(np.where(np.isnan(gap), -np.inf, gap)))
-    return _inequality("integral_inequality", lhs[i], rhs[i],
-                       detail={"t_index": 0, "beta": beta})
+    return _inequality("integral_inequality", lhs[i], rhs[i], detail={"t_index": 0, "beta": beta})
 
 
-def _worst_norm_equivalence(Z, tree: ScenarioTree, w, mid: float, gamma: float,
-                            rng) -> CheckResult:
-    # the solution field Z (Z norm ``mid``), then N_FIELDS random ones; the
-    # per-tree factors are built once, so each field costs only its own rows
-    da = tree.slot_dA
-    wd = w * da
-    c = da * (1.0 - da)
-    worst = _norm_equivalence(Z, tree, wd, mid, gamma)
-    for _ in range(N_FIELDS):
-        # the stream and values of rng.normal(0.0, 1.0, ...), without its loc/scale pass
-        W = rng.standard_normal((tree.n_slots, tree.n_marks))
-        r = _norm_equivalence(W, tree, wd, norms._weighted_z_sq(W, tree, w, c), gamma)
-        if r.abs_gap > worst.abs_gap:
-            worst = r
-    return worst
+def _sandwich_rows(F, da, phi):
+    # per row of F: lo = (1 - dA) sq, sq = sum(F^2 phi) and the violation of
+    # lo <= seminorm^2 <= sq, scaled by max(sq, 1); in place, to keep memory low
+    sq = np.vecdot(F * F, phi)
+    mid = norms._seminorm_sq(F, da, phi)
+    lo = 1.0 - da
+    lo *= sq
+    v = lo - mid
+    np.maximum(v, np.subtract(mid, sq, out=mid), out=v)
+    v /= np.maximum(sq, 1.0)
+    return lo, sq, v
+
+
+def _norm_sandwich(Z, tree: ScenarioTree, w, z_sq: float, take, rng) -> CheckResult:
+    # every slot of the solution Z (Z norm z_sq), of the constant 1 (lower end
+    # met), of a normal field R and of R centred (upper end met when m > 1),
+    # then N_FIELDS normal rows on each slot of take, one field at a time.  The
+    # row: the first NaN violation, else the first largest; the solution's sums.
+    da, phi = tree.slot_dA, tree.slot_phi
+    rows = np.repeat(take, N_FIELDS)
+
+    def fields():
+        yield "solution", Z, None
+        yield "constant", np.broadcast_to(1.0, phi.shape), None
+        R = rng.standard_normal(phi.shape)
+        yield "normal", R, None
+        R -= np.vecdot(R, phi)[:, None]
+        yield "centred", R, None
+        yield "sampled", rng.standard_normal((rows.size, tree.n_marks)), rows
+
+    worst, detail = 0.0, {}
+    for name, F, at in fields():
+        sel = slice(None) if at is None else at
+        lo, sq, v = _sandwich_rows(F, da[sel], phi[sel])
+        if name == "solution":
+            sums = {"lower": float(np.sum(w * da * lo)), "mid": z_sq,
+                    "upper": float(np.sum(w * da * sq))}
+        j = _worst_row(v) if v.size else None
+        if j is not None and (not detail or math.isnan(v[j]) > math.isnan(worst) or v[j] > worst):
+            worst, detail = v[j], {"field": name, "slot": int(j if at is None else at[j])}
+        del lo, sq, v
+    return _inequality("norm_equivalence", worst, 0.0, detail={**detail, **sums})
 
 
 def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
@@ -381,24 +396,20 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     The generator is frozen along the solved pair, which turns any
     solution into the solution of a linear problem, so the energy
     identity and the a priori bound apply verbatim.  Randomized inputs
-    (paths, fields, Lipschitz samples) come from ``rng``.
+    (paths, fields, Lipschitz samples) come from ``rng`` and two children
+    of it, one stream per check.
 
     Quantities that depend only on the tree, ``beta`` or the solved pair
     are computed once: the frozen driver values, the slot weights and the
     weighted Z integrand serve the energy identity at every grid time,
-    the a priori estimate, the norm sandwich and the jump identity.  The
-    randomized checks draw from ``rng`` in the same order as one check
-    call per item would, and evaluate their draws as blocks (all paths of
-    the integral inequality, all samples of a Lipschitz slot), so every
-    row keeps the bits of the public ``check_*`` function on the same
-    input.
+    the a priori estimate, the norm sandwich and the jump identity.
 
     Returns a list of :class:`CheckResult`, one aggregate row per check.
     """
     rng = rng or np.random.default_rng(0)
-    tree = problem.tree()
+    rng_sandwich, rng_lip = rng.spawn(2)
+    tree, beta = problem.tree(), problem.beta
     results: list[CheckResult] = []
-    beta = problem.beta
 
     # the generator frozen along the solved pair, the slot weights and the
     # weighted Z integrand: every check below shares them
@@ -427,21 +438,14 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
         results.append(_skipped("integral_inequality", "needs beta > 0"))
         results.append(_skipped("apriori_estimate", "needs beta > 0"))
 
-    # norm equivalence on the solution field and random fields
-    max_da = float(np.max(tree.slot_dA)) if tree.n_slots else 0.0
-    if max_da < 1.0:
-        results.append(_worst_norm_equivalence(Z, tree, w, z_sq, 1.0 - max_da, rng))
-    else:
-        results.append(_skipped("norm_equivalence",
-                                "unit jumps present: no gamma in (0, 1]"))
-
-    # Lipschitz bound on a spread of slots
+    # the norm sandwich per slot, and the Lipschitz bound on a spread of slots
+    # increasing as it is (np.unique would only import numpy.ma: 15 ms, 0.5 MiB)
+    take = np.linspace(0, tree.n_slots - 1, min(MAX_SLOTS, tree.n_slots)).astype(int)
+    results.append(_norm_sandwich(Z, tree, w, z_sq, take, rng_sandwich))
     if tree.n_slots:
-        take = np.unique(np.linspace(0, tree.n_slots - 1,
-                                     min(MAX_SLOTS, tree.n_slots)).astype(int))
         worst = None
         for s in take:
-            r = check_lipschitz(problem.f, tree.slot(int(s)), samples=N_SAMPLES, rng=rng)
+            r = check_lipschitz(problem.f, tree.slot(int(s)), samples=N_SAMPLES, rng=rng_lip)
             if worst is None or r.abs_gap > worst.abs_gap or math.isnan(r.abs_gap):
                 worst = r
         results.append(worst)

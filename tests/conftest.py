@@ -581,18 +581,45 @@ def loop_integral_inequality(path, f_path, beta, t_index=0):
                                     detail={"t_index": j, "beta": beta})
 
 
-def loop_norm_equivalence(Z, tree, beta, gamma):
-    """``check_norm_equivalence`` with its weights recomputed per call."""
-    from treebsde import norms, verification
-    P = tree.prob[:tree.n_slots]
-    E_end = tree.doleans_at_slot_end(beta)
-    sq = np.einsum("sm,sm->s", Z * Z, tree.slot_phi)
-    full = float(np.sum(P * E_end * tree.slot_dA * sq))
-    mid = norms.z_norm_sq(Z, tree, beta)
-    violation = max(gamma * full - mid, mid - full)
-    return verification._inequality("norm_equivalence", violation, 0.0,
-                                     detail={"gamma": gamma, "lower": gamma * full,
-                                             "mid": mid, "upper": full})
+def loop_norm_sandwich(F, tree, slots):
+    """``verification._sandwich_rows`` of the rows of ``F`` on ``slots``, one slot at a time.
+
+    Returns the arrays ``(lo, sq, violation)``.
+    """
+    out = []
+    for z, s in zip(np.asarray(F, dtype=float), slots):
+        da, phi = tree.slot_dA[s], tree.slot_phi[s]
+        mean = np.dot(z, phi)
+        dev = z - da * mean
+        mid = np.dot(dev * dev, phi) + da * (1.0 - da) * mean * mean
+        sq = np.dot(z * z, phi)
+        lo = (1.0 - da) * sq
+        out.append((lo, sq, max(lo - mid, mid - sq) / max(sq, 1.0)))
+    return np.array(out, dtype=float).reshape(-1, 3).T
+
+
+def loop_run_sandwich(Z, tree, beta, take, rng):
+    """The suite's norm sandwich row: one scan over every row of every field."""
+    from treebsde import norms, verification as v
+    n, m = tree.n_slots, tree.n_marks
+    R = rng.standard_normal((n, m))
+    centred = np.array([r - np.dot(r, phi) for r, phi in zip(R, tree.slot_phi)]).reshape(n, m)
+    samples = [rng.standard_normal((v.N_FIELDS, m)) for _ in take]
+    rows = [s for s in take for _ in range(v.N_FIELDS)]
+    fields = [("solution", Z, range(n)), ("constant", np.ones((n, m)), range(n)),
+              ("normal", R, range(n)), ("centred", centred, range(n)),
+              ("sampled", np.concatenate(samples or [np.zeros((0, m))]), rows)]
+    worst, detail = 0.0, {}
+    for name, F, slots in fields:
+        lo, sq, viol = loop_norm_sandwich(F, tree, slots)
+        if name == "solution":
+            wd = tree.prob[:n] * tree.doleans_at_slot_end(beta) * tree.slot_dA
+            sums = {"lower": float(np.sum(wd * lo)), "mid": norms.z_norm_sq(Z, tree, beta),
+                    "upper": float(np.sum(wd * sq))}
+        for x, s in zip(viol, slots):
+            if not detail or math.isnan(x) > math.isnan(worst) or x > worst:
+                worst, detail = x, {"field": name, "slot": int(s)}
+    return v._inequality("norm_equivalence", worst, 0.0, detail={**detail, **sums})
 
 
 def per_sample_draws(rng, samples, m):
@@ -624,6 +651,7 @@ def loop_run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     """``run_suite`` with one check call per grid time, path, field and sample."""
     from treebsde import solver, verification as v
     rng = rng or np.random.default_rng(0)
+    rng_sandwich, rng_lipschitz = rng.spawn(2)
     tree = problem.tree()
     results = []
     beta = problem.beta
@@ -657,27 +685,14 @@ def loop_run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
         results.append(v._skipped("integral_inequality", "needs beta > 0"))
         results.append(v._skipped("apriori_estimate", "needs beta > 0"))
 
-    max_da = float(np.max(tree.slot_dA)) if tree.n_slots else 0.0
-    if max_da < 1.0:
-        gamma = 1.0 - max_da
-        worst = loop_norm_equivalence(Z, tree, beta, gamma)
-        for _ in range(v.N_FIELDS):
-            W = rng.normal(0.0, 1.0, (tree.n_slots, tree.n_marks))
-            r = loop_norm_equivalence(W, tree, beta, gamma)
-            if r.abs_gap > worst.abs_gap:
-                worst = r
-        results.append(worst)
-    else:
-        results.append(v._skipped("norm_equivalence",
-                                  "unit jumps present: no gamma in (0, 1]"))
-
+    take = np.unique(np.linspace(0, tree.n_slots - 1,
+                                 min(v.MAX_SLOTS, tree.n_slots)).astype(int))
+    results.append(loop_run_sandwich(Z, tree, beta, take, rng_sandwich))
     if tree.n_slots:
-        take = np.unique(np.linspace(0, tree.n_slots - 1,
-                                     min(v.MAX_SLOTS, tree.n_slots)).astype(int))
         worst = None
         for s in take:
             slot = tree.slot(int(s))
-            draws = per_sample_draws(rng, v.N_SAMPLES, tree.n_marks)
+            draws = per_sample_draws(rng_lipschitz, v.N_SAMPLES, tree.n_marks)
             r = v.check_lipschitz(problem.f, slot, samples=draws)
             if worst is None or r.abs_gap > worst.abs_gap or math.isnan(r.abs_gap):
                 worst = r

@@ -3,6 +3,8 @@
 ``run_suite`` shares integrands across grid times and evaluates its
 randomized checks as blocks; every row must keep the bits of the loop
 forms in ``conftest`` and leave the random generator in the same state.
+The integral inequality draws from the caller's generator, the norm
+sandwich and the Lipschitz check from one child each of ``rng.spawn(2)``.
 """
 
 import numpy as np
@@ -11,8 +13,9 @@ import pytest
 from treebsde import (BsdeProblem, Generator, Solution, backward_oracle, build_tree,
                       check_identity_lemma, check_integral_inequality,
                       check_lipschitz, check_solution_jump_identity, run_suite,
-                      scenarios)
-from treebsde.verification import _integral_inequality_rows, _random_path
+                      scenarios, verification)
+from treebsde.verification import (_integral_inequality_rows, _random_path,
+                                   _worst_integral_inequality)
 
 from conftest import (full_matrix_jump_identity, loop_identity_lemma,
                       loop_integral_inequality, loop_run_suite, per_sample_draws,
@@ -55,6 +58,31 @@ def test_run_suite_is_the_loop_suite_to_the_bit(seed):
     loop = loop_run_suite(problem, sol, rng=rng_loop, n_paths=60)
     assert [_bits(r) for r in block] == [_bits(r) for r in loop]
     assert rng_block.bit_generator.state == rng_loop.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_each_randomized_check_draws_from_its_own_stream(seed, monkeypatch):
+    # drawing more or fewer items in one check moves no other check's row,
+    # and the paths keep the stream of the caller's generator
+    problem, sol = _suite_case(seed)
+    assert problem.beta > 0
+
+    def rows(n_paths=60):
+        return {r.name: _bits(r)
+                for r in run_suite(problem, sol, rng=np.random.default_rng(seed), n_paths=n_paths)}
+
+    def same_but(name, other):
+        assert {k: v for k, v in other.items() if k != name} == {
+            k: v for k, v in base.items() if k != name}
+
+    base = rows()
+    assert base["integral_inequality"] == _bits(_worst_integral_inequality(
+        np.random.default_rng(seed), problem.beta, 60))
+    same_but("integral_inequality", rows(n_paths=7))
+    for name, attr in (("norm_equivalence", "N_FIELDS"), ("lipschitz_bound", "N_SAMPLES")):
+        with monkeypatch.context() as mp:
+            mp.setattr(verification, attr, 3)
+            same_but(name, rows())
 
 
 def test_suite_cases_cover_zero_beta_unit_jumps_and_four_marks():

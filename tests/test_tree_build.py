@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from treebsde import (BsdeProblem, Generator, MarkSpace, ScenarioModel, TreeTooLarge,
                       backward_oracle, build_tree, measure_core, picard_solve, scenarios,
                       solve_linear)
-from treebsde.measure_core import ScenarioTree
+from treebsde.measure_core import NO_JUMP, ScenarioTree
 
 from conftest import (node_children, node_outcomes, node_parents, random_problem,
                       scalar_path, scalar_random_model, scalar_terminals,
@@ -168,19 +168,29 @@ def test_too_many_marks_rejected():
 
 
 def test_histories_are_python_int_tuples_built_on_demand():
-    tree = build_tree(scenarios.two_state_rule(K=3, m=2, a_after_jump=0.3,
-                                               a_after_no_jump=0.6))
-    assert tree._histories is None
-    depth = np.repeat(np.arange(tree.horizon + 1), np.diff(tree.level_start))
-    parent, outcome = node_parents(tree), node_outcomes(tree)
-    for i in range(tree.n_nodes):
-        hist = tree.history(i)
-        assert len(hist) == depth[i]
-        assert all(type(o) is int for o in hist)
-        if i:
-            assert hist == tree.history(int(parent[i])) + (int(outcome[i]),)
-    assert tree.histories == [tree.history(i) for i in range(tree.n_nodes)]
-    assert tree.slot(4).history == tree.history(4)
+    # a_after_jump 1.0 and 0.0 give levels that mix branch kinds
+    for a_after_jump in (0.3, 1.0, 0.0):
+        tree = build_tree(scenarios.two_state_rule(K=3, m=2, a_after_jump=a_after_jump,
+                                                   a_after_no_jump=0.6))
+        assert tree._histories is None
+        depth = np.repeat(np.arange(tree.horizon + 1), np.diff(tree.level_start))
+        for i in range(tree.n_nodes):
+            hist = tree.history(i)
+            assert len(hist) == depth[i]
+            assert all(type(o) is int for o in hist)
+        # against the level build: the rows of level k + 1 repeat each slot's
+        # history once per child of the branch rule, in slot order, and append
+        # the child's outcome (marks 0..m-1, then no jump)
+        m = tree.n_marks
+        for k in range(tree.horizon):
+            branches = measure_core._branches(tree.slot_dA[tree.slot_level_slice(k)], m)
+            H, H_next = tree.level_histories[k], tree.level_histories[k + 1]
+            assert (H_next[:, :k].tolist()
+                    == np.repeat(H, branches.sum(axis=1), axis=0).tolist())
+            column = np.nonzero(branches)[1]
+            assert H_next[:, k].tolist() == np.where(column == m, NO_JUMP, column).tolist()
+        assert tree.histories == [tree.history(i) for i in range(tree.n_nodes)]
+        assert tree.slot(4).history == tree.history(4)
 
 
 def test_level_rows_see_only_earlier_outcomes():

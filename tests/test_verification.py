@@ -8,8 +8,10 @@ from treebsde import (BsdeProblem, Generator, backward_oracle, build_tree,
                       norms, picard_solve, run_suite, solve_linear)
 from treebsde import scenarios
 
-from conftest import (brute_doleans, leaf_paths, node_children, node_outcomes,
-                      random_linear_problem, random_problem)
+from treebsde.verification import _sandwich_rows
+
+from conftest import (brute_doleans, leaf_paths, loop_norm_sandwich, node_children,
+                      node_outcomes, random_linear_problem, random_problem)
 
 
 # -- energy identity --------------------------------------------------------------
@@ -186,6 +188,111 @@ def test_norm_equivalence_rejects_oversized_jump():
     tree = build_tree(scenarios.deterministic_grid(K=1, m=1, a=0.8))
     with pytest.raises(ValueError):
         check_norm_equivalence(np.ones((1, 1)), tree, 1.0, 0.5)
+
+
+# -- per-slot norm sandwich of the suite ---------------------------------------------------
+
+
+def _sandwich_tree(seed):
+    rng = np.random.default_rng(500 + seed)
+    return build_tree(scenarios.random_model(rng, m=1 + seed % 3, max_horizon=5)), rng
+
+
+def _sandwich_fields(tree, rng):
+    # normal rows over six decades, the constant 1, a normal field centred by
+    # its phi-mean, and small integers (exact ties between rows)
+    n, m = tree.n_slots, tree.n_marks
+    R = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    centred = R - np.array([np.dot(r, phi) for r, phi in zip(R, tree.slot_phi)])[:, None]
+    return {"normal": R, "constant": np.ones((n, m)), "centred": centred,
+            "integer": rng.integers(-2, 3, (n, m)).astype(float)}
+
+
+def _affine_z():
+    return Generator.batched(
+        lambda block, y, zeta: 0.1 + 0.5 * norms.lipschitz_seminorm_rows(zeta, block), 0.0, 0.5)
+
+
+def test_sandwich_trees_cover_zero_and_unit_jumps_and_three_mark_counts():
+    trees = [_sandwich_tree(seed)[0] for seed in range(12)]
+    assert any((t.slot_dA == 0.0).any() for t in trees)
+    assert any((t.slot_dA == 1.0).any() for t in trees)
+    assert any(((t.slot_dA > 0.0) & (t.slot_dA < 1.0)).any() for t in trees)
+    assert {t.n_marks for t in trees} == {1, 2, 3}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sandwich_rows_are_the_scalar_loop(seed):
+    tree, rng = _sandwich_tree(seed)
+    da, phi = tree.slot_dA, tree.slot_phi
+    for F in _sandwich_fields(tree, rng).values():
+        got = _sandwich_rows(F, da, phi)
+        want = loop_norm_sandwich(F, tree, range(tree.n_slots))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sandwich_ends_are_met_by_the_extremal_fields(seed):
+    # the constant field sits on the lower end (1 - dA) sq at every slot, the
+    # centred field on the upper end sq when m > 1 (for m = 1 it is 0)
+    tree, rng = _sandwich_tree(seed)
+    da, phi = tree.slot_dA, tree.slot_phi
+    fields = _sandwich_fields(tree, rng)
+    for name, end in (("constant", 0), ("centred", 1)):
+        F = fields[name]
+        lo, sq, viol = _sandwich_rows(F, da, phi)
+        mid = norms._seminorm_sq(F, da, phi)
+        assert np.all(np.abs(mid - (lo, sq)[end]) <= 1e-15 * sq)
+        assert np.all(viol <= 1e-15)
+        if name == "centred" and tree.n_marks == 1:
+            assert not sq.any()
+
+
+def test_unit_jump_tree_gets_a_sandwich_row():
+    # pdmp_like: dA = 1 on every slot, where the lower end is 0
+    problem = BsdeProblem(model=scenarios.pdmp_like(K=4, m=3, phi=[0.2, 0.3, 0.5]),
+                          beta=1.0, xi=scenarios.xi_last_mark_indicator(0, 1.0),
+                          f=_affine_z())
+    sol = backward_oracle(problem)
+    row = next(r for r in run_suite(problem, sol, rng=np.random.default_rng(3))
+               if r.name == "norm_equivalence")
+    assert row.kind == "inequality" and row.passed
+    # the solved rows are centred, so the solution sits on the upper end
+    assert row.detail["lower"] == 0.0 < row.detail["mid"]
+    assert row.detail["mid"] == pytest.approx(row.detail["upper"], rel=1e-14)
+    assert row.detail["mid"] == norms.z_norm_sq(sol.Z, problem.tree(), 1.0)
+
+
+def test_sandwich_fails_a_seminorm_with_a_shrunk_atom_term(monkeypatch):
+    # c = dA (1 - dA) scaled by 1 - 1e-3 inside the seminorm: the weighted
+    # sums against gamma = 1 - max dA cannot see it, the per-slot lower end
+    # (met by the constant field) does
+    model = scenarios.two_state_rule(K=8, m=2, a_after_jump=0.3, a_after_no_jump=0.6)
+    problem = BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_jump_count(),
+                          f=_affine_z())
+    sol = backward_oracle(problem)
+    tree = problem.tree()
+
+    def row():
+        return next(r for r in run_suite(problem, sol, rng=np.random.default_rng(0))
+                    if r.name == "norm_equivalence")
+
+    assert row().passed
+
+    def shrunk(zeta, delta_A, phi):
+        mean, spread = norms._moments(zeta, delta_A, phi)
+        return spread + delta_A * (1.0 - delta_A) * (1.0 - 1e-3) * mean * mean
+
+    monkeypatch.setattr(norms, "_seminorm_sq", shrunk)
+    gamma = 1.0 - float(tree.slot_dA.max())
+    W = np.random.default_rng(1).standard_normal(tree.slot_phi.shape)
+    assert all(check_norm_equivalence(F, tree, 1.0, gamma).passed for F in (sol.Z, W))
+    r = row()
+    assert not r.passed and r.lhs > 1e-4
+    da = tree.slot_dA
+    lo, sq, viol = _sandwich_rows(np.ones(tree.slot_phi.shape), da, tree.slot_phi)
+    assert viol.max() > 1e-4          # the constant field alone catches it
 
 
 # -- lipschitz check -----------------------------------------------------------------------

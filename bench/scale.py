@@ -84,12 +84,14 @@ def _cases() -> dict:
 
 
 # the functions run_suite calls for each check; a tree has some of them
-# (older trees name the norm sandwich ``_worst_norm_equivalence``)
+# (older trees name the norm sandwich ``_worst_norm_equivalence``, and newer
+# ones reduce its solution field apart, in ``_solution_sandwich``)
 CHECKS = {
     "identity_lemma": ("check_identity_lemma", "_identity_lemma_rows"),
     "integral_inequality": ("check_integral_inequality", "_worst_integral_inequality"),
     "apriori_estimate": ("check_apriori_estimate", "_apriori_estimate"),
-    "norm_equivalence": ("check_norm_equivalence", "_worst_norm_equivalence", "_norm_sandwich"),
+    "norm_equivalence": ("check_norm_equivalence", "_worst_norm_equivalence",
+                         "_solution_sandwich", "_norm_sandwich"),
     "lipschitz_bound": ("check_lipschitz",),
     "jump_identity": ("check_solution_jump_identity", "_jump_identity"),
 }

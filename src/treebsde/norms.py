@@ -12,8 +12,10 @@ of a row against the atomic part of the compensator,
 One row kernel (``_moments``) gives ``hat_z_rows``,
 ``lipschitz_seminorm_rows`` and ``slot_z_contribution`` (``delta_A``
 times the squared seminorm).  The scalar ``hat_z`` and
-``lipschitz_seminorm`` are one-row calls (10-15 us each, for scalar
-drivers); a driver that needs speed uses the row forms.
+``lipschitz_seminorm`` are one-row calls for scalar drivers: about 10 us
+with one mark and 6 us more per further mark (2-vCPU host, numpy 2.4), as
+the kernel makes a few elementwise passes per mark.  A driver that needs
+speed uses the row forms.
 
 On slots with ``delta_A = 1`` the squared norm cannot see an additive
 constant in the row, so fields are only norm-unique there; the canonical
@@ -21,10 +23,10 @@ representative (``canonical_field``) centers those rows to
 ``sum(Z * phi) = 0`` and zeroes the weightless ``delta_A = 0`` rows.
 
 All sums run in fixed node-index order so repeated evaluations are bit
-identical; ``np.vecdot`` gives each row the bits of ``np.dot`` on it.  A
-one-mark row is its one product, which equals ``np.vecdot`` but for the
-sign of an exact zero (vecdot adds it to ``+0.0``): the norms square the
-mean and keep every bit, ``hat_z_rows`` may return ``-0.0`` for ``+0.0``.
+identical.  A row's sum over marks (``_phi_dot``, and the spread in
+``_moments``) adds the marks left to right, one elementwise pass per mark,
+so a row's bits depend on its values only, not on its block, its length
+or its alignment.
 """
 
 from __future__ import annotations
@@ -56,17 +58,31 @@ def field_zeros(tree: ScenarioTree) -> np.ndarray:
     return np.zeros((tree.n_slots, tree.n_marks))
 
 
+def _phi_dot(a, phi) -> np.ndarray:
+    """Per-row ``sum(a * phi)``: the marks added left to right, one elementwise pass each."""
+    out = a[:, 0] * phi[:, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j] * phi[:, j]
+    return out
+
+
 def _moments(zeta, delta_A: np.ndarray, phi: np.ndarray):
     """Per-row ``mean = sum(zeta * phi)`` and ``spread = sum((zeta - delta_A*mean)^2 phi)``."""
     z = np.asarray(zeta, dtype=float)
-    if z.shape[1] == 1:   # one mark: the row's product, without a BLAS call
-        p = phi[:, 0]
-        mean = z[:, 0] * p
-        dev = z[:, 0] - delta_A * mean
-        return mean, dev * dev * p
-    mean = np.vecdot(z, phi)
-    dev = z - (delta_A * mean)[:, None]
-    return mean, np.vecdot(dev * dev, phi)
+    mean = _phi_dot(z, phi)
+    shift = delta_A * mean
+    m = z.shape[1]
+    for j in range(m):
+        # one mark at a time, without a 2-D deviation; the last mark's
+        # deviation takes the buffer of the shift
+        dev = np.subtract(z[:, j], shift, out=shift if j == m - 1 else None)
+        dev *= dev
+        dev *= phi[:, j]
+        if j == 0:
+            spread = dev
+        else:
+            spread += dev
+    return mean, spread
 
 
 def _seminorm_sq(zeta, delta_A: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -270,7 +270,7 @@ def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResu
     # np.float_power calls the C library's pow, as Python's float ``**`` does, so
     # each margin has the bits of a per-sample evaluation (x * x can differ)
     fbar2, dy2, zh2, s2 = np.float_power([fbar, y2 - y, zh, s], 2.0)
-    expanded = np.vecdot((dz - zh[:, None]) ** 2, block.phi)
+    expanded = norms._phi_dot((dz - zh[:, None]) ** 2, block.phi)
     if da != 0.0:
         expanded += (1.0 - da) / da * zh2
     squared = fbar2 - (2.0 * f.lip_y ** 2 * dy2 + 2.0 * hat_lz_sq * expanded)
@@ -346,11 +346,12 @@ def _worst_integral_inequality(rng, beta: float, n_paths: int) -> CheckResult:
     return _inequality("integral_inequality", lhs[i], rhs[i], detail={"t_index": 0, "beta": beta})
 
 
-def _sandwich_rows(F, da, phi):
+def _sandwich_rows(F, da, phi, mid=None):
     # per row of F: lo = (1 - dA) sq, sq = sum(F^2 phi) and the violation of
-    # lo <= seminorm^2 <= sq, scaled by max(sq, 1); in place, to keep memory low
-    sq = np.vecdot(F * F, phi)
-    mid = norms._seminorm_sq(F, da, phi)
+    # lo <= seminorm^2 <= sq, scaled by max(sq, 1).  In place, to keep memory
+    # low: a given mid, F's squared seminorm, is overwritten
+    sq = norms._phi_dot(F * F, phi)
+    mid = norms._seminorm_sq(F, da, phi) if mid is None else mid
     lo = 1.0 - da
     lo *= sq
     v = lo - mid
@@ -359,35 +360,53 @@ def _sandwich_rows(F, da, phi):
     return lo, sq, v
 
 
-def _norm_sandwich(Z, tree: ScenarioTree, w, z_sq: float, take, rng) -> CheckResult:
-    # every slot of the solution Z (Z norm z_sq), of the constant 1 (lower end
-    # met), of a normal field R and of R centred (upper end met when m > 1),
-    # then N_FIELDS normal rows on each slot of take, one field at a time.  The
-    # row: the first NaN violation, else the first largest; the solution's sums.
+def _field_worst(name, v, at=None):
+    # a field's first NaN violation, else its first largest, with its slot;
+    # None for a field without rows
+    if not v.size:
+        return None
+    j = _worst_row(v)
+    return v[j], {"field": name, "slot": int(j if at is None else at[j])}
+
+
+def _solution_sandwich(Z, tree: ScenarioTree, w, z_sem):
+    # the sandwich of the solution field: its worst row and its lower and
+    # upper sums.  z_sem, Z's squared seminorm per slot, is overwritten
+    da = tree.slot_dA
+    lo, sq, v = _sandwich_rows(Z, da, tree.slot_phi, z_sem)
+    return _field_worst("solution", v), float(np.sum(w * da * lo)), float(np.sum(w * da * sq))
+
+
+def _norm_sandwich(solution, z_sq: float, tree: ScenarioTree, take, rng) -> CheckResult:
+    # the solution Z (its _solution_sandwich; Z norm z_sq), then every slot of
+    # the constant 1 (lower end met), of a normal field R and of R centred
+    # (upper end met when m > 1), then N_FIELDS normal rows on each slot of
+    # take, one field at a time.  The row: the first NaN violation, else the
+    # first largest; the solution's sums.
     da, phi = tree.slot_dA, tree.slot_phi
     rows = np.repeat(take, N_FIELDS)
+    solution_worst, lower, upper = solution
 
     def fields():
-        yield "solution", Z, None
         yield "constant", np.broadcast_to(1.0, phi.shape), None
         R = rng.standard_normal(phi.shape)
         yield "normal", R, None
-        R -= np.vecdot(R, phi)[:, None]
+        R -= norms._phi_dot(R, phi)[:, None]
         yield "centred", R, None
         yield "sampled", rng.standard_normal((rows.size, tree.n_marks)), rows
 
+    def candidates():
+        yield solution_worst
+        for name, F, at in fields():
+            sel = slice(None) if at is None else at
+            yield _field_worst(name, _sandwich_rows(F, da[sel], phi[sel])[2], at)
+
     worst, detail = 0.0, {}
-    for name, F, at in fields():
-        sel = slice(None) if at is None else at
-        lo, sq, v = _sandwich_rows(F, da[sel], phi[sel])
-        if name == "solution":
-            sums = {"lower": float(np.sum(w * da * lo)), "mid": z_sq,
-                    "upper": float(np.sum(w * da * sq))}
-        j = _worst_row(v) if v.size else None
-        if j is not None and (not detail or math.isnan(v[j]) > math.isnan(worst) or v[j] > worst):
-            worst, detail = v[j], {"field": name, "slot": int(j if at is None else at[j])}
-        del lo, sq, v
-    return _inequality("norm_equivalence", worst, 0.0, detail={**detail, **sums})
+    for c in candidates():
+        if c is not None and (not detail or math.isnan(c[0]) > math.isnan(worst) or c[0] > worst):
+            worst, detail = c
+    return _inequality("norm_equivalence", worst, 0.0,
+                       detail={**detail, "lower": lower, "mid": z_sq, "upper": upper})
 
 
 def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
@@ -401,8 +420,8 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
 
     Quantities that depend only on the tree, ``beta`` or the solved pair
     are computed once: the frozen driver values, the slot weights and the
-    weighted Z integrand serve the energy identity at every grid time,
-    the a priori estimate, the norm sandwich and the jump identity.
+    solution's Z seminorm per slot serve the energy identity at every grid
+    time, the a priori estimate, the norm sandwich and the jump identity.
 
     Returns a list of :class:`CheckResult`, one aggregate row per check.
     """
@@ -411,14 +430,19 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     tree, beta = problem.tree(), problem.beta
     results: list[CheckResult] = []
 
-    # the generator frozen along the solved pair, the slot weights and the
-    # weighted Z integrand: every check below shares them
+    # the generator frozen along the solved pair, the slot weights, the Z
+    # seminorm and the weighted Z integrand: every check below shares them
     Y, Z = solution.Y, solution.Z
     f_path = solver._eval_path(tree, problem.f, Y, Z)
     E_end = tree.doleans_at_slot_end(beta)
     w = tree.prob[:tree.n_slots] * E_end
-    z_part = w * norms.slot_z_contribution(Z, tree)
+    z_sem = norms._seminorm_sq(Z, tree.slot_dA, tree.slot_phi)
+    z_part = w * (tree.slot_dA * z_sem)     # w * slot_z_contribution(Z)
     z_sq = float(np.sum(z_part))
+    # the sandwich's solution field overwrites z_sem: it is reduced to its worst
+    # row and sums here, so z_sem is gone before the other checks allocate
+    solution_sandwich = _solution_sandwich(Z, tree, w, z_sem)
+    del z_sem
 
     # energy identity at every grid time
     worst = None
@@ -441,7 +465,7 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     # the norm sandwich per slot, and the Lipschitz bound on a spread of slots
     # increasing as it is (np.unique would only import numpy.ma: 15 ms, 0.5 MiB)
     take = np.linspace(0, tree.n_slots - 1, min(MAX_SLOTS, tree.n_slots)).astype(int)
-    results.append(_norm_sandwich(Z, tree, w, z_sq, take, rng_sandwich))
+    results.append(_norm_sandwich(solution_sandwich, z_sq, tree, take, rng_sandwich))
     if tree.n_slots:
         worst = None
         for s in take:

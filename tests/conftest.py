@@ -136,23 +136,31 @@ def brute_expectation_at_depth(tree, values, depth):
 # -- scalar twins of the per-slot formulas -------------------------------------
 
 
+def phi_sum(a, phi) -> float:
+    """``sum(a * phi)`` of one row in Python floats, the marks added left to right."""
+    a, phi = np.asarray(a, dtype=float).tolist(), np.asarray(phi, dtype=float).tolist()
+    total = a[0] * phi[0]
+    for x, p in zip(a[1:], phi[1:]):
+        total += x * p
+    return total
+
+
 def scalar_hat_z(zeta, slot) -> float:
     """Projection of a mark vector on the slot's atomic compensator."""
     if slot.delta_A == 0.0:
         return 0.0
-    return float(slot.delta_A * np.dot(np.asarray(zeta, dtype=float), slot.phi))
+    return float(slot.delta_A) * phi_sum(zeta, slot.phi)
 
 
-def vecdot_moments(zeta, delta_A, phi):
-    """Row moments ``(mean, spread)`` by ``np.vecdot`` for every mark count.
+def scalar_moments(zeta, delta_A, phi):
+    """Row moments ``(mean, spread)`` of one row by ``phi_sum``.
 
-    ``mean = sum(zeta * phi)`` and ``spread = sum((zeta - delta_A*mean)^2 phi)``,
-    each row with the bits of ``np.dot`` on it.
+    ``mean = sum(zeta * phi)`` and ``spread = sum((zeta - delta_A*mean)^2 phi)``.
     """
     z = np.asarray(zeta, dtype=float)
-    mean = np.vecdot(z, phi)
-    dev = z - (delta_A * mean)[:, None]
-    return mean, np.vecdot(dev * dev, phi)
+    mean = phi_sum(z, phi)
+    dev = z - float(delta_A) * mean
+    return mean, phi_sum(dev * dev, phi)
 
 
 def scalar_seminorm(dzeta, slot) -> float:
@@ -163,12 +171,9 @@ def scalar_seminorm(dzeta, slot) -> float:
     slot's Z-norm integrand; on ``delta_A = 0`` slots it reduces to the
     plain L2(phi) norm.
     """
-    dz = np.asarray(dzeta, dtype=float)
-    da = slot.delta_A
-    mean = float(np.dot(dz, slot.phi))
-    dev = dz - da * mean
-    val = float(np.dot(dev * dev, slot.phi)) + da * (1.0 - da) * mean * mean
-    return float(np.sqrt(val))
+    da = float(slot.delta_A)
+    mean, spread = scalar_moments(dzeta, da, slot.phi)
+    return math.sqrt(spread + da * (1.0 - da) * mean * mean)
 
 
 def represent_martingale(values, slot):
@@ -588,11 +593,10 @@ def loop_norm_sandwich(F, tree, slots):
     """
     out = []
     for z, s in zip(np.asarray(F, dtype=float), slots):
-        da, phi = tree.slot_dA[s], tree.slot_phi[s]
-        mean = np.dot(z, phi)
-        dev = z - da * mean
-        mid = np.dot(dev * dev, phi) + da * (1.0 - da) * mean * mean
-        sq = np.dot(z * z, phi)
+        da, phi = float(tree.slot_dA[s]), tree.slot_phi[s]
+        mean, spread = scalar_moments(z, da, phi)
+        mid = spread + da * (1.0 - da) * mean * mean
+        sq = phi_sum(z * z, phi)
         lo = (1.0 - da) * sq
         out.append((lo, sq, max(lo - mid, mid - sq) / max(sq, 1.0)))
     return np.array(out, dtype=float).reshape(-1, 3).T
@@ -603,7 +607,7 @@ def loop_run_sandwich(Z, tree, beta, take, rng):
     from treebsde import norms, verification as v
     n, m = tree.n_slots, tree.n_marks
     R = rng.standard_normal((n, m))
-    centred = np.array([r - np.dot(r, phi) for r, phi in zip(R, tree.slot_phi)]).reshape(n, m)
+    centred = np.array([r - phi_sum(r, phi) for r, phi in zip(R, tree.slot_phi)]).reshape(n, m)
     samples = [rng.standard_normal((v.N_FIELDS, m)) for _ in take]
     rows = [s for s in take for _ in range(v.N_FIELDS)]
     fields = [("solution", Z, range(n)), ("constant", np.ones((n, m)), range(n)),
@@ -627,6 +631,39 @@ def per_sample_draws(rng, samples, m):
     return [(rng.normal(0, 2.0), rng.normal(0, 2.0),
              rng.normal(0, 2.0, m), rng.normal(0, 2.0, m))
             for _ in range(samples)]
+
+
+def _nan_max(a, b):
+    # np.maximum on two floats: a NaN wins, else the first of equal values
+    return a if math.isnan(a) or not b > a else b
+
+
+def loop_lipschitz(f, slot, draws, hat_lz_sq=None):
+    """``check_lipschitz`` with one driver call and Python-float margins per sample."""
+    from treebsde import verification
+    if hat_lz_sq is None:
+        hat_lz_sq = f.lip_z ** 2 + 0.1
+    da = float(slot.delta_A)
+    worst = witness = None
+    for y, y2, z, z2 in draws:
+        y, y2 = float(y), float(y2)
+        z, z2 = [float(x) for x in z], [float(x) for x in z2]
+        dz = [b - a for a, b in zip(z, z2)]
+        s = scalar_seminorm(dz, slot)
+        fbar = f(slot, y2, np.array(z2)) - f(slot, y, np.array(z))
+        plain = abs(fbar) - (f.lip_y * abs(y2 - y) + f.lip_z * s)
+        zh = scalar_hat_z(dz, slot)
+        expanded = phi_sum([(d - zh) * (d - zh) for d in dz], slot.phi)
+        if da != 0.0:
+            expanded += (1.0 - da) / da * zh ** 2
+        squared = fbar ** 2 - (2.0 * f.lip_y ** 2 * (y2 - y) ** 2 + 2.0 * hat_lz_sq * expanded)
+        forms = abs(expanded - s ** 2) / _nan_max(s ** 2, 1.0) - 1e-12
+        margin = _nan_max(_nan_max(plain, squared), forms)
+        if worst is None or (math.isnan(margin) and not math.isnan(worst)) or margin > worst:
+            worst, witness = margin, {"y": y, "y2": y2, "z": z, "z2": z2}
+    return verification._inequality("lipschitz_bound", worst, 0.0,
+                                    detail={"hat_lz_sq": float(hat_lz_sq),
+                                            "n_samples": len(draws), "witness": witness})
 
 
 def full_matrix_jump_identity(solution, problem):
@@ -693,7 +730,7 @@ def loop_run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
         for s in take:
             slot = tree.slot(int(s))
             draws = per_sample_draws(rng_lipschitz, v.N_SAMPLES, tree.n_marks)
-            r = v.check_lipschitz(problem.f, slot, samples=draws)
+            r = loop_lipschitz(problem.f, slot, draws)
             if worst is None or r.abs_gap > worst.abs_gap or math.isnan(r.abs_gap):
                 worst = r
         results.append(worst)

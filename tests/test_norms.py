@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from treebsde import MarkSpace, ScenarioModel, build_tree, norms, scenarios
 
 from conftest import (brute_y_norm, brute_z_norm, jump_second_moment, leaf_paths,
-                      scalar_hat_z, scalar_seminorm, vecdot_moments)
+                      scalar_hat_z, scalar_moments, scalar_seminorm)
 
 
 def slot_of(K=1, m=1, a=0.5, phi=None):
@@ -179,22 +179,49 @@ def mixed_rows(rng, m, n=4000):
 
 
 @pytest.mark.parametrize("m", range(1, 8))
-def test_moments_are_vecdot(m):
-    # one mark: equal values, the sign of an exact zero free; more marks: every bit
+def test_moments_are_the_left_to_right_sum(m):
+    # every bit, the sign of an exact zero included, of the one-row Python sum
     rng = np.random.default_rng(80 + m)
     Z, delta_A, phi = mixed_rows(rng, m)
     if m == 1:
         phi[rng.random(phi.shape[0]) < 0.5] = 1.0   # the normalized one-mark law
     assert {0.0, 1.0} < set(delta_A.tolist()) and np.any(np.all(Z == 0.0, axis=1))
-    mean, spread = vecdot_moments(Z, delta_A, phi)
-    for got, want in zip(norms._moments(Z, delta_A, phi), (mean, spread)):
-        assert np.all(got == want)
-        bits = want != 0.0 if m == 1 else slice(None)
-        assert np.array_equal(got[bits].view(np.int64), want[bits].view(np.int64))
-    # the squared seminorm squares the mean, so it keeps every bit
+    assert np.any(np.signbit(Z) & (Z == 0.0))
+    mean, spread = (np.array(v) for v in zip(*map(scalar_moments, Z, delta_A, phi)))
+    got = norms._moments(Z, delta_A, phi)
+    assert got[0].tobytes() == mean.tobytes()
+    assert got[1].tobytes() == spread.tobytes()
+    # the squared seminorm adds the atom term to the spread
     want = spread + delta_A * (1.0 - delta_A) * mean * mean
-    got = norms._seminorm_sq(Z, delta_A, phi)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert norms._seminorm_sq(Z, delta_A, phi).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_moments_are_vecdot(m):
+    # np.vecdot sums the same products in another rounding order: each row
+    # is within m ulp-sized steps of the sum of the absolute products
+    rng = np.random.default_rng(80 + m)
+    Z, delta_A, phi = mixed_rows(rng, m)
+    mean, spread = norms._moments(Z, delta_A, phi)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(mean - np.vecdot(Z, phi)) <= m * eps * np.vecdot(np.abs(Z), phi))
+    dev2 = (Z - (delta_A * mean)[:, None]) ** 2
+    assert np.all(np.abs(spread - np.vecdot(dev2, phi)) <= m * eps * np.vecdot(dev2, phi))
+
+
+@pytest.mark.parametrize("offset", [0, 1, 3, 7])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_moments_of_strided_views_are_the_contiguous_bits(m, offset):
+    # the child block V[:, :-1] of a sweep, at several alignments of its buffer
+    rng = np.random.default_rng(60 + m)
+    Z, delta_A, phi = mixed_rows(rng, m, n=1001)
+    buf = np.empty(offset + Z.size + Z.shape[0])
+    V = buf[offset:].reshape(Z.shape[0], m + 1)
+    V[:, :-1], V[:, -1] = Z, rng.normal(0.0, 3.0, Z.shape[0])
+    assert not V[:, :-1].flags.c_contiguous
+    for got, want in zip(norms._moments(V[:, :-1], delta_A, phi),
+                         norms._moments(Z, delta_A, phi)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_seminorm_zero():

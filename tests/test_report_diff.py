@@ -3,6 +3,8 @@ import json
 import math
 from pathlib import Path
 
+from treebsde import scenarios
+
 _spec = importlib.util.spec_from_file_location(
     "report_diff", Path(__file__).resolve().parents[1] / "tools" / "report_diff.py")
 report_diff = importlib.util.module_from_spec(_spec)
@@ -34,3 +36,11 @@ def test_one_ulp_edits_report_one_ulp(tmp_path):
         ("summary.json.solver.z_norm_sq", 1),
     }
     assert report_diff.ulp_distance(-0.0, 5e-324) == 1
+
+
+def test_every_case_config_builds_its_model():
+    # a case whose model is a config error compares two identical error exits
+    for name, _, config in report_diff.cases():
+        if config is not None:
+            model = config["model"]
+            assert scenarios.ModelSpec(model["preset"], model["params"]).build(), name

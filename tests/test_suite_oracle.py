@@ -18,8 +18,9 @@ from treebsde.verification import (_integral_inequality_rows, _random_path,
                                    _worst_integral_inequality)
 
 from conftest import (full_matrix_jump_identity, loop_identity_lemma,
-                      loop_integral_inequality, loop_run_suite, per_sample_draws,
-                      random_generator, random_linear_problem, random_problem)
+                      loop_integral_inequality, loop_lipschitz, loop_run_suite,
+                      per_sample_draws, random_generator, random_linear_problem,
+                      random_problem)
 
 
 def _bits(r):
@@ -154,8 +155,9 @@ def test_lipschitz_block_draw_is_the_per_sample_stream(m):
     f = random_generator(np.random.default_rng(m), tree)
     rng_block, rng_loop = np.random.default_rng(7), np.random.default_rng(7)
     r_block = check_lipschitz(f, tree.slot(0), samples=50, rng=rng_block)
-    r_loop = check_lipschitz(f, tree.slot(0), samples=per_sample_draws(rng_loop, 50, m))
-    assert _bits(r_block) == _bits(r_loop)
+    draws = per_sample_draws(rng_loop, 50, m)
+    r_loop = check_lipschitz(f, tree.slot(0), samples=draws)
+    assert _bits(r_block) == _bits(r_loop) == _bits(loop_lipschitz(f, tree.slot(0), draws))
     assert rng_block.bit_generator.state == rng_loop.bit_generator.state
 
 

@@ -11,7 +11,7 @@ from treebsde import scenarios
 from treebsde.verification import _sandwich_rows
 
 from conftest import (brute_doleans, leaf_paths, loop_norm_sandwich, node_children,
-                      node_outcomes, random_linear_problem, random_problem)
+                      node_outcomes, phi_sum, random_linear_problem, random_problem)
 
 
 # -- energy identity --------------------------------------------------------------
@@ -430,7 +430,7 @@ def test_seminorm_expanded_form_is_algebraic_identity():
         for _ in range(20):
             dz = rng.normal(0, 2, 3)
             zh = norms.hat_z(dz, slot)
-            expanded = float(np.dot((dz - zh) ** 2, slot.phi))
+            expanded = phi_sum((dz - zh) ** 2, slot.phi)
             if slot.delta_A != 0.0:
                 expanded += (1.0 - slot.delta_A) / slot.delta_A * zh ** 2
             sem_sq = norms.lipschitz_seminorm(dz, slot) ** 2

@@ -113,7 +113,8 @@ def cases() -> list[tuple[str, str, dict | None]]:
                                            "relative_to_beta_min": True}),
                         ("delta", {"param": "delta", "values": [0.05, 0.1, 0.2]})):
         out.append((f"sweep-{name}", "sweep", {**base, "sweep": sweep}))
-    k0 = {**base, "model": {"preset": "deterministic_grid", "params": {"K": 0, "m": 2}},
+    k0 = {**base, "model": {"preset": "deterministic_grid",
+                            "params": {"K": 0, "m": 2, "a": 0.5}},
           "beta": 1.0}
     low_beta = {"model": {"preset": "deterministic_grid", "params": {"K": 6, "m": 2, "a": 1.0}},
                 "generator": {"preset": "saturating",

@@ -39,7 +39,7 @@ except NoConvergence as exc:
 # a terminal value with zero conditional mean at the jump instead makes
 # the one-step equation degenerate (a continuum of solutions)
 centered = BsdeProblem(model=model, beta=0.0,
-                       xi=lambda h: scenarios.xi_jump_count(2.0)(h) - 1.0,
+                       xi=lambda H: scenarios.xi_jump_count(2.0)(H) - 1.0,
                        f=driver)
 try:
     backward_oracle(centered)

@@ -4,7 +4,6 @@ on exactly enumerated scenario trees."""
 
 from .measure_core import (
     NO_JUMP,
-    LevelRules,
     MarkSpace,
     ScenarioModel,
     ScenarioTree,
@@ -44,7 +43,6 @@ from .solver import (
     SolverError,
     StepSingular,
     backward_oracle,
-    batched_terminal,
     bsde_residual,
     implicit_step_solve,
     picard_map,

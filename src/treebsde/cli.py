@@ -174,7 +174,8 @@ def _build_generator(spec, tree) -> solver.Generator:
     raise ConfigError(f"unknown generator preset {preset!r}")
 
 
-def _build_terminal(spec):
+def _build_terminal(spec, n_marks: int):
+    """Terminal of a config's ``terminal`` section on a tree with ``n_marks`` marks."""
     preset = spec.get("preset", "constant")
     p = spec.get("params", {})
     if preset == "constant":
@@ -182,8 +183,10 @@ def _build_terminal(spec):
     if preset == "jump_count":
         return scenarios.xi_jump_count(_num(p, "scale", 1.0))
     if preset == "last_mark":
-        return scenarios.xi_last_mark_indicator(_num(p, "mark", 0, _whole),
-                                                _num(p, "scale", 1.0))
+        mark = _num(p, "mark", 0, _whole)
+        if not 0 <= mark < n_marks:
+            raise ConfigError(f"terminal mark {mark} outside 0..{n_marks - 1}")
+        return scenarios.xi_last_mark_indicator(mark, _num(p, "scale", 1.0))
     raise ConfigError(f"unknown terminal preset {preset!r}")
 
 
@@ -211,8 +214,8 @@ def _base_problem(cfg: RunConfig, built=None):
     """
     model, tree = built or _build_tree(cfg)
     gen = _build_generator(cfg.generator, tree)
-    problem = solver.BsdeProblem(model=model, beta=0.0, xi=_build_terminal(cfg.terminal),
-                                 f=gen, _tree=tree)
+    xi = _build_terminal(cfg.terminal, tree.n_marks)
+    problem = solver.BsdeProblem(model=model, beta=0.0, xi=xi, f=gen, _tree=tree)
     return problem, solver._setup_of(problem, cfg.delta)
 
 

@@ -16,13 +16,14 @@ the interval ``(t_k, t_{k+1}]`` with its atom at ``t_{k+1}``; on the tree
 the slots are in bijection with the internal nodes, and a slot's index
 equals the node index of its parent.
 
-The tree is built one level at a time: a model in level-batch form
-(:meth:`ScenarioModel.batched`) sees the int8 matrix ``H`` of the
-histories of every node of a depth at once, one row per node; a model
-given by scalar ``(k, history)`` callables is evaluated row by row.  The
-tree keeps those int8 level matrices (``ScenarioTree.level_histories``);
-history tuples of Python ints are built only on demand
-(``ScenarioTree.history``, ``ScenarioTree.histories``, ``SlotView``).
+The tree is built one level at a time: a model's rules see the int8
+matrix ``H`` of the histories of every node of a depth at once, one row
+per node, and answer with one jump size and one mark law per row.  That
+is the only form a model has; ``scenarios`` adapts a per-history rule to
+it.  The tree keeps those int8 level matrices
+(``ScenarioTree.level_histories``); history tuples of Python ints are
+built only on demand (``ScenarioTree.history``,
+``ScenarioTree.histories``, ``SlotView``).
 
 The tree keeps per-level data only.  One rule, ``_branches``, gives a
 slot's children from its jump size, and a level's children are
@@ -40,7 +41,7 @@ history (the predictability of ``A`` made concrete).  A continuous part of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,7 +54,6 @@ __all__ = [
     "NO_JUMP",
     "MAX_NODES",
     "MarkSpace",
-    "LevelRules",
     "ScenarioModel",
     "SlotView",
     "SlotBlock",
@@ -95,24 +95,6 @@ class MarkSpace:
 
 
 @dataclass(frozen=True)
-class LevelRules:
-    """Level-batch form of a model's step rules.
-
-    ``jump_sizes(k, H) -> dA[n]`` and ``mark_laws(k, H) -> phi[n, m]``,
-    where ``H`` is the ``(n, k)`` int8 matrix of the outcomes of slots
-    ``0..k-1`` of the ``n`` nodes of depth ``k``, one row per node in node
-    order.  Row ``i`` of each result belongs to node ``i``.
-    """
-
-    jump_sizes: Callable[[int, np.ndarray], np.ndarray]
-    mark_laws: Callable[[int, np.ndarray], np.ndarray]
-
-
-def _one_row(history) -> np.ndarray:
-    return np.array(history, dtype=np.int8).reshape(1, len(history))
-
-
-@dataclass(frozen=True)
 class ScenarioModel:
     """Predictable step-by-step specification of the driving measure.
 
@@ -121,43 +103,23 @@ class ScenarioModel:
     Args:
         marks: the finite mark space.
         grid: strictly increasing times ``t_0 = 0 < t_1 < ... < t_K``.
-        jump_size: ``(k, history) -> delta_A`` in [0, 1] for slot ``k``,
-            where ``history`` holds the outcomes of slots ``0..k-1`` only
-            (this is what makes ``A`` predictable).
-        mark_law: ``(k, history) -> probability vector`` of length ``m``.
-        batch: optional :class:`LevelRules`, the same rules on a whole
-            tree level at once; ``build_tree`` uses it when present and
-            otherwise calls the scalar pair once per node.  Build models
-            with ``batch`` through :meth:`batched`, which derives the
-            scalar pair from it.
+        jump_size: ``(k, H) -> dA[n]``, the jump sizes in [0, 1] of slot
+            ``k``, where ``H`` is the ``(n, k)`` int8 matrix of the
+            outcomes of slots ``0..k-1`` of the ``n`` nodes of depth ``k``,
+            one row per node in node order.  Row ``i`` holds node ``i``'s
+            outcomes strictly before step ``k``, never the outcome of step
+            ``k`` (this is what makes ``A`` predictable).
+        mark_law: ``(k, H) -> phi[n, m]``, one probability vector per row.
 
-    ``batch`` takes precedence over the scalar pair, and
-    ``dataclasses.replace`` keeps it: replacing ``jump_size`` or
-    ``mark_law`` with a different rule must also set or clear ``batch``.
+    Row ``i`` of each result belongs to node ``i``.  ``build_tree`` calls
+    each rule once per level.  These are the model's only rules, so a
+    model changed with ``dataclasses.replace`` runs the rules it was given.
     """
 
     marks: MarkSpace
     grid: np.ndarray
-    jump_size: Callable[[int, tuple], float]
-    mark_law: Callable[[int, tuple], np.ndarray]
-    batch: LevelRules | None = field(default=None, repr=False)
-
-    @classmethod
-    def batched(cls, marks: MarkSpace, grid, jump_sizes, mark_laws) -> "ScenarioModel":
-        """Model given in level-batch form (see :class:`LevelRules`).
-
-        Predictability: row ``i`` of ``H`` holds node ``i``'s outcomes
-        strictly before step ``k``, never the outcome of step ``k``.  The
-        scalar ``jump_size`` and ``mark_law`` are one-row adapters of the
-        batch rules.
-        """
-        def jump_size(k, history):
-            return float(jump_sizes(k, _one_row(history))[0])
-
-        def mark_law(k, history):
-            return np.asarray(mark_laws(k, _one_row(history)))[0]
-
-        return cls(marks, grid, jump_size, mark_law, batch=LevelRules(jump_sizes, mark_laws))
+    jump_size: Callable[[int, np.ndarray], np.ndarray]
+    mark_law: Callable[[int, np.ndarray], np.ndarray]
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -398,33 +360,17 @@ class TreeTooLarge(ValueError):
 
 
 def _level_rules(model: ScenarioModel, k: int, H: np.ndarray):
-    """Checked jump sizes ``dA[n]`` and normalized mark laws ``phi[n, m]`` of depth k.
-
-    A model without ``batch`` goes through one loop over the rows of
-    ``H``, calling its scalar pair on history tuples of Python ints.
-    """
+    """Checked jump sizes ``dA[n]`` and normalized mark laws ``phi[n, m]`` of depth k."""
     n, m = H.shape[0], model.marks.size
-    if model.batch is not None:
-        dA = np.asarray(model.batch.jump_sizes(k, H), dtype=float)
-        if dA.shape != (n,):
-            raise ValueError(f"jump sizes must have shape ({n},) at slot {k}")
-    else:
-        hists = [tuple(row) for row in H.tolist()]
-        dA = np.array([float(model.jump_size(k, h)) for h in hists])
+    dA = np.asarray(model.jump_size(k, H), dtype=float)
+    if dA.shape != (n,):
+        raise ValueError(f"jump sizes must have shape ({n},) at slot {k}")
     bad = ~((dA >= 0.0) & (dA <= 1.0))          # also catches NaN
     if np.any(bad):
         raise ValueError(f"jump size {float(dA[np.argmax(bad)])!r} outside [0, 1] at slot {k}")
-    if model.batch is not None:
-        phi = np.ascontiguousarray(model.batch.mark_laws(k, H), dtype=float)
-        if phi.shape != (n, m):
-            raise ValueError(f"mark law must have shape ({m},) at slot {k}")
-    else:
-        phi = np.empty((n, m))
-        for i, h in enumerate(hists):
-            row = np.asarray(model.mark_law(k, h), dtype=float)
-            if row.shape != (m,):
-                raise ValueError(f"mark law must have shape ({m},) at slot {k}")
-            phi[i] = row
+    phi = np.ascontiguousarray(model.mark_law(k, H), dtype=float)
+    if phi.shape != (n, m):
+        raise ValueError(f"mark law must have shape ({m},) at slot {k}")
     total = phi.sum(axis=1)
     if not np.all(phi >= 0) or not np.all(np.abs(total - 1.0) <= 1e-12):
         raise ValueError(f"mark law is not a probability vector at slot {k}")

@@ -4,10 +4,11 @@ Deterministic step sizes, genuinely predictable (history-dependent) step
 sizes, forced unit jumps, discretized constant-intensity arrivals, and
 the single-slot blow-up configuration.  Every constructor returns a
 :class:`treebsde.measure_core.ScenarioModel`; all randomness lives in the
-caller-supplied generator of :func:`random_model`.  The constructors give
-their models in level-batch form (``ScenarioModel.batched``) unless the
-caller passes a scalar rule or mark law, and the terminal factories give
-theirs on the leaf matrix (``solver.batched_terminal``).
+caller-supplied generator of :func:`random_model`.  Models and terminals
+have one form: rules ``(k, H)`` on a level's history matrix and
+terminals ``xi(H)`` on the leaf matrix.  A per-history rule or mark law
+``(k, history)`` given to :func:`predictable_random_jumps` or as ``phi``
+goes through one adapter, ``_per_history``, which calls it once per row.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure_core import LevelRules, MarkSpace, ScenarioModel, NO_JUMP, _whole
-from .solver import Generator, batched_terminal
+from .measure_core import MarkSpace, ScenarioModel, NO_JUMP, _whole
+from .solver import Generator
 
 __all__ = [
     "ModelSpec",
@@ -40,34 +41,41 @@ def _uniform_grid(K: int, T: float = 1.0) -> np.ndarray:
     return np.linspace(0.0, float(T), _whole(K) + 1)
 
 
-def _law_vector(phi, m) -> np.ndarray:
-    return np.full(m, 1.0 / m) if phi is None else np.asarray(phi, dtype=float)
+def _per_history(rule):
+    """Level form ``(k, H) -> rows`` of a per-history ``rule(k, history)``.
+
+    Calls ``rule`` once per row of ``H``, on a history tuple of Python
+    ints, and stacks the answers in row order.
+    """
+    def level(k, H):
+        rows = [rule(k, hist) for hist in map(tuple, H.tolist())]
+        try:
+            return np.array(rows, dtype=float)
+        except ValueError as exc:
+            if len({np.shape(row) for row in rows}) > 1:
+                raise ValueError(f"per-history rule answers of different shapes "
+                                 f"at slot {k}") from exc
+            raise
+
+    return level
 
 
-def _phi_fn(phi, m):
-    """Scalar mark law ``(k, history) -> phi`` from None, a vector or a callable."""
-    if callable(phi):
-        return phi
-    vec = _law_vector(phi, m)
-    return lambda k, hist: vec
+def _uniform_model(K: int, m: int, jump_size, phi=None, T: float = 1.0) -> ScenarioModel:
+    """Model on a uniform grid with the level rule ``jump_size`` and the mark law ``phi``.
 
-
-def _uniform_model(K: int, m: int, jump_size, jump_sizes, phi=None,
-                   T: float = 1.0) -> ScenarioModel:
-    """Model on a uniform grid with a history-free mark law ``phi``.
-
-    ``jump_size`` and ``jump_sizes`` are the scalar and the level-batch
-    form of one rule.  A callable ``phi`` is a scalar ``(k, history)``
-    law, which keeps the whole model on the scalar path.
+    ``phi`` is None (uniform), one probability vector for every slot, or
+    a per-history mark law ``(k, history)``.
     """
     marks = MarkSpace.of_size(m)      # rejects m = 0 before the uniform law divides by it
-    m = marks.size
-    batch = None
-    if not callable(phi):
-        vec = _law_vector(phi, m)
-        batch = LevelRules(jump_sizes,
-                           lambda k, H: np.broadcast_to(vec, (H.shape[0],) + vec.shape))
-    return ScenarioModel(marks, _uniform_grid(K, T), jump_size, _phi_fn(phi, m), batch=batch)
+    if callable(phi):
+        mark_law = _per_history(phi)
+    else:
+        vec = np.full(marks.size, 1.0 / marks.size) if phi is None else np.asarray(phi, float)
+
+        def mark_law(k, H):
+            return np.broadcast_to(vec, (H.shape[0],) + vec.shape)
+
+    return ScenarioModel(marks, _uniform_grid(K, T), jump_size, mark_law)
 
 
 def jump_count(history) -> int:
@@ -88,8 +96,7 @@ def deterministic_grid(K: int, m: int, a, phi=None, T: float = 1.0) -> ScenarioM
     a_arr = np.broadcast_to(np.asarray(a, dtype=float), (_whole(K),)).copy()
     if np.any(a_arr < 0) or np.any(a_arr > 1):
         raise ValueError("jump sizes must lie in [0, 1]")
-    return _uniform_model(K, m, lambda k, hist: float(a_arr[k]),
-                          lambda k, H: np.full(H.shape[0], a_arr[k]), phi, T)
+    return _uniform_model(K, m, lambda k, H: np.full(H.shape[0], a_arr[k]), phi, T)
 
 
 def predictable_random_jumps(K: int, m: int, rule, phi=None, T: float = 1.0) -> ScenarioModel:
@@ -97,11 +104,11 @@ def predictable_random_jumps(K: int, m: int, rule, phi=None, T: float = 1.0) -> 
 
     This is the regime the solver exists for; the integrator is
     predictable but not deterministic, so the weight paths differ across
-    same-depth histories.  ``rule`` is scalar, so the tree is built row
-    by row; the ``two_state_rule`` preset is the level-batch example.
+    same-depth histories.  ``rule`` is per-history, so the tree build
+    calls it once per node; the ``two_state_rule`` preset is the
+    level-rule example.
     """
-    marks = MarkSpace.of_size(m)
-    return ScenarioModel(marks, _uniform_grid(K, T), rule, _phi_fn(phi, marks.size))
+    return _uniform_model(K, m, _per_history(rule), phi, T)
 
 
 def two_state_rule(K: int, m: int, a_after_jump: float, a_after_no_jump: float,
@@ -112,15 +119,12 @@ def two_state_rule(K: int, m: int, a_after_jump: float, a_after_no_jump: float,
     """
     after_jump, after_none = float(a_after_jump), float(a_after_no_jump)
 
-    def jump_size(k, hist):
-        return after_none if k == 0 or hist[-1] == NO_JUMP else after_jump
-
-    def jump_sizes(k, H):
+    def jump_size(k, H):
         if k == 0:
             return np.full(H.shape[0], after_none)
         return np.where(H[:, -1] == NO_JUMP, after_none, after_jump)
 
-    return _uniform_model(K, m, jump_size, jump_sizes, phi, T)
+    return _uniform_model(K, m, jump_size, phi, T)
 
 
 def pdmp_like(K: int, m: int, phi=None, T: float = 1.0) -> ScenarioModel:
@@ -188,7 +192,7 @@ def random_model(rng, K=None, m=None, max_horizon=6, max_marks=3,
     zero &= ~unit
     history_dependent = bool(rng.random() < 0.5)
 
-    def jump_sizes(k, H):
+    def jump_size(k, H):
         n = H.shape[0]
         if unit[k]:
             return np.ones(n)
@@ -202,48 +206,47 @@ def random_model(rng, K=None, m=None, max_horizon=6, max_marks=3,
     laws = raw / raw.sum(axis=1, keepdims=True)
     law_dependent = bool(rng.random() < 0.5)
 
-    def mark_laws(k, H):
+    def mark_law(k, H):
         odd = jump_counts(H) % 2 if law_dependent else np.zeros(H.shape[0], dtype=int)
         return laws[odd]
 
-    return ScenarioModel.batched(MarkSpace.of_size(m), _uniform_grid(K, T),
-                                 jump_sizes, mark_laws)
+    return ScenarioModel(MarkSpace.of_size(m), _uniform_grid(K, T), jump_size, mark_law)
 
 
 # -- terminal functionals ---------------------------------------------------
 #
-# Each factory returns a scalar ``xi(history) -> float`` carrying its
-# level-batch form ``xi.batch(H) -> values`` on the leaf matrix.
+# Each factory returns ``xi(H) -> values[n]`` on the leaf matrix ``H[n, K]``.
 
 
 def xi_constant(c: float):
     c = float(c)
-    return batched_terminal(lambda H: np.full(H.shape[0], c), scalar=lambda hist: c)
+    return lambda H: np.full(H.shape[0], c)
 
 
 def xi_jump_count(scale: float = 1.0):
     """Terminal value proportional to the number of realized points."""
-    return batched_terminal(lambda H: scale * jump_counts(H),
-                            scalar=lambda hist: scale * jump_count(hist))
+    return lambda H: scale * jump_counts(H)
 
 
 def xi_last_mark_indicator(mark_index: int, scale: float = 1.0):
-    """Indicator that the last realized point carried the given mark."""
-    def xi(hist):
-        for o in reversed(hist):
-            if o != NO_JUMP:
-                return scale if o == mark_index else 0.0
-        return 0.0
+    """Indicator that the last realized point carried the given mark.
 
-    def xi_level(H):
+    ``mark_index`` must be a mark, ``0..m-1``: a negative index is
+    refused, since it could only match the no-jump code.
+    """
+    mark_index = _whole(mark_index)
+    if mark_index < 0:
+        raise ValueError(f"mark index {mark_index} is negative")
+
+    def xi(H):
         n, K = H.shape
         if K == 0:
             return np.zeros(n)
         # entry in the last column holding a point (NO_JUMP in a row without one)
         last = H[np.arange(n), K - 1 - np.argmax(H[:, ::-1] != NO_JUMP, axis=1)]
-        return np.where((last == mark_index) & (last != NO_JUMP), float(scale), 0.0)
+        return np.where(last == mark_index, float(scale), 0.0)
 
-    return batched_terminal(xi_level, scalar=xi)
+    return xi
 
 
 # -- named presets -----------------------------------------------------------

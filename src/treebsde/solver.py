@@ -13,9 +13,11 @@ Three routes to the same solution pair (Y, Z):
   slot of a level at once.  It is the reference the other routes are
   checked against.
 
-Every route evaluates the driver through ``Generator.on_slots``, which
-rejects non-finite values with ``NonFinite``; ``_eval_path`` is the one
-place that evaluates it on every slot of a tree.
+Every route reads the terminal functional once, as ``xi(H)`` on the leaf
+history matrix (``BsdeProblem.terminal_values``).  It evaluates the driver
+through ``Generator.on_slots``, which rejects non-finite values with
+``NonFinite``; ``_eval_path`` is the one place that evaluates it on every
+slot of a tree.
 
 On every slot the martingale representation is solved exactly from the
 children's values, one tree level at a time (``_represent_block``); its
@@ -32,8 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import conditions, norms
-from .measure_core import (ScenarioModel, ScenarioTree, SlotBlock, SlotView,
-                           _one_row, build_tree)
+from .measure_core import ScenarioModel, ScenarioTree, SlotBlock, SlotView, build_tree
 
 __all__ = [
     "SolverError",
@@ -43,7 +44,6 @@ __all__ = [
     "ConditionViolated",
     "Generator",
     "BsdeProblem",
-    "batched_terminal",
     "Solution",
     "SolveReport",
     "conditional_means",
@@ -183,7 +183,7 @@ class BsdeProblem:
 
     model: ScenarioModel
     beta: float
-    xi: Callable[[tuple], float]
+    xi: Callable[[np.ndarray], np.ndarray]
     f: Generator
     _tree: ScenarioTree | None = field(default=None, repr=False, compare=False)
     # the beta-free data of this tree, xi and f, shared across beta
@@ -201,44 +201,17 @@ class BsdeProblem:
     def terminal_values(self, tree=None) -> np.ndarray:
         """``xi`` on every leaf, in leaf order.
 
-        A batched terminal (see :func:`batched_terminal`) is evaluated once
-        on the leaf history matrix; any other ``xi`` is called once per
-        leaf on a history tuple of Python ints.
+        ``xi(H) -> values[n]`` is called once on the leaf history matrix
+        ``H[n, K]``: one leaf history per row as int8 outcomes (mark index
+        or ``NO_JUMP``).
         """
         tree = tree or self.tree()
         H = tree.level_histories[tree.horizon]
-        batch = getattr(self.xi, "batch", None)
-        if batch is None:
-            return np.array([float(self.xi(tuple(h))) for h in H.tolist()])
-        vals = np.asarray(batch(H), dtype=float)
+        vals = np.asarray(self.xi(H), dtype=float)
         if vals.shape != (H.shape[0],):
-            raise ValueError(f"batched terminal returned shape {vals.shape}, "
+            raise ValueError(f"terminal returned shape {vals.shape}, "
                              f"expected ({H.shape[0]},)")
         return vals
-
-
-def batched_terminal(fn, scalar=None) -> Callable[[tuple], float]:
-    """Terminal functional given on the leaf matrix: ``fn(H[n, K]) -> xi[n]``.
-
-    ``H`` holds one leaf history per row as int8 outcomes (mark index or
-    ``NO_JUMP``).  Returns the scalar form ``xi(history) -> float``, which
-    carries ``fn`` as its ``batch`` attribute; ``BsdeProblem.terminal_values``
-    uses ``batch`` whenever it is present.  ``scalar`` is the same
-    functional on one history tuple; without it ``xi`` is a one-row
-    adapter of ``fn``, which costs a numpy round trip per call.
-
-    A wrapper made with ``functools.wraps`` copies ``batch``, so a wrapper
-    that changes the values must set its own ``batch`` or delete it.
-    """
-    if scalar is None:
-        def xi(history):
-            return float(fn(_one_row(history))[0])
-    else:
-        def xi(history):
-            return scalar(history)
-
-    xi.batch = fn
-    return xi
 
 
 @dataclass(frozen=True)

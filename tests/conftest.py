@@ -5,6 +5,7 @@ rebuilding the multiplicative weights from scratch with plain Python
 arithmetic, independently of the vectorized slot sums they check.
 """
 
+import dataclasses
 import math
 import weakref
 
@@ -276,9 +277,10 @@ def random_generator(rng, tree, eps_floor=0.5, forms=(0, 1, 2)):
 
 
 def random_terminal(rng, m):
+    """Seeded terminal on the leaf matrix: a jump count, a last-mark indicator, a constant."""
     a, b, c = (float(x) for x in rng.normal(0, 1.0, 3))
     ind = scenarios.xi_last_mark_indicator(int(rng.integers(m)))
-    return lambda hist: a * scenarios.jump_count(hist) + b * ind(hist) + c
+    return lambda H: a * scenarios.jump_counts(H) + b * ind(H) + c
 
 
 def random_problem(rng, K=None, m=None, max_horizon=6, max_marks=3,
@@ -462,18 +464,35 @@ def gather_linear_sweep(tree, xi_leaf, f_path):
     return Y, Z, cm
 
 
-# -- scalar twins of the level-batch model and terminal forms ----------------------
+# -- per-history twins of the level model and terminal forms -----------------------
+
+
+def one_row(hist):
+    """The ``(1, k)`` int8 history matrix of one history tuple."""
+    return np.array(hist, dtype=np.int8).reshape(1, len(hist))
+
+
+def per_leaf(xi):
+    """Level form of a per-history terminal ``xi(history)``: one call per leaf row."""
+    return lambda H: np.array([xi(hist) for hist in map(tuple, H.tolist())], dtype=float)
 
 
 def scalar_path(model):
-    """The same model with its scalar callables only (``batch`` dropped)."""
-    return type(model)(marks=model.marks, grid=model.grid, jump_size=model.jump_size,
-                       mark_law=model.mark_law)
+    """The same model evaluated one history at a time.
+
+    Each level rule runs on one-row matrices, called per history through
+    the per-history adapter of ``scenarios``.
+    """
+    def by_history(rule):
+        return scenarios._per_history(lambda k, hist: rule(k, one_row(hist))[0])
+
+    return dataclasses.replace(model, jump_size=by_history(model.jump_size),
+                               mark_law=by_history(model.mark_law))
 
 
 def scalar_random_model(rng, K=None, m=None, max_horizon=6, max_marks=3,
                         include_unit=True, include_zero=True, T=1.0):
-    """Per-history form of ``scenarios.random_model``: same draws, scalar rules."""
+    """Per-history form of ``scenarios.random_model``: same draws, per-history rules."""
     from treebsde import MarkSpace, ScenarioModel
     K = int(rng.integers(1, max_horizon + 1)) if K is None else int(K)
     m = int(rng.integers(1, max_marks + 1)) if m is None else int(m)
@@ -501,7 +520,8 @@ def scalar_random_model(rng, K=None, m=None, max_horizon=6, max_marks=3,
         return laws[1 if (law_dependent and scenarios.jump_count(hist) % 2 == 1) else 0]
 
     return ScenarioModel(marks=MarkSpace.of_size(m), grid=np.linspace(0.0, T, K + 1),
-                         jump_size=jump_size, mark_law=mark_law)
+                         jump_size=scenarios._per_history(jump_size),
+                         mark_law=scenarios._per_history(mark_law))
 
 
 def scalar_two_state_rule(K, m, a_after_jump, a_after_no_jump, phi=None):
@@ -513,7 +533,11 @@ def scalar_two_state_rule(K, m, a_after_jump, a_after_no_jump, phi=None):
 
 
 def scalar_terminals():
-    """Per-history forms of the three terminal factories, keyed by preset."""
+    """Per-history forms of the three terminal factories, keyed by preset.
+
+    Each entry is ``(factory's level terminal, per-history twin)``; run a
+    twin on a leaf matrix through ``per_leaf``.
+    """
     def last_mark(mark, scale):
         def xi(hist):
             for o in reversed(hist):

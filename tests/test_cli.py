@@ -328,16 +328,36 @@ WHOLE_NUMBER_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", WHOLE_NUMBER_CASES)
-def test_a_fractional_whole_number_is_a_config_error(tmp_path, capsys, case):
-    command, config = WHOLE_NUMBER_CASES[case]
+def refused(tmp_path, capsys, command, config):
+    """Standard error of a config run that must exit 1 and write no report."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"beta": 1.0, **config} if command != "counterexample"
                                else config))
     out = tmp_path / "run"
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists() or not any(out.iterdir())
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", WHOLE_NUMBER_CASES)
+def test_a_fractional_whole_number_is_a_config_error(tmp_path, capsys, case):
+    assert refused(tmp_path, capsys, *WHOLE_NUMBER_CASES[case]).startswith("config error: ")
+
+
+# a last_mark terminal whose mark the tree does not have; -1 is the no-jump code
+MARK_RANGE_CASES = {
+    "last_mark-mark-5": ("solve", {"model": GRID, "terminal": {
+        "preset": "last_mark", "params": {"mark": 5}}}),
+    "last_mark-mark--1": ("verify", {"model": GRID, "terminal": {
+        "preset": "last_mark", "params": {"mark": -1}}}),
+}
+
+
+@pytest.mark.parametrize("case", MARK_RANGE_CASES)
+def test_a_mark_outside_the_tree_is_a_config_error(tmp_path, capsys, case):
+    # each ran with xi = 0 on every leaf and exit 0
+    err = refused(tmp_path, capsys, *MARK_RANGE_CASES[case])
+    assert err.startswith("config error: terminal mark ") and "outside 0..1" in err
 
 
 @pytest.mark.parametrize("command,whole,integral", [

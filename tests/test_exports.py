@@ -1,5 +1,6 @@
 """Every exported name resolves; the scalar twins live only in conftest."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -20,9 +21,18 @@ def test_every_exported_name_resolves(name):
 
 @pytest.mark.parametrize("name,module", [("represent_martingale", "solver"),
                                          ("jump_second_moment", "norms"),
-                                         ("proof_weights", "conditions")])
+                                         ("proof_weights", "conditions"),
+                                         ("LevelRules", "measure_core"),
+                                         ("batched_terminal", "solver")])
 def test_scalar_twins_left_the_package(name, module):
     assert not hasattr(treebsde, name)
     assert not hasattr(importlib.import_module(f"treebsde.{module}"), name)
     with pytest.raises(ImportError):
         exec(f"from treebsde import {name}", {})
+
+
+def test_a_model_has_one_form():
+    # level rules only: no batch field and no constructor deriving a second form
+    assert not hasattr(treebsde.ScenarioModel, "batched")
+    assert [f.name for f in dataclasses.fields(treebsde.ScenarioModel)] == [
+        "marks", "grid", "jump_size", "mark_law"]

@@ -18,8 +18,8 @@ def constant_model(K, m, a, phi=None):
     return ScenarioModel(
         marks=MarkSpace.of_size(m),
         grid=np.linspace(0.0, 1.0, K + 1) if K else np.array([0.0]),
-        jump_size=lambda k, hist: a,
-        mark_law=lambda k, hist: phi_vec,
+        jump_size=lambda k, H: np.full(H.shape[0], a),
+        mark_law=lambda k, H: np.tile(phi_vec, (H.shape[0], 1)),
     )
 
 
@@ -65,8 +65,8 @@ def test_a_model_built_directly_refuses_a_fractional_mark_count():
     # of_size used to truncate 2.5 to two marks without a word
     with pytest.raises(ValueError, match="2.5 is not a whole number"):
         ScenarioModel(marks=MarkSpace.of_size(2.5), grid=np.linspace(0.0, 1.0, 2),
-                      jump_size=lambda k, hist: 0.5,
-                      mark_law=lambda k, hist: np.array([0.5, 0.5]))
+                      jump_size=lambda k, H: np.full(H.shape[0], 0.5),
+                      mark_law=lambda k, H: np.full((H.shape[0], 2), 0.5))
     with pytest.raises(ValueError, match="2.5 is not a whole number"):
         scenarios.random_model(np.random.default_rng(0), m=2.5)
     assert MarkSpace.of_size(3.0) == MarkSpace.of_size(3) == MarkSpace((0, 1, 2))

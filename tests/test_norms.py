@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsde import MarkSpace, ScenarioModel, build_tree, norms, scenarios
+from treebsde import build_tree, norms, scenarios
 
 from conftest import (brute_y_norm, brute_z_norm, jump_second_moment, leaf_paths,
                       scalar_hat_z, scalar_moments, scalar_seminorm)
@@ -144,9 +144,8 @@ def mixed_regime_tree(rng, m, K=3):
     def rule(k, hist):
         return (inner[k], 1.0, 0.0)[(k + scenarios.jump_count(hist)) % 3]
 
-    return build_tree(ScenarioModel(marks=MarkSpace.of_size(m), grid=np.linspace(0.0, 1.0, K + 1),
-                                    jump_size=rule,
-                                    mark_law=lambda k, hist: laws[k, int(rule(k, hist) == 1.0)]))
+    return build_tree(scenarios.predictable_random_jumps(
+        K, m, rule, phi=lambda k, hist: laws[k, int(rule(k, hist) == 1.0)]))
 
 
 @pytest.mark.parametrize("m", range(1, 10))

@@ -1,8 +1,8 @@
-"""Reports do not depend on whether models and terminals take the level-batch path.
+"""Reports do not depend on whether models and terminals run level by level.
 
-Each config runs twice in-process: as shipped (batched presets) and with
-every model and terminal forced onto its scalar form.  The written
-reports must match byte for byte.
+Each config runs twice in-process: as shipped (level rules and level
+terminals) and with every model rule and terminal run one history at a
+time.  The written reports must match byte for byte.
 """
 
 import dataclasses
@@ -11,9 +11,9 @@ import json
 
 import pytest
 
-from treebsde import cli, scenarios
+from treebsde import cli, scenarios, solver
 
-from conftest import scalar_path
+from conftest import one_row, per_leaf, scalar_path
 
 SOLVE = {
     "model": {"preset": "two_state_rule",
@@ -44,7 +44,7 @@ FLAGGED = {
 
 
 def force_scalar(monkeypatch):
-    """Route every model and terminal the CLI builds through its scalar form."""
+    """Route every model and terminal the CLI builds through its per-history route."""
     build, terminal = scenarios.ModelSpec.build, cli._build_terminal
     calls = {"model": 0, "terminal": 0}
 
@@ -55,14 +55,17 @@ def force_scalar(monkeypatch):
         return wrapper
 
     def scalar_model(spec):
-        model = scalar_path(build(spec))
-        return type(model)(marks=model.marks, grid=model.grid,
-                           jump_size=counted(model.jump_size, "model"),
-                           mark_law=counted(model.mark_law, "model"))
+        model = build(spec)
+        model = dataclasses.replace(model, jump_size=counted(model.jump_size, "model"),
+                                    mark_law=counted(model.mark_law, "model"))
+        return scalar_path(model)
+
+    def scalar_terminal(*args):
+        xi = counted(terminal(*args), "terminal")
+        return per_leaf(lambda hist: xi(one_row(hist))[0])
 
     monkeypatch.setattr(scenarios.ModelSpec, "build", scalar_model)
-    monkeypatch.setattr(cli, "_build_terminal",
-                        lambda spec: counted(terminal(spec), "terminal"))
+    monkeypatch.setattr(cli, "_build_terminal", scalar_terminal)
     return calls
 
 
@@ -77,37 +80,54 @@ def run(tmp_path, name, command, cfg):
 @pytest.mark.parametrize("command,cfg", [("solve", SOLVE), ("verify", VERIFY),
                                          ("sweep", SWEEP), ("solve", FLAGGED)])
 def test_reports_identical_on_both_paths(tmp_path, monkeypatch, command, cfg):
-    batched = run(tmp_path, "batched", command, cfg)
+    level = run(tmp_path, "level", command, cfg)
     calls = force_scalar(monkeypatch)
     scalar = run(tmp_path, "scalar", command, cfg)
     assert calls["model"] > 0 and (calls["terminal"] > 0 or cfg is FLAGGED)
-    assert batched == scalar
-    assert batched[0] == (cli.EXIT_CONDITION if cfg is FLAGGED else cli.EXIT_OK)
+    assert level == scalar
+    assert level[0] == (cli.EXIT_CONDITION if cfg is FLAGGED else cli.EXIT_OK)
 
 
 @pytest.mark.parametrize("command,cfg", [("solve", SOLVE), ("verify", VERIFY),
                                          ("sweep", SWEEP)])
-def test_presets_never_call_their_scalar_forms(tmp_path, monkeypatch, command, cfg):
-    # wrapped the way a call counter would wrap them: the batch forms survive
+def test_replaced_rules_and_terminals_are_the_ones_that_run(tmp_path, monkeypatch,
+                                                             command, cfg):
+    # wrapped the way a call counter wraps them: the wrappers run, once per
+    # level per rule and once per read of the leaves, never once per node
+    plain = run(tmp_path, "plain", command, cfg)
     build, terminal = scenarios.ModelSpec.build, cli._build_terminal
-    calls = []
+    reads = solver.BsdeProblem.terminal_values
+    calls = {"builds": 0, "jump_size": [], "mark_law": [], "xi": [], "reads": 0}
 
-    def counted(fn):
+    def counted(fn, key):
         @functools.wraps(fn)
         def wrapper(*args):
-            calls.append(fn)
+            calls[key].append(args)
             return fn(*args)
         return wrapper
 
     def counted_model(spec):
+        calls["builds"] += 1
         model = build(spec)
-        return dataclasses.replace(model, jump_size=counted(model.jump_size),
-                                   mark_law=counted(model.mark_law))
+        return dataclasses.replace(model, jump_size=counted(model.jump_size, "jump_size"),
+                                   mark_law=counted(model.mark_law, "mark_law"))
+
+    def counted_reads(problem, tree=None):
+        calls["reads"] += 1
+        return reads(problem, tree)
 
     monkeypatch.setattr(scenarios.ModelSpec, "build", counted_model)
-    monkeypatch.setattr(cli, "_build_terminal", lambda spec: counted(terminal(spec)))
-    assert run(tmp_path, "counted", command, cfg)[0] == cli.EXIT_OK
-    assert calls == []
+    monkeypatch.setattr(cli, "_build_terminal", lambda *a: counted(terminal(*a), "xi"))
+    monkeypatch.setattr(solver.BsdeProblem, "terminal_values", counted_reads)
+    assert run(tmp_path, "counted", command, cfg) == plain
+    K = cfg["model"]["params"]["K"]
+    assert calls["builds"] >= 1
+    for rule in ("jump_size", "mark_law"):
+        assert [k for k, _ in calls[rule]] == list(range(K)) * calls["builds"]
+        # one call per level: the first level is the root's one row, the last has many
+        assert calls[rule][-1][1].shape[0] > 1
+    assert len(calls["xi"]) == calls["reads"] >= 1
+    assert all(H.shape[1] == K and H.shape[0] > 1 for (H,) in calls["xi"])
 
 
 def test_flagged_histories_are_python_ints():

@@ -147,7 +147,7 @@ def test_counterexample_degenerate_when_terminal_mean_vanishes():
     # terminal value with zero conditional mean at the jump slot
     xi = scenarios.xi_jump_count(2.0)
     problem = BsdeProblem(model=model, beta=0.0,
-                          xi=lambda h: xi(h) - 1.0, f=gen)
+                          xi=lambda H: xi(H) - 1.0, f=gen)
     with pytest.raises(StepSingular) as exc:
         backward_oracle(problem)
     assert exc.value.degenerate
@@ -172,11 +172,20 @@ def test_random_model_always_valid(seed):
 def test_jump_count_and_terminal_presets():
     hist = (0, NO_JUMP, 2, NO_JUMP)
     assert scenarios.jump_count(hist) == 2
-    assert scenarios.xi_constant(3.0)(hist) == 3.0
-    assert scenarios.xi_jump_count(2.0)(hist) == 4.0
-    assert scenarios.xi_last_mark_indicator(2)(hist) == 1.0
-    assert scenarios.xi_last_mark_indicator(0)(hist) == 0.0
-    assert scenarios.xi_last_mark_indicator(0)((NO_JUMP,)) == 0.0
+    H = np.array([hist, (NO_JUMP,) * 4, (2, 0, NO_JUMP, NO_JUMP)], dtype=np.int8)
+    assert scenarios.jump_counts(H).tolist() == [2, 0, 2]
+    assert scenarios.xi_constant(3.0)(H).tolist() == [3.0, 3.0, 3.0]
+    assert scenarios.xi_jump_count(2.0)(H).tolist() == [4.0, 0.0, 4.0]
+    assert scenarios.xi_last_mark_indicator(2)(H).tolist() == [1.0, 0.0, 0.0]
+    assert scenarios.xi_last_mark_indicator(0)(H).tolist() == [0.0, 0.0, 1.0]
+    assert scenarios.xi_last_mark_indicator(0)(np.zeros((2, 0), np.int8)).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("mark", [-1, -3])
+def test_last_mark_refuses_a_negative_index(mark):
+    # -1 is the no-jump code: the indicator used to read 0 on every leaf
+    with pytest.raises(ValueError, match=f"mark index {mark} is negative"):
+        scenarios.xi_last_mark_indicator(mark)
 
 
 # -- ModelSpec ---------------------------------------------------------------------------------

@@ -468,8 +468,8 @@ def test_empty_horizon_end_to_end():
     from treebsde import MarkSpace, ScenarioModel
     import numpy as _np
     model = ScenarioModel(marks=MarkSpace.of_size(2), grid=_np.array([0.0]),
-                          jump_size=lambda k, h: 0.5,
-                          mark_law=lambda k, h: _np.array([0.5, 0.5]))
+                          jump_size=lambda k, H: _np.full(H.shape[0], 0.5),
+                          mark_law=lambda k, H: _np.full((H.shape[0], 2), 0.5))
     problem = BsdeProblem(model=model, beta=1.0,
                           xi=scenarios.xi_constant(3.0), f=Generator.zero())
     lin = solve_linear(problem)
@@ -486,8 +486,8 @@ def test_empty_tree_results_of_every_layer():
     from treebsde import MarkSpace, ScenarioModel, conditions, run_suite
     from treebsde.verification import check_norm_equivalence
     model = ScenarioModel(marks=MarkSpace.of_size(2), grid=np.array([0.0]),
-                          jump_size=lambda k, h: 0.5,
-                          mark_law=lambda k, h: np.array([0.5, 0.5]))
+                          jump_size=lambda k, H: np.full(H.shape[0], 0.5),
+                          mark_law=lambda k, H: np.full((H.shape[0], 2), 0.5))
     problem = BsdeProblem(model=model, beta=1.0,
                           xi=scenarios.xi_constant(3.0), f=Generator.zero())
     tree = problem.tree()

@@ -1,5 +1,7 @@
-"""The level-by-level tree build: batched models against their scalar forms."""
+"""The level-by-level tree build: level rules against their per-history routes."""
 
+import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -13,8 +15,8 @@ from treebsde import (BsdeProblem, Generator, MarkSpace, ScenarioModel, TreeTooL
                       solve_linear)
 from treebsde.measure_core import NO_JUMP, ScenarioTree
 
-from conftest import (node_children, node_outcomes, node_parents, random_problem,
-                      scalar_path, scalar_random_model, scalar_terminals,
+from conftest import (node_children, node_outcomes, node_parents, one_row, per_leaf,
+                      random_problem, scalar_path, scalar_random_model, scalar_terminals,
                       scalar_two_state_rule)
 
 TREE_ARRAYS = ("level_start", "prob", "slot_dA", "slot_phi", "slot_step")
@@ -41,16 +43,15 @@ def terminal_values(xi, tree):
 @given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(0, 6), m=st.integers(1, 3))
 def test_batched_build_equals_scalar_adapter_build(seed, K, m):
     model = scenarios.random_model(np.random.default_rng(seed), K=K, m=m)
-    assert model.batch is not None
     batched, scalar = build_tree(model), build_tree(scalar_path(model))
     assert_same_tree(batched, scalar)
-    # the scalar twin of random_model (same draws, per-history rules)
+    # the per-history twin of random_model (same draws, per-history rules)
     assert_same_tree(batched, build_tree(scalar_random_model(np.random.default_rng(seed),
                                                              K=K, m=m)))
     for xi, twin in scalar_terminals().values():
-        ref = terminal_values(lambda hist: xi(hist), scalar)    # scalar adapter of xi
+        ref = terminal_values(per_leaf(lambda hist: xi(one_row(hist))[0]), scalar)
         assert terminal_values(xi, batched).tobytes() == ref.tobytes()
-        assert terminal_values(twin, batched).tobytes() == ref.tobytes()
+        assert terminal_values(per_leaf(twin), batched).tobytes() == ref.tobytes()
 
 
 def test_random_models_cover_the_regimes():
@@ -94,9 +95,7 @@ def test_scalar_mark_law_keeps_a_preset_on_the_scalar_path():
     def law(k, hist):
         return np.array([0.2, 0.8]) if scenarios.jump_count(hist) else np.array([0.5, 0.5])
 
-    model = scenarios.deterministic_grid(K=3, m=2, a=0.5, phi=law)
-    assert model.batch is None
-    tree = build_tree(model)
+    tree = build_tree(scenarios.deterministic_grid(K=3, m=2, a=0.5, phi=law))
     assert np.array_equal(tree.slot_phi[0], [0.5, 0.5])
     assert np.array_equal(tree.slot_phi[node_children(tree)[0, 0]], [0.2, 0.8])
 
@@ -105,22 +104,21 @@ def test_scalar_mark_law_keeps_a_preset_on_the_scalar_path():
 
 
 def bad_model(jump=None, law=None, m=2, K=3):
-    """Batched model that goes wrong only on the odd-parity nodes of depth 2."""
-    def jump_sizes(k, H):
+    """Level model that goes wrong only on the odd-parity nodes of depth 2."""
+    def jump_size(k, H):
         dA = np.full(H.shape[0], 0.5)
         if k == 2 and jump is not None:
             odd = scenarios.jump_counts(H) % 2 == 1
             dA[odd] = jump + 0.01 * H[odd, 0]   # differs across the bad nodes
         return dA
 
-    def mark_laws(k, H):
+    def mark_law(k, H):
         phi = np.full((H.shape[0], m), 1.0 / m)
         if k == 2 and law is not None:
             return law(phi, scenarios.jump_counts(H) % 2 == 1)
         return phi
 
-    return ScenarioModel.batched(MarkSpace.of_size(m), np.linspace(0, 1, K + 1),
-                                 jump_sizes, mark_laws)
+    return ScenarioModel(MarkSpace.of_size(m), np.linspace(0, 1, K + 1), jump_size, mark_law)
 
 
 def _wide(phi, odd):
@@ -152,11 +150,20 @@ def _nan_law(phi, odd):
     (bad_model(law=_nan_law), "mark law is not a probability vector at slot 2"),
 ])
 def test_bad_rules_raise_the_same_message_on_both_paths(model, match):
-    with pytest.raises(ValueError, match=match) as batched:
+    # the level model and its per-history route (one-row calls through the adapter)
+    with pytest.raises(ValueError, match=match) as level:
         build_tree(model)
     with pytest.raises(ValueError, match=match) as scalar:
         build_tree(scalar_path(model))
-    assert str(batched.value) == str(scalar.value)
+    assert str(level.value) == str(scalar.value)
+
+
+def test_a_per_history_law_of_ragged_rows_names_the_slot():
+    def law(k, hist):
+        return [1.0] if k == 1 and hist[-1] == NO_JUMP else [0.5, 0.5]
+
+    with pytest.raises(ValueError, match="answers of different shapes at slot 1"):
+        build_tree(scenarios.deterministic_grid(K=2, m=2, a=0.5, phi=law))
 
 
 def test_too_many_marks_rejected():
@@ -198,18 +205,38 @@ def test_level_rows_see_only_earlier_outcomes():
     # outcomes of slots 0..k-1, in node order
     seen = {}
 
-    def jump_sizes(k, H):
+    def jump_size(k, H):
         seen[k] = H.copy()
         return np.full(H.shape[0], 0.5)
 
-    model = ScenarioModel.batched(MarkSpace.of_size(2), np.linspace(0, 1, 4), jump_sizes,
-                                  lambda k, H: np.full((H.shape[0], 2), 0.5))
+    model = ScenarioModel(MarkSpace.of_size(2), np.linspace(0, 1, 4), jump_size,
+                          lambda k, H: np.full((H.shape[0], 2), 0.5))
     tree = build_tree(model)
     for k, H in seen.items():
         assert H.shape == (tree.depth_slice(k).stop - tree.depth_slice(k).start, k)
         sl = tree.depth_slice(k)
         assert [tuple(r) for r in H.tolist()] == [tree.history(i)
                                                 for i in range(sl.start, sl.stop)]
+
+
+# -- a replaced rule or terminal is the one that runs -----------------------------------
+
+
+def test_a_replaced_rule_is_the_rule_that_runs():
+    model = scenarios.two_state_rule(K=3, m=2, a_after_jump=0.3, a_after_no_jump=0.6)
+    assert build_tree(model).slot_dA[:3].tolist() == [0.6, 0.3, 0.3]
+    replaced = dataclasses.replace(model, jump_size=lambda k, H: np.full(H.shape[0], 0.9))
+    assert np.all(build_tree(replaced).slot_dA == 0.9)
+    tree = build_tree(dataclasses.replace(
+        model, mark_law=lambda k, H: np.tile([0.25, 0.75], (H.shape[0], 1))))
+    assert np.all(tree.slot_phi == [0.25, 0.75])
+
+
+def test_a_wrapped_terminal_is_the_terminal_that_runs():
+    tree = build_tree(scenarios.two_state_rule(K=3, m=2, a_after_jump=0.3,
+                                               a_after_no_jump=0.6))
+    xi = functools.wraps(scenarios.xi_jump_count(2.0))(lambda H: np.full(H.shape[0], 100.0))
+    assert np.all(terminal_values(xi, tree) == 100.0)
 
 
 def test_solver_routes_never_build_history_tuples(monkeypatch):

@@ -29,6 +29,9 @@ The case list:
   mix branch kinds (``a_after_jump`` 0 and 1 with an interior
   ``a_after_no_jump``), the only input of the mixed-level path of the
   tree's child read and parent broadcast;
+* a ``solve`` and a ``verify`` whose ``last_mark`` terminal names a mark
+  the tree lacks (5, and the no-jump code -1, with two marks): config
+  errors;
 * the built-in ``counterexample`` run.
 
 Reports carry no timings, so a case whose code did not change must match to
@@ -138,6 +141,10 @@ def cases() -> list[tuple[str, str, dict | None]]:
                                               "a_after_no_jump": 0.45, "phi": [0.3, 0.7]}}}
         for command in ("solve", "verify"):
             out.append((f"{command}-mixed-kinds-a{a_jump:g}", command, mixed))
+    for command, mark in (("solve", 5), ("verify", -1)):
+        out.append((f"{command}-last_mark-{mark}", command,
+                    {**base, "model": MODELS["grid"],
+                     "terminal": {"preset": "last_mark", "params": {"mark": mark}}}))
     out.append(("counterexample", "counterexample", None))
     return out
 

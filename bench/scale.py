@@ -22,10 +22,15 @@ times, once each and in this order:
 and reports the ``resource.getrusage`` peak RSS of the process at the end,
 and the bytes of the built tree's arrays (``nbytes`` summed over the
 tree's numpy attributes and its ``level_histories``), in total and per
-node.
+node.  A tree that refuses a case's config (a tree over the node budget,
+say) is recorded with its message instead.
 The output is the median of each stage over the runs and the largest
 peak RSS, per tree and case, with the host and library versions.  It is
 a measurement, not a gate: nothing here fails on a slow tree.
+
+The CLI's configs declare the state their presets read, so a tree that
+merges histories by state solves them on its merged tree; the node counts
+below are those of the full trees.
 
 The cases:
 
@@ -38,7 +43,10 @@ The cases:
 * ``pdmp_k11_m3``: unit jumps at every step (``pdmp_like``) with K=11 and
   three marks (265,720 nodes), the ``affine_z`` driver, the ``last_mark``
   terminal and ``beta = auto``: the ``sweep_unit_jumps`` workload's tree
-  two steps deeper.
+  two steps deeper;
+* ``intensity_k256_m1``: the ``verify_intensity`` workload at seed 7 with
+  K=256 (2^257 - 1 histories, 33,153 jump-count states): a full tree
+  refuses it.
 """
 
 from __future__ import annotations
@@ -80,7 +88,8 @@ def _cases() -> dict:
         "seed": 3,
     }
     return {"verify_intensity_seed7": verify_cfg, "two_state_k12_m2": two_state(12),
-            "two_state_k13_m2": two_state(13), "pdmp_k11_m3": pdmp}
+            "two_state_k13_m2": two_state(13), "pdmp_k11_m3": pdmp,
+            "intensity_k256_m1": workloads.verify_intensity(7, horizon=256)[0]}
 
 
 # the functions run_suite calls for each check; a tree has some of them
@@ -137,7 +146,11 @@ def _child(config_path: str) -> None:
 
     cfg = cli.RunConfig.load(config_path)
     t0 = time.perf_counter()
-    built = cli._build_tree(cfg)
+    try:
+        built = cli._build_tree(cfg)
+    except cli.ConfigError as exc:
+        print(json.dumps({"refused": str(exc)}))
+        return
     stages["build_tree"] = time.perf_counter() - t0
     tree = built[1]
     arrays = [v for v in vars(tree).values() if isinstance(v, np.ndarray)]
@@ -182,6 +195,9 @@ def _run(src: Path, config_path: Path) -> dict:
 
 
 def _summary(runs: list) -> dict:
+    if "refused" in runs[0]:
+        return {"refused": runs[0]["refused"], "runs": len(runs)}
+
     def med(key):
         return {k: round(statistics.median(r[key][k] for r in runs), 5) for k in runs[0][key]}
 
@@ -197,7 +213,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--old", type=Path, help="checkout root of the baseline tree")
     ap.add_argument("--new", type=Path, default=ROOT, help="checkout root to measure")
-    ap.add_argument("--repeat", type=int, default=3, help="runs per case and tree")
+    ap.add_argument("--repeat", type=int, default=5, help="runs per case and tree")
     ap.add_argument("--case", action="append", help="run only this case (repeatable)")
     ap.add_argument("--out", type=Path, help="write the JSON here as well")
     ap.add_argument("--child", help=argparse.SUPPRESS)
@@ -224,6 +240,7 @@ def main(argv=None) -> int:
             out["cases"][name] = {"config": cases[name],
                                   **{key: _summary(r) for key, r in runs.items()}}
             print(f"{name}: " + "  ".join(
+                f"{key} refused" if "refused" in out["cases"][name][key] else
                 f"{key} run_suite {out['cases'][name][key]['stages_s']['run_suite']:.3f} s, "
                 f"rss {out['cases'][name][key]['peak_rss_mb']:.1f} MiB" for key in trees),
                 file=sys.stderr)

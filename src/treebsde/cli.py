@@ -193,12 +193,14 @@ def _build_terminal(spec, n_marks: int):
 def _build_tree(cfg: RunConfig):
     """Construct the model of a config and enumerate its tree.
 
-    A bad model section, an invalid rule value and a tree over the node
-    budget (``TreeTooLarge``) are config errors.
+    The model declares the state its preset and the terminal preset read
+    (``scenarios.preset_state``), so the tree merges the histories that
+    agree on it.  A bad model section, an invalid rule value and a tree
+    over the node budget (``TreeTooLarge``) are config errors.
     """
     try:
-        model = scenarios.ModelSpec(cfg.model["preset"],
-                                    cfg.model.get("params", {})).build()
+        model = scenarios.ModelSpec(cfg.model["preset"], cfg.model.get("params", {}),
+                                    cfg.terminal.get("preset", "constant")).build()
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model spec: {exc}") from exc
     try:

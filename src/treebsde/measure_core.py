@@ -26,10 +26,17 @@ built only on demand (``ScenarioTree.history``,
 ``ScenarioTree.histories``, ``SlotView``).
 
 The tree keeps per-level data only.  One rule, ``_branches``, gives a
-slot's children from its jump size, and a level's children are
-consecutive nodes in slot and column order, so two tree operators carry
-the child layout: the child read ``_child_values`` of the backward sweeps
-and the parent broadcast ``_parent_broadcast`` of the forward ones.
+slot's children from its jump size, and two tree operators carry the
+child layout: the child read ``_child_values`` of the backward sweeps and
+``_forward`` of the forward ones.  On a full tree a level's children are
+consecutive nodes in slot and column order.
+
+Merged trees: the nodes of a depth whose declared states
+(``ScenarioModel.state``) are equal are one node.  It keeps the first
+history, sums their probabilities and carries their probability-weighted
+mean weight, so every ``prob * weight`` sum is the full tree's.
+``_child_values`` gathers and ``_forward`` averages over the edges into a
+node; ``accumulate``, a sum along the one path to a node, is refused.
 
 Trees are purely atomic: ``A`` moves only by its jumps ``delta_A``, so a
 node's Doleans-Dade weight of ``beta * A`` is the product of
@@ -110,16 +117,25 @@ class ScenarioModel:
             outcomes strictly before step ``k``, never the outcome of step
             ``k`` (this is what makes ``A`` predictable).
         mark_law: ``(k, H) -> phi[n, m]``, one probability vector per row.
+        state: ``(k, H) -> keys``, integer keys of shape ``[n]`` or
+            ``[n, j]`` for the histories of depth ``k``, or None (the
+            default: every history is its own node).  Histories of a depth
+            with equal keys become one node.  The contract: ``jump_size``
+            and ``mark_law`` at depth ``k``, the state at depth ``k + 1``,
+            the terminal and any driver that reads histories depend on a
+            history only through its state.
 
     Row ``i`` of each result belongs to node ``i``.  ``build_tree`` calls
-    each rule once per level.  These are the model's only rules, so a
-    model changed with ``dataclasses.replace`` runs the rules it was given.
+    each rule once per level, and the state once per level below the
+    root.  These are the model's only rules, so a model changed with
+    ``dataclasses.replace`` runs the rules it was given.
     """
 
     marks: MarkSpace
     grid: np.ndarray
     jump_size: Callable[[int, np.ndarray], np.ndarray]
     mark_law: Callable[[int, np.ndarray], np.ndarray]
+    state: Callable[[int, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -180,20 +196,25 @@ class ScenarioTree:
     ``(n_k, k)`` int8 matrix of the histories of depth ``k``, one row per
     node in node order.
 
-    Child layout, per level: ``_block_columns[k]`` is the column range
-    every slot fills when the level's slots share their branch kind, so
-    its children are one ``(slots, columns)`` block of nodes; a level that
-    mixes kinds keeps nothing beyond its ``slot_dA`` (None).
-    ``_child_values`` and ``_parent_broadcast`` are the only readers.
+    Child layout, per level: on a full tree ``_block_columns[k]`` is the
+    column range every slot fills when the level's slots share their
+    branch kind, so its children are one ``(slots, columns)`` block of
+    nodes; a level that mixes kinds keeps nothing beyond its ``slot_dA``
+    (None).  On a merged tree ``_edges[k]`` holds, per edge in slot and
+    column order, its slot (within the level), its node (within the next
+    depth) and its path mass, and per node the slot of its first edge.
+    ``_child_values`` and ``_forward`` are the only readers.
     """
 
-    def __init__(self, model, level_start, prob, level_histories, slot_dA, slot_phi):
+    def __init__(self, model, level_start, prob, level_histories, slot_dA, slot_phi,
+                 edges=None):
         self.model = model
         self.level_start = level_start
         self.prob = prob
         self.level_histories = level_histories
         self.slot_dA = slot_dA
         self.slot_phi = slot_phi
+        self._edges = edges
         self.slot_step = np.repeat(np.arange(self.horizon), np.diff(level_start[:-1]))
         # per slot level: the columns every slot fills when they share their
         # branch kind, None when the level mixes kinds
@@ -217,6 +238,11 @@ class ScenarioTree:
     @property
     def n_marks(self) -> int:
         return self.model.marks.size
+
+    @property
+    def merged(self) -> bool:
+        """True for a tree built from a model with a state."""
+        return self._edges is not None
 
     @property
     def n_nodes(self) -> int:
@@ -284,12 +310,15 @@ class ScenarioTree:
         """Per-node sum of ``per_slot`` over the slots on the path from the root.
 
         The root gets 0 and each child its parent's sum plus the parent
-        slot's value, added level by level in a fixed order.
+        slot's value, added level by level in a fixed order.  A merged
+        tree, whose nodes have no single path, is refused (``ValueError``).
         """
+        if self.merged:
+            raise ValueError("a merged node has no single path: accumulate needs a full tree")
         out = np.zeros(self.n_nodes)
         for k in range(self.horizon):
             sl = self.depth_slice(k)
-            out[self.depth_slice(k + 1)] = self._parent_broadcast(out[sl] + per_slot[sl], k)
+            out[self.depth_slice(k + 1)] = self._forward(out[sl] + per_slot[sl], k)
         return out
 
     # -- child layout ---------------------------------------------------
@@ -297,12 +326,16 @@ class ScenarioTree:
     def _child_values(self, Y: np.ndarray, k: int) -> np.ndarray:
         """Children's values of the slots of level ``k``: one column per outcome, 0 where none.
 
-        A block level is a reshape of one slice of ``Y`` (a view of ``Y``
-        when every column is filled); a mixed level places its children
-        by ``_branches``.
+        On a full tree a block level is a reshape of one slice of ``Y`` (a
+        view of ``Y`` when every column is filled) and a mixed level places
+        its children by ``_branches``; a merged level gathers them by edge.
         """
         sl, nodes, m = self.depth_slice(k), self.depth_slice(k + 1), self.n_marks
         n, cols = sl.stop - sl.start, self._block_columns[k]
+        if self.merged:
+            V = np.zeros((n, m + 1))
+            V[_branches(self.slot_dA[sl], m)] = Y[nodes][self._edges[k][1]]
+            return V
         if cols == slice(0, m + 1):
             return Y[nodes].reshape(n, m + 1)
         V = np.zeros((n, m + 1))
@@ -312,8 +345,21 @@ class ScenarioTree:
             V[:, cols] = Y[nodes].reshape(n, cols.stop - cols.start)
         return V
 
-    def _parent_broadcast(self, values: np.ndarray, k: int) -> np.ndarray:
-        """Each value of the slots of level ``k`` repeated over its children, in node order."""
+    def _forward(self, values: np.ndarray, k: int) -> np.ndarray:
+        """Values of the slots of level ``k`` carried to the nodes of depth ``k + 1``.
+
+        On a full tree each value repeated over its children, in node
+        order.  On a merged tree each node's probability-weighted mean of
+        the values over its edges, summed in edge order (a node of zero
+        probability takes its first edge's value).
+        """
+        if self.merged:
+            parent, child, mass, first = self._edges[k]
+            prob = self.prob[self.depth_slice(k + 1)]
+            out = values[first]
+            np.divide(np.bincount(child, mass * values[parent], prob.size), prob,
+                      out=out, where=prob > 0.0)
+            return out
         cols = self._block_columns[k]
         counts = (np.count_nonzero(_branches(self.slot_dA[self.depth_slice(k)], self.n_marks), 1)
                   if cols is None else cols.stop - cols.start)
@@ -325,8 +371,10 @@ class ScenarioTree:
         """Per-node Doleans-Dade weight of ``beta * A`` at the node's time.
 
         The product of ``1 + beta * delta_A`` over the slots above the
-        node, so siblings of one slot share it.  Cached per ``beta``; treat
-        the result as read-only.
+        node, so siblings of one slot share it; on a merged node the
+        probability-weighted mean of that product over the merged paths,
+        ``sum(P * E) / sum(P)``.  Cached per ``beta``; treat the result as
+        read-only.
         """
         if beta < 0:
             raise ValueError("beta must be nonnegative")
@@ -338,8 +386,7 @@ class ScenarioTree:
         E[0] = 1.0
         for k in range(self.horizon):
             sl = self.depth_slice(k)
-            E[self.depth_slice(k + 1)] = self._parent_broadcast(
-                E[sl] * (1.0 + beta * self.slot_dA[sl]), k)
+            E[self.depth_slice(k + 1)] = self._forward(E[sl] * (1.0 + beta * self.slot_dA[sl]), k)
         self._doleans_cache[key] = E
         return E
 
@@ -377,6 +424,37 @@ def _level_rules(model: ScenarioModel, k: int, H: np.ndarray):
     return dA, phi / total[:, None]
 
 
+def _state_keys(model: ScenarioModel, k: int, H: np.ndarray) -> np.ndarray:
+    """Checked state keys of the histories ``H`` of depth k, one row per history."""
+    n = H.shape[0]
+    keys = np.asarray(model.state(k, H))
+    if keys.ndim not in (1, 2) or keys.shape[0] != n or keys.size < n:
+        raise ValueError(f"state keys must have shape ({n},) or ({n}, j) at depth {k}, "
+                         f"not {keys.shape}")
+    if keys.dtype.kind not in "iu":
+        raise ValueError(f"state keys must be integers, not {keys.dtype}, at depth {k}")
+    return keys.reshape(n, -1)
+
+
+def _groups(keys: np.ndarray):
+    """Group of each row of ``keys`` and the first row of each group.
+
+    Groups are numbered in order of first appearance.  A stable sort of the
+    rows finds them; ``np.unique`` would import ``numpy.ma`` (15 ms).
+    """
+    order = np.lexsort(keys.T)
+    s = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any(s[1:] != s[:-1], axis=1)
+    first = order[new]                  # the sort is stable: each group's first row
+    by_first = np.argsort(first)
+    label = np.empty_like(by_first)
+    label[by_first] = np.arange(by_first.size)
+    group = np.empty_like(order)
+    group[order] = label[np.cumsum(new) - 1]
+    return group, first[by_first]
+
+
 def _branches(dA: np.ndarray, m: int) -> np.ndarray:
     """Children of slots with jump sizes ``dA``: an ``(n, m + 1)`` bool mask.
 
@@ -398,12 +476,18 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
     Zero-probability branch *kinds* are never created, which keeps every
     conditional law normalized.
 
+    A model with a ``state`` gives a merged tree: each level's children
+    with equal state keys become one node, in order of first appearance,
+    with the first child's history and the children's path masses summed
+    in order.
+
     Raises:
         ValueError: a jump size outside [0, 1] (or NaN), a mark law of the
-            wrong shape or not a probability vector, or more than 127 marks.
-        TreeTooLarge: the next level would take the node count past the
-            module budget ``MAX_NODES``; raised before that level is
-            allocated.
+            wrong shape or not a probability vector, state keys of the
+            wrong shape or not integers, or more than 127 marks.
+        TreeTooLarge: the next level's children, before any merge, would
+            take the node count past the module budget ``MAX_NODES``;
+            raised before that level is allocated.
     """
     K = model.horizon
     m = model.marks.size
@@ -417,6 +501,7 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
     prob = [np.ones(1)]
     level_start = [0, 1]
     slot_dA, slot_phi = [np.zeros(0)], [np.zeros((0, m))]
+    edges = None if model.state is None else []
 
     for k in range(K):
         n = H.shape[0]
@@ -429,13 +514,18 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
         bp[:, :m] = dA[:, None] * phi
         bp[:, m] = 1.0 - dA
         local = np.nonzero(mask)[0]             # parent of each child, within the level
-        prob.append(prob[-1][local] * bp[mask])
+        p = prob[-1][local] * bp[mask]
         out = np.broadcast_to(codes, (n, m + 1))[mask]
         H = np.concatenate([H[local], out[:, None]], axis=1)
+        if edges is not None:
+            child, first = _groups(_state_keys(model, k + 1, H))
+            edges.append((local, child, p, local[first]))
+            H, p = H[first], np.bincount(child, p, first.size)
+        prob.append(p)
         level_histories.append(H)
         slot_dA.append(dA)
         slot_phi.append(phi)
-        level_start.append(total)
+        level_start.append(level_start[-1] + H.shape[0])
 
     return ScenarioTree(
         model=model,
@@ -444,6 +534,7 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
         level_histories=level_histories,
         slot_dA=np.concatenate(slot_dA),
         slot_phi=np.concatenate(slot_phi),
+        edges=edges,
     )
 
 

@@ -9,11 +9,14 @@ have one form: rules ``(k, H)`` on a level's history matrix and
 terminals ``xi(H)`` on the leaf matrix.  A per-history rule or mark law
 ``(k, history)`` given to :func:`predictable_random_jumps` or as ``phi``
 goes through one adapter, ``_per_history``, which calls it once per row.
+
+``preset_state`` is what a model preset and a terminal preset read of a
+history: the state (``ScenarioModel.state``) that merges their tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,6 +34,8 @@ __all__ = [
     "random_model",
     "jump_count",
     "jump_counts",
+    "last_marks",
+    "preset_state",
     "xi_constant",
     "xi_jump_count",
     "xi_last_mark_indicator",
@@ -86,6 +91,15 @@ def jump_count(history) -> int:
 def jump_counts(H: np.ndarray) -> np.ndarray:
     """Number of realized points in each row of a history matrix."""
     return np.count_nonzero(H != NO_JUMP, axis=1)
+
+
+def last_marks(H: np.ndarray) -> np.ndarray:
+    """Last realized mark in each row of a history matrix; ``NO_JUMP`` in a row without one."""
+    n, K = H.shape
+    if K == 0:
+        return np.full(n, NO_JUMP, dtype=H.dtype)
+    # the entry in the last column holding a point (NO_JUMP in a row without one)
+    return H[np.arange(n), K - 1 - np.argmax(H[:, ::-1] != NO_JUMP, axis=1)]
 
 
 # -- constructors ----------------------------------------------------------
@@ -238,15 +252,34 @@ def xi_last_mark_indicator(mark_index: int, scale: float = 1.0):
     if mark_index < 0:
         raise ValueError(f"mark index {mark_index} is negative")
 
-    def xi(H):
-        n, K = H.shape
-        if K == 0:
-            return np.zeros(n)
-        # entry in the last column holding a point (NO_JUMP in a row without one)
-        last = H[np.arange(n), K - 1 - np.argmax(H[:, ::-1] != NO_JUMP, axis=1)]
-        return np.where(last == mark_index, float(scale), 0.0)
+    return lambda H: np.where(last_marks(H) == mark_index, float(scale), 0.0)
 
-    return xi
+
+# -- preset states ------------------------------------------------------------
+#
+# What each preset reads of a history, as per-row keys: the deterministic
+# models nothing, two_state_rule whether the last step carried a point.
+
+_MODEL_READS = {"deterministic_grid": (), "pdmp_like": (), "discretized_intensity": (),
+                "two_state_rule": (lambda H: np.any(H[:, -1:] != NO_JUMP, axis=1),)}
+_TERMINAL_READS = {"constant": (), "jump_count": (jump_counts,), "last_mark": (last_marks,)}
+
+
+def preset_state(model: str, terminal: str):
+    """State ``(k, H) -> keys[n, j]`` of a model preset solved with a terminal preset.
+
+    The keys are what the rules and the terminal read of a history.  None
+    for a pair without one (``predictable_random_jumps``,
+    ``counterexample``, an unknown name): its tree keeps every history.
+    """
+    if model not in _MODEL_READS or terminal not in _TERMINAL_READS:
+        return None
+    reads = _MODEL_READS[model] + _TERMINAL_READS[terminal]
+
+    def state(k, H):
+        return np.column_stack([np.zeros(H.shape[0], dtype=np.int64)] + [f(H) for f in reads])
+
+    return state
 
 
 # -- named presets -----------------------------------------------------------
@@ -262,10 +295,15 @@ _CONSTRUCTORS = {
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Addressable model preset: constructor name plus keyword parameters."""
+    """Addressable model preset: constructor name plus keyword parameters.
+
+    With ``terminal``, the terminal preset it is solved with, ``build``
+    declares the pair's ``preset_state`` (not for a per-history ``phi``).
+    """
 
     name: str
     params: dict = field(default_factory=dict)
+    terminal: str | None = None
 
     def build(self) -> ScenarioModel:
         if self.name == "counterexample":
@@ -275,4 +313,7 @@ class ModelSpec:
             ctor = _CONSTRUCTORS[self.name]
         except KeyError:
             raise ValueError(f"unknown model preset {self.name!r}") from None
-        return ctor(**self.params)
+        model = ctor(**self.params)
+        if self.terminal is None or callable(self.params.get("phi")):
+            return model
+        return replace(model, state=preset_state(self.name, self.terminal))

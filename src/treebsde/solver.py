@@ -252,7 +252,7 @@ def _leaf_values(problem: BsdeProblem, tree: ScenarioTree) -> np.ndarray:
 
 @dataclass
 class Solution:
-    """Solution pair on the tree plus the martingale-part diagnostic."""
+    """Solution pair on the tree plus the martingale-part diagnostic (None on a merged tree)."""
 
     Y: np.ndarray                     # one value per node; equals xi on leaves
     Z: np.ndarray                     # (n_slots, n_marks), canonical rows
@@ -344,6 +344,9 @@ def _linear_sweep(tree: ScenarioTree, xi_leaf: np.ndarray, f_path: np.ndarray,
 
 
 def _with_martingale(tree: ScenarioTree, Y, Z, f_path) -> Solution:
+    # a merged node has no single path sum, so no martingale part
+    if tree.merged:
+        return Solution(Y=Y, Z=Z)
     return Solution(Y=Y, Z=Z, martingale=Y + tree.accumulate(f_path * tree.slot_dA))
 
 

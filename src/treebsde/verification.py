@@ -197,10 +197,20 @@ def _apriori_estimate(tree, Y, f_path, beta, E_end, lhs, c_scale) -> CheckResult
     E = tree.doleans(beta)
     leaves = tree.leaf_slice
     term_xi = float(np.sum(tree.prob[leaves] * E[leaves] * Y[leaves] ** 2))
-    # per-path accumulators: sum of dA^2 and of E |f|^2 dA along each history
-    S1 = tree.accumulate(tree.slot_dA ** 2)
-    S2 = tree.accumulate(E_end * f_path ** 2 * tree.slot_dA)
-    term_f = float(np.sum(tree.prob[leaves] * (1.0 / beta + beta * S1[leaves]) * S2[leaves]))
+    # sum over leaf paths of P (1/beta + beta S1) S2, with the path sums S1 of
+    # dA^2 and S2 of E_end |f|^2 dA, as one forward recursion of the
+    # probability-weighted means over the paths into each node (one path per
+    # node on a full tree): b of E S1, c of S2 and s of S1 S2
+    da, f2 = tree.slot_dA, f_path ** 2
+    d1, h, r, g = da ** 2, f2 * da, 1.0 + beta * da, E_end * f2 * da
+    b = c = s = np.zeros(1)
+    for k in range(tree.horizon):
+        sl = tree.depth_slice(k)
+        t = (b + d1[sl] * E[sl]) * r[sl]             # E' S1' before the step to the children
+        s = tree._forward(s + d1[sl] * c + t * h[sl], k)
+        c = tree._forward(c + g[sl], k)
+        b = tree._forward(t, k)
+    term_f = float(np.sum(tree.prob[leaves] * (c / beta + beta * s)))
     c_beta = c_scale * (2.0 + 4.0 * (1.0 + beta) / beta)
     rhs = c_beta * (term_xi + term_f)
     return _inequality("apriori_estimate", lhs, rhs, detail={"beta": beta, "c_beta": c_beta})

@@ -127,6 +127,23 @@ def brute_z_norm(Z, tree, beta):
     return total
 
 
+def brute_apriori_data(tree, f_path, beta):
+    """Data side ``sum_leaves P (1/beta + beta S1) S2`` of the a priori bound, leaf by leaf.
+
+    ``S1`` sums ``dA^2`` and ``S2`` sums ``E(atom time) f^2 dA`` along the
+    leaf's path, with the weight rebuilt from the path's increments.
+    """
+    total = 0.0
+    for leaf, path in leaf_paths(tree):
+        s1 = s2 = 0.0
+        for step, nid in enumerate(path[:-1]):
+            da = float(tree.slot_dA[nid])
+            s1 += da * da
+            s2 += brute_doleans(tree, beta, path[step + 1]) * float(f_path[nid]) ** 2 * da
+        total += float(tree.prob[leaf]) * (1.0 / beta + beta * s1) * s2
+    return total
+
+
 def brute_expectation_at_depth(tree, values, depth):
     """E[values] over the nodes of one depth, via per-node masses."""
     sl = tree.depth_slice(depth)

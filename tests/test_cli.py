@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -111,6 +112,26 @@ def test_verify_beta_zero_identity_holds_inequality_skipped(tmp_path):
     assert by_name["identity_lemma"]["passed"] is True
     assert by_name["integral_inequality"]["kind"] == "skipped"
     assert any("beta = 0" in n for n in summary["notes"])
+
+
+def test_verify_runs_beyond_the_full_tree_budget(tmp_path):
+    # the jump_count terminal on discretized_intensity merges histories by jump
+    # count: 861 nodes at K = 40, where the full tree's 2^41 - 1 are refused
+    lam, c0, scale, K = 1.0, 0.3, 0.5, 40
+    cfg = write_config(tmp_path,
+                       model={"preset": "discretized_intensity",
+                              "params": {"lam": lam, "K": K, "m": 1}},
+                       generator={"preset": "constant", "params": {"c0": c0}},
+                       terminal={"preset": "jump_count", "params": {"scale": scale}},
+                       beta=1.0)
+    out = tmp_path / "run"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = read_summary(out)
+    assert len(summary["checks"]) == 6
+    assert all(c["passed"] for c in summary["checks"])
+    # the verify_intensity reference: Y0 = (scale + c0) * sum(dA_k)
+    expected = (scale + c0) * sum(1.0 - math.exp(-lam * (1.0 / K)) for _ in range(K))
+    assert abs(summary["solver"]["Y0"] - expected) <= 1e-12 * expected
 
 
 # -- sweep ---------------------------------------------------------------------

@@ -32,7 +32,8 @@ def test_scalar_twins_left_the_package(name, module):
 
 
 def test_a_model_has_one_form():
-    # level rules only: no batch field and no constructor deriving a second form
+    # level rules only: no batch field and no constructor deriving a second form;
+    # the optional state declares what the rules read, it is not a second form
     assert not hasattr(treebsde.ScenarioModel, "batched")
     assert [f.name for f in dataclasses.fields(treebsde.ScenarioModel)] == [
-        "marks", "grid", "jump_size", "mark_law"]
+        "marks", "grid", "jump_size", "mark_law", "state"]

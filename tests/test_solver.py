@@ -160,7 +160,7 @@ def test_child_operators_and_forward_sweep_equal_the_gather_forms_to_the_bit(mod
         for k in range(tree.horizon):
             sl = tree.slot_level_slice(k)
             assert _bits(tree._child_values(Y, k)) == _bits(gather_child_values(tree, Y, sl))
-            assert (_bits(tree._parent_broadcast(Y[sl], k))
+            assert (_bits(tree._forward(Y[sl], k))
                     == _bits(gather_parent_broadcast(tree, Y[sl], sl)))
         assert _bits(tree.accumulate(Y[:n])) == _bits(gather_accumulate(tree, Y[:n]))
     for beta in (0.0, 0.7, 8.0):

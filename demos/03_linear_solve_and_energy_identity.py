@@ -20,7 +20,7 @@ problem = BsdeProblem(
     model=model,
     beta=1.5,
     xi=scenarios.xi_jump_count(0.5),
-    f=Generator.from_path(lambda slot: 0.4 * np.cos(slot.step)),
+    f=Generator(lambda block, y, zeta: 0.4 * np.cos(block.step), lip_y=0.0, lip_z=0.0),
 )
 sol = solve_linear(problem)
 tree = problem.tree()

@@ -21,15 +21,16 @@ def rule(k, hist):
 
 model = scenarios.predictable_random_jumps(K=4, m=2, rule=rule)
 driver = Generator(
-    lambda slot, y, zeta: 0.2 + 0.5 * np.tanh(y)
-    + 0.8 * norms.lipschitz_seminorm(zeta, slot),
+    lambda block, y, zeta: 0.2 + 0.5 * np.tanh(y)
+    + 0.8 * norms.lipschitz_seminorm_rows(zeta, block),
     lip_y=0.5, lip_z=0.8,
 )
 tree = build_tree(model)
 delta = conditions.check_main_hypothesis(tree, driver.lip_y) / 2
 beta = conditions.beta_threshold(tree, driver.lip_y, driver.lip_z, delta)
 problem = BsdeProblem(model=model, beta=beta,
-                      xi=scenarios.xi_last_mark_indicator(0, 2.0), f=driver, _tree=tree)
+                      xi=scenarios.xi_last_mark_indicator(0, 2.0, n_marks=tree.n_marks),
+                      f=driver, _tree=tree)
 
 sol, rep = picard_solve(problem)
 print(f"hypothesis slack eps* = {rep.epsilon_star:.4f}, delta = {rep.delta:.4f}, "

@@ -32,8 +32,8 @@ print(f"per-slot a = {prof.a[0]:.4f} (equals 1 - delta), "
 h, H, ell = conditions.contraction_profile_H(delta, lip_y, 1.0)
 print(f"threshold function minimizer ell* = {ell:.6f}, H(ell*) = {H(ell):.6f}")
 
-driver = Generator(lambda slot, y, zeta: 0.3 + lip_y * np.sin(y)
-                   + lip_z * norms.lipschitz_seminorm(zeta, slot),
+driver = Generator(lambda block, y, zeta: 0.3 + lip_y * np.sin(y)
+                   + lip_z * norms.lipschitz_seminorm_rows(zeta, block),
                    lip_y=lip_y, lip_z=lip_z)
 rng = np.random.default_rng(1)
 print("\nempirical squared contraction ratio of one map application:")

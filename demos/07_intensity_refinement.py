@@ -16,7 +16,7 @@ import math
 
 from treebsde import BsdeProblem, Generator, backward_oracle, scenarios
 
-driver = Generator.batched(lambda block, y, zeta: 0.2 * y, lip_y=0.2, lip_z=0.0)
+driver = Generator(lambda block, y, zeta: 0.2 * y, lip_y=0.2, lip_z=0.0)
 limit = 0.5 * math.exp(0.2)
 state = scenarios.preset_state("discretized_intensity", "jump_count")
 

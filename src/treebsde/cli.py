@@ -140,12 +140,10 @@ def _build_generator(spec, tree) -> solver.Generator:
         return solver.Generator.zero()
     if preset == "constant":
         c0 = _num(p, "c0", 0.0)
-        return solver.Generator.batched(lambda block, y, zeta: np.full(y.shape, c0),
-                                        lip_y=0.0, lip_z=0.0)
+        return solver.Generator(lambda block, y, zeta: np.full(y.shape, c0), lip_y=0.0, lip_z=0.0)
     if preset == "affine_y":
         c0, c1 = _num(p, "c0", 0.0), _num(p, "c1", 0.0)
-        return solver.Generator.batched(lambda block, y, zeta: c0 + c1 * y,
-                                        lip_y=abs(c1), lip_z=0.0)
+        return solver.Generator(lambda block, y, zeta: c0 + c1 * y, lip_y=abs(c1), lip_z=0.0)
     if preset == "affine_z":
         c0 = _num(p, "c0", 0.0)
         c1 = _num(p, "c1", 0.0)          # seminorm coefficient
@@ -164,10 +162,10 @@ def _build_generator(spec, tree) -> solver.Generator:
                 val += c2 * norms.hat_z_rows(zeta, block)
             return val
 
-        return solver.Generator.batched(fn, lip_y=0.0, lip_z=lip)
+        return solver.Generator(fn, lip_y=0.0, lip_z=lip)
     if preset == "saturating":
         c0, cy, cz = _num(p, "c0", 0.0), _num(p, "cy", 0.0), _num(p, "cz", 0.0)
-        return solver.Generator.batched(
+        return solver.Generator(
             lambda block, y, zeta: c0 + cy * np.tanh(y)
             + cz * np.tanh(norms.lipschitz_seminorm_rows(zeta, block)),
             lip_y=abs(cy), lip_z=abs(cz))
@@ -183,10 +181,11 @@ def _build_terminal(spec, n_marks: int):
     if preset == "jump_count":
         return scenarios.xi_jump_count(_num(p, "scale", 1.0))
     if preset == "last_mark":
-        mark = _num(p, "mark", 0, _whole)
-        if not 0 <= mark < n_marks:
-            raise ConfigError(f"terminal mark {mark} outside 0..{n_marks - 1}")
-        return scenarios.xi_last_mark_indicator(mark, _num(p, "scale", 1.0))
+        mark, scale = _num(p, "mark", 0, _whole), _num(p, "scale", 1.0)
+        try:
+            return scenarios.xi_last_mark_indicator(mark, scale, n_marks=n_marks)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown terminal preset {preset!r}")
 
 

@@ -36,7 +36,7 @@ Merged trees: the nodes of a depth whose declared states
 history, sums their probabilities and carries their probability-weighted
 mean weight, so every ``prob * weight`` sum is the full tree's.
 ``_child_values`` gathers and ``_forward`` averages over the edges into a
-node; ``accumulate``, a sum along the one path to a node, is refused.
+node.
 
 Trees are purely atomic: ``A`` moves only by its jumps ``delta_A``, so a
 node's Doleans-Dade weight of ``beta * A`` is the product of
@@ -305,21 +305,6 @@ class ScenarioTree:
             index = np.asarray(ids, dtype=np.int64)
         return SlotBlock(index=index, step=self.slot_step[ids],
                          delta_A=self.slot_dA[ids], phi=self.slot_phi[ids])
-
-    def accumulate(self, per_slot: np.ndarray) -> np.ndarray:
-        """Per-node sum of ``per_slot`` over the slots on the path from the root.
-
-        The root gets 0 and each child its parent's sum plus the parent
-        slot's value, added level by level in a fixed order.  A merged
-        tree, whose nodes have no single path, is refused (``ValueError``).
-        """
-        if self.merged:
-            raise ValueError("a merged node has no single path: accumulate needs a full tree")
-        out = np.zeros(self.n_nodes)
-        for k in range(self.horizon):
-            sl = self.depth_slice(k)
-            out[self.depth_slice(k + 1)] = self._forward(out[sl] + per_slot[sl], k)
-        return out
 
     # -- child layout ---------------------------------------------------
 

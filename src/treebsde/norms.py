@@ -12,10 +12,10 @@ of a row against the atomic part of the compensator,
 One row kernel (``_moments``) gives ``hat_z_rows``,
 ``lipschitz_seminorm_rows`` and ``slot_z_contribution`` (``delta_A``
 times the squared seminorm).  The scalar ``hat_z`` and
-``lipschitz_seminorm`` are one-row calls for scalar drivers: about 10 us
+``lipschitz_seminorm`` are one-row calls for per-slot code: about 10 us
 with one mark and 6 us more per further mark (2-vCPU host, numpy 2.4), as
-the kernel makes a few elementwise passes per mark.  A driver that needs
-speed uses the row forms.
+the kernel makes a few elementwise passes per mark.  Drivers use the row
+forms.
 
 On slots with ``delta_A = 1`` the squared norm cannot see an additive
 constant in the row, so fields are only norm-unique there; the canonical

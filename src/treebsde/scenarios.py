@@ -175,7 +175,7 @@ def counterexample_model(p: float, t0_index: int = 0, K: int = 1,
     it).
 
     Returns:
-        ``(model, generator)`` with the driver ``f(slot, y, zeta) = y/p``.
+        ``(model, generator)`` with the driver ``f(block, y, zeta) = y/p``.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
@@ -183,7 +183,7 @@ def counterexample_model(p: float, t0_index: int = 0, K: int = 1,
     if not 0 <= t0_index < K:
         raise ValueError("t0_index must address a step of the grid")
     model = deterministic_grid(K, m, np.where(np.arange(K) == t0_index, float(p), 0.0), T=T)
-    gen = Generator.batched(lambda block, y, zeta: y / p, lip_y=1.0 / p, lip_z=0.0)
+    gen = Generator(lambda block, y, zeta: y / p, lip_y=1.0 / p, lip_z=0.0)
     return model, gen
 
 
@@ -242,15 +242,16 @@ def xi_jump_count(scale: float = 1.0):
     return lambda H: scale * jump_counts(H)
 
 
-def xi_last_mark_indicator(mark_index: int, scale: float = 1.0):
+def xi_last_mark_indicator(mark_index: int, scale: float = 1.0, *, n_marks: int):
     """Indicator that the last realized point carried the given mark.
 
-    ``mark_index`` must be a mark, ``0..m-1``: a negative index is
-    refused, since it could only match the no-jump code.
+    ``mark_index`` must be a mark of the ``n_marks`` marks, ``0..m-1``:
+    any other index is refused, since it could only match the no-jump
+    code or nothing.
     """
     mark_index = _whole(mark_index)
-    if mark_index < 0:
-        raise ValueError(f"mark index {mark_index} is negative")
+    if not 0 <= mark_index < n_marks:
+        raise ValueError(f"terminal mark {mark_index} outside 0..{n_marks - 1}")
 
     return lambda H: np.where(last_marks(H) == mark_index, float(scale), 0.0)
 

@@ -93,37 +93,27 @@ class ConditionViolated(SolverError):
 class Generator:
     """Driver of the backward equation with its declared Lipschitz constants.
 
-    Two forms:
+    ``fn(block, y[n], zeta[n, m]) -> f[n]`` gives the driver on the ``n``
+    slots of a :class:`~treebsde.measure_core.SlotBlock`, whose ``index``,
+    ``step``, ``delta_A`` and ``phi`` arrays describe them.  History
+    dependence goes through arrays indexed by ``block.index``.
 
-    * scalar, ``Generator(fn, lip_y, lip_z)`` with
-      ``fn(slot, y, zeta) -> float``; ``slot`` is a
-      :class:`~treebsde.measure_core.SlotView` (step, time, history, jump
-      size, mark law).
-    * level batch, ``Generator.batched(fn, lip_y, lip_z)`` with
-      ``fn(block, y[n], zeta[n, m]) -> f[n]``; ``block`` is a
-      :class:`~treebsde.measure_core.SlotBlock` whose ``index``, ``step``,
-      ``delta_A`` and ``phi`` arrays describe the ``n`` slots.  History
-      dependence goes through arrays indexed by ``block.index``.  Calling
-      such a generator on one slot view evaluates a one-slot block.
+    :meth:`on_slots` evaluates it for every solver route and
+    ``check_lipschitz`` on all samples of a slot; calling the generator on
+    one slot view evaluates a one-slot block (the implicit step).
 
-    ``_values`` evaluates either form on a block (a scalar one with one
-    ``__call__`` per row) for :meth:`on_slots` (every solver route) and
-    ``check_lipschitz`` (all samples of a slot); only the one-slot
-    implicit step calls the generator directly.
-
-    Predictability: neither form ever sees a slot's own outcome.
+    Predictability: the driver never sees a slot's own outcome.
     ``lip_y`` bounds the y-increments, ``lip_z`` the zeta-increments
     measured in :func:`treebsde.norms.lipschitz_seminorm_rows`.
     """
 
-    fn: Callable[[SlotView, float, np.ndarray], float]
+    fn: Callable[[SlotBlock, np.ndarray, np.ndarray], np.ndarray]
     lip_y: float
     lip_z: float
-    batch: Callable[[SlotBlock, np.ndarray, np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False)
 
     def __call__(self, slot, y, zeta) -> float:
-        return float(self.fn(slot, y, zeta))
+        zeta = np.asarray(zeta, dtype=float).reshape(1, -1)
+        return float(self._values(SlotBlock.of_view(slot), np.array([y], dtype=float), zeta)[0])
 
     def on_slots(self, tree: ScenarioTree, ids, y, zeta) -> np.ndarray:
         """Driver values on the slots ``ids`` at ``y[n]``, ``zeta[n, m]``.
@@ -135,7 +125,7 @@ class Generator:
         index = block.index
         if index.size == 0:
             return np.zeros(0)
-        vals = self._values(block, map(tree.slot, index), y, zeta)
+        vals = self._values(block, y, zeta)
         finite = np.isfinite(vals)
         if not np.all(finite):
             j = int(np.argmin(finite))
@@ -143,13 +133,11 @@ class Generator:
                             f"(step {int(block.step[j])})")
         return vals
 
-    def _values(self, block: SlotBlock, views, y, zeta) -> np.ndarray:
-        """Raw driver values on the rows of ``block``; ``views`` yields their slot views."""
-        if self.batch is None:
-            return np.array([self(v, a, z) for v, a, z in zip(views, y, zeta)], dtype=float)
-        vals = np.asarray(self.batch(block, y, zeta), dtype=float)
+    def _values(self, block: SlotBlock, y, zeta) -> np.ndarray:
+        """Raw driver values on the rows of ``block``, one per row."""
+        vals = np.asarray(self.fn(block, y, zeta), dtype=float)
         if vals.shape != block.index.shape:
-            raise ValueError(f"batched generator returned shape {vals.shape}, "
+            raise ValueError(f"generator returned shape {vals.shape}, "
                              f"expected {block.index.shape}")
         return vals
 
@@ -159,22 +147,8 @@ class Generator:
         return self.lip_y == 0.0 and self.lip_z == 0.0
 
     @classmethod
-    def batched(cls, fn, lip_y: float, lip_z: float) -> "Generator":
-        """Driver given in level-batch form ``fn(block, y[n], zeta[n, m]) -> f[n]``."""
-        def one_slot(slot, y, zeta):
-            zeta = np.asarray(zeta, dtype=float).reshape(1, -1)
-            return fn(SlotBlock.of_view(slot), np.array([y], dtype=float), zeta)[0]
-
-        return cls(one_slot, lip_y, lip_z, batch=fn)
-
-    @classmethod
     def zero(cls) -> "Generator":
-        return cls.batched(lambda block, y, zeta: np.zeros(y.shape), 0.0, 0.0)
-
-    @classmethod
-    def from_path(cls, path_fn) -> "Generator":
-        """Wrap a per-slot value ``path_fn(slot)`` as a (y, zeta)-free driver."""
-        return cls(lambda slot, y, zeta: float(path_fn(slot)), 0.0, 0.0)
+        return cls(lambda block, y, zeta: np.zeros(y.shape), 0.0, 0.0)
 
 
 @dataclass
@@ -252,11 +226,10 @@ def _leaf_values(problem: BsdeProblem, tree: ScenarioTree) -> np.ndarray:
 
 @dataclass
 class Solution:
-    """Solution pair on the tree plus the martingale-part diagnostic (None on a merged tree)."""
+    """Solution pair on the tree."""
 
     Y: np.ndarray                     # one value per node; equals xi on leaves
     Z: np.ndarray                     # (n_slots, n_marks), canonical rows
-    martingale: np.ndarray | None = None
 
 
 @dataclass
@@ -343,18 +316,6 @@ def _linear_sweep(tree: ScenarioTree, xi_leaf: np.ndarray, f_path: np.ndarray,
     return _backward(tree, xi_leaf, parent_values)
 
 
-def _with_martingale(tree: ScenarioTree, Y, Z, f_path) -> Solution:
-    # a merged node has no single path sum, so no martingale part
-    if tree.merged:
-        return Solution(Y=Y, Z=Z)
-    return Solution(Y=Y, Z=Z, martingale=Y + tree.accumulate(f_path * tree.slot_dA))
-
-
-def _solve_linear_path(tree: ScenarioTree, xi_leaf: np.ndarray,
-                       f_path: np.ndarray) -> Solution:
-    return _with_martingale(tree, *_linear_sweep(tree, xi_leaf, f_path), f_path)
-
-
 def _eval_path(tree: ScenarioTree, f: Generator, Y: np.ndarray,
                Z: np.ndarray) -> np.ndarray:
     """Driver frozen along (Y, Z): one value per slot (``Y`` per node).
@@ -388,7 +349,7 @@ def solve_linear(problem: BsdeProblem) -> Solution:
     """
     tree = problem.tree()
     f_path = _path_values(problem, tree)
-    return _solve_linear_path(tree, _leaf_values(problem, tree), f_path)
+    return Solution(*_linear_sweep(tree, _leaf_values(problem, tree), f_path))
 
 
 # -- implicit one-step solve ----------------------------------------------
@@ -512,9 +473,8 @@ def backward_oracle(problem: BsdeProblem) -> Solution:
     """
     tree = problem.tree()
     f = problem.f
-    Y, Z = _backward(tree, _leaf_values(problem, tree),
-                     lambda sl, cm, Zl: _implicit_level(tree, f, sl, cm, Zl))
-    return _with_martingale(tree, Y, Z, _eval_path(tree, f, Y, Z))
+    return Solution(*_backward(tree, _leaf_values(problem, tree),
+                               lambda sl, cm, Zl: _implicit_level(tree, f, sl, cm, Zl)))
 
 
 # -- fixed-point iteration -------------------------------------------------
@@ -529,7 +489,7 @@ def picard_map(problem: BsdeProblem, U: np.ndarray, V: np.ndarray) -> Solution:
     """
     tree = problem.tree()
     f_path = _eval_path(tree, problem.f, U, V)
-    return _solve_linear_path(tree, _leaf_values(problem, tree), f_path)
+    return Solution(*_linear_sweep(tree, _leaf_values(problem, tree), f_path))
 
 
 def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
@@ -544,8 +504,7 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
     residual drops to ``tol``.  The successive-iterate mixed-norm distance
     is reported but never stops it: with every b-weight 0 (``beta`` far
     below ``beta_min``) that distance vanishes away from the solution.
-    The norm weights are built once per solve, and the martingale part
-    once, for the returned pair.  Problems that differ only in ``beta``
+    The norm weights are built once per solve.  Problems that differ only in ``beta``
     share their beta-free set-up (``_Setup``) when given its ``delta``.
 
     Args:
@@ -604,7 +563,6 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
     ratio_sq: list[float] = []
     y_sup: list[float] = []
     prev_dsq = None
-    f_used = f_path        # the driver values the current iterate solved
     residual = np.inf
     converged = False
     iterations = 0
@@ -620,14 +578,14 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
         y_sup.append(sup)
         if not np.isfinite(sup):
             raise NonFinite("fixed-point iterates left the finite range")
-        U, V, f_used = Y, Z, f_path
+        U, V = Y, Z
         f_path = _eval_path(tree, f, U, V)
         residual = _residual(tree, U, cm, f_path)
         if residual <= tol:
             converged = True
             break
     del wb, w, cm
-    sol = _with_martingale(tree, U, V, f_used) if iterations else Solution(U, V)
+    sol = Solution(U, V)
     report = SolveReport(
         iterations=iterations, converged=converged, diff_norms=diff_norms,
         ratio_sq=ratio_sq, residual=float(residual), y_sup=y_sup, beta=beta,

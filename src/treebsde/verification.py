@@ -274,7 +274,7 @@ def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResu
                       delta_A=np.full(n, da), phi=np.broadcast_to(slot.phi, (n, m)))
     dz = z2 - z
     s = norms.lipschitz_seminorm_rows(dz, block)
-    fbar = f._values(block, [slot] * n, y2, z2) - f._values(block, [slot] * n, y, z)
+    fbar = f._values(block, y2, z2) - f._values(block, y, z)
     plain = np.abs(fbar) - (f.lip_y * np.abs(y2 - y) + f.lip_z * s)
     zh = norms.hat_z_rows(dz, block)
     # np.float_power calls the C library's pow, as Python's float ``**`` does, so

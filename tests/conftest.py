@@ -290,13 +290,13 @@ def random_generator(rng, tree, eps_floor=0.5, forms=(0, 1, 2)):
             return base + lip_y * math.tanh(y) + lip_z * math.tanh(s)
         return base + lip_y * math.sin(y) + lip_z * s
 
-    return Generator(fn, lip_y, lip_z)
+    return per_slot(tree, fn, lip_y, lip_z)
 
 
 def random_terminal(rng, m):
     """Seeded terminal on the leaf matrix: a jump count, a last-mark indicator, a constant."""
     a, b, c = (float(x) for x in rng.normal(0, 1.0, 3))
-    ind = scenarios.xi_last_mark_indicator(int(rng.integers(m)))
+    ind = scenarios.xi_last_mark_indicator(int(rng.integers(m)), n_marks=m)
     return lambda H: a * scenarios.jump_counts(H) + b * ind(H) + c
 
 
@@ -334,7 +334,8 @@ def random_linear_problem(rng, K=None, m=None, max_horizon=5, max_marks=3,
     beta = float(rng.uniform(0.0, 4.0)) if beta is None else beta
     problem = BsdeProblem(model=model, beta=beta,
                           xi=random_terminal(rng, tree.n_marks),
-                          f=Generator.from_path(path), _tree=tree)
+                          f=per_slot(tree, lambda slot, y, zeta: path(slot), 0.0, 0.0),
+                          _tree=tree)
     return problem
 
 
@@ -352,17 +353,31 @@ def m1_problem():
 # -- scalar twins of the level-batch paths ----------------------------------------
 
 
+def per_slot(tree, fn, lip_y, lip_z):
+    """Generator of the per-slot driver ``fn(slot, y, zeta) -> float`` on ``tree``.
+
+    The level form calls ``fn`` once per row, on the row's slot view
+    ``tree.slot(i)``, its ``y`` and its ``zeta`` row: the scalar twin of a
+    level driver, free to read the slot's history.
+    """
+    def level(block, y, zeta):
+        return np.array([fn(tree.slot(i), a, z) for i, a, z in zip(block.index, y, zeta)],
+                        dtype=float)
+
+    return Generator(level, lip_y, lip_z)
+
+
 def scalar_preset(name, params, tree):
     """Per-slot form of the CLI generator presets, one scalar call per slot."""
     p = params
     c0 = float(p.get("c0", 0.0))
     if name == "zero":
-        return Generator(lambda slot, y, zeta: 0.0, 0.0, 0.0)
+        return per_slot(tree, lambda slot, y, zeta: 0.0, 0.0, 0.0)
     if name == "constant":
-        return Generator(lambda slot, y, zeta: c0, 0.0, 0.0)
+        return per_slot(tree, lambda slot, y, zeta: c0, 0.0, 0.0)
     if name == "affine_y":
         c1 = float(p.get("c1", 0.0))
-        return Generator(lambda slot, y, zeta: c0 + c1 * y, abs(c1), 0.0)
+        return per_slot(tree, lambda slot, y, zeta: c0 + c1 * y, abs(c1), 0.0)
     if name == "affine_z":
         c1, c2 = float(p.get("c1", 0.0)), float(p.get("c2", 0.0))
         da = tree.slot_dA
@@ -374,11 +389,11 @@ def scalar_preset(name, params, tree):
                 val += c2 * scalar_hat_z(zeta, slot)
             return val
 
-        return Generator(fn, 0.0, abs(c1) + abs(c2) * ratio)
+        return per_slot(tree, fn, 0.0, abs(c1) + abs(c2) * ratio)
     if name == "saturating":
         cy, cz = float(p.get("cy", 0.0)), float(p.get("cz", 0.0))
-        return Generator(
-            lambda slot, y, zeta: c0 + cy * np.tanh(y)
+        return per_slot(
+            tree, lambda slot, y, zeta: c0 + cy * np.tanh(y)
             + cz * np.tanh(scalar_seminorm(zeta, slot)), abs(cy), abs(cz))
     raise ValueError(name)
 
@@ -444,14 +459,19 @@ def gather_doleans(tree, beta):
     return E
 
 
-def gather_accumulate(tree, per_slot):
-    """``ScenarioTree.accumulate`` by a gather of each level's parents."""
+def gather_accumulate(tree, slot_values):
+    """Per-node sum of ``slot_values`` over the slots on the path from the root.
+
+    The root gets 0 and each child its parent's sum plus the parent slot's
+    value, by a gather of each level's parents; a full tree only, where
+    every node has one path.
+    """
     parent = node_parents(tree)
     out = np.zeros(tree.n_nodes)
     for k in range(tree.horizon):
         nodes = slice(int(tree.level_start[k + 1]), int(tree.level_start[k + 2]))
         par = parent[nodes]
-        out[nodes] = out[par] + per_slot[par]
+        out[nodes] = out[par] + slot_values[par]
     return out
 
 
@@ -549,8 +569,8 @@ def scalar_two_state_rule(K, m, a_after_jump, a_after_no_jump, phi=None):
     return scenarios.predictable_random_jumps(K=K, m=m, rule=rule, phi=phi)
 
 
-def scalar_terminals():
-    """Per-history forms of the three terminal factories, keyed by preset.
+def scalar_terminals(m):
+    """Per-history forms of the three terminal factories on ``m`` marks, keyed by preset.
 
     Each entry is ``(factory's level terminal, per-history twin)``; run a
     twin on a leaf matrix through ``per_leaf``.
@@ -567,7 +587,8 @@ def scalar_terminals():
         "constant": (scenarios.xi_constant(0.37), lambda hist: 0.37),
         "jump_count": (scenarios.xi_jump_count(0.53),
                        lambda hist: 0.53 * scenarios.jump_count(hist)),
-        "last_mark": (scenarios.xi_last_mark_indicator(1, 1.3), last_mark(1, 1.3)),
+        "last_mark": (scenarios.xi_last_mark_indicator(min(1, m - 1), 1.3, n_marks=m),
+                      last_mark(min(1, m - 1), 1.3)),
     }
 
 
@@ -738,8 +759,7 @@ def loop_run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     frozen_vals = solver._eval_path(tree, problem.f, Y, Z)
     frozen = solver.BsdeProblem(
         model=problem.model, beta=beta, xi=problem.xi,
-        f=solver.Generator.batched(lambda block, y, zeta: frozen_vals[block.index],
-                                   0.0, 0.0),
+        f=solver.Generator(lambda block, y, zeta: frozen_vals[block.index], 0.0, 0.0),
         _tree=tree,
     )
 

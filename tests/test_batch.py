@@ -9,7 +9,8 @@ from treebsde import (BsdeProblem, Generator, NonFinite, StepSingular, backward_
                       build_tree, cli, picard_solve, scenarios, solve_linear)
 from treebsde.measure_core import ScenarioTree
 
-from conftest import leaf_paths, per_slot_oracle, random_problem, scalar_preset
+from conftest import (gather_accumulate, leaf_paths, per_slot, per_slot_oracle, random_problem,
+                      scalar_preset)
 
 PRESETS = [
     ("zero", {}),
@@ -52,7 +53,7 @@ def test_on_slots_matches_scalar_twin(seed, name, params):
         assert np.max(np.abs(gen.on_slots(tree, slice(0, n), y, Z) - ref)) <= 1e-12
         ids = rng.permutation(n)[: max(1, n // 3)]
         assert np.max(np.abs(gen.on_slots(tree, ids, y[ids], Z[ids]) - ref[ids])) <= 1e-12
-        # the one-slot form of a batched generator
+        # the one-slot form of a level generator
         s = int(ids[0])
         assert abs(gen(tree.slot(s), y[s], Z[s]) - ref[s]) <= 1e-12
     if seed == 0:
@@ -64,11 +65,11 @@ def test_on_slots_matches_scalar_twin(seed, name, params):
 def test_on_slots_scalar_adapter_and_shape_check():
     tree = build_tree(mixed_model(2))
     n = tree.n_slots
-    scalar = Generator(lambda slot, y, zeta: slot.step + 10.0 * slot.index + y, 1.0, 0.0)
+    scalar = per_slot(tree, lambda slot, y, zeta: slot.step + 10.0 * slot.index + y, 1.0, 0.0)
     y = np.arange(n, dtype=float)
     got = scalar.on_slots(tree, slice(0, n), y, np.zeros((n, 2)))
     assert np.array_equal(got, tree.slot_step + 10.0 * np.arange(n) + y)
-    bad = Generator.batched(lambda block, y, zeta: np.zeros(y.size + 1), 0.0, 0.0)
+    bad = Generator(lambda block, y, zeta: np.zeros(y.size + 1), 0.0, 0.0)
     with pytest.raises(ValueError, match="shape"):
         bad.on_slots(tree, slice(0, n), y, np.zeros((n, 2)))
 
@@ -76,15 +77,15 @@ def test_on_slots_scalar_adapter_and_shape_check():
 # -- backward oracle -----------------------------------------------------------------
 
 
-def counting(gen):
-    """Scalar copy of ``gen`` that counts its evaluations per slot."""
+def counting(tree, gen):
+    """Per-slot copy of ``gen`` on ``tree`` that counts its evaluations per slot."""
     calls = collections.Counter()
 
     def fn(slot, y, zeta):
         calls[slot.index] += 1
         return gen(slot, y, zeta)
 
-    return Generator(fn, gen.lip_y, gen.lip_z), calls
+    return per_slot(tree, fn, gen.lip_y, gen.lip_z), calls
 
 
 def test_level_oracle_equals_per_slot_sweep():
@@ -109,12 +110,12 @@ def test_level_oracle_stops_each_slot_at_the_scalar_iterate():
     Y, Z = per_slot_oracle(problem)
     assert np.array_equal(sol.Y, Y) and np.array_equal(sol.Z, Z)
 
-    level, per_slot = counting(base)
+    level, by_level = counting(tree, base)
     backward_oracle(BsdeProblem(model=model, beta=1.0, xi=problem.xi, f=level, _tree=tree))
-    scalar, single = counting(base)
+    scalar, single = counting(tree, base)
     per_slot_oracle(BsdeProblem(model=model, beta=1.0, xi=problem.xi, f=scalar, _tree=tree))
     for s in single:
-        assert per_slot[s] == single[s] + 1   # plus the martingale-part pass
+        assert by_level[s] == single[s]
     sl = tree.slot_level_slice(2)
     assert len({single[s] for s in range(sl.start, sl.stop)}) > 1
 
@@ -127,7 +128,7 @@ def test_level_oracle_step_singular_like_per_slot(scale, degenerate):
     model = scenarios.predictable_random_jumps(
         K=2, m=1, rule=lambda k, hist: 0.5 if k == 0 or hist[-1] == -1 else 0.2)
     problem = BsdeProblem(model=model, beta=0.0, xi=scenarios.xi_jump_count(scale),
-                          f=Generator.batched(lambda block, y, zeta: y / p, 1.0 / p, 0.0))
+                          f=Generator(lambda block, y, zeta: y / p, 1.0 / p, 0.0))
     with pytest.raises(StepSingular) as batch:
         backward_oracle(problem)
     with pytest.raises(StepSingular) as single:
@@ -139,8 +140,8 @@ def test_level_oracle_step_singular_like_per_slot(scale, degenerate):
 
 
 @pytest.mark.parametrize("gen", [
-    Generator.from_path(lambda s: float("nan")),
-    Generator.batched(lambda block, y, zeta: np.where(block.step == 1, np.inf, 0.0), 0.0, 0.0),
+    Generator(lambda block, y, zeta: np.full(y.shape, np.nan), 0.0, 0.0),
+    Generator(lambda block, y, zeta: np.where(block.step == 1, np.inf, 0.0), 0.0, 0.0),
 ])
 def test_non_finite_driver_fails_alike_on_all_routes(gen):
     model = scenarios.deterministic_grid(K=3, m=2, a=0.4)
@@ -176,7 +177,7 @@ def test_accumulate_matches_path_sums():
     rng = np.random.default_rng(9)
     tree = build_tree(scenarios.random_model(rng, K=4))
     vals = rng.normal(0, 1, tree.n_slots)
-    acc = tree.accumulate(vals)
+    acc = gather_accumulate(tree, vals)
     for leaf, path in leaf_paths(tree):
         for depth, node in enumerate(path):
             assert acc[node] == pytest.approx(sum(vals[p] for p in path[:depth]),

@@ -37,3 +37,13 @@ def test_a_model_has_one_form():
     assert not hasattr(treebsde.ScenarioModel, "batched")
     assert [f.name for f in dataclasses.fields(treebsde.ScenarioModel)] == [
         "marks", "grid", "jump_size", "mark_law", "state"]
+
+
+def test_a_driver_and_a_solution_have_one_form():
+    # a level driver only: no batch field and no constructor deriving a second
+    # form; a solution is the pair, with no path-sum diagnostic beside it
+    assert [f.name for f in dataclasses.fields(treebsde.Generator)] == ["fn", "lip_y", "lip_z"]
+    public = sorted(n for n in vars(treebsde.Generator) if not n.startswith("_"))
+    assert public == ["is_path", "on_slots", "zero"]     # no batched or path constructor
+    assert [f.name for f in dataclasses.fields(treebsde.Solution)] == ["Y", "Z"]
+    assert not hasattr(treebsde.ScenarioTree, "accumulate")

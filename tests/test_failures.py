@@ -138,7 +138,7 @@ def test_solve_linear_refuses_a_feedback_driver():
     # this used to solve the driver frozen at (0, 0): Y0 = 3.0 against 6.2963
     problem = BsdeProblem(model=scenarios.deterministic_grid(3, 2, 0.5), beta=1.0,
                           xi=scenarios.xi_jump_count(),
-                          f=Generator.batched(lambda b, y, z: 0.5 * y + 1.0, 0.5, 0.0))
+                          f=Generator(lambda b, y, z: 0.5 * y + 1.0, 0.5, 0.0))
     with pytest.raises(ValueError, match=r"generator must be \(y, zeta\)-free"):
         solve_linear(problem)
     assert picard_solve(problem)[0].Y[0] == pytest.approx(6.2963, abs=1e-4)
@@ -166,13 +166,22 @@ def test_three_routes_agree_and_fail_alike(seed, linear):
         assert np.max(np.abs(sol.Z - other.Z)) <= 1e-8
 
     bad = int(rng.integers(tree.n_slots))
-    broken = Generator(lambda slot, y, z: np.nan if slot.index == bad else f(slot, y, z),
+    broken = Generator(lambda b, y, z: np.where(b.index == bad, np.nan, f.fn(b, y, z)),
                        f.lip_y, f.lip_z)
     nan_problem = BsdeProblem(model=problem.model, beta=problem.beta, xi=problem.xi,
                               f=broken, _tree=tree)
-    for route in [picard_solve, backward_oracle] + [solve_linear] * broken.is_path:
+    for route in [picard_solve] + [solve_linear] * broken.is_path:
         with pytest.raises(NonFinite):
             route(nan_problem)
+    # the oracle reads the driver only where dA > 0; elsewhere a slot's value
+    # is its conditional mean, whatever the driver gives there
+    if tree.slot_dA[bad] == 0.0:
+        oracle = backward_oracle(nan_problem)
+        assert oracle.Y.tobytes() == solutions[0].Y.tobytes()
+        assert oracle.Z.tobytes() == solutions[0].Z.tobytes()
+    else:
+        with pytest.raises(NonFinite):
+            backward_oracle(nan_problem)
 
 
 COUNTEREXAMPLE = {"model": {"preset": "counterexample", "params": {"p": 0.5, "K": 2}},

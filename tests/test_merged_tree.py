@@ -5,6 +5,7 @@ A merged tree must give the full tree's solution to the bit on every node
 (norms, energy identity, a priori bound) within rounding.
 """
 
+import copy
 import dataclasses
 import importlib.util
 import json
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_apriori_data, random_generator
+from conftest import brute_apriori_data, gather_accumulate, random_generator
 from treebsde import (BsdeProblem, Generator, backward_oracle, build_tree, cli, conditions,
                       norms, picard_solve, scenarios, solve_linear, solver, verification)
 from treebsde.scenarios import jump_counts, preset_state
@@ -58,7 +59,6 @@ def assert_equivalent(full_problem, merged_problem, state, linear=False):
     def same_solution(a, b):
         assert _bits(a.Y) == _bits(b.Y[nodes])
         assert _bits(a.Z) == _bits(b.Z[slots])
-        assert b.martingale is None and a.martingale is not None
 
     (sol_f, rep_f), (sol_m, rep_m) = picard_solve(full_problem), picard_solve(merged_problem)
     same_solution(sol_f, sol_m)
@@ -145,21 +145,25 @@ def test_merged_presets_equal_the_full_tree(model, terminal, generator):
 def test_random_models_merged_by_jump_count_equal_the_full_tree(seed):
     # random_model's rules read the parity of the jump count, random_generator
     # the step and the jump count, and the terminal the jump count
+    def state(k, H):
+        return jump_counts(H)
+
     rng = np.random.default_rng(seed)
     model = scenarios.random_model(rng, max_horizon=5)
-    tree = build_tree(model)
+    merged_model = dataclasses.replace(model, state=state)
+    tree, merged_tree = build_tree(model), build_tree(merged_model)
+    # the driver reads each tree's own slot views; the same draws give the
+    # same driver (both trees have the same largest jump)
+    gen_rng = copy.deepcopy(rng)
     gen = random_generator(rng, tree)
+    merged_gen = random_generator(gen_rng, merged_tree)
     a, c = (float(x) for x in rng.normal(0.0, 1.0, 2))
     eps = conditions.check_main_hypothesis(tree, gen.lip_y)
     beta = 1.5 * conditions.beta_threshold(tree, gen.lip_y, gen.lip_z, eps / 2.0) or 1.0
     full = BsdeProblem(model=model, beta=beta, xi=lambda H: a * jump_counts(H) + c, f=gen,
                        _tree=tree)
-
-    def state(k, H):
-        return jump_counts(H)
-
-    merged = dataclasses.replace(full, model=dataclasses.replace(model, state=state),
-                                 _tree=None)
+    merged = dataclasses.replace(full, model=merged_model, f=merged_gen, _tree=merged_tree)
+    assert (merged_gen.lip_y, merged_gen.lip_z) == (gen.lip_y, gen.lip_z)
     assert_equivalent(full, merged, state)
 
 
@@ -223,8 +227,8 @@ def test_apriori_data_side_is_the_path_sum_form_on_a_full_tree(seed):
     tree = build_tree(scenarios.random_model(rng, max_horizon=5))
     f_path = rng.normal(0.0, 1.0, tree.n_slots)
     for beta in (0.3, 2.0, 9.0):
-        S1 = tree.accumulate(tree.slot_dA ** 2)
-        S2 = tree.accumulate(tree.doleans_at_slot_end(beta) * f_path ** 2 * tree.slot_dA)
+        S1 = gather_accumulate(tree, tree.slot_dA ** 2)
+        S2 = gather_accumulate(tree, tree.doleans_at_slot_end(beta) * f_path ** 2 * tree.slot_dA)
         leaves = tree.leaf_slice
         path_sums = float(np.sum(tree.prob[leaves] * (1.0 / beta + beta * S1[leaves])
                                  * S2[leaves]))
@@ -261,22 +265,6 @@ def test_a_state_of_unsigned_or_two_column_keys_is_accepted():
         assert build_tree(_with_state(state, K=4)).n_nodes == 15
 
 
-def test_accumulate_refuses_a_merged_tree():
-    tree = build_tree(_with_state(lambda k, H: jump_counts(H)))
-    with pytest.raises(ValueError, match="merged"):
-        tree.accumulate(np.ones(tree.n_slots))
-
-
-def test_a_merged_solution_has_no_martingale_part():
-    model = _with_state(lambda k, H: jump_counts(H))
-    problem = BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_jump_count(),
-                          f=Generator.batched(lambda b, y, z: 0.1 * y, 0.1, 0.0))
-    assert picard_solve(problem)[0].martingale is None
-    assert backward_oracle(problem).martingale is None
-    linear = dataclasses.replace(problem, f=Generator.zero(), _tree=None)
-    assert solve_linear(linear).martingale is None
-
-
 def test_a_merged_tree_is_refused_over_the_node_budget(monkeypatch):
     # the budget counts the nodes built so far and the next level's children
     # before they merge: depth 7 holds 28 + 2 * 7 of them, depth 8 36 + 2 * 8
@@ -300,7 +288,7 @@ def test_merged_intensity_tree_meets_the_closed_form(K):
     model = dataclasses.replace(scenarios.discretized_intensity(1.0, K, 1),
                                 state=preset_state("discretized_intensity", "jump_count"))
     problem = BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_jump_count(0.5),
-                          f=Generator.batched(lambda block, y, zeta: 0.2 * y, 0.2, 0.0))
+                          f=Generator(lambda block, y, zeta: 0.2 * y, 0.2, 0.0))
     tree = problem.tree()
     assert tree.n_nodes == (K + 1) * (K + 2) // 2
     da = -math.expm1(-1.0 / K)

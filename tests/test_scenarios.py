@@ -113,7 +113,7 @@ def test_intensity_unit_rate_step_size():
 
 
 def test_intensity_refinement_gaps_shrink():
-    f = Generator(lambda slot, y, zeta: 0.2 * y, 0.2, 0.0)
+    f = Generator(lambda block, y, zeta: 0.2 * y, 0.2, 0.0)
     ys = []
     for K in (2, 4, 8):
         model = scenarios.discretized_intensity(1.0, K=K, m=1)
@@ -176,16 +176,27 @@ def test_jump_count_and_terminal_presets():
     assert scenarios.jump_counts(H).tolist() == [2, 0, 2]
     assert scenarios.xi_constant(3.0)(H).tolist() == [3.0, 3.0, 3.0]
     assert scenarios.xi_jump_count(2.0)(H).tolist() == [4.0, 0.0, 4.0]
-    assert scenarios.xi_last_mark_indicator(2)(H).tolist() == [1.0, 0.0, 0.0]
-    assert scenarios.xi_last_mark_indicator(0)(H).tolist() == [0.0, 0.0, 1.0]
-    assert scenarios.xi_last_mark_indicator(0)(np.zeros((2, 0), np.int8)).tolist() == [0, 0]
+    assert scenarios.xi_last_mark_indicator(2, n_marks=3)(H).tolist() == [1.0, 0.0, 0.0]
+    assert scenarios.xi_last_mark_indicator(0, n_marks=3)(H).tolist() == [0.0, 0.0, 1.0]
+    assert scenarios.xi_last_mark_indicator(0, n_marks=1)(
+        np.zeros((2, 0), np.int8)).tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("mark", [-1, -3])
 def test_last_mark_refuses_a_negative_index(mark):
     # -1 is the no-jump code: the indicator used to read 0 on every leaf
-    with pytest.raises(ValueError, match=f"mark index {mark} is negative"):
-        scenarios.xi_last_mark_indicator(mark)
+    with pytest.raises(ValueError, match=rf"terminal mark {mark} outside 0\.\.2"):
+        scenarios.xi_last_mark_indicator(mark, n_marks=3)
+
+
+@pytest.mark.parametrize("mark", [2, 5])
+def test_last_mark_refuses_a_mark_the_tree_lacks(mark):
+    # mark 5 on two marks used to give a terminal of zeros on every leaf
+    tree = build_tree(scenarios.deterministic_grid(K=3, m=2, a=0.5))
+    with pytest.raises(ValueError, match=rf"terminal mark {mark} outside 0\.\.1"):
+        scenarios.xi_last_mark_indicator(mark, n_marks=tree.n_marks)
+    xi = scenarios.xi_last_mark_indicator(1, n_marks=tree.n_marks)
+    assert xi(tree.level_histories[3]).any()
 
 
 # -- ModelSpec ---------------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from treebsde import (BsdeProblem, ConditionViolated, Generator, NoConvergence,
-                      StepSingular, backward_oracle, build_tree, implicit_step_solve,
+                      StepSingular, backward_oracle, build_tree, cli, implicit_step_solve,
                       norms, picard_map, picard_solve, solve_linear)
 from treebsde import scenarios
 from treebsde.solver import (Solution, bsde_residual, conditional_means, _cond_means,
@@ -11,7 +13,7 @@ from treebsde.verification import check_solution_jump_identity
 
 from conftest import (full_matrix_jump_identity, gather_accumulate, gather_child_values,
                       gather_doleans, gather_linear_sweep, gather_parent_broadcast,
-                      masked_canonical_rows, node_children, random_linear_problem,
+                      masked_canonical_rows, node_children, per_slot, random_linear_problem,
                       random_problem, random_terminal, represent_martingale)
 
 
@@ -154,7 +156,6 @@ def test_child_operators_and_forward_sweep_equal_the_gather_forms_to_the_bit(mod
     tree = build_tree(model)
     rng = np.random.default_rng(tree.n_nodes + 1)
     buf = _signed_values(rng, tree.n_nodes + 7)
-    n = tree.n_slots
     for off in (0, 1, 3, 7):     # views of Y at odd offsets
         Y = buf[off:off + tree.n_nodes]
         for k in range(tree.horizon):
@@ -162,7 +163,6 @@ def test_child_operators_and_forward_sweep_equal_the_gather_forms_to_the_bit(mod
             assert _bits(tree._child_values(Y, k)) == _bits(gather_child_values(tree, Y, sl))
             assert (_bits(tree._forward(Y[sl], k))
                     == _bits(gather_parent_broadcast(tree, Y[sl], sl)))
-        assert _bits(tree.accumulate(Y[:n])) == _bits(gather_accumulate(tree, Y[:n]))
     for beta in (0.0, 0.7, 8.0):
         assert _bits(tree.doleans(beta)) == _bits(gather_doleans(tree, beta))
 
@@ -207,7 +207,7 @@ def test_routes_agree_on_levels_that_mix_branch_kinds(m, a_jump):
         return 0.2 + 0.3 * np.cos(block.step + 2.0 * block.delta_A)
 
     linear = BsdeProblem(model=model, beta=2.0, xi=xi,
-                         f=Generator.batched(path, 0.0, 0.0), _tree=tree)
+                         f=Generator(path, 0.0, 0.0), _tree=tree)
     routes = [solve_linear(linear), picard_solve(linear)[0], backward_oracle(linear)]
     for other in routes[1:]:
         assert np.max(np.abs(other.Y - routes[0].Y)) <= 1e-8
@@ -218,7 +218,7 @@ def test_routes_agree_on_levels_that_mix_branch_kinds(m, a_jump):
                 + 0.5 * np.tanh(norms.lipschitz_seminorm_rows(zeta, block)))
 
     problem = BsdeProblem(model=model, beta=2.0, xi=xi,
-                          f=Generator.batched(feedback, 0.4, 0.5), _tree=tree)
+                          f=Generator(feedback, 0.4, 0.5), _tree=tree)
     sol, rep = picard_solve(problem)
     oracle = backward_oracle(problem)
     assert rep.converged
@@ -252,9 +252,24 @@ def test_solve_linear_constant_driver():
     model = scenarios.deterministic_grid(K=1, m=1, a=p)
     sol = solve_linear(BsdeProblem(model=model, beta=0.0,
                                    xi=scenarios.xi_constant(0.0),
-                                   f=Generator.from_path(lambda slot: c)))
+                                   f=Generator(lambda block, y, z: np.full(y.shape, c),
+                                               0.0, 0.0)))
     assert sol.Y[0] == pytest.approx(c * p, rel=1e-15)
     assert np.all(sol.Z == 0.0)
+
+
+def test_a_replaced_driver_is_the_one_solved():
+    # replacing fn used to leave the batched copy of the old driver in charge: Y0 = 0.3
+    model = scenarios.deterministic_grid(K=2, m=2, a=0.5)
+    tree = build_tree(model)
+    g = cli._build_generator({"preset": "constant", "params": {"c0": 0.3}}, tree)
+    problem = BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_constant(0.0), f=g, _tree=tree)
+    assert solve_linear(problem).Y[0] == pytest.approx(0.3, rel=1e-15)
+    f = dataclasses.replace(g, fn=lambda b, y, z: np.full(y.shape, 100.0))
+    replaced = dataclasses.replace(problem, f=f)
+    assert solve_linear(replaced).Y[0] == pytest.approx(100.0, rel=1e-15)
+    assert picard_solve(replaced)[0].Y[0] == pytest.approx(100.0, rel=1e-15)
+    assert backward_oracle(replaced).Y[0] == pytest.approx(100.0, rel=1e-15)
 
 
 def test_solve_linear_terminal_reproduced_and_residual_zero():
@@ -270,18 +285,20 @@ def test_solve_linear_terminal_reproduced_and_residual_zero():
 def test_solve_linear_is_linear_in_data():
     rng = np.random.default_rng(1)
     model = scenarios.random_model(rng, K=3)
+    tree = build_tree(model)
     xi1, xi2 = random_terminal(rng, model.marks.size), random_terminal(rng, model.marks.size)
-    f1 = Generator.from_path(lambda slot: 0.4 * slot.step + 0.1)
-    f2 = Generator.from_path(lambda slot: -0.3 + 0.2 * scenarios.jump_count(slot.history))
+    f1 = Generator(lambda block, y, z: 0.4 * block.step + 0.1, 0.0, 0.0)
+    f2 = per_slot(tree, lambda slot, y, z: -0.3 + 0.2 * scenarios.jump_count(slot.history),
+                  0.0, 0.0)
     lam = 1.7
 
     def combo_xi(h):
         return xi1(h) + lam * xi2(h)
 
-    combo_f = Generator.from_path(lambda slot: f1(slot, 0, None) + lam * f2(slot, 0, None))
-    s1 = solve_linear(BsdeProblem(model=model, beta=1.0, xi=xi1, f=f1))
-    s2 = solve_linear(BsdeProblem(model=model, beta=1.0, xi=xi2, f=f2))
-    s = solve_linear(BsdeProblem(model=model, beta=1.0, xi=combo_xi, f=combo_f))
+    combo_f = per_slot(tree, lambda slot, y, z: f1(slot, y, z) + lam * f2(slot, y, z), 0.0, 0.0)
+    s1 = solve_linear(BsdeProblem(model=model, beta=1.0, xi=xi1, f=f1, _tree=tree))
+    s2 = solve_linear(BsdeProblem(model=model, beta=1.0, xi=xi2, f=f2, _tree=tree))
+    s = solve_linear(BsdeProblem(model=model, beta=1.0, xi=combo_xi, f=combo_f, _tree=tree))
     assert s.Y == pytest.approx(s1.Y + lam * s2.Y, rel=1e-12, abs=1e-12)
     assert s.Z == pytest.approx(s1.Z + lam * s2.Z, rel=1e-12, abs=1e-12)
 
@@ -290,19 +307,19 @@ def test_solve_linear_is_linear_in_data():
 
 
 def test_implicit_zero_jump_returns_conditional_mean():
-    f = Generator(lambda slot, y, z: 99.0, 0.0, 0.0)
+    f = Generator(lambda block, y, z: np.full(y.shape, 99.0), 0.0, 0.0)
     assert implicit_step_solve(0.25, 0.0, slot_of(), None, f) == 0.25
 
 
 def test_implicit_affine_fixed_point():
-    f = Generator(lambda slot, y, z: y, 1.0, 0.0)
+    f = Generator(lambda block, y, z: y, 1.0, 0.0)
     got = implicit_step_solve(0.5, 0.5, slot_of(), np.zeros(1), f)
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
 def test_implicit_blows_up_at_unit_contraction():
     p = 0.5
-    f = Generator(lambda slot, y, z: y / p, 1.0 / p, 0.0)
+    f = Generator(lambda block, y, z: y / p, 1.0 / p, 0.0)
     with pytest.raises(StepSingular) as exc:
         implicit_step_solve(1.0, p, slot_of(a=p), np.zeros(1), f)
     assert not exc.value.degenerate
@@ -310,7 +327,7 @@ def test_implicit_blows_up_at_unit_contraction():
 
 def test_implicit_degenerate_when_mean_vanishes():
     p = 0.5
-    f = Generator(lambda slot, y, z: y / p, 1.0 / p, 0.0)
+    f = Generator(lambda block, y, z: y / p, 1.0 / p, 0.0)
     with pytest.raises(StepSingular) as exc:
         implicit_step_solve(0.0, p, slot_of(a=p), np.zeros(1), f)
     assert exc.value.degenerate
@@ -339,7 +356,7 @@ def test_oracle_constant_terminal_is_constant_solution():
 
 
 def test_oracle_one_step_implicit_example(m1_problem):
-    f = Generator(lambda slot, y, z: y, 1.0, 0.0)
+    f = Generator(lambda block, y, z: y, 1.0, 0.0)
     problem = BsdeProblem(model=m1_problem.model, beta=1.0,
                           xi=m1_problem.xi, f=f)
     sol = backward_oracle(problem)
@@ -352,8 +369,10 @@ def test_oracle_martingale_part_has_zero_conditional_increments():
     problem, _ = random_problem(rng, max_horizon=4)
     tree = problem.tree()
     sol = backward_oracle(problem)
-    cm = conditional_means(tree, sol.martingale)
-    assert np.max(np.abs(cm - sol.martingale[: tree.n_slots])) < 1e-10
+    f_path = _eval_path(tree, problem.f, sol.Y, sol.Z)
+    martingale = sol.Y + gather_accumulate(tree, f_path * tree.slot_dA)
+    cm = conditional_means(tree, martingale)
+    assert np.max(np.abs(cm - martingale[: tree.n_slots])) < 1e-10
 
 
 # -- picard -------------------------------------------------------------------------------
@@ -528,7 +547,7 @@ def test_empty_tree_results_of_every_layer():
 def test_oracle_step_budget_follows_the_contraction_factor():
     # q = dA * lip_y = 0.95: the 200-step cap stopped short of STEP_TOL
     model = scenarios.deterministic_grid(6, 2, 1.0)
-    f = Generator.batched(lambda block, y, zeta: 0.3 + 0.95 * np.sin(y), 0.95, 0.0)
+    f = Generator(lambda block, y, zeta: 0.3 + 0.95 * np.sin(y), 0.95, 0.0)
     problem = BsdeProblem(model=model, beta=4.0, xi=scenarios.xi_jump_count(1.0), f=f)
     sol = backward_oracle(problem)
     tree = problem.tree()
@@ -543,7 +562,7 @@ def test_picard_converges_only_on_the_residual():
     # beta far below beta_min: every b-weight is 0, so the weighted distance
     # vanishes after one sweep while the iterate is still far off
     model = scenarios.deterministic_grid(6, 2, 1.0)
-    f = Generator.batched(lambda block, y, zeta: 0.3 + 0.6 * np.sin(y), 0.6, 0.0)
+    f = Generator(lambda block, y, zeta: 0.3 + 0.6 * np.sin(y), 0.6, 0.0)
     problem = BsdeProblem(model=model, beta=4.0, xi=scenarios.xi_jump_count(1.0), f=f)
     sol, rep = picard_solve(problem)
     assert rep.beta < rep.beta_min and rep.converged
@@ -554,8 +573,8 @@ def test_picard_converges_only_on_the_residual():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_picard_diagnostics_are_those_of_the_returned_pair(seed):
-    # the martingale part, the residual and the last distance, recomputed
-    # from the returned pair and the iterate before it
+    # the residual and the last distance, recomputed from the returned pair
+    # and the iterate before it
     problem, delta = random_problem(np.random.default_rng(700 + seed), max_horizon=5)
     tree = problem.tree()
     sol, rep = picard_solve(problem, delta=delta)
@@ -564,10 +583,7 @@ def test_picard_diagnostics_are_those_of_the_returned_pair(seed):
         with pytest.raises(NoConvergence) as exc:
             picard_solve(problem, delta=delta, max_iter=rep.iterations - 1)
         prev = exc.value.last
-    f_prev = _eval_path(tree, problem.f, prev.Y, prev.Z)
     f_sol = _eval_path(tree, problem.f, sol.Y, sol.Z)
-    martingale = sol.Y + tree.accumulate(f_prev * tree.slot_dA)
-    assert np.array_equal(sol.martingale.view(np.int64), martingale.view(np.int64))
     assert rep.residual.hex() == bsde_residual(tree, sol.Y, f_sol).hex()
     b = np.maximum(rep.profile.b, 0.0)
     dsq = norms.mixed_norm_sq(sol.Y - prev.Y, sol.Z - prev.Z, tree, problem.beta, b)
@@ -578,7 +594,7 @@ def test_picard_diagnostics_are_those_of_the_returned_pair(seed):
 
 
 def _report_bits(sol, rep):
-    return ([_bits(a) for a in (sol.Y, sol.Z, sol.martingale, rep.profile.b)],
+    return ([_bits(a) for a in (sol.Y, sol.Z, rep.profile.b)],
             [float(x).hex() for x in rep.diff_norms + rep.ratio_sq + rep.y_sup],
             rep.residual.hex(), rep.beta_min.hex(), rep.delta, rep.epsilon_star,
             [(s.index, v) for s, v in rep.flagged])

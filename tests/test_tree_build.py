@@ -48,7 +48,7 @@ def test_batched_build_equals_scalar_adapter_build(seed, K, m):
     # the per-history twin of random_model (same draws, per-history rules)
     assert_same_tree(batched, build_tree(scalar_random_model(np.random.default_rng(seed),
                                                              K=K, m=m)))
-    for xi, twin in scalar_terminals().values():
+    for xi, twin in scalar_terminals(m).values():
         ref = terminal_values(per_leaf(lambda hist: xi(one_row(hist))[0]), scalar)
         assert terminal_values(xi, batched).tobytes() == ref.tobytes()
         assert terminal_values(per_leaf(twin), batched).tobytes() == ref.tobytes()
@@ -248,13 +248,14 @@ def test_solver_routes_never_build_history_tuples(monkeypatch):
     monkeypatch.setattr(ScenarioTree, "histories", property(refuse))
     monkeypatch.setattr(ScenarioTree, "history", refuse)
     tree = build_tree(problem.model)
-    gen = Generator.batched(lambda block, y, zeta: 0.3 * np.tanh(y) - 0.1, 0.3, 0.0)
+    gen = Generator(lambda block, y, zeta: 0.3 * np.tanh(y) - 0.1, 0.3, 0.0)
     batched = BsdeProblem(model=problem.model, beta=2.0, xi=scenarios.xi_jump_count(),
                           f=gen, _tree=tree)
     picard_solve(batched)
     backward_oracle(batched)
     solve_linear(BsdeProblem(model=problem.model, beta=2.0, f=Generator.zero(),
-                             xi=scenarios.xi_last_mark_indicator(0), _tree=tree))
+                             xi=scenarios.xi_last_mark_indicator(0, n_marks=tree.n_marks),
+                             _tree=tree))
 
 
 # -- node budget -------------------------------------------------------------------------

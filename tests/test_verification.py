@@ -11,7 +11,7 @@ from treebsde import scenarios
 from treebsde.verification import _sandwich_rows
 
 from conftest import (brute_doleans, leaf_paths, loop_norm_sandwich, node_children,
-                      node_outcomes, phi_sum, random_linear_problem, random_problem)
+                      node_outcomes, per_slot, phi_sum, random_linear_problem, random_problem)
 
 
 # -- energy identity --------------------------------------------------------------
@@ -73,7 +73,7 @@ def test_identity_holds_at_beta_zero():
 
 def test_identity_rejects_solution_dependent_generator(m1_problem):
     problem = BsdeProblem(model=m1_problem.model, beta=1.0, xi=m1_problem.xi,
-                          f=Generator(lambda slot, y, z: y, 1.0, 0.0))
+                          f=Generator(lambda block, y, z: y, 1.0, 0.0))
     sol = backward_oracle(problem)
     with pytest.raises(ValueError, match="zeta.*free|free"):
         check_identity_lemma(problem, sol, 0)
@@ -209,7 +209,7 @@ def _sandwich_fields(tree, rng):
 
 
 def _affine_z():
-    return Generator.batched(
+    return Generator(
         lambda block, y, zeta: 0.1 + 0.5 * norms.lipschitz_seminorm_rows(zeta, block), 0.0, 0.5)
 
 
@@ -252,7 +252,7 @@ def test_sandwich_ends_are_met_by_the_extremal_fields(seed):
 def test_unit_jump_tree_gets_a_sandwich_row():
     # pdmp_like: dA = 1 on every slot, where the lower end is 0
     problem = BsdeProblem(model=scenarios.pdmp_like(K=4, m=3, phi=[0.2, 0.3, 0.5]),
-                          beta=1.0, xi=scenarios.xi_last_mark_indicator(0, 1.0),
+                          beta=1.0, xi=scenarios.xi_last_mark_indicator(0, 1.0, n_marks=3),
                           f=_affine_z())
     sol = backward_oracle(problem)
     row = next(r for r in run_suite(problem, sol, rng=np.random.default_rng(3))
@@ -300,13 +300,13 @@ def test_sandwich_fails_a_seminorm_with_a_shrunk_atom_term(monkeypatch):
 
 def test_lipschitz_constant_generator():
     slot = build_tree(scenarios.deterministic_grid(K=1, m=2, a=0.5)).slot(0)
-    f = Generator(lambda s, y, z: 3.0, 0.0, 0.0)
+    f = Generator(lambda b, y, z: np.full(y.shape, 3.0), 0.0, 0.0)
     assert check_lipschitz(f, slot, samples=50).passed
 
 
 def test_lipschitz_linear_in_y_is_tight():
     slot = build_tree(scenarios.deterministic_grid(K=1, m=1, a=0.5)).slot(0)
-    f = Generator(lambda s, y, z: 0.8 * y, 0.8, 0.0)
+    f = Generator(lambda b, y, z: 0.8 * y, 0.8, 0.0)
     r = check_lipschitz(f, slot, samples=100)
     assert r.passed
     assert r.lhs > -1e-9       # the bound is achieved up to rounding
@@ -314,13 +314,13 @@ def test_lipschitz_linear_in_y_is_tight():
 
 def test_lipschitz_seminorm_generator_tight():
     slot = build_tree(scenarios.deterministic_grid(K=1, m=2, a=0.7)).slot(0)
-    f = Generator(lambda s, y, z: 1.2 * norms.lipschitz_seminorm(z, s), 0.0, 1.2)
+    f = Generator(lambda b, y, z: 1.2 * norms.lipschitz_seminorm_rows(z, b), 0.0, 1.2)
     assert check_lipschitz(f, slot, samples=100).passed
 
 
 def test_lipschitz_detects_understated_constant():
     slot = build_tree(scenarios.deterministic_grid(K=1, m=1, a=0.5)).slot(0)
-    f = Generator(lambda s, y, z: 2.0 * y, 0.5, 0.0)    # true constant is 2
+    f = Generator(lambda b, y, z: 2.0 * y, 0.5, 0.0)    # true constant is 2
     r = check_lipschitz(f, slot, samples=100, rng=np.random.default_rng(0))
     assert not r.passed
     assert r.detail["witness"] is not None
@@ -330,22 +330,23 @@ def test_lipschitz_detects_understated_constant():
 def test_lipschitz_refuses_no_samples(samples):
     # a check that sampled nothing would pass vacuously
     slot = build_tree(scenarios.deterministic_grid(2, 1, 0.5)).slot(0)
-    f = Generator(lambda s, y, z: 2.0 * y, 0.5, 0.0)
+    f = Generator(lambda b, y, z: 2.0 * y, 0.5, 0.0)
     with pytest.raises(ValueError, match="sample"):
         check_lipschitz(f, slot, samples=samples)
 
 
-def block_and_scalar_twins(fn, lip_y, lip_z):
-    """The batched driver ``fn`` and the same driver as a scalar generator."""
-    batched = Generator.batched(fn, lip_y, lip_z)
-    return batched, Generator(batched.fn, lip_y, lip_z)
+def block_and_scalar_twins(tree, fn, lip_y, lip_z):
+    """The level driver ``fn`` and its per-slot twin on ``tree``: one one-slot call per row."""
+    level = Generator(fn, lip_y, lip_z)
+    return level, per_slot(tree, level, lip_y, lip_z)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.35, 1.0])
 def test_lipschitz_block_is_the_same_check_for_both_forms(a):
-    slot = build_tree(scenarios.deterministic_grid(K=2, m=3, a=a)).slot(1)
+    tree = build_tree(scenarios.deterministic_grid(K=2, m=3, a=a))
+    slot = tree.slot(1)
     pair = block_and_scalar_twins(
-        lambda block, y, zeta: 0.4 * np.sin(y)
+        tree, lambda block, y, zeta: 0.4 * np.sin(y)
         + 0.9 * np.tanh(norms.lipschitz_seminorm_rows(zeta, block)), 0.4, 0.9)
     rows = [check_lipschitz(f, slot, samples=60, rng=np.random.default_rng(3))
             for f in pair]
@@ -355,11 +356,12 @@ def test_lipschitz_block_is_the_same_check_for_both_forms(a):
 
 def test_lipschitz_block_nan_sample_is_the_witness_for_both_forms():
     # sample 1 is NaN; sample 2 has the largest finite margin and must not win
-    slot = build_tree(scenarios.deterministic_grid(K=1, m=2, a=0.5)).slot(0)
+    tree = build_tree(scenarios.deterministic_grid(K=1, m=2, a=0.5))
+    slot = tree.slot(0)
     draws = [(0.0, 1.0, [0.0, 0.0], [0.1, 0.0]), (2.0, 1.0, [0.0, 1.0], [0.0, 0.0]),
              (0.0, 3.0, [1.0, 0.0], [0.0, 0.0]), (1.0, 0.5, [0.0, 0.0], [0.0, 0.0])]
     pair = block_and_scalar_twins(
-        lambda block, y, zeta: np.where(y == 2.0, np.nan, 5.0 * y), 0.1, 0.1)
+        tree, lambda block, y, zeta: np.where(y == 2.0, np.nan, 5.0 * y), 0.1, 0.1)
     rows = [check_lipschitz(f, slot, samples=draws) for f in pair]
     for r in rows:
         assert not r.passed and np.isnan(r.lhs)
@@ -369,7 +371,7 @@ def test_lipschitz_block_nan_sample_is_the_witness_for_both_forms():
 
 def test_lipschitz_rejects_hat_below_lip_z():
     slot = build_tree(scenarios.deterministic_grid(K=1, m=1, a=0.5)).slot(0)
-    f = Generator(lambda s, y, z: 0.0, 0.0, 1.0)
+    f = Generator(lambda b, y, z: np.zeros(y.shape), 0.0, 1.0)
     with pytest.raises(ValueError):
         check_lipschitz(f, slot, hat_lz_sq=0.5)
 
@@ -439,13 +441,13 @@ def test_seminorm_expanded_form_is_algebraic_identity():
 
 def test_lipschitz_fails_on_a_nan_driver():
     slot = build_tree(scenarios.deterministic_grid(K=1, m=2, a=0.5)).slot(0)
-    r = check_lipschitz(Generator(lambda s, y, z: float("nan"), 0.1, 0.1), slot)
+    r = check_lipschitz(Generator(lambda b, y, z: np.full(y.shape, np.nan), 0.1, 0.1), slot)
     assert not r.passed and np.isnan(r.lhs)
     assert r.detail["witness"] is not None
     # the first non-finite sample is the witness, whatever follows it
     draws = [(0.0, 1.0, [0.0, 0.0], [0.1, 0.0]), (2.0, 1.0, [0.0, 1.0], [0.0, 0.0]),
              (0.0, 3.0, [1.0, 0.0], [0.0, 0.0])]
-    f = Generator(lambda s, y, z: float("nan") if y == 2.0 else 0.0, 0.1, 0.1)
+    f = Generator(lambda b, y, z: np.where(y == 2.0, np.nan, 0.0), 0.1, 0.1)
     r = check_lipschitz(f, slot, samples=draws)
     assert not r.passed and np.isnan(r.lhs)
     assert r.detail["witness"] == {"y": 2.0, "y2": 1.0, "z": [0.0, 1.0], "z2": [0.0, 0.0]}
@@ -455,7 +457,7 @@ def test_suite_keeps_a_nan_lipschitz_slot():
     # NaN on one slot, away from the solution only: the solve succeeds,
     # and the suite's row must still fail on that slot's sample
     model = scenarios.deterministic_grid(K=3, m=2, a=0.5)
-    f = Generator(lambda s, y, z: float("nan") if s.index == 6 and abs(y) > 1.0 else 0.1,
+    f = Generator(lambda b, y, z: np.where((b.index == 6) & (np.abs(y) > 1.0), np.nan, 0.1),
                   0.0, 0.0)
     problem = BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_constant(0.0), f=f)
     results = run_suite(problem, solve_linear(problem), rng=np.random.default_rng(0))

@@ -21,8 +21,8 @@ times, once each and in this order:
 
 and reports the ``resource.getrusage`` peak RSS of the process at the end,
 and the bytes of the built tree's arrays (``nbytes`` summed over the
-tree's numpy attributes and its ``level_histories``), in total and per
-node.  A tree that refuses a case's config (a tree over the node budget,
+tree's numpy attributes, its ``level_histories`` and the arrays its level
+plans own), in total and per node.  A tree that refuses a case's config (a tree over the node budget,
 say) is recorded with its message instead.
 The output is the median of each stage over the runs and the largest
 peak RSS, per tree and case, with the host and library versions.  It is
@@ -46,7 +46,12 @@ The cases:
   two steps deeper;
 * ``intensity_k256_m1``: the ``verify_intensity`` workload at seed 7 with
   K=256 (2^257 - 1 histories, 33,153 jump-count states): a full tree
-  refuses it.
+  refuses it;
+* ``two_state_k256_m2``: the ``solve_predictable`` workload at seed 7 with
+  K=256, its jump sizes scaled by 9/256 and ``beta = auto`` (3^256 leaf
+  histories, 65,793 (last outcome, jump count) states): the fixed-point
+  solve runs 18 sweeps over 256 levels, so the per-level cost of a sweep
+  shows.
 """
 
 from __future__ import annotations
@@ -87,9 +92,14 @@ def _cases() -> dict:
         "beta": "auto",
         "seed": 3,
     }
+    lattice, _ = workloads.solve_predictable(7, horizon=256)
+    for key in ("a_after_jump", "a_after_no_jump"):
+        lattice["model"]["params"][key] *= 9 / 256
+    lattice["beta"] = "auto"
     return {"verify_intensity_seed7": verify_cfg, "two_state_k12_m2": two_state(12),
             "two_state_k13_m2": two_state(13), "pdmp_k11_m3": pdmp,
-            "intensity_k256_m1": workloads.verify_intensity(7, horizon=256)[0]}
+            "intensity_k256_m1": workloads.verify_intensity(7, horizon=256)[0],
+            "two_state_k256_m2": lattice}
 
 
 # the functions run_suite calls for each check; a tree has some of them
@@ -154,6 +164,9 @@ def _child(config_path: str) -> None:
     stages["build_tree"] = time.perf_counter() - t0
     tree = built[1]
     arrays = [v for v in vars(tree).values() if isinstance(v, np.ndarray)]
+    # the level plans' own arrays (their views of the tree's arrays hold nothing)
+    arrays += [v for lv in getattr(tree, "_levels", ()) for v in vars(lv).values()
+               if isinstance(v, np.ndarray) and v.base is None]
     tree_bytes = sum(a.nbytes for a in arrays + list(tree.level_histories))
     t0 = time.perf_counter()
     problem, diag = cli._build_problem(cfg, built)

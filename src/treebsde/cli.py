@@ -526,17 +526,14 @@ def cmd_counterexample(cfg: RunConfig) -> int:
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="treebsde",
                                  description="Backward equations on exact scenario trees")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("solve", "verify", "sweep", "counterexample"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", default=None,
-                        help="JSON config (optional for counterexample)")
-        sp.add_argument("--out", default=None, help="output directory")
-        # values are parsed with the config, so a malformed one is a config error
-        sp.add_argument("--seed", default=None)
-        sp.add_argument("--beta", default=None, help="'auto' or a number")
-        sp.add_argument("--delta", default=None)
-        sp.add_argument("--tol", default=None)
+    ap.add_argument("command", choices=("solve", "verify", "sweep", "counterexample"))
+    ap.add_argument("--config", default=None, help="JSON config (optional for counterexample)")
+    ap.add_argument("--out", default=None, help="output directory")
+    # values are parsed with the config, so a malformed one is a config error
+    ap.add_argument("--seed", default=None)
+    ap.add_argument("--beta", default=None, help="'auto' or a number")
+    ap.add_argument("--delta", default=None)
+    ap.add_argument("--tol", default=None)
     return ap
 
 

@@ -26,10 +26,11 @@ built only on demand (``ScenarioTree.history``,
 ``ScenarioTree.histories``, ``SlotView``).
 
 The tree keeps per-level data only.  One rule, ``_branches``, gives a
-slot's children from its jump size, and two tree operators carry the
-child layout: the child read ``_child_values`` of the backward sweeps and
-``_forward`` of the forward ones.  On a full tree a level's children are
-consecutive nodes in slot and column order.
+slot's children from its jump size.  A level's layout has one home, its
+level plan (``_Level``), worked out once per tree; two tree operators
+alone carry its child layout: the child read ``_child_values`` of the
+backward sweeps and ``_forward`` of the forward ones.  On a full tree a
+level's children are consecutive nodes in slot and column order.
 
 Merged trees: the nodes of a depth whose declared states
 (``ScenarioModel.state``) are equal are one node.  It keeps the first
@@ -187,6 +188,46 @@ class SlotBlock:
                    delta_A=np.array([slot.delta_A]), phi=slot.phi[None, :])
 
 
+class _Rows:
+    """Rows of a run of slots: ``dA``, ``stay = 1 - dA``, ``phi``, the rows
+    with ``dA = 1`` (``unit``: None, True for all, else an ``(n, 1)`` mask)
+    and those with ``dA = 0`` (``zero``: None or a mask)."""
+
+    def __init__(self, dA: np.ndarray, phi: np.ndarray):
+        self.dA, self.phi, self.stay = dA, phi, 1.0 - dA
+        unit, zero = dA == 1.0, dA == 0.0
+        self.unit = True if unit.all() else unit[:, None] if unit.any() else None
+        self.zero = zero if zero.any() else None
+
+
+class _Level(_Rows):
+    """Plan of slot level ``k``: its rows, its ``slots``, the next depth's
+    ``nodes`` and the ``_branches`` mask of its children.
+
+    ``cols`` is the column range every slot fills when the slots share
+    their branch kind (all interior, all ``dA = 1`` or all ``dA = 0``),
+    else None; a full tree's children then form one ``(slots, columns)``
+    block of nodes and ``branches`` is one ``(1, m + 1)`` row.  On a merged
+    tree ``edges`` holds, per edge in slot and column order, its slot
+    (within the level), its node (within the next depth) and its path
+    mass, and per node the slot of its first edge.
+    """
+
+    def __init__(self, tree: "ScenarioTree", k: int, edges):
+        self.slots, self.nodes = tree.depth_slice(k), tree.depth_slice(k + 1)
+        super().__init__(tree.slot_dA[self.slots], tree.slot_phi[self.slots])
+        m, unit, zero = tree.n_marks, self.unit, self.zero
+        self.cols = (slice(0, m) if unit is True else
+                     slice(0, m + 1) if unit is None and zero is None else
+                     slice(m, m + 1) if unit is None and zero.all() else None)
+        if edges is None and self.cols is not None:
+            self.branches = np.zeros((1, m + 1), dtype=bool)
+            self.branches[0, self.cols] = True
+        else:
+            self.branches = _branches(self.dA, m)
+        self.edges = edges
+
+
 class ScenarioTree:
     """Exhaustive enumeration of the outcome histories of a model.
 
@@ -196,14 +237,9 @@ class ScenarioTree:
     ``(n_k, k)`` int8 matrix of the histories of depth ``k``, one row per
     node in node order.
 
-    Child layout, per level: on a full tree ``_block_columns[k]`` is the
-    column range every slot fills when the level's slots share their
-    branch kind, so its children are one ``(slots, columns)`` block of
-    nodes; a level that mixes kinds keeps nothing beyond its ``slot_dA``
-    (None).  On a merged tree ``_edges[k]`` holds, per edge in slot and
-    column order, its slot (within the level), its node (within the next
-    depth) and its path mass, and per node the slot of its first edge.
-    ``_child_values`` and ``_forward`` are the only readers.
+    The level plan ``_levels[k]`` (``_Level``) is the one home of level
+    ``k``'s layout; ``_child_values`` and ``_forward`` alone read its
+    child layout.
     """
 
     def __init__(self, model, level_start, prob, level_histories, slot_dA, slot_phi,
@@ -214,17 +250,12 @@ class ScenarioTree:
         self.level_histories = level_histories
         self.slot_dA = slot_dA
         self.slot_phi = slot_phi
-        self._edges = edges
+        self.merged = edges is not None     # True for a tree built from a model with a state
         self.slot_step = np.repeat(np.arange(self.horizon), np.diff(level_start[:-1]))
-        # per slot level: the columns every slot fills when they share their
-        # branch kind, None when the level mixes kinds
-        self._block_columns: list[slice | None] = []
-        for k in range(self.horizon):
-            kinds = _branches(slot_dA[self.depth_slice(k)], self.n_marks)
-            filled = np.nonzero(kinds[0])[0]
-            self._block_columns.append(
-                slice(int(filled[0]), int(filled[-1]) + 1)
-                if np.array_equal(kinds.all(axis=0), kinds.any(axis=0)) else None)
+        self._levels = [_Level(self, k, None if edges is None else edges[k])
+                        for k in range(self.horizon)]
+        self._plans = {(lv.slots.start, lv.slots.stop): lv for lv in self._levels}
+        self._whole: SlotBlock | None = None
         self._doleans_cache: dict[float, np.ndarray] = {}
         self._views: list[SlotView | None] = [None] * int(level_start[-2])
         self._histories: list[tuple] | None = None
@@ -238,11 +269,6 @@ class ScenarioTree:
     @property
     def n_marks(self) -> int:
         return self.model.marks.size
-
-    @property
-    def merged(self) -> bool:
-        """True for a tree built from a model with a state."""
-        return self._edges is not None
 
     @property
     def n_nodes(self) -> int:
@@ -306,6 +332,21 @@ class ScenarioTree:
         return SlotBlock(index=index, step=self.slot_step[ids],
                          delta_A=self.slot_dA[ids], phi=self.slot_phi[ids])
 
+    def _plan(self, sl: slice) -> _Rows:
+        """The plan of the slots ``sl``: a level's own, else rows worked out now."""
+        lv = self._plans.get((sl.start, sl.stop))
+        return lv if lv is not None else _Rows(self.slot_dA[sl], self.slot_phi[sl])
+
+    @property
+    def _block_columns(self) -> list:
+        return [lv.cols for lv in self._levels]
+
+    def _all_slots(self) -> SlotBlock:
+        """The block of every slot, built on first use and kept."""
+        if self._whole is None:
+            self._whole = self.block(slice(0, self.n_slots))
+        return self._whole
+
     # -- child layout ---------------------------------------------------
 
     def _child_values(self, Y: np.ndarray, k: int) -> np.ndarray:
@@ -313,21 +354,18 @@ class ScenarioTree:
 
         On a full tree a block level is a reshape of one slice of ``Y`` (a
         view of ``Y`` when every column is filled) and a mixed level places
-        its children by ``_branches``; a merged level gathers them by edge.
+        its children by its branch mask; a merged level gathers them by edge.
         """
-        sl, nodes, m = self.depth_slice(k), self.depth_slice(k + 1), self.n_marks
-        n, cols = sl.stop - sl.start, self._block_columns[k]
-        if self.merged:
-            V = np.zeros((n, m + 1))
-            V[_branches(self.slot_dA[sl], m)] = Y[nodes][self._edges[k][1]]
+        lv, m1 = self._levels[k], self.n_marks + 1
+        n, cols, values = lv.dA.size, lv.cols, Y[lv.nodes]
+        if lv.edges is None and cols is not None:
+            if cols.stop - cols.start == m1:
+                return values.reshape(n, m1)
+            V = np.zeros((n, m1))
+            V[:, cols] = values.reshape(n, cols.stop - cols.start)
             return V
-        if cols == slice(0, m + 1):
-            return Y[nodes].reshape(n, m + 1)
-        V = np.zeros((n, m + 1))
-        if cols is None:
-            V[_branches(self.slot_dA[sl], m)] = Y[nodes]
-        else:
-            V[:, cols] = Y[nodes].reshape(n, cols.stop - cols.start)
+        V = np.zeros((n, m1))
+        V[lv.branches] = values if lv.edges is None else values[lv.edges[1]]
         return V
 
     def _forward(self, values: np.ndarray, k: int) -> np.ndarray:
@@ -338,17 +376,17 @@ class ScenarioTree:
         the values over its edges, summed in edge order (a node of zero
         probability takes its first edge's value).
         """
-        if self.merged:
-            parent, child, mass, first = self._edges[k]
-            prob = self.prob[self.depth_slice(k + 1)]
+        lv = self._levels[k]
+        if lv.edges is not None:
+            parent, child, mass, first = lv.edges
+            prob = self.prob[lv.nodes]
             out = values[first]
             np.divide(np.bincount(child, mass * values[parent], prob.size), prob,
                       out=out, where=prob > 0.0)
             return out
-        cols = self._block_columns[k]
-        counts = (np.count_nonzero(_branches(self.slot_dA[self.depth_slice(k)], self.n_marks), 1)
-                  if cols is None else cols.stop - cols.start)
-        return np.repeat(values, counts)
+        cols = lv.cols
+        return np.repeat(values, np.count_nonzero(lv.branches, 1)
+                         if cols is None else cols.stop - cols.start)
 
     # -- weights --------------------------------------------------------
 
@@ -369,9 +407,8 @@ class ScenarioTree:
             return cached
         E = np.empty(self.n_nodes)
         E[0] = 1.0
-        for k in range(self.horizon):
-            sl = self.depth_slice(k)
-            E[self.depth_slice(k + 1)] = self._forward(E[sl] * (1.0 + beta * self.slot_dA[sl]), k)
+        for k, lv in enumerate(self._levels):
+            E[lv.nodes] = self._forward(E[lv.slots] * (1.0 + beta * lv.dA), k)
         self._doleans_cache[key] = E
         return E
 

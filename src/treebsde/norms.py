@@ -170,18 +170,17 @@ def mixed_norm_sq(Y: np.ndarray, Z: np.ndarray, tree: ScenarioTree,
     return _weighted_y_sq(Y, tree, P * b * E_end) + _weighted_z_sq(Z, tree, P * E_end)
 
 
-def _canonical_rows(Z: np.ndarray, delta_A: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _canonical_rows(Z: np.ndarray, rows) -> np.ndarray:
     """Make the rows of ``Z`` canonical in place and return it.
 
-    Rows with ``delta_A = 0`` are zeroed; rows with ``delta_A = 1`` are
-    centered to ``sum(Z * phi) = 0``.
+    ``rows`` is the slots' plan (``ScenarioTree._plan``): rows with
+    ``delta_A = 0`` are zeroed; rows with ``delta_A = 1`` are centered to
+    ``sum(Z * phi) = 0``.
     """
-    unit = delta_A == 1.0
-    if np.all(unit):
-        Z -= np.einsum("sm,sm->s", Z, phi)[:, None]
-    elif np.any(unit):   # every row's mean, subtracted on the unit rows only
-        np.subtract(Z, np.einsum("sm,sm->s", Z, phi)[:, None], out=Z, where=unit[:, None])
-    Z[delta_A == 0.0] = 0.0
+    if rows.unit is not None:   # every row's mean, subtracted where ``unit`` holds
+        np.subtract(Z, np.einsum("sm,sm->s", Z, rows.phi)[:, None], out=Z, where=rows.unit)
+    if rows.zero is not None:
+        Z[rows.zero] = 0.0
     return Z
 
 
@@ -191,4 +190,4 @@ def canonical_field(Z: np.ndarray, tree: ScenarioTree) -> np.ndarray:
     Rows on ``delta_A = 0`` slots are zeroed (they carry no norm weight);
     rows on ``delta_A = 1`` slots are centered to ``sum(Z * phi) = 0``.
     """
-    return _canonical_rows(np.array(Z, dtype=float, copy=True), tree.slot_dA, tree.slot_phi)
+    return _canonical_rows(np.array(Z, dtype=float, copy=True), tree._plan(slice(0, tree.n_slots)))

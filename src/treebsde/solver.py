@@ -121,15 +121,17 @@ class Generator:
         ``ids`` is a slice or an array of slot ids; ``y`` and ``zeta`` are
         aligned with it.  Raises ``NonFinite`` on any non-finite value.
         """
-        block = tree.block(ids)
-        index = block.index
-        if index.size == 0:
+        return self._checked(tree.block(ids), y, zeta)
+
+    def _checked(self, block: SlotBlock, y, zeta) -> np.ndarray:
+        """``on_slots`` on a block already built."""
+        if block.index.size == 0:
             return np.zeros(0)
         vals = self._values(block, y, zeta)
         finite = np.isfinite(vals)
-        if not np.all(finite):
+        if not finite.all():
             j = int(np.argmin(finite))
-            raise NonFinite(f"generator value {vals[j]} at slot {int(index[j])} "
+            raise NonFinite(f"generator value {vals[j]} at slot {int(block.index[j])} "
                             f"(step {int(block.step[j])})")
         return vals
 
@@ -252,24 +254,23 @@ class SolveReport:
 
 
 def _cond_means(tree, V, sl):
-    da = tree.slot_dA[sl]
-    jump_mean = np.einsum("sm,sm->s", tree.slot_phi[sl], V[:, :-1])
-    return da * jump_mean + (1.0 - da) * V[:, -1]
+    rows = tree._plan(sl)
+    jump_mean = np.einsum("sm,sm->s", rows.phi, V[:, :-1])
+    return rows.dA * jump_mean + rows.stay * V[:, -1]
 
 
 def _represent_block(tree, V, sl):
     # value(x) - value(no jump) is the unique row when dA < 1; a unit slot
     # has no no-jump child (its V entry is 0), so its row is then centered
     Z = V[:, :-1] - V[:, -1][:, None]
-    return norms._canonical_rows(Z, tree.slot_dA[sl], tree.slot_phi[sl])
+    return norms._canonical_rows(Z, tree._plan(sl))
 
 
 def conditional_means(tree: ScenarioTree, Y: np.ndarray) -> np.ndarray:
     """Per-slot conditional mean of the children's Y values."""
     cm = np.empty(tree.n_slots)
-    for k in range(tree.horizon):
-        sl = tree.slot_level_slice(k)
-        cm[sl] = _cond_means(tree, tree._child_values(Y, k), sl)
+    for k, lv in enumerate(tree._levels):
+        cm[lv.slots] = _cond_means(tree, tree._child_values(Y, k), lv.slots)
     return cm
 
 
@@ -290,28 +291,28 @@ def _residual(tree, Y, cm, f_path) -> float:
 def _backward(tree: ScenarioTree, xi_leaf: np.ndarray, parent_values):
     """Leaf-to-root sweep shared by every route; returns ``(Y, Z)``.
 
-    ``parent_values(sl, cond_mean, Z[sl])`` gives ``Y[sl]`` level by level.
+    ``parent_values(level, cond_mean, Z[level.slots])`` gives ``Y`` on the
+    slots of each level plan.
     """
     Y = np.empty(tree.n_nodes)
     Y[tree.leaf_slice] = xi_leaf
     Z = np.zeros((tree.n_slots, tree.n_marks))
     for k in range(tree.horizon - 1, -1, -1):
-        sl = tree.slot_level_slice(k)
+        lv = tree._levels[k]
+        sl = lv.slots
         V = tree._child_values(Y, k)
-        Z[sl] = _represent_block(tree, V, sl)
-        Y[sl] = parent_values(sl, _cond_means(tree, V, sl), Z[sl])
+        Zl = Z[sl] = _represent_block(tree, V, sl)
+        Y[sl] = parent_values(lv, _cond_means(tree, V, sl), Zl)
     return Y, Z
 
 
 def _linear_sweep(tree: ScenarioTree, xi_leaf: np.ndarray, f_path: np.ndarray,
                   cm_out: np.ndarray | None = None):
     # (Y, Z) of the linear equation; cm_out receives the conditional means
-    da = tree.slot_dA
-
-    def parent_values(sl, cm, _):
+    def parent_values(lv, cm, _):
         if cm_out is not None:
-            cm_out[sl] = cm
-        return cm + f_path[sl] * da[sl]
+            cm_out[lv.slots] = cm
+        return cm + f_path[lv.slots] * lv.dA
 
     return _backward(tree, xi_leaf, parent_values)
 
@@ -322,8 +323,7 @@ def _eval_path(tree: ScenarioTree, f: Generator, Y: np.ndarray,
 
     The one place that evaluates a driver on every slot of a tree.
     """
-    n = tree.n_slots
-    return f.on_slots(tree, slice(0, n), Y[:n], Z)
+    return f._checked(tree._all_slots(), Y[:tree.n_slots], Z)
 
 
 def _path_values(problem: BsdeProblem, tree: ScenarioTree) -> np.ndarray:
@@ -356,6 +356,7 @@ def solve_linear(problem: BsdeProblem) -> Solution:
 
 STEP_TOL = 1e-13     # absolute stopping tolerance of the backward oracle's steps
 STEP_MARGIN = 16     # steps beyond the contraction count of ``_step_budget``
+ROUNDING = 8.0 * np.finfo(float).eps   # a step's relative stopping floor
 
 
 def _step_budget(q: float, first: float, tol: float, floor: int) -> int:
@@ -408,7 +409,7 @@ def implicit_step_solve(cond_mean: float, delta_A: float, slot: SlotView,
         y_new = cond_mean + delta_A * f(slot, y, zeta)
         if not np.isfinite(y_new):
             raise NonFinite("implicit step iterates left the finite range")
-        if abs(y_new - y) <= max(tol, 8.0 * np.finfo(float).eps * abs(y_new)):
+        if abs(y_new - y) <= max(tol, ROUNDING * abs(y_new)):
             return float(y_new)
         if it == 0:
             budget = _step_budget(q, abs(y_new - y), tol, max_iter)
@@ -420,44 +421,53 @@ def implicit_step_solve(cond_mean: float, delta_A: float, slot: SlotView,
 # -- independent backward oracle ------------------------------------------
 
 
-def _implicit_level(tree: ScenarioTree, f: Generator, sl: slice, cm: np.ndarray,
+def _implicit_level(tree: ScenarioTree, f: Generator, lv, cm: np.ndarray,
                     Z: np.ndarray, max_iter: int = 200) -> np.ndarray:
-    """``implicit_step_solve`` on every slot of one level at once.
+    """``implicit_step_solve`` on every slot of level plan ``lv`` at once.
 
-    A masked fixed point: each slot leaves the active set at the iterate
-    where the per-slot stopping rule of ``implicit_step_solve`` first
-    holds, so every slot ends on the same iterate as the scalar solve.
-    The step budget follows from the level's largest contraction factor
-    and first step (``_step_budget``).  A slot without contraction is
-    handed to ``implicit_step_solve``, which raises ``StepSingular`` with
-    its ``degenerate`` flag.
+    A masked fixed point: each slot leaves the live set (whose data are
+    gathered again only then) at the iterate where the per-slot stopping
+    rule of ``implicit_step_solve`` first holds, so every slot ends on the
+    same iterate as the scalar solve.  The step budget follows from the
+    level's largest contraction factor and first step (``_step_budget``).
+    A slot without contraction is handed to ``implicit_step_solve``, which
+    raises ``StepSingular`` with its ``degenerate`` flag.  On ``dA = 0``
+    slots ``y = cond_mean``, and the driver must be finite there too.
     """
-    da = tree.slot_dA[sl]
-    ids = np.arange(sl.start, sl.stop)
+    da, start = lv.dA, lv.slots.start
     Y = cm.copy()
+    if lv.zero is not None:
+        f.on_slots(tree, start + np.flatnonzero(lv.zero), cm[lv.zero], Z[lv.zero])
     live = np.nonzero(da != 0.0)[0]
+    if live.size == 0:
+        return Y
     singular = live[da[live] * f.lip_y >= 1.0]
     if singular.size:
         j = int(singular[0])   # raises StepSingular, telling degenerate steps apart
-        implicit_step_solve(cm[j], da[j], tree.slot(ids[j]), Z[j], f, STEP_TOL, max_iter)
+        implicit_step_solve(cm[j], da[j], tree.slot(start + j), Z[j], f, STEP_TOL, max_iter)
+    c, d, z, block = cm[live], da[live], Z[live], tree.block(start + live)
     if f.lip_y == 0.0:
-        Y[live] = cm[live] + da[live] * f.on_slots(tree, ids[live], cm[live], Z[live])
+        Y[live] = c + d * f._checked(block, c, z)
         return Y
     y = Y[live]
-    q = float(np.max(da[live], initial=0.0)) * f.lip_y
+    q = float(np.max(d, initial=0.0)) * f.lip_y
     it, budget = 0, max_iter
     while it < budget:
-        y_new = cm[live] + da[live] * f.on_slots(tree, ids[live], y, Z[live])
-        if not np.all(np.isfinite(y_new)):
+        y_new = c + d * f._checked(block, y, z)
+        if not np.isfinite(y_new).all():
             raise NonFinite("implicit step iterates left the finite range")
         step = np.abs(y_new - y)
         if it == 0:
             budget = _step_budget(q, float(np.max(step, initial=0.0)), STEP_TOL, max_iter)
-        done = step <= np.maximum(STEP_TOL, 8.0 * np.finfo(float).eps * np.abs(y_new))
-        Y[live[done]] = y_new[done]
-        live, y = live[~done], y_new[~done]
-        if live.size == 0:
-            return Y
+        done = step <= np.maximum(STEP_TOL, ROUNDING * np.abs(y_new))
+        if done.any():
+            Y[live[done]] = y_new[done]
+            keep = ~done
+            live, y_new = live[keep], y_new[keep]
+            if live.size == 0:
+                return Y
+            c, d, z, block = c[keep], d[keep], z[keep], tree.block(start + live)
+        y = y_new
         it += 1
     raise NoConvergence("implicit step did not reach tolerance")
 
@@ -474,7 +484,7 @@ def backward_oracle(problem: BsdeProblem) -> Solution:
     tree = problem.tree()
     f = problem.f
     return Solution(*_backward(tree, _leaf_values(problem, tree),
-                               lambda sl, cm, Zl: _implicit_level(tree, f, sl, cm, Zl)))
+                               lambda lv, cm, Zl: _implicit_level(tree, f, lv, cm, Zl)))
 
 
 # -- fixed-point iteration -------------------------------------------------

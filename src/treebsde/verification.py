@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import norms, solver
-from .measure_core import ScenarioTree, SlotBlock, _as_path, _branches, _doleans_product
+from .measure_core import ScenarioTree, SlotBlock, _as_path, _doleans_product
 
 __all__ = [
     "CheckResult",
@@ -311,17 +311,16 @@ def check_solution_jump_identity(solution, problem) -> CheckResult:
 
 def _jump_identity(tree, Y, Z, f_path) -> CheckResult:
     # f_path: the driver along (Y, Z), one value per slot
-    zh = norms.hat_z_rows(Z, tree.block(slice(None)))
+    zh = norms.hat_z_rows(Z, tree._all_slots())
     f_dA = f_path * tree.slot_dA
     # one level at a time: child value minus the expected parent
     # + g(outcome) - f dA; the last column is the no-jump child
     worst = 0.0
-    for k in range(tree.horizon):
-        sl = tree.slot_level_slice(k)
+    for k, lv in enumerate(tree._levels):
+        sl = lv.slots
         g = np.concatenate([Z[sl] - zh[sl, None], -zh[sl, None]], axis=1)
         expected = Y[sl, None] + g - f_dA[sl, None]
-        exists = _branches(tree.slot_dA[sl], tree.n_marks)
-        res = np.where(exists, tree._child_values(Y, k) - expected, 0.0)
+        res = np.where(lv.branches, tree._child_values(Y, k) - expected, 0.0)
         worst = np.max(np.abs(res), initial=worst)
     return _inequality("jump_identity", float(worst), 0.0, slack=JUMP_SLACK)
 

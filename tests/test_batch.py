@@ -120,6 +120,42 @@ def test_level_oracle_stops_each_slot_at_the_scalar_iterate():
     assert len({single[s] for s in range(sl.start, sl.stop)}) > 1
 
 
+def shrinking_level_problem(fn):
+    """Level 1 holds slots 1 and 2 (dA = 0.05, after a jump) and slot 3 (dA = 0.9).
+
+    With ``lip_y = 0.95`` slots 1 and 2 contract at 0.0475 and stop within a
+    dozen iterates, slot 3 contracts at 0.855 and needs about two hundred,
+    so the level's live set shrinks from its front while slot 3 goes on.
+    """
+    model = scenarios.two_state_rule(K=2, m=2, a_after_jump=0.05, a_after_no_jump=0.9,
+                                     phi=[0.3, 0.7])
+    tree = build_tree(model)
+    assert tree.slot_dA[1:4].tolist() == [0.05, 0.05, 0.9]
+    return BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_jump_count(1.0),
+                       f=Generator(fn, 0.95, 0.0), _tree=tree)
+
+
+def test_level_oracle_with_a_shrinking_live_set_equals_the_per_slot_oracle():
+    problem = shrinking_level_problem(lambda block, y, zeta: 0.95 * y + 0.5)
+    sol = backward_oracle(problem)
+    Y, Z = per_slot_oracle(problem)
+    assert sol.Y.tobytes() == Y.tobytes() and sol.Z.tobytes() == Z.tobytes()
+    scalar, single = counting(problem.tree(), problem.f)
+    per_slot_oracle(BsdeProblem(model=problem.model, beta=1.0, xi=problem.xi, f=scalar,
+                                _tree=problem.tree()))
+    assert max(single[1], single[2]) < 20 < 100 < single[3]
+
+
+def test_level_oracle_names_a_slot_that_fails_after_another_left():
+    def fn(block, y, zeta):
+        # NaN at slot 3 once slot 1 has left level 1's live set
+        left = bool(block.step.size) and block.step[0] == 1 and 1 not in block.index
+        return np.where((block.index == 3) & left, np.nan, 0.95 * y + 0.5)
+
+    with pytest.raises(NonFinite, match=r"generator value nan at slot 3 \(step 1\)"):
+        backward_oracle(shrinking_level_problem(fn))
+
+
 @pytest.mark.parametrize("scale,degenerate", [(0.0, True), (1.0, False)])
 def test_level_oracle_step_singular_like_per_slot(scale, degenerate):
     # level 1: the slot after a jump contracts (dA = 0.2), the one after no
@@ -148,6 +184,19 @@ def test_non_finite_driver_fails_alike_on_all_routes(gen):
     problem = BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_jump_count(), f=gen)
     for route in (solve_linear, backward_oracle, picard_solve):
         with pytest.raises(NonFinite):
+            route(problem)
+
+
+@pytest.mark.parametrize("lip_y", [0.0, 0.5])
+def test_a_non_finite_driver_on_dA_zero_slots_fails_alike_on_all_routes(lip_y):
+    # step 1 has dA = 0 on every slot: the oracle's value there is the
+    # conditional mean, yet the driver must be finite there as on the other routes
+    model = scenarios.deterministic_grid(K=3, m=2, a=[0.4, 0.0, 0.7])
+    gen = Generator(lambda block, y, zeta: np.where(block.step == 1, np.nan, 0.3), lip_y, 0.0)
+    problem = BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_jump_count(), f=gen)
+    routes = (backward_oracle, picard_solve) + (solve_linear,) * gen.is_path
+    for route in routes:
+        with pytest.raises(NonFinite, match=r"at slot 1 \(step 1\)"):
             route(problem)
 
 

@@ -81,6 +81,15 @@ def test_bad_config_exits_one(tmp_path):
     assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--config", "cfg.json"], [], ["--config", "cfg.json"]])
+def test_an_unknown_or_missing_command_exits_two(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "command" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # -- verify --------------------------------------------------------------------
 
 

@@ -16,8 +16,6 @@ from .measure_core import (
 )
 from .norms import (
     canonical_field,
-    hat_z,
-    lipschitz_seminorm,
     mixed_norm_sq,
     y_norm_sq,
     z_norm_sq,

@@ -187,6 +187,11 @@ class SlotBlock:
         return cls(index=np.array([slot.index]), step=np.array([slot.step]),
                    delta_A=np.array([slot.delta_A]), phi=slot.phi[None, :])
 
+    def take(self, rows) -> "SlotBlock":
+        """The block of ``rows`` (an index array or a boolean mask)."""
+        return SlotBlock(index=self.index[rows], step=self.step[rows],
+                         delta_A=self.delta_A[rows], phi=self.phi[rows])
+
 
 class _Rows:
     """Rows of a run of slots: ``dA``, ``stay = 1 - dA``, ``phi``, the rows
@@ -336,10 +341,6 @@ class ScenarioTree:
         """The plan of the slots ``sl``: a level's own, else rows worked out now."""
         lv = self._plans.get((sl.start, sl.stop))
         return lv if lv is not None else _Rows(self.slot_dA[sl], self.slot_phi[sl])
-
-    @property
-    def _block_columns(self) -> list:
-        return [lv.cols for lv in self._levels]
 
     def _all_slots(self) -> SlotBlock:
         """The block of every slot, built on first use and kept."""

@@ -4,18 +4,15 @@ Conventions.  An adapted process ``Y`` is a plain float array with one
 entry per tree node (the left limit at a slot's atom time is the parent
 node's value).  A predictable field ``Z`` is a float array of shape
 ``(n_slots, n_marks)``; the row attached to a slot may only depend on the
-parent history, which the layout enforces.  ``hat_z`` is the projection
-of a row against the atomic part of the compensator,
+parent history, which the layout enforces.  ``hat_z_rows`` is the
+projection of each row against the atomic part of the compensator,
 ``delta_A * sum(zeta * phi)``, and is 0 by convention on slots with
 ``delta_A = 0``.
 
 One row kernel (``_moments``) gives ``hat_z_rows``,
 ``lipschitz_seminorm_rows`` and ``slot_z_contribution`` (``delta_A``
-times the squared seminorm).  The scalar ``hat_z`` and
-``lipschitz_seminorm`` are one-row calls for per-slot code: about 10 us
-with one mark and 6 us more per further mark (2-vCPU host, numpy 2.4), as
-the kernel makes a few elementwise passes per mark.  Drivers use the row
-forms.
+times the squared seminorm), for a block of slots at a time; one slot is
+a one-row block (``SlotBlock.of_view``).
 
 On slots with ``delta_A = 1`` the squared norm cannot see an additive
 constant in the row, so fields are only norm-unique there; the canonical
@@ -33,16 +30,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measure_core import ScenarioTree, SlotBlock, SlotView
+from .measure_core import ScenarioTree, SlotBlock
 
 __all__ = [
-    "hat_z",
     "hat_z_rows",
     "slot_z_contribution",
     "y_norm_sq",
     "z_norm_sq",
     "mixed_norm_sq",
-    "lipschitz_seminorm",
     "lipschitz_seminorm_rows",
     "canonical_field",
     "adapted_zeros",
@@ -105,17 +100,6 @@ def lipschitz_seminorm_rows(dzeta, block: SlotBlock) -> np.ndarray:
     ``mean = sum(dz * phi)``; on ``delta_A = 0`` slots the plain L2(phi) norm.
     """
     return np.sqrt(_seminorm_sq(dzeta, block.delta_A, block.phi))
-
-
-def hat_z(zeta, slot: SlotView) -> float:
-    """``hat_z_rows`` of one mark vector on one slot."""
-    return float(hat_z_rows(np.reshape(zeta, (1, -1)), SlotBlock.of_view(slot))[0])
-
-
-def lipschitz_seminorm(dzeta, slot: SlotView) -> float:
-    """``lipschitz_seminorm_rows`` of one mark-vector increment on one slot."""
-    return float(lipschitz_seminorm_rows(np.reshape(dzeta, (1, -1)),
-                                         SlotBlock.of_view(slot))[0])
 
 
 def slot_z_contribution(Z: np.ndarray, tree: ScenarioTree) -> np.ndarray:

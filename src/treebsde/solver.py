@@ -13,6 +13,9 @@ Three routes to the same solution pair (Y, Z):
   slot of a level at once.  It is the reference the other routes are
   checked against.
 
+The implicit step has one home, the masked fixed point ``_implicit_rows``:
+the oracle calls it on each level, ``implicit_step_solve`` on one slot.
+
 Every route reads the terminal functional once, as ``xi(H)`` on the leaf
 history matrix (``BsdeProblem.terminal_values``).  It evaluates the driver
 through ``Generator.on_slots``, which rejects non-finite values with
@@ -98,9 +101,9 @@ class Generator:
     ``step``, ``delta_A`` and ``phi`` arrays describe them.  History
     dependence goes through arrays indexed by ``block.index``.
 
-    :meth:`on_slots` evaluates it for every solver route and
-    ``check_lipschitz`` on all samples of a slot; calling the generator on
-    one slot view evaluates a one-slot block (the implicit step).
+    :meth:`on_slots` evaluates it for every solver route, the implicit
+    step and ``check_lipschitz``; calling the generator on one slot view
+    evaluates a one-slot block, for per-slot code outside the solvers.
 
     Predictability: the driver never sees a slot's own outcome.
     ``lip_y`` bounds the y-increments, ``lip_z`` the zeta-increments
@@ -354,111 +357,63 @@ def solve_linear(problem: BsdeProblem) -> Solution:
 
 # -- implicit one-step solve ----------------------------------------------
 
-STEP_TOL = 1e-13     # absolute stopping tolerance of the backward oracle's steps
+STEP_TOL = 1e-13     # absolute stopping tolerance of an implicit step
+STEP_FLOOR = 200     # steps an implicit step may always take
 STEP_MARGIN = 16     # steps beyond the contraction count of ``_step_budget``
 ROUNDING = 8.0 * np.finfo(float).eps   # a step's relative stopping floor
 
 
-def _step_budget(q: float, first: float, tol: float, floor: int) -> int:
-    """Fixed-point steps a ``q``-contraction needs, at least ``floor``.
+def _step_budget(q: float, first: float) -> int:
+    """Fixed-point steps a ``q``-contraction needs, at least ``STEP_FLOOR``.
 
     The ``k``-th step of the iteration is at most ``q**k * first``, with
-    ``first`` the size of the first step, so it falls to ``tol`` within
-    ``log(tol / first) / log(q)`` steps; a margin absorbs rounding.
+    ``first`` the size of the first step, so it falls to ``STEP_TOL`` within
+    ``log(STEP_TOL / first) / log(q)`` steps; a margin absorbs rounding.
     """
-    if first <= tol:
-        return floor
-    return max(floor, math.ceil(math.log(tol / first) / math.log(q)) + STEP_MARGIN)
+    if first <= STEP_TOL:
+        return STEP_FLOOR
+    return max(STEP_FLOOR, math.ceil(math.log(STEP_TOL / first) / math.log(q)) + STEP_MARGIN)
 
 
-def implicit_step_solve(cond_mean: float, delta_A: float, slot: SlotView,
-                        zeta: np.ndarray, f: Generator, tol: float = STEP_TOL,
-                        max_iter: int = 200) -> float:
-    """Unique root of ``y = cond_mean + delta_A * f(slot, y, zeta)``.
+def _implicit_rows(block: SlotBlock, c: np.ndarray, d: np.ndarray, z: np.ndarray,
+                   f: Generator) -> np.ndarray:
+    """Root of ``y = c + d * f(block, y, z)`` on every row of ``block``.
 
-    Plain fixed-point iteration with contraction factor
-    ``q = delta_A * lip_y < 1``; the absolute stopping tolerance is floored
-    at the rounding scale of the iterate so large solutions terminate.
-    The step budget is ``max_iter`` or, when ``q`` is close to 1, the
-    number of steps a ``q``-contraction needs from its first step.
+    The one implicit-step iteration: a masked fixed point from ``y = c``
+    with contraction factors ``q = d * lip_y``.  A row leaves the live set
+    at the first iterate whose step is at most ``STEP_TOL``, floored at
+    the rounding scale of the iterate, so every row ends on the iterate of
+    its own one-row solve.  The step budget follows from the largest ``q``
+    and first step (``_step_budget``).  A driver with ``lip_y = 0`` is
+    evaluated once, at ``y = c``.
 
     Raises:
-        StepSingular: when ``delta_A * lip_y >= 1`` (no contraction; the
-            blow-up regime).  ``degenerate=True`` when the one-step map
-            is the identity and every y solves the equation.
-        NonFinite: iterates left the finite range.
-        NoConvergence: tolerance not met within the step budget.
+        StepSingular: some row has ``q >= 1`` (no contraction; the blow-up
+            regime).  ``degenerate=True`` when the first such row's
+            one-step map is the identity and every y solves it.
+        NonFinite: a driver value or an iterate is not finite.
+        NoConvergence: a row missed the tolerance within the step budget.
     """
-    if delta_A == 0.0:
-        return float(cond_mean)
-    q = delta_A * f.lip_y
-    if q >= 1.0:
-        r0 = cond_mean + delta_A * f(slot, 0.0, zeta)
-        r1 = cond_mean + delta_A * f(slot, 1.0, zeta) - 1.0
-        scale = max(1.0, abs(cond_mean))
-        degenerate = abs(r0) <= 1e-12 * scale and abs(r1) <= 1e-12 * scale
-        raise StepSingular(
-            f"one-step map is not a contraction (dA * lip_y = {q})",
-            degenerate=degenerate,
-        )
-    if f.lip_y == 0.0:
-        return float(cond_mean + delta_A * f(slot, cond_mean, zeta))
-    y = float(cond_mean)
-    it, budget = 0, max_iter
-    while it < budget:
-        y_new = cond_mean + delta_A * f(slot, y, zeta)
-        if not np.isfinite(y_new):
-            raise NonFinite("implicit step iterates left the finite range")
-        if abs(y_new - y) <= max(tol, ROUNDING * abs(y_new)):
-            return float(y_new)
-        if it == 0:
-            budget = _step_budget(q, abs(y_new - y), tol, max_iter)
-        y = y_new
-        it += 1
-    raise NoConvergence("implicit step did not reach tolerance")
-
-
-# -- independent backward oracle ------------------------------------------
-
-
-def _implicit_level(tree: ScenarioTree, f: Generator, lv, cm: np.ndarray,
-                    Z: np.ndarray, max_iter: int = 200) -> np.ndarray:
-    """``implicit_step_solve`` on every slot of level plan ``lv`` at once.
-
-    A masked fixed point: each slot leaves the live set (whose data are
-    gathered again only then) at the iterate where the per-slot stopping
-    rule of ``implicit_step_solve`` first holds, so every slot ends on the
-    same iterate as the scalar solve.  The step budget follows from the
-    level's largest contraction factor and first step (``_step_budget``).
-    A slot without contraction is handed to ``implicit_step_solve``, which
-    raises ``StepSingular`` with its ``degenerate`` flag.  On ``dA = 0``
-    slots ``y = cond_mean``, and the driver must be finite there too.
-    """
-    da, start = lv.dA, lv.slots.start
-    Y = cm.copy()
-    if lv.zero is not None:
-        f.on_slots(tree, start + np.flatnonzero(lv.zero), cm[lv.zero], Z[lv.zero])
-    live = np.nonzero(da != 0.0)[0]
-    if live.size == 0:
-        return Y
-    singular = live[da[live] * f.lip_y >= 1.0]
+    q = d * f.lip_y
+    singular = np.flatnonzero(q >= 1.0)[:1]
     if singular.size:
-        j = int(singular[0])   # raises StepSingular, telling degenerate steps apart
-        implicit_step_solve(cm[j], da[j], tree.slot(start + j), Z[j], f, STEP_TOL, max_iter)
-    c, d, z, block = cm[live], da[live], Z[live], tree.block(start + live)
+        one, cj, dj, zj = block.take(singular), c[singular], d[singular], z[singular]
+        r0 = cj + dj * f._values(one, np.zeros(1), zj)
+        r1 = cj + dj * f._values(one, np.ones(1), zj) - 1.0
+        tol = 1e-12 * max(1.0, abs(cj[0]))
+        raise StepSingular(f"one-step map is not a contraction (dA * lip_y = {q[singular[0]]})",
+                           degenerate=bool(abs(r0[0]) <= tol and abs(r1[0]) <= tol))
     if f.lip_y == 0.0:
-        Y[live] = c + d * f._checked(block, c, z)
-        return Y
-    y = Y[live]
-    q = float(np.max(d, initial=0.0)) * f.lip_y
-    it, budget = 0, max_iter
+        return c + d * f._checked(block, c, z)
+    Y, live, y = np.empty_like(c), np.arange(c.size), c
+    it, budget = 0, STEP_FLOOR
     while it < budget:
         y_new = c + d * f._checked(block, y, z)
         if not np.isfinite(y_new).all():
             raise NonFinite("implicit step iterates left the finite range")
         step = np.abs(y_new - y)
         if it == 0:
-            budget = _step_budget(q, float(np.max(step, initial=0.0)), STEP_TOL, max_iter)
+            budget = _step_budget(float(np.max(q)), float(np.max(step)))
         done = step <= np.maximum(STEP_TOL, ROUNDING * np.abs(y_new))
         if done.any():
             Y[live[done]] = y_new[done]
@@ -466,10 +421,52 @@ def _implicit_level(tree: ScenarioTree, f: Generator, lv, cm: np.ndarray,
             live, y_new = live[keep], y_new[keep]
             if live.size == 0:
                 return Y
-            c, d, z, block = c[keep], d[keep], z[keep], tree.block(start + live)
+            c, d, z, block = c[keep], d[keep], z[keep], block.take(keep)
         y = y_new
         it += 1
     raise NoConvergence("implicit step did not reach tolerance")
+
+
+def implicit_step_solve(cond_mean: float, delta_A: float, slot: SlotView,
+                        zeta: np.ndarray, f: Generator) -> float:
+    """Unique root of ``y = cond_mean + delta_A * f(slot, y, zeta)``.
+
+    The one-row call of ``_implicit_rows``: plain fixed-point iteration
+    with contraction factor ``q = delta_A * lip_y < 1``.  At
+    ``delta_A = 0`` the root is ``cond_mean``, and the driver must be
+    finite there too.
+
+    Raises:
+        StepSingular: when ``delta_A * lip_y >= 1`` (no contraction; the
+            blow-up regime).  ``degenerate=True`` when the one-step map
+            is the identity and every y solves the equation.
+        NonFinite: a driver value or an iterate is not finite.
+        NoConvergence: tolerance not met within the step budget.
+    """
+    y = _implicit_rows(SlotBlock.of_view(slot), np.array([cond_mean], dtype=float),
+                       np.array([delta_A], dtype=float),
+                       np.asarray(zeta, dtype=float).reshape(1, -1), f)
+    return float(y[0])
+
+
+# -- independent backward oracle ------------------------------------------
+
+
+def _implicit_level(tree: ScenarioTree, f: Generator, lv, cm: np.ndarray,
+                    Z: np.ndarray) -> np.ndarray:
+    """``_implicit_rows`` on the slots of level plan ``lv`` with ``dA != 0``.
+
+    On ``dA = 0`` slots ``y = cond_mean``, and the driver must be finite
+    there too.
+    """
+    block = tree.block(lv.slots)
+    if lv.zero is None:
+        return _implicit_rows(block, cm, lv.dA, Z, f)
+    f._checked(block.take(lv.zero), cm[lv.zero], Z[lv.zero])
+    Y, live = cm.copy(), ~lv.zero
+    if live.any():
+        Y[live] = _implicit_rows(block.take(live), cm[live], lv.dA[live], Z[live], f)
+    return Y
 
 
 def backward_oracle(problem: BsdeProblem) -> Solution:

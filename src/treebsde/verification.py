@@ -270,8 +270,7 @@ def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResu
             raise ValueError("samples must hold at least one sample")
         y, y2 = (np.array([d[i] for d in draws], dtype=float) for i in (0, 1))
         z, z2 = (np.array([d[i] for d in draws], dtype=float).reshape(n, m) for i in (2, 3))
-    block = SlotBlock(index=np.full(n, slot.index), step=np.full(n, slot.step),
-                      delta_A=np.full(n, da), phi=np.broadcast_to(slot.phi, (n, m)))
+    block = SlotBlock.of_view(slot).take(np.zeros(n, dtype=np.int64))
     dz = z2 - z
     s = norms.lipschitz_seminorm_rows(dz, block)
     fbar = f._values(block, y2, z2) - f._values(block, y, z)

@@ -12,7 +12,9 @@ import weakref
 import numpy as np
 import pytest
 
-from treebsde import BsdeProblem, Generator, build_tree
+from treebsde import (BsdeProblem, Generator, NoConvergence, NonFinite, StepSingular,
+                      build_tree)
+from treebsde.solver import ROUNDING, STEP_FLOOR, STEP_MARGIN, STEP_TOL
 from treebsde import conditions, scenarios
 from treebsde.measure_core import NO_JUMP
 
@@ -398,15 +400,47 @@ def scalar_preset(name, params, tree):
     raise ValueError(name)
 
 
-def per_slot_oracle(problem, tol=1e-13):
-    """Backward induction with one ``implicit_step_solve`` call per slot.
+def scalar_implicit_step(cond_mean, delta_A, slot, zeta, f):
+    """Root of ``y = cond_mean + delta_A * f(slot, y, zeta)`` by a scalar fixed point.
+
+    The one-slot twin of ``solver._implicit_rows``: the same start
+    ``y = cond_mean``, stopping rule, step budget, singular test and
+    ``degenerate`` probe, with one one-slot driver call per iterate.
+    """
+    q = delta_A * f.lip_y
+    if q >= 1.0:
+        r0 = cond_mean + delta_A * f(slot, 0.0, zeta)
+        r1 = cond_mean + delta_A * f(slot, 1.0, zeta) - 1.0
+        tol = 1e-12 * max(1.0, abs(cond_mean))
+        raise StepSingular(f"one-step map is not a contraction (dA * lip_y = {q})",
+                           degenerate=abs(r0) <= tol and abs(r1) <= tol)
+    if f.lip_y == 0.0:
+        return cond_mean + delta_A * f(slot, cond_mean, zeta)
+    y, it, budget = cond_mean, 0, STEP_FLOOR
+    while it < budget:
+        y_new = cond_mean + delta_A * f(slot, y, zeta)
+        if not math.isfinite(y_new):
+            raise NonFinite("implicit step iterates left the finite range")
+        step = abs(y_new - y)
+        if step <= max(STEP_TOL, ROUNDING * abs(y_new)):
+            return y_new
+        if it == 0:
+            # the k-th step is at most q**k times the first
+            need = math.ceil(math.log(STEP_TOL / step) / math.log(q)) + STEP_MARGIN
+            budget = max(STEP_FLOOR, need)
+        y = y_new
+        it += 1
+    raise NoConvergence("implicit step did not reach tolerance")
+
+
+def per_slot_oracle(problem):
+    """Backward induction with one ``scalar_implicit_step`` call per slot.
 
     Shares the level arithmetic of ``backward_oracle`` (child values,
     conditional means, field rows) and differs only in solving the
     implicit step slot by slot, so both must agree to the bit.  Returns
     ``(Y, Z)``.
     """
-    from treebsde import implicit_step_solve
     from treebsde.solver import _cond_means, _represent_block
     tree = problem.tree()
     Y = np.empty(tree.n_nodes)
@@ -419,8 +453,8 @@ def per_slot_oracle(problem, tol=1e-13):
         Z[sl] = _represent_block(tree, V, sl)
         for off, s in enumerate(range(sl.start, sl.stop)):
             da = tree.slot_dA[s]
-            Y[s] = cm[off] if da == 0.0 else implicit_step_solve(
-                cm[off], da, tree.slot(s), Z[s], problem.f, tol)
+            Y[s] = cm[off] if da == 0.0 else scalar_implicit_step(
+                cm[off], da, tree.slot(s), Z[s], problem.f)
     return Y, Z
 
 

@@ -2,6 +2,11 @@
 
 import dataclasses
 import importlib
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +28,9 @@ def test_every_exported_name_resolves(name):
                                          ("jump_second_moment", "norms"),
                                          ("proof_weights", "conditions"),
                                          ("LevelRules", "measure_core"),
-                                         ("batched_terminal", "solver")])
+                                         ("batched_terminal", "solver"),
+                                         ("hat_z", "norms"),
+                                         ("lipschitz_seminorm", "norms")])
 def test_scalar_twins_left_the_package(name, module):
     assert not hasattr(treebsde, name)
     assert not hasattr(importlib.import_module(f"treebsde.{module}"), name)
@@ -47,3 +54,21 @@ def test_a_driver_and_a_solution_have_one_form():
     assert public == ["is_path", "on_slots", "zero"]     # no batched or path constructor
     assert [f.name for f in dataclasses.fields(treebsde.Solution)] == ["Y", "Z"]
     assert not hasattr(treebsde.ScenarioTree, "accumulate")
+
+
+def test_the_implicit_step_has_no_tuning_options():
+    # one slot of the level kernel: its tolerance and step floor are constants
+    params = inspect.signature(treebsde.implicit_step_solve).parameters
+    assert list(params) == ["cond_mean", "delta_A", "slot", "zeta", "f"]
+
+
+def test_the_benchmark_tracer_installs_on_the_package():
+    # perfbench/tracer.py wraps package names from outside; a name it wraps
+    # that is gone fails its install, in a fresh process
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; "
+            "from tracer import Tracer; Tracer().install()")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, "-c", code, str(root / "perfbench"), str(root / "src")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr

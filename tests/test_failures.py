@@ -165,13 +165,16 @@ def test_three_routes_agree_and_fail_alike(seed, linear):
         assert np.max(np.abs(sol.Y - other.Y)) <= 1e-8
         assert np.max(np.abs(sol.Z - other.Z)) <= 1e-8
 
-    bad = int(rng.integers(tree.n_slots))
+    # half of the draws break a dA = 0 slot, where the oracle's value is the
+    # conditional mean whatever the driver gives
+    zero = np.flatnonzero(tree.slot_dA == 0.0)
+    bad = int(rng.choice(zero) if zero.size and rng.random() < 0.5
+              else rng.integers(tree.n_slots))
     broken = Generator(lambda b, y, z: np.where(b.index == bad, np.nan, f.fn(b, y, z)),
                        f.lip_y, f.lip_z)
     nan_problem = BsdeProblem(model=problem.model, beta=problem.beta, xi=problem.xi,
                               f=broken, _tree=tree)
-    # every route refuses it, on a dA = 0 slot too, where the oracle's value
-    # is the conditional mean whatever the driver gives
+    # every route refuses it, on a dA = 0 slot too
     for route in [picard_solve, backward_oracle] + [solve_linear] * broken.is_path:
         with pytest.raises(NonFinite, match=f"at slot {bad} "):
             route(nan_problem)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsde import build_tree, norms, scenarios
+from treebsde import SlotBlock, build_tree, norms, scenarios
 
 from conftest import (brute_y_norm, brute_z_norm, jump_second_moment, leaf_paths,
                       scalar_hat_z, scalar_moments, scalar_seminorm)
@@ -14,29 +14,40 @@ def slot_of(K=1, m=1, a=0.5, phi=None):
     return build_tree(model).slot(0)
 
 
-# -- hat_z ---------------------------------------------------------------------
+def hat_z(zeta, slot):
+    """``hat_z_rows`` of one mark vector on the one-row block of ``slot``."""
+    return float(norms.hat_z_rows(np.reshape(zeta, (1, -1)), SlotBlock.of_view(slot))[0])
+
+
+def seminorm(dzeta, slot):
+    """``lipschitz_seminorm_rows`` of one increment on the one-row block of ``slot``."""
+    return float(norms.lipschitz_seminorm_rows(np.reshape(dzeta, (1, -1)),
+                                               SlotBlock.of_view(slot))[0])
+
+
+# -- hat_z_rows ----------------------------------------------------------------
 
 
 def test_hat_z_zero_jump_is_zero():
-    assert norms.hat_z([123.0], slot_of(a=0.0)) == 0.0
+    assert hat_z([123.0], slot_of(a=0.0)) == 0.0
 
 
 def test_hat_z_single_mark():
-    assert norms.hat_z([1.0], slot_of(a=0.5)) == 0.5
+    assert hat_z([1.0], slot_of(a=0.5)) == 0.5
 
 
 def test_hat_z_weighted_sum():
     # plain-python oracle: da * sum(z * phi)
     slot = slot_of(m=2, a=1.0, phi=(0.3, 0.7))
     expected = 1.0 * (0.3 * 2.0 + 0.7 * (-1.0))
-    assert norms.hat_z([2.0, -1.0], slot) == pytest.approx(expected, abs=1e-15)
+    assert hat_z([2.0, -1.0], slot) == pytest.approx(expected, abs=1e-15)
 
 
 def test_hat_z_linearity_exact_on_dyadic_data():
     slot = slot_of(m=2, a=0.5, phi=(0.5, 0.5))
     z, w = np.array([1.0, -2.0]), np.array([0.25, 4.0])
     a, b = 0.5, -2.0
-    assert norms.hat_z(a * z + b * w, slot) == a * norms.hat_z(z, slot) + b * norms.hat_z(w, slot)
+    assert hat_z(a * z + b * w, slot) == a * hat_z(z, slot) + b * hat_z(w, slot)
 
 
 @settings(max_examples=50, deadline=None)
@@ -45,8 +56,8 @@ def test_hat_z_linearity_exact_on_dyadic_data():
        a=st.floats(-3, 3), b=st.floats(-3, 3))
 def test_hat_z_linearity(z, w, a, b):
     slot = slot_of(m=2, a=0.7, phi=(0.4, 0.6))
-    lhs = norms.hat_z(a * np.array(z) + b * np.array(w), slot)
-    rhs = a * norms.hat_z(z, slot) + b * norms.hat_z(w, slot)
+    lhs = hat_z(a * np.array(z) + b * np.array(w), slot)
+    rhs = a * hat_z(z, slot) + b * hat_z(w, slot)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -120,18 +131,19 @@ def test_z_norm_matches_brute_outcome_enumeration(seed):
         brute_z_norm(Z, tree, beta), rel=1e-12, abs=1e-13)
 
 
-# -- lipschitz_seminorm -------------------------------------------------------------
+# -- lipschitz_seminorm_rows --------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_row_forms_equal_scalar_forms(seed):
+    # a row's value on the whole block is its value on its own one-row block
     rng = np.random.default_rng(seed)
     tree = build_tree(scenarios.random_model(rng, K=4))
     n = tree.n_slots
     Z = rng.normal(0, 3, (n, tree.n_marks))
     block = tree.block(slice(0, n))
-    sem = [norms.lipschitz_seminorm(Z[s], tree.slot(s)) for s in range(n)]
-    hat = [norms.hat_z(Z[s], tree.slot(s)) for s in range(n)]
+    sem = [seminorm(Z[s], tree.slot(s)) for s in range(n)]
+    hat = [hat_z(Z[s], tree.slot(s)) for s in range(n)]
     assert np.array_equal(norms.lipschitz_seminorm_rows(Z, block), sem)
     assert np.array_equal(norms.hat_z_rows(Z, block), hat)
 
@@ -160,8 +172,8 @@ def test_row_forms_are_the_scalar_twins_to_the_bit(m):
     sem = [scalar_seminorm(Z[s], v) for s, v in enumerate(views)]
     assert np.array_equal(norms.hat_z_rows(Z, block), hat)
     assert np.array_equal(norms.lipschitz_seminorm_rows(Z, block), sem)
-    assert [norms.hat_z(Z[s], v) for s, v in enumerate(views)] == hat
-    assert [norms.lipschitz_seminorm(Z[s], v) for s, v in enumerate(views)] == sem
+    assert [hat_z(Z[s], v) for s, v in enumerate(views)] == hat
+    assert [seminorm(Z[s], v) for s, v in enumerate(views)] == sem
 
 
 def mixed_rows(rng, m, n=4000):
@@ -224,19 +236,19 @@ def test_moments_of_strided_views_are_the_contiguous_bits(m, offset):
 
 
 def test_seminorm_zero():
-    assert norms.lipschitz_seminorm(np.zeros(2), slot_of(m=2, a=0.5)) == 0.0
+    assert seminorm(np.zeros(2), slot_of(m=2, a=0.5)) == 0.0
 
 
 def test_seminorm_reduces_to_plain_l2_when_no_jump_mass():
     slot = slot_of(m=2, a=0.0, phi=(0.25, 0.75))
     dz = np.array([2.0, -1.0])
     expected = np.sqrt(0.25 * 4.0 + 0.75 * 1.0)
-    assert norms.lipschitz_seminorm(dz, slot) == pytest.approx(expected, rel=1e-15)
+    assert seminorm(dz, slot) == pytest.approx(expected, rel=1e-15)
 
 
 def test_seminorm_unit_jump_centered_vector():
     slot = slot_of(m=2, a=1.0, phi=(0.5, 0.5))
-    assert norms.lipschitz_seminorm([1.0, -1.0], slot) == pytest.approx(1.0, rel=1e-15)
+    assert seminorm([1.0, -1.0], slot) == pytest.approx(1.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -248,7 +260,7 @@ def test_seminorm_squared_times_da_is_slot_contribution(seed):
     for s in range(tree.n_slots):
         slot = tree.slot(s)
         if slot.delta_A > 0:
-            sem = norms.lipschitz_seminorm(Z[s], slot)
+            sem = scalar_seminorm(Z[s], slot)
             assert sem ** 2 * slot.delta_A == pytest.approx(contrib[s], rel=1e-12, abs=1e-14)
 
 

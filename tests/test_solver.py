@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from treebsde import (BsdeProblem, ConditionViolated, Generator, NoConvergence,
+from treebsde import (BsdeProblem, ConditionViolated, Generator, NoConvergence, NonFinite,
                       StepSingular, backward_oracle, build_tree, cli, implicit_step_solve,
                       norms, picard_map, picard_solve, solve_linear)
 from treebsde import scenarios
@@ -14,7 +14,7 @@ from treebsde.verification import check_solution_jump_identity
 from conftest import (full_matrix_jump_identity, gather_accumulate, gather_child_values,
                       gather_doleans, gather_linear_sweep, gather_parent_broadcast,
                       masked_canonical_rows, node_children, per_slot, random_linear_problem,
-                      random_problem, random_terminal, represent_martingale)
+                      random_problem, random_terminal, represent_martingale, scalar_hat_z)
 
 
 def slot_of(K=1, m=1, a=0.5, phi=None):
@@ -35,7 +35,7 @@ def test_represent_two_point_solve(p):
     slot = slot_of(m=1, a=p)
     Z, check = represent_martingale([1.0, 0.0], slot)
     assert Z == pytest.approx([1.0])
-    assert norms.hat_z(Z, slot) == pytest.approx(p)
+    assert scalar_hat_z(Z, slot) == pytest.approx(p)
     assert check < 1e-15
 
 
@@ -77,7 +77,7 @@ def test_level_representation_matches_the_slot_oracle():
             assert check < 1e-13
             assert np.max(np.abs(Z[s] - Zo)) <= 1e-13
             # every existing child is cond_mean + g(outcome) for the oracle's row
-            zh = norms.hat_z(Zo, slot)
+            zh = scalar_hat_z(Zo, slot)
             g = np.append(Zo - zh, -zh)
             exists = node_children(tree)[s] >= 0
             assert np.max(np.abs(V[s][exists] - (cm[s] + g[exists]))) <= 1e-13
@@ -131,7 +131,7 @@ def test_block_levels_are_the_levels_of_one_branch_kind(model, blocks):
     for k in range(tree.horizon):
         sl = tree.slot_level_slice(k)
         kinds = {0.0 if d == 0.0 else 1.0 if d == 1.0 else "inner" for d in tree.slot_dA[sl]}
-        cols = tree._block_columns[k]
+        cols = tree._levels[k].cols
         assert (cols is not None) == (len(kinds) == 1)
         if cols is not None:
             # the kind's columns, filled in every slot by the next level's nodes
@@ -140,8 +140,8 @@ def test_block_levels_are_the_levels_of_one_branch_kind(model, blocks):
             nodes = tree.depth_slice(k + 1)
             assert np.array_equal(ch[:, cols].ravel(), np.arange(nodes.start, nodes.stop))
             assert np.all(np.delete(ch, np.arange(cols.start, cols.stop), axis=1) == -1)
-    assert len(tree._block_columns) == tree.horizon
-    assert sum(cols is not None for cols in tree._block_columns) == blocks
+    assert len(tree._levels) == tree.horizon
+    assert sum(lv.cols is not None for lv in tree._levels) == blocks
 
 
 # LAYOUT_MODELS and seeded random models, K = 0 among them
@@ -317,6 +317,14 @@ def test_implicit_affine_fixed_point():
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("delta_A", [0.0, 0.5])
+def test_implicit_refuses_a_non_finite_path_driver(delta_A):
+    # lip_y = 0 evaluates the driver once; its value must be finite, as on the oracle
+    f = Generator(lambda b, y, z: np.full(y.shape, np.nan), 0.0, 0.0)
+    with pytest.raises(NonFinite, match="generator value nan at slot 0"):
+        implicit_step_solve(0.25, delta_A, slot_of(), np.zeros(1), f)
+
+
 def test_implicit_blows_up_at_unit_contraction():
     p = 0.5
     f = Generator(lambda block, y, z: y / p, 1.0 / p, 0.0)
@@ -331,6 +339,17 @@ def test_implicit_degenerate_when_mean_vanishes():
     with pytest.raises(StepSingular) as exc:
         implicit_step_solve(0.0, p, slot_of(a=p), np.zeros(1), f)
     assert exc.value.degenerate
+
+
+def test_implicit_degenerate_up_to_rounding():
+    # the one-step map counts as the identity up to 1e-12 relative: a mean
+    # of 1e-14 is within it, a mean of 1e-10 is not
+    p = 0.5
+    f = Generator(lambda block, y, z: y / p, 1.0 / p, 0.0)
+    for mean, degenerate in [(1e-14, True), (1e-10, False)]:
+        with pytest.raises(StepSingular) as exc:
+            implicit_step_solve(mean, p, slot_of(a=p), np.zeros(1), f)
+        assert exc.value.degenerate == degenerate
 
 
 # -- backward_oracle --------------------------------------------------------------------

@@ -11,7 +11,8 @@ from treebsde import scenarios
 from treebsde.verification import _sandwich_rows
 
 from conftest import (brute_doleans, leaf_paths, loop_norm_sandwich, node_children,
-                      node_outcomes, per_slot, phi_sum, random_linear_problem, random_problem)
+                      node_outcomes, per_slot, phi_sum, random_linear_problem, random_problem,
+                      scalar_hat_z, scalar_seminorm)
 
 
 # -- energy identity --------------------------------------------------------------
@@ -431,11 +432,11 @@ def test_seminorm_expanded_form_is_algebraic_identity():
         slot = tree.slot(s)
         for _ in range(20):
             dz = rng.normal(0, 2, 3)
-            zh = norms.hat_z(dz, slot)
+            zh = scalar_hat_z(dz, slot)
             expanded = phi_sum((dz - zh) ** 2, slot.phi)
             if slot.delta_A != 0.0:
                 expanded += (1.0 - slot.delta_A) / slot.delta_A * zh ** 2
-            sem_sq = norms.lipschitz_seminorm(dz, slot) ** 2
+            sem_sq = scalar_seminorm(dz, slot) ** 2
             assert expanded == pytest.approx(sem_sq, rel=1e-12, abs=1e-14)
 
 

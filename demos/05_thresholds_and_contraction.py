@@ -29,8 +29,9 @@ prof = conditions.contraction_profile(tree, lip_y, lip_z, beta_min, delta)
 print(f"per-slot a = {prof.a[0]:.4f} (equals 1 - delta), "
       f"b - lip_y^2/hat^2 min = {np.min(prof.b - lip_y**2 / prof.hat_lz_sq):.2e}")
 
-h, H, ell = conditions.contraction_profile_H(delta, lip_y, 1.0)
-print(f"threshold function minimizer ell* = {ell:.6f}, H(ell*) = {H(ell):.6f}")
+print(f"auxiliary level hat_Lz^2 = {prof.hat_lz_sq[0]:.6f} on every unit jump "
+      f"(the larger of lip_z^2 + delta and the minimizer of the threshold function H), "
+      f"beta_min = H(hat_Lz^2) = {prof.beta_min:.6f}")
 
 driver = Generator(lambda block, y, zeta: 0.3 + lip_y * np.sin(y)
                    + lip_z * norms.lipschitz_seminorm_rows(zeta, block),

@@ -26,7 +26,6 @@ from .conditions import (
     beta_threshold,
     check_main_hypothesis,
     contraction_profile,
-    contraction_profile_H,
     detect_counterexample,
     hat_Lz,
 )

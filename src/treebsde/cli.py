@@ -133,9 +133,25 @@ def _num(params, key, default, kind=float):
         raise ConfigError(f"bad parameter {key}: {value!r}") from exc
 
 
-def _build_generator(spec, tree) -> solver.Generator:
-    preset = spec.get("preset", "zero")
+def _preset(spec, kind: str, default: str, reads: dict):
+    """``(preset, params)`` of a config section; ``reads`` maps each preset to its params.
+
+    An unknown preset and a param the preset does not read are config errors.
+    """
+    preset = spec.get("preset", default)
+    if not isinstance(preset, str) or preset not in reads:
+        raise ConfigError(f"unknown {kind} preset {preset!r}")
     p = spec.get("params", {})
+    unread = sorted(set(p) - set(reads[preset]))
+    if unread:
+        raise ConfigError(f"{kind} preset {preset!r} does not read {', '.join(unread)}")
+    return preset, p
+
+
+def _build_generator(spec, tree) -> solver.Generator:
+    preset, p = _preset(spec, "generator", "zero", {
+        "zero": (), "constant": ("c0",), "affine_y": ("c0", "c1"),
+        "affine_z": ("c0", "c1", "c2"), "saturating": ("c0", "cy", "cz")})
     if preset == "zero":
         return solver.Generator.zero()
     if preset == "constant":
@@ -163,30 +179,27 @@ def _build_generator(spec, tree) -> solver.Generator:
             return val
 
         return solver.Generator(fn, lip_y=0.0, lip_z=lip)
-    if preset == "saturating":
-        c0, cy, cz = _num(p, "c0", 0.0), _num(p, "cy", 0.0), _num(p, "cz", 0.0)
-        return solver.Generator(
-            lambda block, y, zeta: c0 + cy * np.tanh(y)
-            + cz * np.tanh(norms.lipschitz_seminorm_rows(zeta, block)),
-            lip_y=abs(cy), lip_z=abs(cz))
-    raise ConfigError(f"unknown generator preset {preset!r}")
+    # saturating
+    c0, cy, cz = _num(p, "c0", 0.0), _num(p, "cy", 0.0), _num(p, "cz", 0.0)
+    return solver.Generator(
+        lambda block, y, zeta: c0 + cy * np.tanh(y)
+        + cz * np.tanh(norms.lipschitz_seminorm_rows(zeta, block)),
+        lip_y=abs(cy), lip_z=abs(cz))
 
 
 def _build_terminal(spec, n_marks: int):
     """Terminal of a config's ``terminal`` section on a tree with ``n_marks`` marks."""
-    preset = spec.get("preset", "constant")
-    p = spec.get("params", {})
+    preset, p = _preset(spec, "terminal", "constant", {
+        "constant": ("c",), "jump_count": ("scale",), "last_mark": ("mark", "scale")})
     if preset == "constant":
         return scenarios.xi_constant(_num(p, "c", 0.0))
     if preset == "jump_count":
         return scenarios.xi_jump_count(_num(p, "scale", 1.0))
-    if preset == "last_mark":
-        mark, scale = _num(p, "mark", 0, _whole), _num(p, "scale", 1.0)
-        try:
-            return scenarios.xi_last_mark_indicator(mark, scale, n_marks=n_marks)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown terminal preset {preset!r}")
+    mark, scale = _num(p, "mark", 0, _whole), _num(p, "scale", 1.0)
+    try:
+        return scenarios.xi_last_mark_indicator(mark, scale, n_marks=n_marks)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _build_tree(cfg: RunConfig):

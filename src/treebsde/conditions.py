@@ -2,11 +2,12 @@
 
 Everything here is elementary arithmetic over the slots of a tree: the
 slack of the main hypothesis ``2 L_y^2 dA^2 <= 1 - eps``, the auxiliary
-squared Lipschitz level ``hat_Lz_sq``, the per-slot weights ``(c, d, a,
-b)`` entering the contraction functional, the function ``H`` whose
-minimizer explains the second branch of ``hat_Lz_sq``, the weight
-threshold ``beta_min`` above which the fixed-point map contracts, and
-the detector for slots that reproduce the known blow-up regime.
+squared Lipschitz level ``hat_Lz_sq`` (its second branch is the
+minimizer of the threshold function ``H``, whose scalar form is an
+oracle in ``tests/conftest.py``), the per-slot weights ``(c, d, a, b)``
+entering the contraction functional, the weight threshold ``beta_min``
+above which the fixed-point map contracts, and the detector for slots
+that reproduce the known blow-up regime.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "ContractionProfile",
     "check_main_hypothesis",
     "hat_Lz",
-    "contraction_profile_H",
     "beta_threshold",
     "detect_counterexample",
     "contraction_profile",
@@ -77,31 +77,6 @@ def hat_Lz(delta: float, lip_y: float, lip_z: float, delta_A):
     second = (1.0 - delta) * lip_y / (np.sqrt(2.0 * (1.0 - delta)) - 2.0 * lip_y * da)
     hat = np.maximum(lip_z ** 2 + delta, second)
     return float(hat) if hat.ndim == 0 else hat
-
-
-def contraction_profile_H(delta: float, lip_y: float, delta_A: float):
-    """The threshold function ``H`` with its inner ``h`` and its minimizer.
-
-    ``h(l) = lip_y^2/l + 2l/(1-delta+2l*dA)`` and ``H = h/(1 - dA*h)``
-    where the denominator is positive (``H`` returns ``inf`` outside that
-    domain).  The minimizer is
-    ``l* = (1-delta) lip_y / (sqrt(2(1-delta)) - 2 lip_y dA)``.
-    """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError("delta must lie in [0, 1)")
-    if 2.0 * lip_y ** 2 * delta_A ** 2 >= 1.0 - delta:
-        raise ValueError("domain violation: need 2 lip_y^2 dA^2 < 1 - delta")
-
-    def h(ell):
-        return lip_y ** 2 / ell + 2.0 * ell / (1.0 - delta + 2.0 * ell * delta_A)
-
-    def H(ell):
-        v = h(ell)
-        g = 1.0 - delta_A * v
-        return v / g if g > 0 else np.inf
-
-    ell_star = (1.0 - delta) * lip_y / (np.sqrt(2.0 * (1.0 - delta)) - 2.0 * lip_y * delta_A)
-    return h, H, float(ell_star)
 
 
 def _threshold(tree: ScenarioTree, lip_y: float, lip_z: float, delta: float,

@@ -288,11 +288,8 @@ class ScenarioTree:
         return slice(int(self.level_start[self.horizon]), self.n_nodes)
 
     def depth_slice(self, k: int) -> slice:
+        """Nodes at depth k: also the slots of level k, whose atom sits at grid[k+1]."""
         return slice(int(self.level_start[k]), int(self.level_start[k + 1]))
-
-    def slot_level_slice(self, k: int) -> slice:
-        """Slots whose parent sits at depth k (atom at grid[k+1])."""
-        return self.depth_slice(k)
 
     # -- views ----------------------------------------------------------
 

@@ -18,9 +18,9 @@ the oracle calls it on each level, ``implicit_step_solve`` on one slot.
 
 Every route reads the terminal functional once, as ``xi(H)`` on the leaf
 history matrix (``BsdeProblem.terminal_values``).  It evaluates the driver
-through ``Generator.on_slots``, which rejects non-finite values with
-``NonFinite``; ``_eval_path`` is the one place that evaluates it on every
-slot of a tree.
+on slot blocks through ``Generator._checked``, which rejects non-finite
+values with ``NonFinite``; ``_eval_path`` is the one place that evaluates
+it on every slot of a tree.
 
 On every slot the martingale representation is solved exactly from the
 children's values, one tree level at a time (``_represent_block``); its
@@ -101,9 +101,12 @@ class Generator:
     ``step``, ``delta_A`` and ``phi`` arrays describe them.  History
     dependence goes through arrays indexed by ``block.index``.
 
-    :meth:`on_slots` evaluates it for every solver route, the implicit
-    step and ``check_lipschitz``; calling the generator on one slot view
-    evaluates a one-slot block, for per-slot code outside the solvers.
+    Every solver route and the implicit step evaluate it through
+    ``_checked`` (:meth:`on_slots` on a block already built), which refuses
+    non-finite values; the Lipschitz check reads the raw ``_values``, so a
+    NaN fails the check instead of raising.  Calling the generator on one
+    slot view evaluates a one-slot block, for per-slot code outside the
+    solvers.
 
     Predictability: the driver never sees a slot's own outcome.
     ``lip_y`` bounds the y-increments, ``lip_z`` the zeta-increments

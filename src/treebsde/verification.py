@@ -13,6 +13,9 @@ public ``check_*`` functions also call, so the rows keep their bits.  Each
 randomized check has its own stream (the caller's ``rng`` for the paths, one
 child each of ``rng.spawn(2)`` for the sandwich and the Lipschitz samples)
 and evaluates its draws as numpy blocks with the bits of one call per item.
+Every aggregate row (a grid time, a path, a sandwich row, a Lipschitz
+sample) is chosen by one rule, ``_worst_row``: the first row whose gap is
+NaN, else the first largest gap.  So a NaN never passes unseen.
 
 One condition is deliberately not checked: the square-integrability of
 the data against the weighted compensator is automatic on a finite tree
@@ -21,7 +24,6 @@ the data against the weighted compensator is automatic on a finite tree
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,39 +240,47 @@ def check_norm_equivalence(Z, tree: ScenarioTree, beta: float, gamma: float) -> 
 def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResult:
     """Sampled Lipschitz bound for a generator at one slot.
 
-    Checks, per sample, the declared bound
+    ``samples`` is a count of normal draws from ``rng`` or a list of
+    ``(y, y2, z, z2)`` samples; the check is ``_lipschitz_rows`` on them.
+    The reported lhs is the worst margin; a NaN margin fails the check,
+    with the first such sample as the witness.
+    """
+    m = slot.phi.size
+    if isinstance(samples, int):
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, not {samples}")
+        # one draw of rows (y, y2, z[m], z2[m]) is the stream of per-sample draws
+        draws = (rng or np.random.default_rng(0)).normal(0, 2.0, (samples, 2 + 2 * m))
+    else:
+        draws = np.array([np.hstack(d) for d in samples], dtype=float)
+        if not draws.size:
+            raise ValueError("samples must hold at least one sample")
+    block = SlotBlock.of_view(slot).take(np.zeros(len(draws), dtype=np.int64))
+    return _lipschitz_rows(f, block, draws, hat_lz_sq, len(draws))
+
+
+def _lipschitz_rows(f, block, draws, hat_lz_sq, n_samples) -> CheckResult:
+    """Sampled Lipschitz bound on the rows of ``block``, one sample per row.
+
+    Row ``i`` of ``draws`` is ``(y, y2, z[m], z2[m])`` on the slot of
+    ``block`` row ``i``.  Checks, per row, the declared bound
     ``|f(y', z') - f(y, z)| <= lip_y |y' - y| + lip_z * seminorm(z' - z)``
-    and the squared form with any level ``hat_lz_sq > lip_z^2``, whose
-    zeta term carries the ``(1 - dA)/dA`` expansion; the two seminorm
-    forms are also compared as an exact algebraic identity.  All samples
-    form one block.  The reported lhs is the worst margin (the first
-    sample wins a tie); a NaN margin (a driver value that is not a number)
-    fails the check, with the first such sample as the witness.
+    and the squared form with any level ``hat_lz_sq > lip_z^2`` (default
+    ``lip_z^2 + 0.1``), whose zeta term carries the ``(1 - dA)/dA``
+    expansion on rows with ``dA != 0``; the two seminorm forms are also
+    compared as an exact algebraic identity.  The driver is called twice,
+    on the whole block.  The reported lhs is the worst margin and its row
+    the witness (``_worst_row``: a NaN margin fails the check);
+    ``n_samples`` is reported as the samples per slot.
     """
     if hat_lz_sq is None:
         hat_lz_sq = f.lip_z ** 2 + 0.1
     if hat_lz_sq <= f.lip_z ** 2:
         raise ValueError("hat_lz_sq must exceed lip_z^2")
-    m = slot.phi.size
-    da = slot.delta_A
-    if isinstance(samples, int):
-        if samples < 1:
-            raise ValueError(f"samples must be at least 1, not {samples}")
-        rng = rng or np.random.default_rng(0)
-        # one draw of rows (y, y2, z[m], z2[m]) is the stream of per-sample
-        # draws; the driver gets contiguous copies, as it did from those
-        draws = rng.normal(0, 2.0, (samples, 2 + 2 * m))
-        n = draws.shape[0]
-        y, y2 = draws[:, 0].copy(), draws[:, 1].copy()
-        z, z2 = draws[:, 2:2 + m].copy(), draws[:, 2 + m:].copy()
-    else:
-        draws = list(samples)
-        n = len(draws)
-        if n < 1:
-            raise ValueError("samples must hold at least one sample")
-        y, y2 = (np.array([d[i] for d in draws], dtype=float) for i in (0, 1))
-        z, z2 = (np.array([d[i] for d in draws], dtype=float).reshape(n, m) for i in (2, 3))
-    block = SlotBlock.of_view(slot).take(np.zeros(n, dtype=np.int64))
+    m = block.phi.shape[1]
+    # the driver gets contiguous copies, as it did from per-sample draws
+    y, y2 = draws[:, 0].copy(), draws[:, 1].copy()
+    z, z2 = draws[:, 2:2 + m].copy(), draws[:, 2 + m:].copy()
     dz = z2 - z
     s = norms.lipschitz_seminorm_rows(dz, block)
     fbar = f._values(block, y2, z2) - f._values(block, y, z)
@@ -280,19 +290,20 @@ def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResu
     # each margin has the bits of a per-sample evaluation (x * x can differ)
     fbar2, dy2, zh2, s2 = np.float_power([fbar, y2 - y, zh, s], 2.0)
     expanded = norms._phi_dot((dz - zh[:, None]) ** 2, block.phi)
-    if da != 0.0:
-        expanded += (1.0 - da) / da * zh2
+    da = block.delta_A
+    jumps = da != 0.0
+    expanded[jumps] += (1.0 - da[jumps]) / da[jumps] * zh2[jumps]
     squared = fbar2 - (2.0 * f.lip_y ** 2 * dy2 + 2.0 * hat_lz_sq * expanded)
     forms = np.abs(expanded - s2) / np.maximum(s2, 1.0) - 1e-12
     margin = np.maximum(np.maximum(plain, squared), forms)
     j = _worst_row(margin)
     witness = {"y": float(y[j]), "y2": float(y2[j]), "z": z[j].tolist(), "z2": z2[j].tolist()}
-    return _inequality("lipschitz_bound", margin[j], 0.0,
-                       detail={"hat_lz_sq": float(hat_lz_sq), "n_samples": n, "witness": witness})
+    return _inequality("lipschitz_bound", margin[j], 0.0, detail={
+        "hat_lz_sq": float(hat_lz_sq), "n_samples": n_samples, "witness": witness})
 
 
 def _worst_row(v) -> int:
-    # the first NaN row, else the first maximum
+    # the one rule of every aggregate row: the first NaN row, else the first maximum
     return int(np.argmax(np.isnan(v)) if np.isnan(v).any() else np.argmax(v))
 
 
@@ -338,7 +349,7 @@ def _random_path(rng, max_steps=6):
 
 def _worst_integral_inequality(rng, beta: float, n_paths: int) -> CheckResult:
     # the draws stay one path at a time (their RNG calls interleave); the
-    # evaluation is one block of zero-padded paths; first strict maximum wins
+    # evaluation is one block of zero-padded paths
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, not {n_paths}")
     draws = [_random_path(rng) for _ in range(n_paths)]
@@ -348,9 +359,7 @@ def _worst_integral_inequality(rng, beta: float, n_paths: int) -> CheckResult:
         dAc[i, :f.size], dA[i, :f.size] = path.T
         f_vals[i, :f.size] = f
     lhs, rhs = _integral_inequality_rows(dAc, dA, f_vals, steps, beta, 0)
-    # as a per-path ``>`` scan from the first path: a NaN gap never wins later
-    gap = lhs - rhs
-    i = 0 if np.isnan(gap[0]) else int(np.argmax(np.where(np.isnan(gap), -np.inf, gap)))
+    i = _worst_row(lhs - rhs)
     return _inequality("integral_inequality", lhs[i], rhs[i], detail={"t_index": 0, "beta": beta})
 
 
@@ -369,8 +378,7 @@ def _sandwich_rows(F, da, phi, mid=None):
 
 
 def _field_worst(name, v, at=None):
-    # a field's first NaN violation, else its first largest, with its slot;
-    # None for a field without rows
+    # a field's worst row (_worst_row) with its slot; None for a field without rows
     if not v.size:
         return None
     j = _worst_row(v)
@@ -389,30 +397,24 @@ def _norm_sandwich(solution, z_sq: float, tree: ScenarioTree, take, rng) -> Chec
     # the solution Z (its _solution_sandwich; Z norm z_sq), then every slot of
     # the constant 1 (lower end met), of a normal field R and of R centred
     # (upper end met when m > 1), then N_FIELDS normal rows on each slot of
-    # take, one field at a time.  The row: the first NaN violation, else the
-    # first largest; the solution's sums.
+    # take, one field at a time.  The row: _worst_row of the fields' worst
+    # rows; the solution's sums.
     da, phi = tree.slot_dA, tree.slot_phi
     rows = np.repeat(take, N_FIELDS)
     solution_worst, lower, upper = solution
 
-    def fields():
-        yield "constant", np.broadcast_to(1.0, phi.shape), None
-        R = rng.standard_normal(phi.shape)
-        yield "normal", R, None
-        R -= norms._phi_dot(R, phi)[:, None]
-        yield "centred", R, None
-        yield "sampled", rng.standard_normal((rows.size, tree.n_marks)), rows
+    def worst_of(name, F, at=None):
+        sel = slice(None) if at is None else at
+        return _field_worst(name, _sandwich_rows(F, da[sel], phi[sel])[2], at)
 
-    def candidates():
-        yield solution_worst
-        for name, F, at in fields():
-            sel = slice(None) if at is None else at
-            yield _field_worst(name, _sandwich_rows(F, da[sel], phi[sel])[2], at)
-
-    worst, detail = 0.0, {}
-    for c in candidates():
-        if c is not None and (not detail or math.isnan(c[0]) > math.isnan(worst) or c[0] > worst):
-            worst, detail = c
+    found = [solution_worst, worst_of("constant", np.broadcast_to(1.0, phi.shape))]
+    R = rng.standard_normal(phi.shape)
+    found.append(worst_of("normal", R))
+    R -= norms._phi_dot(R, phi)[:, None]
+    found.append(worst_of("centred", R))
+    found.append(worst_of("sampled", rng.standard_normal((rows.size, tree.n_marks)), rows))
+    found = [c for c in found if c is not None]
+    worst, detail = found[_worst_row([c[0] for c in found])] if found else (0.0, {})
     return _inequality("norm_equivalence", worst, 0.0,
                        detail={**detail, "lower": lower, "mid": z_sq, "upper": upper})
 
@@ -453,11 +455,8 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     del z_sem
 
     # energy identity at every grid time
-    worst = None
-    for r in _identity_lemma_rows(tree, Y, f_path, beta, w, z_part, range(tree.horizon + 1)):
-        if worst is None or r.rel_gap > worst.rel_gap:
-            worst = r
-    results.append(worst)
+    rows = list(_identity_lemma_rows(tree, Y, f_path, beta, w, z_part, range(tree.horizon + 1)))
+    results.append(rows[_worst_row([r.rel_gap for r in rows])])
     del z_part
 
     # path inequality and a priori bound need beta > 0
@@ -475,12 +474,10 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
     take = np.linspace(0, tree.n_slots - 1, min(MAX_SLOTS, tree.n_slots)).astype(int)
     results.append(_norm_sandwich(solution_sandwich, z_sq, tree, take, rng_sandwich))
     if tree.n_slots:
-        worst = None
-        for s in take:
-            r = check_lipschitz(problem.f, tree.slot(int(s)), samples=N_SAMPLES, rng=rng_lip)
-            if worst is None or r.abs_gap > worst.abs_gap or math.isnan(r.abs_gap):
-                worst = r
-        results.append(worst)
+        # N_SAMPLES rows per slot of take, drawn as one block of the per-slot stream
+        draws = rng_lip.normal(0, 2.0, (take.size * N_SAMPLES, 2 + 2 * tree.n_marks))
+        results.append(_lipschitz_rows(problem.f, tree.block(np.repeat(take, N_SAMPLES)),
+                                       draws, None, N_SAMPLES))
     else:
         results.append(_skipped("lipschitz_bound", "no slots"))
 

@@ -271,6 +271,33 @@ def proof_weights(beta, delta, slot, hat_lz_sq):
     return c, d, a, b
 
 
+def contraction_profile_H(delta, lip_y, delta_A):
+    """The threshold function ``H`` of one slot with its inner ``h`` and its minimizer.
+
+    ``h(l) = lip_y^2/l + 2l/(1-delta+2l*dA)`` and ``H = h/(1 - dA*h)``
+    where the denominator is positive (``H`` returns ``inf`` outside that
+    domain).  The minimizer is
+    ``l* = (1-delta) lip_y / (sqrt(2(1-delta)) - 2 lip_y dA)``: the scalar
+    twin of ``conditions._threshold``'s ``r / den`` and of ``hat_Lz``'s
+    second branch.
+    """
+    if not 0.0 <= delta < 1.0:
+        raise ValueError("delta must lie in [0, 1)")
+    if 2.0 * lip_y ** 2 * delta_A ** 2 >= 1.0 - delta:
+        raise ValueError("domain violation: need 2 lip_y^2 dA^2 < 1 - delta")
+
+    def h(ell):
+        return lip_y ** 2 / ell + 2.0 * ell / (1.0 - delta + 2.0 * ell * delta_A)
+
+    def H(ell):
+        v = h(ell)
+        g = 1.0 - delta_A * v
+        return v / g if g > 0 else np.inf
+
+    ell_star = (1.0 - delta) * lip_y / (np.sqrt(2.0 * (1.0 - delta)) - 2.0 * lip_y * delta_A)
+    return h, H, float(ell_star)
+
+
 # -- random problem factories --------------------------------------------------
 
 
@@ -447,7 +474,7 @@ def per_slot_oracle(problem):
     Y[tree.leaf_slice] = problem.terminal_values(tree)
     Z = np.zeros((tree.n_slots, tree.n_marks))
     for k in range(tree.horizon - 1, -1, -1):
-        sl = tree.slot_level_slice(k)
+        sl = tree.depth_slice(k)
         V = tree._child_values(Y, k)
         cm = _cond_means(tree, V, sl)
         Z[sl] = _represent_block(tree, V, sl)
@@ -526,7 +553,7 @@ def gather_linear_sweep(tree, xi_leaf, f_path):
     Z = np.zeros((tree.n_slots, tree.n_marks))
     cm = np.empty(tree.n_slots)
     for k in range(tree.horizon - 1, -1, -1):
-        sl = tree.slot_level_slice(k)
+        sl = tree.depth_slice(k)
         V = gather_child_values(tree, Y, sl)
         Z[sl] = masked_canonical_rows(V[:, :-1] - V[:, -1][:, None],
                                       tree.slot_dA[sl], tree.slot_phi[sl])
@@ -682,6 +709,15 @@ def loop_integral_inequality(path, f_path, beta, t_index=0):
                                     detail={"t_index": j, "beta": beta})
 
 
+def scan_worst(rows, gap):
+    """The first row whose ``gap`` is NaN, else the first largest: one scalar scan."""
+    worst = None
+    for r in rows:
+        if worst is None or math.isnan(gap(r)) > math.isnan(gap(worst)) or gap(r) > gap(worst):
+            worst = r
+    return worst
+
+
 def loop_norm_sandwich(F, tree, slots):
     """``verification._sandwich_rows`` of the rows of ``F`` on ``slots``, one slot at a time.
 
@@ -709,16 +745,15 @@ def loop_run_sandwich(Z, tree, beta, take, rng):
     fields = [("solution", Z, range(n)), ("constant", np.ones((n, m)), range(n)),
               ("normal", R, range(n)), ("centred", centred, range(n)),
               ("sampled", np.concatenate(samples or [np.zeros((0, m))]), rows)]
-    worst, detail = 0.0, {}
+    scanned = []
     for name, F, slots in fields:
         lo, sq, viol = loop_norm_sandwich(F, tree, slots)
         if name == "solution":
             wd = tree.prob[:n] * tree.doleans_at_slot_end(beta) * tree.slot_dA
             sums = {"lower": float(np.sum(wd * lo)), "mid": norms.z_norm_sq(Z, tree, beta),
                     "upper": float(np.sum(wd * sq))}
-        for x, s in zip(viol, slots):
-            if not detail or math.isnan(x) > math.isnan(worst) or x > worst:
-                worst, detail = x, {"field": name, "slot": int(s)}
+        scanned += [(x, {"field": name, "slot": int(s)}) for x, s in zip(viol, slots)]
+    worst, detail = scan_worst(scanned, lambda r: r[0]) or (0.0, {})
     return v._inequality("norm_equivalence", worst, 0.0, detail={**detail, **sums})
 
 
@@ -740,7 +775,7 @@ def loop_lipschitz(f, slot, draws, hat_lz_sq=None):
     if hat_lz_sq is None:
         hat_lz_sq = f.lip_z ** 2 + 0.1
     da = float(slot.delta_A)
-    worst = witness = None
+    rows = []
     for y, y2, z, z2 in draws:
         y, y2 = float(y), float(y2)
         z, z2 = [float(x) for x in z], [float(x) for x in z2]
@@ -755,8 +790,8 @@ def loop_lipschitz(f, slot, draws, hat_lz_sq=None):
         squared = fbar ** 2 - (2.0 * f.lip_y ** 2 * (y2 - y) ** 2 + 2.0 * hat_lz_sq * expanded)
         forms = abs(expanded - s ** 2) / _nan_max(s ** 2, 1.0) - 1e-12
         margin = _nan_max(_nan_max(plain, squared), forms)
-        if worst is None or (math.isnan(margin) and not math.isnan(worst)) or margin > worst:
-            worst, witness = margin, {"y": y, "y2": y2, "z": z, "z2": z2}
+        rows.append((margin, {"y": y, "y2": y2, "z": z, "z2": z2}))
+    worst, witness = scan_worst(rows, lambda r: r[0])
     return verification._inequality("lipschitz_bound", worst, 0.0,
                                     detail={"hat_lz_sq": float(hat_lz_sq),
                                             "n_samples": len(draws), "witness": witness})
@@ -797,21 +832,12 @@ def loop_run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
         _tree=tree,
     )
 
-    worst = None
-    for j in range(tree.horizon + 1):
-        r = loop_identity_lemma(frozen, solution, j)
-        if worst is None or r.rel_gap > worst.rel_gap:
-            worst = r
-    results.append(worst)
+    results.append(scan_worst([loop_identity_lemma(frozen, solution, j)
+                               for j in range(tree.horizon + 1)], lambda r: r.rel_gap))
 
     if beta > 0:
-        worst = None
-        for _ in range(n_paths):
-            path, fvals = v._random_path(rng)
-            r = loop_integral_inequality(path, fvals, beta)
-            if worst is None or r.abs_gap > worst.abs_gap:
-                worst = r
-        results.append(worst)
+        results.append(scan_worst([loop_integral_inequality(*v._random_path(rng), beta)
+                                   for _ in range(n_paths)], lambda r: r.abs_gap))
         results.append(v.check_apriori_estimate(frozen, solution, c_scale=c_scale))
     else:
         results.append(v._skipped("integral_inequality", "needs beta > 0"))
@@ -821,14 +847,10 @@ def loop_run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
                                  min(v.MAX_SLOTS, tree.n_slots)).astype(int))
     results.append(loop_run_sandwich(Z, tree, beta, take, rng_sandwich))
     if tree.n_slots:
-        worst = None
-        for s in take:
-            slot = tree.slot(int(s))
-            draws = per_sample_draws(rng_lipschitz, v.N_SAMPLES, tree.n_marks)
-            r = loop_lipschitz(problem.f, slot, draws)
-            if worst is None or r.abs_gap > worst.abs_gap or math.isnan(r.abs_gap):
-                worst = r
-        results.append(worst)
+        results.append(scan_worst(
+            [loop_lipschitz(problem.f, tree.slot(int(s)),
+                            per_sample_draws(rng_lipschitz, v.N_SAMPLES, tree.n_marks))
+             for s in take], lambda r: r.abs_gap))
     else:
         results.append(v._skipped("lipschitz_bound", "no slots"))
 

@@ -17,7 +17,8 @@ from treebsde import (BsdeProblem, NoConvergence, StepSingular,
 from treebsde import cli, scenarios
 from treebsde.verification import _random_path
 
-from conftest import random_generator, random_linear_problem, random_problem
+from conftest import (contraction_profile_H, random_generator, random_linear_problem,
+                      random_problem)
 
 
 def report(number, label, ok, detail):
@@ -112,7 +113,7 @@ def test_criterion_4_threshold_spot_values():
         delta = float(rng.uniform(0.0, 0.6))
         cap = np.sqrt((1 - delta) / 2) / max(da, 1e-9)
         lip_y = float(rng.uniform(0.1, min(0.95 * cap, 3.0)))
-        _, H, ell = conditions.contraction_profile_H(delta, lip_y, da)
+        _, H, ell = contraction_profile_H(delta, lip_y, da)
         found = refined_argmin(H, ell * 1e-2, ell * 1e2)
         worst_rel = max(worst_rel, abs(found - ell) / ell)
     ok = spot_ok and worst_rel <= 1e-6

@@ -116,7 +116,7 @@ def test_level_oracle_stops_each_slot_at_the_scalar_iterate():
     per_slot_oracle(BsdeProblem(model=model, beta=1.0, xi=problem.xi, f=scalar, _tree=tree))
     for s in single:
         assert by_level[s] == single[s]
-    sl = tree.slot_level_slice(2)
+    sl = tree.depth_slice(2)
     assert len({single[s] for s in range(sl.start, sl.stop)}) > 1
 
 

@@ -3,10 +3,9 @@ import pytest
 
 from treebsde import build_tree, scenarios
 from treebsde.conditions import (beta_threshold, check_main_hypothesis,
-                                 contraction_profile, contraction_profile_H,
-                                 detect_counterexample, hat_Lz)
+                                 contraction_profile, detect_counterexample, hat_Lz)
 
-from conftest import proof_weights
+from conftest import contraction_profile_H, proof_weights
 
 
 def tree_const(K, m, a):

@@ -30,6 +30,7 @@ def test_every_exported_name_resolves(name):
                                          ("LevelRules", "measure_core"),
                                          ("batched_terminal", "solver"),
                                          ("hat_z", "norms"),
+                                         ("contraction_profile_H", "conditions"),
                                          ("lipschitz_seminorm", "norms")])
 def test_scalar_twins_left_the_package(name, module):
     assert not hasattr(treebsde, name)

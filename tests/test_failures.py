@@ -118,6 +118,9 @@ def test_cli_internal_build_error_is_not_a_config_error(tmp_path, monkeypatch):
     ("solve", {}, ["--beta", "abc"]),
     ("solve", {}, ["--beta", "-1"]),
     ("solve", {}, ["--delta", "abc"]),
+    # params the preset does not read: these ran as 0 and wrote Y0 = 0.0
+    ("solve", {"generator": {"preset": "constant", "params": {"c": 1.0}}}, []),
+    ("solve", {"terminal": {"preset": "constant", "params": {"c0": 2.0}}}, []),
 ])
 def test_cli_malformed_input_is_a_config_error(tmp_path, capsys, command, config, flags):
     # a str is the whole JSON document, a dict overrides keys of a good one

@@ -129,7 +129,7 @@ def test_block_levels_are_the_levels_of_one_branch_kind(model, blocks):
     m = tree.n_marks
     filled = {0.0: slice(m, m + 1), 1.0: slice(0, m), "inner": slice(0, m + 1)}
     for k in range(tree.horizon):
-        sl = tree.slot_level_slice(k)
+        sl = tree.depth_slice(k)
         kinds = {0.0 if d == 0.0 else 1.0 if d == 1.0 else "inner" for d in tree.slot_dA[sl]}
         cols = tree._levels[k].cols
         assert (cols is not None) == (len(kinds) == 1)
@@ -159,7 +159,7 @@ def test_child_operators_and_forward_sweep_equal_the_gather_forms_to_the_bit(mod
     for off in (0, 1, 3, 7):     # views of Y at odd offsets
         Y = buf[off:off + tree.n_nodes]
         for k in range(tree.horizon):
-            sl = tree.slot_level_slice(k)
+            sl = tree.depth_slice(k)
             assert _bits(tree._child_values(Y, k)) == _bits(gather_child_values(tree, Y, sl))
             assert (_bits(tree._forward(Y[sl], k))
                     == _bits(gather_parent_broadcast(tree, Y[sl], sl)))
@@ -175,7 +175,7 @@ def test_level_kernels_equal_the_gather_forms_to_the_bit(model, blocks):
     for off in (0, 1, 3, 7):     # views of Y at odd offsets
         Y = buf[off:off + tree.n_nodes]
         for k in range(tree.horizon):
-            sl = tree.slot_level_slice(k)
+            sl = tree.depth_slice(k)
             V, Vg = tree._child_values(Y, k), gather_child_values(tree, Y, sl)
             assert _bits(V) == _bits(Vg)
             assert _bits(_cond_means(tree, V, sl)) == _bits(_cond_means(tree, Vg, sl))

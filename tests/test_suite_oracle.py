@@ -61,6 +61,18 @@ def test_run_suite_is_the_loop_suite_to_the_bit(seed):
     assert rng_block.bit_generator.state == rng_loop.bit_generator.state
 
 
+def test_a_nan_path_row_is_the_loop_suite_row():
+    # at beta = 1000 some paths of default_rng(1) are NaN: both scans keep the first
+    problem = BsdeProblem(model=scenarios.deterministic_grid(K=3, m=2, a=0.5), beta=1000.0,
+                          xi=scenarios.xi_jump_count(), f=Generator.zero())
+    sol = backward_oracle(problem)
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = run_suite(problem, sol, rng=np.random.default_rng(1))
+        loop = loop_run_suite(problem, sol, rng=np.random.default_rng(1))
+    assert [_bits(r) for r in block] == [_bits(r) for r in loop]
+    assert np.isnan(block[1].abs_gap)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 5])
 def test_each_randomized_check_draws_from_its_own_stream(seed, monkeypatch):
     # drawing more or fewer items in one check moves no other check's row,

@@ -63,7 +63,7 @@ def test_random_models_cover_the_regimes():
         seen |= {"unit"} if np.any(tree.slot_dA == 1.0) else set()
         seen |= {"zero"} if np.any(tree.slot_dA == 0.0) else set()
         for k in range(tree.horizon):
-            sl = tree.slot_level_slice(k)
+            sl = tree.depth_slice(k)
             if np.unique(tree.slot_dA[sl]).size > 1:
                 seen.add("size by parity")
             if np.unique(tree.slot_phi[sl], axis=0).shape[0] > 1:
@@ -190,7 +190,7 @@ def test_histories_are_python_int_tuples_built_on_demand():
         # the child's outcome (marks 0..m-1, then no jump)
         m = tree.n_marks
         for k in range(tree.horizon):
-            branches = measure_core._branches(tree.slot_dA[tree.slot_level_slice(k)], m)
+            branches = measure_core._branches(tree.slot_dA[tree.depth_slice(k)], m)
             H, H_next = tree.level_histories[k], tree.level_histories[k + 1]
             assert (H_next[:, :k].tolist()
                     == np.repeat(H, branches.sum(axis=1), axis=0).tolist())

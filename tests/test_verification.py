@@ -6,7 +6,7 @@ from treebsde import (BsdeProblem, Generator, backward_oracle, build_tree,
                       check_integral_inequality, check_lipschitz,
                       check_norm_equivalence, check_solution_jump_identity,
                       norms, picard_solve, run_suite, solve_linear)
-from treebsde import scenarios
+from treebsde import scenarios, verification
 
 from treebsde.verification import _sandwich_rows
 
@@ -464,3 +464,54 @@ def test_suite_keeps_a_nan_lipschitz_slot():
     results = run_suite(problem, solve_linear(problem), rng=np.random.default_rng(0))
     row = next(r for r in results if r.name == "lipschitz_bound")
     assert not row.passed and np.isnan(row.lhs)
+
+
+def test_suite_fails_a_nan_integral_inequality_path():
+    # at beta = 1000 the path weights overflow, and some of the 200 paths of
+    # default_rng(1) evaluate to NaN (inf * 0): the row must fail on the first
+    # of them instead of reporting the largest finite gap
+    problem = BsdeProblem(model=scenarios.deterministic_grid(K=2, m=1, a=0.5), beta=1000.0,
+                          xi=scenarios.xi_jump_count(), f=Generator.zero())
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = run_suite(problem, solve_linear(problem), rng=np.random.default_rng(1))
+    row = next(r for r in results if r.name == "integral_inequality")
+    assert not row.passed and np.isnan(row.lhs - row.rhs)
+
+
+def test_suite_lipschitz_witness_is_the_first_nan_slot():
+    # NaN away from the solution on two sampled slots: the row's witness is
+    # the first NaN sample of the first of them, drawn from the same stream
+    bad = (6, 20)
+    f = Generator(lambda b, y, z: np.where(np.isin(b.index, bad) & (np.abs(y) > 1.0),
+                                           np.nan, 0.1), 0.0, 0.0)
+    problem = BsdeProblem(model=scenarios.deterministic_grid(K=5, m=1, a=0.5), beta=1.0,
+                          xi=scenarios.xi_constant(0.0), f=f)
+    tree = problem.tree()
+    take = np.linspace(0, tree.n_slots - 1, verification.MAX_SLOTS).astype(int)
+    assert set(bad) <= set(take.tolist())
+    results = run_suite(problem, solve_linear(problem), rng=np.random.default_rng(0))
+    row = next(r for r in results if r.name == "lipschitz_bound")
+    assert not row.passed and np.isnan(row.lhs)
+    assert row.detail["n_samples"] == verification.N_SAMPLES
+    rng_lip = np.random.default_rng(0).spawn(2)[1]
+    per_slot_rows = {int(s): check_lipschitz(f, tree.slot(s), verification.N_SAMPLES,
+                                             rng=rng_lip) for s in take}
+    assert np.isnan(per_slot_rows[20].lhs)
+    assert row.detail == per_slot_rows[6].detail != per_slot_rows[20].detail
+
+
+def test_suite_calls_the_driver_twice_for_the_lipschitz_samples():
+    # one call on the solved pair, then one per side of the sampled increments
+    sizes = []
+
+    def fn(block, y, zeta):
+        sizes.append(block.index.size)
+        return 0.5 * np.tanh(y)
+
+    problem = BsdeProblem(model=scenarios.deterministic_grid(K=5, m=1, a=0.5), beta=1.0,
+                          xi=scenarios.xi_jump_count(), f=Generator(fn, 0.5, 0.0))
+    sol = backward_oracle(problem)
+    sizes.clear()
+    assert all(r.passed for r in run_suite(problem, sol, rng=np.random.default_rng(0)))
+    n_rows = verification.MAX_SLOTS * verification.N_SAMPLES
+    assert sizes == [problem.tree().n_slots, n_rows, n_rows]

@@ -27,11 +27,15 @@ The case list:
   ``iterations.csv`` ratio column after a zero distance);
 * ``solve`` and ``verify`` on two ``two_state_rule`` models whose levels
   mix branch kinds (``a_after_jump`` 0 and 1 with an interior
-  ``a_after_no_jump``), the only input of the mixed-level path of the
-  tree's child read and parent broadcast;
+  ``a_after_no_jump``); the CLI merges their histories by declared state,
+  so they run the merged tree's edge path of the child read and parent
+  broadcast;
 * a ``solve`` and a ``verify`` whose ``last_mark`` terminal names a mark
   the tree lacks (5, and the no-jump code -1, with two marks): config
   errors;
+* a ``verify`` of the ``verify_intensity`` workload at seed 3 with
+  ``beta`` 1000 and ``seed`` 1, whose overflowing path weights make some
+  drift-inequality paths NaN: it pins the worst-row rule of the checks;
 * the built-in ``counterexample`` run.
 
 Reports carry no timings, so a case whose code did not change must match to
@@ -145,6 +149,8 @@ def cases() -> list[tuple[str, str, dict | None]]:
         out.append((f"{command}-last_mark-{mark}", command,
                     {**base, "model": MODELS["grid"],
                      "terminal": {"preset": "last_mark", "params": {"mark": mark}}}))
+    nan_paths = {**_workloads()["verify_intensity"][1](3)[0], "beta": 1000.0, "seed": 1}
+    out.append(("verify-nan-paths", "verify", nan_paths))
     out.append(("counterexample", "counterexample", None))
     return out
 

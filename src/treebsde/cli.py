@@ -255,10 +255,11 @@ def _build_problem(cfg: RunConfig, built=None, base=None):
         beta = cfg.beta
         if bad_delta and beta > 0:
             raise ConfigError(f"delta {delta!r} outside (0, {eps_star!r})")
-    if beta < 0:
-        raise ConfigError(f"beta {beta!r} is negative")
-
-    problem = replace(base_problem, beta=beta, _setup=setup)
+    # BsdeProblem refuses a beta that is not finite and >= 0
+    try:
+        problem = replace(base_problem, beta=beta, _setup=setup)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     diag = {
         "epsilon_star": eps_star,
         "beta_min": beta_min,

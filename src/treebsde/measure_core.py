@@ -80,6 +80,12 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _check_beta(beta, positive=False) -> None:
+    """Refuse a weight exponent that is not finite and ``>= 0`` (``> 0`` if ``positive``)."""
+    if not (np.isfinite(beta) and (beta > 0 if positive else beta >= 0)):
+        raise ValueError(f"beta must be finite and {'> 0' if positive else '>= 0'}, not {beta!r}")
+
+
 @dataclass(frozen=True)
 class MarkSpace:
     """Ordered finite set of mark identifiers."""
@@ -397,8 +403,7 @@ class ScenarioTree:
         ``sum(P * E) / sum(P)``.  Cached per ``beta``; treat the result as
         read-only.
         """
-        if beta < 0:
-            raise ValueError("beta must be nonnegative")
+        _check_beta(beta)
         key = float(beta)
         cached = self._doleans_cache.get(key)
         if cached is not None:
@@ -588,15 +593,14 @@ def doleans_exponential(path, beta: float) -> np.ndarray:
 
     Args:
         path: sequence of (dAc, dA) increments, one per step.
-        beta: nonnegative weight exponent.
+        beta: finite nonnegative weight exponent.
 
     Returns:
         Array of K+1 values starting at 1; equals
         ``exp(beta * A^c_t) * prod(1 + beta * dA_s)`` at each grid point,
         and is nondecreasing.
     """
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    _check_beta(beta)
     dAc, dA = _as_path(path)
     return _doleans_product(beta * dAc, beta * dA)
 
@@ -611,8 +615,7 @@ def doleans_sqrt_factorization(path, beta: float):
     and ``upper**2 = doleans_exponential(path, beta)`` at every grid
     point.
     """
-    if beta <= 0:
-        raise ValueError("beta must be strictly positive")
+    _check_beta(beta, positive=True)
     dAc, dA = _as_path(path)
     root = np.sqrt(1.0 + beta * dA)
     upper = _doleans_product(0.5 * beta * dAc, root - 1.0)

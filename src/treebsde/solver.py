@@ -37,7 +37,8 @@ from typing import Callable
 import numpy as np
 
 from . import conditions, norms
-from .measure_core import ScenarioModel, ScenarioTree, SlotBlock, SlotView, build_tree
+from .measure_core import (ScenarioModel, ScenarioTree, SlotBlock, SlotView, _check_beta,
+                           build_tree)
 
 __all__ = [
     "SolverError",
@@ -102,11 +103,10 @@ class Generator:
     dependence goes through arrays indexed by ``block.index``.
 
     Every solver route and the implicit step evaluate it through
-    ``_checked`` (:meth:`on_slots` on a block already built), which refuses
-    non-finite values; the Lipschitz check reads the raw ``_values``, so a
-    NaN fails the check instead of raising.  Calling the generator on one
-    slot view evaluates a one-slot block, for per-slot code outside the
-    solvers.
+    ``_checked``, which refuses non-finite values; the Lipschitz check
+    reads the raw ``_values``, so a NaN fails the check instead of raising.
+    Calling the generator on one slot view evaluates a one-slot block, for
+    per-slot code outside the solvers.
 
     Predictability: the driver never sees a slot's own outcome.
     ``lip_y`` bounds the y-increments, ``lip_z`` the zeta-increments
@@ -121,16 +121,11 @@ class Generator:
         zeta = np.asarray(zeta, dtype=float).reshape(1, -1)
         return float(self._values(SlotBlock.of_view(slot), np.array([y], dtype=float), zeta)[0])
 
-    def on_slots(self, tree: ScenarioTree, ids, y, zeta) -> np.ndarray:
-        """Driver values on the slots ``ids`` at ``y[n]``, ``zeta[n, m]``.
-
-        ``ids`` is a slice or an array of slot ids; ``y`` and ``zeta`` are
-        aligned with it.  Raises ``NonFinite`` on any non-finite value.
-        """
-        return self._checked(tree.block(ids), y, zeta)
-
     def _checked(self, block: SlotBlock, y, zeta) -> np.ndarray:
-        """``on_slots`` on a block already built."""
+        """Driver values on the slots of ``block`` at ``y[n]``, ``zeta[n, m]``.
+
+        Raises ``NonFinite`` on any non-finite value.
+        """
         if block.index.size == 0:
             return np.zeros(0)
         vals = self._values(block, y, zeta)
@@ -172,8 +167,7 @@ class BsdeProblem:
     _setup: _Setup | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        _check_beta(self.beta)
 
     def tree(self) -> ScenarioTree:
         if self._tree is None:

@@ -11,8 +11,9 @@ is replayable.
 or the solved pair once and passes it to the private kernels that the
 public ``check_*`` functions also call, so the rows keep their bits.  Each
 randomized check has its own stream (the caller's ``rng`` for the paths, one
-child each of ``rng.spawn(2)`` for the sandwich and the Lipschitz samples)
-and evaluates its draws as numpy blocks with the bits of one call per item.
+child each of ``rng.spawn(2)`` for the sandwich and the Lipschitz samples),
+draws it as blocks in a fixed number of RNG calls and evaluates each item
+with the bits of one check call.
 Every aggregate row (a grid time, a path, a sandwich row, a Lipschitz
 sample) is chosen by one rule, ``_worst_row``: the first row whose gap is
 NaN, else the first largest gap.  So a NaN never passes unseen.
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import norms, solver
-from .measure_core import ScenarioTree, SlotBlock, _as_path, _doleans_product
+from .measure_core import ScenarioTree, SlotBlock, _as_path, _check_beta, _doleans_product
 
 __all__ = [
     "CheckResult",
@@ -47,8 +48,9 @@ __all__ = [
 IDENTITY_RTOL = 1e-10
 INEQUALITY_SLACK = 1e-12
 JUMP_SLACK = 1e-10      # absolute slack of the per-slot jump identity of a solution
-# run_suite's spread of up to MAX_SLOTS slots: the norm sandwich checks
-# N_FIELDS normal rows on each, the Lipschitz check N_SAMPLES samples
+# run_suite's randomized inputs: N_PATHS drift paths, and on a spread of up to
+# MAX_SLOTS slots N_FIELDS normal sandwich rows and N_SAMPLES Lipschitz samples each
+N_PATHS = 200
 N_FIELDS = 25
 N_SAMPLES = 50
 MAX_SLOTS = 25
@@ -166,8 +168,7 @@ def check_integral_inequality(path, f_path, beta: float, t_index: int = 0) -> Ch
     with the continuous part integrated in closed form for piecewise
     constant ``f``.
     """
-    if beta <= 0:
-        raise ValueError("beta must be strictly positive")
+    _check_beta(beta, positive=True)
     dAc, dA = _as_path(path)
     f_vals = np.asarray(f_path, dtype=float)
     if f_vals.shape != dAc.shape:
@@ -186,8 +187,7 @@ def check_apriori_estimate(problem, solution, beta=None, c_scale: float = 1.0) -
     """
     tree = problem.tree()
     beta = problem.beta if beta is None else beta
-    if beta <= 0:
-        raise ValueError("beta must be strictly positive")
+    _check_beta(beta, positive=True)
     f_path = solver._path_values(problem, tree)
     lhs = norms.y_norm_sq(solution.Y, tree, beta) + norms.z_norm_sq(solution.Z, tree, beta)
     return _apriori_estimate(tree, solution.Y, f_path, beta,
@@ -338,27 +338,23 @@ def _jump_identity(tree, Y, Z, f_path) -> CheckResult:
 # -- randomized suite ------------------------------------------------------
 
 
-def _random_path(rng, max_steps=6):
-    K = int(rng.integers(1, max_steps + 1))
-    dAc = np.where(rng.random(K) < 0.5, rng.uniform(0.0, 0.5, K), 0.0)
-    dA = rng.uniform(0.0, 1.0, K)
-    dA[rng.random(K) < 0.15] = 1.0
-    dA[rng.random(K) < 0.15] = 0.0
-    return np.column_stack([dAc, dA]), rng.normal(0.0, 1.5, K)
+def _random_paths(rng, n):
+    # n paths of 1 to 6 steps, zero-padded to (n, 6), in 7 RNG calls.  Per step:
+    # dAc ~ U(0, 0.5) w.p. 1/2, else 0; dA ~ U(0, 1), then 1 w.p. 0.15, then 0
+    # w.p. 0.15; f ~ N(0, 1.5)
+    steps = rng.integers(1, 7, n)
+    shape = (n, 6)
+    dAc = np.where(rng.random(shape) < 0.5, rng.uniform(0.0, 0.5, shape), 0.0)
+    dA = rng.uniform(0.0, 1.0, shape)
+    dA[rng.random(shape) < 0.15] = 1.0
+    dA[rng.random(shape) < 0.15] = 0.0
+    f_vals = rng.normal(0.0, 1.5, shape)
+    dAc, dA, f_vals = np.where(np.arange(6) >= steps[:, None], 0.0, [dAc, dA, f_vals])
+    return dAc, dA, f_vals, steps
 
 
-def _worst_integral_inequality(rng, beta: float, n_paths: int) -> CheckResult:
-    # the draws stay one path at a time (their RNG calls interleave); the
-    # evaluation is one block of zero-padded paths
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be at least 1, not {n_paths}")
-    draws = [_random_path(rng) for _ in range(n_paths)]
-    steps = np.array([f.size for _, f in draws], dtype=np.int64)
-    dAc, dA, f_vals = np.zeros((3, n_paths, int(steps.max())))
-    for i, (path, f) in enumerate(draws):
-        dAc[i, :f.size], dA[i, :f.size] = path.T
-        f_vals[i, :f.size] = f
-    lhs, rhs = _integral_inequality_rows(dAc, dA, f_vals, steps, beta, 0)
+def _worst_integral_inequality(rng, beta: float) -> CheckResult:
+    lhs, rhs = _integral_inequality_rows(*_random_paths(rng, N_PATHS), beta, 0)
     i = _worst_row(lhs - rhs)
     return _inequality("integral_inequality", lhs[i], rhs[i], detail={"t_index": 0, "beta": beta})
 
@@ -419,14 +415,14 @@ def _norm_sandwich(solution, z_sq: float, tree: ScenarioTree, take, rng) -> Chec
                        detail={**detail, "lower": lower, "mid": z_sq, "upper": upper})
 
 
-def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
+def run_suite(problem, solution, rng=None, c_scale=1.0):
     """Run every check against one solved problem plus randomized inputs.
 
     The generator is frozen along the solved pair, which turns any
     solution into the solution of a linear problem, so the energy
     identity and the a priori bound apply verbatim.  Randomized inputs
-    (paths, fields, Lipschitz samples) come from ``rng`` and two children
-    of it, one stream per check.
+    (``N_PATHS`` drift paths, sandwich fields, Lipschitz samples) come from
+    ``rng`` and two children of it, one stream per check.
 
     Quantities that depend only on the tree, ``beta`` or the solved pair
     are computed once: the frozen driver values, the slot weights and the
@@ -461,7 +457,7 @@ def run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
 
     # path inequality and a priori bound need beta > 0
     if beta > 0:
-        results.append(_worst_integral_inequality(rng, beta, n_paths))
+        results.append(_worst_integral_inequality(rng, beta))
         # y_norm_sq + z_norm_sq
         lhs = norms._weighted_y_sq(Y, tree, w) + z_sq
         results.append(_apriori_estimate(tree, Y, f_path, beta, E_end, lhs, c_scale))

@@ -396,6 +396,16 @@ def per_slot(tree, fn, lip_y, lip_z):
     return Generator(level, lip_y, lip_z)
 
 
+def on_slots(gen, tree, ids, y, zeta):
+    """Driver values of ``gen`` on the slots ``ids`` at ``y[n]``, ``zeta[n, m]``.
+
+    ``ids`` is a slice or an array of slot ids; ``y`` and ``zeta`` are
+    aligned with it.  Raises ``NonFinite`` on any non-finite value, as
+    every solver route does.
+    """
+    return gen._checked(tree.block(ids), y, zeta)
+
+
 def scalar_preset(name, params, tree):
     """Per-slot form of the CLI generator presets, one scalar call per slot."""
     p = params
@@ -687,6 +697,22 @@ def loop_identity_lemma(problem, solution, t_index, beta=None):
                                   detail={"t_index": j, "beta": beta})
 
 
+def random_path(rng, max_steps=6):
+    """One drift path ``((dAc, dA) rows, f)`` drawn one step vector at a time."""
+    K = int(rng.integers(1, max_steps + 1))
+    dAc = np.where(rng.random(K) < 0.5, rng.uniform(0.0, 0.5, K), 0.0)
+    dA = rng.uniform(0.0, 1.0, K)
+    dA[rng.random(K) < 0.15] = 1.0
+    dA[rng.random(K) < 0.15] = 0.0
+    return np.column_stack([dAc, dA]), rng.normal(0.0, 1.5, K)
+
+
+def block_paths(dAc, dA, f_vals, steps):
+    """The rows of a zero-padded path block, each cut to its length: ``[(path, f)]``."""
+    return [(np.column_stack([dAc[i, :k], dA[i, :k]]), f_vals[i, :k])
+            for i, k in enumerate(steps)]
+
+
 def loop_integral_inequality(path, f_path, beta, t_index=0):
     """``check_integral_inequality`` on one path with Python-float sums."""
     from treebsde import verification
@@ -815,8 +841,11 @@ def full_matrix_jump_identity(solution, problem):
                                     slack=verification.JUMP_SLACK)
 
 
-def loop_run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
-    """``run_suite`` with one check call per grid time, path, field and sample."""
+def loop_run_suite(problem, solution, rng=None, c_scale=1.0):
+    """``run_suite`` with one check call per grid time, path, field and sample.
+
+    The drift paths are the library's block draw, each row cut to its length.
+    """
     from treebsde import solver, verification as v
     rng = rng or np.random.default_rng(0)
     rng_sandwich, rng_lipschitz = rng.spawn(2)
@@ -836,8 +865,9 @@ def loop_run_suite(problem, solution, rng=None, n_paths=200, c_scale=1.0):
                                for j in range(tree.horizon + 1)], lambda r: r.rel_gap))
 
     if beta > 0:
-        results.append(scan_worst([loop_integral_inequality(*v._random_path(rng), beta)
-                                   for _ in range(n_paths)], lambda r: r.abs_gap))
+        paths = block_paths(*v._random_paths(rng, v.N_PATHS))
+        results.append(scan_worst([loop_integral_inequality(path, f, beta) for path, f in paths],
+                                  lambda r: r.abs_gap))
         results.append(v.check_apriori_estimate(frozen, solution, c_scale=c_scale))
     else:
         results.append(v._skipped("integral_inequality", "needs beta > 0"))

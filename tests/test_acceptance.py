@@ -15,10 +15,9 @@ from treebsde import (BsdeProblem, NoConvergence, StepSingular,
                       doleans_exponential, doleans_sqrt_factorization, norms,
                       picard_map, picard_solve, solve_linear)
 from treebsde import cli, scenarios
-from treebsde.verification import _random_path
 
 from conftest import (contraction_profile_H, random_generator, random_linear_problem,
-                      random_problem)
+                      random_path, random_problem)
 
 
 def report(number, label, ok, detail):
@@ -152,7 +151,7 @@ def test_criterion_6_inequalities_bulk():
     violations = {"integral": 0, "apriori": 0, "equivalence": 0, "lipschitz": 0}
 
     for _ in range(1000):
-        path, fvals = _random_path(rng)
+        path, fvals = random_path(rng)
         beta = float(rng.uniform(0.05, 5.0))
         t = int(rng.integers(0, path.shape[0]))
         if not check_integral_inequality(path, fvals, beta, t).passed:

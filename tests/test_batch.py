@@ -9,8 +9,8 @@ from treebsde import (BsdeProblem, Generator, NonFinite, StepSingular, backward_
                       build_tree, cli, picard_solve, scenarios, solve_linear)
 from treebsde.measure_core import ScenarioTree
 
-from conftest import (gather_accumulate, leaf_paths, per_slot, per_slot_oracle, random_problem,
-                      scalar_preset)
+from conftest import (gather_accumulate, leaf_paths, on_slots, per_slot, per_slot_oracle,
+                      random_problem, scalar_preset)
 
 PRESETS = [
     ("zero", {}),
@@ -50,9 +50,9 @@ def test_on_slots_matches_scalar_twin(seed, name, params):
         n, m = tree.n_slots, tree.n_marks
         y, Z = rng.normal(0, 2, n), rng.normal(0, 2, (n, m))
         ref = np.array([twin(tree.slot(s), y[s], Z[s]) for s in range(n)])
-        assert np.max(np.abs(gen.on_slots(tree, slice(0, n), y, Z) - ref)) <= 1e-12
+        assert np.max(np.abs(on_slots(gen, tree, slice(0, n), y, Z) - ref)) <= 1e-12
         ids = rng.permutation(n)[: max(1, n // 3)]
-        assert np.max(np.abs(gen.on_slots(tree, ids, y[ids], Z[ids]) - ref[ids])) <= 1e-12
+        assert np.max(np.abs(on_slots(gen, tree, ids, y[ids], Z[ids]) - ref[ids])) <= 1e-12
         # the one-slot form of a level generator
         s = int(ids[0])
         assert abs(gen(tree.slot(s), y[s], Z[s]) - ref[s]) <= 1e-12
@@ -67,11 +67,11 @@ def test_on_slots_scalar_adapter_and_shape_check():
     n = tree.n_slots
     scalar = per_slot(tree, lambda slot, y, zeta: slot.step + 10.0 * slot.index + y, 1.0, 0.0)
     y = np.arange(n, dtype=float)
-    got = scalar.on_slots(tree, slice(0, n), y, np.zeros((n, 2)))
+    got = on_slots(scalar, tree, slice(0, n), y, np.zeros((n, 2)))
     assert np.array_equal(got, tree.slot_step + 10.0 * np.arange(n) + y)
     bad = Generator(lambda block, y, zeta: np.zeros(y.size + 1), 0.0, 0.0)
     with pytest.raises(ValueError, match="shape"):
-        bad.on_slots(tree, slice(0, n), y, np.zeros((n, 2)))
+        on_slots(bad, tree, slice(0, n), y, np.zeros((n, 2)))
 
 
 # -- backward oracle -----------------------------------------------------------------

@@ -52,7 +52,7 @@ def test_a_driver_and_a_solution_have_one_form():
     # form; a solution is the pair, with no path-sum diagnostic beside it
     assert [f.name for f in dataclasses.fields(treebsde.Generator)] == ["fn", "lip_y", "lip_z"]
     public = sorted(n for n in vars(treebsde.Generator) if not n.startswith("_"))
-    assert public == ["is_path", "on_slots", "zero"]     # no batched or path constructor
+    assert public == ["is_path", "zero"]     # no batched or path constructor
     assert [f.name for f in dataclasses.fields(treebsde.Solution)] == ["Y", "Z"]
     assert not hasattr(treebsde.ScenarioTree, "accumulate")
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsde import (BsdeProblem, Generator, NonFinite, backward_oracle, cli, conditions,
+from treebsde import (BsdeProblem, Generator, NonFinite, backward_oracle,
+                      check_apriori_estimate, check_integral_inequality, cli, conditions,
                       measure_core, picard_solve, scenarios, solve_linear)
 from treebsde import NoConvergence
 
@@ -19,6 +20,22 @@ def affine_y_problem(beta=1.0):
     model = scenarios.deterministic_grid(K=3, m=2, a=0.5)
     gen = cli._build_generator({"preset": "affine_y", "params": {"c0": 0.3, "c1": 1.0}}, None)
     return BsdeProblem(model=model, beta=beta, xi=scenarios.xi_jump_count(), f=gen)
+
+
+@pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+def test_a_non_finite_beta_is_refused(beta):
+    # NaN passed every sign check, and the weights and norms came out NaN
+    problem = affine_y_problem()
+    path = [(0.1, 0.5)]
+    refusals = [lambda: affine_y_problem(beta=beta),
+                lambda: problem.tree().doleans(beta),
+                lambda: measure_core.doleans_exponential(path, beta),
+                lambda: measure_core.doleans_sqrt_factorization(path, beta),
+                lambda: check_integral_inequality(path, [1.0], beta),
+                lambda: check_apriori_estimate(problem, backward_oracle(problem), beta=beta)]
+    for call in refusals:
+        with pytest.raises(ValueError, match="beta must be finite"):
+            call()
 
 
 def test_hypothesis_slack_of_the_regression_problem():
@@ -121,6 +138,11 @@ def test_cli_internal_build_error_is_not_a_config_error(tmp_path, monkeypatch):
     # params the preset does not read: these ran as 0 and wrote Y0 = 0.0
     ("solve", {"generator": {"preset": "constant", "params": {"c": 1.0}}}, []),
     ("solve", {"terminal": {"preset": "constant", "params": {"c0": 2.0}}}, []),
+    # a non-finite beta passed the sign check and wrote NaN norms with exit 0
+    ("solve", {}, ["--beta", "nan"]),
+    ("solve", {}, ["--beta", "inf"]),
+    ("solve", {"beta": "auto", "beta_margin": float("nan")}, []),
+    ("sweep", {"sweep": {"param": "beta", "values": [1.0, float("nan")]}}, []),
 ])
 def test_cli_malformed_input_is_a_config_error(tmp_path, capsys, command, config, flags):
     # a str is the whole JSON document, a dict overrides keys of a good one

@@ -5,6 +5,8 @@ randomized checks as blocks; every row must keep the bits of the loop
 forms in ``conftest`` and leave the random generator in the same state.
 The integral inequality draws from the caller's generator, the norm
 sandwich and the Lipschitz check from one child each of ``rng.spawn(2)``.
+The loop suite evaluates the library's block of drift paths row by row, so
+the law of that draw is tested on its own.
 """
 
 import numpy as np
@@ -14,10 +16,10 @@ from treebsde import (BsdeProblem, Generator, Solution, backward_oracle, build_t
                       check_identity_lemma, check_integral_inequality,
                       check_lipschitz, check_solution_jump_identity, run_suite,
                       scenarios, verification)
-from treebsde.verification import (_integral_inequality_rows, _random_path,
+from treebsde.verification import (_integral_inequality_rows, _random_paths,
                                    _worst_integral_inequality)
 
-from conftest import (full_matrix_jump_identity, loop_identity_lemma,
+from conftest import (block_paths, full_matrix_jump_identity, loop_identity_lemma,
                       loop_integral_inequality, loop_lipschitz, loop_run_suite,
                       per_sample_draws, random_generator, random_linear_problem,
                       random_problem)
@@ -55,8 +57,8 @@ def _suite_case(seed):
 def test_run_suite_is_the_loop_suite_to_the_bit(seed):
     problem, sol = _suite_case(seed)
     rng_block, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
-    block = run_suite(problem, sol, rng=rng_block, n_paths=60)
-    loop = loop_run_suite(problem, sol, rng=rng_loop, n_paths=60)
+    block = run_suite(problem, sol, rng=rng_block)
+    loop = loop_run_suite(problem, sol, rng=rng_loop)
     assert [_bits(r) for r in block] == [_bits(r) for r in loop]
     assert rng_block.bit_generator.state == rng_loop.bit_generator.state
 
@@ -80,9 +82,8 @@ def test_each_randomized_check_draws_from_its_own_stream(seed, monkeypatch):
     problem, sol = _suite_case(seed)
     assert problem.beta > 0
 
-    def rows(n_paths=60):
-        return {r.name: _bits(r)
-                for r in run_suite(problem, sol, rng=np.random.default_rng(seed), n_paths=n_paths)}
+    def rows():
+        return {r.name: _bits(r) for r in run_suite(problem, sol, rng=np.random.default_rng(seed))}
 
     def same_but(name, other):
         assert {k: v for k, v in other.items() if k != name} == {
@@ -90,9 +91,9 @@ def test_each_randomized_check_draws_from_its_own_stream(seed, monkeypatch):
 
     base = rows()
     assert base["integral_inequality"] == _bits(_worst_integral_inequality(
-        np.random.default_rng(seed), problem.beta, 60))
-    same_but("integral_inequality", rows(n_paths=7))
-    for name, attr in (("norm_equivalence", "N_FIELDS"), ("lipschitz_bound", "N_SAMPLES")):
+        np.random.default_rng(seed), problem.beta))
+    for name, attr in (("integral_inequality", "N_PATHS"), ("norm_equivalence", "N_FIELDS"),
+                       ("lipschitz_bound", "N_SAMPLES")):
         with monkeypatch.context() as mp:
             mp.setattr(verification, attr, 3)
             same_but(name, rows())
@@ -138,18 +139,41 @@ def test_integral_inequality_block_rows_are_the_loop_rows(beta):
     # square of the drift goes through C's pow, which is not always x * x,
     # and at beta = 3000 the weights overflow, so a padded term must not
     # turn an infinite row into a NaN one
-    rng = np.random.default_rng(17)
-    draws = [_random_path(rng) for _ in range(4000)]
-    steps = np.array([f.size for _, f in draws])
-    dAc, dA, f_vals = np.zeros((3, len(draws), steps.max()))
-    for i, (path, f) in enumerate(draws):
-        dAc[i, :f.size], dA[i, :f.size] = path.T
-        f_vals[i, :f.size] = f
+    block = _random_paths(np.random.default_rng(17), 4000)
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs, rhs = _integral_inequality_rows(dAc, dA, f_vals, steps, beta, 0)
-        loop = [loop_integral_inequality(path, f, beta) for path, f in draws]
+        lhs, rhs = _integral_inequality_rows(*block, beta, 0)
+        loop = [loop_integral_inequality(path, f, beta) for path, f in block_paths(*block)]
     assert lhs.tobytes() == np.array([r.lhs for r in loop]).tobytes()
     assert rhs.tobytes() == np.array([r.rhs for r in loop]).tobytes()
+
+
+def test_drift_path_block_draw_has_the_per_step_law():
+    # 7 RNG calls whatever the count, every length 1..6, exact zeros past each
+    # length, and the shares of the per-step law: dA = 1 with 0.15 * 0.85,
+    # dA = 0 with 0.15, dAc = 0 with 1/2
+    calls = []
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(self.rng, name)
+
+    for n in (1, 200):
+        calls.clear()
+        _random_paths(Counting(np.random.default_rng(n)), n)
+        assert len(calls) == 7
+    dAc, dA, f_vals, steps = _random_paths(np.random.default_rng(23), 6000)
+    assert set(steps.tolist()) == set(range(1, 7))
+    padded = np.arange(6) >= steps[:, None]
+    for a in (dAc, dA, f_vals):
+        assert a.shape == (6000, 6) and np.all(a[padded] == 0.0)
+    real = ~padded
+    assert np.mean(dA[real] == 1.0) == pytest.approx(0.1275, abs=0.02)
+    assert np.mean(dA[real] == 0.0) == pytest.approx(0.15, abs=0.02)
+    assert np.mean(dAc[real] == 0.0) == pytest.approx(0.5, abs=0.02)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
@@ -182,9 +206,3 @@ def test_jump_identity_columns_are_the_full_matrix(seed):
         assert (_bits(check_solution_jump_identity(case, problem))
                 == _bits(full_matrix_jump_identity(case, problem)))
 
-
-def test_run_suite_refuses_an_empty_path_sample():
-    problem = BsdeProblem(model=scenarios.deterministic_grid(K=2, m=1, a=0.5), beta=1.0,
-                          xi=scenarios.xi_jump_count(), f=Generator.zero())
-    with pytest.raises(ValueError, match="n_paths"):
-        run_suite(problem, backward_oracle(problem), n_paths=0)

@@ -413,7 +413,7 @@ def test_run_suite_all_pass_on_nonlinear_problem():
     rng = np.random.default_rng(21)
     problem, delta = random_problem(rng, max_horizon=4)
     sol, _ = picard_solve(problem, delta=delta)
-    results = run_suite(problem, sol, rng=np.random.default_rng(0), n_paths=50)
+    results = run_suite(problem, sol, rng=np.random.default_rng(0))
     assert all(r.passed for r in results)
     names = {r.name for r in results}
     assert {"identity_lemma", "integral_inequality", "apriori_estimate",

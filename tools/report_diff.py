@@ -36,6 +36,8 @@ The case list:
 * a ``verify`` of the ``verify_intensity`` workload at seed 3 with
   ``beta`` 1000 and ``seed`` 1, whose overflowing path weights make some
   drift-inequality paths NaN: it pins the worst-row rule of the checks;
+* a ``solve`` with ``beta`` NaN and a ``verify`` with ``beta`` inf on the
+  ``verify_intensity`` workload at seed 5: config errors;
 * the built-in ``counterexample`` run.
 
 Reports carry no timings, so a case whose code did not change must match to
@@ -149,8 +151,11 @@ def cases() -> list[tuple[str, str, dict | None]]:
         out.append((f"{command}-last_mark-{mark}", command,
                     {**base, "model": MODELS["grid"],
                      "terminal": {"preset": "last_mark", "params": {"mark": mark}}}))
-    nan_paths = {**_workloads()["verify_intensity"][1](3)[0], "beta": 1000.0, "seed": 1}
+    intensity = _workloads()["verify_intensity"][1]
+    nan_paths = {**intensity(3)[0], "beta": 1000.0, "seed": 1}
     out.append(("verify-nan-paths", "verify", nan_paths))
+    for command, beta in (("solve", math.nan), ("verify", math.inf)):
+        out.append((f"{command}-beta-{beta}", command, {**intensity(5)[0], "beta": beta}))
     out.append(("counterexample", "counterexample", None))
     return out
 

@@ -185,7 +185,7 @@ def _child(config_path: str) -> None:
             if hasattr(verification, name):
                 setattr(verification, name, timed(check, getattr(verification, name)))
     t0 = time.perf_counter()
-    results = verification.run_suite(problem, sol, rng=np.random.default_rng(cfg.seed))
+    results = verification.run_suite(problem, sol, seed=cfg.seed)
     stages["run_suite"] = time.perf_counter() - t0
 
     print(json.dumps({

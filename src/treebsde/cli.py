@@ -395,9 +395,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     if code:
         return code
     sol, rep, _ = solved
-    rng = np.random.default_rng(cfg.seed)
     c_scale = 0.0 if cfg.debug.get("wrong_c_beta") else 1.0
-    checks = verification.run_suite(problem, sol, rng=rng, c_scale=c_scale)
+    checks = verification.run_suite(problem, sol, seed=cfg.seed, c_scale=c_scale)
     report.solver = _solver_dict(sol, rep, problem.tree(), problem.beta)
     report.checks = [_check_dict(c) for c in checks]
     if problem.beta == 0:

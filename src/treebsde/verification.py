@@ -4,19 +4,20 @@ Each check computes both sides of an identity or inequality as exact tree
 sums (or closed-form path integrals) and reports a :class:`CheckResult`.
 Identities use a relative tolerance of 1e-10 (rounding accumulated over
 up to ``(m+1)^K`` terms); inequalities use an absolute slack of 1e-12.
-Randomized checks take a seeded ``numpy.random.Generator`` so every run
-is replayable.
 
 ``run_suite`` computes each quantity that depends only on the tree, beta
 or the solved pair once and passes it to the private kernels that the
 public ``check_*`` functions also call, so the rows keep their bits.  Each
-randomized check has its own stream (the caller's ``rng`` for the paths, one
-child each of ``rng.spawn(2)`` for the sandwich and the Lipschitz samples),
-draws it as blocks in a fixed number of RNG calls and evaluates each item
-with the bits of one check call.
+randomized check has its own seeded stream of the standard library's
+``random`` (``numpy.random`` is never imported), ``random.Random(f"{name}:{seed}")``
+for ``name`` in ``paths``, ``sandwich`` and ``lipschitz``; it draws its
+inputs as blocks (a block is the concatenation of its rows' draws) and
+evaluates each item with the bits of one check call.
 Every aggregate row (a grid time, a path, a sandwich row, a Lipschitz
 sample) is chosen by one rule, ``_worst_row``: the first row whose gap is
-NaN, else the first largest gap.  So a NaN never passes unseen.
+NaN, else the first largest gap.  So a NaN never passes unseen.  The drift
+paths are scanned among those with an increment: a path without one has
+both sides 0.
 
 One condition is deliberately not checked: the square-integrability of
 the data against the weighted compensator is automatic on a finite tree
@@ -25,6 +26,8 @@ the data against the weighted compensator is automatic on a finite tree
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,11 +240,13 @@ def check_norm_equivalence(Z, tree: ScenarioTree, beta: float, gamma: float) -> 
                        detail={"gamma": gamma, "lower": gamma * full, "mid": mid, "upper": full})
 
 
-def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResult:
+def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, seed=0) -> CheckResult:
     """Sampled Lipschitz bound for a generator at one slot.
 
-    ``samples`` is a count of normal draws from ``rng`` or a list of
-    ``(y, y2, z, z2)`` samples; the check is ``_lipschitz_rows`` on them.
+    ``samples`` is a count of normal draws (standard deviation 2) from the
+    ``lipschitz`` stream of the integer ``seed``, the draws ``run_suite``
+    makes for its first slot, or a list of ``(y, y2, z, z2)`` samples; the
+    check is ``_lipschitz_rows`` on them.
     The reported lhs is the worst margin; a NaN margin fails the check,
     with the first such sample as the witness.
     """
@@ -249,8 +254,7 @@ def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, rng=None) -> CheckResu
     if isinstance(samples, int):
         if samples < 1:
             raise ValueError(f"samples must be at least 1, not {samples}")
-        # one draw of rows (y, y2, z[m], z2[m]) is the stream of per-sample draws
-        draws = (rng or np.random.default_rng(0)).normal(0, 2.0, (samples, 2 + 2 * m))
+        draws = _normal_block(_stream("lipschitz", seed), samples, 2 + 2 * m, 2.0)
     else:
         draws = np.array([np.hstack(d) for d in samples], dtype=float)
         if not draws.size:
@@ -338,25 +342,48 @@ def _jump_identity(tree, Y, Z, f_path) -> CheckResult:
 # -- randomized suite ------------------------------------------------------
 
 
-def _random_paths(rng, n):
-    # n paths of 1 to 6 steps, zero-padded to (n, 6), in 7 RNG calls.  Per step:
-    # dAc ~ U(0, 0.5) w.p. 1/2, else 0; dA ~ U(0, 1), then 1 w.p. 0.15, then 0
-    # w.p. 0.15; f ~ N(0, 1.5)
-    steps = rng.integers(1, 7, n)
-    shape = (n, 6)
-    dAc = np.where(rng.random(shape) < 0.5, rng.uniform(0.0, 0.5, shape), 0.0)
-    dA = rng.uniform(0.0, 1.0, shape)
-    dA[rng.random(shape) < 0.15] = 1.0
-    dA[rng.random(shape) < 0.15] = 0.0
-    f_vals = rng.normal(0.0, 1.5, shape)
+def _stream(name, seed) -> random.Random:
+    # the seeded stream of one randomized check
+    return random.Random(f"{name}:{int(seed)}")
+
+
+def _uniforms(r, *shape):
+    # uniforms on [0, 1) from the top 53 bits of 8 bytes each, so a block is
+    # the concatenation of its rows' draws
+    u = np.frombuffer(r.randbytes(8 * math.prod(shape)), "<u8") >> 11
+    return (u * 2.0 ** -53).reshape(shape)
+
+
+def _normal_block(r, n, k, scale=1.0):
+    # n rows of k normals of standard deviation scale, by Box-Muller on
+    # consecutive pairs of uniforms
+    u = _uniforms(r, n, 2 * k)
+    return scale * np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2])) * np.cos(2.0 * np.pi * u[:, 1::2])
+
+
+def _random_paths(r, n):
+    # n paths of 1 to 6 steps, zero-padded to (n, 6), in 2 draws: 1 + floor(6u)
+    # steps; per step dAc ~ U(0, 0.5) w.p. 1/2, else 0; dA ~ U(0, 1), then 1
+    # w.p. 0.15, then 0 w.p. 0.15; f normal with standard deviation 1.5
+    u = _uniforms(r, n, 31)
+    steps = 1 + (6.0 * u[:, 0]).astype(np.int64)
+    half, dAc, dA, one, zero = u[:, 1:].reshape(n, 5, 6).transpose(1, 0, 2)
+    dAc = np.where(half < 0.5, 0.5 * dAc, 0.0)
+    dA = np.where(zero < 0.15, 0.0, np.where(one < 0.15, 1.0, dA))
+    f_vals = _normal_block(r, n, 6, 1.5)
     dAc, dA, f_vals = np.where(np.arange(6) >= steps[:, None], 0.0, [dAc, dA, f_vals])
     return dAc, dA, f_vals, steps
 
 
-def _worst_integral_inequality(rng, beta: float) -> CheckResult:
-    lhs, rhs = _integral_inequality_rows(*_random_paths(rng, N_PATHS), beta, 0)
-    i = _worst_row(lhs - rhs)
-    return _inequality("integral_inequality", lhs[i], rhs[i], detail={"t_index": 0, "beta": beta})
+def _worst_integral_inequality(seed, beta: float) -> CheckResult:
+    # the worst row among the paths with an increment: a path with dAc = dA = 0
+    # has lhs = rhs = 0, which says nothing of the margin; they are counted
+    dAc, dA, f_vals, steps = _random_paths(_stream("paths", seed), N_PATHS)
+    lhs, rhs = _integral_inequality_rows(dAc, dA, f_vals, steps, beta, 0)
+    trivial = ~np.any(dAc + dA, axis=1)
+    i = _worst_row(np.where(trivial, -np.inf, lhs - rhs))
+    return _inequality("integral_inequality", lhs[i], rhs[i], detail={
+        "t_index": 0, "beta": beta, "trivial_paths": int(np.sum(trivial))})
 
 
 def _sandwich_rows(F, da, phi, mid=None):
@@ -389,7 +416,7 @@ def _solution_sandwich(Z, tree: ScenarioTree, w, z_sem):
     return _field_worst("solution", v), float(np.sum(w * da * lo)), float(np.sum(w * da * sq))
 
 
-def _norm_sandwich(solution, z_sq: float, tree: ScenarioTree, take, rng) -> CheckResult:
+def _norm_sandwich(solution, z_sq: float, tree: ScenarioTree, take, r) -> CheckResult:
     # the solution Z (its _solution_sandwich; Z norm z_sq), then every slot of
     # the constant 1 (lower end met), of a normal field R and of R centred
     # (upper end met when m > 1), then N_FIELDS normal rows on each slot of
@@ -404,25 +431,26 @@ def _norm_sandwich(solution, z_sq: float, tree: ScenarioTree, take, rng) -> Chec
         return _field_worst(name, _sandwich_rows(F, da[sel], phi[sel])[2], at)
 
     found = [solution_worst, worst_of("constant", np.broadcast_to(1.0, phi.shape))]
-    R = rng.standard_normal(phi.shape)
+    R = _normal_block(r, *phi.shape)
     found.append(worst_of("normal", R))
     R -= norms._phi_dot(R, phi)[:, None]
     found.append(worst_of("centred", R))
-    found.append(worst_of("sampled", rng.standard_normal((rows.size, tree.n_marks)), rows))
+    found.append(worst_of("sampled", _normal_block(r, rows.size, tree.n_marks), rows))
     found = [c for c in found if c is not None]
     worst, detail = found[_worst_row([c[0] for c in found])] if found else (0.0, {})
     return _inequality("norm_equivalence", worst, 0.0,
                        detail={**detail, "lower": lower, "mid": z_sq, "upper": upper})
 
 
-def run_suite(problem, solution, rng=None, c_scale=1.0):
+def run_suite(problem, solution, seed=0, c_scale=1.0):
     """Run every check against one solved problem plus randomized inputs.
 
     The generator is frozen along the solved pair, which turns any
     solution into the solution of a linear problem, so the energy
     identity and the a priori bound apply verbatim.  Randomized inputs
     (``N_PATHS`` drift paths, sandwich fields, Lipschitz samples) come from
-    ``rng`` and two children of it, one stream per check.
+    the ``paths``, ``sandwich`` and ``lipschitz`` streams of the integer
+    ``seed``, one stream per check.
 
     Quantities that depend only on the tree, ``beta`` or the solved pair
     are computed once: the frozen driver values, the slot weights and the
@@ -431,8 +459,6 @@ def run_suite(problem, solution, rng=None, c_scale=1.0):
 
     Returns a list of :class:`CheckResult`, one aggregate row per check.
     """
-    rng = rng or np.random.default_rng(0)
-    rng_sandwich, rng_lip = rng.spawn(2)
     tree, beta = problem.tree(), problem.beta
     results: list[CheckResult] = []
 
@@ -457,7 +483,7 @@ def run_suite(problem, solution, rng=None, c_scale=1.0):
 
     # path inequality and a priori bound need beta > 0
     if beta > 0:
-        results.append(_worst_integral_inequality(rng, beta))
+        results.append(_worst_integral_inequality(seed, beta))
         # y_norm_sq + z_norm_sq
         lhs = norms._weighted_y_sq(Y, tree, w) + z_sq
         results.append(_apriori_estimate(tree, Y, f_path, beta, E_end, lhs, c_scale))
@@ -468,10 +494,11 @@ def run_suite(problem, solution, rng=None, c_scale=1.0):
     # the norm sandwich per slot, and the Lipschitz bound on a spread of slots
     # increasing as it is (np.unique would only import numpy.ma: 15 ms, 0.5 MiB)
     take = np.linspace(0, tree.n_slots - 1, min(MAX_SLOTS, tree.n_slots)).astype(int)
-    results.append(_norm_sandwich(solution_sandwich, z_sq, tree, take, rng_sandwich))
+    results.append(_norm_sandwich(solution_sandwich, z_sq, tree, take, _stream("sandwich", seed)))
     if tree.n_slots:
-        # N_SAMPLES rows per slot of take, drawn as one block of the per-slot stream
-        draws = rng_lip.normal(0, 2.0, (take.size * N_SAMPLES, 2 + 2 * tree.n_marks))
+        # N_SAMPLES rows per slot of take, slot after slot, as one block of the stream
+        draws = _normal_block(_stream("lipschitz", seed), take.size * N_SAMPLES,
+                              2 + 2 * tree.n_marks, 2.0)
         results.append(_lipschitz_rows(problem.f, tree.block(np.repeat(take, N_SAMPLES)),
                                        draws, None, N_SAMPLES))
     else:

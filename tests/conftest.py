@@ -760,13 +760,14 @@ def loop_norm_sandwich(F, tree, slots):
     return np.array(out, dtype=float).reshape(-1, 3).T
 
 
-def loop_run_sandwich(Z, tree, beta, take, rng):
+def loop_run_sandwich(Z, tree, beta, take, stream):
     """The suite's norm sandwich row: one scan over every row of every field."""
     from treebsde import norms, verification as v
     n, m = tree.n_slots, tree.n_marks
-    R = rng.standard_normal((n, m))
+    R = np.array([normal_draws(stream, m) for _ in range(n)]).reshape(n, m)
     centred = np.array([r - phi_sum(r, phi) for r, phi in zip(R, tree.slot_phi)]).reshape(n, m)
-    samples = [rng.standard_normal((v.N_FIELDS, m)) for _ in take]
+    samples = [np.array([normal_draws(stream, m) for _ in range(v.N_FIELDS)]).reshape(-1, m)
+               for _ in take]
     rows = [s for s in take for _ in range(v.N_FIELDS)]
     fields = [("solution", Z, range(n)), ("constant", np.ones((n, m)), range(n)),
               ("normal", R, range(n)), ("centred", centred, range(n)),
@@ -783,10 +784,16 @@ def loop_run_sandwich(Z, tree, beta, take, rng):
     return v._inequality("norm_equivalence", worst, 0.0, detail={**detail, **sums})
 
 
-def per_sample_draws(rng, samples, m):
+def normal_draws(stream, k, scale=1.0):
+    """``k`` normal draws of a check stream, one Box-Muller pair at a time."""
+    from treebsde.verification import _normal_block
+    return np.array([_normal_block(stream, 1, 1, scale)[0, 0] for _ in range(k)])
+
+
+def per_sample_draws(stream, samples, m):
     """Lipschitz samples ``(y, y2, z, z2)`` drawn one scalar or vector at a time."""
-    return [(rng.normal(0, 2.0), rng.normal(0, 2.0),
-             rng.normal(0, 2.0, m), rng.normal(0, 2.0, m))
+    return [(normal_draws(stream, 1, 2.0)[0], normal_draws(stream, 1, 2.0)[0],
+             normal_draws(stream, m, 2.0), normal_draws(stream, m, 2.0))
             for _ in range(samples)]
 
 
@@ -841,14 +848,13 @@ def full_matrix_jump_identity(solution, problem):
                                     slack=verification.JUMP_SLACK)
 
 
-def loop_run_suite(problem, solution, rng=None, c_scale=1.0):
+def loop_run_suite(problem, solution, seed=0, c_scale=1.0):
     """``run_suite`` with one check call per grid time, path, field and sample.
 
-    The drift paths are the library's block draw, each row cut to its length.
+    The drift paths are the library's block draw, each row cut to its length;
+    the worst path is scanned among those with an increment, if any.
     """
     from treebsde import solver, verification as v
-    rng = rng or np.random.default_rng(0)
-    rng_sandwich, rng_lipschitz = rng.spawn(2)
     tree = problem.tree()
     results = []
     beta = problem.beta
@@ -865,9 +871,12 @@ def loop_run_suite(problem, solution, rng=None, c_scale=1.0):
                                for j in range(tree.horizon + 1)], lambda r: r.rel_gap))
 
     if beta > 0:
-        paths = block_paths(*v._random_paths(rng, v.N_PATHS))
-        results.append(scan_worst([loop_integral_inequality(path, f, beta) for path, f in paths],
-                                  lambda r: r.abs_gap))
+        paths = block_paths(*v._random_paths(v._stream("paths", seed), v.N_PATHS))
+        live = [(path, f) for path, f in paths if path.any()]
+        worst = scan_worst([loop_integral_inequality(path, f, beta) for path, f in live or paths],
+                           lambda r: r.abs_gap)
+        results.append(dataclasses.replace(worst, detail={
+            **worst.detail, "trivial_paths": len(paths) - len(live)}))
         results.append(v.check_apriori_estimate(frozen, solution, c_scale=c_scale))
     else:
         results.append(v._skipped("integral_inequality", "needs beta > 0"))
@@ -875,11 +884,12 @@ def loop_run_suite(problem, solution, rng=None, c_scale=1.0):
 
     take = np.unique(np.linspace(0, tree.n_slots - 1,
                                  min(v.MAX_SLOTS, tree.n_slots)).astype(int))
-    results.append(loop_run_sandwich(Z, tree, beta, take, rng_sandwich))
+    results.append(loop_run_sandwich(Z, tree, beta, take, v._stream("sandwich", seed)))
     if tree.n_slots:
+        stream = v._stream("lipschitz", seed)
         results.append(scan_worst(
             [loop_lipschitz(problem.f, tree.slot(int(s)),
-                            per_sample_draws(rng_lipschitz, v.N_SAMPLES, tree.n_marks))
+                            per_sample_draws(stream, v.N_SAMPLES, tree.n_marks))
              for s in take], lambda r: r.abs_gap))
     else:
         results.append(v._skipped("lipschitz_bound", "no slots"))

@@ -179,7 +179,8 @@ def test_criterion_6_inequalities_bulk():
             continue
         gen = random_generator(rng, tree)
         slot = tree.slot(int(rng.integers(tree.n_slots)))
-        if not check_lipschitz(gen, slot, samples=25, rng=rng).passed:
+        if not check_lipschitz(gen, slot, samples=25,
+                               seed=int(rng.integers(2 ** 31))).passed:
             violations["lipschitz"] += 1
         n_samples += 25
 

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -442,3 +446,28 @@ def test_beta_sweep_sets_up_once(tmp_path, monkeypatch):
                               "relative_to_beta_min": True})
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
     assert calls == {"terminal": 1, "threshold": 1}
+
+
+def test_the_commands_load_no_random_or_masked_array_modules(tmp_path):
+    # numpy.random pulls in secrets, hmac and _hashlib (OpenSSL) at its first
+    # use, and np.unique pulls in numpy.ma; a fresh process runs each command
+    # on a small config and must load none of them
+    cfg = write_config(tmp_path, generator={"preset": "affine_y",
+                                            "params": {"c0": 0.3, "c1": 0.4}},
+                       sweep={"param": "beta", "values": [1.0, 2.0],
+                              "relative_to_beta_min": True})
+    script = (
+        "import sys\n"
+        "from treebsde import cli\n"
+        "for command in ('verify', 'solve', 'sweep'):\n"
+        "    out = sys.argv[2] + '/' + command\n"
+        "    assert cli.main([command, '--config', sys.argv[1], '--out', out]) == 0\n"
+        "print(sorted(m for m in ('numpy.random', 'secrets', '_hashlib', 'numpy.ma')\n"
+        "             if m in sys.modules))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -552,7 +552,7 @@ def test_empty_tree_results_of_every_layer():
     assert r.detail == {"gamma": 0.5, "lower": 0.0, "mid": 0.0, "upper": 0.0}
 
     sol = backward_oracle(problem)
-    results = run_suite(problem, sol, rng=np.random.default_rng(0))
+    results = run_suite(problem, sol, seed=0)
     assert [(c.name, c.kind, c.passed) for c in results] == [
         ("identity_lemma", "identity", True),
         ("integral_inequality", "inequality", True),

@@ -2,11 +2,11 @@
 
 ``run_suite`` shares integrands across grid times and evaluates its
 randomized checks as blocks; every row must keep the bits of the loop
-forms in ``conftest`` and leave the random generator in the same state.
-The integral inequality draws from the caller's generator, the norm
-sandwich and the Lipschitz check from one child each of ``rng.spawn(2)``.
-The loop suite evaluates the library's block of drift paths row by row, so
-the law of that draw is tested on its own.
+forms in ``conftest``.  The drift paths, the norm sandwich and the
+Lipschitz check each draw from their own stream of the seed
+(``verification._stream``).  The loop suite evaluates the library's block
+of drift paths row by row, so the law of that draw is tested on its own,
+as is the law of the normals.
 """
 
 import numpy as np
@@ -16,8 +16,8 @@ from treebsde import (BsdeProblem, Generator, Solution, backward_oracle, build_t
                       check_identity_lemma, check_integral_inequality,
                       check_lipschitz, check_solution_jump_identity, run_suite,
                       scenarios, verification)
-from treebsde.verification import (_integral_inequality_rows, _random_paths,
-                                   _worst_integral_inequality)
+from treebsde.verification import (_integral_inequality_rows, _normal_block, _random_paths,
+                                   _stream, _worst_integral_inequality)
 
 from conftest import (block_paths, full_matrix_jump_identity, loop_identity_lemma,
                       loop_integral_inequality, loop_lipschitz, loop_run_suite,
@@ -56,21 +56,19 @@ def _suite_case(seed):
 @pytest.mark.parametrize("seed", range(24))
 def test_run_suite_is_the_loop_suite_to_the_bit(seed):
     problem, sol = _suite_case(seed)
-    rng_block, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
-    block = run_suite(problem, sol, rng=rng_block)
-    loop = loop_run_suite(problem, sol, rng=rng_loop)
+    block = run_suite(problem, sol, seed=seed)
+    loop = loop_run_suite(problem, sol, seed=seed)
     assert [_bits(r) for r in block] == [_bits(r) for r in loop]
-    assert rng_block.bit_generator.state == rng_loop.bit_generator.state
 
 
 def test_a_nan_path_row_is_the_loop_suite_row():
-    # at beta = 1000 some paths of default_rng(1) are NaN: both scans keep the first
+    # at beta = 1000 some paths of seed 1 are NaN: both scans keep the first
     problem = BsdeProblem(model=scenarios.deterministic_grid(K=3, m=2, a=0.5), beta=1000.0,
                           xi=scenarios.xi_jump_count(), f=Generator.zero())
     sol = backward_oracle(problem)
     with np.errstate(over="ignore", invalid="ignore"):
-        block = run_suite(problem, sol, rng=np.random.default_rng(1))
-        loop = loop_run_suite(problem, sol, rng=np.random.default_rng(1))
+        block = run_suite(problem, sol, seed=1)
+        loop = loop_run_suite(problem, sol, seed=1)
     assert [_bits(r) for r in block] == [_bits(r) for r in loop]
     assert np.isnan(block[1].abs_gap)
 
@@ -78,20 +76,19 @@ def test_a_nan_path_row_is_the_loop_suite_row():
 @pytest.mark.parametrize("seed", [1, 2, 5])
 def test_each_randomized_check_draws_from_its_own_stream(seed, monkeypatch):
     # drawing more or fewer items in one check moves no other check's row,
-    # and the paths keep the stream of the caller's generator
+    # and the paths are the seed's "paths" stream
     problem, sol = _suite_case(seed)
     assert problem.beta > 0
 
     def rows():
-        return {r.name: _bits(r) for r in run_suite(problem, sol, rng=np.random.default_rng(seed))}
+        return {r.name: _bits(r) for r in run_suite(problem, sol, seed=seed)}
 
     def same_but(name, other):
         assert {k: v for k, v in other.items() if k != name} == {
             k: v for k, v in base.items() if k != name}
 
     base = rows()
-    assert base["integral_inequality"] == _bits(_worst_integral_inequality(
-        np.random.default_rng(seed), problem.beta))
+    assert base["integral_inequality"] == _bits(_worst_integral_inequality(seed, problem.beta))
     for name, attr in (("integral_inequality", "N_PATHS"), ("norm_equivalence", "N_FIELDS"),
                        ("lipschitz_bound", "N_SAMPLES")):
         with monkeypatch.context() as mp:
@@ -139,7 +136,7 @@ def test_integral_inequality_block_rows_are_the_loop_rows(beta):
     # square of the drift goes through C's pow, which is not always x * x,
     # and at beta = 3000 the weights overflow, so a padded term must not
     # turn an infinite row into a NaN one
-    block = _random_paths(np.random.default_rng(17), 4000)
+    block = _random_paths(_stream("paths", 17), 4000)
     with np.errstate(over="ignore", invalid="ignore"):
         lhs, rhs = _integral_inequality_rows(*block, beta, 0)
         loop = [loop_integral_inequality(path, f, beta) for path, f in block_paths(*block)]
@@ -148,24 +145,24 @@ def test_integral_inequality_block_rows_are_the_loop_rows(beta):
 
 
 def test_drift_path_block_draw_has_the_per_step_law():
-    # 7 RNG calls whatever the count, every length 1..6, exact zeros past each
-    # length, and the shares of the per-step law: dA = 1 with 0.15 * 0.85,
-    # dA = 0 with 0.15, dAc = 0 with 1/2
+    # two draws of bytes whatever the count, every length 1..6, exact zeros
+    # past each length, and the shares of the per-step law: dA = 1 with
+    # 0.15 * 0.85, dA = 0 with 0.15, dAc = 0 with 1/2
     calls = []
 
     class Counting:
-        def __init__(self, rng):
-            self.rng = rng
+        def __init__(self, stream):
+            self.stream = stream
 
         def __getattr__(self, name):
             calls.append(name)
-            return getattr(self.rng, name)
+            return getattr(self.stream, name)
 
     for n in (1, 200):
         calls.clear()
-        _random_paths(Counting(np.random.default_rng(n)), n)
-        assert len(calls) == 7
-    dAc, dA, f_vals, steps = _random_paths(np.random.default_rng(23), 6000)
+        _random_paths(Counting(_stream("paths", n)), n)
+        assert calls == ["randbytes"] * 2
+    dAc, dA, f_vals, steps = _random_paths(_stream("paths", 23), 6000)
     assert set(steps.tolist()) == set(range(1, 7))
     padded = np.arange(6) >= steps[:, None]
     for a in (dAc, dA, f_vals):
@@ -174,27 +171,61 @@ def test_drift_path_block_draw_has_the_per_step_law():
     assert np.mean(dA[real] == 1.0) == pytest.approx(0.1275, abs=0.02)
     assert np.mean(dA[real] == 0.0) == pytest.approx(0.15, abs=0.02)
     assert np.mean(dAc[real] == 0.0) == pytest.approx(0.5, abs=0.02)
+    assert np.all((0.0 <= dAc) & (dAc < 0.5) & (0.0 <= dA) & (dA <= 1.0))
+    assert np.std(f_vals[real]) == pytest.approx(1.5, rel=0.03)
+
+
+def test_normals_have_the_standard_normal_law():
+    # 10^5 Box-Muller draws: the standard error of the mean is 0.0032 and of
+    # the variance 0.0045, so the bounds are about 5 of them; the share of
+    # |z| > 2 is 0.0455 with a standard error of 0.00066
+    z = _normal_block(_stream("law", 0), 100_000, 1)[:, 0]
+    assert np.all(np.isfinite(z))
+    assert abs(np.mean(z)) < 0.016
+    assert abs(np.var(z) - 1.0) < 0.023
+    assert abs(np.mean(np.abs(z) > 2.0) - 0.0455) < 0.0035
+    assert np.array_equal(_normal_block(_stream("law", 0), 10, 1, 2.0), 2.0 * z[:10, None])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5, 9])
+def test_integral_inequality_row_skips_the_paths_without_increment(seed):
+    # a path with dAc = dA = 0 on every step has lhs = rhs = 0, a gap of 0
+    # above every true gap: the row is the worst path with an increment,
+    # and the trivial paths are counted
+    dAc, dA, f_vals, steps = _random_paths(_stream("paths", seed), verification.N_PATHS)
+    trivial = ~np.any(dAc + dA, axis=1)
+    lhs, rhs = _integral_inequality_rows(dAc, dA, f_vals, steps, 1.0, 0)
+    row = _worst_integral_inequality(seed, 1.0)
+    assert row.detail["trivial_paths"] == int(trivial.sum())
+    assert row.passed and row.lhs - row.rhs < 0.0 and row.lhs > 0.0
+    assert row.lhs - row.rhs == np.max((lhs - rhs)[~trivial])
+
+
+def test_integral_inequality_row_of_only_trivial_paths(monkeypatch):
+    # no path has an increment: the row is the first path, at lhs = rhs = 0
+    zeros = np.zeros((4, 6))
+    monkeypatch.setattr(verification, "_random_paths",
+                        lambda r, n: (zeros, zeros, np.ones((4, 6)), np.full(4, 6)))
+    row = _worst_integral_inequality(0, 1.0)
+    assert (row.lhs, row.rhs, row.passed) == (0.0, 0.0, True)
+    assert row.detail["trivial_paths"] == 4
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_lipschitz_block_draw_is_the_per_sample_stream(m):
-    rng_block, rng_loop = np.random.default_rng(40 + m), np.random.default_rng(40 + m)
-    block = rng_block.normal(0, 2.0, (50, 2 + 2 * m))
-    draws = per_sample_draws(rng_loop, 50, m)
+    block = _normal_block(_stream("lipschitz", 40 + m), 50, 2 + 2 * m, 2.0)
+    draws = per_sample_draws(_stream("lipschitz", 40 + m), 50, m)
     for col, part in ((block[:, 0], 0), (block[:, 1], 1)):
         assert col.tobytes() == np.array([d[part] for d in draws]).tobytes()
     assert block[:, 2:2 + m].tobytes() == np.array([d[2] for d in draws]).tobytes()
     assert block[:, 2 + m:].tobytes() == np.array([d[3] for d in draws]).tobytes()
-    assert rng_block.bit_generator.state == rng_loop.bit_generator.state
 
     tree = build_tree(scenarios.deterministic_grid(K=2, m=m, a=0.4))
     f = random_generator(np.random.default_rng(m), tree)
-    rng_block, rng_loop = np.random.default_rng(7), np.random.default_rng(7)
-    r_block = check_lipschitz(f, tree.slot(0), samples=50, rng=rng_block)
-    draws = per_sample_draws(rng_loop, 50, m)
+    r_block = check_lipschitz(f, tree.slot(0), samples=50, seed=7)
+    draws = per_sample_draws(_stream("lipschitz", 7), 50, m)
     r_loop = check_lipschitz(f, tree.slot(0), samples=draws)
     assert _bits(r_block) == _bits(r_loop) == _bits(loop_lipschitz(f, tree.slot(0), draws))
-    assert rng_block.bit_generator.state == rng_loop.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -11,8 +11,8 @@ from treebsde import scenarios, verification
 from treebsde.verification import _sandwich_rows
 
 from conftest import (brute_doleans, leaf_paths, loop_norm_sandwich, node_children,
-                      node_outcomes, per_slot, phi_sum, random_linear_problem, random_problem,
-                      scalar_hat_z, scalar_seminorm)
+                      node_outcomes, per_sample_draws, per_slot, phi_sum,
+                      random_linear_problem, random_problem, scalar_hat_z, scalar_seminorm)
 
 
 # -- energy identity --------------------------------------------------------------
@@ -256,7 +256,7 @@ def test_unit_jump_tree_gets_a_sandwich_row():
                           beta=1.0, xi=scenarios.xi_last_mark_indicator(0, 1.0, n_marks=3),
                           f=_affine_z())
     sol = backward_oracle(problem)
-    row = next(r for r in run_suite(problem, sol, rng=np.random.default_rng(3))
+    row = next(r for r in run_suite(problem, sol, seed=3)
                if r.name == "norm_equivalence")
     assert row.kind == "inequality" and row.passed
     # the solved rows are centred, so the solution sits on the upper end
@@ -276,7 +276,7 @@ def test_sandwich_fails_a_seminorm_with_a_shrunk_atom_term(monkeypatch):
     tree = problem.tree()
 
     def row():
-        return next(r for r in run_suite(problem, sol, rng=np.random.default_rng(0))
+        return next(r for r in run_suite(problem, sol, seed=0)
                     if r.name == "norm_equivalence")
 
     assert row().passed
@@ -322,7 +322,7 @@ def test_lipschitz_seminorm_generator_tight():
 def test_lipschitz_detects_understated_constant():
     slot = build_tree(scenarios.deterministic_grid(K=1, m=1, a=0.5)).slot(0)
     f = Generator(lambda b, y, z: 2.0 * y, 0.5, 0.0)    # true constant is 2
-    r = check_lipschitz(f, slot, samples=100, rng=np.random.default_rng(0))
+    r = check_lipschitz(f, slot, samples=100, seed=0)
     assert not r.passed
     assert r.detail["witness"] is not None
 
@@ -349,7 +349,7 @@ def test_lipschitz_block_is_the_same_check_for_both_forms(a):
     pair = block_and_scalar_twins(
         tree, lambda block, y, zeta: 0.4 * np.sin(y)
         + 0.9 * np.tanh(norms.lipschitz_seminorm_rows(zeta, block)), 0.4, 0.9)
-    rows = [check_lipschitz(f, slot, samples=60, rng=np.random.default_rng(3))
+    rows = [check_lipschitz(f, slot, samples=60, seed=3)
             for f in pair]
     assert rows[0] == rows[1]
     assert rows[0].lhs.hex() == rows[1].lhs.hex() and rows[0].passed
@@ -413,7 +413,7 @@ def test_run_suite_all_pass_on_nonlinear_problem():
     rng = np.random.default_rng(21)
     problem, delta = random_problem(rng, max_horizon=4)
     sol, _ = picard_solve(problem, delta=delta)
-    results = run_suite(problem, sol, rng=np.random.default_rng(0))
+    results = run_suite(problem, sol, seed=0)
     assert all(r.passed for r in results)
     names = {r.name for r in results}
     assert {"identity_lemma", "integral_inequality", "apriori_estimate",
@@ -461,19 +461,19 @@ def test_suite_keeps_a_nan_lipschitz_slot():
     f = Generator(lambda b, y, z: np.where((b.index == 6) & (np.abs(y) > 1.0), np.nan, 0.1),
                   0.0, 0.0)
     problem = BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_constant(0.0), f=f)
-    results = run_suite(problem, solve_linear(problem), rng=np.random.default_rng(0))
+    results = run_suite(problem, solve_linear(problem), seed=0)
     row = next(r for r in results if r.name == "lipschitz_bound")
     assert not row.passed and np.isnan(row.lhs)
 
 
 def test_suite_fails_a_nan_integral_inequality_path():
     # at beta = 1000 the path weights overflow, and some of the 200 paths of
-    # default_rng(1) evaluate to NaN (inf * 0): the row must fail on the first
+    # seed 1 evaluate to NaN (inf * 0): the row must fail on the first
     # of them instead of reporting the largest finite gap
     problem = BsdeProblem(model=scenarios.deterministic_grid(K=2, m=1, a=0.5), beta=1000.0,
                           xi=scenarios.xi_jump_count(), f=Generator.zero())
     with np.errstate(over="ignore", invalid="ignore"):
-        results = run_suite(problem, solve_linear(problem), rng=np.random.default_rng(1))
+        results = run_suite(problem, solve_linear(problem), seed=1)
     row = next(r for r in results if r.name == "integral_inequality")
     assert not row.passed and np.isnan(row.lhs - row.rhs)
 
@@ -489,13 +489,13 @@ def test_suite_lipschitz_witness_is_the_first_nan_slot():
     tree = problem.tree()
     take = np.linspace(0, tree.n_slots - 1, verification.MAX_SLOTS).astype(int)
     assert set(bad) <= set(take.tolist())
-    results = run_suite(problem, solve_linear(problem), rng=np.random.default_rng(0))
+    results = run_suite(problem, solve_linear(problem), seed=0)
     row = next(r for r in results if r.name == "lipschitz_bound")
     assert not row.passed and np.isnan(row.lhs)
     assert row.detail["n_samples"] == verification.N_SAMPLES
-    rng_lip = np.random.default_rng(0).spawn(2)[1]
-    per_slot_rows = {int(s): check_lipschitz(f, tree.slot(s), verification.N_SAMPLES,
-                                             rng=rng_lip) for s in take}
+    stream = verification._stream("lipschitz", 0)
+    per_slot_rows = {int(s): check_lipschitz(f, tree.slot(s), per_sample_draws(
+        stream, verification.N_SAMPLES, tree.n_marks)) for s in take}
     assert np.isnan(per_slot_rows[20].lhs)
     assert row.detail == per_slot_rows[6].detail != per_slot_rows[20].detail
 
@@ -512,6 +512,6 @@ def test_suite_calls_the_driver_twice_for_the_lipschitz_samples():
                           xi=scenarios.xi_jump_count(), f=Generator(fn, 0.5, 0.0))
     sol = backward_oracle(problem)
     sizes.clear()
-    assert all(r.passed for r in run_suite(problem, sol, rng=np.random.default_rng(0)))
+    assert all(r.passed for r in run_suite(problem, sol, seed=0))
     n_rows = verification.MAX_SLOTS * verification.N_SAMPLES
     assert sizes == [problem.tree().n_slots, n_rows, n_rows]

@@ -9,10 +9,11 @@ up to ``(m+1)^K`` terms); inequalities use an absolute slack of 1e-12.
 or the solved pair once and passes it to the private kernels that the
 public ``check_*`` functions also call, so the rows keep their bits.  Each
 randomized check has its own seeded stream of the standard library's
-``random`` (``numpy.random`` is never imported), ``random.Random(f"{name}:{seed}")``
-for ``name`` in ``paths``, ``sandwich`` and ``lipschitz``; it draws its
-inputs as blocks (a block is the concatenation of its rows' draws) and
-evaluates each item with the bits of one check call.
+``random`` (``numpy.random`` is never imported),
+``random.Random(f"{name}:{seed}")`` for ``name`` in ``paths``,
+``sandwich`` and ``lipschitz``; it draws its inputs as blocks (a block is
+the concatenation of its rows' draws) and evaluates each item with the
+bits of one check call.
 Every aggregate row (a grid time, a path, a sandwich row, a Lipschitz
 sample) is chosen by one rule, ``_worst_row``: the first row whose gap is
 NaN, else the first largest gap.  So a NaN never passes unseen.  The drift
@@ -344,7 +345,7 @@ def _jump_identity(tree, Y, Z, f_path) -> CheckResult:
 
 def _stream(name, seed) -> random.Random:
     # the seeded stream of one randomized check
-    return random.Random(f"{name}:{int(seed)}")
+    return random.Random(f"{name}:{seed}")
 
 
 def _uniforms(r, *shape):

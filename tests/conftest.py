@@ -784,10 +784,23 @@ def loop_run_sandwich(Z, tree, beta, take, stream):
     return v._inequality("norm_equivalence", worst, 0.0, detail={**detail, **sums})
 
 
+def _uniform(stream):
+    # one uniform on [0, 1): the top 53 bits of 8 little-endian bytes
+    return (int.from_bytes(stream.randbytes(8), "little") >> 11) * 2.0 ** -53
+
+
 def normal_draws(stream, k, scale=1.0):
-    """``k`` normal draws of a check stream, one Box-Muller pair at a time."""
-    from treebsde.verification import _normal_block
-    return np.array([_normal_block(stream, 1, 1, scale)[0, 0] for _ in range(k)])
+    """``k`` normal draws of a check stream, one Box-Muller pair at a time.
+
+    Written without library code; it takes numpy's scalar ``log`` and
+    ``cos``, since ``math.log`` differs from numpy's in the last bit on
+    some inputs.
+    """
+    out = []
+    for _ in range(k):
+        u1, u2 = _uniform(stream), _uniform(stream)
+        out.append(scale * np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2))
+    return np.array(out)
 
 
 def per_sample_draws(stream, samples, m):

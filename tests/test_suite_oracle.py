@@ -213,12 +213,14 @@ def test_integral_inequality_row_of_only_trivial_paths(monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_lipschitz_block_draw_is_the_per_sample_stream(m):
-    block = _normal_block(_stream("lipschitz", 40 + m), 50, 2 + 2 * m, 2.0)
-    draws = per_sample_draws(_stream("lipschitz", 40 + m), 50, m)
+    s_block, s_loop = _stream("lipschitz", 40 + m), _stream("lipschitz", 40 + m)
+    block = _normal_block(s_block, 50, 2 + 2 * m, 2.0)
+    draws = per_sample_draws(s_loop, 50, m)
     for col, part in ((block[:, 0], 0), (block[:, 1], 1)):
         assert col.tobytes() == np.array([d[part] for d in draws]).tobytes()
     assert block[:, 2:2 + m].tobytes() == np.array([d[2] for d in draws]).tobytes()
     assert block[:, 2 + m:].tobytes() == np.array([d[3] for d in draws]).tobytes()
+    assert s_block.getstate() == s_loop.getstate()
 
     tree = build_tree(scenarios.deterministic_grid(K=2, m=m, a=0.4))
     f = random_generator(np.random.default_rng(m), tree)

@@ -104,14 +104,16 @@ def _cases() -> dict:
 
 # the functions run_suite calls for each check; a tree has some of them
 # (older trees name the norm sandwich ``_worst_norm_equivalence``, and newer
-# ones reduce its solution field apart, in ``_solution_sandwich``)
+# ones reduce its solution field apart, in ``_solution_sandwich``; older trees
+# run the Lipschitz samples through ``check_lipschitz``, newer ones call
+# ``_lipschitz_rows`` on one block)
 CHECKS = {
     "identity_lemma": ("check_identity_lemma", "_identity_lemma_rows"),
     "integral_inequality": ("check_integral_inequality", "_worst_integral_inequality"),
     "apriori_estimate": ("check_apriori_estimate", "_apriori_estimate"),
     "norm_equivalence": ("check_norm_equivalence", "_worst_norm_equivalence",
                          "_solution_sandwich", "_norm_sandwich"),
-    "lipschitz_bound": ("check_lipschitz",),
+    "lipschitz_bound": ("check_lipschitz", "_lipschitz_rows"),
     "jump_identity": ("check_solution_jump_identity", "_jump_identity"),
 }
 

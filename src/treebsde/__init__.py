@@ -15,7 +15,6 @@ from .measure_core import (
     doleans_sqrt_factorization,
 )
 from .norms import (
-    canonical_field,
     mixed_norm_sq,
     y_norm_sq,
     z_norm_sq,
@@ -40,7 +39,6 @@ from .solver import (
     SolverError,
     StepSingular,
     backward_oracle,
-    bsde_residual,
     implicit_step_solve,
     picard_map,
     picard_solve,

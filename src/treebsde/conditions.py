@@ -35,9 +35,11 @@ class DenominatorNonpositive(RuntimeError):
 
 @dataclass(frozen=True)
 class ContractionProfile:
-    """Per-slot contraction data plus the global diagnostics."""
+    """Per-slot contraction data plus the global diagnostics.
 
-    delta_A: np.ndarray
+    The jump sizes are the tree's ``slot_dA``; ``a`` holds ``1 - delta`` per slot.
+    """
+
     hat_lz_sq: np.ndarray
     c: np.ndarray
     d: np.ndarray
@@ -45,7 +47,6 @@ class ContractionProfile:
     b: np.ndarray
     epsilon_star: float
     delta: float
-    alpha: float
     beta: float
     beta_min: float
 
@@ -152,8 +153,5 @@ def _profile(tree: ScenarioTree, eps_star: float, hat: np.ndarray, beta_min: flo
     d = c + da
     a = 2.0 * hat * np.maximum(c, d - da)
     b = np.minimum(beta - 1.0 / c, beta / (1.0 + beta * da) - 1.0 / d)
-    return ContractionProfile(
-        delta_A=da, hat_lz_sq=hat, c=c, d=d, a=a, b=b,
-        epsilon_star=eps_star, delta=delta, alpha=1.0 - delta,
-        beta=beta, beta_min=beta_min,
-    )
+    return ContractionProfile(hat_lz_sq=hat, c=c, d=d, a=a, b=b, epsilon_star=eps_star,
+                              delta=delta, beta=beta, beta_min=beta_min)

@@ -21,9 +21,9 @@ matrix ``H`` of the histories of every node of a depth at once, one row
 per node, and answer with one jump size and one mark law per row.  That
 is the only form a model has; ``scenarios`` adapts a per-history rule to
 it.  The tree keeps those int8 level matrices
-(``ScenarioTree.level_histories``); history tuples of Python ints are
-built only on demand (``ScenarioTree.history``,
-``ScenarioTree.histories``, ``SlotView``).
+(``ScenarioTree.level_histories``); a history tuple of Python ints is
+built only on demand, for one node (``ScenarioTree.history``) or one
+slot (``SlotView``).
 
 The tree keeps per-level data only.  One rule, ``_branches``, gives a
 slot's children from its jump size.  A level's layout has one home, its
@@ -166,7 +166,6 @@ class SlotView:
 
     index: int          # == node index of the parent
     step: int           # 0-based slot index; atom sits at grid[step + 1]
-    time: float         # atom time t_{step+1}
     history: tuple      # outcomes strictly before the slot
     delta_A: float
     phi: np.ndarray
@@ -261,15 +260,13 @@ class ScenarioTree:
         self.level_histories = level_histories
         self.slot_dA = slot_dA
         self.slot_phi = slot_phi
-        self.merged = edges is not None     # True for a tree built from a model with a state
         self.slot_step = np.repeat(np.arange(self.horizon), np.diff(level_start[:-1]))
         self._levels = [_Level(self, k, None if edges is None else edges[k])
                         for k in range(self.horizon)]
         self._plans = {(lv.slots.start, lv.slots.stop): lv for lv in self._levels}
         self._whole: SlotBlock | None = None
         self._doleans_cache: dict[float, np.ndarray] = {}
-        self._views: list[SlotView | None] = [None] * int(level_start[-2])
-        self._histories: list[tuple] | None = None
+        self._views: dict[int, SlotView] = {}
 
     # -- shape ----------------------------------------------------------
 
@@ -304,26 +301,16 @@ class ScenarioTree:
         k = int(np.searchsorted(self.level_start, node, side="right")) - 1
         return tuple(self.level_histories[k][node - int(self.level_start[k])].tolist())
 
-    @property
-    def histories(self) -> list:
-        """History tuple of every node, built on first use and kept."""
-        if self._histories is None:
-            self._histories = [tuple(row) for H in self.level_histories
-                               for row in H.tolist()]
-        return self._histories
-
     def slot(self, i: int) -> SlotView:
         """View of one slot, built on first use and kept."""
         i = int(i)
-        if not 0 <= i < len(self._views):
-            raise IndexError(f"slot {i} outside 0..{len(self._views) - 1}")
-        view = self._views[i]
+        view = self._views.get(i)
         if view is None:
-            step = int(self.slot_step[i])
+            if not 0 <= i < self.n_slots:
+                raise IndexError(f"slot {i} outside 0..{self.n_slots - 1}")
             view = self._views[i] = SlotView(
-                index=i, step=step, time=float(self.model.grid[step + 1]),
-                history=self.history(i), delta_A=float(self.slot_dA[i]),
-                phi=self.slot_phi[i])
+                index=i, step=int(self.slot_step[i]), history=self.history(i),
+                delta_A=float(self.slot_dA[i]), phi=self.slot_phi[i])
         return view
 
     @property

@@ -16,8 +16,9 @@ a one-row block (``SlotBlock.of_view``).
 
 On slots with ``delta_A = 1`` the squared norm cannot see an additive
 constant in the row, so fields are only norm-unique there; the canonical
-representative (``canonical_field``) centers those rows to
-``sum(Z * phi) = 0`` and zeroes the weightless ``delta_A = 0`` rows.
+representative (``_canonical_rows``, which the solvers' fields follow)
+centers those rows to ``sum(Z * phi) = 0`` and zeroes the weightless
+``delta_A = 0`` rows.
 
 All sums run in fixed node-index order so repeated evaluations are bit
 identical.  A row's sum over marks (``_phi_dot``, and the spread in
@@ -39,7 +40,6 @@ __all__ = [
     "z_norm_sq",
     "mixed_norm_sq",
     "lipschitz_seminorm_rows",
-    "canonical_field",
     "adapted_zeros",
     "field_zeros",
 ]
@@ -166,12 +166,3 @@ def _canonical_rows(Z: np.ndarray, rows) -> np.ndarray:
     if rows.zero is not None:
         Z[rows.zero] = 0.0
     return Z
-
-
-def canonical_field(Z: np.ndarray, tree: ScenarioTree) -> np.ndarray:
-    """Canonical norm-equivalent representative of a field.
-
-    Rows on ``delta_A = 0`` slots are zeroed (they carry no norm weight);
-    rows on ``delta_A = 1`` slots are centered to ``sum(Z * phi) = 0``.
-    """
-    return _canonical_rows(np.array(Z, dtype=float, copy=True), tree._plan(slice(0, tree.n_slots)))

@@ -24,8 +24,8 @@ it on every slot of a tree.
 
 On every slot the martingale representation is solved exactly from the
 children's values, one tree level at a time (``_represent_block``); its
-rows follow the canonical-row rule of :func:`treebsde.norms.canonical_field`,
-so fields returned by all solvers are canonical.
+rows follow the canonical-row rule of ``norms._canonical_rows``, so fields
+returned by all solvers are canonical.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ __all__ = [
     "BsdeProblem",
     "Solution",
     "SolveReport",
-    "conditional_means",
-    "bsde_residual",
     "solve_linear",
     "implicit_step_solve",
     "backward_oracle",
@@ -266,21 +264,9 @@ def _represent_block(tree, V, sl):
     return norms._canonical_rows(Z, tree._plan(sl))
 
 
-def conditional_means(tree: ScenarioTree, Y: np.ndarray) -> np.ndarray:
-    """Per-slot conditional mean of the children's Y values."""
-    cm = np.empty(tree.n_slots)
-    for k, lv in enumerate(tree._levels):
-        cm[lv.slots] = _cond_means(tree, tree._child_values(Y, k), lv.slots)
-    return cm
-
-
-def bsde_residual(tree: ScenarioTree, Y: np.ndarray, f_path: np.ndarray) -> float:
-    """Max slot residual of ``Y = cond_mean + dA * f`` over the tree."""
-    return _residual(tree, Y, conditional_means(tree, Y), f_path)
-
-
 def _residual(tree, Y, cm, f_path) -> float:
-    # cm: the conditional means of Y's children, one per slot
+    # max slot residual of Y = cm + dA * f; cm: the conditional means of
+    # Y's children, one per slot
     res = Y[: tree.n_slots] - cm - tree.slot_dA * f_path
     return float(np.max(np.abs(res), initial=0.0))
 

@@ -244,24 +244,17 @@ def check_norm_equivalence(Z, tree: ScenarioTree, beta: float, gamma: float) -> 
 def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, seed=0) -> CheckResult:
     """Sampled Lipschitz bound for a generator at one slot.
 
-    ``samples`` is a count of normal draws (standard deviation 2) from the
-    ``lipschitz`` stream of the integer ``seed``, the draws ``run_suite``
-    makes for its first slot, or a list of ``(y, y2, z, z2)`` samples; the
-    check is ``_lipschitz_rows`` on them.
-    The reported lhs is the worst margin; a NaN margin fails the check,
-    with the first such sample as the witness.
+    ``samples`` is a count, at least 1, of normal draws (standard
+    deviation 2) from the ``lipschitz`` stream of the integer ``seed``:
+    the draws ``run_suite`` makes for its first slot.  The check is
+    ``_lipschitz_rows`` on them.  The reported lhs is the worst margin; a
+    NaN margin fails the check, with the first such sample as the witness.
     """
-    m = slot.phi.size
-    if isinstance(samples, int):
-        if samples < 1:
-            raise ValueError(f"samples must be at least 1, not {samples}")
-        draws = _normal_block(_stream("lipschitz", seed), samples, 2 + 2 * m, 2.0)
-    else:
-        draws = np.array([np.hstack(d) for d in samples], dtype=float)
-        if not draws.size:
-            raise ValueError("samples must hold at least one sample")
-    block = SlotBlock.of_view(slot).take(np.zeros(len(draws), dtype=np.int64))
-    return _lipschitz_rows(f, block, draws, hat_lz_sq, len(draws))
+    if not isinstance(samples, int) or samples < 1:
+        raise ValueError(f"samples must be a count of at least 1, not {samples!r}")
+    draws = _normal_block(_stream("lipschitz", seed), samples, 2 + 2 * slot.phi.size, 2.0)
+    block = SlotBlock.of_view(slot).take(np.zeros(samples, dtype=np.int64))
+    return _lipschitz_rows(f, block, draws, hat_lz_sq, samples)
 
 
 def _lipschitz_rows(f, block, draws, hat_lz_sq, n_samples) -> CheckResult:

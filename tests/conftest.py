@@ -25,16 +25,26 @@ ROOT_OUTCOME = -2     # incoming-outcome code of the root node
 # -- node layout rebuilt from the histories ------------------------------------
 #
 # The tree keeps per-level data only; these rebuild the per-node layout from
-# ``tree.histories`` alone, through a {history: node} map, independently of
+# ``node_histories`` alone, through a {history: node} map, independently of
 # the tree's own child operators.
 
 _LAYOUTS = weakref.WeakKeyDictionary()   # a tree never changes: one layout per tree
 
 
+def node_histories(tree):
+    """History tuple of Python ints of every node, in node order."""
+    return [tuple(row) for H in tree.level_histories for row in H.tolist()]
+
+
+def is_merged(tree):
+    """True for a tree built from a model with a state (its nodes merge by state)."""
+    return tree.model.state is not None
+
+
 def _node_layout(tree):
     layout = _LAYOUTS.get(tree)
     if layout is None:
-        hists = tree.histories
+        hists = node_histories(tree)
         node_of = {h: i for i, h in enumerate(hists)}
         parents = np.array([-1] + [node_of[h[:-1]] for h in hists[1:]], dtype=np.int64)
         outcomes = np.array([ROOT_OUTCOME] + [h[-1] for h in hists[1:]], dtype=np.int64)
@@ -572,6 +582,35 @@ def gather_linear_sweep(tree, xi_leaf, f_path):
     return Y, Z, cm
 
 
+# -- whole-tree forms of the level kernels -------------------------------------------
+
+
+def conditional_means(tree, Y):
+    """Per-slot conditional mean of the children's Y values, level by level."""
+    from treebsde import solver
+    cm = np.empty(tree.n_slots)
+    for k, lv in enumerate(tree._levels):
+        cm[lv.slots] = solver._cond_means(tree, tree._child_values(Y, k), lv.slots)
+    return cm
+
+
+def bsde_residual(tree, Y, f_path):
+    """Max slot residual of ``Y = cond_mean + dA * f`` over the tree."""
+    from treebsde import solver
+    return solver._residual(tree, Y, conditional_means(tree, Y), f_path)
+
+
+def canonical_field(Z, tree):
+    """Canonical copy of a field: ``norms._canonical_rows`` on every slot's row.
+
+    Rows on ``delta_A = 0`` slots are zeroed (they carry no norm weight);
+    rows on ``delta_A = 1`` slots are centered to ``sum(Z * phi) = 0``.
+    """
+    from treebsde import norms
+    return norms._canonical_rows(np.array(Z, dtype=float, copy=True),
+                                 tree._plan(slice(0, tree.n_slots)))
+
+
 # -- per-history twins of the level model and terminal forms -----------------------
 
 
@@ -808,6 +847,19 @@ def per_sample_draws(stream, samples, m):
     return [(normal_draws(stream, 1, 2.0)[0], normal_draws(stream, 1, 2.0)[0],
              normal_draws(stream, m, 2.0), normal_draws(stream, m, 2.0))
             for _ in range(samples)]
+
+
+def lipschitz_samples(f, slot, samples, hat_lz_sq=None):
+    """``check_lipschitz`` on given ``(y, y2, z, z2)`` samples.
+
+    ``verification._lipschitz_rows`` on a block of ``slot`` repeated once
+    per sample.
+    """
+    from treebsde import verification
+    from treebsde.measure_core import SlotBlock
+    draws = np.array([np.hstack(d) for d in samples], dtype=float)
+    block = SlotBlock.of_view(slot).take(np.zeros(len(draws), dtype=np.int64))
+    return verification._lipschitz_rows(f, block, draws, hat_lz_sq, len(draws))
 
 
 def _nan_max(a, b):

@@ -9,8 +9,8 @@ from treebsde import (BsdeProblem, Generator, NonFinite, StepSingular, backward_
                       build_tree, cli, picard_solve, scenarios, solve_linear)
 from treebsde.measure_core import ScenarioTree
 
-from conftest import (gather_accumulate, leaf_paths, on_slots, per_slot, per_slot_oracle,
-                      random_problem, scalar_preset)
+from conftest import (gather_accumulate, leaf_paths, node_histories, on_slots, per_slot,
+                      per_slot_oracle, random_problem, scalar_preset)
 
 PRESETS = [
     ("zero", {}),
@@ -213,13 +213,26 @@ def test_slot_views_built_on_demand_only(monkeypatch):
     tree = problem.tree()
     views = [tree.slot(i) for i in range(tree.n_slots)]
     assert [v.index for v in views] == list(range(tree.n_slots))
-    assert all(v.history == tree.histories[v.index] for v in views)
+    hists = node_histories(tree)
+    assert all(v.history == hists[v.index] for v in views)
     picard_solve(problem, delta=delta)
     backward_oracle(problem)
     monkeypatch.undo()
     assert tree.slot_views == views
     with pytest.raises(IndexError):
         tree.slot(tree.n_slots)
+
+
+def test_slot_views_are_kept_from_first_use():
+    # a build allocates no views; each view is built once, on its first use
+    tree = build_tree(scenarios.deterministic_grid(K=3, m=2, a=0.5))
+    assert tree._views == {}
+    view = tree.slot(4)
+    assert tree.slot(np.int64(4)) is view and list(tree._views) == [4]
+    for i in (-1, tree.n_slots):
+        with pytest.raises(IndexError, match=f"slot {i} outside 0..{tree.n_slots - 1}"):
+            tree.slot(i)
+    assert list(tree._views) == [4]
 
 
 def test_accumulate_matches_path_sums():

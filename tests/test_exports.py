@@ -1,4 +1,5 @@
-"""Every exported name resolves; the scalar twins live only in conftest."""
+"""Every exported name resolves; the scalar twins and the whole-tree forms
+that only tests read live only in conftest."""
 
 import dataclasses
 import importlib
@@ -31,12 +32,40 @@ def test_every_exported_name_resolves(name):
                                          ("batched_terminal", "solver"),
                                          ("hat_z", "norms"),
                                          ("contraction_profile_H", "conditions"),
-                                         ("lipschitz_seminorm", "norms")])
+                                         ("lipschitz_seminorm", "norms"),
+                                         ("bsde_residual", "solver"),
+                                         ("conditional_means", "solver"),
+                                         ("canonical_field", "norms")])
 def test_scalar_twins_left_the_package(name, module):
     assert not hasattr(treebsde, name)
     assert not hasattr(importlib.import_module(f"treebsde.{module}"), name)
     with pytest.raises(ImportError):
         exec(f"from treebsde import {name}", {})
+
+
+def test_a_slot_view_and_a_profile_carry_only_what_is_read():
+    # no atom time on a view; no jump sizes (the tree's slot_dA) and no
+    # 1 - delta (``a`` per slot) on a profile
+    assert [f.name for f in dataclasses.fields(treebsde.SlotView)] == [
+        "index", "step", "history", "delta_A", "phi"]
+    assert [f.name for f in dataclasses.fields(treebsde.ContractionProfile)] == [
+        "hat_lz_sq", "c", "d", "a", "b", "epsilon_star", "delta", "beta", "beta_min"]
+
+
+def test_a_tree_keeps_no_history_tuples_and_no_merged_flag():
+    # neither on a full tree nor on the merged tree of a model with a state
+    model = treebsde.scenarios.discretized_intensity(lam=0.5, K=3, m=1)
+    merged = dataclasses.replace(model, state=lambda k, H: treebsde.scenarios.jump_counts(H))
+    for tree in (treebsde.build_tree(model), treebsde.build_tree(merged)):
+        assert not hasattr(tree, "histories") and not hasattr(tree, "merged")
+        assert "_histories" not in vars(tree)
+
+
+def test_check_lipschitz_refuses_a_list_of_samples():
+    slot = treebsde.build_tree(treebsde.scenarios.deterministic_grid(K=1, m=1, a=0.5)).slot(0)
+    f = treebsde.Generator(lambda block, y, zeta: 0.5 * y, 0.5, 0.0)
+    with pytest.raises(ValueError, match="count"):
+        treebsde.check_lipschitz(f, slot, samples=[(0.0, 1.0, [0.0], [1.0])])
 
 
 def test_a_model_has_one_form():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_apriori_data, gather_accumulate, random_generator
+from conftest import brute_apriori_data, gather_accumulate, is_merged, random_generator
 from treebsde import (BsdeProblem, Generator, backward_oracle, build_tree, cli, conditions,
                       norms, picard_solve, scenarios, solve_linear, solver, verification)
 from treebsde.scenarios import jump_counts, preset_state
@@ -52,7 +52,7 @@ def node_map(full, merged, state):
 def assert_equivalent(full_problem, merged_problem, state, linear=False):
     """The merged problem's solutions and tree sums against the full tree's."""
     full, merged = full_problem.tree(), merged_problem.tree()
-    assert merged.merged and not full.merged
+    assert is_merged(merged) and not is_merged(full)
     nodes = node_map(full, merged, state)
     slots = nodes[:full.n_slots]
 

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from treebsde import SlotBlock, build_tree, norms, scenarios
 
-from conftest import (brute_y_norm, brute_z_norm, jump_second_moment, leaf_paths,
-                      scalar_hat_z, scalar_moments, scalar_seminorm)
+from conftest import (brute_y_norm, brute_z_norm, canonical_field, jump_second_moment,
+                      leaf_paths, scalar_hat_z, scalar_moments, scalar_seminorm)
 
 
 def slot_of(K=1, m=1, a=0.5, phi=None):
@@ -353,7 +353,7 @@ def test_canonical_field_centers_and_zeroes():
 
     tree = build_tree(scenarios.predictable_random_jumps(K=3, m=2, rule=rule))
     Z = rng.normal(0, 1, (tree.n_slots, tree.n_marks))
-    C = norms.canonical_field(Z, tree)
+    C = canonical_field(Z, tree)
     for s in range(tree.n_slots):
         da = tree.slot_dA[s]
         if da == 0.0:

@@ -7,11 +7,12 @@ from treebsde import (BsdeProblem, ConditionViolated, Generator, NoConvergence, 
                       StepSingular, backward_oracle, build_tree, cli, implicit_step_solve,
                       norms, picard_map, picard_solve, solve_linear)
 from treebsde import scenarios
-from treebsde.solver import (Solution, bsde_residual, conditional_means, _cond_means,
+from treebsde.solver import (Solution, _cond_means,
                              _eval_path, _linear_sweep, _represent_block)
 from treebsde.verification import check_solution_jump_identity
 
-from conftest import (full_matrix_jump_identity, gather_accumulate, gather_child_values,
+from conftest import (bsde_residual, canonical_field, conditional_means,
+                      full_matrix_jump_identity, gather_accumulate, gather_child_values,
                       gather_doleans, gather_linear_sweep, gather_parent_broadcast,
                       masked_canonical_rows, node_children, per_slot, random_linear_problem,
                       random_problem, random_terminal, represent_martingale, scalar_hat_z)
@@ -186,7 +187,7 @@ def test_level_kernels_equal_the_gather_forms_to_the_bit(model, blocks):
         assert (_bits(conditional_means(tree, Y))
                 == _bits(_cond_means(tree, gather_child_values(tree, Y, whole), whole)))
     Z = _signed_values(rng, tree.n_slots * tree.n_marks).reshape(tree.n_slots, -1)
-    assert _bits(norms.canonical_field(Z, tree)) == _bits(
+    assert _bits(canonical_field(Z, tree)) == _bits(
         masked_canonical_rows(Z.copy(), tree.slot_dA, tree.slot_phi))
     xi_leaf = _signed_values(rng, tree.n_nodes - tree.n_slots)
     f_path = _signed_values(rng, tree.n_slots)
@@ -539,7 +540,7 @@ def test_empty_tree_results_of_every_layer():
     for arr in (norms.hat_z_rows(Z, tree.block(slice(None))), norms.slot_z_contribution(Z, tree),
                 conditional_means(tree, Y)):
         assert arr.shape == (0,) and arr.dtype == np.float64
-    canon = norms.canonical_field(Z, tree)
+    canon = canonical_field(Z, tree)
     assert canon.shape == (0, 2) and canon.dtype == np.float64 and canon is not Z
     for value in (norms.y_norm_sq(Y, tree, 1.0), norms.z_norm_sq(Z, tree, 1.0),
                   norms.mixed_norm_sq(Y, Z, tree, 1.0, np.ones(0))):

@@ -15,8 +15,8 @@ from treebsde import (BsdeProblem, Generator, MarkSpace, ScenarioModel, TreeTooL
                       solve_linear)
 from treebsde.measure_core import NO_JUMP, ScenarioTree
 
-from conftest import (node_children, node_outcomes, node_parents, one_row, per_leaf,
-                      random_problem, scalar_path, scalar_random_model, scalar_terminals,
+from conftest import (node_children, node_histories, node_outcomes, node_parents, one_row,
+                      per_leaf, random_problem, scalar_path, scalar_random_model, scalar_terminals,
                       scalar_two_state_rule)
 
 TREE_ARRAYS = ("level_start", "prob", "slot_dA", "slot_phi", "slot_step")
@@ -31,7 +31,7 @@ def assert_same_tree(a, b):
     assert len(a.level_histories) == len(b.level_histories)
     for Ha, Hb in zip(a.level_histories, b.level_histories):
         assert Ha.dtype == Hb.dtype == np.int8 and Ha.tobytes() == Hb.tobytes()
-    assert a.histories == b.histories
+    assert node_histories(a) == node_histories(b)
 
 
 def terminal_values(xi, tree):
@@ -179,7 +179,6 @@ def test_histories_are_python_int_tuples_built_on_demand():
     for a_after_jump in (0.3, 1.0, 0.0):
         tree = build_tree(scenarios.two_state_rule(K=3, m=2, a_after_jump=a_after_jump,
                                                    a_after_no_jump=0.6))
-        assert tree._histories is None
         depth = np.repeat(np.arange(tree.horizon + 1), np.diff(tree.level_start))
         for i in range(tree.n_nodes):
             hist = tree.history(i)
@@ -196,7 +195,7 @@ def test_histories_are_python_int_tuples_built_on_demand():
                     == np.repeat(H, branches.sum(axis=1), axis=0).tolist())
             column = np.nonzero(branches)[1]
             assert H_next[:, k].tolist() == np.where(column == m, NO_JUMP, column).tolist()
-        assert tree.histories == [tree.history(i) for i in range(tree.n_nodes)]
+        assert node_histories(tree) == [tree.history(i) for i in range(tree.n_nodes)]
         assert tree.slot(4).history == tree.history(4)
 
 
@@ -245,7 +244,6 @@ def test_solver_routes_never_build_history_tuples(monkeypatch):
 
     rng = np.random.default_rng(4)
     problem, delta = random_problem(rng, K=4)
-    monkeypatch.setattr(ScenarioTree, "histories", property(refuse))
     monkeypatch.setattr(ScenarioTree, "history", refuse)
     tree = build_tree(problem.model)
     gen = Generator(lambda block, y, zeta: 0.3 * np.tanh(y) - 0.1, 0.3, 0.0)

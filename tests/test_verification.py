@@ -10,8 +10,8 @@ from treebsde import scenarios, verification
 
 from treebsde.verification import _sandwich_rows
 
-from conftest import (brute_doleans, leaf_paths, loop_norm_sandwich, node_children,
-                      node_outcomes, per_sample_draws, per_slot, phi_sum,
+from conftest import (brute_doleans, leaf_paths, lipschitz_samples, loop_norm_sandwich,
+                      node_children, node_outcomes, per_sample_draws, per_slot, phi_sum,
                       random_linear_problem, random_problem, scalar_hat_z, scalar_seminorm)
 
 
@@ -363,7 +363,7 @@ def test_lipschitz_block_nan_sample_is_the_witness_for_both_forms():
              (0.0, 3.0, [1.0, 0.0], [0.0, 0.0]), (1.0, 0.5, [0.0, 0.0], [0.0, 0.0])]
     pair = block_and_scalar_twins(
         tree, lambda block, y, zeta: np.where(y == 2.0, np.nan, 5.0 * y), 0.1, 0.1)
-    rows = [check_lipschitz(f, slot, samples=draws) for f in pair]
+    rows = [lipschitz_samples(f, slot, draws) for f in pair]
     for r in rows:
         assert not r.passed and np.isnan(r.lhs)
         assert r.detail["witness"] == {"y": 2.0, "y2": 1.0, "z": [0.0, 1.0], "z2": [0.0, 0.0]}
@@ -449,7 +449,7 @@ def test_lipschitz_fails_on_a_nan_driver():
     draws = [(0.0, 1.0, [0.0, 0.0], [0.1, 0.0]), (2.0, 1.0, [0.0, 1.0], [0.0, 0.0]),
              (0.0, 3.0, [1.0, 0.0], [0.0, 0.0])]
     f = Generator(lambda b, y, z: np.where(y == 2.0, np.nan, 0.0), 0.1, 0.1)
-    r = check_lipschitz(f, slot, samples=draws)
+    r = lipschitz_samples(f, slot, draws)
     assert not r.passed and np.isnan(r.lhs)
     assert r.detail["witness"] == {"y": 2.0, "y2": 1.0, "z": [0.0, 1.0], "z2": [0.0, 0.0]}
 
@@ -494,7 +494,7 @@ def test_suite_lipschitz_witness_is_the_first_nan_slot():
     assert not row.passed and np.isnan(row.lhs)
     assert row.detail["n_samples"] == verification.N_SAMPLES
     stream = verification._stream("lipschitz", 0)
-    per_slot_rows = {int(s): check_lipschitz(f, tree.slot(s), per_sample_draws(
+    per_slot_rows = {int(s): lipschitz_samples(f, tree.slot(s), per_sample_draws(
         stream, verification.N_SAMPLES, tree.n_marks)) for s in take}
     assert np.isnan(per_slot_rows[20].lhs)
     assert row.detail == per_slot_rows[6].detail != per_slot_rows[20].detail

@@ -18,6 +18,9 @@ times, once each and in this order:
 * ``run_suite``: the check suite on the Picard solution, with the time
   of each check inside it (the outermost call of the functions that
   ``run_suite`` calls for that check, whichever of them the tree has);
+* ``sweep_beta``: ``cli.cmd_sweep`` over ``beta`` at 1, 2, 4 and 8 times
+  ``beta_min`` of the config (``relative_to_beta_min``), tree build and
+  ``sweep.csv`` included, after the run has dropped its own tree;
 
 and reports the ``resource.getrusage`` peak RSS of the process at the end,
 and the bytes of the built tree's arrays (``nbytes`` summed over the
@@ -68,6 +71,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+SWEEP_BETAS = [1.0, 2.0, 4.0, 8.0]     # multiples of beta_min, as in sweep_unit_jumps
 
 
 def _cases() -> dict:
@@ -120,8 +124,11 @@ CHECKS = {
 
 def _child(config_path: str) -> None:
     """One run of one case in this process; prints its JSON record."""
+    import contextlib
+    import dataclasses
     import functools
     import inspect
+    import io
     import resource
     import time
 
@@ -190,13 +197,21 @@ def _child(config_path: str) -> None:
     results = verification.run_suite(problem, sol, seed=cfg.seed)
     stages["run_suite"] = time.perf_counter() - t0
 
-    print(json.dumps({
+    record = {
         "nodes": tree.n_nodes, "slots": tree.n_slots, "sweeps": rep.iterations,
         "failed_checks": sum(1 for r in results if not r.passed),
         "tree_bytes": tree_bytes, "tree_bytes_per_node": round(tree_bytes / tree.n_nodes, 2),
         "stages_s": stages, "run_suite_checks_s": checks,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-    }))
+    }
+    # the sweep builds its own tree, so the first one goes before it
+    del built, tree, arrays, problem, diag, sol, rep, results
+    sweep = {"param": "beta", "values": SWEEP_BETAS, "relative_to_beta_min": True}
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        t0 = time.perf_counter()
+        cli.cmd_sweep(dataclasses.replace(cfg, sweep=sweep, out=out))
+        stages["sweep_beta"] = time.perf_counter() - t0
+    record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(json.dumps(record))
 
 
 def _run(src: Path, config_path: Path) -> dict:
@@ -257,6 +272,7 @@ def main(argv=None) -> int:
             print(f"{name}: " + "  ".join(
                 f"{key} refused" if "refused" in out["cases"][name][key] else
                 f"{key} run_suite {out['cases'][name][key]['stages_s']['run_suite']:.3f} s, "
+                f"sweep_beta {out['cases'][name][key]['stages_s']['sweep_beta']:.3f} s, "
                 f"rss {out['cases'][name][key]['peak_rss_mb']:.1f} MiB" for key in trees),
                 file=sys.stderr)
     text = json.dumps(out, indent=2, sort_keys=True)

@@ -221,11 +221,16 @@ def _build_tree(cfg: RunConfig):
         raise ConfigError(f"bad model: {exc}") from exc
 
 
-def _base_problem(cfg: RunConfig, built=None):
+def _base_problem(cfg: RunConfig, built=None, base=None):
     """``(problem at beta 0, its solver._setup_of)``: all of a config's problem but beta.
 
-    ``built`` as in ``_build_problem``.
+    ``built`` as in ``_build_problem``.  ``base``, the pair of a config that
+    differs at most in ``beta`` and ``delta``, lends its problem and its
+    delta-free set-up; ``built`` is then not read.
     """
+    if base is not None:
+        problem, setup = base
+        return problem, solver._setup_of(problem, cfg.delta, setup)
     model, tree = built or _build_tree(cfg)
     gen = _build_generator(cfg.generator, tree)
     xi = _build_terminal(cfg.terminal, tree.n_marks)
@@ -413,7 +418,34 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if not failed else EXIT_SOLVER
 
 
+def _sweep_rows(param: str, runs: list, cfg: RunConfig) -> list:
+    """``sweep.csv`` rows of ``runs``, ``(value, problem, diag)`` triples of one problem.
+
+    The problems differ at most in ``beta`` and ``delta``, so one
+    ``solver._picard`` serves them all.
+    """
+    problem = runs[0][1]
+    sol, reports = solver._picard(problem, [(p.beta, p._setup) for _, p, _ in runs],
+                                  cfg.tol, cfg.max_iter, None, True)
+    rows = []
+    for (v, _, diag), rep in zip(runs, reports):
+        worst = max(rep.ratio_sq) if rep.ratio_sq else ""
+        solved = (float(sol.Y[0]), rep.residual) if rep.converged else ("", "")
+        rows.append((param, v, diag["beta"], diag["delta"], int(rep.converged),
+                     rep.iterations, worst, *solved))
+    return rows
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
+    """Grid over ``beta``, ``delta`` or the horizon ``K``: one ``sweep.csv`` row per value.
+
+    A ``beta`` or ``delta`` sweep builds every value's problem and
+    diagnostics first, so a bad value is a config error before any solve.
+    The fixed-point iterates and their stop depend on neither, so one
+    iteration serves every value: each row has its own ``beta``, ``delta``
+    and ``worst_ratio_sq``, and the rest comes from that one iteration.  A
+    ``K`` sweep builds and solves one tree per value, in turn.
+    """
     t0 = time.perf_counter()
     if not isinstance(cfg.sweep, dict) or not cfg.sweep:
         raise ConfigError("sweep needs a 'sweep' section in the config")
@@ -428,7 +460,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError(f"bad sweep value: {exc}") from exc
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
     # beta and delta leave the model alone: one tree serves every value
     built = _build_tree(cfg) if param != "K" and values else None
     # beta leaves the driver, terminal and delta alone too: one set-up
@@ -438,27 +469,22 @@ def cmd_sweep(cfg: RunConfig) -> int:
         beta_min = _build_problem(cfg, base=base)[1]["beta_min"]
         if beta_min is None:
             raise ConfigError("relative beta sweep needs a valid beta_min")
+    rows, runs = [], []
     for i, v in enumerate(values):
         if param == "beta":
             sub = replace(cfg, beta=v * beta_min if relative else v)
         elif param == "delta":
+            # of the set-up only the threshold depends on delta
             sub = replace(cfg, delta=v)
+            base = _base_problem(sub, built, base)
         else:
             sub = replace(cfg, model={**cfg.model,
                                       "params": {**cfg.model.get("params", {}), "K": horizons[i]}})
-        problem, diag = _build_problem(sub, built, base)
-        try:
-            sol, rep = solver.picard_solve(problem, tol=sub.tol,
-                                           max_iter=sub.max_iter, delta=diag["delta"])
-            worst = max(rep.ratio_sq) if rep.ratio_sq else ""
-            rows.append((param, v, diag["beta"], diag["delta"],
-                         int(rep.converged), rep.iterations, worst,
-                         float(sol.Y[0]), rep.residual))
-        except solver.NoConvergence as exc:
-            rep = exc.report
-            worst = max(rep.ratio_sq) if rep and rep.ratio_sq else ""
-            rows.append((param, v, diag["beta"], diag["delta"], 0,
-                         rep.iterations if rep else cfg.max_iter, worst, "", ""))
+        runs.append((v, *_build_problem(sub, built, base)))
+        # a K sweep has a tree per value, each solved before the next is built
+        if param == "K" or i == len(values) - 1:
+            rows += _sweep_rows(param, runs, cfg)
+            runs = []
     _write_csv(out / "sweep.csv", SWEEP_HEADER, rows)
     elapsed = time.perf_counter() - t0
     print(f"swept {param} over {len(values)} value(s) -> {out / 'sweep.csv'} "

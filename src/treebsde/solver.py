@@ -31,7 +31,7 @@ returned by all solvers are canonical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -206,17 +206,25 @@ class _Setup:
     beta_min: float | None
 
 
-def _setup_of(problem: BsdeProblem, delta: float | None = None) -> _Setup:
-    """The beta-free set-up of ``problem`` at ``delta``; ``problem.beta`` is not read."""
+def _setup_of(problem: BsdeProblem, delta: float | None = None,
+              base: _Setup | None = None) -> _Setup:
+    """The beta-free set-up of ``problem`` at ``delta``; ``problem.beta`` is not read.
+
+    ``base``, a set-up of ``problem`` at any ``delta``, lends its delta-free
+    part, so only ``conditions._threshold`` runs.
+    """
     tree, f = problem.tree(), problem.f
-    eps_star = conditions.check_main_hypothesis(tree, f.lip_y)
-    flagged = tuple(conditions.detect_counterexample(tree, f.lip_y))
+    if base is None:
+        eps_star = conditions.check_main_hypothesis(tree, f.lip_y)
+        flagged = tuple(conditions.detect_counterexample(tree, f.lip_y))
+        base = _Setup(problem.terminal_values(tree), eps_star, flagged, None, None, None)
+    eps_star = base.eps_star
     if delta is None and eps_star > 0.0:
         delta = eps_star / 2.0
     hat = beta_min = None
     if delta is not None and 0.0 < delta < eps_star:
         _, hat, beta_min = conditions._threshold(tree, f.lip_y, f.lip_z, delta, eps_star)
-    return _Setup(problem.terminal_values(tree), eps_star, flagged, delta, hat, beta_min)
+    return replace(base, delta=delta, hat=hat, beta_min=beta_min)
 
 
 def _leaf_values(problem: BsdeProblem, tree: ScenarioTree) -> np.ndarray:
@@ -494,7 +502,7 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
     residual drops to ``tol``.  The successive-iterate mixed-norm distance
     is reported but never stops it: with every b-weight 0 (``beta`` far
     below ``beta_min``) that distance vanishes away from the solution.
-    The norm weights are built once per solve.  Problems that differ only in ``beta``
+    The one-value call of ``_picard``.  Problems that differ only in ``beta``
     share their beta-free set-up (``_Setup``) when given its ``delta``.
 
     Args:
@@ -514,19 +522,31 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
         NoConvergence: ``max_iter`` sweeps without meeting ``tol`` (the
             report so far is attached to the exception).
     """
-    tree = problem.tree()
-    f, beta = problem.f, problem.beta
     setup = problem._setup
     if setup is None or delta != setup.delta:
         setup = _setup_of(problem, delta)
-    eps_star, flagged = setup.eps_star, list(setup.flagged)
+    sol, (report,) = _picard(problem, [(problem.beta, setup)], tol, max_iter, initial,
+                             check_hypothesis)
+    if not report.converged:
+        last = report.diff_norms[-1] if report.diff_norms else np.nan
+        raise NoConvergence(f"no convergence after {max_iter} sweeps (last distance {last})",
+                            report=report, last=sol)
+    return sol, report
+
+
+def _monitor(tree: ScenarioTree, beta: float, setup: _Setup, check_hypothesis: bool):
+    """``(report, wb, w)`` of one value: its empty report and ``mixed_norm_sq``'s weights.
+
+    Refuses a violated hypothesis and a ``delta`` outside ``(0, eps_star)`` at
+    ``beta > 0`` as ``picard_solve`` does, unless ``check_hypothesis`` is False.
+    """
+    eps_star, delta, flagged = setup.eps_star, setup.delta, list(setup.flagged)
     if check_hypothesis and eps_star <= 0.0:
         raise ConditionViolated(
             f"main hypothesis violated: slack {eps_star}", flagged=flagged)
     if check_hypothesis and beta > 0.0 and delta is not None and not 0.0 < delta < eps_star:
         raise ValueError(f"delta {delta!r} outside (0, {eps_star!r}), "
                          "the range the contraction weights need")
-    delta = setup.delta
     profile = None
     beta_min = np.nan
     b = np.ones(tree.n_slots)
@@ -534,38 +554,57 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
         profile = conditions._profile(tree, eps_star, setup.hat, setup.beta_min, beta, delta)
         beta_min = profile.beta_min
         b = np.maximum(profile.b, 0.0)
+    P, E_end = tree.prob[:tree.n_slots], tree.doleans_at_slot_end(beta)
+    report = SolveReport(
+        iterations=0, converged=False, diff_norms=[], ratio_sq=[], residual=np.inf,
+        y_sup=[], beta=beta, delta=delta, beta_min=float(beta_min),
+        epsilon_star=eps_star, flagged=flagged, profile=profile)
+    return report, P * b * E_end, P * E_end
 
+
+def _picard(problem: BsdeProblem, values: list, tol: float, max_iter: int,
+            initial: Solution | None, check_hypothesis: bool):
+    """The fixed-point iteration of ``problem``, monitored at every ``(beta, _Setup)``.
+
+    Every set-up is one of ``problem`` at some ``delta``.  The iterates, the
+    residual and the stop depend on neither ``beta`` nor ``delta``, so the
+    sweeps, the driver evaluations, ``y_sup`` and the ``NonFinite`` check run
+    once, and so do ``Y - U`` and the z contribution of ``Z - V`` of each
+    sweep; each value keeps its own b-weights, distances, ratios,
+    ``beta_min`` and profile.
+
+    Returns ``(Solution, [SolveReport per value])``; a report that is not
+    ``converged`` holds the iteration so far.  Raises as ``picard_solve``
+    does, but for ``NoConvergence``.
+    """
+    tree, f = problem.tree(), problem.f
+    monitors = [_monitor(tree, beta, setup, check_hypothesis) for beta, setup in values]
     if initial is None:
         U = norms.adapted_zeros(tree)
         V = norms.field_zeros(tree)
     else:
         U, V = np.array(initial.Y, dtype=float), np.array(initial.Z, dtype=float)
 
-    xi_leaf = setup.xi_leaf
+    xi_leaf = values[0][1].xi_leaf
     f_path = _eval_path(tree, f, U, V)
-    # the weights of mixed_norm_sq, once; cm: the conditional means of a sweep
-    n = tree.n_slots
-    E_end = tree.doleans_at_slot_end(beta)
-    wb, w = tree.prob[:n] * b * E_end, tree.prob[:n] * E_end
-    del E_end
-    cm = np.empty(n)
-    diff_norms: list[float] = []
-    ratio_sq: list[float] = []
-    y_sup: list[float] = []
-    prev_dsq = None
+    cm = np.empty(tree.n_slots)   # the conditional means of a sweep
+    prev_dsq = [None] * len(monitors)
     residual = np.inf
     converged = False
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
         Y, Z = _linear_sweep(tree, xi_leaf, f_path, cm)
-        dsq = norms._weighted_y_sq(Y - U, tree, wb) + norms._weighted_z_sq(Z - V, tree, w)
-        diff_norms.append(float(np.sqrt(dsq)))
-        if prev_dsq is not None and prev_dsq > 0:
-            ratio_sq.append(dsq / prev_dsq)
-        prev_dsq = dsq
+        # the beta-free parts of the distance; np.sum(w * zc) is _weighted_z_sq, to the bit
+        dY, zc = Y - U, norms.slot_z_contribution(Z - V, tree)
         sup = float(np.max(np.abs(Y)))
-        y_sup.append(sup)
+        for i, (report, wb, w) in enumerate(monitors):
+            dsq = norms._weighted_y_sq(dY, tree, wb) + float(np.sum(w * zc))
+            report.diff_norms.append(float(np.sqrt(dsq)))
+            if prev_dsq[i] is not None and prev_dsq[i] > 0:
+                report.ratio_sq.append(dsq / prev_dsq[i])
+            prev_dsq[i] = dsq
+            report.y_sup.append(sup)
         if not np.isfinite(sup):
             raise NonFinite("fixed-point iterates left the finite range")
         U, V = Y, Z
@@ -574,17 +613,8 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
         if residual <= tol:
             converged = True
             break
-    del wb, w, cm
-    sol = Solution(U, V)
-    report = SolveReport(
-        iterations=iterations, converged=converged, diff_norms=diff_norms,
-        ratio_sq=ratio_sq, residual=float(residual), y_sup=y_sup, beta=beta,
-        delta=delta, beta_min=float(beta_min), epsilon_star=eps_star,
-        flagged=flagged, profile=profile,
-    )
-    if not converged:
-        raise NoConvergence(
-            f"no convergence after {max_iter} sweeps "
-            f"(last distance {diff_norms[-1] if diff_norms else np.nan})",
-            report=report, last=sol)
-    return sol, report
+    reports = [report for report, _, _ in monitors]
+    for report in reports:
+        report.iterations, report.converged = iterations, converged
+        report.residual = float(residual)
+    return Solution(U, V), reports

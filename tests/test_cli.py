@@ -448,6 +448,53 @@ def test_beta_sweep_sets_up_once(tmp_path, monkeypatch):
     assert calls == {"terminal": 1, "threshold": 1}
 
 
+def test_delta_sweep_sets_up_once(tmp_path, monkeypatch):
+    # of the set-up only the threshold data depend on delta
+    calls = {"terminal": 0, "hypothesis": 0, "threshold": 0}
+    terminal, threshold = cli.solver.BsdeProblem.terminal_values, cli.conditions._threshold
+    hypothesis = cli.conditions.check_main_hypothesis
+
+    def count(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli.solver.BsdeProblem, "terminal_values", count("terminal", terminal))
+    monkeypatch.setattr(cli.conditions, "check_main_hypothesis", count("hypothesis", hypothesis))
+    monkeypatch.setattr(cli.conditions, "_threshold", count("threshold", threshold))
+    cfg = write_config(tmp_path, generator={"preset": "affine_y",
+                                            "params": {"c0": 0.1, "c1": 0.3}},
+                       sweep={"param": "delta", "values": [0.1, 0.2, 0.4]})
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert calls == {"terminal": 1, "hypothesis": 1, "threshold": 3}
+
+
+@pytest.mark.parametrize("param,values", [
+    ("beta", [1.0, 2.0, 4.0]), ("delta", [0.1, 0.2, 0.4]), ("K", [1, 2, 3])])
+def test_sweep_iterates_once(tmp_path, monkeypatch, param, values):
+    # the iterates depend on neither beta nor delta: those sweeps make one
+    # solve's linear sweeps; a K sweep solves each tree on its own
+    calls = []
+    sweep = cli.solver._linear_sweep
+    monkeypatch.setattr(cli.solver, "_linear_sweep",
+                        lambda *args: calls.append(1) or sweep(*args))
+    cfg = write_config(tmp_path, model={"preset": "deterministic_grid",
+                                        "params": {"K": 2, "m": 2, "a": 0.5}},
+                       generator={"preset": "saturating",
+                                  "params": {"c0": 0.1, "cy": 0.5, "cz": 0.4}},
+                       sweep={"param": param, "values": values,
+                              "relative_to_beta_min": True})
+    out = tmp_path / "run"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    iterations = [int(row["iterations"]) for row in csv.DictReader((out / "sweep.csv").open())]
+    assert len(iterations) == 3 and min(iterations) > 2
+    if param == "K":
+        assert len(calls) == sum(iterations)
+    else:
+        assert len(set(iterations)) == 1 and len(calls) == iterations[0]
+
+
 def test_the_commands_load_no_random_or_masked_array_modules(tmp_path):
     # numpy.random pulls in secrets, hmac and _hashlib (OpenSSL) at its first
     # use, and np.unique pulls in numpy.ma; a fresh process runs each command

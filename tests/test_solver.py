@@ -641,3 +641,38 @@ def test_picard_reads_a_shared_setup_and_keeps_every_bit(seed, monkeypatch):
     other = replace(problem, _setup=_setup_of(problem, delta / 2.0))
     sol, rep = picard_solve(other, delta=delta)
     assert rep.delta == delta and _report_bits(sol, rep) == fresh[0]
+
+
+def _value_bits(sol, rep):
+    def hexes(xs):
+        return [float(x).hex() for x in xs]
+
+    return (_bits(sol.Y), _bits(sol.Z), rep.iterations, rep.converged, hexes(rep.diff_norms),
+            hexes(rep.ratio_sq), hexes(rep.y_sup), rep.residual.hex(), rep.beta_min.hex(),
+            rep.beta, rep.delta, rep.epsilon_star, [(s.index, v) for s, v in rep.flagged],
+            None if rep.profile is None else _bits(rep.profile.b))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("max_iter", [100, 2])
+def test_one_iteration_monitors_every_value_as_its_own_solve(seed, max_iter):
+    # the iterates and the stop depend on neither beta nor delta: each value's
+    # report of the shared iteration is that of picard_solve on it alone
+    from dataclasses import replace
+    from treebsde.solver import _picard, _setup_of
+    problem, delta = random_problem(np.random.default_rng(1100 + seed), max_horizon=5)
+    setups = [_setup_of(problem, d) for d in (delta, delta / 4.0)]
+    values = [(problem.beta * f, setup) for setup in setups for f in (1.0, 3.0)]
+    values.append((0.0, setups[0]))
+    sol, reports = _picard(problem, values, 1e-10, max_iter, None, True)
+    assert len({id(rep.y_sup) for rep in reports}) == len(values)
+    for (beta, setup), rep in zip(values, reports):
+        alone = replace(problem, beta=beta)
+        if max_iter == 2:
+            with pytest.raises(NoConvergence) as exc:
+                picard_solve(alone, max_iter=max_iter, delta=setup.delta)
+            expected = (exc.value.last, exc.value.report)
+        else:
+            expected = picard_solve(alone, max_iter=max_iter, delta=setup.delta)
+        assert _value_bits(sol, rep) == _value_bits(*expected)
+    assert len({tuple(rep.diff_norms) for rep in reports}) > 1

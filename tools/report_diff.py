@@ -20,7 +20,9 @@ The case list:
   and 31;
 * every generator preset with every terminal preset on two models, under
   ``solve`` and ``verify``;
-* a ``beta``, a relative ``beta`` and a ``delta`` sweep;
+* a ``beta``, a relative ``beta``, a ``delta`` and a ``K`` sweep, and a
+  relative ``beta`` sweep with ``max_iter`` 2, whose rows do not converge
+  (empty ``Y0``, ``converged`` 0);
 * a K=0 tree under ``solve`` and ``verify``;
 * a ``solve`` and a ``verify`` with beta far below ``beta_min``;
 * a ``solve`` whose first fixed-point distance is exactly 0 (the
@@ -117,11 +119,14 @@ def cases() -> list[tuple[str, str, dict | None]]:
             "generator": {"preset": "saturating", "params": GENERATORS["saturating"]},
             "terminal": {"preset": "jump_count", "params": TERMINALS["jump_count"]},
             "seed": 4}
+    relative = {"param": "beta", "values": [1.0, 2.0, 4.0], "relative_to_beta_min": True}
     for name, sweep in (("beta", {"param": "beta", "values": [2.0, 8.0, 32.0]}),
-                        ("relative-beta", {"param": "beta", "values": [1.0, 2.0, 4.0],
-                                           "relative_to_beta_min": True}),
-                        ("delta", {"param": "delta", "values": [0.05, 0.1, 0.2]})):
+                        ("relative-beta", relative),
+                        ("delta", {"param": "delta", "values": [0.05, 0.1, 0.2]}),
+                        ("K", {"param": "K", "values": [2, 3, 5]})):
         out.append((f"sweep-{name}", "sweep", {**base, "sweep": sweep}))
+    out.append(("sweep-relative-beta-max-iter-2", "sweep",
+                {**base, "max_iter": 2, "sweep": relative}))
     k0 = {**base, "model": {"preset": "deterministic_grid",
                             "params": {"K": 0, "m": 2, "a": 0.5}},
           "beta": 1.0}

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -97,7 +98,11 @@ class RunConfig:
         try:
             cfg.beta_margin = float(cfg.beta_margin)
             cfg.tol = float(cfg.tol)
+            if not 0.0 <= cfg.tol < math.inf:
+                raise ValueError(f"tol {cfg.tol!r} is not finite and >= 0")
             cfg.max_iter = _whole(cfg.max_iter)
+            if cfg.max_iter < 1:
+                raise ValueError(f"max_iter {cfg.max_iter} is below 1")
             cfg.seed = _whole(cfg.seed)
             if cfg.seed < 0:
                 raise ValueError(f"seed {cfg.seed} is negative")
@@ -262,7 +267,7 @@ def _build_problem(cfg: RunConfig, built=None, base=None):
             raise ConfigError(f"delta {delta!r} outside (0, {eps_star!r})")
     # BsdeProblem refuses a beta that is not finite and >= 0
     try:
-        problem = replace(base_problem, beta=beta, _setup=setup)
+        problem = replace(base_problem, beta=beta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     diag = {
@@ -419,16 +424,16 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _sweep_rows(param: str, runs: list, cfg: RunConfig) -> list:
-    """``sweep.csv`` rows of ``runs``, ``(value, problem, diag)`` triples of one problem.
+    """``sweep.csv`` rows of ``runs``, ``(value, setup, problem, diag)`` of one problem.
 
-    The problems differ at most in ``beta`` and ``delta``, so one
+    The problems differ at most in ``beta`` and ``delta``, and each
+    ``setup`` is its problem's ``solver._setup_of`` at its ``delta``, so one
     ``solver._picard`` serves them all.
     """
-    problem = runs[0][1]
-    sol, reports = solver._picard(problem, [(p.beta, p._setup) for _, p, _ in runs],
+    sol, reports = solver._picard(runs[0][2], [(p.beta, setup) for _, setup, p, _ in runs],
                                   cfg.tol, cfg.max_iter, None, True)
     rows = []
-    for (v, _, diag), rep in zip(runs, reports):
+    for (v, _, _, diag), rep in zip(runs, reports):
         worst = max(rep.ratio_sq) if rep.ratio_sq else ""
         solved = (float(sol.Y[0]), rep.residual) if rep.converged else ("", "")
         rows.append((param, v, diag["beta"], diag["delta"], int(rep.converged),
@@ -460,10 +465,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError(f"bad sweep value: {exc}") from exc
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    # beta and delta leave the model alone: one tree serves every value
-    built = _build_tree(cfg) if param != "K" and values else None
-    # beta leaves the driver, terminal and delta alone too: one set-up
-    base = _base_problem(cfg, built) if param == "beta" and values else None
+    # beta leaves the set-up alone: one serves every value
+    base = _base_problem(cfg) if param == "beta" and values else None
     relative = param == "beta" and values and cfg.sweep.get("relative_to_beta_min")
     if relative:
         beta_min = _build_problem(cfg, base=base)[1]["beta_min"]
@@ -474,13 +477,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
         if param == "beta":
             sub = replace(cfg, beta=v * beta_min if relative else v)
         elif param == "delta":
-            # of the set-up only the threshold depends on delta
+            # of the set-up only the threshold depends on delta: one tree serves all
             sub = replace(cfg, delta=v)
-            base = _base_problem(sub, built, base)
+            base = _base_problem(sub, base=base)
         else:
             sub = replace(cfg, model={**cfg.model,
                                       "params": {**cfg.model.get("params", {}), "K": horizons[i]}})
-        runs.append((v, *_build_problem(sub, built, base)))
+            base = _base_problem(sub)
+        runs.append((v, base[1], *_build_problem(sub, base=base)))
         # a K sweep has a tree per value, each solved before the next is built
         if param == "K" or i == len(values) - 1:
             rows += _sweep_rows(param, runs, cfg)

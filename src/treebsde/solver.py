@@ -154,21 +154,21 @@ class Generator:
 
 @dataclass
 class BsdeProblem:
-    """Problem data: model, weight exponent, terminal functional, driver."""
+    """Problem data: model, weight exponent, terminal functional, driver.
+
+    It holds these four fields and the tree of its own ``model``, nothing else."""
 
     model: ScenarioModel
     beta: float
     xi: Callable[[np.ndarray], np.ndarray]
     f: Generator
     _tree: ScenarioTree | None = field(default=None, repr=False, compare=False)
-    # the beta-free data of this tree, xi and f, shared across beta
-    _setup: _Setup | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _check_beta(self.beta)
 
     def tree(self) -> ScenarioTree:
-        if self._tree is None:
+        if self._tree is None or self._tree.model is not self.model:
             self._tree = build_tree(self.model)
         return self._tree
 
@@ -190,7 +190,7 @@ class BsdeProblem:
 
 @dataclass(frozen=True)
 class _Setup:
-    """What ``picard_solve`` reads of a problem that does not depend on ``beta``.
+    """What ``_picard`` reads of a problem at one ``delta``; none of it depends on ``beta``.
 
     The leaf values, the hypothesis slack and flagged slots, and at
     ``delta`` (half the slack unless given) ``conditions._threshold``'s
@@ -225,11 +225,6 @@ def _setup_of(problem: BsdeProblem, delta: float | None = None,
     if delta is not None and 0.0 < delta < eps_star:
         _, hat, beta_min = conditions._threshold(tree, f.lip_y, f.lip_z, delta, eps_star)
     return replace(base, delta=delta, hat=hat, beta_min=beta_min)
-
-
-def _leaf_values(problem: BsdeProblem, tree: ScenarioTree) -> np.ndarray:
-    setup = problem._setup
-    return problem.terminal_values(tree) if setup is None else setup.xi_leaf
 
 
 @dataclass
@@ -343,7 +338,7 @@ def solve_linear(problem: BsdeProblem) -> Solution:
     """
     tree = problem.tree()
     f_path = _path_values(problem, tree)
-    return Solution(*_linear_sweep(tree, _leaf_values(problem, tree), f_path))
+    return Solution(*_linear_sweep(tree, problem.terminal_values(tree), f_path))
 
 
 # -- implicit one-step solve ----------------------------------------------
@@ -471,7 +466,7 @@ def backward_oracle(problem: BsdeProblem) -> Solution:
     """
     tree = problem.tree()
     f = problem.f
-    return Solution(*_backward(tree, _leaf_values(problem, tree),
+    return Solution(*_backward(tree, problem.terminal_values(tree),
                                lambda lv, cm, Zl: _implicit_level(tree, f, lv, cm, Zl)))
 
 
@@ -487,7 +482,7 @@ def picard_map(problem: BsdeProblem, U: np.ndarray, V: np.ndarray) -> Solution:
     """
     tree = problem.tree()
     f_path = _eval_path(tree, problem.f, U, V)
-    return Solution(*_linear_sweep(tree, _leaf_values(problem, tree), f_path))
+    return Solution(*_linear_sweep(tree, problem.terminal_values(tree), f_path))
 
 
 def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
@@ -502,8 +497,7 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
     residual drops to ``tol``.  The successive-iterate mixed-norm distance
     is reported but never stops it: with every b-weight 0 (``beta`` far
     below ``beta_min``) that distance vanishes away from the solution.
-    The one-value call of ``_picard``.  Problems that differ only in ``beta``
-    share their beta-free set-up (``_Setup``) when given its ``delta``.
+    The one-value call of ``_picard``.
 
     Args:
         delta: contraction margin; with ``beta > 0`` and the hypothesis
@@ -518,15 +512,13 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
     Raises:
         ConditionViolated: ``2 lip_y^2 dA^2 >= 1`` somewhere.
         ValueError: an explicit ``delta`` outside ``(0, eps_star)`` (see
-            ``delta``); it never falls back to unit b-weights.
+            ``delta``); it never falls back to unit b-weights.  Also a
+            ``tol`` that is not finite and ``>= 0``, or ``max_iter < 1``.
         NoConvergence: ``max_iter`` sweeps without meeting ``tol`` (the
             report so far is attached to the exception).
     """
-    setup = problem._setup
-    if setup is None or delta != setup.delta:
-        setup = _setup_of(problem, delta)
-    sol, (report,) = _picard(problem, [(problem.beta, setup)], tol, max_iter, initial,
-                             check_hypothesis)
+    sol, (report,) = _picard(problem, [(problem.beta, _setup_of(problem, delta))], tol,
+                             max_iter, initial, check_hypothesis)
     if not report.converged:
         last = report.diff_norms[-1] if report.diff_norms else np.nan
         raise NoConvergence(f"no convergence after {max_iter} sweeps (last distance {last})",
@@ -577,6 +569,8 @@ def _picard(problem: BsdeProblem, values: list, tol: float, max_iter: int,
     ``converged`` holds the iteration so far.  Raises as ``picard_solve``
     does, but for ``NoConvergence``.
     """
+    if not (0.0 <= tol < math.inf and max_iter >= 1):
+        raise ValueError(f"tol {tol!r} must be finite and >= 0, max_iter {max_iter!r} >= 1")
     tree, f = problem.tree(), problem.f
     monitors = [_monitor(tree, beta, setup, check_hypothesis) for beta, setup in values]
     if initial is None:

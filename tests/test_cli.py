@@ -394,6 +394,34 @@ def test_a_mark_outside_the_tree_is_a_config_error(tmp_path, capsys, case):
     assert err.startswith("config error: terminal mark ") and "outside 0..1" in err
 
 
+# iteration controls _picard cannot run: NaN and -1 ran every sweep to exit 3,
+# inf stopped after one sweep as converged, max_iter < 1 ran none to exit 3
+CONTROL_CASES = {
+    "tol-nan": ("solve", {"model": GRID, "tol": math.nan}),
+    "tol--1": ("verify", {"model": GRID, "tol": -1.0}),
+    "tol-inf": ("solve", {"model": GRID, "tol": math.inf}),
+    "max_iter-0": ("solve", {"model": GRID, "max_iter": 0}),
+    "max_iter--3": ("sweep", {"model": GRID, "max_iter": -3,
+                              "sweep": {"param": "beta", "values": [1.0, 2.0]}}),
+}
+
+
+@pytest.mark.parametrize("case", CONTROL_CASES)
+def test_an_invalid_iteration_control_is_a_config_error(tmp_path, capsys, case):
+    err = refused(tmp_path, capsys, *CONTROL_CASES[case])
+    assert err.startswith("config error: bad numeric field: ")
+    assert case.split("-")[0] in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_an_invalid_tol_flag_is_a_config_error(tmp_path, capsys, tol):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out), f"--tol={tol}"]) == 1
+    assert not out.exists()
+    assert "tol" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,whole,integral", [
     ("solve", {"model": _with(GRID, K=3, m=2)}, {"model": _with(GRID, K=3.0, m=2.0)}),
     ("solve", {"model": GRID, "terminal": {"preset": "last_mark", "params": {"mark": 1}}},

@@ -259,18 +259,39 @@ def test_solve_linear_constant_driver():
     assert np.all(sol.Z == 0.0)
 
 
-def test_a_replaced_driver_is_the_one_solved():
-    # replacing fn used to leave the batched copy of the old driver in charge: Y0 = 0.3
-    model = scenarios.deterministic_grid(K=2, m=2, a=0.5)
-    tree = build_tree(model)
-    g = cli._build_generator({"preset": "constant", "params": {"c0": 0.3}}, tree)
-    problem = BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_constant(0.0), f=g, _tree=tree)
-    assert solve_linear(problem).Y[0] == pytest.approx(0.3, rel=1e-15)
-    f = dataclasses.replace(g, fn=lambda b, y, z: np.full(y.shape, 100.0))
-    replaced = dataclasses.replace(problem, f=f)
-    assert solve_linear(replaced).Y[0] == pytest.approx(100.0, rel=1e-15)
-    assert picard_solve(replaced)[0].Y[0] == pytest.approx(100.0, rel=1e-15)
-    assert backward_oracle(replaced).Y[0] == pytest.approx(100.0, rel=1e-15)
+# each field of a CLI-built problem, replaced; the CLI attaches its tree
+REPLACED = {
+    "model": lambda p: {"model": scenarios.deterministic_grid(K=3, m=2, a=0.6)},
+    "xi": lambda p: {"xi": scenarios.xi_jump_count(1.5)},
+    # replacing fn used to leave the batched copy of the old driver in charge
+    "f": lambda p: {"f": dataclasses.replace(p.f, fn=lambda b, y, z: np.full(y.shape, 100.0))},
+    "beta": lambda p: {"beta": 5.0},
+}
+
+
+@pytest.mark.parametrize("generator", [{"preset": "affine_z", "params": {"c0": 0.1, "c1": 0.5}},
+                                       {"preset": "constant", "params": {"c0": 0.3}}],
+                         ids=["affine_z", "constant"])
+@pytest.mark.parametrize("name", REPLACED)
+def test_a_replaced_field_is_the_one_solved(name, generator):
+    # every route solves the replaced field: the bits of a fresh problem with the
+    # same four fields; a stored tree or terminal used to outlive its field
+    problem, diag = cli._build_problem(cli.RunConfig(
+        model={"preset": "pdmp_like", "params": {"K": 4, "m": 2}}, generator=generator,
+        beta=2.0))
+    replaced = dataclasses.replace(problem, **REPLACED[name](problem))
+    fresh = BsdeProblem(model=replaced.model, beta=replaced.beta, xi=replaced.xi, f=replaced.f)
+    ref = backward_oracle(fresh)
+    for route in (backward_oracle, lambda p: picard_map(p, ref.Y, ref.Z),
+                  *([solve_linear] if fresh.f.is_path else [])):
+        got, want = route(replaced), route(fresh)
+        assert (_bits(got.Y), _bits(got.Z)) == (_bits(want.Y), _bits(want.Z))
+    for kwargs in ({}, {"delta": diag["delta"]}):
+        assert (_value_bits(*picard_solve(replaced, **kwargs))
+                == _value_bits(*picard_solve(fresh, **kwargs)))
+    if name != "beta":   # the case replaces what the solution reads
+        old = backward_oracle(BsdeProblem(problem.model, problem.beta, problem.xi, problem.f))
+        assert _bits(ref.Y) != _bits(old.Y)
 
 
 def test_solve_linear_terminal_reproduced_and_residual_zero():
@@ -578,6 +599,28 @@ def test_oracle_step_budget_follows_the_contraction_factor():
     assert abs(y - 2.84 - (0.3 + 0.95 * np.sin(y))) <= 1e-12
 
 
+@pytest.mark.parametrize("controls", [{"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")},
+                                      {"max_iter": 0}, {"max_iter": -3}],
+                         ids=["tol-nan", "tol--1", "tol-inf", "max_iter-0", "max_iter--3"])
+def test_picard_refuses_invalid_iteration_controls(controls):
+    # each ran: NaN and -1 all sweeps to NoConvergence, inf one sweep to "converged",
+    # max_iter < 1 no sweep to "no convergence after -3 sweeps"
+    from treebsde.solver import _picard, _setup_of
+    problem, delta = random_problem(np.random.default_rng(5), max_horizon=4)
+    with pytest.raises(ValueError, match=next(iter(controls))):
+        picard_solve(problem, **controls)
+    tol, max_iter = controls.get("tol", 1e-10), controls.get("max_iter", 100)
+    with pytest.raises(ValueError, match=next(iter(controls))):
+        _picard(problem, [(problem.beta, _setup_of(problem, delta))], tol, max_iter, None, True)
+
+
+def test_picard_takes_a_zero_tol_and_one_sweep():
+    problem, _ = random_problem(np.random.default_rng(5), max_horizon=4)
+    with pytest.raises(NoConvergence) as exc:
+        picard_solve(problem, tol=0.0, max_iter=1)
+    assert exc.value.report.iterations == 1
+
+
 def test_picard_converges_only_on_the_residual():
     # beta far below beta_min: every b-weight is 0, so the weighted distance
     # vanishes after one sweep while the iterate is still far off
@@ -611,36 +654,6 @@ def test_picard_diagnostics_are_those_of_the_returned_pair(seed):
 
 
 # -- the beta-free set-up ------------------------------------------------------------------
-
-
-def _report_bits(sol, rep):
-    return ([_bits(a) for a in (sol.Y, sol.Z, rep.profile.b)],
-            [float(x).hex() for x in rep.diff_norms + rep.ratio_sq + rep.y_sup],
-            rep.residual.hex(), rep.beta_min.hex(), rep.delta, rep.epsilon_star,
-            [(s.index, v) for s, v in rep.flagged])
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_picard_reads_a_shared_setup_and_keeps_every_bit(seed, monkeypatch):
-    from dataclasses import replace
-    from treebsde import conditions
-    from treebsde.solver import _setup_of
-    problem, delta = random_problem(np.random.default_rng(900 + seed), max_horizon=5)
-    fresh = [_report_bits(*picard_solve(replace(problem, beta=problem.beta * f), delta=delta))
-             for f in (1.0, 2.0, 4.0)]
-    setup = _setup_of(problem, delta)
-    calls = []
-    monkeypatch.setattr(conditions, "_threshold", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(BsdeProblem, "terminal_values", lambda *a, **k: calls.append(a))
-    shared = [_report_bits(*picard_solve(replace(problem, beta=problem.beta * f, _setup=setup),
-                                         delta=delta))
-              for f in (1.0, 2.0, 4.0)]
-    assert shared == fresh and calls == []
-    # a set-up made at another delta is not used
-    monkeypatch.undo()
-    other = replace(problem, _setup=_setup_of(problem, delta / 2.0))
-    sol, rep = picard_solve(other, delta=delta)
-    assert rep.delta == delta and _report_bits(sol, rep) == fresh[0]
 
 
 def _value_bits(sol, rep):

@@ -40,6 +40,7 @@ The case list:
   drift-inequality paths NaN: it pins the worst-row rule of the checks;
 * a ``solve`` with ``beta`` NaN and a ``verify`` with ``beta`` inf on the
   ``verify_intensity`` workload at seed 5: config errors;
+* a ``solve`` with ``tol`` NaN and one with ``max_iter`` 0: config errors;
 * the built-in ``counterexample`` run.
 
 Reports carry no timings, so a case whose code did not change must match to
@@ -161,6 +162,8 @@ def cases() -> list[tuple[str, str, dict | None]]:
     out.append(("verify-nan-paths", "verify", nan_paths))
     for command, beta in (("solve", math.nan), ("verify", math.inf)):
         out.append((f"{command}-beta-{beta}", command, {**intensity(5)[0], "beta": beta}))
+    out.append(("solve-tol-nan", "solve", {**base, "tol": math.nan}))
+    out.append(("solve-max-iter-0", "solve", {**base, "max_iter": 0}))
     out.append(("counterexample", "counterexample", None))
     return out
 

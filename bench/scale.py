@@ -33,7 +33,10 @@ a measurement, not a gate: nothing here fails on a slow tree.
 
 The CLI's configs declare the state their presets read, so a tree that
 merges histories by state solves them on its merged tree; the node counts
-below are those of the full trees.
+below are those of the full trees.  A case in ``FULL_TREE`` drops the
+model's state before its build, so every stage but ``sweep_beta`` runs on
+the full tree; ``sweep_beta`` goes through ``cli.cmd_sweep``, which builds
+the CLI's merged tree.
 
 The cases:
 
@@ -41,6 +44,9 @@ The cases:
   at seed 7 (K=16, one mark, 131,071 nodes);
 * ``two_state_k12_m2``: the ``two_state_rule`` model with K=12 and two
   marks (797,161 nodes), the saturating driver and beta = 8;
+* ``two_state_k10_full``: the same model and driver with K=10, its state
+  dropped (``FULL_TREE``): 88,573 nodes that cannot merge, so the full
+  tree's block read of each level's children is measured;
 * ``two_state_k13_m2``: the same model and driver with K=13 (2,391,484
   nodes, about 0.5 GiB peak RSS);
 * ``pdmp_k11_m3``: unit jumps at every step (``pdmp_like``) with K=11 and
@@ -72,6 +78,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SWEEP_BETAS = [1.0, 2.0, 4.0, 8.0]     # multiples of beta_min, as in sweep_unit_jumps
+FULL_TREE = {"two_state_k10_full"}    # cases built without the model's state
 
 
 def _cases() -> dict:
@@ -101,6 +108,7 @@ def _cases() -> dict:
         lattice["model"]["params"][key] *= 9 / 256
     lattice["beta"] = "auto"
     return {"verify_intensity_seed7": verify_cfg, "two_state_k12_m2": two_state(12),
+            "two_state_k10_full": two_state(10),
             "two_state_k13_m2": two_state(13), "pdmp_k11_m3": pdmp,
             "intensity_k256_m1": workloads.verify_intensity(7, horizon=256)[0],
             "two_state_k256_m2": lattice}
@@ -122,8 +130,11 @@ CHECKS = {
 }
 
 
-def _child(config_path: str) -> None:
-    """One run of one case in this process; prints its JSON record."""
+def _child(config_path: str, full: bool) -> None:
+    """One run of one case in this process; prints its JSON record.
+
+    ``full``: build the config's model without its state (``FULL_TREE``).
+    """
     import contextlib
     import dataclasses
     import functools
@@ -133,7 +144,7 @@ def _child(config_path: str) -> None:
     import time
 
     import numpy as np
-    from treebsde import cli, solver, verification
+    from treebsde import cli, scenarios, solver, verification
 
     stages, checks = {}, dict.fromkeys(CHECKS, 0.0)
     depth = [0]
@@ -166,7 +177,13 @@ def _child(config_path: str) -> None:
     cfg = cli.RunConfig.load(config_path)
     t0 = time.perf_counter()
     try:
-        built = cli._build_tree(cfg)
+        if full:
+            model = scenarios.ModelSpec(cfg.model["preset"], cfg.model.get("params", {}),
+                                        cfg.terminal.get("preset", "constant")).build()
+            model = dataclasses.replace(model, state=None)
+            built = (model, solver.build_tree(model))
+        else:
+            built = cli._build_tree(cfg)
     except cli.ConfigError as exc:
         print(json.dumps({"refused": str(exc)}))
         return
@@ -214,12 +231,12 @@ def _child(config_path: str) -> None:
     print(json.dumps(record))
 
 
-def _run(src: Path, config_path: Path) -> dict:
+def _run(src: Path, config_path: Path, full: bool) -> dict:
     env = dict(os.environ)
     env.update({var: "1" for var in THREAD_VARS})
     env["PYTHONPATH"] = str(src / "src")
     proc = subprocess.run([sys.executable, str(Path(__file__).resolve()),
-                           "--child", str(config_path)],
+                           "--child", str(config_path)] + ["--full"] * full,
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -247,9 +264,10 @@ def main(argv=None) -> int:
     ap.add_argument("--case", action="append", help="run only this case (repeatable)")
     ap.add_argument("--out", type=Path, help="write the JSON here as well")
     ap.add_argument("--child", help=argparse.SUPPRESS)
+    ap.add_argument("--full", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        _child(args.child)
+        _child(args.child, args.full)
         return 0
 
     import numpy as np
@@ -266,7 +284,7 @@ def main(argv=None) -> int:
             runs = {key: [] for key in trees}
             for _ in range(args.repeat):      # alternate the trees run by run
                 for key, src in trees.items():
-                    runs[key].append(_run(src.resolve(), path))
+                    runs[key].append(_run(src.resolve(), path, name in FULL_TREE))
             out["cases"][name] = {"config": cases[name],
                                   **{key: _summary(r) for key, r in runs.items()}}
             print(f"{name}: " + "  ".join(

@@ -130,12 +130,15 @@ class RunReport:
 
 
 def _num(params, key, default, kind=float):
-    """``kind(params.get(key, default))``; a malformed value is a config error."""
+    """``kind(params.get(key, default))``; a malformed or non-finite value is a config error."""
     value = params.get(key, default)
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        num = kind(value)
+        if math.isfinite(num):
+            return num
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad parameter {key}: {value!r}") from exc
+    raise ConfigError(f"bad parameter {key}: {value!r} is not finite")
 
 
 def _preset(spec, kind: str, default: str, reads: dict):
@@ -154,6 +157,7 @@ def _preset(spec, kind: str, default: str, reads: dict):
 
 
 def _build_generator(spec, tree) -> solver.Generator:
+    """A config's ``generator`` driver; a ``lip_y`` or ``lip_z`` squaring to inf is refused."""
     preset, p = _preset(spec, "generator", "zero", {
         "zero": (), "constant": ("c0",), "affine_y": ("c0", "c1"),
         "affine_z": ("c0", "c1", "c2"), "saturating": ("c0", "cy", "cz")})
@@ -164,8 +168,8 @@ def _build_generator(spec, tree) -> solver.Generator:
         return solver.Generator(lambda block, y, zeta: np.full(y.shape, c0), lip_y=0.0, lip_z=0.0)
     if preset == "affine_y":
         c0, c1 = _num(p, "c0", 0.0), _num(p, "c1", 0.0)
-        return solver.Generator(lambda block, y, zeta: c0 + c1 * y, lip_y=abs(c1), lip_z=0.0)
-    if preset == "affine_z":
+        gen = solver.Generator(lambda block, y, zeta: c0 + c1 * y, lip_y=abs(c1), lip_z=0.0)
+    elif preset == "affine_z":
         c0 = _num(p, "c0", 0.0)
         c1 = _num(p, "c1", 0.0)          # seminorm coefficient
         c2 = _num(p, "c2", 0.0)          # hat-projection coefficient
@@ -183,13 +187,17 @@ def _build_generator(spec, tree) -> solver.Generator:
                 val += c2 * norms.hat_z_rows(zeta, block)
             return val
 
-        return solver.Generator(fn, lip_y=0.0, lip_z=lip)
-    # saturating
-    c0, cy, cz = _num(p, "c0", 0.0), _num(p, "cy", 0.0), _num(p, "cz", 0.0)
-    return solver.Generator(
-        lambda block, y, zeta: c0 + cy * np.tanh(y)
-        + cz * np.tanh(norms.lipschitz_seminorm_rows(zeta, block)),
-        lip_y=abs(cy), lip_z=abs(cz))
+        gen = solver.Generator(fn, lip_y=0.0, lip_z=lip)
+    else:   # saturating
+        c0, cy, cz = _num(p, "c0", 0.0), _num(p, "cy", 0.0), _num(p, "cz", 0.0)
+        gen = solver.Generator(
+            lambda block, y, zeta: c0 + cy * np.tanh(y)
+            + cz * np.tanh(norms.lipschitz_seminorm_rows(zeta, block)),
+            lip_y=abs(cy), lip_z=abs(cz))
+    if not all(math.isfinite(lip * lip) for lip in (gen.lip_y, gen.lip_z)):
+        raise ConfigError(f"generator preset {preset!r} with params {p}: "
+                          "a Lipschitz constant squares to overflow")
+    return gen
 
 
 def _build_terminal(spec, n_marks: int):

@@ -27,10 +27,11 @@ slot (``SlotView``).
 
 The tree keeps per-level data only.  One rule, ``_branches``, gives a
 slot's children from its jump size.  A level's layout has one home, its
-level plan (``_Level``), worked out once per tree; two tree operators
-alone carry its child layout: the child read ``_child_values`` of the
-backward sweeps and ``_forward`` of the forward ones.  On a full tree a
-level's children are consecutive nodes in slot and column order.
+level plan (``_Level``), worked out once per tree and handed to the
+solvers' level kernels; two tree operators alone carry its child layout:
+``_child_values`` of the backward sweeps and ``_forward`` of the forward
+ones.  On a full tree a level's children are consecutive nodes in slot
+and column order.
 
 Merged trees: the nodes of a depth whose declared states
 (``ScenarioModel.state``) are equal are one node.  It keeps the first
@@ -201,7 +202,7 @@ class SlotBlock:
 class _Rows:
     """Rows of a run of slots: ``dA``, ``stay = 1 - dA``, ``phi``, the rows
     with ``dA = 1`` (``unit``: None, True for all, else an ``(n, 1)`` mask)
-    and those with ``dA = 0`` (``zero``: None or a mask)."""
+    and those with ``dA = 0`` (``zero``: None or a mask); a level plan is one."""
 
     def __init__(self, dA: np.ndarray, phi: np.ndarray):
         self.dA, self.phi, self.stay = dA, phi, 1.0 - dA
@@ -248,7 +249,8 @@ class ScenarioTree:
     node in node order.
 
     The level plan ``_levels[k]`` (``_Level``) is the one home of level
-    ``k``'s layout; ``_child_values`` and ``_forward`` alone read its
+    ``k``'s layout and the only plan a tree keeps; the solvers' level
+    kernels take it, and ``_child_values`` and ``_forward`` alone read its
     child layout.
     """
 
@@ -263,7 +265,6 @@ class ScenarioTree:
         self.slot_step = np.repeat(np.arange(self.horizon), np.diff(level_start[:-1]))
         self._levels = [_Level(self, k, None if edges is None else edges[k])
                         for k in range(self.horizon)]
-        self._plans = {(lv.slots.start, lv.slots.stop): lv for lv in self._levels}
         self._whole: SlotBlock | None = None
         self._doleans_cache: dict[float, np.ndarray] = {}
         self._views: dict[int, SlotView] = {}
@@ -326,11 +327,6 @@ class ScenarioTree:
             index = np.asarray(ids, dtype=np.int64)
         return SlotBlock(index=index, step=self.slot_step[ids],
                          delta_A=self.slot_dA[ids], phi=self.slot_phi[ids])
-
-    def _plan(self, sl: slice) -> _Rows:
-        """The plan of the slots ``sl``: a level's own, else rows worked out now."""
-        lv = self._plans.get((sl.start, sl.stop))
-        return lv if lv is not None else _Rows(self.slot_dA[sl], self.slot_phi[sl])
 
     def _all_slots(self) -> SlotBlock:
         """The block of every slot, built on first use and kept."""

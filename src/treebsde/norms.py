@@ -148,16 +148,16 @@ def mixed_norm_sq(Y: np.ndarray, Z: np.ndarray, tree: ScenarioTree,
     is ``y_norm_sq + z_norm_sq``.
     """
     n = tree.n_slots
-    P = tree.prob[:n]
-    E_end = tree.doleans_at_slot_end(beta)
     b = np.broadcast_to(np.asarray(b, dtype=float), (n,))
-    return _weighted_y_sq(Y, tree, P * b * E_end) + _weighted_z_sq(Z, tree, P * E_end)
+    wb = tree.prob[:n] * b * tree.doleans_at_slot_end(beta)
+    return _weighted_y_sq(Y, tree, wb) + _weighted_z_sq(Z, tree, _slot_weights(tree, beta))
 
 
 def _canonical_rows(Z: np.ndarray, rows) -> np.ndarray:
     """Make the rows of ``Z`` canonical in place and return it.
 
-    ``rows`` is the slots' plan (``ScenarioTree._plan``): rows with
+    ``rows`` is the slots' plan (a ``measure_core._Rows``; the solvers
+    pass a level plan, ``ScenarioTree._levels[k]``): rows with
     ``delta_A = 0`` are zeroed; rows with ``delta_A = 1`` are centered to
     ``sum(Z * phi) = 0``.
     """

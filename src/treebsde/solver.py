@@ -192,13 +192,12 @@ class BsdeProblem:
 class _Setup:
     """What ``_picard`` reads of a problem at one ``delta``; none of it depends on ``beta``.
 
-    The leaf values, the hypothesis slack and flagged slots, and at
-    ``delta`` (half the slack unless given) ``conditions._threshold``'s
-    ``hat`` and ``beta_min``, None unless ``0 < delta < eps_star``.
-    Read-only.
+    The hypothesis slack and flagged slots, and at ``delta`` (half the
+    slack unless given) ``conditions._threshold``'s ``hat`` and
+    ``beta_min``, None unless ``0 < delta < eps_star``.  The leaf values
+    are the problem's (``BsdeProblem.terminal_values``).  Read-only.
     """
 
-    xi_leaf: np.ndarray
     eps_star: float
     flagged: tuple
     delta: float | None
@@ -217,7 +216,7 @@ def _setup_of(problem: BsdeProblem, delta: float | None = None,
     if base is None:
         eps_star = conditions.check_main_hypothesis(tree, f.lip_y)
         flagged = tuple(conditions.detect_counterexample(tree, f.lip_y))
-        base = _Setup(problem.terminal_values(tree), eps_star, flagged, None, None, None)
+        base = _Setup(eps_star, flagged, None, None, None)
     eps_star = base.eps_star
     if delta is None and eps_star > 0.0:
         delta = eps_star / 2.0
@@ -237,6 +236,9 @@ class Solution:
 
 @dataclass
 class SolveReport:
+    """One iteration at one ``(beta, delta)``; ``beta_min`` is the set-up's, NaN
+    where no contraction weights were built (``beta = 0`` or no threshold data)."""
+
     iterations: int
     converged: bool
     diff_norms: list          # mixed-norm distance between successive iterates
@@ -248,23 +250,22 @@ class SolveReport:
     beta_min: float
     epsilon_star: float
     flagged: list             # slots violating the main hypothesis
-    profile: conditions.ContractionProfile | None = None
 
 
 # -- martingale representation -------------------------------------------
 
 
-def _cond_means(tree, V, sl):
-    rows = tree._plan(sl)
+def _cond_means(rows, V):
+    # rows: the slots' plan (a level plan); V: their children's values
     jump_mean = np.einsum("sm,sm->s", rows.phi, V[:, :-1])
     return rows.dA * jump_mean + rows.stay * V[:, -1]
 
 
-def _represent_block(tree, V, sl):
+def _represent_block(rows, V):
     # value(x) - value(no jump) is the unique row when dA < 1; a unit slot
     # has no no-jump child (its V entry is 0), so its row is then centered
     Z = V[:, :-1] - V[:, -1][:, None]
-    return norms._canonical_rows(Z, tree._plan(sl))
+    return norms._canonical_rows(Z, rows)
 
 
 def _residual(tree, Y, cm, f_path) -> float:
@@ -288,10 +289,9 @@ def _backward(tree: ScenarioTree, xi_leaf: np.ndarray, parent_values):
     Z = np.zeros((tree.n_slots, tree.n_marks))
     for k in range(tree.horizon - 1, -1, -1):
         lv = tree._levels[k]
-        sl = lv.slots
         V = tree._child_values(Y, k)
-        Zl = Z[sl] = _represent_block(tree, V, sl)
-        Y[sl] = parent_values(lv, _cond_means(tree, V, sl), Zl)
+        Zl = Z[lv.slots] = _represent_block(lv, V)
+        Y[lv.slots] = parent_values(lv, _cond_means(lv, V), Zl)
     return Y, Z
 
 
@@ -529,8 +529,10 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
 def _monitor(tree: ScenarioTree, beta: float, setup: _Setup, check_hypothesis: bool):
     """``(report, wb, w)`` of one value: its empty report and ``mixed_norm_sq``'s weights.
 
-    Refuses a violated hypothesis and a ``delta`` outside ``(0, eps_star)`` at
-    ``beta > 0`` as ``picard_solve`` does, unless ``check_hypothesis`` is False.
+    ``wb = P * b * E_end``, of the contraction profile only its ``b``, and
+    ``w = norms._slot_weights``.  Refuses a violated hypothesis and a
+    ``delta`` outside ``(0, eps_star)`` at ``beta > 0`` as ``picard_solve``
+    does, unless ``check_hypothesis`` is False.
     """
     eps_star, delta, flagged = setup.eps_star, setup.delta, list(setup.flagged)
     if check_hypothesis and eps_star <= 0.0:
@@ -539,19 +541,16 @@ def _monitor(tree: ScenarioTree, beta: float, setup: _Setup, check_hypothesis: b
     if check_hypothesis and beta > 0.0 and delta is not None and not 0.0 < delta < eps_star:
         raise ValueError(f"delta {delta!r} outside (0, {eps_star!r}), "
                          "the range the contraction weights need")
-    profile = None
-    beta_min = np.nan
-    b = np.ones(tree.n_slots)
+    beta_min, b = np.nan, np.ones(tree.n_slots)
     if setup.hat is not None and beta > 0.0:
-        profile = conditions._profile(tree, eps_star, setup.hat, setup.beta_min, beta, delta)
-        beta_min = profile.beta_min
-        b = np.maximum(profile.b, 0.0)
-    P, E_end = tree.prob[:tree.n_slots], tree.doleans_at_slot_end(beta)
+        beta_min = setup.beta_min
+        b = np.maximum(conditions._profile(tree, eps_star, setup.hat, beta_min, beta, delta).b, 0.0)
     report = SolveReport(
         iterations=0, converged=False, diff_norms=[], ratio_sq=[], residual=np.inf,
         y_sup=[], beta=beta, delta=delta, beta_min=float(beta_min),
-        epsilon_star=eps_star, flagged=flagged, profile=profile)
-    return report, P * b * E_end, P * E_end
+        epsilon_star=eps_star, flagged=flagged)
+    wb = tree.prob[:tree.n_slots] * b * tree.doleans_at_slot_end(beta)
+    return report, wb, norms._slot_weights(tree, beta)
 
 
 def _picard(problem: BsdeProblem, values: list, tol: float, max_iter: int,
@@ -561,9 +560,9 @@ def _picard(problem: BsdeProblem, values: list, tol: float, max_iter: int,
     Every set-up is one of ``problem`` at some ``delta``.  The iterates, the
     residual and the stop depend on neither ``beta`` nor ``delta``, so the
     sweeps, the driver evaluations, ``y_sup`` and the ``NonFinite`` check run
-    once, and so do ``Y - U`` and the z contribution of ``Z - V`` of each
-    sweep; each value keeps its own b-weights, distances, ratios,
-    ``beta_min`` and profile.
+    once, and so do the leaf values (``problem.terminal_values``), ``Y - U``
+    and the z contribution of ``Z - V`` of each sweep; each value keeps only
+    its two slot-weight arrays (``_monitor``) and its report.
 
     Returns ``(Solution, [SolveReport per value])``; a report that is not
     ``converged`` holds the iteration so far.  Raises as ``picard_solve``
@@ -574,20 +573,17 @@ def _picard(problem: BsdeProblem, values: list, tol: float, max_iter: int,
     tree, f = problem.tree(), problem.f
     monitors = [_monitor(tree, beta, setup, check_hypothesis) for beta, setup in values]
     if initial is None:
-        U = norms.adapted_zeros(tree)
-        V = norms.field_zeros(tree)
+        U, V = norms.adapted_zeros(tree), norms.field_zeros(tree)
     else:
         U, V = np.array(initial.Y, dtype=float), np.array(initial.Z, dtype=float)
 
-    xi_leaf = values[0][1].xi_leaf
+    xi_leaf = problem.terminal_values(tree)
     f_path = _eval_path(tree, f, U, V)
     cm = np.empty(tree.n_slots)   # the conditional means of a sweep
     prev_dsq = [None] * len(monitors)
     residual = np.inf
     converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
+    for it in range(1, max_iter + 1):   # max_iter >= 1, so ``it`` is the sweep count
         Y, Z = _linear_sweep(tree, xi_leaf, f_path, cm)
         # the beta-free parts of the distance; np.sum(w * zc) is _weighted_z_sq, to the bit
         dY, zc = Y - U, norms.slot_z_contribution(Z - V, tree)
@@ -607,8 +603,6 @@ def _picard(problem: BsdeProblem, values: list, tol: float, max_iter: int,
         if residual <= tol:
             converged = True
             break
-    reports = [report for report, _, _ in monitors]
-    for report in reports:
-        report.iterations, report.converged = iterations, converged
-        report.residual = float(residual)
-    return Solution(U, V), reports
+    for report, _, _ in monitors:
+        report.iterations, report.converged, report.residual = it, converged, float(residual)
+    return Solution(U, V), [report for report, _, _ in monitors]

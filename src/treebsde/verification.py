@@ -96,10 +96,10 @@ def _skipped(name, note):
 def _identity_lemma_rows(tree, Y, f_path, beta, w, z_part, steps):
     """Energy identity rows of ``check_identity_lemma``, one per grid time in ``steps``.
 
-    ``w`` is the slot weight ``P * E_end`` and ``z_part`` the weighted Z
-    integrand ``w * slot_z_contribution(Z)``; the other per-slot integrands
-    are computed once here.  Slots are stored in step order, so the slots
-    after grid time ``j`` are the slice ``level_start[j]:n_slots``.
+    ``w`` is the slot weight ``norms._slot_weights`` and ``z_part`` the
+    weighted Z integrand ``w * slot_z_contribution(Z)``; the other per-slot
+    integrands are computed once here.  Slots are stored in step order, so
+    the slots after grid time ``j`` are the slice ``level_start[j]:n_slots``.
     """
     E = tree.doleans(beta)
     n = tree.n_slots
@@ -460,8 +460,7 @@ def run_suite(problem, solution, seed=0, c_scale=1.0):
     # seminorm and the weighted Z integrand: every check below shares them
     Y, Z = solution.Y, solution.Z
     f_path = solver._eval_path(tree, problem.f, Y, Z)
-    E_end = tree.doleans_at_slot_end(beta)
-    w = tree.prob[:tree.n_slots] * E_end
+    w = norms._slot_weights(tree, beta)
     z_sem = norms._seminorm_sq(Z, tree.slot_dA, tree.slot_phi)
     z_part = w * (tree.slot_dA * z_sem)     # w * slot_z_contribution(Z)
     z_sq = float(np.sum(z_part))
@@ -480,7 +479,8 @@ def run_suite(problem, solution, seed=0, c_scale=1.0):
         results.append(_worst_integral_inequality(seed, beta))
         # y_norm_sq + z_norm_sq
         lhs = norms._weighted_y_sq(Y, tree, w) + z_sq
-        results.append(_apriori_estimate(tree, Y, f_path, beta, E_end, lhs, c_scale))
+        results.append(_apriori_estimate(tree, Y, f_path, beta, tree.doleans_at_slot_end(beta),
+                                         lhs, c_scale))
     else:
         results.append(_skipped("integral_inequality", "needs beta > 0"))
         results.append(_skipped("apriori_estimate", "needs beta > 0"))
@@ -498,6 +498,6 @@ def run_suite(problem, solution, seed=0, c_scale=1.0):
     else:
         results.append(_skipped("lipschitz_bound", "no slots"))
 
-    del E_end, w
+    del w
     results.append(_jump_identity(tree, Y, Z, f_path))
     return results

@@ -494,10 +494,11 @@ def per_slot_oracle(problem):
     Y[tree.leaf_slice] = problem.terminal_values(tree)
     Z = np.zeros((tree.n_slots, tree.n_marks))
     for k in range(tree.horizon - 1, -1, -1):
-        sl = tree.depth_slice(k)
+        lv = tree._levels[k]
+        sl = lv.slots
         V = tree._child_values(Y, k)
-        cm = _cond_means(tree, V, sl)
-        Z[sl] = _represent_block(tree, V, sl)
+        cm = _cond_means(lv, V)
+        Z[sl] = _represent_block(lv, V)
         for off, s in enumerate(range(sl.start, sl.stop)):
             da = tree.slot_dA[s]
             Y[s] = cm[off] if da == 0.0 else scalar_implicit_step(
@@ -577,7 +578,7 @@ def gather_linear_sweep(tree, xi_leaf, f_path):
         V = gather_child_values(tree, Y, sl)
         Z[sl] = masked_canonical_rows(V[:, :-1] - V[:, -1][:, None],
                                       tree.slot_dA[sl], tree.slot_phi[sl])
-        cm[sl] = _cond_means(tree, V, sl)
+        cm[sl] = _cond_means(tree._levels[k], V)
         Y[sl] = cm[sl] + f_path[sl] * tree.slot_dA[sl]
     return Y, Z, cm
 
@@ -590,7 +591,7 @@ def conditional_means(tree, Y):
     from treebsde import solver
     cm = np.empty(tree.n_slots)
     for k, lv in enumerate(tree._levels):
-        cm[lv.slots] = solver._cond_means(tree, tree._child_values(Y, k), lv.slots)
+        cm[lv.slots] = solver._cond_means(lv, tree._child_values(Y, k))
     return cm
 
 
@@ -607,8 +608,9 @@ def canonical_field(Z, tree):
     rows on ``delta_A = 1`` slots are centered to ``sum(Z * phi) = 0``.
     """
     from treebsde import norms
+    from treebsde.measure_core import _Rows
     return norms._canonical_rows(np.array(Z, dtype=float, copy=True),
-                                 tree._plan(slice(0, tree.n_slots)))
+                                 _Rows(tree.slot_dA, tree.slot_phi))
 
 
 # -- per-history twins of the level model and terminal forms -----------------------

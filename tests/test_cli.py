@@ -394,6 +394,41 @@ def test_a_mark_outside_the_tree_is_a_config_error(tmp_path, capsys, case):
     assert err.startswith("config error: terminal mark ") and "outside 0..1" in err
 
 
+# preset numbers the solvers cannot use: a NaN terminal ran to "fixed-point iterates
+# left the finite range" (exit 3), a NaN c0 to "generator value nan" (exit 3), and a
+# Lipschitz constant of 1e300 to an OverflowError traceback from its square
+NUMBER_CASES = {
+    "constant-c-nan": ("solve", {"model": GRID, "terminal": {
+        "preset": "constant", "params": {"c": math.nan}}}),
+    "affine_y-c0-nan": ("verify", {"model": GRID, "generator": {
+        "preset": "affine_y", "params": {"c0": math.nan}}}),
+    "affine_y-c1-inf": ("solve", {"model": GRID, "generator": {
+        "preset": "affine_y", "params": {"c1": math.inf}}}),
+    "affine_y-c1-1e300": ("solve", {"model": GRID, "generator": {
+        "preset": "affine_y", "params": {"c1": 1e300}}}),
+    "saturating-cy-1e300": ("verify", {"model": GRID, "generator": {
+        "preset": "saturating", "params": {"cy": 1e300}}}),
+    "saturating-cz--1e300": ("solve", {"model": GRID, "generator": {
+        "preset": "saturating", "params": {"cz": -1e300}}}),
+    "affine_z-c1-1e300": ("solve", {"model": GRID, "generator": {
+        "preset": "affine_z", "params": {"c1": 1e300}}}),
+    "affine_z-c2-1e300": ("sweep", {"model": _with(GRID, a=0.4), "generator": {
+        "preset": "affine_z", "params": {"c2": 1e300}},
+        "sweep": {"param": "beta", "values": [1.0, 2.0]}}),
+}
+
+
+@pytest.mark.parametrize("case", NUMBER_CASES)
+def test_a_preset_number_the_solvers_cannot_use_is_a_config_error(tmp_path, capsys, case):
+    err = refused(tmp_path, capsys, *NUMBER_CASES[case])
+    preset, key, _ = case.split("-", 2)
+    if case.endswith("nan") or case.endswith("inf"):
+        assert err.startswith(f"config error: bad parameter {key}: ") and "not finite" in err
+    else:
+        assert err.startswith(f"config error: generator preset {preset!r} with params ")
+        assert "squares to overflow" in err
+
+
 # iteration controls _picard cannot run: NaN and -1 ran every sweep to exit 3,
 # inf stopped after one sweep as converged, max_iter < 1 ran none to exit 3
 CONTROL_CASES = {
@@ -496,6 +531,22 @@ def test_delta_sweep_sets_up_once(tmp_path, monkeypatch):
                        sweep={"param": "delta", "values": [0.1, 0.2, 0.4]})
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
     assert calls == {"terminal": 1, "hypothesis": 1, "threshold": 3}
+
+
+@pytest.mark.parametrize("command,expected", [("solve", 2), ("verify", 1)])
+def test_a_run_reads_the_leaf_values_once_per_solver(tmp_path, monkeypatch, command, expected):
+    # the fixed-point iteration reads them once, the oracle of ``solve`` once more;
+    # a set-up holds none (the condition diagnostics read them too: 3 and 2)
+    calls = []
+    terminal = cli.solver.BsdeProblem.terminal_values
+    monkeypatch.setattr(cli.solver.BsdeProblem, "terminal_values",
+                        lambda *args: calls.append(1) or terminal(*args))
+    cfg = write_config(tmp_path, model={"preset": "deterministic_grid",
+                                        "params": {"K": 2, "m": 2, "a": 0.5}},
+                       generator={"preset": "saturating",
+                                  "params": {"c0": 0.1, "cy": 0.5, "cz": 0.4}})
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == expected
 
 
 @pytest.mark.parametrize("param,values", [

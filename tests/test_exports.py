@@ -52,6 +52,17 @@ def test_a_slot_view_and_a_profile_carry_only_what_is_read():
         "hat_lz_sq", "c", "d", "a", "b", "epsilon_star", "delta", "beta", "beta_min"]
 
 
+def test_the_iteration_keeps_no_profile_and_no_leaf_values():
+    # the reports read neither a value's contraction profile nor its own copy
+    # of the leaf values; a tree keeps only its level plans
+    from treebsde.solver import _Setup
+    assert "profile" not in [f.name for f in dataclasses.fields(treebsde.SolveReport)]
+    assert [f.name for f in dataclasses.fields(_Setup)] == [
+        "eps_star", "flagged", "delta", "hat", "beta_min"]
+    tree = treebsde.build_tree(treebsde.scenarios.deterministic_grid(K=2, m=1, a=0.5))
+    assert not hasattr(tree, "_plan") and "_plans" not in vars(tree)
+
+
 def test_a_tree_keeps_no_history_tuples_and_no_merged_flag():
     # neither on a full tree nor on the merged tree of a model with a state
     model = treebsde.scenarios.discretized_intensity(lam=0.5, K=3, m=1)

@@ -50,13 +50,13 @@ def test_explicit_delta_outside_range_raises(delta):
 
 
 def test_delta_kept_where_it_is_not_used():
-    # beta = 0 and unchecked runs never build contraction weights
+    # beta = 0 and unchecked runs never build contraction weights (no beta_min)
     _, rep = picard_solve(affine_y_problem(beta=0.0), delta=5.0)
-    assert rep.converged and rep.profile is None
+    assert rep.converged and np.isnan(rep.beta_min)
     _, rep = picard_solve(affine_y_problem(), delta=5.0, check_hypothesis=False)
-    assert rep.converged and rep.profile is None
+    assert rep.converged and np.isnan(rep.beta_min)
     _, rep = picard_solve(affine_y_problem(), delta=0.25)
-    assert rep.profile is not None and rep.delta == 0.25
+    assert not np.isnan(rep.beta_min) and rep.delta == 0.25
 
 
 def write_config(tmp_path, **cfg):

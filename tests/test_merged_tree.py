@@ -70,8 +70,10 @@ def assert_equivalent(full_problem, merged_problem, state, linear=False):
         same_solution(solve_linear(full_problem), solve_linear(merged_problem))
 
     beta = full_problem.beta
-    b = (np.ones(full.n_slots), np.ones(merged.n_slots)) if rep_f.profile is None \
-        else (rep_f.profile.b, rep_m.profile.b)
+    f = full_problem.f
+    b = (np.ones(full.n_slots), np.ones(merged.n_slots)) if np.isnan(rep_f.beta_min) else \
+        [conditions.contraction_profile(t, f.lip_y, f.lip_z, beta, r.delta).b
+         for t, r in ((full, rep_f), (merged, rep_m))]
     assert _bits(b[0]) == _bits(b[1][slots])
     sides = []
     for tree, sol, bw, problem in ((full, sol_f, b[0], full_problem),

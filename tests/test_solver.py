@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from treebsde import (BsdeProblem, ConditionViolated, Generator, NoConvergence, NonFinite,
-                      StepSingular, backward_oracle, build_tree, cli, implicit_step_solve,
-                      norms, picard_map, picard_solve, solve_linear)
+                      StepSingular, backward_oracle, build_tree, cli, conditions,
+                      implicit_step_solve, norms, picard_map, picard_solve, solve_linear)
 from treebsde import scenarios
+from treebsde.measure_core import _Rows
 from treebsde.solver import (Solution, _cond_means,
                              _eval_path, _linear_sweep, _represent_block)
 from treebsde.verification import check_solution_jump_identity
@@ -67,10 +68,10 @@ def test_level_representation_matches_the_slot_oracle():
     seen = set()
     for _ in range(15):
         tree = build_tree(scenarios.random_model(rng, max_horizon=4))
-        sl = slice(0, tree.n_slots)
+        rows = _Rows(tree.slot_dA, tree.slot_phi)
         Y = rng.normal(0, 2, tree.n_nodes)
         V = np.concatenate([tree._child_values(Y, k) for k in range(tree.horizon)])
-        Z, cm = _represent_block(tree, V, sl), _cond_means(tree, V, sl)
+        Z, cm = _represent_block(rows, V), _cond_means(rows, V)
         for s in range(tree.n_slots):
             slot = tree.slot(s)
             seen.add(slot.delta_A if slot.delta_A in (0.0, 1.0) else "inner")
@@ -175,17 +176,17 @@ def test_level_kernels_equal_the_gather_forms_to_the_bit(model, blocks):
     buf = _signed_values(rng, tree.n_nodes + 7)
     for off in (0, 1, 3, 7):     # views of Y at odd offsets
         Y = buf[off:off + tree.n_nodes]
-        for k in range(tree.horizon):
-            sl = tree.depth_slice(k)
+        for k, lv in enumerate(tree._levels):
+            sl = lv.slots
             V, Vg = tree._child_values(Y, k), gather_child_values(tree, Y, sl)
             assert _bits(V) == _bits(Vg)
-            assert _bits(_cond_means(tree, V, sl)) == _bits(_cond_means(tree, Vg, sl))
+            assert _bits(_cond_means(lv, V)) == _bits(_cond_means(lv, Vg))
             Zg = masked_canonical_rows(Vg[:, :-1] - Vg[:, -1][:, None],
                                        tree.slot_dA[sl], tree.slot_phi[sl])
-            assert _bits(_represent_block(tree, V, sl)) == _bits(Zg)
-        whole = slice(0, tree.n_slots)
+            assert _bits(_represent_block(lv, V)) == _bits(Zg)
+        whole = gather_child_values(tree, Y, slice(0, tree.n_slots))
         assert (_bits(conditional_means(tree, Y))
-                == _bits(_cond_means(tree, gather_child_values(tree, Y, whole), whole)))
+                == _bits(_cond_means(_Rows(tree.slot_dA, tree.slot_phi), whole)))
     Z = _signed_values(rng, tree.n_slots * tree.n_marks).reshape(tree.n_slots, -1)
     assert _bits(canonical_field(Z, tree)) == _bits(
         masked_canonical_rows(Z.copy(), tree.slot_dA, tree.slot_phi))
@@ -648,7 +649,9 @@ def test_picard_diagnostics_are_those_of_the_returned_pair(seed):
         prev = exc.value.last
     f_sol = _eval_path(tree, problem.f, sol.Y, sol.Z)
     assert rep.residual.hex() == bsde_residual(tree, sol.Y, f_sol).hex()
-    b = np.maximum(rep.profile.b, 0.0)
+    f = problem.f
+    b = np.maximum(conditions.contraction_profile(tree, f.lip_y, f.lip_z, problem.beta,
+                                                  rep.delta).b, 0.0)
     dsq = norms.mixed_norm_sq(sol.Y - prev.Y, sol.Z - prev.Z, tree, problem.beta, b)
     assert rep.diff_norms[-1].hex() == float(np.sqrt(dsq)).hex()
 
@@ -662,8 +665,7 @@ def _value_bits(sol, rep):
 
     return (_bits(sol.Y), _bits(sol.Z), rep.iterations, rep.converged, hexes(rep.diff_norms),
             hexes(rep.ratio_sq), hexes(rep.y_sup), rep.residual.hex(), rep.beta_min.hex(),
-            rep.beta, rep.delta, rep.epsilon_star, [(s.index, v) for s, v in rep.flagged],
-            None if rep.profile is None else _bits(rep.profile.b))
+            rep.beta, rep.delta, rep.epsilon_star, [(s.index, v) for s, v in rep.flagged])
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -41,6 +41,9 @@ The case list:
 * a ``solve`` with ``beta`` NaN and a ``verify`` with ``beta`` inf on the
   ``verify_intensity`` workload at seed 5: config errors;
 * a ``solve`` with ``tol`` NaN and one with ``max_iter`` 0: config errors;
+* a ``solve`` with a NaN ``constant`` terminal, a ``verify`` with an
+  ``affine_y`` driver whose ``c0`` is NaN, and a ``solve`` whose ``affine_y``
+  ``c1`` is 1e300 (its square overflows): config errors;
 * the built-in ``counterexample`` run.
 
 Reports carry no timings, so a case whose code did not change must match to
@@ -164,6 +167,11 @@ def cases() -> list[tuple[str, str, dict | None]]:
         out.append((f"{command}-beta-{beta}", command, {**intensity(5)[0], "beta": beta}))
     out.append(("solve-tol-nan", "solve", {**base, "tol": math.nan}))
     out.append(("solve-max-iter-0", "solve", {**base, "max_iter": 0}))
+    out.append(("solve-terminal-nan", "solve",
+                {**base, "terminal": {"preset": "constant", "params": {"c": math.nan}}}))
+    for name, command, params in (("verify-affine_y-c0-nan", "verify", {"c0": math.nan, "c1": 0.3}),
+                                  ("solve-affine_y-c1-1e300", "solve", {"c1": 1e300})):
+        out.append((name, command, {**base, "generator": {"preset": "affine_y", "params": params}}))
     out.append(("counterexample", "counterexample", None))
     return out
 

@@ -239,16 +239,23 @@ def _base_problem(cfg: RunConfig, built=None, base=None):
 
     ``built`` as in ``_build_problem``.  ``base``, the pair of a config that
     differs at most in ``beta`` and ``delta``, lends its problem and its
-    delta-free set-up; ``built`` is then not read.
+    delta-free set-up; ``built`` is then not read.  Threshold data the
+    set-up cannot represent (``conditions.DenominatorNonpositive``) is a
+    config error naming the generator preset.
     """
     if base is not None:
         problem, setup = base
+    else:
+        model, tree = built or _build_tree(cfg)
+        gen = _build_generator(cfg.generator, tree)
+        xi = _build_terminal(cfg.terminal, tree.n_marks)
+        problem = solver.BsdeProblem(model=model, beta=0.0, xi=xi, f=gen, _tree=tree)
+        setup = None
+    try:
         return problem, solver._setup_of(problem, cfg.delta, setup)
-    model, tree = built or _build_tree(cfg)
-    gen = _build_generator(cfg.generator, tree)
-    xi = _build_terminal(cfg.terminal, tree.n_marks)
-    problem = solver.BsdeProblem(model=model, beta=0.0, xi=xi, f=gen, _tree=tree)
-    return problem, solver._setup_of(problem, cfg.delta)
+    except conditions.DenominatorNonpositive as exc:
+        raise ConfigError(f"generator preset {cfg.generator.get('preset', 'zero')!r} with params "
+                          f"{cfg.generator.get('params', {})}: {exc}") from exc
 
 
 def _build_problem(cfg: RunConfig, built=None, base=None):

@@ -30,7 +30,8 @@ __all__ = [
 
 
 class DenominatorNonpositive(RuntimeError):
-    """Internal-consistency failure: a threshold denominator lost positivity."""
+    """Threshold data failed a check: a denominator lost positivity, the dominated
+    branch exceeded the threshold branch, or a value is not finite (rounding, overflow)."""
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,8 @@ def _threshold(tree: ScenarioTree, lip_y: float, lip_z: float, delta: float,
     if np.any(den <= 0):
         raise DenominatorNonpositive("threshold denominator lost positivity")
     vals = r / den
+    if not np.isfinite(vals).all():
+        raise DenominatorNonpositive("threshold value is not finite")
     simple = lip_y ** 2 / hat + 2.0 * hat / (1.0 - delta)
     if np.any(simple > vals * (1.0 + 1e-9) + 1e-15):
         raise DenominatorNonpositive("dominated branch exceeded the threshold branch")

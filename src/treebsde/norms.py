@@ -111,10 +111,11 @@ def slot_z_contribution(Z: np.ndarray, tree: ScenarioTree) -> np.ndarray:
     return tree.slot_dA * _seminorm_sq(Z, tree.slot_dA, tree.slot_phi)
 
 
-# The norms are slot sums against w = P(parent) * E_end; a caller
-# taking several norms at one beta builds w once for the _weighted_* forms.
-def _slot_weights(tree: ScenarioTree, beta: float) -> np.ndarray:
-    return tree.prob[:tree.n_slots] * tree.doleans_at_slot_end(beta)
+# The norms are slot sums against w = P(parent) * E_end, and the Y part of
+# the contraction functional against P(parent) * b * E_end; a caller taking
+# several norms at one beta builds w once for the _weighted_* forms.
+def _slot_weights(tree: ScenarioTree, beta: float, b=1.0) -> np.ndarray:
+    return tree.prob[:tree.n_slots] * b * tree.doleans_at_slot_end(beta)
 
 
 def _weighted_y_sq(Y: np.ndarray, tree: ScenarioTree, w: np.ndarray) -> float:
@@ -145,12 +146,12 @@ def mixed_norm_sq(Y: np.ndarray, Z: np.ndarray, tree: ScenarioTree,
     """Slot-weighted Y part plus the Z norm: the contraction functional.
 
     ``b`` is a per-slot weight array (or scalar).  With ``b = 1`` this
-    is ``y_norm_sq + z_norm_sq``.
+    is ``y_norm_sq + z_norm_sq``.  Both slot weights come from
+    ``_slot_weights``.
     """
-    n = tree.n_slots
-    b = np.broadcast_to(np.asarray(b, dtype=float), (n,))
-    wb = tree.prob[:n] * b * tree.doleans_at_slot_end(beta)
-    return _weighted_y_sq(Y, tree, wb) + _weighted_z_sq(Z, tree, _slot_weights(tree, beta))
+    b = np.broadcast_to(np.asarray(b, dtype=float), (tree.n_slots,))
+    return (_weighted_y_sq(Y, tree, _slot_weights(tree, beta, b))
+            + _weighted_z_sq(Z, tree, _slot_weights(tree, beta)))
 
 
 def _canonical_rows(Z: np.ndarray, rows) -> np.ndarray:

@@ -438,36 +438,22 @@ def implicit_step_solve(cond_mean: float, delta_A: float, slot: SlotView,
 # -- independent backward oracle ------------------------------------------
 
 
-def _implicit_level(tree: ScenarioTree, f: Generator, lv, cm: np.ndarray,
-                    Z: np.ndarray) -> np.ndarray:
-    """``_implicit_rows`` on the slots of level plan ``lv`` with ``dA != 0``.
-
-    On ``dA = 0`` slots ``y = cond_mean``, and the driver must be finite
-    there too.
-    """
-    block = tree.block(lv.slots)
-    if lv.zero is None:
-        return _implicit_rows(block, cm, lv.dA, Z, f)
-    f._checked(block.take(lv.zero), cm[lv.zero], Z[lv.zero])
-    Y, live = cm.copy(), ~lv.zero
-    if live.any():
-        Y[live] = _implicit_rows(block.take(live), cm[live], lv.dA[live], Z[live], f)
-    return Y
-
-
 def backward_oracle(problem: BsdeProblem) -> Solution:
     """Reference solver: backward induction with implicit one-step solves.
 
     Works leaf to root: at each level the field rows are represented from
     the children's values, then the parent values solve the implicit
     equations ``y = cond_mean + dA * f(slot, y, Z)``, one level array at a
-    time.  Exact up to the per-step tolerance ``STEP_TOL``; propagates
-    ``StepSingular`` from the blow-up regime.
+    time.  A ``dA = 0`` slot is the row with ``q = 0``: its first step
+    stops at ``cond_mean``, after one driver evaluation there.  Exact up
+    to the per-step tolerance ``STEP_TOL``; propagates ``StepSingular``
+    from the blow-up regime.
     """
     tree = problem.tree()
     f = problem.f
     return Solution(*_backward(tree, problem.terminal_values(tree),
-                               lambda lv, cm, Zl: _implicit_level(tree, f, lv, cm, Zl)))
+                               lambda lv, cm, Zl: _implicit_rows(tree.block(lv.slots), cm,
+                                                                 lv.dA, Zl, f)))
 
 
 # -- fixed-point iteration -------------------------------------------------
@@ -529,10 +515,11 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
 def _monitor(tree: ScenarioTree, beta: float, setup: _Setup, check_hypothesis: bool):
     """``(report, wb, w)`` of one value: its empty report and ``mixed_norm_sq``'s weights.
 
-    ``wb = P * b * E_end``, of the contraction profile only its ``b``, and
-    ``w = norms._slot_weights``.  Refuses a violated hypothesis and a
-    ``delta`` outside ``(0, eps_star)`` at ``beta > 0`` as ``picard_solve``
-    does, unless ``check_hypothesis`` is False.
+    Both are ``norms._slot_weights``: ``wb = P * b * E_end`` with, of the
+    contraction profile, only its ``b``, and ``w = P * E_end``.  Refuses a
+    violated hypothesis and a ``delta`` outside ``(0, eps_star)`` at
+    ``beta > 0`` as ``picard_solve`` does, unless ``check_hypothesis`` is
+    False.
     """
     eps_star, delta, flagged = setup.eps_star, setup.delta, list(setup.flagged)
     if check_hypothesis and eps_star <= 0.0:
@@ -549,8 +536,7 @@ def _monitor(tree: ScenarioTree, beta: float, setup: _Setup, check_hypothesis: b
         iterations=0, converged=False, diff_norms=[], ratio_sq=[], residual=np.inf,
         y_sup=[], beta=beta, delta=delta, beta_min=float(beta_min),
         epsilon_star=eps_star, flagged=flagged)
-    wb = tree.prob[:tree.n_slots] * b * tree.doleans_at_slot_end(beta)
-    return report, wb, norms._slot_weights(tree, beta)
+    return report, norms._slot_weights(tree, beta, b), norms._slot_weights(tree, beta)
 
 
 def _picard(problem: BsdeProblem, values: list, tol: float, max_iter: int,

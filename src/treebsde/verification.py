@@ -236,7 +236,7 @@ def check_norm_equivalence(Z, tree: ScenarioTree, beta: float, gamma: float) -> 
         raise ValueError("a jump size exceeds 1 - gamma")
     w = norms._slot_weights(tree, beta)
     mid = norms._weighted_z_sq(Z, tree, w)
-    full = float(np.sum(w * tree.slot_dA * np.einsum("sm,sm->s", Z * Z, tree.slot_phi)))
+    full = float(np.sum(w * tree.slot_dA * norms._phi_dot(Z * Z, tree.slot_phi)))
     return _inequality("norm_equivalence", max(gamma * full - mid, mid - full), 0.0,
                        detail={"gamma": gamma, "lower": gamma * full, "mid": mid, "upper": full})
 

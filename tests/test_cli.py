@@ -429,6 +429,24 @@ def test_a_preset_number_the_solvers_cannot_use_is_a_config_error(tmp_path, caps
         assert "squares to overflow" in err
 
 
+# a saturating cz whose square is finite but whose threshold data is not: 1e153
+# ended in an uncaught DenominatorNonpositive traceback (exit 1), and 1e154 wrote
+# beta_min NaN into summary.json before "no convergence after 100 sweeps" (exit 3)
+THRESHOLD_CASES = {
+    f"saturating-cz-{cz}": ("solve", {
+        "model": _with(GRID, K=3, a=0.4),
+        "generator": {"preset": "saturating", "params": {"c0": 0.1, "cy": 0.3, "cz": float(cz)}},
+        "terminal": {"preset": "jump_count"}})
+    for cz in ("1e153", "1e154")}
+
+
+@pytest.mark.parametrize("case", THRESHOLD_CASES)
+def test_a_threshold_the_set_up_cannot_represent_is_a_config_error(tmp_path, capsys, case):
+    err = refused(tmp_path, capsys, *THRESHOLD_CASES[case])
+    assert err.startswith("config error: generator preset 'saturating' with params ")
+    assert "Traceback" not in err
+
+
 # iteration controls _picard cannot run: NaN and -1 ran every sweep to exit 3,
 # inf stopped after one sweep as converged, max_iter < 1 ran none to exit 3
 CONTROL_CASES = {

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -415,6 +416,25 @@ def test_oracle_martingale_part_has_zero_conditional_increments():
     martingale = sol.Y + gather_accumulate(tree, f_path * tree.slot_dA)
     cm = conditional_means(tree, martingale)
     assert np.max(np.abs(cm - martingale[: tree.n_slots])) < 1e-10
+
+
+def test_the_oracle_evaluates_the_driver_only_in_the_implicit_step(monkeypatch):
+    # a dA = 0 slot is the q = 0 row of the level's implicit step, with no
+    # driver evaluation of its own
+    model = scenarios.two_state_rule(K=4, m=2, a_after_jump=0.0, a_after_no_jump=0.45)
+    f = Generator(lambda block, y, zeta: 0.2 + 0.5 * np.tanh(y), 0.5, 0.0)
+    problem = BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_jump_count(1.0), f=f)
+    assert np.any(problem.tree().slot_dA == 0.0)
+    checked, callers = Generator._checked, []
+
+    def counting(self, block, y, zeta):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return checked(self, block, y, zeta)
+
+    monkeypatch.setattr(Generator, "_checked", counting)
+    backward_oracle(problem)
+    assert "_implicit_rows" in callers
+    assert [c for c in callers if c != "_implicit_rows"] == []
 
 
 # -- picard -------------------------------------------------------------------------------

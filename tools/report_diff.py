@@ -44,6 +44,12 @@ The case list:
 * a ``solve`` with a NaN ``constant`` terminal, a ``verify`` with an
   ``affine_y`` driver whose ``c0`` is NaN, and a ``solve`` whose ``affine_y``
   ``c1`` is 1e300 (its square overflows): config errors;
+* a ``solve`` and a ``verify`` on a grid whose first and last levels have
+  ``delta_A = 0`` (with a ``saturating`` driver, so the oracle's implicit
+  step runs whole levels of rows with contraction factor 0);
+* two ``solve`` runs whose ``saturating`` ``cz`` (1e153, 1e154) squares to a
+  finite number but leaves the contraction threshold unrepresentable:
+  config errors;
 * the built-in ``counterexample`` run.
 
 Reports carry no timings, so a case whose code did not change must match to
@@ -172,6 +178,17 @@ def cases() -> list[tuple[str, str, dict | None]]:
     for name, command, params in (("verify-affine_y-c0-nan", "verify", {"c0": math.nan, "c1": 0.3}),
                                   ("solve-affine_y-c1-1e300", "solve", {"c1": 1e300})):
         out.append((name, command, {**base, "generator": {"preset": "affine_y", "params": params}}))
+    zero_levels = {**base, "model": {"preset": "deterministic_grid",
+                                     "params": {"K": 3, "m": 2, "a": [0.0, 0.5, 0.0]}}}
+    for command in ("solve", "verify"):
+        out.append((f"{command}-zero-levels", command, zero_levels))
+    for cz in ("1e153", "1e154"):
+        out.append((f"solve-saturating-cz-{cz}", "solve",
+                    {**base, "model": {"preset": "deterministic_grid",
+                                       "params": {"K": 3, "m": 2, "a": 0.4}},
+                     "generator": {"preset": "saturating",
+                                   "params": {"c0": 0.1, "cy": 0.3, "cz": float(cz)}},
+                     "beta": 1.0}))
     out.append(("counterexample", "counterexample", None))
     return out
 

@@ -7,7 +7,8 @@ Run from the root of a checkout:
 
 ``--old`` and ``--new`` are checkout roots (each holds ``src/treebsde``).
 Each case runs ``--repeat`` times per tree, every run in a fresh process
-with ``PYTHONPATH`` set to that tree's ``src`` and one BLAS thread.  A run
+with ``PYTHONPATH`` set to that tree's ``src`` and one BLAS thread; the
+trees alternate, and so does which of them runs first.  A run
 times, once each and in this order:
 
 * ``build_tree``: enumerating the config's tree;
@@ -24,8 +25,9 @@ times, once each and in this order:
 
 and reports the ``resource.getrusage`` peak RSS of the process at the end,
 and the bytes of the built tree's arrays (``nbytes`` summed over the
-tree's numpy attributes, its ``level_histories`` and the arrays its level
-plans own), in total and per node.  A tree that refuses a case's config (a tree over the node budget,
+tree's numpy attributes, a merged tree's child map among them, its
+``level_histories`` and the arrays its level plans and a merged tree's
+rows of all slots own), in total and per node.  A tree that refuses a case's config (a tree over the node budget,
 say) is recorded with its message instead.
 The output is the median of each stage over the runs and the largest
 peak RSS, per tree and case, with the host and library versions.  It is
@@ -190,10 +192,13 @@ def _child(config_path: str, full: bool) -> None:
     stages["build_tree"] = time.perf_counter() - t0
     tree = built[1]
     arrays = [v for v in vars(tree).values() if isinstance(v, np.ndarray)]
-    # the level plans' own arrays (their views of the tree's arrays hold nothing)
-    arrays += [v for lv in getattr(tree, "_levels", ()) for v in vars(lv).values()
+    # the own arrays of the level plans and of a merged tree's rows of all
+    # slots (their views of the tree's arrays hold nothing)
+    plans = list(getattr(tree, "_levels", ())) + [getattr(tree, "_slot_rows", None)]
+    arrays += [v for lv in plans if lv is not None for v in vars(lv).values()
                if isinstance(v, np.ndarray) and v.base is None]
-    tree_bytes = sum(a.nbytes for a in arrays + list(tree.level_histories))
+    arrays = {id(a): a for a in arrays + list(tree.level_histories)}.values()   # each once
+    tree_bytes = sum(a.nbytes for a in arrays)
     t0 = time.perf_counter()
     problem, diag = cli._build_problem(cfg, built)
     stages["build_problem"] = time.perf_counter() - t0
@@ -282,9 +287,9 @@ def main(argv=None) -> int:
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(cases[name]))
             runs = {key: [] for key in trees}
-            for _ in range(args.repeat):      # alternate the trees run by run
-                for key, src in trees.items():
-                    runs[key].append(_run(src.resolve(), path, name in FULL_TREE))
+            for i in range(args.repeat):      # alternate the trees run by run, and which goes first
+                for key in list(trees)[::1 if i % 2 == 0 else -1]:
+                    runs[key].append(_run(trees[key].resolve(), path, name in FULL_TREE))
             out["cases"][name] = {"config": cases[name],
                                   **{key: _summary(r) for key, r in runs.items()}}
             print(f"{name}: " + "  ".join(

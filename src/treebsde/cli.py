@@ -365,7 +365,8 @@ def _solved(cfg: RunConfig, noun: str, oracle: bool = False):
     Returns ``(code, problem, report, out, (solution, solve_report, oracle))``;
     a nonzero ``code`` comes with the summary written and no solution.
     """
-    problem, diag = _build_problem(cfg)
+    base = _base_problem(cfg)
+    problem, diag = _build_problem(cfg, base=base)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     report = RunReport(seed=cfg.seed, conditions=diag)
@@ -375,8 +376,8 @@ def _solved(cfg: RunConfig, noun: str, oracle: bool = False):
                    f"{len(diag['flagged'])} slot(s) flagged")
     else:
         try:
-            sol, rep = solver.picard_solve(problem, tol=cfg.tol,
-                                           max_iter=cfg.max_iter, delta=diag["delta"])
+            # the set-up _base_problem made: picard_solve would make it again
+            sol, rep = solver._picard_at(problem, base[1], cfg.tol, cfg.max_iter)
             solved = (sol, rep, solver.backward_oracle(problem) if oracle else None)
             return EXIT_OK, problem, report, out, solved
         except solver.SolverError as exc:

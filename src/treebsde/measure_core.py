@@ -31,14 +31,16 @@ level plan (``_Level``), worked out once per tree and handed to the
 solvers' level kernels; two tree operators alone carry its child layout:
 ``_child_values`` of the backward sweeps and ``_forward`` of the forward
 ones.  On a full tree a level's children are consecutive nodes in slot
-and column order.
+and column order, read as a block.
 
 Merged trees: the nodes of a depth whose declared states
 (``ScenarioModel.state``) are equal are one node.  It keeps the first
 history, sums their probabilities and carries their probability-weighted
 mean weight, so every ``prob * weight`` sum is the full tree's.
-``_child_values`` gathers and ``_forward`` averages over the edges into a
-node.
+``_forward`` averages over the edges into a node.  The child map built with
+the tree (``ScenarioTree._child_index``: each slot's child node per outcome,
+``n_nodes`` where none) reads a level's children (``_child_values``), or
+every slot's, in one gather from the node values followed by one 0.
 
 Trees are purely atomic: ``A`` moves only by its jumps ``delta_A``, so a
 node's Doleans-Dade weight of ``beta * A`` is the product of
@@ -221,7 +223,8 @@ class _Level(_Rows):
     block of nodes and ``branches`` is one ``(1, m + 1)`` row.  On a merged
     tree ``edges`` holds, per edge in slot and column order, its slot
     (within the level), its node (within the next depth) and its path
-    mass, and per node the slot of its first edge.
+    mass, and per node the slot of its first edge; ``child_index`` is the
+    level's rows of the tree's child map (None on a full tree).
     """
 
     def __init__(self, tree: "ScenarioTree", k: int, edges):
@@ -237,6 +240,9 @@ class _Level(_Rows):
         else:
             self.branches = _branches(self.dA, m)
         self.edges = edges
+        self.child_index = None if edges is None else tree._child_index[self.slots]
+        if edges is not None:
+            self.child_index[self.branches] = self.nodes.start + edges[1]
 
 
 class ScenarioTree:
@@ -251,7 +257,8 @@ class ScenarioTree:
     The level plan ``_levels[k]`` (``_Level``) is the one home of level
     ``k``'s layout and the only plan a tree keeps; the solvers' level
     kernels take it, and ``_child_values`` and ``_forward`` alone read its
-    child layout.
+    child layout.  A merged tree keeps its child map ``_child_index`` and the
+    rows of all its slots ``_slot_rows``, for the reads of every slot at once.
     """
 
     def __init__(self, model, level_start, prob, level_histories, slot_dA, slot_phi,
@@ -263,8 +270,11 @@ class ScenarioTree:
         self.slot_dA = slot_dA
         self.slot_phi = slot_phi
         self.slot_step = np.repeat(np.arange(self.horizon), np.diff(level_start[:-1]))
+        self._child_index = None if edges is None else np.full(
+            (self.n_slots, self.n_marks + 1), self.n_nodes)
         self._levels = [_Level(self, k, None if edges is None else edges[k])
                         for k in range(self.horizon)]
+        self._slot_rows = None if edges is None else _Rows(slot_dA, slot_phi)
         self._whole: SlotBlock | None = None
         self._doleans_cache: dict[float, np.ndarray] = {}
         self._views: dict[int, SlotView] = {}
@@ -341,18 +351,20 @@ class ScenarioTree:
 
         On a full tree a block level is a reshape of one slice of ``Y`` (a
         view of ``Y`` when every column is filled) and a mixed level places
-        its children by its branch mask; a merged level gathers them by edge.
+        its children by its branch mask.  A merged level gathers them
+        through its child map: there ``Y`` holds the node values, then one 0.
         """
         lv, m1 = self._levels[k], self.n_marks + 1
+        if lv.child_index is not None:
+            return Y[lv.child_index]
         n, cols, values = lv.dA.size, lv.cols, Y[lv.nodes]
-        if lv.edges is None and cols is not None:
-            if cols.stop - cols.start == m1:
-                return values.reshape(n, m1)
-            V = np.zeros((n, m1))
-            V[:, cols] = values.reshape(n, cols.stop - cols.start)
-            return V
+        if cols is not None and cols.stop - cols.start == m1:
+            return values.reshape(n, m1)
         V = np.zeros((n, m1))
-        V[lv.branches] = values if lv.edges is None else values[lv.edges[1]]
+        if cols is None:
+            V[lv.branches] = values
+        else:
+            V[:, cols] = values.reshape(n, cols.stop - cols.start)
         return V
 
     def _forward(self, values: np.ndarray, k: int) -> np.ndarray:
@@ -421,13 +433,13 @@ def _level_rules(model: ScenarioModel, k: int, H: np.ndarray):
     if dA.shape != (n,):
         raise ValueError(f"jump sizes must have shape ({n},) at slot {k}")
     bad = ~((dA >= 0.0) & (dA <= 1.0))          # also catches NaN
-    if np.any(bad):
+    if bad.any():
         raise ValueError(f"jump size {float(dA[np.argmax(bad)])!r} outside [0, 1] at slot {k}")
     phi = np.ascontiguousarray(model.mark_law(k, H), dtype=float)
     if phi.shape != (n, m):
         raise ValueError(f"mark law must have shape ({m},) at slot {k}")
     total = phi.sum(axis=1)
-    if not np.all(phi >= 0) or not np.all(np.abs(total - 1.0) <= 1e-12):
+    if not (phi >= 0).all() or not (np.abs(total - 1.0) <= 1e-12).all():
         raise ValueError(f"mark law is not a probability vector at slot {k}")
     return dA, phi / total[:, None]
 
@@ -453,7 +465,7 @@ def _groups(keys: np.ndarray):
     order = np.lexsort(keys.T)
     s = keys[order]
     new = np.ones(order.size, dtype=bool)
-    new[1:] = np.any(s[1:] != s[:-1], axis=1)
+    new[1:] = (s[1:] != s[:-1]).any(axis=1)
     first = order[new]                  # the sort is stable: each group's first row
     by_first = np.argsort(first)
     label = np.empty_like(by_first)
@@ -521,10 +533,11 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
         bp = np.empty((n, m + 1))
         bp[:, :m] = dA[:, None] * phi
         bp[:, m] = 1.0 - dA
-        local = np.nonzero(mask)[0]             # parent of each child, within the level
+        local, col = np.nonzero(mask)   # each child's parent (within the level) and column
         p = prob[-1][local] * bp[mask]
-        out = np.broadcast_to(codes, (n, m + 1))[mask]
-        H = np.concatenate([H[local], out[:, None]], axis=1)
+        H, parents = np.empty((local.size, k + 1), dtype=np.int8), H
+        H[:, :k] = parents[local]
+        H[:, k] = codes[col]
         if edges is not None:
             child, first = _groups(_state_keys(model, k + 1, H))
             edges.append((local, child, p, local[first]))

@@ -78,7 +78,7 @@ def _uniform_model(K: int, m: int, jump_size, phi=None, T: float = 1.0) -> Scena
         vec = np.full(marks.size, 1.0 / marks.size) if phi is None else np.asarray(phi, float)
 
         def mark_law(k, H):
-            return np.broadcast_to(vec, (H.shape[0],) + vec.shape)
+            return np.repeat(vec[None], H.shape[0], axis=0)   # contiguous rows
 
     return ScenarioModel(marks, _uniform_grid(K, T), jump_size, mark_law)
 
@@ -90,7 +90,7 @@ def jump_count(history) -> int:
 
 def jump_counts(H: np.ndarray) -> np.ndarray:
     """Number of realized points in each row of a history matrix."""
-    return np.count_nonzero(H != NO_JUMP, axis=1)
+    return (H != NO_JUMP).sum(axis=1)
 
 
 def last_marks(H: np.ndarray) -> np.ndarray:
@@ -262,7 +262,7 @@ def xi_last_mark_indicator(mark_index: int, scale: float = 1.0, *, n_marks: int)
 # models nothing, two_state_rule whether the last step carried a point.
 
 _MODEL_READS = {"deterministic_grid": (), "pdmp_like": (), "discretized_intensity": (),
-                "two_state_rule": (lambda H: np.any(H[:, -1:] != NO_JUMP, axis=1),)}
+                "two_state_rule": (lambda H: (H[:, -1:] != NO_JUMP).any(axis=1),)}
 _TERMINAL_READS = {"constant": (), "jump_count": (jump_counts,), "last_mark": (last_marks,)}
 
 
@@ -278,7 +278,10 @@ def preset_state(model: str, terminal: str):
     reads = _MODEL_READS[model] + _TERMINAL_READS[terminal]
 
     def state(k, H):
-        return np.column_stack([np.zeros(H.shape[0], dtype=np.int64)] + [f(H) for f in reads])
+        keys = np.zeros((H.shape[0], len(reads) + 1), dtype=np.int64)   # a zero column first
+        for j, read in enumerate(reads, 1):
+            keys[:, j] = read(H)
+        return keys
 
     return state
 

@@ -23,9 +23,11 @@ values with ``NonFinite``; ``_eval_path`` is the one place that evaluates
 it on every slot of a tree.
 
 On every slot the martingale representation is solved exactly from the
-children's values, one tree level at a time (``_represent_block``); its
-rows follow the canonical-row rule of ``norms._canonical_rows``, so fields
-returned by all solvers are canonical.
+children's values (``_represent_block``); its rows follow the
+canonical-row rule of ``norms._canonical_rows``, so fields returned by all
+solvers are canonical.  The oracle represents Z level by level, before the
+implicit step reads it; on a merged tree the linear sweep, whose Y needs no
+Z, recurses on Y alone and then represents Z for every slot in one block.
 """
 
 from __future__ import annotations
@@ -278,21 +280,27 @@ def _residual(tree, Y, cm, f_path) -> float:
 # -- explicit linear solve ------------------------------------------------
 
 
-def _backward(tree: ScenarioTree, xi_leaf: np.ndarray, parent_values):
+def _backward(tree: ScenarioTree, xi_leaf: np.ndarray, parent_values, z_after=False):
     """Leaf-to-root sweep shared by every route; returns ``(Y, Z)``.
 
     ``parent_values(level, cond_mean, Z[level.slots])`` gives ``Y`` on the
-    slots of each level plan.
+    slots of each level plan.  With ``z_after`` (a merged tree only) it
+    gets no Z, and Z is represented once, for every slot, after the sweep.
     """
-    Y = np.empty(tree.n_nodes)
+    Y = np.empty(tree.n_nodes + 1)
+    Y[-1] = 0.0     # the value a merged tree's child map reads for a missing child
     Y[tree.leaf_slice] = xi_leaf
-    Z = np.zeros((tree.n_slots, tree.n_marks))
+    Z = None if z_after else np.zeros((tree.n_slots, tree.n_marks))
     for k in range(tree.horizon - 1, -1, -1):
         lv = tree._levels[k]
         V = tree._child_values(Y, k)
-        Zl = Z[lv.slots] = _represent_block(lv, V)
+        Zl = None
+        if Z is not None:
+            Zl = Z[lv.slots] = _represent_block(lv, V)
         Y[lv.slots] = parent_values(lv, _cond_means(lv, V), Zl)
-    return Y, Z
+    if Z is None:
+        Z = _represent_block(tree._slot_rows, Y[tree._child_index])
+    return Y[:-1], Z
 
 
 def _linear_sweep(tree: ScenarioTree, xi_leaf: np.ndarray, f_path: np.ndarray,
@@ -303,7 +311,7 @@ def _linear_sweep(tree: ScenarioTree, xi_leaf: np.ndarray, f_path: np.ndarray,
             cm_out[lv.slots] = cm
         return cm + f_path[lv.slots] * lv.dA
 
-    return _backward(tree, xi_leaf, parent_values)
+    return _backward(tree, xi_leaf, parent_values, tree._child_index is not None)
 
 
 def _eval_path(tree: ScenarioTree, f: Generator, Y: np.ndarray,
@@ -503,8 +511,14 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
         NoConvergence: ``max_iter`` sweeps without meeting ``tol`` (the
             report so far is attached to the exception).
     """
-    sol, (report,) = _picard(problem, [(problem.beta, _setup_of(problem, delta))], tol,
-                             max_iter, initial, check_hypothesis)
+    return _picard_at(problem, _setup_of(problem, delta), tol, max_iter, initial,
+                      check_hypothesis)
+
+
+def _picard_at(problem, setup: _Setup, tol, max_iter, initial=None, check_hypothesis=True):
+    """``picard_solve`` at ``setup``, a set-up of ``problem`` (``_setup_of``)."""
+    sol, (report,) = _picard(problem, [(problem.beta, setup)], tol, max_iter, initial,
+                             check_hypothesis)
     if not report.converged:
         last = report.diff_norms[-1] if report.diff_norms else np.nan
         raise NoConvergence(f"no convergence after {max_iter} sweeps (last distance {last})",

@@ -321,15 +321,21 @@ def _jump_identity(tree, Y, Z, f_path) -> CheckResult:
     # f_path: the driver along (Y, Z), one value per slot
     zh = norms.hat_z_rows(Z, tree._all_slots())
     f_dA = f_path * tree.slot_dA
-    # one level at a time: child value minus the expected parent
-    # + g(outcome) - f dA; the last column is the no-jump child
+    # child value minus the expected Y + g(outcome) - f dA, the last column the no-jump
+    # child: level by level on a full tree, every slot at once through a merged one's map
+    if tree._child_index is None:
+        blocks = ((lv.slots, tree._child_values(Y, k), lv.branches)
+                  for k, lv in enumerate(tree._levels))
+    else:
+        index = tree._child_index
+        blocks = [(slice(0, tree.n_slots), np.append(Y, 0.0)[index], index < tree.n_nodes)]
     worst = 0.0
-    for k, lv in enumerate(tree._levels):
-        sl = lv.slots
-        g = np.concatenate([Z[sl] - zh[sl, None], -zh[sl, None]], axis=1)
-        expected = Y[sl, None] + g - f_dA[sl, None]
-        res = np.where(lv.branches, tree._child_values(Y, k) - expected, 0.0)
-        worst = np.max(np.abs(res), initial=worst)
+    for sl, V, branches in blocks:
+        res = np.concatenate([Z[sl] - zh[sl, None], -zh[sl, None]], axis=1)   # g
+        res += Y[sl, None]          # in place, the expected child value Y + g - f dA
+        res -= f_dA[sl, None]
+        worst = np.max(np.abs(np.subtract(V, res, out=res), out=res), where=branches,
+                       initial=worst)
     return _inequality("jump_identity", float(worst), 0.0, slack=JUMP_SLACK)
 
 

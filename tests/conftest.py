@@ -566,8 +566,35 @@ def masked_canonical_rows(Z, delta_A, phi):
     return Z
 
 
-def gather_linear_sweep(tree, xi_leaf, f_path):
-    """The linear backward sweep on the two gather forms above: ``(Y, Z, cm)``."""
+def signed_values(rng, n):
+    """``n`` values of mixed magnitudes with exact +0.0 and -0.0 entries:
+    the sign of a zero is part of the bits."""
+    v = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-4, 5, n)
+    v[rng.random(n) < 0.05] = 0.0
+    v[rng.random(n) < 0.05] = -0.0
+    return v
+
+
+def edge_child_values(tree, Y, sl):
+    """Children's values of the slots of level ``sl`` of a merged tree, 0 where none.
+
+    Each edge's node value placed in its slot's branch mask, edge by edge
+    in slot and column order: a merged tree's ``node_children`` lacks the
+    children whose first history is another's.
+    """
+    k = int(np.searchsorted(tree.level_start, sl.start, side="right")) - 1
+    lv = tree._levels[k]
+    V = np.zeros((sl.stop - sl.start, tree.n_marks + 1))
+    V[lv.branches] = Y[lv.nodes][lv.edges[1]]
+    return V
+
+
+def gather_linear_sweep(tree, xi_leaf, f_path, child_values=gather_child_values):
+    """The linear backward sweep on the gather forms above: ``(Y, Z, cm)``.
+
+    Z is represented level by level, from ``child_values(tree, Y, slots)``
+    (``edge_child_values`` on a merged tree).
+    """
     from treebsde.solver import _cond_means
     Y = np.empty(tree.n_nodes)
     Y[tree.leaf_slice] = xi_leaf
@@ -575,12 +602,27 @@ def gather_linear_sweep(tree, xi_leaf, f_path):
     cm = np.empty(tree.n_slots)
     for k in range(tree.horizon - 1, -1, -1):
         sl = tree.depth_slice(k)
-        V = gather_child_values(tree, Y, sl)
+        V = child_values(tree, Y, sl)
         Z[sl] = masked_canonical_rows(V[:, :-1] - V[:, -1][:, None],
                                       tree.slot_dA[sl], tree.slot_phi[sl])
         cm[sl] = _cond_means(tree._levels[k], V)
         Y[sl] = cm[sl] + f_path[sl] * tree.slot_dA[sl]
     return Y, Z, cm
+
+
+def level_jump_identity(tree, Y, Z, f_path, child_values=gather_child_values):
+    """Worst per-slot jump-identity residual, one level at a time, from
+    ``child_values(tree, Y, slots)`` (``edge_child_values`` on a merged tree)."""
+    from treebsde import norms
+    zh = norms.hat_z_rows(Z, tree.block(slice(None)))
+    worst = 0.0
+    for k, lv in enumerate(tree._levels):
+        sl = lv.slots
+        g = np.concatenate([Z[sl] - zh[sl, None], -zh[sl, None]], axis=1)
+        expected = Y[sl, None] + g - (f_path * tree.slot_dA)[sl, None]
+        res = np.where(lv.branches, child_values(tree, Y, sl) - expected, 0.0)
+        worst = np.max(np.abs(res), initial=worst)
+    return float(worst)
 
 
 # -- whole-tree forms of the level kernels -------------------------------------------

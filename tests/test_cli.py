@@ -551,6 +551,44 @@ def test_delta_sweep_sets_up_once(tmp_path, monkeypatch):
     assert calls == {"terminal": 1, "hypothesis": 1, "threshold": 3}
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("delta", [None, 0.2])
+def test_a_run_sets_up_once(tmp_path, monkeypatch, command, delta):
+    # the fixed-point solve takes the set-up the diagnostics were made from
+    calls = dict.fromkeys(["hypothesis", "counterexample", "threshold"], 0)
+    for key, name in [("hypothesis", "check_main_hypothesis"),
+                      ("counterexample", "detect_counterexample"), ("threshold", "_threshold")]:
+        fn = getattr(cli.conditions, name)
+        monkeypatch.setattr(cli.conditions, name,
+                            lambda *a, _fn=fn, _key=key: calls.__setitem__(_key, calls[_key] + 1)
+                            or _fn(*a))
+    cfg = write_config(tmp_path, model={"preset": "two_state_rule",
+                                        "params": {"K": 4, "m": 2, "a_after_jump": 0.3,
+                                                   "a_after_no_jump": 0.6}},
+                       generator={"preset": "saturating",
+                                  "params": {"c0": 0.1, "cy": 0.5, "cz": 0.4}},
+                       **({} if delta is None else {"delta": delta}))
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert calls == {"hypothesis": 1, "counterexample": 1, "threshold": 1}
+    assert read_summary(out)["conditions"]["delta"] == (delta or pytest.approx(
+        read_summary(out)["conditions"]["epsilon_star"] / 2.0))
+
+
+def test_a_run_that_does_not_converge_exits_three(tmp_path, capsys):
+    # the solve keeps picard_solve's NoConvergence: a solver failure
+    cfg = write_config(tmp_path, model={"preset": "two_state_rule",
+                                        "params": {"K": 4, "m": 2, "a_after_jump": 0.3,
+                                                   "a_after_no_jump": 0.6}},
+                       generator={"preset": "saturating",
+                                  "params": {"c0": 0.1, "cy": 0.5, "cz": 0.4}},
+                       max_iter=1)
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_SOLVER
+    assert "solver failure: no convergence after 1 sweeps" in capsys.readouterr().out
+    assert read_summary(out)["notes"][0].startswith("solver failure: no convergence")
+
+
 @pytest.mark.parametrize("command,expected", [("solve", 2), ("verify", 1)])
 def test_a_run_reads_the_leaf_values_once_per_solver(tmp_path, monkeypatch, command, expected):
     # the fixed-point iteration reads them once, the oracle of ``solve`` once more;

@@ -20,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_apriori_data, gather_accumulate, is_merged, random_generator
+from conftest import (brute_apriori_data, edge_child_values, gather_accumulate,
+                      gather_linear_sweep, is_merged, level_jump_identity, random_generator,
+                      signed_values)
 from treebsde import (BsdeProblem, Generator, backward_oracle, build_tree, cli, conditions,
                       norms, picard_solve, scenarios, solve_linear, solver, verification)
 from treebsde.scenarios import jump_counts, preset_state
@@ -296,6 +298,76 @@ def test_merged_intensity_tree_meets_the_closed_form(K):
     da = -math.expm1(-1.0 / K)
     closed = 0.5 * K * da / (1.0 - 0.2 * da) ** K
     assert _rel_close(float(backward_oracle(problem).Y[0]), closed)
+
+
+# -- the child map: merged levels read by one gather, bit for bit ---------------------------
+
+
+def _jump_count_state(k, H):
+    return jump_counts(H)
+
+
+# merged trees: seeded random models merged by jump count (K = 0 among them),
+# every CLI preset pair (the mixed-kind two_state_rule and K = 0 among them),
+# and five-mark two_state_rules of each branch kind after a jump
+MAP_MODELS = (
+    [pytest.param(dataclasses.replace(
+        scenarios.random_model(np.random.default_rng(seed), K=seed % 5), state=_jump_count_state),
+        id=f"random-{seed}-K{seed % 5}") for seed in range(10)]
+    + [pytest.param(scenarios.ModelSpec(name, params, terminal).build(), id=f"{model}-{terminal}")
+       for model, (name, params) in MODELS.items() for terminal in TERMINALS]
+    + [pytest.param(scenarios.ModelSpec("two_state_rule", {
+        "K": 6, "m": 5, "a_after_jump": a, "a_after_no_jump": 0.45,
+        "phi": [0.1, 0.15, 0.2, 0.25, 0.3]}, "last_mark").build(), id=f"wide-a{a:g}")
+       for a in (0.0, 0.3, 1.0)])
+
+
+@pytest.mark.parametrize("model", MAP_MODELS)
+def test_the_child_map_gathers_the_edges_to_the_bit(model):
+    tree = build_tree(model)
+    assert is_merged(tree)
+    n, index = tree.n_nodes, tree._child_index
+    assert index.shape == (tree.n_slots, tree.n_marks + 1) and index.base is None
+    buf = signed_values(np.random.default_rng(n), n + 8)
+    for off in (0, 1, 3, 7):     # views at odd offsets
+        Y = buf[off:off + n + 1]
+        Y[-1] = 0.0              # the node values, then the value of a missing child
+        levels = []
+        for k, lv in enumerate(tree._levels):
+            levels.append(edge_child_values(tree, Y[:n], lv.slots))
+            assert _bits(tree._child_values(Y, k)) == _bits(levels[-1])
+            assert np.array_equal(index[lv.slots] < n, lv.branches)
+        whole = np.concatenate(levels) if levels else np.zeros((0, tree.n_marks + 1))
+        assert _bits(Y[index]) == _bits(whole)
+
+
+@pytest.mark.parametrize("model", MAP_MODELS)
+def test_the_two_phase_linear_sweep_is_the_per_level_sweep_to_the_bit(model):
+    tree = build_tree(model)
+    leaves, n = tree.n_nodes - tree.n_slots, tree.n_slots
+    buf = signed_values(np.random.default_rng(tree.n_nodes + 1), leaves + n + 8)
+    for off in (0, 1, 3, 7):     # views at odd offsets
+        xi_leaf, f_path = buf[off:off + leaves], buf[off + leaves:off + leaves + n]
+        cm = np.empty(n)
+        Y, Z = solver._linear_sweep(tree, xi_leaf, f_path, cm)
+        want = gather_linear_sweep(tree, xi_leaf, f_path, edge_child_values)
+        assert [_bits(a) for a in (Y, Z, cm)] == [_bits(a) for a in want]
+        assert Y.shape == (tree.n_nodes,) and Z.shape == (n, tree.n_marks)
+
+
+@pytest.mark.parametrize("model", MAP_MODELS)
+def test_the_one_block_jump_identity_is_the_level_loop(model):
+    tree = build_tree(model)
+    rng = np.random.default_rng(tree.n_nodes + 2)
+    Y, f_path = signed_values(rng, tree.n_nodes), signed_values(rng, tree.n_slots)
+    Z = signed_values(rng, tree.n_slots * tree.n_marks).reshape(tree.n_slots, tree.n_marks)
+    for nan in (False, True):
+        if nan:
+            Y[-1] = np.nan       # a leaf: the worst residual is NaN both ways
+        got = verification._jump_identity(tree, Y, Z, f_path).lhs
+        want = level_jump_identity(tree, Y, Z, f_path, edge_child_values)
+        assert got.hex() == want.hex()
+        assert math.isnan(got) == (nan and tree.n_slots > 0)
 
 
 # -- the import the grouping avoids ------------------------------------------------------

@@ -18,6 +18,7 @@ from conftest import (bsde_residual, canonical_field, conditional_means,
                       gather_doleans, gather_linear_sweep, gather_parent_broadcast,
                       masked_canonical_rows, node_children, per_slot, random_linear_problem,
                       random_problem, random_terminal, represent_martingale, scalar_hat_z)
+from conftest import signed_values as _signed_values
 
 
 def slot_of(K=1, m=1, a=0.5, phi=None):
@@ -115,15 +116,6 @@ LAYOUT_MODELS = (
 
 def _bits(a):
     return np.ascontiguousarray(a).tobytes()
-
-
-def _signed_values(rng, n):
-    # mixed magnitudes with exact +0.0 and -0.0 entries: the sign of a zero
-    # is part of the bits
-    v = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-4, 5, n)
-    v[rng.random(n) < 0.05] = 0.0
-    v[rng.random(n) < 0.05] = -0.0
-    return v
 
 
 @pytest.mark.parametrize("model,blocks", LAYOUT_MODELS)

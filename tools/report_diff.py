@@ -32,6 +32,10 @@ The case list:
   ``a_after_no_jump``); the CLI merges their histories by declared state,
   so they run the merged tree's edge path of the child read and parent
   broadcast;
+* ``solve`` and ``verify`` on a merged ``two_state_rule`` with five marks
+  and a ``last_mark`` terminal, with the ``saturating`` driver and with the
+  ``affine_z`` driver (``c2`` 0.3): rows of five marks, where an order of
+  the mark sums other than left to right would move bits;
 * a ``solve`` and a ``verify`` whose ``last_mark`` terminal names a mark
   the tree lacks (5, and the no-jump code -1, with two marks): config
   errors;
@@ -162,6 +166,16 @@ def cases() -> list[tuple[str, str, dict | None]]:
                                               "a_after_no_jump": 0.45, "phi": [0.3, 0.7]}}}
         for command in ("solve", "verify"):
             out.append((f"{command}-mixed-kinds-a{a_jump:g}", command, mixed))
+    wide = {**base, "model": {"preset": "two_state_rule",
+                              "params": {"K": 6, "m": 5, "a_after_jump": 0.3,
+                                         "a_after_no_jump": 0.55,
+                                         "phi": [0.1, 0.15, 0.2, 0.25, 0.3]}},
+            "terminal": {"preset": "last_mark", "params": {"mark": 3, "scale": 1.3}}}
+    for gen, gparams in (("saturating", GENERATORS["saturating"]),
+                         ("affine_z", GENERATORS["affine_z"])):
+        for command in ("solve", "verify"):
+            out.append((f"{command}-wide-rows-{gen}", command,
+                        {**wide, "generator": {"preset": gen, "params": gparams}}))
     for command, mark in (("solve", 5), ("verify", -1)):
         out.append((f"{command}-last_mark-{mark}", command,
                     {**base, "model": MODELS["grid"],

@@ -24,10 +24,10 @@ times, once each and in this order:
   ``sweep.csv`` included, after the run has dropped its own tree;
 
 and reports the ``resource.getrusage`` peak RSS of the process at the end,
-and the bytes of the built tree's arrays (``nbytes`` summed over the
-tree's numpy attributes, a merged tree's child map among them, its
-``level_histories`` and the arrays its level plans and a merged tree's
-rows of all slots own), in total and per node.  A tree that refuses a case's config (a tree over the node budget,
+and the bytes of the built tree's arrays (``nbytes`` of every buffer that
+the tree's numpy attributes, a merged tree's child map among them, its
+``level_histories``, its plans (per level and of the whole tree) and
+their slot blocks hold or view, each buffer once), in total and per node.  A tree that refuses a case's config (a tree over the node budget,
 say) is recorded with its message instead.
 The output is the median of each stage over the runs and the largest
 peak RSS, per tree and case, with the host and library versions.  It is
@@ -147,6 +147,7 @@ def _child(config_path: str, full: bool) -> None:
 
     import numpy as np
     from treebsde import cli, scenarios, solver, verification
+    from treebsde.measure_core import SlotBlock
 
     stages, checks = {}, dict.fromkeys(CHECKS, 0.0)
     depth = [0]
@@ -191,14 +192,19 @@ def _child(config_path: str, full: bool) -> None:
         return
     stages["build_tree"] = time.perf_counter() - t0
     tree = built[1]
-    arrays = [v for v in vars(tree).values() if isinstance(v, np.ndarray)]
-    # the own arrays of the level plans and of a merged tree's rows of all
-    # slots (their views of the tree's arrays hold nothing)
+    # the arrays of the tree, of its plans (the levels' and the whole tree's) and
+    # of the plans' slot blocks, each counted by the buffer it views, once
     plans = list(getattr(tree, "_levels", ())) + [getattr(tree, "_slot_rows", None)]
-    arrays += [v for lv in plans if lv is not None for v in vars(lv).values()
-               if isinstance(v, np.ndarray) and v.base is None]
-    arrays = {id(a): a for a in arrays + list(tree.level_histories)}.values()   # each once
-    tree_bytes = sum(a.nbytes for a in arrays)
+    fields = list(vars(tree).values()) + list(tree.level_histories)
+    fields += [v for lv in plans if lv is not None for v in vars(lv).values()]
+    fields += [v for f in fields if isinstance(f, SlotBlock) for v in vars(f).values()]
+    owners = {}
+    for a in fields:
+        while isinstance(a, np.ndarray) and isinstance(a.base, np.ndarray):
+            a = a.base
+        if isinstance(a, np.ndarray):
+            owners[id(a)] = a
+    tree_bytes = sum(a.nbytes for a in owners.values())
     t0 = time.perf_counter()
     problem, diag = cli._build_problem(cfg, built)
     stages["build_problem"] = time.perf_counter() - t0
@@ -226,7 +232,7 @@ def _child(config_path: str, full: bool) -> None:
         "stages_s": stages, "run_suite_checks_s": checks,
     }
     # the sweep builds its own tree, so the first one goes before it
-    del built, tree, arrays, problem, diag, sol, rep, results
+    del built, tree, fields, owners, problem, diag, sol, rep, results
     sweep = {"param": "beta", "values": SWEEP_BETAS, "relative_to_beta_min": True}
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
         t0 = time.perf_counter()

@@ -96,6 +96,9 @@ class RunConfig:
         if not isinstance(cfg.out, str):
             raise ConfigError(f"out must be a path, not {cfg.out!r}")
         try:
+            for key in ("beta", "beta_margin", "delta", "tol", "max_iter", "seed"):
+                if _has_bool(getattr(cfg, key)):
+                    raise ValueError(f"{key} {getattr(cfg, key)!r} is not a number")
             cfg.beta_margin = float(cfg.beta_margin)
             cfg.tol = float(cfg.tol)
             if not 0.0 <= cfg.tol < math.inf:
@@ -129,10 +132,16 @@ class RunReport:
 # -- presets ------------------------------------------------------------------
 
 
+def _has_bool(value) -> bool:   # a JSON boolean, alone or in a list: float() reads 1 or 0
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+
+
 def _num(params, key, default, kind=float):
     """``kind(params.get(key, default))``; a malformed or non-finite value is a config error."""
     value = params.get(key, default)
     try:
+        if _has_bool(value):
+            raise TypeError(f"{value!r} is not a number")
         num = kind(value)
         if math.isfinite(num):
             return num
@@ -223,6 +232,9 @@ def _build_tree(cfg: RunConfig):
     agree on it.  A bad model section, an invalid rule value and a tree
     over the node budget (``TreeTooLarge``) are config errors.
     """
+    bools = sorted(key for key, value in cfg.model.get("params", {}).items() if _has_bool(value))
+    if bools:
+        raise ConfigError(f"bad model spec: a boolean is not a number: {', '.join(bools)}")
     try:
         model = scenarios.ModelSpec(cfg.model["preset"], cfg.model.get("params", {}),
                                     cfg.terminal.get("preset", "constant")).build()
@@ -474,6 +486,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if param not in ("beta", "delta", "K"):
         raise ConfigError("sweep param must be one of beta, delta, K")
     try:
+        if _has_bool(cfg.sweep.get("values")):
+            raise ValueError(f"a boolean is not a number: values {cfg.sweep['values']!r}")
         values = [float(v) for v in cfg.sweep.get("values", [])]
         if param == "K":
             horizons = [_whole(v) for v in values]

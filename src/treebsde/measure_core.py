@@ -26,12 +26,12 @@ built only on demand, for one node (``ScenarioTree.history``) or one
 slot (``SlotView``).
 
 The tree keeps per-level data only.  One rule, ``_branches``, gives a
-slot's children from its jump size.  A level's layout has one home, its
-level plan (``_Level``), worked out once per tree and handed to the
-solvers' level kernels; two tree operators alone carry its child layout:
-``_child_values`` of the backward sweeps and ``_forward`` of the forward
-ones.  On a full tree a level's children are consecutive nodes in slot
-and column order, read as a block.
+slot's children from its jump size.  The layout has one home, the plans
+(``_Level``) of each level and of the whole tree, worked out once per tree
+and handed to the solvers' kernels; two tree operators alone carry the
+child layout: ``_child_values`` (of a level or of every slot) and
+``_forward``.  On a full tree the children of a run of levels are
+consecutive nodes in slot and column order, read as a block.
 
 Merged trees: the nodes of a depth whose declared states
 (``ScenarioModel.state``) are equal are one node.  It keeps the first
@@ -39,8 +39,8 @@ history, sums their probabilities and carries their probability-weighted
 mean weight, so every ``prob * weight`` sum is the full tree's.
 ``_forward`` averages over the edges into a node.  The child map built with
 the tree (``ScenarioTree._child_index``: each slot's child node per outcome,
-``n_nodes`` where none) reads a level's children (``_child_values``), or
-every slot's, in one gather from the node values followed by one 0.
+``n_nodes`` where none) makes every child read one gather from the node
+values followed by one 0: the buffer of ``ScenarioTree._node_values``.
 
 Trees are purely atomic: ``A`` moves only by its jumps ``delta_A``, so a
 node's Doleans-Dade weight of ``beta * A`` is the product of
@@ -77,8 +77,8 @@ __all__ = [
 
 
 def _whole(value) -> int:
-    """``int(value)`` of a whole number; a fraction is refused, never truncated."""
-    if not isinstance(value, str) and value % 1:   # nan and inf too
+    """``int(value)`` of a whole number; a fraction or a boolean is refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, str) and value % 1:   # nan and inf too
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 
@@ -204,7 +204,7 @@ class SlotBlock:
 class _Rows:
     """Rows of a run of slots: ``dA``, ``stay = 1 - dA``, ``phi``, the rows
     with ``dA = 1`` (``unit``: None, True for all, else an ``(n, 1)`` mask)
-    and those with ``dA = 0`` (``zero``: None or a mask); a level plan is one."""
+    and those with ``dA = 0`` (``zero``: None or a mask); a plan is one."""
 
     def __init__(self, dA: np.ndarray, phi: np.ndarray):
         self.dA, self.phi, self.stay = dA, phi, 1.0 - dA
@@ -214,33 +214,32 @@ class _Rows:
 
 
 class _Level(_Rows):
-    """Plan of slot level ``k``: its rows, its ``slots``, the next depth's
-    ``nodes`` and the ``_branches`` mask of its children.
+    """Plan of the slots of levels ``k`` to ``stop - 1`` (one level, or all):
+    its rows, ``slots``, their children's ``nodes`` (on a full tree, these in
+    slot and column order) and those children's ``_branches`` mask.
 
     ``cols`` is the column range every slot fills when the slots share
     their branch kind (all interior, all ``dA = 1`` or all ``dA = 0``),
     else None; a full tree's children then form one ``(slots, columns)``
-    block of nodes and ``branches`` is one ``(1, m + 1)`` row.  On a merged
-    tree ``edges`` holds, per edge in slot and column order, its slot
-    (within the level), its node (within the next depth) and its path
-    mass, and per node the slot of its first edge; ``child_index`` is the
-    level's rows of the tree's child map (None on a full tree).
+    block of nodes.  On a merged tree ``child_index`` is the plan's rows of
+    the child map and a level's ``edges`` holds, per edge in slot and column
+    order, its slot (within the level), its node (within the next depth) and
+    its path mass, and per node the slot of its first edge.
     """
 
-    def __init__(self, tree: "ScenarioTree", k: int, edges):
-        self.slots, self.nodes = tree.depth_slice(k), tree.depth_slice(k + 1)
+    def __init__(self, tree: "ScenarioTree", k: int, stop: int, edges=None, whole=None):
+        ls = tree.level_start
+        self.slots = slice(int(ls[k]), int(ls[stop]))
+        self.nodes = slice(int(ls[k + 1]), int(ls[stop + 1]))
         super().__init__(tree.slot_dA[self.slots], tree.slot_phi[self.slots])
         m, unit, zero = tree.n_marks, self.unit, self.zero
         self.cols = (slice(0, m) if unit is True else
                      slice(0, m + 1) if unit is None and zero is None else
                      slice(m, m + 1) if unit is None and zero.all() else None)
-        if edges is None and self.cols is not None:
-            self.branches = np.zeros((1, m + 1), dtype=bool)
-            self.branches[0, self.cols] = True
-        else:
-            self.branches = _branches(self.dA, m)
-        self.edges = edges
-        self.child_index = None if edges is None else tree._child_index[self.slots]
+        # a level's mask is a view of the whole-tree plan's, its child map of the tree's
+        self.branches = _branches(self.dA, m) if whole is None else whole.branches[self.slots]
+        self.edges, index = edges, tree._child_index
+        self.child_index = None if index is None else index[self.slots]
         if edges is not None:
             self.child_index[self.branches] = self.nodes.start + edges[1]
 
@@ -254,11 +253,10 @@ class ScenarioTree:
     ``(n_k, k)`` int8 matrix of the histories of depth ``k``, one row per
     node in node order.
 
-    The level plan ``_levels[k]`` (``_Level``) is the one home of level
-    ``k``'s layout and the only plan a tree keeps; the solvers' level
-    kernels take it, and ``_child_values`` and ``_forward`` alone read its
-    child layout.  A merged tree keeps its child map ``_child_index`` and the
-    rows of all its slots ``_slot_rows``, for the reads of every slot at once.
+    The plans (``_Level``) of each level, ``_levels[k]``, and of the whole tree,
+    ``_slot_rows`` (with the ``block`` of every slot), are the one home of its
+    layout; the solvers' kernels take them, and ``_child_values`` and ``_forward``
+    alone read where children lie (which exist: the ``branches`` of ``_branches``).
     """
 
     def __init__(self, model, level_start, prob, level_histories, slot_dA, slot_phi,
@@ -272,10 +270,10 @@ class ScenarioTree:
         self.slot_step = np.repeat(np.arange(self.horizon), np.diff(level_start[:-1]))
         self._child_index = None if edges is None else np.full(
             (self.n_slots, self.n_marks + 1), self.n_nodes)
-        self._levels = [_Level(self, k, None if edges is None else edges[k])
+        self._slot_rows = whole = _Level(self, 0, self.horizon)
+        whole.block = self.block(whole.slots)
+        self._levels = [_Level(self, k, k + 1, None if edges is None else edges[k], whole)
                         for k in range(self.horizon)]
-        self._slot_rows = None if edges is None else _Rows(slot_dA, slot_phi)
-        self._whole: SlotBlock | None = None
         self._doleans_cache: dict[float, np.ndarray] = {}
         self._views: dict[int, SlotView] = {}
 
@@ -338,23 +336,23 @@ class ScenarioTree:
         return SlotBlock(index=index, step=self.slot_step[ids],
                          delta_A=self.slot_dA[ids], phi=self.slot_phi[ids])
 
-    def _all_slots(self) -> SlotBlock:
-        """The block of every slot, built on first use and kept."""
-        if self._whole is None:
-            self._whole = self.block(slice(0, self.n_slots))
-        return self._whole
-
     # -- child layout ---------------------------------------------------
 
-    def _child_values(self, Y: np.ndarray, k: int) -> np.ndarray:
-        """Children's values of the slots of level ``k``: one column per outcome, 0 where none.
+    def _node_values(self, Y=None) -> np.ndarray:
+        """A node-value buffer, unset or a copy of ``Y``, then the 0 a missing child reads."""
+        buf = np.empty(self.n_nodes + 1)
+        buf[-1] = 0.0
+        if Y is not None:
+            buf[:-1] = Y
+        return buf
 
-        On a full tree a block level is a reshape of one slice of ``Y`` (a
-        view of ``Y`` when every column is filled) and a mixed level places
-        its children by its branch mask.  A merged level gathers them
-        through its child map: there ``Y`` holds the node values, then one 0.
-        """
-        lv, m1 = self._levels[k], self.n_marks + 1
+    def _child_values(self, Y: np.ndarray, k: int | None = None) -> np.ndarray:
+        """Children's values of the slots of level ``k``, or of all: one column per outcome,
+        0 where none.  On a merged tree ``Y`` is a ``_node_values`` buffer, read by
+        one gather through the child map; on a full tree a block plan reads a
+        reshape of one slice of ``Y`` (a view when every column is filled), and
+        any other places its children by its branch mask."""
+        lv, m1 = self._slot_rows if k is None else self._levels[k], self.n_marks + 1
         if lv.child_index is not None:
             return Y[lv.child_index]
         n, cols, values = lv.dA.size, lv.cols, Y[lv.nodes]
@@ -479,12 +477,11 @@ def _branches(dA: np.ndarray, m: int) -> np.ndarray:
     """Children of slots with jump sizes ``dA``: an ``(n, m + 1)`` bool mask.
 
     Columns are the marks, then no jump: a child per mark when
-    ``delta_A > 0`` and a no-jump child when ``delta_A < 1``.
+    ``delta_A > 0`` and a no-jump child when ``delta_A < 1``.  Joined as
+    columns: filling the mark columns by one broadcast copies a few bytes
+    per row and took 5× as long on 30,000 slots.
     """
-    mask = np.empty((dA.size, m + 1), dtype=bool)
-    mask[:, :m] = (dA > 0.0)[:, None]
-    mask[:, m] = dA < 1.0
-    return mask
+    return np.concatenate([(dA > 0.0)[:, None]] * m + [(dA < 1.0)[:, None]], axis=1)
 
 
 def build_tree(model: ScenarioModel) -> ScenarioTree:

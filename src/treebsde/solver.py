@@ -25,9 +25,11 @@ it on every slot of a tree.
 On every slot the martingale representation is solved exactly from the
 children's values (``_represent_block``); its rows follow the
 canonical-row rule of ``norms._canonical_rows``, so fields returned by all
-solvers are canonical.  The oracle represents Z level by level, before the
-implicit step reads it; on a merged tree the linear sweep, whose Y needs no
-Z, recurses on Y alone and then represents Z for every slot in one block.
+solvers are canonical.  Every route sweeps a node-value buffer of the tree
+(``ScenarioTree._node_values``) from the leaves, one level plan at a time
+(``_backward``).  The oracle represents Z level by level, before the
+implicit step reads it; the linear sweep, whose Y needs no Z, recurses on
+Y alone and then represents Z for every slot in one block.
 """
 
 from __future__ import annotations
@@ -280,38 +282,28 @@ def _residual(tree, Y, cm, f_path) -> float:
 # -- explicit linear solve ------------------------------------------------
 
 
-def _backward(tree: ScenarioTree, xi_leaf: np.ndarray, parent_values, z_after=False):
-    """Leaf-to-root sweep shared by every route; returns ``(Y, Z)``.
-
-    ``parent_values(level, cond_mean, Z[level.slots])`` gives ``Y`` on the
-    slots of each level plan.  With ``z_after`` (a merged tree only) it
-    gets no Z, and Z is represented once, for every slot, after the sweep.
-    """
-    Y = np.empty(tree.n_nodes + 1)
-    Y[-1] = 0.0     # the value a merged tree's child map reads for a missing child
+def _backward(tree: ScenarioTree, xi_leaf: np.ndarray, parent_values) -> np.ndarray:
+    """Leaf-to-root sweep of every route, filling a node-value buffer: ``Y`` on the
+    slots of each level plan is ``parent_values(level, its children's values)``."""
+    Y = tree._node_values()
     Y[tree.leaf_slice] = xi_leaf
-    Z = None if z_after else np.zeros((tree.n_slots, tree.n_marks))
     for k in range(tree.horizon - 1, -1, -1):
         lv = tree._levels[k]
-        V = tree._child_values(Y, k)
-        Zl = None
-        if Z is not None:
-            Zl = Z[lv.slots] = _represent_block(lv, V)
-        Y[lv.slots] = parent_values(lv, _cond_means(lv, V), Zl)
-    if Z is None:
-        Z = _represent_block(tree._slot_rows, Y[tree._child_index])
-    return Y[:-1], Z
+        Y[lv.slots] = parent_values(lv, tree._child_values(Y, k))
+    return Y
 
 
 def _linear_sweep(tree: ScenarioTree, xi_leaf: np.ndarray, f_path: np.ndarray,
                   cm_out: np.ndarray | None = None):
-    # (Y, Z) of the linear equation; cm_out receives the conditional means
-    def parent_values(lv, cm, _):
+    # (Y, Z) of the linear equation, Z once Y is done; cm_out receives the conditional means
+    def parent_values(lv, V):
+        cm = _cond_means(lv, V)
         if cm_out is not None:
             cm_out[lv.slots] = cm
         return cm + f_path[lv.slots] * lv.dA
 
-    return _backward(tree, xi_leaf, parent_values, tree._child_index is not None)
+    Y = _backward(tree, xi_leaf, parent_values)
+    return Y[:tree.n_nodes], _represent_block(tree._slot_rows, tree._child_values(Y))
 
 
 def _eval_path(tree: ScenarioTree, f: Generator, Y: np.ndarray,
@@ -320,7 +312,7 @@ def _eval_path(tree: ScenarioTree, f: Generator, Y: np.ndarray,
 
     The one place that evaluates a driver on every slot of a tree.
     """
-    return f._checked(tree._all_slots(), Y[:tree.n_slots], Z)
+    return f._checked(tree._slot_rows.block, Y[:tree.n_slots], Z)
 
 
 def _path_values(problem: BsdeProblem, tree: ScenarioTree) -> np.ndarray:
@@ -457,11 +449,15 @@ def backward_oracle(problem: BsdeProblem) -> Solution:
     to the per-step tolerance ``STEP_TOL``; propagates ``StepSingular``
     from the blow-up regime.
     """
-    tree = problem.tree()
-    f = problem.f
-    return Solution(*_backward(tree, problem.terminal_values(tree),
-                               lambda lv, cm, Zl: _implicit_rows(tree.block(lv.slots), cm,
-                                                                 lv.dA, Zl, f)))
+    tree, f = problem.tree(), problem.f
+    Z = np.zeros((tree.n_slots, tree.n_marks))
+
+    def parent_values(lv, V):
+        Zl = Z[lv.slots] = _represent_block(lv, V)
+        return _implicit_rows(tree.block(lv.slots), _cond_means(lv, V), lv.dA, Zl, f)
+
+    Y = _backward(tree, problem.terminal_values(tree), parent_values)
+    return Solution(Y[:tree.n_nodes], Z)
 
 
 # -- fixed-point iteration -------------------------------------------------

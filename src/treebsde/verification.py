@@ -318,24 +318,16 @@ def check_solution_jump_identity(solution, problem) -> CheckResult:
 
 
 def _jump_identity(tree, Y, Z, f_path) -> CheckResult:
-    # f_path: the driver along (Y, Z), one value per slot
-    zh = norms.hat_z_rows(Z, tree._all_slots())
-    f_dA = f_path * tree.slot_dA
-    # child value minus the expected Y + g(outcome) - f dA, the last column the no-jump
-    # child: level by level on a full tree, every slot at once through a merged one's map
-    if tree._child_index is None:
-        blocks = ((lv.slots, tree._child_values(Y, k), lv.branches)
-                  for k, lv in enumerate(tree._levels))
-    else:
-        index = tree._child_index
-        blocks = [(slice(0, tree.n_slots), np.append(Y, 0.0)[index], index < tree.n_nodes)]
-    worst = 0.0
-    for sl, V, branches in blocks:
-        res = np.concatenate([Z[sl] - zh[sl, None], -zh[sl, None]], axis=1)   # g
-        res += Y[sl, None]          # in place, the expected child value Y + g - f dA
-        res -= f_dA[sl, None]
-        worst = np.max(np.abs(np.subtract(V, res, out=res), out=res), where=branches,
-                       initial=worst)
+    # f_path: the driver along (Y, Z), one value per slot.  Every child (the last column
+    # the no-jump one) minus its expected value Y + g(outcome) - f dA, in one block
+    rows = tree._slot_rows
+    zh = norms.hat_z_rows(Z, rows.block)
+    res = np.concatenate([Z - zh[:, None], -zh[:, None]], axis=1)   # g
+    res += Y[:tree.n_slots, None]     # in place, the expected child value
+    res -= (f_path * tree.slot_dA)[:, None]
+    V = tree._child_values(tree._node_values(Y))
+    worst = np.max(np.abs(np.subtract(V, res, out=res), out=res), where=rows.branches,
+                   initial=0.0)
     return _inequality("jump_identity", float(worst), 0.0, slack=JUMP_SLACK)
 
 

@@ -475,6 +475,49 @@ def test_an_invalid_tol_flag_is_a_config_error(tmp_path, capsys, tol):
     assert "tol" in capsys.readouterr().err
 
 
+# -- booleans where a number goes -----------------------------------------------------
+
+# a JSON true where the config wants a number: each ran as the number 1, to exit 0
+BOOLEAN_CASES = {
+    "model-K": ("solve", {"model": _with(GRID, K=True)}),
+    "model-a": ("verify", {"model": _with(GRID, a=True)}),
+    "model-phi": ("solve", {"model": _with(GRID, phi=[True, 0.0])}),
+    "generator-c0": ("solve", {"model": GRID, "generator": {
+        "preset": "affine_y", "params": {"c0": True, "c1": 0.3}}}),
+    "terminal-scale": ("verify", {"model": GRID, "terminal": {
+        "preset": "jump_count", "params": {"scale": True}}}),
+    "terminal-mark": ("solve", {"model": GRID, "terminal": {
+        "preset": "last_mark", "params": {"mark": True}}}),
+    "config-beta": ("solve", {"model": GRID, "beta": True}),
+    "config-beta_margin": ("verify", {"model": GRID, "beta": "auto", "beta_margin": True}),
+    "config-tol": ("solve", {"model": GRID, "tol": True}),
+    "config-max_iter": ("solve", {"model": GRID, "max_iter": True}),
+    "config-seed": ("verify", {"model": GRID, "seed": True}),
+    "sweep-beta-values": ("sweep", {"model": GRID,
+                                    "sweep": {"param": "beta", "values": [1.0, True]}}),
+    "sweep-K-values": ("sweep", {"model": GRID, "sweep": {"param": "K", "values": [1, True]}}),
+}
+
+
+@pytest.mark.parametrize("case", BOOLEAN_CASES)
+def test_a_boolean_where_a_number_goes_is_a_config_error(tmp_path, capsys, case):
+    err = refused(tmp_path, capsys, *BOOLEAN_CASES[case])
+    assert err.startswith("config error: ") and case.split("-")[-1] in err
+
+
+@pytest.mark.parametrize("command,config,key", [
+    # refused before too, but as a number: "delta 1.0 outside (0, 1.0)"
+    ("solve", {"model": GRID, "delta": True}, "delta"),
+    # K ran as 1 to exit 3, and p as 0 to "p must lie in (0, 1)"
+    ("counterexample", {"model": {"preset": "counterexample", "params": {"K": True}}}, "K"),
+    ("counterexample", {"model": {"preset": "counterexample", "params": {"p": False}}}, "p"),
+])
+def test_a_boolean_is_refused_as_a_boolean(tmp_path, capsys, command, config, key):
+    err = refused(tmp_path, capsys, command, config)
+    assert err.startswith("config error: ") and key in err
+    assert "True" in err or "False" in err
+
+
 @pytest.mark.parametrize("command,whole,integral", [
     ("solve", {"model": _with(GRID, K=3, m=2)}, {"model": _with(GRID, K=3.0, m=2.0)}),
     ("solve", {"model": GRID, "terminal": {"preset": "last_mark", "params": {"mark": 1}}},

@@ -72,6 +72,15 @@ def test_a_model_built_directly_refuses_a_fractional_mark_count():
     assert MarkSpace.of_size(3.0) == MarkSpace.of_size(3) == MarkSpace((0, 1, 2))
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_a_boolean_is_not_a_whole_number(value):
+    # int(True) is 1: a JSON true read as a horizon or a mark count ran as 1
+    with pytest.raises(ValueError, match=f"{value} is not a whole number"):
+        MarkSpace.of_size(value)
+    with pytest.raises(ValueError, match=f"{value} is not a whole number"):
+        scenarios.deterministic_grid(value, 1, 0.5)
+
+
 def test_build_errors():
     model = constant_model(2, 1, 0.5)
     with pytest.raises(ValueError, match="strictly increasing"):

@@ -11,12 +11,13 @@ from treebsde import scenarios
 from treebsde.measure_core import _Rows
 from treebsde.solver import (Solution, _cond_means,
                              _eval_path, _linear_sweep, _represent_block)
+from treebsde import verification
 from treebsde.verification import check_solution_jump_identity
 
 from conftest import (bsde_residual, canonical_field, conditional_means,
                       full_matrix_jump_identity, gather_accumulate, gather_child_values,
                       gather_doleans, gather_linear_sweep, gather_parent_broadcast,
-                      masked_canonical_rows, node_children, per_slot, random_linear_problem,
+                      level_jump_identity, masked_canonical_rows, node_children, per_slot, random_linear_problem,
                       random_problem, random_terminal, represent_martingale, scalar_hat_z)
 from conftest import signed_values as _signed_values
 
@@ -189,6 +190,54 @@ def test_level_kernels_equal_the_gather_forms_to_the_bit(model, blocks):
     Y, Z = _linear_sweep(tree, xi_leaf, f_path, cm)
     oracle = gather_linear_sweep(tree, xi_leaf, f_path)
     assert [_bits(a) for a in (Y, Z, cm)] == [_bits(a) for a in oracle]
+
+
+# -- full trees: the whole-tree read, the two-phase sweep and the one-block identity ------
+
+
+@pytest.mark.parametrize("model", OPERATOR_MODELS)
+def test_the_whole_tree_read_is_the_level_reads_to_the_bit(model):
+    tree = build_tree(model)
+    n = tree.n_nodes
+    buf = _signed_values(np.random.default_rng(n), n + 8)
+    for off in (0, 1, 3, 7):     # views at odd offsets
+        Y = buf[off:off + n]
+        levels = [gather_child_values(tree, Y, lv.slots) for lv in tree._levels]
+        for k, V in enumerate(levels):
+            assert _bits(tree._child_values(Y, k)) == _bits(V)
+        whole = np.concatenate(levels) if levels else np.zeros((0, tree.n_marks + 1))
+        assert _bits(tree._child_values(Y)) == _bits(whole)
+        assert _bits(tree._child_values(tree._node_values(Y))) == _bits(whole)
+        assert np.array_equal(node_children(tree) >= 0, tree._slot_rows.branches)
+
+
+@pytest.mark.parametrize("model", OPERATOR_MODELS)
+def test_the_two_phase_linear_sweep_is_the_per_level_sweep_on_full_trees(model):
+    tree = build_tree(model)
+    leaves, n = tree.n_nodes - tree.n_slots, tree.n_slots
+    buf = _signed_values(np.random.default_rng(tree.n_nodes + 1), leaves + n + 8)
+    for off in (0, 1, 3, 7):     # views at odd offsets
+        xi_leaf, f_path = buf[off:off + leaves], buf[off + leaves:off + leaves + n]
+        cm = np.empty(n)
+        Y, Z = _linear_sweep(tree, xi_leaf, f_path, cm)
+        want = gather_linear_sweep(tree, xi_leaf, f_path)
+        assert [_bits(a) for a in (Y, Z, cm)] == [_bits(a) for a in want]
+        assert Y.shape == (tree.n_nodes,) and Z.shape == (n, tree.n_marks)
+
+
+@pytest.mark.parametrize("model", OPERATOR_MODELS)
+def test_the_one_block_jump_identity_is_the_level_loop_on_full_trees(model):
+    tree = build_tree(model)
+    rng = np.random.default_rng(tree.n_nodes + 2)
+    Y, f_path = _signed_values(rng, tree.n_nodes), _signed_values(rng, tree.n_slots)
+    Z = _signed_values(rng, tree.n_slots * tree.n_marks).reshape(tree.n_slots, tree.n_marks)
+    for nan in (False, True):
+        if nan:
+            Y[-1] = np.nan       # a leaf: the worst residual is NaN both ways
+        got = verification._jump_identity(tree, Y, Z, f_path).lhs
+        want = level_jump_identity(tree, Y, Z, f_path)
+        assert got.hex() == want.hex()
+        assert np.isnan(got) == (nan and tree.n_slots > 0)
 
 
 @pytest.mark.parametrize("m", range(1, 5))

@@ -54,6 +54,8 @@ The case list:
 * two ``solve`` runs whose ``saturating`` ``cz`` (1e153, 1e154) squares to a
   finite number but leaves the contraction threshold unrepresentable:
   config errors;
+* a ``solve`` with ``beta`` true and a ``verify`` whose ``saturating``
+  ``c0`` is true: config errors (a JSON boolean is not a number);
 * the built-in ``counterexample`` run.
 
 Reports carry no timings, so a case whose code did not change must match to
@@ -203,6 +205,12 @@ def cases() -> list[tuple[str, str, dict | None]]:
                      "generator": {"preset": "saturating",
                                    "params": {"c0": 0.1, "cy": 0.3, "cz": float(cz)}},
                      "beta": 1.0}))
+    # a JSON true where a number goes (kept out of the model params, whose
+    # models every case must build)
+    out.append(("solve-beta-true", "solve", {**base, "beta": True}))
+    out.append(("verify-saturating-c0-true", "verify",
+                {**base, "generator": {"preset": "saturating",
+                                       "params": {**GENERATORS["saturating"], "c0": True}}}))
     out.append(("counterexample", "counterexample", None))
     return out
 

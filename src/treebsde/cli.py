@@ -93,6 +93,10 @@ class RunConfig:
             params = section.get("params", {}) if isinstance(section, dict) else None
             if not isinstance(params, dict):
                 raise ConfigError(f"{key} and its params must be JSON objects")
+        _check_keys("debug", cfg.debug, {"wrong_c_beta": bool})
+        if isinstance(cfg.sweep, dict):
+            _check_keys("sweep", cfg.sweep,
+                        {"param": object, "values": list, "relative_to_beta_min": bool})
         if not isinstance(cfg.out, str):
             raise ConfigError(f"out must be a path, not {cfg.out!r}")
         try:
@@ -130,6 +134,18 @@ class RunReport:
 
 
 # -- presets ------------------------------------------------------------------
+
+
+def _check_keys(name: str, section: dict, reads: dict) -> None:
+    """``ConfigError`` naming a key of ``section`` that no run reads, or a value
+    that is not of the JSON type ``reads`` gives for its key."""
+    unread = sorted(set(section) - set(reads))
+    if unread:
+        raise ConfigError(f"{name} keys no run reads: {', '.join(unread)}")
+    kinds = {bool: "a JSON boolean", list: "a JSON list"}
+    for key, kind in reads.items():
+        if key in section and not isinstance(section[key], kind):
+            raise ConfigError(f"{name} {key} must be {kinds[kind]}, not {section[key]!r}")
 
 
 def _has_bool(value) -> bool:   # a JSON boolean, alone or in a list: float() reads 1 or 0

@@ -26,10 +26,10 @@ built only on demand, for one node (``ScenarioTree.history``) or one
 slot (``SlotView``).
 
 The tree keeps per-level data only.  One rule, ``_branches``, gives a
-slot's children from its jump size.  The layout has one home, the plans
-(``_Level``) of each level and of the whole tree, worked out once per tree
-and handed to the solvers' kernels; two tree operators alone carry the
-child layout: ``_child_values`` (of a level or of every slot) and
+slot's children from its jump size.  ``build_tree`` writes the layout
+once; the plans (``_Level``) of each level and of the whole tree are views
+of it, handed to the solvers' kernels, and two tree operators alone carry
+the child layout: ``_child_values`` (of a level or of every slot) and
 ``_forward``.  On a full tree the children of a run of levels are
 consecutive nodes in slot and column order, read as a block.
 
@@ -37,8 +37,8 @@ Merged trees: the nodes of a depth whose declared states
 (``ScenarioModel.state``) are equal are one node.  It keeps the first
 history, sums their probabilities and carries their probability-weighted
 mean weight, so every ``prob * weight`` sum is the full tree's.
-``_forward`` averages over the edges into a node.  The child map built with
-the tree (``ScenarioTree._child_index``: each slot's child node per outcome,
+``_forward`` averages over the edges into a node.  The child map built from
+the edges (``ScenarioTree._child_index``: each slot's child node per outcome,
 ``n_nodes`` where none) makes every child read one gather from the node
 values followed by one 0: the buffer of ``ScenarioTree._node_values``.
 
@@ -52,6 +52,7 @@ history (the predictability of ``A`` made concrete).  A continuous part of
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,6 +84,12 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _check_mark_count(m: int) -> None:
+    """Refuse a mark space of more than ``MAX_MARKS`` marks."""
+    if m > MAX_MARKS:
+        raise ValueError(f"at most {MAX_MARKS} marks (outcomes are stored as int8)")
+
+
 def _check_beta(beta, positive=False) -> None:
     """Refuse a weight exponent that is not finite and ``>= 0`` (``> 0`` if ``positive``)."""
     if not (np.isfinite(beta) and (beta > 0 if positive else beta >= 0)):
@@ -98,6 +105,7 @@ class MarkSpace:
     def __post_init__(self):
         if len(self.marks) < 1:
             raise ValueError("mark space needs at least one mark")
+        _check_mark_count(len(self.marks))
         if len(set(self.marks)) != len(self.marks):
             raise ValueError("mark identifiers must be distinct")
 
@@ -107,8 +115,11 @@ class MarkSpace:
 
     @classmethod
     def of_size(cls, m: int) -> "MarkSpace":
-        """Marks ``0..m-1``; ``m`` must be a whole number."""
-        return cls(tuple(range(_whole(m))))
+        """Marks ``0..m-1``; ``m`` must be a whole number, refused over ``MAX_MARKS``
+        before any mark is made."""
+        m = _whole(m)
+        _check_mark_count(m)
+        return cls(tuple(range(m)))
 
 
 @dataclass(frozen=True)
@@ -154,6 +165,8 @@ class ScenarioModel:
             raise ValueError("grid must be a nonempty 1-d array of times")
         if grid[0] != 0.0:
             raise ValueError("grid must start at t_0 = 0")
+        if not np.isfinite(grid).all():
+            raise ValueError("grid times must be finite")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid not strictly increasing")
 
@@ -201,47 +214,40 @@ class SlotBlock:
                          delta_A=self.delta_A[rows], phi=self.phi[rows])
 
 
-class _Rows:
-    """Rows of a run of slots: ``dA``, ``stay = 1 - dA``, ``phi``, the rows
-    with ``dA = 1`` (``unit``: None, True for all, else an ``(n, 1)`` mask)
-    and those with ``dA = 0`` (``zero``: None or a mask); a plan is one."""
-
-    def __init__(self, dA: np.ndarray, phi: np.ndarray):
-        self.dA, self.phi, self.stay = dA, phi, 1.0 - dA
-        unit, zero = dA == 1.0, dA == 0.0
-        self.unit = True if unit.all() else unit[:, None] if unit.any() else None
-        self.zero = zero if zero.any() else None
-
-
-class _Level(_Rows):
+class _Level:
     """Plan of the slots of levels ``k`` to ``stop - 1`` (one level, or all):
-    its rows, ``slots``, their children's ``nodes`` (on a full tree, these in
-    slot and column order) and those children's ``_branches`` mask.
-
-    ``cols`` is the column range every slot fills when the slots share
-    their branch kind (all interior, all ``dA = 1`` or all ``dA = 0``),
-    else None; a full tree's children then form one ``(slots, columns)``
-    block of nodes.  On a merged tree ``child_index`` is the plan's rows of
-    the child map and a level's ``edges`` holds, per edge in slot and column
-    order, its slot (within the level), its node (within the next depth) and
-    its path mass, and per node the slot of its first edge.
+    slices (``slots``, and their children's ``nodes``, on a full tree in slot
+    and column order) and read-only views of the tree's layout arrays: the
+    slots' rows ``dA``, ``stay = 1 - dA``, ``phi`` and ``step``, their
+    ``branches`` mask, their rows of the child map (``child_index``) and a
+    level's ``edges`` (per edge in slot and column order, its slot within the
+    level, its node within the next depth and its path mass; per node the
+    slot of its first edge).  Its own: ``unit`` (rows with ``dA = 1``: None,
+    True for all, else an ``(n, 1)`` mask), ``zero`` (``dA = 0``: None or a
+    mask) and ``cols``, the column range every slot fills when they share
+    their branch kind, else None (a full tree's children then form one
+    ``(slots, columns)`` block of nodes).
     """
 
-    def __init__(self, tree: "ScenarioTree", k: int, stop: int, edges=None, whole=None):
+    def __init__(self, tree: "ScenarioTree", k: int, stop: int):
         ls = tree.level_start
-        self.slots = slice(int(ls[k]), int(ls[stop]))
+        self.slots = slots = slice(int(ls[k]), int(ls[stop]))
         self.nodes = slice(int(ls[k + 1]), int(ls[stop + 1]))
-        super().__init__(tree.slot_dA[self.slots], tree.slot_phi[self.slots])
-        m, unit, zero = tree.n_marks, self.unit, self.zero
+        self.dA, self.stay = tree.slot_dA[slots], tree._slot_stay[slots]
+        self.phi, self.step = tree.slot_phi[slots], tree.slot_step[slots]
+        self.branches = tree._branches[slots]
+        self.child_index = None if tree._child_index is None else tree._child_index[slots]
+        self.edges = None if tree._edges is None or stop != k + 1 else tree._edges[k]
+        m, unit, zero = tree.n_marks, tree._unit[slots], tree._zero[slots]
+        self.unit = unit = True if unit.all() else unit[:, None] if unit.any() else None
+        self.zero = zero = zero if zero.any() else None
         self.cols = (slice(0, m) if unit is True else
                      slice(0, m + 1) if unit is None and zero is None else
                      slice(m, m + 1) if unit is None and zero.all() else None)
-        # a level's mask is a view of the whole-tree plan's, its child map of the tree's
-        self.branches = _branches(self.dA, m) if whole is None else whole.branches[self.slots]
-        self.edges, index = edges, tree._child_index
-        self.child_index = None if index is None else index[self.slots]
-        if edges is not None:
-            self.child_index[self.branches] = self.nodes.start + edges[1]
+
+    @functools.cached_property
+    def block(self) -> SlotBlock:   # built on first use
+        return SlotBlock(np.arange(self.slots.start, self.slots.stop), self.step, self.dA, self.phi)
 
 
 class ScenarioTree:
@@ -253,14 +259,14 @@ class ScenarioTree:
     ``(n_k, k)`` int8 matrix of the histories of depth ``k``, one row per
     node in node order.
 
-    The plans (``_Level``) of each level, ``_levels[k]``, and of the whole tree,
-    ``_slot_rows`` (with the ``block`` of every slot), are the one home of its
-    layout; the solvers' kernels take them, and ``_child_values`` and ``_forward``
-    alone read where children lie (which exist: the ``branches`` of ``_branches``).
+    ``build_tree`` alone writes its layout (``_branches``; on a merged tree the
+    ``_edges`` and the child map built from them); the plans (``_Level``) of each
+    level, ``_levels[k]``, and of the whole tree, ``_slot_rows``, are views of it,
+    and ``_child_values`` and ``_forward`` alone read where children lie.
     """
 
     def __init__(self, model, level_start, prob, level_histories, slot_dA, slot_phi,
-                 edges=None):
+                 branches, edges=None, child_index=None):
         self.model = model
         self.level_start = level_start
         self.prob = prob
@@ -268,12 +274,10 @@ class ScenarioTree:
         self.slot_dA = slot_dA
         self.slot_phi = slot_phi
         self.slot_step = np.repeat(np.arange(self.horizon), np.diff(level_start[:-1]))
-        self._child_index = None if edges is None else np.full(
-            (self.n_slots, self.n_marks + 1), self.n_nodes)
-        self._slot_rows = whole = _Level(self, 0, self.horizon)
-        whole.block = self.block(whole.slots)
-        self._levels = [_Level(self, k, k + 1, None if edges is None else edges[k], whole)
-                        for k in range(self.horizon)]
+        self._slot_stay, self._unit, self._zero = 1.0 - slot_dA, slot_dA == 1.0, slot_dA == 0.0
+        self._branches, self._edges, self._child_index = branches, edges, child_index
+        self._slot_rows = _Level(self, 0, self.horizon)
+        self._levels = [_Level(self, k, k + 1) for k in range(self.horizon)]
         self._doleans_cache: dict[float, np.ndarray] = {}
         self._views: dict[int, SlotView] = {}
 
@@ -501,15 +505,13 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
     Raises:
         ValueError: a jump size outside [0, 1] (or NaN), a mark law of the
             wrong shape or not a probability vector, state keys of the
-            wrong shape or not integers, or more than 127 marks.
+            wrong shape or not integers.
         TreeTooLarge: the next level's children, before any merge, would
             take the node count past the module budget ``MAX_NODES``;
             raised before that level is allocated.
     """
     K = model.horizon
     m = model.marks.size
-    if m > MAX_MARKS:
-        raise ValueError(f"at most {MAX_MARKS} marks (outcomes are stored as int8)")
     # outcome of the child in each column: marks 0..m-1, then no jump
     codes = np.append(np.arange(m), NO_JUMP).astype(np.int8)
 
@@ -518,6 +520,7 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
     prob = [np.ones(1)]
     level_start = [0, 1]
     slot_dA, slot_phi = [np.zeros(0)], [np.zeros((0, m))]
+    branches = [np.zeros((0, m + 1), dtype=bool)]
     edges = None if model.state is None else []
 
     for k in range(K):
@@ -543,8 +546,15 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
         level_histories.append(H)
         slot_dA.append(dA)
         slot_phi.append(phi)
+        branches.append(mask)
         level_start.append(level_start[-1] + H.shape[0])
 
+    branches = np.concatenate(branches)
+    child_index = None if edges is None else np.full(branches.shape, level_start[-1])
+    # a level's edges run in slot and column order, as the cells of its mask do
+    for k, level in enumerate(edges or ()):
+        slots = slice(level_start[k], level_start[k + 1])
+        child_index[slots][branches[slots]] = level_start[k + 1] + level[1]
     return ScenarioTree(
         model=model,
         level_start=np.asarray(level_start, dtype=np.int64),
@@ -552,7 +562,7 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
         level_histories=level_histories,
         slot_dA=np.concatenate(slot_dA),
         slot_phi=np.concatenate(slot_phi),
-        edges=edges,
+        branches=branches, edges=edges, child_index=child_index,
     )
 
 

@@ -157,10 +157,9 @@ def mixed_norm_sq(Y: np.ndarray, Z: np.ndarray, tree: ScenarioTree,
 def _canonical_rows(Z: np.ndarray, rows) -> np.ndarray:
     """Make the rows of ``Z`` canonical in place and return it.
 
-    ``rows`` is the slots' plan (a ``measure_core._Rows``; the solvers
-    pass a level plan, ``ScenarioTree._levels[k]``): rows with
-    ``delta_A = 0`` are zeroed; rows with ``delta_A = 1`` are centered to
-    ``sum(Z * phi) = 0``.
+    ``rows`` is the slots' plan (a ``measure_core._Level``, of a level or of
+    every slot): rows with ``delta_A = 0`` are zeroed; rows with
+    ``delta_A = 1`` are centered to ``sum(Z * phi) = 0``.
     """
     if rows.unit is not None:   # every row's mean, subtracted where ``unit`` holds
         np.subtract(Z, np.einsum("sm,sm->s", Z, rows.phi)[:, None], out=Z, where=rows.unit)

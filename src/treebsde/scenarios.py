@@ -43,7 +43,10 @@ __all__ = [
 
 
 def _uniform_grid(K: int, T: float = 1.0) -> np.ndarray:
-    return np.linspace(0.0, float(T), _whole(K) + 1)
+    T = float(T)
+    if not np.isfinite(T):      # refused before linspace spreads it over the grid
+        raise ValueError(f"horizon T must be finite, not {T!r}")
+    return np.linspace(0.0, T, _whole(K) + 1)
 
 
 def _per_history(rule):
@@ -270,8 +273,8 @@ def preset_state(model: str, terminal: str):
     """State ``(k, H) -> keys[n, j]`` of a model preset solved with a terminal preset.
 
     The keys are what the rules and the terminal read of a history.  None
-    for a pair without one (``predictable_random_jumps``,
-    ``counterexample``, an unknown name): its tree keeps every history.
+    for a pair without one (``counterexample``, an unknown name): its tree
+    keeps every history.
     """
     if model not in _MODEL_READS or terminal not in _TERMINAL_READS:
         return None
@@ -288,9 +291,9 @@ def preset_state(model: str, terminal: str):
 
 # -- named presets -----------------------------------------------------------
 
+# what a JSON config can drive: ``predictable_random_jumps`` needs a callable rule
 _CONSTRUCTORS = {
     "deterministic_grid": deterministic_grid,
-    "predictable_random_jumps": predictable_random_jumps,
     "two_state_rule": two_state_rule,
     "pdmp_like": pdmp_like,
     "discretized_intensity": discretized_intensity,

@@ -454,7 +454,7 @@ def backward_oracle(problem: BsdeProblem) -> Solution:
 
     def parent_values(lv, V):
         Zl = Z[lv.slots] = _represent_block(lv, V)
-        return _implicit_rows(tree.block(lv.slots), _cond_means(lv, V), lv.dA, Zl, f)
+        return _implicit_rows(lv.block, _cond_means(lv, V), lv.dA, Zl, f)
 
     Y = _backward(tree, problem.terminal_values(tree), parent_values)
     return Solution(Y[:tree.n_nodes], Z)

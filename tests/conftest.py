@@ -650,9 +650,7 @@ def canonical_field(Z, tree):
     rows on ``delta_A = 1`` slots are centered to ``sum(Z * phi) = 0``.
     """
     from treebsde import norms
-    from treebsde.measure_core import _Rows
-    return norms._canonical_rows(np.array(Z, dtype=float, copy=True),
-                                 _Rows(tree.slot_dA, tree.slot_phi))
+    return norms._canonical_rows(np.array(Z, dtype=float, copy=True), tree._slot_rows)
 
 
 # -- per-history twins of the level model and terminal forms -----------------------

@@ -505,6 +505,38 @@ def test_a_boolean_where_a_number_goes_is_a_config_error(tmp_path, capsys, case)
     assert err.startswith("config error: ") and case.split("-")[-1] in err
 
 
+# each ended in a traceback ('float' object is not callable, an OverflowError), in
+# exit 0 with a misread section, or in exit 3 ("no" read as true); each names its key
+MISREAD_CASES = {
+    "model-m-1e300": ("solve", {"model": _with(GRID, m=1e300)}, "127 marks"),
+    "model-T-inf": ("solve", {"model": _with(GRID, T=math.inf)}, "T must be finite"),
+    "sweep-values-string": ("sweep", {"model": GRID, "sweep": {"param": "K", "values": "23"}},
+                            "values"),
+    "sweep-unread-key": ("sweep", {"model": GRID, "sweep": {"param": "K", "values": [2],
+                                                            "valeus": [3]}}, "valeus"),
+    "sweep-flag": ("sweep", {"model": GRID, "sweep": {"param": "beta", "values": [1.0],
+                                                      "relative_to_beta_min": "yes"}},
+                   "relative_to_beta_min"),
+    "debug-flag": ("verify", {"model": GRID, "debug": {"wrong_c_beta": "no"}}, "wrong_c_beta"),
+    "debug-unread-key": ("verify", {"model": GRID, "debug": {"wrong_cbeta": True}},
+                         "wrong_cbeta"),
+    **{f"preset-{command}": (command, {"model": {
+        "preset": "predictable_random_jumps", "params": {"K": 2, "m": 1, "rule": 0.5}}},
+        "unknown model preset 'predictable_random_jumps'")
+       for command in ("solve", "verify", "sweep")},
+}
+
+
+@pytest.mark.parametrize("case", MISREAD_CASES)
+def test_a_config_the_run_cannot_read_is_a_config_error(tmp_path, capsys, recwarn, case):
+    command, config, key = MISREAD_CASES[case]
+    if command == "sweep" and "sweep" not in config:
+        config = {**config, "sweep": {"param": "beta", "values": [1.0]}}
+    err = refused(tmp_path, capsys, command, config)
+    assert err.startswith("config error: ") and key in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("command,config,key", [
     # refused before too, but as a number: "delta 1.0 outside (0, 1.0)"
     ("solve", {"model": GRID, "delta": True}, "delta"),

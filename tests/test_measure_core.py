@@ -81,6 +81,38 @@ def test_a_boolean_is_not_a_whole_number(value):
         scenarios.deterministic_grid(value, 1, 0.5)
 
 
+@pytest.mark.parametrize("m", [128, 1e300, 10 ** 6])
+def test_mark_space_refuses_more_than_127_marks_before_making_them(m):
+    # 1e300 ended in an OverflowError from range; a large finite m built its tuple first
+    with pytest.raises(ValueError, match="127 marks"):
+        MarkSpace.of_size(m)
+
+
+def test_mark_space_of_any_form_keeps_the_mark_budget():
+    with pytest.raises(ValueError, match="127 marks"):
+        MarkSpace(tuple(range(128)))
+    assert MarkSpace.of_size(127).size == 127
+
+
+@pytest.mark.parametrize("grid", [[0.0, math.nan, math.inf], [0.0, 1.0, math.inf],
+                                  [0.0, math.nan]])
+def test_a_grid_of_non_finite_times_is_refused(grid):
+    # np.diff(grid) <= 0 is False for NaN, so [0, nan, inf] passed as increasing
+    model = constant_model(2, 1, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        ScenarioModel(marks=model.marks, grid=np.array(grid),
+                      jump_size=model.jump_size, mark_law=model.mark_law)
+
+
+@pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan])
+def test_a_uniform_grid_refuses_a_non_finite_horizon_before_spreading_it(T, recwarn):
+    for build in (lambda: scenarios.deterministic_grid(2, 1, 0.5, T=T),
+                  lambda: scenarios.discretized_intensity(0.5, 2, 1, T=T)):
+        with pytest.raises(ValueError, match="T must be finite"):
+            build()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_build_errors():
     model = constant_model(2, 1, 0.5)
     with pytest.raises(ValueError, match="strictly increasing"):

@@ -3,6 +3,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from treebsde import scenarios
 
 _spec = importlib.util.spec_from_file_location(
@@ -44,3 +46,31 @@ def test_every_case_config_builds_its_model():
         if config is not None:
             model = config["model"]
             assert scenarios.ModelSpec(model["preset"], model["params"]).build(), name
+
+
+def test_headroom_keeps_each_checks_largest_gap_to_tolerance_ratio(tmp_path):
+    def run(name, *rows):
+        out = tmp_path / name
+        out.mkdir()
+        (out / "summary.json").write_text(json.dumps({"checks": [
+            {"name": n, "kind": kind, "abs_gap": a, "rel_gap": r, "tol": tol}
+            for n, kind, a, r, tol in rows]}))
+        return out
+
+    worst = {}
+    for name, rows in (
+            ("a", [("identity_lemma", "identity", 5.0, 2e-11, 1e-10),
+                   ("jump_identity", "inequality", 9e-11, 9e-11, 1e-10),
+                   ("integral_inequality", "inequality", -3e-12, -1.0, 1e-12),
+                   ("apriori_estimate", "skipped", 0.0, 0.0, 0.0)]),
+            ("b", [("identity_lemma", "identity", 1e-20, 1.1e-10, 1e-10),
+                   ("jump_identity", "inequality", 1e-11, 1e-11, 1e-10),
+                   ("integral_inequality", "inequality", math.nan, math.nan, 1e-12)]),
+            ("c", [("integral_inequality", "inequality", 5e-13, 5e-13, 1e-12)])):
+        report_diff.fold_headroom(run(name, *rows), name, worst)
+    report_diff.fold_headroom(tmp_path / "missing", "d", worst)
+    assert worst["identity_lemma"] == (pytest.approx(1.1), "b")     # rel_gap of an identity
+    assert worst["jump_identity"] == (pytest.approx(0.9), "a")      # abs_gap of an inequality
+    assert math.isnan(worst["integral_inequality"][0])              # a NaN gap fails: worst
+    assert worst["integral_inequality"][1] == "b"
+    assert "apriori_estimate" not in worst

@@ -8,7 +8,6 @@ from treebsde import (BsdeProblem, ConditionViolated, Generator, NoConvergence, 
                       StepSingular, backward_oracle, build_tree, cli, conditions,
                       implicit_step_solve, norms, picard_map, picard_solve, solve_linear)
 from treebsde import scenarios
-from treebsde.measure_core import _Rows
 from treebsde.solver import (Solution, _cond_means,
                              _eval_path, _linear_sweep, _represent_block)
 from treebsde import verification
@@ -71,7 +70,7 @@ def test_level_representation_matches_the_slot_oracle():
     seen = set()
     for _ in range(15):
         tree = build_tree(scenarios.random_model(rng, max_horizon=4))
-        rows = _Rows(tree.slot_dA, tree.slot_phi)
+        rows = tree._slot_rows
         Y = rng.normal(0, 2, tree.n_nodes)
         V = np.concatenate([tree._child_values(Y, k) for k in range(tree.horizon)])
         Z, cm = _represent_block(rows, V), _cond_means(rows, V)
@@ -180,7 +179,7 @@ def test_level_kernels_equal_the_gather_forms_to_the_bit(model, blocks):
             assert _bits(_represent_block(lv, V)) == _bits(Zg)
         whole = gather_child_values(tree, Y, slice(0, tree.n_slots))
         assert (_bits(conditional_means(tree, Y))
-                == _bits(_cond_means(_Rows(tree.slot_dA, tree.slot_phi), whole)))
+                == _bits(_cond_means(tree._slot_rows, whole)))
     Z = _signed_values(rng, tree.n_slots * tree.n_marks).reshape(tree.n_slots, -1)
     assert _bits(canonical_field(Z, tree)) == _bits(
         masked_canonical_rows(Z.copy(), tree.slot_dA, tree.slot_phi))

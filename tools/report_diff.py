@@ -56,10 +56,19 @@ The case list:
   config errors;
 * a ``solve`` with ``beta`` true and a ``verify`` whose ``saturating``
   ``c0`` is true: config errors (a JSON boolean is not a number);
+* config errors that name their key: a ``K`` sweep whose ``values`` is the
+  string ``"23"``, a sweep key no run reads (``valeus``), a ``debug`` flag
+  ``wrong_c_beta`` of ``"no"`` and a ``debug`` key no run reads (a bad
+  model is left out: its old traceback and its new config error both exit 1);
 * the built-in ``counterexample`` run.
 
 Reports carry no timings, so a case whose code did not change must match to
 the byte.  Console output is not compared.
+
+After the summary, the headroom of the ``--new`` tree's checks: for each
+check, its largest gap-to-tolerance ratio over the corpus and the case it
+comes from.  The gap is ``rel_gap`` for an identity row and ``abs_gap`` for an
+inequality row (negative inside the gate); a ratio above 1, or NaN, fails.
 """
 
 from __future__ import annotations
@@ -211,6 +220,11 @@ def cases() -> list[tuple[str, str, dict | None]]:
     out.append(("verify-saturating-c0-true", "verify",
                 {**base, "generator": {"preset": "saturating",
                                        "params": {**GENERATORS["saturating"], "c0": True}}}))
+    out += [("sweep-values-string", "sweep", {**base, "sweep": {"param": "K", "values": "23"}}),
+            ("sweep-unread-key", "sweep",
+             {**base, "sweep": {"param": "K", "values": [2], "valeus": [3]}}),
+            ("verify-wrong_c_beta-no", "verify", {**base, "debug": {"wrong_c_beta": "no"}}),
+            ("verify-debug-unread-key", "verify", {**base, "debug": {"wrong_cbeta": True}})]
     out.append(("counterexample", "counterexample", None))
     return out
 
@@ -324,6 +338,21 @@ def compare_dirs(old: Path, new: Path) -> list[Diff]:
     return out
 
 
+def fold_headroom(out: Path, case: str, worst: dict) -> None:
+    """Fold the check rows of one run's ``summary.json`` into ``worst``: per check
+    name, its largest gap-to-tolerance ratio and the case of that ratio."""
+    path = out / "summary.json"
+    if not path.is_file():
+        return
+    for row in json.loads(path.read_text(encoding="utf-8")).get("checks", []):
+        gap = {"identity": "rel_gap", "inequality": "abs_gap"}.get(row["kind"])
+        if gap is None or not row["tol"]:
+            continue
+        ratio, least = row[gap] / row["tol"], worst.get(row["name"], (-math.inf,))[0]
+        if math.isnan(ratio) > math.isnan(least) or ratio > least:   # a NaN gap fails: worst
+            worst[row["name"]] = (ratio, case)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--old", required=True, type=Path, help="checkout root of the old tree")
@@ -336,7 +365,7 @@ def main(argv=None) -> int:
         if not (tree / "src" / "treebsde").is_dir():
             ap.error(f"--{side} {tree} holds no src/treebsde")
     work = args.work or Path(tempfile.mkdtemp(prefix="report_diff_"))
-    identical, moved, exits = 0, {}, []
+    identical, moved, exits, headroom = 0, {}, [], {}
     try:
         all_cases = cases()
         for name, command, config in all_cases:
@@ -347,6 +376,7 @@ def main(argv=None) -> int:
                 diffs.insert(0, Diff("exit code", "exit code", codes["old"], codes["new"], None))
                 exits.append((name, codes["old"], codes["new"]))
             identical += not diffs
+            fold_headroom(work / "new" / name / "out", name, headroom)
             for d in diffs:
                 dist = "" if d.ulps is None else f"  ({d.ulps} ulp, change {d.new - d.old:.3g})"
                 print(f"{name}  {d.where}: {d.old!r} -> {d.new!r}{dist}")
@@ -368,6 +398,8 @@ def main(argv=None) -> int:
               + (f", {other} non-float" if other else ""))
     for name, old, new in exits:
         print(f"exit code: {name}  {old} -> {new}")
+    for check, (ratio, name) in sorted(headroom.items()):
+        print(f"headroom: {check}  {ratio:.3g} of its gate, in {name}")
     return 0 if identical == len(all_cases) else 1
 
 

@@ -24,13 +24,21 @@ times, once each and in this order:
   ``sweep.csv`` included, after the run has dropped its own tree;
 
 and reports the ``resource.getrusage`` peak RSS of the process at the end,
+the minor page faults of each stage (the ``ru_minflt`` delta: a count that
+host noise does not move, where a stage time swings by a quarter between
+rounds of unchanged code),
 and the bytes of the built tree's arrays (``nbytes`` of every buffer that
 the tree's numpy attributes, a merged tree's child map among them, its
 ``level_histories``, its plans (per level and of the whole tree) and
 their slot blocks hold or view, each buffer once), in total and per node.  A tree that refuses a case's config (a tree over the node budget,
 say) is recorded with its message instead.
-The output is the median of each stage over the runs and the largest
-peak RSS, per tree and case, with the host and library versions.  It is
+After its timed runs, each tree runs each case once more under
+``tracemalloc``, untimed, for each stage's peak of traced memory above what
+the stage started with (numpy's buffers included); tracing slows every
+allocation, so no time comes from that run.
+The output is the median of each stage's time and faults over the runs, the
+``tracemalloc`` peaks and the largest peak RSS, per tree and case, with the
+host and library versions.  It is
 a measurement, not a gate: nothing here fails on a slow tree.
 
 The CLI's configs declare the state their presets read, so a tree that
@@ -132,10 +140,11 @@ CHECKS = {
 }
 
 
-def _child(config_path: str, full: bool) -> None:
+def _child(config_path: str, full: bool, traced: bool) -> None:
     """One run of one case in this process; prints its JSON record.
 
     ``full``: build the config's model without its state (``FULL_TREE``).
+    ``traced``: run under ``tracemalloc`` and record each stage's peak.
     """
     import contextlib
     import dataclasses
@@ -144,13 +153,30 @@ def _child(config_path: str, full: bool) -> None:
     import io
     import resource
     import time
+    import tracemalloc
 
     import numpy as np
     from treebsde import cli, scenarios, solver, verification
     from treebsde.measure_core import SlotBlock
 
-    stages, checks = {}, dict.fromkeys(CHECKS, 0.0)
+    stages, faults, peaks, checks = {}, {}, {}, dict.fromkeys(CHECKS, 0.0)
     depth = [0]
+    if traced:
+        tracemalloc.start()
+
+    @contextlib.contextmanager
+    def stage(name):
+        """Time, minor faults and (when traced) peak traced MiB of the block."""
+        if traced:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        yield
+        stages[name] = time.perf_counter() - t0
+        faults[name] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+        if traced:
+            peaks[name] = round((tracemalloc.get_traced_memory()[1] - start) / 2 ** 20, 3)
 
     def timed(check, fn):
         def record(t0):
@@ -178,19 +204,18 @@ def _child(config_path: str, full: bool) -> None:
         return wrapper
 
     cfg = cli.RunConfig.load(config_path)
-    t0 = time.perf_counter()
     try:
-        if full:
-            model = scenarios.ModelSpec(cfg.model["preset"], cfg.model.get("params", {}),
-                                        cfg.terminal.get("preset", "constant")).build()
-            model = dataclasses.replace(model, state=None)
-            built = (model, solver.build_tree(model))
-        else:
-            built = cli._build_tree(cfg)
+        with stage("build_tree"):
+            if full:
+                model = scenarios.ModelSpec(cfg.model["preset"], cfg.model.get("params", {}),
+                                            cfg.terminal.get("preset", "constant")).build()
+                model = dataclasses.replace(model, state=None)
+                built = (model, solver.build_tree(model))
+            else:
+                built = cli._build_tree(cfg)
     except cli.ConfigError as exc:
         print(json.dumps({"refused": str(exc)}))
         return
-    stages["build_tree"] = time.perf_counter() - t0
     tree = built[1]
     # the arrays of the tree, of its plans (the levels' and the whole tree's) and
     # of the plans' slot blocks, each counted by the buffer it views, once
@@ -205,54 +230,52 @@ def _child(config_path: str, full: bool) -> None:
         if isinstance(a, np.ndarray):
             owners[id(a)] = a
     tree_bytes = sum(a.nbytes for a in owners.values())
-    t0 = time.perf_counter()
-    problem, diag = cli._build_problem(cfg, built)
-    stages["build_problem"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sol, rep = solver.picard_solve(problem, tol=cfg.tol, max_iter=cfg.max_iter,
-                                   delta=diag["delta"])
-    stages["picard_solve"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    solver.backward_oracle(problem)
-    stages["backward_oracle"] = time.perf_counter() - t0
+    with stage("build_problem"):
+        problem, diag = cli._build_problem(cfg, built)
+    with stage("picard_solve"):
+        sol, rep = solver.picard_solve(problem, tol=cfg.tol, max_iter=cfg.max_iter,
+                                       delta=diag["delta"])
+    with stage("backward_oracle"):
+        solver.backward_oracle(problem)
 
     for check, names in CHECKS.items():
         for name in names:
             if hasattr(verification, name):
                 setattr(verification, name, timed(check, getattr(verification, name)))
-    t0 = time.perf_counter()
-    results = verification.run_suite(problem, sol, seed=cfg.seed)
-    stages["run_suite"] = time.perf_counter() - t0
+    with stage("run_suite"):
+        results = verification.run_suite(problem, sol, seed=cfg.seed)
 
     record = {
         "nodes": tree.n_nodes, "slots": tree.n_slots, "sweeps": rep.iterations,
         "failed_checks": sum(1 for r in results if not r.passed),
         "tree_bytes": tree_bytes, "tree_bytes_per_node": round(tree_bytes / tree.n_nodes, 2),
-        "stages_s": stages, "run_suite_checks_s": checks,
+        "stages_s": stages, "stages_minflt": faults, "run_suite_checks_s": checks,
     }
     # the sweep builds its own tree, so the first one goes before it
     del built, tree, fields, owners, problem, diag, sol, rep, results
     sweep = {"param": "beta", "values": SWEEP_BETAS, "relative_to_beta_min": True}
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-        t0 = time.perf_counter()
-        cli.cmd_sweep(dataclasses.replace(cfg, sweep=sweep, out=out))
-        stages["sweep_beta"] = time.perf_counter() - t0
+        with stage("sweep_beta"):
+            cli.cmd_sweep(dataclasses.replace(cfg, sweep=sweep, out=out))
     record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    if traced:
+        record["stages_tracemalloc_peak_mb"] = peaks
     print(json.dumps(record))
 
 
-def _run(src: Path, config_path: Path, full: bool) -> dict:
+def _run(src: Path, config_path: Path, full: bool, traced: bool = False) -> dict:
     env = dict(os.environ)
     env.update({var: "1" for var in THREAD_VARS})
     env["PYTHONPATH"] = str(src / "src")
     proc = subprocess.run([sys.executable, str(Path(__file__).resolve()),
-                           "--child", str(config_path)] + ["--full"] * full,
+                           "--child", str(config_path)] + ["--full"] * full
+                          + ["--tracemalloc"] * traced,
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _summary(runs: list) -> dict:
+def _summary(runs: list, traced: dict) -> dict:
+    """Medians of the timed ``runs``, with the peaks of the ``traced`` run."""
     if "refused" in runs[0]:
         return {"refused": runs[0]["refused"], "runs": len(runs)}
 
@@ -263,7 +286,9 @@ def _summary(runs: list) -> dict:
     return {"nodes": first["nodes"], "slots": first["slots"], "sweeps": first["sweeps"],
             "failed_checks": first["failed_checks"], "runs": len(runs),
             "tree_bytes": first["tree_bytes"], "tree_bytes_per_node": first["tree_bytes_per_node"],
-            "stages_s": med("stages_s"), "run_suite_checks_s": med("run_suite_checks_s"),
+            "stages_s": med("stages_s"), "stages_minflt": med("stages_minflt"),
+            "stages_tracemalloc_peak_mb": traced["stages_tracemalloc_peak_mb"],
+            "run_suite_checks_s": med("run_suite_checks_s"),
             "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 2)}
 
 
@@ -276,9 +301,10 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, help="write the JSON here as well")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     ap.add_argument("--full", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--tracemalloc", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        _child(args.child, args.full)
+        _child(args.child, args.full, args.tracemalloc)
         return 0
 
     import numpy as np
@@ -293,11 +319,13 @@ def main(argv=None) -> int:
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(cases[name]))
             runs = {key: [] for key in trees}
+            full = name in FULL_TREE
             for i in range(args.repeat):      # alternate the trees run by run, and which goes first
                 for key in list(trees)[::1 if i % 2 == 0 else -1]:
-                    runs[key].append(_run(trees[key].resolve(), path, name in FULL_TREE))
-            out["cases"][name] = {"config": cases[name],
-                                  **{key: _summary(r) for key, r in runs.items()}}
+                    runs[key].append(_run(trees[key].resolve(), path, full))
+            out["cases"][name] = {"config": cases[name], **{
+                key: _summary(r, _run(trees[key].resolve(), path, full, traced=True))
+                for key, r in runs.items()}}
             print(f"{name}: " + "  ".join(
                 f"{key} refused" if "refused" in out["cases"][name][key] else
                 f"{key} run_suite {out['cases'][name][key]['stages_s']['run_suite']:.3f} s, "

@@ -4,7 +4,6 @@ on exactly enumerated scenario trees."""
 
 from .measure_core import (
     NO_JUMP,
-    MarkSpace,
     ScenarioModel,
     ScenarioTree,
     SlotBlock,

@@ -67,7 +67,7 @@ class RunConfig:
         """Config of a JSON file (of the built-in counterexample run for None) with overrides.
 
         Numeric fields, ``beta`` included, are parsed here; anything
-        malformed is a ``ConfigError``.
+        malformed is a ``ConfigError`` naming its key.
         """
         if path is None:
             raw = {"model": {"preset": "counterexample"},
@@ -99,26 +99,25 @@ class RunConfig:
                         {"param": object, "values": list, "relative_to_beta_min": bool})
         if not isinstance(cfg.out, str):
             raise ConfigError(f"out must be a path, not {cfg.out!r}")
-        try:
-            for key in ("beta", "beta_margin", "delta", "tol", "max_iter", "seed"):
-                if _has_bool(getattr(cfg, key)):
-                    raise ValueError(f"{key} {getattr(cfg, key)!r} is not a number")
-            cfg.beta_margin = float(cfg.beta_margin)
-            cfg.tol = float(cfg.tol)
-            if not 0.0 <= cfg.tol < math.inf:
-                raise ValueError(f"tol {cfg.tol!r} is not finite and >= 0")
-            cfg.max_iter = _whole(cfg.max_iter)
-            if cfg.max_iter < 1:
-                raise ValueError(f"max_iter {cfg.max_iter} is below 1")
-            cfg.seed = _whole(cfg.seed)
-            if cfg.seed < 0:
-                raise ValueError(f"seed {cfg.seed} is negative")
-            if cfg.delta is not None:
-                cfg.delta = float(cfg.delta)
-            if cfg.beta != "auto":
-                cfg.beta = float(cfg.beta)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad numeric field: {exc}") from exc
+        for key, kind, valid, why in (
+                ("beta_margin", float, None, ""),
+                ("tol", float, lambda v: 0.0 <= v < math.inf, "is not finite and >= 0"),
+                ("max_iter", _whole, lambda v: v >= 1, "is below 1"),
+                ("seed", _whole, lambda v: v >= 0, "is negative"),
+                ("delta", float, None, ""),
+                ("beta", float, None, "")):
+            value = getattr(cfg, key)
+            if (key, value) in (("delta", None), ("beta", "auto")):
+                continue
+            try:
+                if _has_bool(value):
+                    raise ValueError("a boolean is not a number")
+                num = kind(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad numeric field: {key} {value!r}: {exc}") from exc
+            if valid is not None and not valid(num):
+                raise ConfigError(f"bad numeric field: {key} {num!r} {why}")
+            setattr(cfg, key, num)
         return cfg
 
 
@@ -254,7 +253,8 @@ def _build_tree(cfg: RunConfig):
     try:
         model = scenarios.ModelSpec(cfg.model["preset"], cfg.model.get("params", {}),
                                     cfg.terminal.get("preset", "constant")).build()
-    except (KeyError, TypeError, ValueError) as exc:
+    # an OverflowError: a JSON integer past the float range
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad model spec: {exc}") from exc
     try:
         return model, solver.build_tree(model)
@@ -354,12 +354,6 @@ SWEEP_HEADER = ["param", "value", "beta", "delta", "converged", "iterations",
                 "worst_ratio_sq", "Y0", "residual"]
 
 
-def _check_dict(c: verification.CheckResult) -> dict:
-    d = asdict(c)
-    d["passed"] = bool(c.passed)
-    return d
-
-
 def _iteration_rows(report: solver.SolveReport):
     # picard_solve records a ratio only after a nonzero distance
     ratios = iter(report.ratio_sq)
@@ -452,7 +446,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     c_scale = 0.0 if cfg.debug.get("wrong_c_beta") else 1.0
     checks = verification.run_suite(problem, sol, seed=cfg.seed, c_scale=c_scale)
     report.solver = _solver_dict(sol, rep, problem.tree(), problem.beta)
-    report.checks = [_check_dict(c) for c in checks]
+    report.checks = [asdict(c) for c in checks]
     if problem.beta == 0:
         report.notes.append("beta = 0: integral inequality and a priori "
                             "estimate skipped (they need beta > 0)")
@@ -507,7 +501,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         values = [float(v) for v in cfg.sweep.get("values", [])]
         if param == "K":
             horizons = [_whole(v) for v in values]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad sweep value: {exc}") from exc
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,7 +1,7 @@
-"""Finite-mark random measures on a time grid and their exact scenario trees.
+"""Finite-mark random measures in discrete steps and their exact scenario trees.
 
 The driving noise is an integer-valued random measure that places at most
-one point per grid time, carrying one of finitely many marks.  Its
+one point per step, carrying one of finitely many marks.  Its
 compensator is specified predictably: the jump ``delta_A`` of the
 integrator and the mark distribution ``phi`` at a step may depend on
 everything that happened strictly before that step.  Enumerating every
@@ -11,10 +11,10 @@ sampling error.
 
 Outcome encoding: a step outcome is an ``int``, a mark index ``0..m-1``
 when a point occurs, ``NO_JUMP`` (= -1) when none does.  A history is the
-sequence of outcomes, one per elapsed step.  Slot ``k`` (0-based) covers
-the interval ``(t_k, t_{k+1}]`` with its atom at ``t_{k+1}``; on the tree
-the slots are in bijection with the internal nodes, and a slot's index
-equals the node index of its parent.
+sequence of outcomes, one per elapsed step.  Slot ``k`` (0-based) is step
+``k``, from depth ``k`` to depth ``k + 1``; on the tree the slots are in
+bijection with the internal nodes, and a slot's index equals the node
+index of its parent.
 
 The tree is built one level at a time: a model's rules see the int8
 matrix ``H`` of the histories of every node of a depth at once, one row
@@ -65,7 +65,6 @@ MAX_NODES = 5_000_000    # node budget of build_tree
 __all__ = [
     "NO_JUMP",
     "MAX_NODES",
-    "MarkSpace",
     "ScenarioModel",
     "SlotView",
     "SlotBlock",
@@ -84,42 +83,10 @@ def _whole(value) -> int:
     return int(value)
 
 
-def _check_mark_count(m: int) -> None:
-    """Refuse a mark space of more than ``MAX_MARKS`` marks."""
-    if m > MAX_MARKS:
-        raise ValueError(f"at most {MAX_MARKS} marks (outcomes are stored as int8)")
-
-
 def _check_beta(beta, positive=False) -> None:
     """Refuse a weight exponent that is not finite and ``>= 0`` (``> 0`` if ``positive``)."""
     if not (np.isfinite(beta) and (beta > 0 if positive else beta >= 0)):
         raise ValueError(f"beta must be finite and {'> 0' if positive else '>= 0'}, not {beta!r}")
-
-
-@dataclass(frozen=True)
-class MarkSpace:
-    """Ordered finite set of mark identifiers."""
-
-    marks: tuple
-
-    def __post_init__(self):
-        if len(self.marks) < 1:
-            raise ValueError("mark space needs at least one mark")
-        _check_mark_count(len(self.marks))
-        if len(set(self.marks)) != len(self.marks):
-            raise ValueError("mark identifiers must be distinct")
-
-    @property
-    def size(self) -> int:
-        return len(self.marks)
-
-    @classmethod
-    def of_size(cls, m: int) -> "MarkSpace":
-        """Marks ``0..m-1``; ``m`` must be a whole number, refused over ``MAX_MARKS``
-        before any mark is made."""
-        m = _whole(m)
-        _check_mark_count(m)
-        return cls(tuple(range(m)))
 
 
 @dataclass(frozen=True)
@@ -129,8 +96,8 @@ class ScenarioModel:
     ``A`` is purely atomic: it moves only by the jumps ``delta_A``.
 
     Args:
-        marks: the finite mark space.
-        grid: strictly increasing times ``t_0 = 0 < t_1 < ... < t_K``.
+        m: the mark count; the marks are ``0..m-1``.
+        horizon: the number of steps K; slot ``k`` is step ``k``.
         jump_size: ``(k, H) -> dA[n]``, the jump sizes in [0, 1] of slot
             ``k``, where ``H`` is the ``(n, k)`` int8 matrix of the
             outcomes of slots ``0..k-1`` of the ``n`` nodes of depth ``k``,
@@ -149,31 +116,26 @@ class ScenarioModel:
     Row ``i`` of each result belongs to node ``i``.  ``build_tree`` calls
     each rule once per level, and the state once per level below the
     root.  These are the model's only rules, so a model changed with
-    ``dataclasses.replace`` runs the rules it was given.
+    ``dataclasses.replace`` runs the rules it was given.  It is the one
+    home of both counts, whole numbers: ``m`` in ``1..MAX_MARKS``
+    (outcomes are int8) and K in ``0..MAX_NODES - 1`` (a tree of K steps
+    holds at least K + 1 nodes).
     """
 
-    marks: MarkSpace
-    grid: np.ndarray
+    m: int
+    horizon: int
     jump_size: Callable[[int, np.ndarray], np.ndarray]
     mark_law: Callable[[int, np.ndarray], np.ndarray]
     state: Callable[[int, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        if grid.ndim != 1 or grid.size < 1:
-            raise ValueError("grid must be a nonempty 1-d array of times")
-        if grid[0] != 0.0:
-            raise ValueError("grid must start at t_0 = 0")
-        if not np.isfinite(grid).all():
-            raise ValueError("grid times must be finite")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid not strictly increasing")
-
-    @property
-    def horizon(self) -> int:
-        """Number of steps K."""
-        return self.grid.size - 1
+        for name, unit, low, high in (("m", "marks", 1, MAX_MARKS),
+                                      ("horizon", "steps", 0, MAX_NODES - 1)):
+            value = getattr(self, name)
+            count = _whole(value)
+            if not low <= count <= high:
+                raise ValueError(f"{name} {value!r}: a model has {low} to {high} {unit}")
+            object.__setattr__(self, name, count)
 
 
 @dataclass(frozen=True)
@@ -181,7 +143,7 @@ class SlotView:
     """Read-only view of one predictable slot (parent node -> next step)."""
 
     index: int          # == node index of the parent
-    step: int           # 0-based slot index; atom sits at grid[step + 1]
+    step: int           # 0-based step of the slot: the step from depth step to step + 1
     history: tuple      # outcomes strictly before the slot
     delta_A: float
     phi: np.ndarray
@@ -289,7 +251,7 @@ class ScenarioTree:
 
     @property
     def n_marks(self) -> int:
-        return self.model.marks.size
+        return self.model.m
 
     @property
     def n_nodes(self) -> int:
@@ -304,7 +266,7 @@ class ScenarioTree:
         return slice(int(self.level_start[self.horizon]), self.n_nodes)
 
     def depth_slice(self, k: int) -> slice:
-        """Nodes at depth k: also the slots of level k, whose atom sits at grid[k+1]."""
+        """Nodes at depth k: also the slots of level k, those of step k."""
         return slice(int(self.level_start[k]), int(self.level_start[k + 1]))
 
     # -- views ----------------------------------------------------------
@@ -430,7 +392,7 @@ class TreeTooLarge(ValueError):
 
 def _level_rules(model: ScenarioModel, k: int, H: np.ndarray):
     """Checked jump sizes ``dA[n]`` and normalized mark laws ``phi[n, m]`` of depth k."""
-    n, m = H.shape[0], model.marks.size
+    n, m = H.shape[0], model.m
     dA = np.asarray(model.jump_size(k, H), dtype=float)
     if dA.shape != (n,):
         raise ValueError(f"jump sizes must have shape ({n},) at slot {k}")
@@ -511,7 +473,7 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
             raised before that level is allocated.
     """
     K = model.horizon
-    m = model.marks.size
+    m = model.m
     # outcome of the child in each column: marks 0..m-1, then no jump
     codes = np.append(np.arange(m), NO_JUMP).astype(np.int8)
 
@@ -600,7 +562,7 @@ def doleans_exponential(path, beta: float) -> np.ndarray:
 
     Returns:
         Array of K+1 values starting at 1; equals
-        ``exp(beta * A^c_t) * prod(1 + beta * dA_s)`` at each grid point,
+        ``exp(beta * A^c_t) * prod(1 + beta * dA_s)`` after each step,
         and is nondecreasing.
     """
     _check_beta(beta)
@@ -615,8 +577,8 @@ def doleans_sqrt_factorization(path, beta: float):
     ``+-(beta/2) * A^c`` and whose jumps are ``sqrt(1 + beta*dA) - 1``
     and ``1/sqrt(1 + beta*dA) - 1``, and returns their Doleans-Dade
     exponentials ``(upper, lower)``.  They satisfy ``lower * upper = 1``
-    and ``upper**2 = doleans_exponential(path, beta)`` at every grid
-    point.
+    and ``upper**2 = doleans_exponential(path, beta)`` after every
+    step.
     """
     _check_beta(beta, positive=True)
     dAc, dA = _as_path(path)

@@ -9,10 +9,12 @@ projection of each row against the atomic part of the compensator,
 ``delta_A * sum(zeta * phi)``, and is 0 by convention on slots with
 ``delta_A = 0``.
 
-One row kernel (``_moments``) gives ``hat_z_rows``,
-``lipschitz_seminorm_rows`` and ``slot_z_contribution`` (``delta_A``
-times the squared seminorm), for a block of slots at a time; one slot is
-a one-row block (``SlotBlock.of_view``).
+One mark sum (``_phi_dot``) gives each row's mean ``sum(zeta * phi)``,
+all that ``hat_z_rows`` reads; one row kernel (``_moments``: that mean
+and the spread about it) gives ``lipschitz_seminorm_rows`` and
+``slot_z_contribution`` (``delta_A`` times the squared seminorm).  Each
+takes a block of slots at a time; one slot is a one-row block
+(``SlotBlock.of_view``).
 
 On slots with ``delta_A = 1`` the squared norm cannot see an additive
 constant in the row, so fields are only norm-unique there; the canonical
@@ -88,7 +90,7 @@ def _seminorm_sq(zeta, delta_A: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def hat_z_rows(zeta, block: SlotBlock) -> np.ndarray:
     """Projection ``delta_A * sum(zeta * phi)`` of each row; 0 where ``delta_A = 0``."""
-    out = block.delta_A * _moments(zeta, block.delta_A, block.phi)[0]
+    out = block.delta_A * _phi_dot(np.asarray(zeta, dtype=float), block.phi)
     out[block.delta_A == 0.0] = 0.0
     return out
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .measure_core import MarkSpace, ScenarioModel, NO_JUMP, _whole
+from .measure_core import ScenarioModel, NO_JUMP, _whole
 from .solver import Generator
 
 __all__ = [
@@ -42,13 +42,6 @@ __all__ = [
 ]
 
 
-def _uniform_grid(K: int, T: float = 1.0) -> np.ndarray:
-    T = float(T)
-    if not np.isfinite(T):      # refused before linspace spreads it over the grid
-        raise ValueError(f"horizon T must be finite, not {T!r}")
-    return np.linspace(0.0, T, _whole(K) + 1)
-
-
 def _per_history(rule):
     """Level form ``(k, H) -> rows`` of a per-history ``rule(k, history)``.
 
@@ -68,22 +61,22 @@ def _per_history(rule):
     return level
 
 
-def _uniform_model(K: int, m: int, jump_size, phi=None, T: float = 1.0) -> ScenarioModel:
-    """Model on a uniform grid with the level rule ``jump_size`` and the mark law ``phi``.
+def _uniform_model(K: int, m: int, jump_size, phi=None) -> ScenarioModel:
+    """Model of K steps and m marks with the level rule ``jump_size`` and the mark law ``phi``.
 
     ``phi`` is None (uniform), one probability vector for every slot, or
-    a per-history mark law ``(k, history)``.
+    a per-history mark law ``(k, history)``; the uniform law is made after
+    the model has checked K and m.
     """
-    marks = MarkSpace.of_size(m)      # rejects m = 0 before the uniform law divides by it
     if callable(phi):
-        mark_law = _per_history(phi)
-    else:
-        vec = np.full(marks.size, 1.0 / marks.size) if phi is None else np.asarray(phi, float)
+        return ScenarioModel(m, K, jump_size, _per_history(phi))
 
-        def mark_law(k, H):
-            return np.repeat(vec[None], H.shape[0], axis=0)   # contiguous rows
+    def mark_law(k, H):
+        return np.repeat(vec[None], H.shape[0], axis=0)   # contiguous rows
 
-    return ScenarioModel(marks, _uniform_grid(K, T), jump_size, mark_law)
+    model = ScenarioModel(m, K, jump_size, mark_law)
+    vec = np.full(model.m, 1.0 / model.m) if phi is None else np.asarray(phi, float)
+    return model
 
 
 def jump_count(history) -> int:
@@ -108,15 +101,21 @@ def last_marks(H: np.ndarray) -> np.ndarray:
 # -- constructors ----------------------------------------------------------
 
 
-def deterministic_grid(K: int, m: int, a, phi=None, T: float = 1.0) -> ScenarioModel:
-    """Deterministic step sizes: ``a`` is a constant or per-step array in [0, 1]."""
-    a_arr = np.broadcast_to(np.asarray(a, dtype=float), (_whole(K),)).copy()
-    if np.any(a_arr < 0) or np.any(a_arr > 1):
+def _stepwise(K: int, m: int, sizes, phi=None) -> ScenarioModel:
+    """Model whose step k jumps by ``a[k]``: ``a = sizes(K)`` in [0, 1], made once K is checked."""
+    model = _uniform_model(K, m, lambda k, H: np.full(H.shape[0], a[k]), phi)
+    a = np.broadcast_to(np.asarray(sizes(model.horizon), dtype=float), (model.horizon,)).copy()
+    if np.any(a < 0) or np.any(a > 1):
         raise ValueError("jump sizes must lie in [0, 1]")
-    return _uniform_model(K, m, lambda k, H: np.full(H.shape[0], a_arr[k]), phi, T)
+    return model
 
 
-def predictable_random_jumps(K: int, m: int, rule, phi=None, T: float = 1.0) -> ScenarioModel:
+def deterministic_grid(K: int, m: int, a, phi=None) -> ScenarioModel:
+    """Deterministic step sizes: ``a`` is a constant or per-step array in [0, 1]."""
+    return _stepwise(K, m, lambda n: a, phi)
+
+
+def predictable_random_jumps(K: int, m: int, rule, phi=None) -> ScenarioModel:
     """Step sizes that depend on the past: ``rule(k, history) -> [0, 1]``.
 
     This is the regime the solver exists for; the integrator is
@@ -125,11 +124,11 @@ def predictable_random_jumps(K: int, m: int, rule, phi=None, T: float = 1.0) -> 
     calls it once per node; the ``two_state_rule`` preset is the
     level-rule example.
     """
-    return _uniform_model(K, m, _per_history(rule), phi, T)
+    return _uniform_model(K, m, _per_history(rule), phi)
 
 
 def two_state_rule(K: int, m: int, a_after_jump: float, a_after_no_jump: float,
-                   phi=None, T: float = 1.0) -> ScenarioModel:
+                   phi=None) -> ScenarioModel:
     """Jump size ``a_after_jump`` right after a point, else ``a_after_no_jump``.
 
     Step 0 has no previous outcome and uses ``a_after_no_jump``.
@@ -141,34 +140,35 @@ def two_state_rule(K: int, m: int, a_after_jump: float, a_after_no_jump: float,
             return np.full(H.shape[0], after_none)
         return np.where(H[:, -1] == NO_JUMP, after_none, after_jump)
 
-    return _uniform_model(K, m, jump_size, phi, T)
+    return _uniform_model(K, m, jump_size, phi)
 
 
-def pdmp_like(K: int, m: int, phi=None, T: float = 1.0) -> ScenarioModel:
+def pdmp_like(K: int, m: int, phi=None) -> ScenarioModel:
     """Unit jump at every step: each slot forces a mark, no no-jump branch.
 
     In this regime the main hypothesis reduces to ``lip_y < 1/sqrt(2)``
     and is automatic for drivers that do not depend on y.
     """
-    return deterministic_grid(K, m, 1.0, phi, T)
+    return deterministic_grid(K, m, 1.0, phi)
 
 
 def discretized_intensity(lam: float, K: int, m: int, phi=None,
                           T: float = 1.0) -> ScenarioModel:
-    """Constant-intensity arrivals discretized onto the grid.
+    """Constant-intensity arrivals on ``[0, T]`` (the one preset with a ``T``) in K steps.
 
-    ``delta_A_k = 1 - exp(-lam * dt_k)`` per step; refining the grid sends
-    the step sizes to zero, which is the route to continuous
-    compensators.
+    ``delta_A_k = 1 - exp(-lam * dt_k)`` per step of length ``dt_k``; more
+    steps send the jump sizes to zero, the route to continuous compensators.
     """
     if lam < 0:
         raise ValueError("intensity must be nonnegative")
-    dt = np.diff(_uniform_grid(K, T))
-    return deterministic_grid(K, m, 1.0 - np.exp(-lam * dt), phi, T)
+    T = float(T)
+    if not np.isfinite(T):      # refused before linspace spreads it over the steps
+        raise ValueError(f"horizon T must be finite, not {T!r}")
+    return _stepwise(K, m, lambda n: 1.0 - np.exp(-lam * np.diff(np.linspace(0.0, T, n + 1))),
+                     phi)
 
 
-def counterexample_model(p: float, t0_index: int = 0, K: int = 1,
-                         m: int = 1, T: float = 1.0):
+def counterexample_model(p: float, t0_index: int = 0, K: int = 1, m: int = 1):
     """Single predictable jump of size p with the driver that breaks existence.
 
     The step map at the jump slot is ``y = c + dA * (y / p) = c + y``:
@@ -182,33 +182,24 @@ def counterexample_model(p: float, t0_index: int = 0, K: int = 1,
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    K, t0_index = _whole(K), _whole(t0_index)
-    if not 0 <= t0_index < K:
-        raise ValueError("t0_index must address a step of the grid")
-    model = deterministic_grid(K, m, np.where(np.arange(K) == t0_index, float(p), 0.0), T=T)
+    t0_index = _whole(t0_index)
+    model = _stepwise(K, m, lambda n: np.where(np.arange(n) == t0_index, float(p), 0.0))
+    if not 0 <= t0_index < model.horizon:
+        raise ValueError("t0_index must address a step of the model")
     gen = Generator(lambda block, y, zeta: y / p, lip_y=1.0 / p, lip_z=0.0)
     return model, gen
 
 
 def random_model(rng, K=None, m=None, max_horizon=6, max_marks=3,
-                 include_unit=True, include_zero=True, T: float = 1.0) -> ScenarioModel:
+                 include_unit=True, include_zero=True) -> ScenarioModel:
     """Seeded random model mixing the regimes above.
 
     Draws per-step base sizes, optionally forces some slots to exact 0 or
     1, and with probability 1/2 makes the size rule genuinely predictable
     (it switches on the parity of the jump count so far).  The mark law
     is a random distribution that may also depend on that parity.  All
-    draws happen up front; the returned rules are pure.
+    draws happen up front, once the model has checked K and m; the rules are pure.
     """
-    K = int(rng.integers(1, max_horizon + 1)) if K is None else _whole(K)
-    m = int(rng.integers(1, max_marks + 1)) if m is None else _whole(m)
-    base = rng.uniform(0.05, 0.95, K)
-    alt = rng.uniform(0.05, 0.95, K)
-    unit = (rng.random(K) < 0.15) if include_unit else np.zeros(K, dtype=bool)
-    zero = (rng.random(K) < 0.10) if include_zero else np.zeros(K, dtype=bool)
-    zero &= ~unit
-    history_dependent = bool(rng.random() < 0.5)
-
     def jump_size(k, H):
         n = H.shape[0]
         if unit[k]:
@@ -219,15 +210,24 @@ def random_model(rng, K=None, m=None, max_horizon=6, max_marks=3,
             return np.where(jump_counts(H) % 2 == 1, alt[k], base[k])
         return np.full(n, base[k])
 
-    raw = rng.uniform(0.2, 1.0, (2, m))
-    laws = raw / raw.sum(axis=1, keepdims=True)
-    law_dependent = bool(rng.random() < 0.5)
-
     def mark_law(k, H):
         odd = jump_counts(H) % 2 if law_dependent else np.zeros(H.shape[0], dtype=int)
         return laws[odd]
 
-    return ScenarioModel(MarkSpace.of_size(m), _uniform_grid(K, T), jump_size, mark_law)
+    K = int(rng.integers(1, max_horizon + 1)) if K is None else K
+    m = int(rng.integers(1, max_marks + 1)) if m is None else m
+    model = ScenarioModel(m, K, jump_size, mark_law)
+    K, m = model.horizon, model.m
+    base = rng.uniform(0.05, 0.95, K)
+    alt = rng.uniform(0.05, 0.95, K)
+    unit = (rng.random(K) < 0.15) if include_unit else np.zeros(K, dtype=bool)
+    zero = (rng.random(K) < 0.10) if include_zero else np.zeros(K, dtype=bool)
+    zero &= ~unit
+    history_dependent = bool(rng.random() < 0.5)
+    raw = rng.uniform(0.2, 1.0, (2, m))
+    laws = raw / raw.sum(axis=1, keepdims=True)
+    law_dependent = bool(rng.random() < 0.5)
+    return model
 
 
 # -- terminal functionals ---------------------------------------------------

@@ -75,18 +75,19 @@ class CheckResult:
     detail: dict = field(default_factory=dict)
 
 
-def _identity(name, lhs, rhs, rtol=IDENTITY_RTOL, detail=None):
+# a side that is a numpy float makes a numpy verdict: ``passed`` is stored as a bool
+def _identity(name, lhs, rhs, detail=None):
     abs_gap = abs(lhs - rhs)
     rel_gap = abs_gap / max(abs(lhs), abs(rhs), 1.0)
     return CheckResult(name, float(lhs), float(rhs), float(abs_gap), float(rel_gap),
-                       rel_gap <= rtol, rtol, "identity", detail or {})
+                       bool(rel_gap <= IDENTITY_RTOL), IDENTITY_RTOL, "identity", detail or {})
 
 
 def _inequality(name, lhs, rhs, slack=INEQUALITY_SLACK, detail=None):
     abs_gap = lhs - rhs
     rel_gap = abs_gap / max(abs(lhs), abs(rhs), 1.0)
     return CheckResult(name, float(lhs), float(rhs), float(abs_gap), float(rel_gap),
-                       lhs <= rhs + slack, slack, "inequality", detail or {})
+                       bool(lhs <= rhs + slack), slack, "inequality", detail or {})
 
 
 def _skipped(name, note):

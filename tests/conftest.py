@@ -680,9 +680,9 @@ def scalar_path(model):
 
 
 def scalar_random_model(rng, K=None, m=None, max_horizon=6, max_marks=3,
-                        include_unit=True, include_zero=True, T=1.0):
+                        include_unit=True, include_zero=True):
     """Per-history form of ``scenarios.random_model``: same draws, per-history rules."""
-    from treebsde import MarkSpace, ScenarioModel
+    from treebsde import ScenarioModel
     K = int(rng.integers(1, max_horizon + 1)) if K is None else int(K)
     m = int(rng.integers(1, max_marks + 1)) if m is None else int(m)
     base = rng.uniform(0.05, 0.95, K)
@@ -708,7 +708,7 @@ def scalar_random_model(rng, K=None, m=None, max_horizon=6, max_marks=3,
     def mark_law(k, hist):
         return laws[1 if (law_dependent and scenarios.jump_count(hist) % 2 == 1) else 0]
 
-    return ScenarioModel(marks=MarkSpace.of_size(m), grid=np.linspace(0.0, T, K + 1),
+    return ScenarioModel(m=m, horizon=K,
                          jump_size=scenarios._per_history(jump_size),
                          mark_law=scenarios._per_history(mark_law))
 

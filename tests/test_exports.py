@@ -84,7 +84,16 @@ def test_a_model_has_one_form():
     # the optional state declares what the rules read, it is not a second form
     assert not hasattr(treebsde.ScenarioModel, "batched")
     assert [f.name for f in dataclasses.fields(treebsde.ScenarioModel)] == [
-        "marks", "grid", "jump_size", "mark_law", "state"]
+        "m", "horizon", "jump_size", "mark_law", "state"]
+
+
+def test_only_discretized_intensity_takes_a_time_horizon():
+    # a model is its rules, K and m: T sets only the intensity preset's jump sizes
+    takes_T = sorted(name for name in treebsde.scenarios.__all__
+                     if callable(getattr(treebsde.scenarios, name))
+                     and "T" in inspect.signature(getattr(treebsde.scenarios, name)).parameters)
+    assert takes_T == ["discretized_intensity"]
+    assert not hasattr(treebsde, "MarkSpace")
 
 
 def test_a_driver_and_a_solution_have_one_form():

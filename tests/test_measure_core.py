@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsde import (MarkSpace, ScenarioModel, build_tree,
+from treebsde import (ScenarioModel, build_tree,
                       doleans_exponential, doleans_sqrt_factorization)
 from treebsde import scenarios
 from treebsde.measure_core import NO_JUMP
@@ -16,8 +16,8 @@ from conftest import brute_doleans, node_children, node_outcomes
 def constant_model(K, m, a, phi=None):
     phi_vec = np.full(m, 1.0 / m) if phi is None else np.asarray(phi, float)
     return ScenarioModel(
-        marks=MarkSpace.of_size(m),
-        grid=np.linspace(0.0, 1.0, K + 1) if K else np.array([0.0]),
+        m=m,
+        horizon=K,
         jump_size=lambda k, H: np.full(H.shape[0], a),
         mark_law=lambda k, H: np.tile(phi_vec, (H.shape[0], 1)),
     )
@@ -55,28 +55,32 @@ def test_zero_jump_creates_single_branch():
     assert np.all(node_outcomes(tree)[1:] == NO_JUMP)
 
 
+def _model_of(m=1, horizon=2):
+    return ScenarioModel(m=m, horizon=horizon, jump_size=lambda k, H: np.full(H.shape[0], 0.5),
+                         mark_law=lambda k, H: np.full((H.shape[0], 2), 0.5))
+
+
 @pytest.mark.parametrize("m", [2.5, float("nan"), float("inf")])
 def test_mark_space_of_size_refuses_a_size_that_is_not_whole(m):
     with pytest.raises(ValueError, match="not a whole number"):
-        MarkSpace.of_size(m)
+        _model_of(m=m)
 
 
 def test_a_model_built_directly_refuses_a_fractional_mark_count():
     # of_size used to truncate 2.5 to two marks without a word
     with pytest.raises(ValueError, match="2.5 is not a whole number"):
-        ScenarioModel(marks=MarkSpace.of_size(2.5), grid=np.linspace(0.0, 1.0, 2),
-                      jump_size=lambda k, H: np.full(H.shape[0], 0.5),
-                      mark_law=lambda k, H: np.full((H.shape[0], 2), 0.5))
+        _model_of(m=2.5)
     with pytest.raises(ValueError, match="2.5 is not a whole number"):
         scenarios.random_model(np.random.default_rng(0), m=2.5)
-    assert MarkSpace.of_size(3.0) == MarkSpace.of_size(3) == MarkSpace((0, 1, 2))
+    assert _model_of(m=3.0).m == _model_of(m=3).m == 3
+    assert type(_model_of(m=3.0).m) is int
 
 
 @pytest.mark.parametrize("value", [True, False])
 def test_a_boolean_is_not_a_whole_number(value):
     # int(True) is 1: a JSON true read as a horizon or a mark count ran as 1
     with pytest.raises(ValueError, match=f"{value} is not a whole number"):
-        MarkSpace.of_size(value)
+        _model_of(m=value)
     with pytest.raises(ValueError, match=f"{value} is not a whole number"):
         scenarios.deterministic_grid(value, 1, 0.5)
 
@@ -85,39 +89,43 @@ def test_a_boolean_is_not_a_whole_number(value):
 def test_mark_space_refuses_more_than_127_marks_before_making_them(m):
     # 1e300 ended in an OverflowError from range; a large finite m built its tuple first
     with pytest.raises(ValueError, match="127 marks"):
-        MarkSpace.of_size(m)
+        _model_of(m=m)
 
 
 def test_mark_space_of_any_form_keeps_the_mark_budget():
-    with pytest.raises(ValueError, match="127 marks"):
-        MarkSpace(tuple(range(128)))
-    assert MarkSpace.of_size(127).size == 127
-
-
-@pytest.mark.parametrize("grid", [[0.0, math.nan, math.inf], [0.0, 1.0, math.inf],
-                                  [0.0, math.nan]])
-def test_a_grid_of_non_finite_times_is_refused(grid):
-    # np.diff(grid) <= 0 is False for NaN, so [0, nan, inf] passed as increasing
-    model = constant_model(2, 1, 0.5)
-    with pytest.raises(ValueError, match="finite"):
-        ScenarioModel(marks=model.marks, grid=np.array(grid),
-                      jump_size=model.jump_size, mark_law=model.mark_law)
+    for m in (0, 128):
+        with pytest.raises(ValueError, match=f"m {m}: a model has 1 to 127 marks"):
+            _model_of(m=m)
+    assert _model_of(m=127).m == 127
 
 
 @pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan])
 def test_a_uniform_grid_refuses_a_non_finite_horizon_before_spreading_it(T, recwarn):
-    for build in (lambda: scenarios.deterministic_grid(2, 1, 0.5, T=T),
-                  lambda: scenarios.discretized_intensity(0.5, 2, 1, T=T)):
-        with pytest.raises(ValueError, match="T must be finite"):
-            build()
+    # only discretized_intensity reads T: its jump sizes come from the steps of [0, T]
+    with pytest.raises(ValueError, match="T must be finite"):
+        scenarios.discretized_intensity(0.5, 2, 1, T=T)
+    with pytest.raises(TypeError, match="'T'"):
+        scenarios.deterministic_grid(2, 1, 0.5, T=T)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("K", [-1, 5_000_000, 1e300])
+def test_a_model_refuses_a_horizon_no_tree_can_hold(K):
+    # K = -1 ended in numpy's "broadcast shape must be non-negative", 1e300 in
+    # "Maximum allowed size exceeded": each constructor checks K before a per-step array
+    for build in (lambda: _model_of(horizon=K),
+                  lambda: scenarios.deterministic_grid(K, 1, 0.5),
+                  lambda: scenarios.two_state_rule(K, 2, 0.3, 0.6),
+                  lambda: scenarios.pdmp_like(K, 2),
+                  lambda: scenarios.discretized_intensity(0.5, K, 1),
+                  lambda: scenarios.counterexample_model(0.5, K=K),
+                  lambda: scenarios.random_model(np.random.default_rng(0), K=K)):
+        with pytest.raises(ValueError, match="horizon .*: a model has 0 to 4999999 steps"):
+            build()
+    assert _model_of(horizon=4_999_999).horizon == 4_999_999
+
+
 def test_build_errors():
-    model = constant_model(2, 1, 0.5)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        ScenarioModel(marks=model.marks, grid=np.array([0.0, 1.0, 1.0]),
-                      jump_size=model.jump_size, mark_law=model.mark_law)
     with pytest.raises(ValueError, match="outside"):
         build_tree(constant_model(1, 1, 1.5))
     with pytest.raises(ValueError, match="probability"):

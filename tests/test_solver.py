@@ -350,7 +350,7 @@ def test_solve_linear_is_linear_in_data():
     rng = np.random.default_rng(1)
     model = scenarios.random_model(rng, K=3)
     tree = build_tree(model)
-    xi1, xi2 = random_terminal(rng, model.marks.size), random_terminal(rng, model.marks.size)
+    xi1, xi2 = random_terminal(rng, model.m), random_terminal(rng, model.m)
     f1 = Generator(lambda block, y, z: 0.4 * block.step + 0.1, 0.0, 0.0)
     f2 = per_slot(tree, lambda slot, y, z: -0.3 + 0.2 * scenarios.jump_count(slot.history),
                   0.0, 0.0)
@@ -586,9 +586,9 @@ def test_picard_unchecked_blowup_growth():
 
 
 def test_empty_horizon_end_to_end():
-    from treebsde import MarkSpace, ScenarioModel
+    from treebsde import ScenarioModel
     import numpy as _np
-    model = ScenarioModel(marks=MarkSpace.of_size(2), grid=_np.array([0.0]),
+    model = ScenarioModel(m=2, horizon=0,
                           jump_size=lambda k, H: _np.full(H.shape[0], 0.5),
                           mark_law=lambda k, H: _np.full((H.shape[0], 2), 0.5))
     problem = BsdeProblem(model=model, beta=1.0,
@@ -604,9 +604,9 @@ def test_empty_horizon_end_to_end():
 def test_empty_tree_results_of_every_layer():
     # the K=0 model above: one node, no slots; every layer answers with
     # empty float arrays, exact zeros and passing checks
-    from treebsde import MarkSpace, ScenarioModel, conditions, run_suite
+    from treebsde import ScenarioModel, conditions, run_suite
     from treebsde.verification import check_norm_equivalence
-    model = ScenarioModel(marks=MarkSpace.of_size(2), grid=np.array([0.0]),
+    model = ScenarioModel(m=2, horizon=0,
                           jump_size=lambda k, H: np.full(H.shape[0], 0.5),
                           mark_law=lambda k, H: np.full((H.shape[0], 2), 0.5))
     problem = BsdeProblem(model=model, beta=1.0,

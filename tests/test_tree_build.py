@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsde import (BsdeProblem, Generator, MarkSpace, ScenarioModel, TreeTooLarge,
+from treebsde import (BsdeProblem, Generator, ScenarioModel, TreeTooLarge,
                       backward_oracle, build_tree, measure_core, picard_solve, scenarios,
                       solve_linear)
 from treebsde.measure_core import NO_JUMP, ScenarioTree
@@ -118,7 +118,7 @@ def bad_model(jump=None, law=None, m=2, K=3):
             return law(phi, scenarios.jump_counts(H) % 2 == 1)
         return phi
 
-    return ScenarioModel(MarkSpace.of_size(m), np.linspace(0, 1, K + 1), jump_size, mark_law)
+    return ScenarioModel(m, K, jump_size, mark_law)
 
 
 def _wide(phi, odd):
@@ -208,7 +208,7 @@ def test_level_rows_see_only_earlier_outcomes():
         seen[k] = H.copy()
         return np.full(H.shape[0], 0.5)
 
-    model = ScenarioModel(MarkSpace.of_size(2), np.linspace(0, 1, 4), jump_size,
+    model = ScenarioModel(2, 3, jump_size,
                           lambda k, H: np.full((H.shape[0], 2), 0.5))
     tree = build_tree(model)
     for k, H in seen.items():

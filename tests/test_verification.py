@@ -420,6 +420,18 @@ def test_run_suite_all_pass_on_nonlinear_problem():
             "lipschitz_bound", "jump_identity"} <= names
 
 
+def test_every_check_verdict_is_a_python_bool():
+    # a side that was a numpy float made ``passed`` a numpy.bool, which a report
+    # written with asdict could not serialize; both check kinds store a bool
+    rng = np.random.default_rng(21)
+    problem, delta = random_problem(rng, max_horizon=4)
+    sol, _ = picard_solve(problem, delta=delta)
+    results = run_suite(problem, sol, seed=0)
+    assert {r.kind for r in results} == {"identity", "inequality"}
+    assert all(type(r.passed) is bool for r in results)
+    assert type(verification._identity("x", np.float64(1.0), np.float64(1.0)).passed) is bool
+
+
 def test_seminorm_expanded_form_is_algebraic_identity():
     # sum(|dz - hat|^2 phi) + (1-dA)/dA * hat^2 == seminorm^2, at every dA
     rng = np.random.default_rng(33)

@@ -58,8 +58,10 @@ The case list:
   ``c0`` is true: config errors (a JSON boolean is not a number);
 * config errors that name their key: a ``K`` sweep whose ``values`` is the
   string ``"23"``, a sweep key no run reads (``valeus``), a ``debug`` flag
-  ``wrong_c_beta`` of ``"no"`` and a ``debug`` key no run reads (a bad
-  model is left out: its old traceback and its new config error both exit 1);
+  ``wrong_c_beta`` of ``"no"``, a ``debug`` key no run reads, a ``tol`` of
+  ``"abc"``, a ``seed`` of ``"x"`` and a ``K`` sweep value of 1e300 (a bad
+  model is left out: its old traceback and its new config error both exit 1,
+  and a ``T`` on a preset that does not read it would be such a model);
 * the built-in ``counterexample`` run.
 
 Reports carry no timings, so a case whose code did not change must match to
@@ -224,7 +226,10 @@ def cases() -> list[tuple[str, str, dict | None]]:
             ("sweep-unread-key", "sweep",
              {**base, "sweep": {"param": "K", "values": [2], "valeus": [3]}}),
             ("verify-wrong_c_beta-no", "verify", {**base, "debug": {"wrong_c_beta": "no"}}),
-            ("verify-debug-unread-key", "verify", {**base, "debug": {"wrong_cbeta": True}})]
+            ("verify-debug-unread-key", "verify", {**base, "debug": {"wrong_cbeta": True}}),
+            ("solve-tol-abc", "solve", {**base, "tol": "abc"}),
+            ("verify-seed-x", "verify", {**base, "seed": "x"}),
+            ("sweep-K-1e300", "sweep", {**base, "sweep": {"param": "K", "values": [1e300]}})]
     out.append(("counterexample", "counterexample", None))
     return out
 

@@ -8,7 +8,12 @@ Run from the root of a checkout:
 ``--old`` and ``--new`` are checkout roots (each holds ``src/treebsde``).
 Each case runs ``--repeat`` times per tree, every run in a fresh process
 with ``PYTHONPATH`` set to that tree's ``src`` and one BLAS thread; the
-trees alternate, and so does which of them runs first.  A run
+trees alternate, and so does which of them runs first.  Each tree's ``src``
+is byte-compiled once before the runs, so that no run compiles it: with
+``PYTHONDONTWRITEBYTECODE`` set, the compile's allocations moved the later
+stages' fault counts with the length of the source text (a 20-line comment
+in ``measure_core.py`` moved ``two_state_k10_full``'s ``picard_solve``
+faults from 2,307 to 3,298).  A run
 times, once each and in this order:
 
 * ``build_tree``: enumerating the config's tree;
@@ -55,14 +60,19 @@ The cases:
 * ``two_state_k12_m2``: the ``two_state_rule`` model with K=12 and two
   marks (797,161 nodes), the saturating driver and beta = 8;
 * ``two_state_k10_full``: the same model and driver with K=10, its state
-  dropped (``FULL_TREE``): 88,573 nodes that cannot merge, so the full
-  tree's block read of each level's children is measured;
+  dropped (``FULL_TREE``): 88,573 nodes that cannot merge, every slot with
+  every child, so a full tree that reads each level's children as a view of
+  the next nodes, and stores no child map, is measured;
 * ``two_state_k13_m2``: the same model and driver with K=13 (2,391,484
   nodes, about 0.5 GiB peak RSS);
 * ``pdmp_k11_m3``: unit jumps at every step (``pdmp_like``) with K=11 and
   three marks (265,720 nodes), the ``affine_z`` driver, the ``last_mark``
   terminal and ``beta = auto``: the ``sweep_unit_jumps`` workload's tree
   two steps deeper;
+* ``pdmp_k10_full``: the same config with K=10, its state dropped
+  (``FULL_TREE``): 88,573 nodes, every slot a unit jump with no no-jump
+  child, so a full tree that reads its children through its child map is
+  measured next to ``two_state_k10_full``;
 * ``intensity_k256_m1``: the ``verify_intensity`` workload at seed 7 with
   K=256 (2^257 - 1 histories, 33,153 jump-count states): a full tree
   refuses it;
@@ -88,7 +98,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SWEEP_BETAS = [1.0, 2.0, 4.0, 8.0]     # multiples of beta_min, as in sweep_unit_jumps
-FULL_TREE = {"two_state_k10_full"}    # cases built without the model's state
+FULL_TREE = {"two_state_k10_full", "pdmp_k10_full"}    # cases built without the model's state
 
 
 def _cases() -> dict:
@@ -106,20 +116,23 @@ def _cases() -> dict:
             "seed": 3,
         }
 
-    pdmp = {
-        "model": {"preset": "pdmp_like", "params": {"K": 11, "m": 3, "phi": [0.2, 0.3, 0.5]}},
-        "generator": {"preset": "affine_z", "params": {"c0": 0.1, "c1": 0.5}},
-        "terminal": {"preset": "last_mark", "params": {"mark": 0, "scale": 1.0}},
-        "beta": "auto",
-        "seed": 3,
-    }
+    def pdmp(K):
+        return {
+            "model": {"preset": "pdmp_like", "params": {"K": K, "m": 3, "phi": [0.2, 0.3, 0.5]}},
+            "generator": {"preset": "affine_z", "params": {"c0": 0.1, "c1": 0.5}},
+            "terminal": {"preset": "last_mark", "params": {"mark": 0, "scale": 1.0}},
+            "beta": "auto",
+            "seed": 3,
+        }
+
     lattice, _ = workloads.solve_predictable(7, horizon=256)
     for key in ("a_after_jump", "a_after_no_jump"):
         lattice["model"]["params"][key] *= 9 / 256
     lattice["beta"] = "auto"
     return {"verify_intensity_seed7": verify_cfg, "two_state_k12_m2": two_state(12),
             "two_state_k10_full": two_state(10),
-            "two_state_k13_m2": two_state(13), "pdmp_k11_m3": pdmp,
+            "two_state_k13_m2": two_state(13), "pdmp_k11_m3": pdmp(11),
+            "pdmp_k10_full": pdmp(10),
             "intensity_k256_m1": workloads.verify_intensity(7, horizon=256)[0],
             "two_state_k256_m2": lattice}
 
@@ -314,6 +327,9 @@ def main(argv=None) -> int:
                     "python": platform.python_version(), "numpy": np.__version__,
                     "platform": platform.platform()},
            "repeat": args.repeat, "cases": {}}
+    for tree in trees.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree.resolve() / "src")],
+                       check=True, capture_output=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in args.case or cases:
             path = Path(tmp) / f"{name}.json"

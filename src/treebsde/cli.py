@@ -110,8 +110,8 @@ class RunConfig:
             if (key, value) in (("delta", None), ("beta", "auto")):
                 continue
             try:
-                if _has_bool(value):
-                    raise ValueError("a boolean is not a number")
+                if _not_number(value):
+                    raise ValueError("not a JSON number")
                 num = kind(value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad numeric field: {key} {value!r}: {exc}") from exc
@@ -147,15 +147,18 @@ def _check_keys(name: str, section: dict, reads: dict) -> None:
             raise ConfigError(f"{name} {key} must be {kinds[kind]}, not {section[key]!r}")
 
 
-def _has_bool(value) -> bool:   # a JSON boolean, alone or in a list: float() reads 1 or 0
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+def _not_number(value) -> bool:
+    """Not a JSON number, nor a list of them: ``float()`` would read a boolean as 1 or 0
+    and a string as the number it spells."""
+    items = value if isinstance(value, list) else [value]
+    return not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)
 
 
 def _num(params, key, default, kind=float):
     """``kind(params.get(key, default))``; a malformed or non-finite value is a config error."""
     value = params.get(key, default)
     try:
-        if _has_bool(value):
+        if _not_number(value):
             raise TypeError(f"{value!r} is not a number")
         num = kind(value)
         if math.isfinite(num):
@@ -247,9 +250,9 @@ def _build_tree(cfg: RunConfig):
     agree on it.  A bad model section, an invalid rule value and a tree
     over the node budget (``TreeTooLarge``) are config errors.
     """
-    bools = sorted(key for key, value in cfg.model.get("params", {}).items() if _has_bool(value))
-    if bools:
-        raise ConfigError(f"bad model spec: a boolean is not a number: {', '.join(bools)}")
+    bad = sorted(key for key, value in cfg.model.get("params", {}).items() if _not_number(value))
+    if bad:
+        raise ConfigError(f"bad model spec: not a JSON number: {', '.join(bad)}")
     try:
         model = scenarios.ModelSpec(cfg.model["preset"], cfg.model.get("params", {}),
                                     cfg.terminal.get("preset", "constant")).build()
@@ -495,9 +498,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
     param = cfg.sweep.get("param")
     if param not in ("beta", "delta", "K"):
         raise ConfigError("sweep param must be one of beta, delta, K")
+    if param != "beta" and "relative_to_beta_min" in cfg.sweep:
+        raise ConfigError(f"relative_to_beta_min applies to a beta sweep, not to a {param} sweep")
     try:
-        if _has_bool(cfg.sweep.get("values")):
-            raise ValueError(f"a boolean is not a number: values {cfg.sweep['values']!r}")
+        if _not_number(cfg.sweep.get("values", [])):
+            raise ValueError(f"not a JSON number: values {cfg.sweep['values']!r}")
         values = [float(v) for v in cfg.sweep.get("values", [])]
         if param == "K":
             horizons = [_whole(v) for v in values]
@@ -612,12 +617,22 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=("solve", "verify", "sweep", "counterexample"))
     ap.add_argument("--config", default=None, help="JSON config (optional for counterexample)")
     ap.add_argument("--out", default=None, help="output directory")
-    # values are parsed with the config, so a malformed one is a config error
-    ap.add_argument("--seed", default=None)
-    ap.add_argument("--beta", default=None, help="'auto' or a number")
-    ap.add_argument("--delta", default=None)
-    ap.add_argument("--tol", default=None)
+    # values are read as JSON and parsed with the config, so a malformed one is a
+    # config error
+    ap.add_argument("--seed", default=None, type=_flag)
+    ap.add_argument("--beta", default=None, type=_flag, help="'auto' or a number")
+    ap.add_argument("--delta", default=None, type=_flag)
+    ap.add_argument("--tol", default=None, type=_flag)
     return ap
+
+
+def _flag(text: str):
+    """A number flag's JSON value; a flag that is not JSON, or is null, stays its text."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return text
+    return text if value is None else value
 
 
 def main(argv=None) -> int:

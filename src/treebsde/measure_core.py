@@ -30,17 +30,18 @@ slot's children from its jump size.  ``build_tree`` writes the layout
 once; the plans (``_Level``) of each level and of the whole tree are views
 of it, handed to the solvers' kernels, and two tree operators alone carry
 the child layout: ``_child_values`` (of a level or of every slot) and
-``_forward``.  On a full tree the children of a run of levels are
-consecutive nodes in slot and column order, read as a block.
+``_forward``.  A level's children are the next depth's nodes (a merged
+level's edges) in slot and column order.  The child map
+(``ScenarioTree._child_index``: each slot's child node per outcome,
+``n_nodes`` where none) holds them, so a child read is one gather from the
+node values followed by one 0 (``ScenarioTree._node_values``); a full
+tree's plan whose every slot has every child reads a reshape view instead.
 
 Merged trees: the nodes of a depth whose declared states
 (``ScenarioModel.state``) are equal are one node.  It keeps the first
 history, sums their probabilities and carries their probability-weighted
 mean weight, so every ``prob * weight`` sum is the full tree's.
-``_forward`` averages over the edges into a node.  The child map built from
-the edges (``ScenarioTree._child_index``: each slot's child node per outcome,
-``n_nodes`` where none) makes every child read one gather from the node
-values followed by one 0: the buffer of ``ScenarioTree._node_values``.
+``_forward`` averages over the edges into a node.
 
 Trees are purely atomic: ``A`` moves only by its jumps ``delta_A``, so a
 node's Doleans-Dade weight of ``beta * A`` is the product of
@@ -77,8 +78,8 @@ __all__ = [
 
 
 def _whole(value) -> int:
-    """``int(value)`` of a whole number; a fraction or a boolean is refused, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, str) and value % 1:   # nan and inf too
+    """``int(value)`` of a whole number, never truncated; a boolean or a string is refused."""
+    if isinstance(value, (bool, str)) or value % 1:   # nan and inf too
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 
@@ -181,14 +182,12 @@ class _Level:
     slices (``slots``, and their children's ``nodes``, on a full tree in slot
     and column order) and read-only views of the tree's layout arrays: the
     slots' rows ``dA``, ``stay = 1 - dA``, ``phi`` and ``step``, their
-    ``branches`` mask, their rows of the child map (``child_index``) and a
-    level's ``edges`` (per edge in slot and column order, its slot within the
-    level, its node within the next depth and its path mass; per node the
-    slot of its first edge).  Its own: ``unit`` (rows with ``dA = 1``: None,
-    True for all, else an ``(n, 1)`` mask), ``zero`` (``dA = 0``: None or a
-    mask) and ``cols``, the column range every slot fills when they share
-    their branch kind, else None (a full tree's children then form one
-    ``(slots, columns)`` block of nodes).
+    ``branches`` mask, their rows of the child map (``child_index``: None when
+    the plan reads a view) and a level's ``edges`` (per edge in slot and column
+    order, its slot within the level, its node within the next depth and its
+    path mass; per node the slot of its first edge).  Its own: ``unit`` (rows
+    with ``dA = 1``: None, True for all, else an ``(n, 1)`` mask) and ``zero``
+    (``dA = 0``: None or a mask).
     """
 
     def __init__(self, tree: "ScenarioTree", k: int, stop: int):
@@ -198,14 +197,17 @@ class _Level:
         self.dA, self.stay = tree.slot_dA[slots], tree._slot_stay[slots]
         self.phi, self.step = tree.slot_phi[slots], tree.slot_step[slots]
         self.branches = tree._branches[slots]
-        self.child_index = None if tree._child_index is None else tree._child_index[slots]
+        view = tree._edges is None and self.branches.all()   # full, every slot every child
+        self.child_index = None if view else tree._child_index[slots]
         self.edges = None if tree._edges is None or stop != k + 1 else tree._edges[k]
-        m, unit, zero = tree.n_marks, tree._unit[slots], tree._zero[slots]
-        self.unit = unit = True if unit.all() else unit[:, None] if unit.any() else None
-        self.zero = zero = zero if zero.any() else None
-        self.cols = (slice(0, m) if unit is True else
-                     slice(0, m + 1) if unit is None and zero is None else
-                     slice(m, m + 1) if unit is None and zero.all() else None)
+        unit, zero = tree._unit[slots], tree._zero[slots]
+        self.unit = True if unit.all() else unit[:, None] if unit.any() else None
+        self.zero = zero if zero.any() else None
+
+    @functools.cached_property
+    def children(self):   # built on first use: each slot's child count, one number if all agree
+        counts = np.count_nonzero(self.branches, 1)
+        return counts if (counts[1:] != counts[:-1]).any() else int(counts[:1].sum())
 
     @functools.cached_property
     def block(self) -> SlotBlock:   # built on first use
@@ -221,10 +223,10 @@ class ScenarioTree:
     ``(n_k, k)`` int8 matrix of the histories of depth ``k``, one row per
     node in node order.
 
-    ``build_tree`` alone writes its layout (``_branches``; on a merged tree the
-    ``_edges`` and the child map built from them); the plans (``_Level``) of each
-    level, ``_levels[k]``, and of the whole tree, ``_slot_rows``, are views of it,
-    and ``_child_values`` and ``_forward`` alone read where children lie.
+    ``build_tree`` alone writes its layout (``_branches``, a merged tree's
+    ``_edges`` and the child map); the plans (``_Level``) of each level,
+    ``_levels[k]``, and of the whole tree, ``_slot_rows``, are views of it, and
+    ``_child_values`` and ``_forward`` alone read where children lie.
     """
 
     def __init__(self, model, level_start, prob, level_histories, slot_dA, slot_phi,
@@ -314,22 +316,12 @@ class ScenarioTree:
 
     def _child_values(self, Y: np.ndarray, k: int | None = None) -> np.ndarray:
         """Children's values of the slots of level ``k``, or of all: one column per outcome,
-        0 where none.  On a merged tree ``Y`` is a ``_node_values`` buffer, read by
-        one gather through the child map; on a full tree a block plan reads a
-        reshape of one slice of ``Y`` (a view when every column is filled), and
-        any other places its children by its branch mask."""
-        lv, m1 = self._slot_rows if k is None else self._levels[k], self.n_marks + 1
-        if lv.child_index is not None:
-            return Y[lv.child_index]
-        n, cols, values = lv.dA.size, lv.cols, Y[lv.nodes]
-        if cols is not None and cols.stop - cols.start == m1:
-            return values.reshape(n, m1)
-        V = np.zeros((n, m1))
-        if cols is None:
-            V[lv.branches] = values
-        else:
-            V[:, cols] = values.reshape(n, cols.stop - cols.start)
-        return V
+        0 where none: one gather from the ``_node_values`` buffer ``Y`` through the
+        plan's rows of the child map, or a reshape view of its next nodes."""
+        lv = self._slot_rows if k is None else self._levels[k]
+        if lv.child_index is None:
+            return Y[lv.nodes].reshape(lv.dA.size, self.n_marks + 1)
+        return Y[lv.child_index]
 
     def _forward(self, values: np.ndarray, k: int) -> np.ndarray:
         """Values of the slots of level ``k`` carried to the nodes of depth ``k + 1``.
@@ -347,9 +339,7 @@ class ScenarioTree:
             np.divide(np.bincount(child, mass * values[parent], prob.size), prob,
                       out=out, where=prob > 0.0)
             return out
-        cols = lv.cols
-        return np.repeat(values, np.count_nonzero(lv.branches, 1)
-                         if cols is None else cols.stop - cols.start)
+        return np.repeat(values, lv.children)
 
     # -- weights --------------------------------------------------------
 
@@ -512,11 +502,15 @@ def build_tree(model: ScenarioModel) -> ScenarioTree:
         level_start.append(level_start[-1] + H.shape[0])
 
     branches = np.concatenate(branches)
-    child_index = None if edges is None else np.full(branches.shape, level_start[-1])
-    # a level's edges run in slot and column order, as the cells of its mask do
-    for k, level in enumerate(edges or ()):
-        slots = slice(level_start[k], level_start[k + 1])
-        child_index[slots][branches[slots]] = level_start[k + 1] + level[1]
+    child_index = None
+    if edges is not None or not branches.all():   # else every plan reads a view
+        child_index = np.full(branches.shape, level_start[-1])
+        # a level's children (a merged level's edges) run in slot and column
+        # order, as the cells of its mask do
+        for k in range(K):
+            slots, first = slice(level_start[k], level_start[k + 1]), level_start[k + 1]
+            child_index[slots][branches[slots]] = (
+                np.arange(first, level_start[k + 2]) if edges is None else first + edges[k][1])
     return ScenarioTree(
         model=model,
         level_start=np.asarray(level_start, dtype=np.int64),

@@ -496,7 +496,7 @@ def per_slot_oracle(problem):
     for k in range(tree.horizon - 1, -1, -1):
         lv = tree._levels[k]
         sl = lv.slots
-        V = tree._child_values(Y, k)
+        V = tree._child_values(tree._node_values(Y), k)
         cm = _cond_means(lv, V)
         Z[sl] = _represent_block(lv, V)
         for off, s in enumerate(range(sl.start, sl.stop)):
@@ -631,9 +631,9 @@ def level_jump_identity(tree, Y, Z, f_path, child_values=gather_child_values):
 def conditional_means(tree, Y):
     """Per-slot conditional mean of the children's Y values, level by level."""
     from treebsde import solver
-    cm = np.empty(tree.n_slots)
+    cm, buf = np.empty(tree.n_slots), tree._node_values(Y)
     for k, lv in enumerate(tree._levels):
-        cm[lv.slots] = solver._cond_means(lv, tree._child_values(Y, k))
+        cm[lv.slots] = solver._cond_means(lv, tree._child_values(buf, k))
     return cm
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -192,7 +193,8 @@ def test_sweep_builds_one_tree_per_model(tmp_path, monkeypatch, param, values, b
     cfg = write_config(tmp_path, generator={"preset": "affine_y",
                                             "params": {"c0": 0.1, "c1": 0.3}},
                        sweep={"param": param, "values": values,
-                              "relative_to_beta_min": True})
+                              **({"relative_to_beta_min": True}
+                                 if param == "beta" else {})})
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
     assert len(calls) == builds
 
@@ -239,6 +241,20 @@ def test_flag_overrides_config(tmp_path):
     assert cli.main(["solve", "--config", str(cfg), "--out", str(out),
                      "--beta", "2.5"]) == 0
     assert read_summary(out)["conditions"]["beta"] == 2.5
+
+
+@pytest.mark.parametrize("flags,fields", [
+    (["--seed", "4", "--beta", "2.5", "--tol", "1e-12"], {"seed": 4, "beta": 2.5, "tol": 1e-12}),
+    (["--beta", "auto", "--delta", "0.2"], {"beta": "auto", "delta": 0.2}),
+])
+def test_number_flags_read_as_json_run_as_the_config_fields(tmp_path, flags, fields):
+    reports = []
+    for name, cfg, extra in (("flags", write_config(tmp_path, "flags.json", beta=1.0), flags),
+                             ("config", write_config(tmp_path, "config.json", **fields), [])):
+        out = tmp_path / name
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)] + extra) == 0
+        reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert reports[0] == reports[1]
 
 
 def test_affine_z_preset_solves_and_verifies(tmp_path):
@@ -563,6 +579,42 @@ def test_a_boolean_where_a_number_goes_is_a_config_error(tmp_path, capsys, case)
     assert err.startswith("config error: ") and case.split("-")[-1] in err
 
 
+# a JSON string that spells a number: each ran as that number, to exit 0
+STRING_CASES = {
+    "model-K": ("solve", {"model": _with(GRID, K="3")}),
+    "model-m": ("verify", {"model": _with(GRID, m="2")}),
+    "model-a": ("solve", {"model": _with(GRID, a="0.5")}),
+    "model-phi": ("solve", {"model": _with(GRID, phi=["0.5", 0.5])}),
+    "generator-c0": ("solve", {"model": GRID, "generator": {
+        "preset": "affine_y", "params": {"c0": "0.3", "c1": 0.3}}}),
+    "terminal-scale": ("verify", {"model": GRID, "terminal": {
+        "preset": "jump_count", "params": {"scale": "0.9"}}}),
+    "config-tol": ("solve", {"model": GRID, "tol": "1e-10"}),
+    "config-seed": ("verify", {"model": GRID, "seed": "4"}),
+    "config-beta": ("solve", {"model": GRID, "beta": "2.5"}),
+    "sweep-K-values": ("sweep", {"model": GRID, "sweep": {"param": "K", "values": [1, "2"]}}),
+    "counterexample-p": ("counterexample", {"model": {"preset": "counterexample",
+                                                      "params": {"p": "0.5"}}}),
+}
+
+
+@pytest.mark.parametrize("case", STRING_CASES)
+def test_a_string_that_spells_a_number_is_a_config_error(tmp_path, capsys, case):
+    err = refused(tmp_path, capsys, *STRING_CASES[case])
+    assert err.startswith("config error: ")
+    assert re.search(rf"\b{case.split('-')[-1]}\b", err)   # the key, as a word
+
+
+@pytest.mark.parametrize("param,values", [("delta", [0.1, 0.2]), ("K", [1, 2])])
+@pytest.mark.parametrize("relative", [True, False])
+def test_relative_to_beta_min_on_a_delta_or_K_sweep_is_a_config_error(tmp_path, capsys, param,
+                                                                        values, relative):
+    # only a beta sweep reads it: a delta or K sweep ran as if it were absent
+    err = refused(tmp_path, capsys, "sweep", {"model": GRID, "sweep": {
+        "param": param, "values": values, "relative_to_beta_min": relative}})
+    assert err.startswith("config error: relative_to_beta_min ") and param in err
+
+
 # each ended in a traceback ('float' object is not callable, an OverflowError), in
 # exit 0 with a misread section, or in exit 3 ("no" read as true); each names its key
 MISREAD_CASES = {
@@ -755,7 +807,8 @@ def test_sweep_iterates_once(tmp_path, monkeypatch, param, values):
                        generator={"preset": "saturating",
                                   "params": {"c0": 0.1, "cy": 0.5, "cz": 0.4}},
                        sweep={"param": param, "values": values,
-                              "relative_to_beta_min": True})
+                              **({"relative_to_beta_min": True}
+                                 if param == "beta" else {})})
     out = tmp_path / "run"
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     iterations = [int(row["iterations"]) for row in csv.DictReader((out / "sweep.csv").open())]
@@ -794,10 +847,10 @@ def test_the_commands_load_no_random_or_masked_array_modules(tmp_path):
 # -- every config ends in a named exit -------------------------------------------------
 
 # a quarter of the fuzzed numbers come from here: the float range's edges, the
-# values next to the hypothesis boundary, a string, a JSON boolean and an
-# integer past the float range
+# values next to the hypothesis boundary, strings (two of them spell numbers), a
+# JSON boolean and an integer past the float range
 EDGE_NUMBERS = [0, 1, -1, 0.5, 2, 1e-300, 1e154, 1e300, math.nan, math.inf, 0.999999,
-                "abc", True, 10 ** 400]
+                "abc", "3", "0.5", True, 10 ** 400]
 
 
 def _number(ordinary):

@@ -72,7 +72,8 @@ def test_level_representation_matches_the_slot_oracle():
         tree = build_tree(scenarios.random_model(rng, max_horizon=4))
         rows = tree._slot_rows
         Y = rng.normal(0, 2, tree.n_nodes)
-        V = np.concatenate([tree._child_values(Y, k) for k in range(tree.horizon)])
+        V = np.concatenate([tree._child_values(tree._node_values(Y), k)
+                            for k in range(tree.horizon)])
         Z, cm = _represent_block(rows, V), _cond_means(rows, V)
         for s in range(tree.n_slots):
             slot = tree.slot(s)
@@ -88,11 +89,11 @@ def test_level_representation_matches_the_slot_oracle():
     assert seen == {0.0, 1.0, "inner"}
 
 
-# -- child layout: levels read as blocks, levels that mix branch kinds ----------------
+# -- child layout: the child map, and the plans read as views ------------------------
 #
 # two_state_rule with a_after_jump 0 or 1 and an interior a_after_no_jump
 # mixes dA = 0 or dA = 1 slots with interior ones on every level past the
-# first, the only input of the gather path; the other models are all blocks
+# first; pdmp_like has unit jumps only, and the grid one kind per step
 
 
 def _law(m):
@@ -104,13 +105,11 @@ def _mixed_model(m, a_jump, K=5):
     return scenarios.two_state_rule(K, m, a_jump, 0.35, phi=_law(m))
 
 
-# (model, number of levels read as blocks)
 LAYOUT_MODELS = (
-    [pytest.param(_mixed_model(m, a), 1, id=f"mixed-m{m}-a{a:g}")
+    [pytest.param(_mixed_model(m, a), id=f"mixed-m{m}-a{a:g}")
      for m in range(1, 5) for a in (0.0, 1.0)]
-    + [pytest.param(scenarios.pdmp_like(4, m, phi=_law(m)), 4, id=f"unit-m{m}")
-       for m in (1, 3)]
-    + [pytest.param(scenarios.deterministic_grid(4, 3, [0.4, 0.0, 1.0, 0.7], phi=_law(3)), 4,
+    + [pytest.param(scenarios.pdmp_like(4, m, phi=_law(m)), id=f"unit-m{m}") for m in (1, 3)]
+    + [pytest.param(scenarios.deterministic_grid(4, 3, [0.4, 0.0, 1.0, 0.7], phi=_law(3)),
                     id="kinds-by-step")])
 
 
@@ -118,32 +117,39 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-@pytest.mark.parametrize("model,blocks", LAYOUT_MODELS)
-def test_block_levels_are_the_levels_of_one_branch_kind(model, blocks):
-    tree = build_tree(model)
-    m = tree.n_marks
-    filled = {0.0: slice(m, m + 1), 1.0: slice(0, m), "inner": slice(0, m + 1)}
-    for k in range(tree.horizon):
-        sl = tree.depth_slice(k)
-        kinds = {0.0 if d == 0.0 else 1.0 if d == 1.0 else "inner" for d in tree.slot_dA[sl]}
-        cols = tree._levels[k].cols
-        assert (cols is not None) == (len(kinds) == 1)
-        if cols is not None:
-            # the kind's columns, filled in every slot by the next level's nodes
-            assert cols == filled[kinds.pop()]
-            ch = node_children(tree)[sl]
-            nodes = tree.depth_slice(k + 1)
-            assert np.array_equal(ch[:, cols].ravel(), np.arange(nodes.start, nodes.stop))
-            assert np.all(np.delete(ch, np.arange(cols.start, cols.stop), axis=1) == -1)
-    assert len(tree._levels) == tree.horizon
-    assert sum(lv.cols is not None for lv in tree._levels) == blocks
-
-
 # LAYOUT_MODELS and seeded random models, K = 0 among them
 OPERATOR_MODELS = (
-    [pytest.param(p.values[0], id=p.id) for p in LAYOUT_MODELS]
+    LAYOUT_MODELS
     + [pytest.param(scenarios.random_model(np.random.default_rng(seed), K=seed % 5),
                     id=f"random-{seed}-K{seed % 5}") for seed in range(15)])
+
+
+@pytest.mark.parametrize("merged", [False, True], ids=["full", "merged"])
+@pytest.mark.parametrize("model", OPERATOR_MODELS)
+def test_a_plan_reads_a_view_or_one_gather_through_the_child_map(model, merged):
+    if merged:
+        model = dataclasses.replace(model, state=lambda k, H: scenarios.jump_counts(H))
+    tree = build_tree(model)
+    n, index = tree.n_nodes, tree._child_index
+    # no map exactly on a full tree whose every slot has every child
+    assert (index is None) == (not merged and bool(tree._branches.all()))
+    if not merged and index is not None:
+        # a full tree's children are the nodes after the root, in slot and column order
+        assert np.array_equal(index[tree._branches], np.arange(1, n))
+        assert np.array_equal(index, np.where(node_children(tree) >= 0, node_children(tree), n))
+    buf = tree._node_values(_signed_values(np.random.default_rng(n), n))
+    for k, lv in [*enumerate(tree._levels), (None, tree._slot_rows)]:
+        # a view exactly on a full tree's plan whose every slot has every child
+        view = not merged and bool(lv.branches.all())
+        assert (lv.child_index is None) == view
+        V = tree._child_values(buf, k)
+        assert np.shares_memory(V, buf) == (view and V.size > 0)
+        if not view:
+            assert np.array_equal(lv.child_index, index[lv.slots])
+        # the child count of each slot, one number when every slot has as many
+        counts = np.count_nonzero(lv.branches, 1)
+        assert np.array_equal(np.broadcast_to(lv.children, counts.shape), counts)
+        assert isinstance(lv.children, int) == bool(np.all(counts == counts[:1].sum()))
 
 
 @pytest.mark.parametrize("model", OPERATOR_MODELS)
@@ -155,15 +161,16 @@ def test_child_operators_and_forward_sweep_equal_the_gather_forms_to_the_bit(mod
         Y = buf[off:off + tree.n_nodes]
         for k in range(tree.horizon):
             sl = tree.depth_slice(k)
-            assert _bits(tree._child_values(Y, k)) == _bits(gather_child_values(tree, Y, sl))
+            assert (_bits(tree._child_values(tree._node_values(Y), k))
+                    == _bits(gather_child_values(tree, Y, sl)))
             assert (_bits(tree._forward(Y[sl], k))
                     == _bits(gather_parent_broadcast(tree, Y[sl], sl)))
     for beta in (0.0, 0.7, 8.0):
         assert _bits(tree.doleans(beta)) == _bits(gather_doleans(tree, beta))
 
 
-@pytest.mark.parametrize("model,blocks", LAYOUT_MODELS)
-def test_level_kernels_equal_the_gather_forms_to_the_bit(model, blocks):
+@pytest.mark.parametrize("model", LAYOUT_MODELS)
+def test_level_kernels_equal_the_gather_forms_to_the_bit(model):
     tree = build_tree(model)
     rng = np.random.default_rng(tree.n_nodes)
     buf = _signed_values(rng, tree.n_nodes + 7)
@@ -171,7 +178,7 @@ def test_level_kernels_equal_the_gather_forms_to_the_bit(model, blocks):
         Y = buf[off:off + tree.n_nodes]
         for k, lv in enumerate(tree._levels):
             sl = lv.slots
-            V, Vg = tree._child_values(Y, k), gather_child_values(tree, Y, sl)
+            V, Vg = tree._child_values(tree._node_values(Y), k), gather_child_values(tree, Y, sl)
             assert _bits(V) == _bits(Vg)
             assert _bits(_cond_means(lv, V)) == _bits(_cond_means(lv, Vg))
             Zg = masked_canonical_rows(Vg[:, :-1] - Vg[:, -1][:, None],
@@ -203,9 +210,8 @@ def test_the_whole_tree_read_is_the_level_reads_to_the_bit(model):
         Y = buf[off:off + n]
         levels = [gather_child_values(tree, Y, lv.slots) for lv in tree._levels]
         for k, V in enumerate(levels):
-            assert _bits(tree._child_values(Y, k)) == _bits(V)
+            assert _bits(tree._child_values(tree._node_values(Y), k)) == _bits(V)
         whole = np.concatenate(levels) if levels else np.zeros((0, tree.n_marks + 1))
-        assert _bits(tree._child_values(Y)) == _bits(whole)
         assert _bits(tree._child_values(tree._node_values(Y))) == _bits(whole)
         assert np.array_equal(node_children(tree) >= 0, tree._slot_rows.branches)
 

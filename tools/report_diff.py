@@ -59,9 +59,11 @@ The case list:
 * config errors that name their key: a ``K`` sweep whose ``values`` is the
   string ``"23"``, a sweep key no run reads (``valeus``), a ``debug`` flag
   ``wrong_c_beta`` of ``"no"``, a ``debug`` key no run reads, a ``tol`` of
-  ``"abc"``, a ``seed`` of ``"x"`` and a ``K`` sweep value of 1e300 (a bad
-  model is left out: its old traceback and its new config error both exit 1,
-  and a ``T`` on a preset that does not read it would be such a model);
+  ``"abc"``, a ``seed`` of ``"x"``, a ``K`` sweep value of 1e300, a ``tol`` of
+  ``"1e-10"`` and an ``affine_y`` ``c0`` of ``"0.3"`` (a string is not a
+  number), and ``relative_to_beta_min`` on a ``delta`` sweep (a bad model is
+  left out: its old traceback and its new config error both exit 1, and a
+  ``T`` on a preset that does not read it would be such a model);
 * the built-in ``counterexample`` run.
 
 Reports carry no timings, so a case whose code did not change must match to
@@ -229,7 +231,14 @@ def cases() -> list[tuple[str, str, dict | None]]:
             ("verify-debug-unread-key", "verify", {**base, "debug": {"wrong_cbeta": True}}),
             ("solve-tol-abc", "solve", {**base, "tol": "abc"}),
             ("verify-seed-x", "verify", {**base, "seed": "x"}),
-            ("sweep-K-1e300", "sweep", {**base, "sweep": {"param": "K", "values": [1e300]}})]
+            ("sweep-K-1e300", "sweep", {**base, "sweep": {"param": "K", "values": [1e300]}}),
+            # a string that spells a number is not a number
+            ("solve-tol-string", "solve", {**base, "tol": "1e-10"}),
+            ("solve-affine_y-c0-string", "solve",
+             {**base, "generator": {"preset": "affine_y", "params": {"c0": "0.3", "c1": 0.5}}}),
+            ("sweep-delta-relative", "sweep",
+             {**base, "sweep": {"param": "delta", "values": [0.05, 0.1],
+                                "relative_to_beta_min": True}})]
     out.append(("counterexample", "counterexample", None))
     return out
 

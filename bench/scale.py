@@ -29,6 +29,9 @@ times, once each and in this order:
   ``sweep.csv`` included, after the run has dropped its own tree;
 
 and reports the ``resource.getrusage`` peak RSS of the process at the end,
+the driver rows the ``backward_oracle`` stage evaluates (summed over its
+block driver calls, counted in the untimed ``tracemalloc`` run below: a
+count that host noise cannot move),
 the minor page faults of each stage (the ``ru_minflt`` delta: a count that
 host noise does not move, where a stage time swings by a quarter between
 rounds of unchanged code),
@@ -80,7 +83,12 @@ The cases:
   K=256, its jump sizes scaled by 9/256 and ``beta = auto`` (3^256 leaf
   histories, 65,793 (last outcome, jump count) states): the fixed-point
   solve runs 18 sweeps over 256 levels, so the per-level cost of a sweep
-  shows.
+  shows;
+* ``grid_k10_boundary_full``: ``deterministic_grid`` with K=10, m=2 and
+  ``a = 0.9``, the ``saturating`` driver with ``cy = 0.78`` and a
+  ``last_mark`` terminal, on its full tree (``FULL_TREE``, 88,573 nodes):
+  ``dA * lip_y = 0.702`` on every slot (``2 q^2 = 0.986``, so the main
+  hypothesis holds), the longest implicit steps of the cases.
 """
 
 from __future__ import annotations
@@ -98,7 +106,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SWEEP_BETAS = [1.0, 2.0, 4.0, 8.0]     # multiples of beta_min, as in sweep_unit_jumps
-FULL_TREE = {"two_state_k10_full", "pdmp_k10_full"}    # cases built without the model's state
+# cases built without the model's state
+FULL_TREE = {"two_state_k10_full", "pdmp_k10_full", "grid_k10_boundary_full"}
 
 
 def _cases() -> dict:
@@ -129,12 +138,19 @@ def _cases() -> dict:
     for key in ("a_after_jump", "a_after_no_jump"):
         lattice["model"]["params"][key] *= 9 / 256
     lattice["beta"] = "auto"
+    boundary = {
+        "model": {"preset": "deterministic_grid", "params": {"K": 10, "m": 2, "a": 0.9}},
+        "generator": {"preset": "saturating", "params": {"c0": 0.05, "cy": 0.78, "cz": 0.5}},
+        "terminal": {"preset": "last_mark", "params": {"mark": 0, "scale": -0.3}},
+        "beta": 2.0,
+        "seed": 3,
+    }
     return {"verify_intensity_seed7": verify_cfg, "two_state_k12_m2": two_state(12),
             "two_state_k10_full": two_state(10),
             "two_state_k13_m2": two_state(13), "pdmp_k11_m3": pdmp(11),
             "pdmp_k10_full": pdmp(10),
             "intensity_k256_m1": workloads.verify_intensity(7, horizon=256)[0],
-            "two_state_k256_m2": lattice}
+            "two_state_k256_m2": lattice, "grid_k10_boundary_full": boundary}
 
 
 # the functions run_suite calls for each check; a tree has some of them
@@ -248,8 +264,19 @@ def _child(config_path: str, full: bool, traced: bool) -> None:
     with stage("picard_solve"):
         sol, rep = solver.picard_solve(problem, tol=cfg.tol, max_iter=cfg.max_iter,
                                        delta=diag["delta"])
+    oracle_rows = [0]
+    if traced:      # the untimed run counts the driver rows the oracle evaluates
+        checked = solver.Generator._checked
+
+        def counted(self, block, y, zeta):
+            oracle_rows[0] += len(y)
+            return checked(self, block, y, zeta)
+
+        solver.Generator._checked = counted
     with stage("backward_oracle"):
         solver.backward_oracle(problem)
+    if traced:
+        solver.Generator._checked = checked
 
     for check, names in CHECKS.items():
         for name in names:
@@ -273,6 +300,7 @@ def _child(config_path: str, full: bool, traced: bool) -> None:
     record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     if traced:
         record["stages_tracemalloc_peak_mb"] = peaks
+        record["oracle_driver_rows"] = oracle_rows[0]
     print(json.dumps(record))
 
 
@@ -301,6 +329,7 @@ def _summary(runs: list, traced: dict) -> dict:
             "tree_bytes": first["tree_bytes"], "tree_bytes_per_node": first["tree_bytes_per_node"],
             "stages_s": med("stages_s"), "stages_minflt": med("stages_minflt"),
             "stages_tracemalloc_peak_mb": traced["stages_tracemalloc_peak_mb"],
+            "oracle_driver_rows": traced["oracle_driver_rows"],
             "run_suite_checks_s": med("run_suite_checks_s"),
             "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 2)}
 

@@ -13,8 +13,11 @@ Three routes to the same solution pair (Y, Z):
   slot of a level at once.  It is the reference the other routes are
   checked against.
 
-The implicit step has one home, the masked fixed point ``_implicit_rows``:
-the oracle calls it on each level, ``implicit_step_solve`` on one slot.
+The implicit step has one home, the safeguarded secant ``_implicit_rows``
+on a block of rows: the oracle calls it on each level,
+``implicit_step_solve`` on one slot.  Each value is within
+``q / (1 - q) * max(STEP_TOL, ROUNDING * |y|)`` of the root, with
+``q = dA * lip_y``.
 
 Every route reads the terminal functional once, as ``xi(H)`` on the leaf
 history matrix (``BsdeProblem.terminal_values``).  It evaluates the driver
@@ -344,41 +347,57 @@ def solve_linear(problem: BsdeProblem) -> Solution:
 # -- implicit one-step solve ----------------------------------------------
 
 STEP_TOL = 1e-13     # absolute stopping tolerance of an implicit step
-STEP_FLOOR = 200     # steps an implicit step may always take
-STEP_MARGIN = 16     # steps beyond the contraction count of ``_step_budget``
+STEP_FLOOR = 200     # driver evaluations an implicit step may always take
+STEP_MARGIN = 16     # evaluations beyond the contraction count of ``_step_budget``
 ROUNDING = 8.0 * np.finfo(float).eps   # a step's relative stopping floor
 
 
 def _step_budget(q: float, first: float) -> int:
-    """Fixed-point steps a ``q``-contraction needs, at least ``STEP_FLOOR``.
+    """Driver evaluations the implicit step needs at contraction factor ``q``.
 
-    The ``k``-th step of the iteration is at most ``q**k * first``, with
-    ``first`` the size of the first step, so it falls to ``STEP_TOL`` within
-    ``log(STEP_TOL / first) / log(q)`` steps; a margin absorbs rounding.
+    ``first`` is the largest residual at the start ``y = c``.  Every second
+    evaluation at the latest cuts the kept residual by ``sqrt(q)``
+    (``_implicit_rows``), so it falls to ``STEP_TOL`` within twice
+    ``log(STEP_TOL / first) / log(sqrt(q))`` evaluations; a margin absorbs
+    rounding, and the budget is never below ``STEP_FLOOR``.
     """
     if first <= STEP_TOL:
         return STEP_FLOOR
-    return max(STEP_FLOOR, math.ceil(math.log(STEP_TOL / first) / math.log(q)) + STEP_MARGIN)
+    need = math.ceil(math.log(STEP_TOL / first) / math.log(math.sqrt(q)))
+    return max(STEP_FLOOR, 2 * need + STEP_MARGIN)
 
 
 def _implicit_rows(block: SlotBlock, c: np.ndarray, d: np.ndarray, z: np.ndarray,
                    f: Generator) -> np.ndarray:
     """Root of ``y = c + d * f(block, y, z)`` on every row of ``block``.
 
-    The one implicit-step iteration: a masked fixed point from ``y = c``
-    with contraction factors ``q = d * lip_y``.  A row leaves the live set
-    at the first iterate whose step is at most ``STEP_TOL``, floored at
-    the rounding scale of the iterate, so every row ends on the iterate of
-    its own one-row solve.  The step budget follows from the largest ``q``
-    and first step (``_step_budget``).  A driver with ``lip_y = 0`` is
-    evaluated once, at ``y = c``.
+    The one implicit-step iteration: a safeguarded secant on the residual
+    ``F(y) = y - g(y)``, ``g = c + d * f``, whose difference quotients lie in
+    ``[1 - q, 1 + q]`` for the contraction factor ``q = d * lip_y``.  Per
+    row, the first trial is ``y = c`` and the next is the fixed-point image
+    ``y - F`` of the kept point; after that, a trial whose residual is at
+    most ``sqrt(q)`` times the kept one is kept, and the next trial is the
+    secant step ``y - F / s`` with the last difference quotient ``s``
+    clipped to ``[1 - q, 1 + q]``; a trial that is not kept is followed by
+    the fixed-point image of the kept point, which is always kept (it cuts
+    the residual by ``q``).  So every second evaluation at the latest cuts
+    the residual by ``sqrt(q)``, for any Lipschitz driver.
+
+    A row leaves the live set at the first trial ``t`` whose residual is at
+    most ``STEP_TOL``, floored at the rounding scale of ``g(t)``, and
+    returns ``g(t)``, within ``q / (1 - q)`` times that tolerance of the
+    root; every row ends on the trial of its own one-row solve, and a row
+    that stops on its first evaluation returns ``c + d * f(c)``.  The
+    budget of evaluations follows from the largest ``q`` and first
+    residual (``_step_budget``).  A driver with ``lip_y = 0`` is evaluated
+    once, at ``y = c``.
 
     Raises:
         StepSingular: some row has ``q >= 1`` (no contraction; the blow-up
             regime).  ``degenerate=True`` when the first such row's
             one-step map is the identity and every y solves it.
         NonFinite: a driver value or an iterate is not finite.
-        NoConvergence: a row missed the tolerance within the step budget.
+        NoConvergence: a row missed the tolerance within the budget.
     """
     q = d * f.lip_y
     singular = np.flatnonzero(q >= 1.0)[:1]
@@ -391,24 +410,37 @@ def _implicit_rows(block: SlotBlock, c: np.ndarray, d: np.ndarray, z: np.ndarray
                            degenerate=bool(abs(r0[0]) <= tol and abs(r1[0]) <= tol))
     if f.lip_y == 0.0:
         return c + d * f._checked(block, c, z)
-    Y, live, y = np.empty_like(c), np.arange(c.size), c
-    it, budget = 0, STEP_FLOOR
+    Y, live = np.empty_like(c), np.arange(c.size)
+    lo, hi, sq = 1.0 - q, 1.0 + q, np.sqrt(q)
+    t, it, budget = c, 0, STEP_FLOOR
     while it < budget:
-        y_new = c + d * f._checked(block, y, z)
-        if not np.isfinite(y_new).all():
+        G = c + d * f._checked(block, t, z)
+        if not np.isfinite(G).all():
             raise NonFinite("implicit step iterates left the finite range")
-        step = np.abs(y_new - y)
+        F_t = t - G
+        size = np.abs(F_t)
         if it == 0:
-            budget = _step_budget(float(np.max(q)), float(np.max(step)))
-        done = step <= np.maximum(STEP_TOL, ROUNDING * np.abs(y_new))
+            budget = _step_budget(float(q.max()), float(size.max()))
+            y, F, s, bound = t, F_t, np.ones_like(t), np.full_like(t, np.inf)
+        else:
+            s = (F_t - F) / (t - y)
+            np.minimum(np.maximum(s, lo, out=s), hi, out=s)
+            kept = size <= bound
+            if kept.all():
+                y, F, bound = t, F_t, sq * size
+            else:
+                y, F = np.where(kept, t, y), np.where(kept, F_t, F)
+                s, bound = np.where(kept, s, 1.0), np.where(kept, sq * size, np.inf)
+        done = size <= np.maximum(STEP_TOL, ROUNDING * np.abs(G))
         if done.any():
-            Y[live[done]] = y_new[done]
+            Y[live[done]] = G[done]
             keep = ~done
-            live, y_new = live[keep], y_new[keep]
+            live = live[keep]
             if live.size == 0:
                 return Y
             c, d, z, block = c[keep], d[keep], z[keep], block.take(keep)
-        y = y_new
+            lo, hi, sq, y, F, s, bound = (v[keep] for v in (lo, hi, sq, y, F, s, bound))
+        t = y - F / s
         it += 1
     raise NoConvergence("implicit step did not reach tolerance")
 
@@ -417,8 +449,9 @@ def implicit_step_solve(cond_mean: float, delta_A: float, slot: SlotView,
                         zeta: np.ndarray, f: Generator) -> float:
     """Unique root of ``y = cond_mean + delta_A * f(slot, y, zeta)``.
 
-    The one-row call of ``_implicit_rows``: plain fixed-point iteration
-    with contraction factor ``q = delta_A * lip_y < 1``.  At
+    The one-row call of ``_implicit_rows``: a safeguarded secant for the
+    contraction factor ``q = delta_A * lip_y < 1``, within
+    ``q / (1 - q) * max(STEP_TOL, ROUNDING * |y|)`` of the root.  At
     ``delta_A = 0`` the root is ``cond_mean``, and the driver must be
     finite there too.
 
@@ -444,10 +477,10 @@ def backward_oracle(problem: BsdeProblem) -> Solution:
     Works leaf to root: at each level the field rows are represented from
     the children's values, then the parent values solve the implicit
     equations ``y = cond_mean + dA * f(slot, y, Z)``, one level array at a
-    time.  A ``dA = 0`` slot is the row with ``q = 0``: its first step
+    time.  A ``dA = 0`` slot is the row with ``q = 0``: its first trial
     stops at ``cond_mean``, after one driver evaluation there.  Exact up
-    to the per-step tolerance ``STEP_TOL``; propagates ``StepSingular``
-    from the blow-up regime.
+    to the per-step tolerance of ``_implicit_rows``; propagates
+    ``StepSingular`` from the blow-up regime.
     """
     tree, f = problem.tree(), problem.f
     Z = np.zeros((tree.n_slots, tree.n_marks))

@@ -266,8 +266,9 @@ def _lipschitz_rows(f, block, draws, hat_lz_sq, n_samples) -> CheckResult:
     ``|f(y', z') - f(y, z)| <= lip_y |y' - y| + lip_z * seminorm(z' - z)``
     and the squared form with any level ``hat_lz_sq > lip_z^2`` (default
     ``lip_z^2 + 0.1``), whose zeta term carries the ``(1 - dA)/dA``
-    expansion on rows with ``dA != 0``; the two seminorm forms are also
-    compared as an exact algebraic identity.  The driver is called twice,
+    expansion on rows with ``dA != 0`` and a nonzero hat projection (where
+    it is not an exact 0); the two seminorm forms are also compared as an
+    exact algebraic identity.  The driver is called twice,
     on the whole block.  The reported lhs is the worst margin and its row
     the witness (``_worst_row``: a NaN margin fails the check);
     ``n_samples`` is reported as the samples per slot.
@@ -290,7 +291,9 @@ def _lipschitz_rows(f, block, draws, hat_lz_sq, n_samples) -> CheckResult:
     fbar2, dy2, zh2, s2 = np.float_power([fbar, y2 - y, zh, s], 2.0)
     expanded = norms._phi_dot((dz - zh[:, None]) ** 2, block.phi)
     da = block.delta_A
-    jumps = da != 0.0
+    # left out where zh2 is 0: at a subnormal dA the ratio overflows, and
+    # inf * 0 made the margin NaN
+    jumps = (da != 0.0) & (zh2 != 0.0)
     expanded[jumps] += (1.0 - da[jumps]) / da[jumps] * zh2[jumps]
     squared = fbar2 - (2.0 * f.lip_y ** 2 * dy2 + 2.0 * hat_lz_sq * expanded)
     forms = np.abs(expanded - s2) / np.maximum(s2, 1.0) - 1e-12

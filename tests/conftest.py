@@ -447,36 +447,78 @@ def scalar_preset(name, params, tree):
     raise ValueError(name)
 
 
-def scalar_implicit_step(cond_mean, delta_A, slot, zeta, f):
-    """Root of ``y = cond_mean + delta_A * f(slot, y, zeta)`` by a scalar fixed point.
+def zigzag(y, h):
+    """Triangle wave of slope +-1 with a kink every ``h``: 1-Lipschitz, nowhere smooth at scale ``h``."""
+    return h * np.abs(np.mod(y / h, 2.0) - 1.0)
 
-    The one-slot twin of ``solver._implicit_rows``: the same start
-    ``y = cond_mean``, stopping rule, step budget, singular test and
-    ``degenerate`` probe, with one one-slot driver call per iterate.
+
+def _singular_step(cond_mean, delta_A, slot, zeta, f, q):
+    # the singular test and ``degenerate`` probe of ``solver._implicit_rows``
+    r0 = cond_mean + delta_A * f(slot, 0.0, zeta)
+    r1 = cond_mean + delta_A * f(slot, 1.0, zeta) - 1.0
+    tol = 1e-12 * max(1.0, abs(cond_mean))
+    return StepSingular(f"one-step map is not a contraction (dA * lip_y = {q})",
+                        degenerate=abs(r0) <= tol and abs(r1) <= tol)
+
+
+def scalar_implicit_step(cond_mean, delta_A, slot, zeta, f):
+    """Root of ``y = cond_mean + delta_A * f(slot, y, zeta)`` by a scalar safeguarded secant.
+
+    The one-slot twin of ``solver._implicit_rows``: the same first trial
+    ``cond_mean``, fixed-point second trial, secant slope clipped to
+    ``[1 - q, 1 + q]``, ``sqrt(q)`` acceptance test, stopping rule, budget,
+    singular test and ``degenerate`` probe, with one one-slot driver call
+    per trial.  Its value is within ``q / (1 - q) * max(STEP_TOL,
+    ROUNDING * |y|)`` of the root.
     """
     q = delta_A * f.lip_y
     if q >= 1.0:
-        r0 = cond_mean + delta_A * f(slot, 0.0, zeta)
-        r1 = cond_mean + delta_A * f(slot, 1.0, zeta) - 1.0
-        tol = 1e-12 * max(1.0, abs(cond_mean))
-        raise StepSingular(f"one-step map is not a contraction (dA * lip_y = {q})",
-                           degenerate=abs(r0) <= tol and abs(r1) <= tol)
+        raise _singular_step(cond_mean, delta_A, slot, zeta, f, q)
     if f.lip_y == 0.0:
         return cond_mean + delta_A * f(slot, cond_mean, zeta)
-    y, it, budget = cond_mean, 0, STEP_FLOOR
+    lo, hi, sq = 1.0 - q, 1.0 + q, math.sqrt(q)
+    t, it, budget = cond_mean, 0, STEP_FLOOR
     while it < budget:
+        g = cond_mean + delta_A * f(slot, t, zeta)
+        if not math.isfinite(g):
+            raise NonFinite("implicit step iterates left the finite range")
+        r = t - g
+        if abs(r) <= max(STEP_TOL, ROUNDING * abs(g)):
+            return g
+        if it == 0:
+            # every second trial at the latest cuts the kept residual by sqrt(q)
+            need = math.ceil(math.log(STEP_TOL / abs(r)) / math.log(sq))
+            budget = max(STEP_FLOOR, 2 * need + STEP_MARGIN)
+            y, F, s, bound = t, r, 1.0, math.inf
+        elif abs(r) <= bound:
+            s = min(max((r - F) / (t - y), lo), hi)
+            y, F, bound = t, r, sq * abs(r)
+        else:
+            s, bound = 1.0, math.inf
+        t = y - F / s
+        it += 1
+    raise NoConvergence("implicit step did not reach tolerance")
+
+
+def fixed_point_step(cond_mean, delta_A, slot, zeta, f):
+    """Root of ``y = cond_mean + delta_A * f(slot, y, zeta)`` by plain fixed point.
+
+    An independent reference for the secant of ``scalar_implicit_step``:
+    iterates ``y <- cond_mean + delta_A * f(y)`` from ``cond_mean`` until a
+    step is at most ``max(STEP_TOL, ROUNDING * |y|)``, so its value is
+    within ``q / (1 - q)`` times that of the root.
+    """
+    q = delta_A * f.lip_y
+    if q >= 1.0:
+        raise _singular_step(cond_mean, delta_A, slot, zeta, f, q)
+    y = cond_mean
+    for _ in range(100_000):
         y_new = cond_mean + delta_A * f(slot, y, zeta)
         if not math.isfinite(y_new):
             raise NonFinite("implicit step iterates left the finite range")
-        step = abs(y_new - y)
-        if step <= max(STEP_TOL, ROUNDING * abs(y_new)):
+        if abs(y_new - y) <= max(STEP_TOL, ROUNDING * abs(y_new)):
             return y_new
-        if it == 0:
-            # the k-th step is at most q**k times the first
-            need = math.ceil(math.log(STEP_TOL / step) / math.log(q)) + STEP_MARGIN
-            budget = max(STEP_FLOOR, need)
         y = y_new
-        it += 1
     raise NoConvergence("implicit step did not reach tolerance")
 
 

@@ -10,7 +10,7 @@ from treebsde import (BsdeProblem, Generator, NonFinite, StepSingular, backward_
 from treebsde.measure_core import ScenarioTree
 
 from conftest import (gather_accumulate, leaf_paths, node_histories, on_slots, per_slot,
-                      per_slot_oracle, random_problem, scalar_preset)
+                      per_slot_oracle, random_problem, scalar_preset, zigzag)
 
 PRESETS = [
     ("zero", {}),
@@ -98,12 +98,12 @@ def test_level_oracle_equals_per_slot_sweep():
 
 
 def test_level_oracle_stops_each_slot_at_the_scalar_iterate():
-    # the two slots of level 2 contract at rates 0.5 * dA with dA = 0.3 and
-    # 0.7, so they need different numbers of iterations
+    # the two slots of level 2 contract at rates 0.9 * dA with dA = 0.3 and
+    # 0.7, and the driver is not affine, so they need different numbers of
+    # secant trials (an affine driver takes three at any rate)
     model = mixed_model(2)
     tree = build_tree(model)
-    base = cli._build_generator({"preset": "affine_y",
-                                 "params": {"c0": 0.2, "c1": 0.5}}, tree)
+    base = Generator(lambda block, y, zeta: 0.2 + 0.9 * np.sin(y), 0.9, 0.0)
     problem = BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_jump_count(2.0),
                           f=base, _tree=tree)
     sol = backward_oracle(problem)
@@ -123,9 +123,10 @@ def test_level_oracle_stops_each_slot_at_the_scalar_iterate():
 def shrinking_level_problem(fn):
     """Level 1 holds slots 1 and 2 (dA = 0.05, after a jump) and slot 3 (dA = 0.9).
 
-    With ``lip_y = 0.95`` slots 1 and 2 contract at 0.0475 and stop within a
-    dozen iterates, slot 3 contracts at 0.855 and needs about two hundred,
-    so the level's live set shrinks from its front while slot 3 goes on.
+    With ``lip_y = 0.95`` slots 1 and 2 contract at 0.0475 and slot 3 at
+    0.855; on ``zigpath``, a driver kinked every 0.07, slots 1 and 2 stop
+    after three trials and slot 3 after eleven, so the level's live set
+    shrinks from its front while slot 3 goes on.
     """
     model = scenarios.two_state_rule(K=2, m=2, a_after_jump=0.05, a_after_no_jump=0.9,
                                      phi=[0.3, 0.7])
@@ -135,22 +136,26 @@ def shrinking_level_problem(fn):
                        f=Generator(fn, 0.95, 0.0), _tree=tree)
 
 
+def zigpath(y):
+    return 0.5 + 0.95 * zigzag(y, 0.07)
+
+
 def test_level_oracle_with_a_shrinking_live_set_equals_the_per_slot_oracle():
-    problem = shrinking_level_problem(lambda block, y, zeta: 0.95 * y + 0.5)
+    problem = shrinking_level_problem(lambda block, y, zeta: zigpath(y))
     sol = backward_oracle(problem)
     Y, Z = per_slot_oracle(problem)
     assert sol.Y.tobytes() == Y.tobytes() and sol.Z.tobytes() == Z.tobytes()
     scalar, single = counting(problem.tree(), problem.f)
     per_slot_oracle(BsdeProblem(model=problem.model, beta=1.0, xi=problem.xi, f=scalar,
                                 _tree=problem.tree()))
-    assert max(single[1], single[2]) < 20 < 100 < single[3]
+    assert max(single[1], single[2]) < 5 < 10 < single[3]
 
 
 def test_level_oracle_names_a_slot_that_fails_after_another_left():
     def fn(block, y, zeta):
         # NaN at slot 3 once slot 1 has left level 1's live set
         left = bool(block.step.size) and block.step[0] == 1 and 1 not in block.index
-        return np.where((block.index == 3) & left, np.nan, 0.95 * y + 0.5)
+        return np.where((block.index == 3) & left, np.nan, zigpath(y))
 
     with pytest.raises(NonFinite, match=r"generator value nan at slot 3 \(step 1\)"):
         backward_oracle(shrinking_level_problem(fn))

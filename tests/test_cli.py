@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,27 @@ def test_verify_beta_zero_identity_holds_inequality_skipped(tmp_path):
     assert by_name["identity_lemma"]["passed"] is True
     assert by_name["integral_inequality"]["kind"] == "skipped"
     assert any("beta = 0" in n for n in summary["notes"])
+
+
+SUBNORMAL_JUMP = {
+    "model": {"preset": "two_state_rule",
+              "params": {"K": 2, "m": 3, "a_after_jump": 5e-324, "a_after_no_jump": 0.062}},
+    "generator": {"preset": "saturating", "params": {"c0": 0.1, "cy": 0.3, "cz": 0.5}},
+    "terminal": {"preset": "jump_count"},
+    "seed": 3,
+}
+
+
+def test_verify_passes_a_subnormal_jump_size_without_a_warning(tmp_path):
+    # the Lipschitz expansion's (1 - dA)/dA overflows at dA = 5e-324, where its
+    # factor zh2 is 0: adding that inf * 0 made the margin NaN and the run exit 3
+    cfg = write_config(tmp_path, **SUBNORMAL_JUMP)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = {r["name"]: r for r in csv.DictReader((out / "checks.csv").open())}
+    assert rows["lipschitz_bound"]["passed"] == "1"
 
 
 def test_verify_runs_beyond_the_full_tree_budget(tmp_path):

@@ -13,11 +13,12 @@ from treebsde.solver import (Solution, _cond_means,
 from treebsde import verification
 from treebsde.verification import check_solution_jump_identity
 
-from conftest import (bsde_residual, canonical_field, conditional_means,
+from conftest import (bsde_residual, canonical_field, conditional_means, fixed_point_step,
                       full_matrix_jump_identity, gather_accumulate, gather_child_values,
                       gather_doleans, gather_linear_sweep, gather_parent_broadcast,
                       level_jump_identity, masked_canonical_rows, node_children, per_slot, random_linear_problem,
-                      random_problem, random_terminal, represent_martingale, scalar_hat_z)
+                      random_problem, random_terminal, represent_martingale, scalar_hat_z,
+                      zigzag)
 from conftest import signed_values as _signed_values
 
 
@@ -422,6 +423,28 @@ def test_implicit_degenerate_up_to_rounding():
         assert exc.value.degenerate == degenerate
 
 
+def test_implicit_step_agrees_with_the_fixed_point_reference():
+    # each value is within q / (1 - q) * max(STEP_TOL, ROUNDING * |y|) of the root
+    from treebsde.solver import ROUNDING, STEP_TOL
+    rng = np.random.default_rng(34)
+    tree = build_tree(scenarios.deterministic_grid(K=1, m=2, a=0.4, phi=[0.3, 0.7]))
+    for _ in range(300):
+        lip, dA = rng.uniform(0.1, 1.5), rng.uniform(0.0, 1.0)
+        q = lip * dA
+        if q >= 0.95:
+            continue
+        c0, h = rng.normal(0, 1), rng.uniform(0.01, 0.5)
+        f = [Generator(lambda b, y, z: c0 + lip * np.sin(y), lip, 0.0),
+             Generator(lambda b, y, z: c0 + lip * zigzag(y, h), lip, 0.0),
+             cli._build_generator({"preset": "saturating",
+                                   "params": {"c0": c0, "cy": -lip, "cz": 0.5}}, tree)
+             ][rng.integers(3)]
+        cm, zeta = rng.normal(0, 3), rng.normal(0, 1, 2)
+        y = implicit_step_solve(cm, dA, tree.slot(0), zeta, f)
+        ref = fixed_point_step(cm, dA, tree.slot(0), zeta, f)
+        assert abs(y - ref) <= 2 * max(STEP_TOL, ROUNDING * max(abs(y), abs(ref))) / (1 - q)
+
+
 # -- backward_oracle --------------------------------------------------------------------
 
 
@@ -664,6 +687,41 @@ def test_oracle_step_budget_follows_the_contraction_factor():
     # the one-slot form: a root at pi, where the step map contracts by 0.95
     y = implicit_step_solve(2.84, 1.0, tree.slot(0), np.zeros(2), f)
     assert abs(y - 2.84 - (0.3 + 0.95 * np.sin(y))) <= 1e-12
+
+
+def oracle_driver_calls(problem):
+    """``backward_oracle(problem)`` and the number of its block driver calls."""
+    calls = []
+    checked = Generator._checked
+
+    def counting(self, block, y, zeta):
+        calls.append(y.size)
+        return checked(self, block, y, zeta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Generator, "_checked", counting)
+        return backward_oracle(problem), len(calls)
+
+
+def test_oracle_driver_calls_at_contraction_factor_095():
+    # the problem of the step-budget test: the plain fixed point took 1,809 calls
+    model = scenarios.deterministic_grid(6, 2, 1.0)
+    f = Generator(lambda block, y, zeta: 0.3 + 0.95 * np.sin(y), 0.95, 0.0)
+    problem = BsdeProblem(model=model, beta=4.0, xi=scenarios.xi_jump_count(1.0), f=f)
+    assert oracle_driver_calls(problem)[1] == 46
+
+
+def test_oracle_converges_on_a_kinked_driver_near_the_boundary():
+    # q = 0.9 * 0.95 = 0.855 on every slot of a full K=8 grid; a triangle wave
+    # kinked every 0.07 defeats any slope model, and the plain fixed point took
+    # 1,337 calls
+    model = scenarios.deterministic_grid(8, 2, 0.9)
+    f = Generator(lambda block, y, zeta: 0.3 + 0.95 * zigzag(y, 0.07), 0.95, 0.0)
+    problem = BsdeProblem(model=model, beta=1.0, xi=scenarios.xi_jump_count(1.0), f=f)
+    sol, calls = oracle_driver_calls(problem)
+    tree = problem.tree()
+    assert bsde_residual(tree, sol.Y, _eval_path(tree, f, sol.Y, sol.Z)) <= 1e-12
+    assert calls < 100
 
 
 @pytest.mark.parametrize("controls", [{"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")},

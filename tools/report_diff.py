@@ -64,6 +64,12 @@ The case list:
   number), and ``relative_to_beta_min`` on a ``delta`` sweep (a bad model is
   left out: its old traceback and its new config error both exit 1, and a
   ``T`` on a preset that does not read it would be such a model);
+* a ``verify`` on a ``two_state_rule`` whose ``a_after_jump`` is the
+  subnormal 5e-324, where the Lipschitz check's ``(1 - dA)/dA`` overflows;
+* a ``solve`` near the contraction boundary: ``deterministic_grid`` K=10,
+  m=2, ``a = 0.9`` with a ``saturating`` ``cy`` of 0.78, so ``dA * lip_y``
+  is 0.702 on every slot, the longest implicit steps of the corpus (on the
+  CLI's merged tree);
 * the built-in ``counterexample`` run.
 
 Reports carry no timings, so a case whose code did not change must match to
@@ -239,6 +245,19 @@ def cases() -> list[tuple[str, str, dict | None]]:
             ("sweep-delta-relative", "sweep",
              {**base, "sweep": {"param": "delta", "values": [0.05, 0.1],
                                 "relative_to_beta_min": True}})]
+    out.append(("verify-subnormal-jump", "verify",
+                {"model": {"preset": "two_state_rule",
+                           "params": {"K": 2, "m": 3, "a_after_jump": 5e-324,
+                                      "a_after_no_jump": 0.062}},
+                 "generator": {"preset": "saturating",
+                               "params": {"c0": 0.1, "cy": 0.3, "cz": 0.5}},
+                 "terminal": {"preset": "jump_count"}, "beta": "auto", "seed": 3}))
+    out.append(("solve-near-boundary", "solve",
+                {"model": {"preset": "deterministic_grid", "params": {"K": 10, "m": 2, "a": 0.9}},
+                 "generator": {"preset": "saturating",
+                               "params": {"c0": 0.05, "cy": 0.78, "cz": 0.5}},
+                 "terminal": {"preset": "last_mark", "params": {"mark": 0, "scale": -0.3}},
+                 "beta": 2.0, "seed": 3}))
     out.append(("counterexample", "counterexample", None))
     return out
 

@@ -11,7 +11,6 @@ Monte Carlo estimates.
 import numpy as np
 
 from treebsde import build_tree, scenarios
-from treebsde.measure_core import NO_JUMP
 
 # deterministic step sizes: the classical regime
 det = build_tree(scenarios.deterministic_grid(K=3, m=2, a=0.4))
@@ -24,14 +23,10 @@ pdmp = build_tree(scenarios.pdmp_like(K=3, m=2))
 print(f"unit jumps, K=3, m=2: {pdmp.n_nodes} nodes, leaf masses "
       f"{np.unique(pdmp.prob[pdmp.leaf_slice])}")
 
-# genuinely predictable step sizes: the size reacts to the previous outcome.
-# This is the regime that breaks the deterministic-integrator theory.
-def rule(k, hist):
-    if k == 0 or hist[-1] == NO_JUMP:
-        return 0.6
-    return 0.3
-
-pred = build_tree(scenarios.predictable_random_jumps(K=3, m=1, rule=rule))
+# genuinely predictable step sizes: the size reacts to the previous outcome
+# (0.3 right after a point, else 0.6).  This is the regime that breaks the
+# deterministic-integrator theory.
+pred = build_tree(scenarios.two_state_rule(3, 1, 0.3, 0.6))
 print(f"predictable rule (0.6 after quiet, 0.3 after a point): "
       f"{pred.n_nodes} nodes")
 print("  distinct step sizes used:", sorted({float(a) for a in pred.slot_dA}))

@@ -12,14 +12,9 @@ import numpy as np
 
 from treebsde import (BsdeProblem, Generator, backward_oracle, build_tree,
                       conditions, norms, picard_solve, scenarios)
-from treebsde.measure_core import NO_JUMP
 
-
-def rule(k, hist):
-    return 1.0 if (hist and hist[-1] != NO_JUMP) else 0.55
-
-
-model = scenarios.predictable_random_jumps(K=4, m=2, rule=rule)
+# a unit jump right after a point, else 0.55: a predictable integrator
+model = scenarios.two_state_rule(4, 2, 1.0, 0.55)
 driver = Generator(
     lambda block, y, zeta: 0.2 + 0.5 * np.tanh(y)
     + 0.8 * norms.lipschitz_seminorm_rows(zeta, block),

@@ -18,7 +18,7 @@ tree = build_tree(model)
 
 flagged = conditions.detect_counterexample(tree, driver.lip_y)
 for slot, value in flagged:
-    print(f"flagged slot at step {slot.step}: dA = {slot.delta_A}, "
+    print(f"flagged slot at step {tree.slot_step[slot]}: dA = {tree.slot_dA[slot]}, "
           f"violation value = {value}")
 
 problem = BsdeProblem(model=model, beta=0.0,

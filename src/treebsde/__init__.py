@@ -7,7 +7,6 @@ from .measure_core import (
     ScenarioModel,
     ScenarioTree,
     SlotBlock,
-    SlotView,
     TreeTooLarge,
     build_tree,
     doleans_exponential,

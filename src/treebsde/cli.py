@@ -299,21 +299,17 @@ def _build_problem(cfg: RunConfig, built=None, base=None):
     """
     base_problem, setup = base or _base_problem(cfg, built)
     eps_star, delta, beta_min = setup.eps_star, setup.delta, setup.beta_min
-    # an explicit delta the contraction weights cannot use is refused, as
-    # picard_solve refuses it; a violated hypothesis is reported instead
+    # an explicit delta the contraction weights cannot use is refused, as picard_solve
+    # refuses it; a violated hypothesis is reported, at beta None under auto
     bad_delta = eps_star > 0 and beta_min is None
-    if cfg.beta == "auto":
-        if beta_min is None:
-            raise ConfigError(f"delta {delta!r} outside (0, {eps_star!r})" if bad_delta
-                              else "beta=auto needs the main hypothesis to hold")
-        beta = beta_min * cfg.beta_margin
-    else:
-        beta = cfg.beta
-        if bad_delta and beta > 0:
-            raise ConfigError(f"delta {delta!r} outside (0, {eps_star!r})")
+    beta = cfg.beta
+    if beta == "auto":
+        beta = None if beta_min is None else beta_min * cfg.beta_margin
+    if bad_delta and (beta is None or beta > 0):
+        raise ConfigError(f"delta {delta!r} outside (0, {eps_star!r})")
     # BsdeProblem refuses a beta that is not finite and >= 0
     try:
-        problem = replace(base_problem, beta=beta)
+        problem = base_problem if beta is None else replace(base_problem, beta=beta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     diag = {
@@ -321,13 +317,17 @@ def _build_problem(cfg: RunConfig, built=None, base=None):
         "beta_min": beta_min,
         "beta": beta,
         "delta": delta,
-        "flagged": [
-            {"step": s.step, "history": list(s.history),
-             "delta_A": s.delta_A, "value": v}
-            for s, v in setup.flagged
-        ],
+        "flagged": _flagged_rows(problem.tree(), setup.flagged, history=True),
     }
     return problem, diag
+
+
+def _flagged_rows(tree, flagged, history: bool) -> list:
+    """Report rows of ``conditions.detect_counterexample``'s ``(slot id, value)`` pairs:
+    each slot's step, jump size and value, and with ``history`` its history."""
+    return [{"step": int(tree.slot_step[i]), "delta_A": float(tree.slot_dA[i]), "value": v,
+             **({"history": list(tree.history(i))} if history else {})}
+            for i, v in flagged]
 
 
 # -- report writing ------------------------------------------------------------
@@ -516,6 +516,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if relative:
         beta_min = _build_problem(cfg, base=base)[1]["beta_min"]
         if beta_min is None:
+            solver._refuse_violated(base[1])   # exit 2, as a sweep of explicit betas
             raise ConfigError("relative beta sweep needs a valid beta_min")
     rows, runs = [], []
     for i, v in enumerate(values):
@@ -578,8 +579,7 @@ def cmd_counterexample(cfg: RunConfig) -> int:
                                  xi=scenarios.xi_constant(xi_scale), f=gen)
     tree = problem.tree()
     flagged = conditions.detect_counterexample(tree, gen.lip_y)
-    observed = {"flagged": [{"step": s.step, "delta_A": s.delta_A, "value": v}
-                            for s, v in flagged]}
+    observed = {"flagged": _flagged_rows(tree, flagged, history=False)}
     try:
         solver.backward_oracle(problem)
         observed["oracle"] = "solved (unexpected)"

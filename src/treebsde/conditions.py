@@ -125,13 +125,12 @@ def beta_threshold(tree: ScenarioTree, lip_y: float, lip_z: float, delta: float)
 def detect_counterexample(tree: ScenarioTree, lip_y: float):
     """Slots violating the main hypothesis, with their ``2 lip_y^2 dA^2``.
 
-    Returns ``[(slot_view, value), ...]`` for every slot whose value is
-    >= 1 (the boundary is flagged: no strict slack exists there).  Empty
-    iff the hypothesis can hold with some positive slack.
+    Returns ``[(slot id, value), ...]``, in slot order, for every slot whose
+    value is >= 1 (the boundary is flagged: no strict slack exists there).
+    Empty iff the hypothesis can hold with some positive slack.
     """
     vals = 2.0 * lip_y ** 2 * tree.slot_dA ** 2
-    idx = np.nonzero(vals >= 1.0)[0]
-    return [(tree.slot(int(i)), float(vals[i])) for i in idx]
+    return [(int(i), float(vals[i])) for i in np.flatnonzero(vals >= 1.0)]
 
 
 def contraction_profile(tree: ScenarioTree, lip_y: float, lip_z: float,

@@ -19,11 +19,11 @@ index of its parent.
 The tree is built one level at a time: a model's rules see the int8
 matrix ``H`` of the histories of every node of a depth at once, one row
 per node, and answer with one jump size and one mark law per row.  That
-is the only form a model has; ``scenarios`` adapts a per-history rule to
-it.  The tree keeps those int8 level matrices
+is the only form a model has.  The tree keeps those int8 level matrices
 (``ScenarioTree.level_histories``); a history tuple of Python ints is
-built only on demand, for one node (``ScenarioTree.history``) or one
-slot (``SlotView``).
+built only on demand, for one node (``ScenarioTree.history``).  A
+slot's data has one form too, a row of a ``SlotBlock``
+(``ScenarioTree.block``).
 
 The tree keeps per-level data only.  One rule, ``_branches``, gives a
 slot's children from its jump size.  ``build_tree`` writes the layout
@@ -67,7 +67,6 @@ __all__ = [
     "NO_JUMP",
     "MAX_NODES",
     "ScenarioModel",
-    "SlotView",
     "SlotBlock",
     "ScenarioTree",
     "TreeTooLarge",
@@ -140,24 +139,13 @@ class ScenarioModel:
 
 
 @dataclass(frozen=True)
-class SlotView:
-    """Read-only view of one predictable slot (parent node -> next step)."""
-
-    index: int          # == node index of the parent
-    step: int           # 0-based step of the slot: the step from depth step to step + 1
-    history: tuple      # outcomes strictly before the slot
-    delta_A: float
-    phi: np.ndarray
-
-
-@dataclass(frozen=True)
 class SlotBlock:
     """Predictable data of a set of slots, one array entry per slot.
 
     ``index`` holds the slot ids (parent node ids), ``step`` the 0-based
     slot steps, ``delta_A`` the jump sizes and ``phi`` the mark laws as
-    rows of shape ``(n, m)``.  Like :class:`SlotView` it carries nothing
-    about a slot's own outcome.
+    rows of shape ``(n, m)``.  It carries nothing about a slot's own
+    outcome.  One slot is a one-row block (``tree.block([i])``).
     """
 
     index: np.ndarray
@@ -165,16 +153,17 @@ class SlotBlock:
     delta_A: np.ndarray
     phi: np.ndarray
 
-    @classmethod
-    def of_view(cls, slot: SlotView) -> "SlotBlock":
-        """One-slot block of a view."""
-        return cls(index=np.array([slot.index]), step=np.array([slot.step]),
-                   delta_A=np.array([slot.delta_A]), phi=slot.phi[None, :])
-
     def take(self, rows) -> "SlotBlock":
         """The block of ``rows`` (an index array or a boolean mask)."""
         return SlotBlock(index=self.index[rows], step=self.step[rows],
                          delta_A=self.delta_A[rows], phi=self.phi[rows])
+
+
+def _one_slot(slot) -> SlotBlock:
+    """``slot`` if it is a one-row ``SlotBlock``; any other row count, or type, is refused."""
+    if not (isinstance(slot, SlotBlock) and np.shape(slot.index) == (1,)):
+        raise ValueError("a slot is a one-row SlotBlock, tree.block([i])")
+    return slot
 
 
 class _Level:
@@ -243,7 +232,6 @@ class ScenarioTree:
         self._slot_rows = _Level(self, 0, self.horizon)
         self._levels = [_Level(self, k, k + 1) for k in range(self.horizon)]
         self._doleans_cache: dict[float, np.ndarray] = {}
-        self._views: dict[int, SlotView] = {}
 
     # -- shape ----------------------------------------------------------
 
@@ -274,26 +262,15 @@ class ScenarioTree:
     # -- views ----------------------------------------------------------
 
     def history(self, node: int) -> tuple:
-        """Outcomes before ``node`` as a tuple of Python ints."""
+        """Outcomes before ``node`` as Python ints: the tree's one reader of one node's history."""
         k = int(np.searchsorted(self.level_start, node, side="right")) - 1
         return tuple(self.level_histories[k][node - int(self.level_start[k])].tolist())
 
-    def slot(self, i: int) -> SlotView:
-        """View of one slot, built on first use and kept."""
-        i = int(i)
-        view = self._views.get(i)
-        if view is None:
-            if not 0 <= i < self.n_slots:
-                raise IndexError(f"slot {i} outside 0..{self.n_slots - 1}")
-            view = self._views[i] = SlotView(
-                index=i, step=int(self.slot_step[i]), history=self.history(i),
-                delta_A=float(self.slot_dA[i]), phi=self.slot_phi[i])
-        return view
-
     @property
     def slot_views(self) -> list:
-        """Views of every slot; per-slot code uses ``slot`` instead."""
-        return [self.slot(i) for i in range(self.n_slots)]
+        """One-row blocks of every slot.  The package never reads it: it stays only
+        while the benchmark tracer (``perfbench/tracer.py``) wraps it by name."""
+        return [self.block([i]) for i in range(self.n_slots)]
 
     def block(self, ids) -> SlotBlock:
         """Array data of the slots ``ids`` (a slice or an array of slot ids)."""

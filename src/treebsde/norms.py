@@ -14,7 +14,7 @@ all that ``hat_z_rows`` reads; one row kernel (``_moments``: that mean
 and the spread about it) gives ``lipschitz_seminorm_rows`` and
 ``slot_z_contribution`` (``delta_A`` times the squared seminorm).  Each
 takes a block of slots at a time; one slot is a one-row block
-(``SlotBlock.of_view``).
+(``tree.block([i])``).
 
 On slots with ``delta_A = 1`` the squared norm cannot see an additive
 constant in the row, so fields are only norm-unique there; the canonical

@@ -6,9 +6,7 @@ the single-slot blow-up configuration.  Every constructor returns a
 :class:`treebsde.measure_core.ScenarioModel`; all randomness lives in the
 caller-supplied generator of :func:`random_model`.  Models and terminals
 have one form: rules ``(k, H)`` on a level's history matrix and
-terminals ``xi(H)`` on the leaf matrix.  A per-history rule or mark law
-``(k, history)`` given to :func:`predictable_random_jumps` or as ``phi``
-goes through one adapter, ``_per_history``, which calls it once per row.
+terminals ``xi(H)`` on the leaf matrix.
 
 ``preset_state`` is what a model preset and a terminal preset read of a
 history: the state (``ScenarioModel.state``) that merges their tree.
@@ -26,13 +24,11 @@ from .solver import Generator
 __all__ = [
     "ModelSpec",
     "deterministic_grid",
-    "predictable_random_jumps",
     "two_state_rule",
     "pdmp_like",
     "discretized_intensity",
     "counterexample_model",
     "random_model",
-    "jump_count",
     "jump_counts",
     "last_marks",
     "preset_state",
@@ -42,46 +38,18 @@ __all__ = [
 ]
 
 
-def _per_history(rule):
-    """Level form ``(k, H) -> rows`` of a per-history ``rule(k, history)``.
-
-    Calls ``rule`` once per row of ``H``, on a history tuple of Python
-    ints, and stacks the answers in row order.
-    """
-    def level(k, H):
-        rows = [rule(k, hist) for hist in map(tuple, H.tolist())]
-        try:
-            return np.array(rows, dtype=float)
-        except ValueError as exc:
-            if len({np.shape(row) for row in rows}) > 1:
-                raise ValueError(f"per-history rule answers of different shapes "
-                                 f"at slot {k}") from exc
-            raise
-
-    return level
-
-
 def _uniform_model(K: int, m: int, jump_size, phi=None) -> ScenarioModel:
     """Model of K steps and m marks with the level rule ``jump_size`` and the mark law ``phi``.
 
-    ``phi`` is None (uniform), one probability vector for every slot, or
-    a per-history mark law ``(k, history)``; the uniform law is made after
-    the model has checked K and m.
+    ``phi`` is None (uniform) or one probability vector for every slot;
+    the uniform law is made after the model has checked K and m.
     """
-    if callable(phi):
-        return ScenarioModel(m, K, jump_size, _per_history(phi))
-
     def mark_law(k, H):
         return np.repeat(vec[None], H.shape[0], axis=0)   # contiguous rows
 
     model = ScenarioModel(m, K, jump_size, mark_law)
     vec = np.full(model.m, 1.0 / model.m) if phi is None else np.asarray(phi, float)
     return model
-
-
-def jump_count(history) -> int:
-    """Number of realized points in a history."""
-    return sum(1 for o in history if o != NO_JUMP)
 
 
 def jump_counts(H: np.ndarray) -> np.ndarray:
@@ -115,23 +83,12 @@ def deterministic_grid(K: int, m: int, a, phi=None) -> ScenarioModel:
     return _stepwise(K, m, lambda n: a, phi)
 
 
-def predictable_random_jumps(K: int, m: int, rule, phi=None) -> ScenarioModel:
-    """Step sizes that depend on the past: ``rule(k, history) -> [0, 1]``.
-
-    This is the regime the solver exists for; the integrator is
-    predictable but not deterministic, so the weight paths differ across
-    same-depth histories.  ``rule`` is per-history, so the tree build
-    calls it once per node; the ``two_state_rule`` preset is the
-    level-rule example.
-    """
-    return _uniform_model(K, m, _per_history(rule), phi)
-
-
 def two_state_rule(K: int, m: int, a_after_jump: float, a_after_no_jump: float,
                    phi=None) -> ScenarioModel:
     """Jump size ``a_after_jump`` right after a point, else ``a_after_no_jump``.
 
-    Step 0 has no previous outcome and uses ``a_after_no_jump``.
+    Step 0 has no previous outcome and uses ``a_after_no_jump``.  The
+    jump sizes depend on the past: the regime the solver exists for.
     """
     after_jump, after_none = float(a_after_jump), float(a_after_no_jump)
 
@@ -291,7 +248,7 @@ def preset_state(model: str, terminal: str):
 
 # -- named presets -----------------------------------------------------------
 
-# what a JSON config can drive: ``predictable_random_jumps`` needs a callable rule
+# the presets a JSON config can name
 _CONSTRUCTORS = {
     "deterministic_grid": deterministic_grid,
     "two_state_rule": two_state_rule,
@@ -305,7 +262,7 @@ class ModelSpec:
     """Addressable model preset: constructor name plus keyword parameters.
 
     With ``terminal``, the terminal preset it is solved with, ``build``
-    declares the pair's ``preset_state`` (not for a per-history ``phi``).
+    declares the pair's ``preset_state``.
     """
 
     name: str
@@ -321,6 +278,6 @@ class ModelSpec:
         except KeyError:
             raise ValueError(f"unknown model preset {self.name!r}") from None
         model = ctor(**self.params)
-        if self.terminal is None or callable(self.params.get("phi")):
+        if self.terminal is None:
             return model
         return replace(model, state=preset_state(self.name, self.terminal))

@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from . import conditions, norms
-from .measure_core import (ScenarioModel, ScenarioTree, SlotBlock, SlotView, _check_beta,
+from .measure_core import (ScenarioModel, ScenarioTree, SlotBlock, _check_beta, _one_slot,
                            build_tree)
 
 __all__ = [
@@ -110,8 +110,8 @@ class Generator:
     Every solver route and the implicit step evaluate it through
     ``_checked``, which refuses non-finite values; the Lipschitz check
     reads the raw ``_values``, so a NaN fails the check instead of raising.
-    Calling the generator on one slot view evaluates a one-slot block, for
-    per-slot code outside the solvers.
+    Calling it on one slot, a one-row block (``tree.block([i])``), gives
+    one float, for per-slot code outside the solvers.
 
     Predictability: the driver never sees a slot's own outcome.
     ``lip_y`` bounds the y-increments, ``lip_z`` the zeta-increments
@@ -124,7 +124,7 @@ class Generator:
 
     def __call__(self, slot, y, zeta) -> float:
         zeta = np.asarray(zeta, dtype=float).reshape(1, -1)
-        return float(self._values(SlotBlock.of_view(slot), np.array([y], dtype=float), zeta)[0])
+        return float(self._values(_one_slot(slot), np.array([y], dtype=float), zeta)[0])
 
     def _checked(self, block: SlotBlock, y, zeta) -> np.ndarray:
         """Driver values on the slots of ``block`` at ``y[n]``, ``zeta[n, m]``.
@@ -199,7 +199,8 @@ class BsdeProblem:
 class _Setup:
     """What ``_picard`` reads of a problem at one ``delta``; none of it depends on ``beta``.
 
-    The hypothesis slack and flagged slots, and at ``delta`` (half the
+    The hypothesis slack and the ``(slot id, value)`` pairs of
+    ``conditions.detect_counterexample``, and at ``delta`` (half the
     slack unless given) ``conditions._threshold``'s ``hat`` and
     ``beta_min``, None unless ``0 < delta < eps_star``.  The leaf values
     are the problem's (``BsdeProblem.terminal_values``).  Read-only.
@@ -256,7 +257,7 @@ class SolveReport:
     delta: float | None
     beta_min: float
     epsilon_star: float
-    flagged: list             # slots violating the main hypothesis
+    flagged: list             # (slot id, value) of each slot violating the main hypothesis
 
 
 # -- martingale representation -------------------------------------------
@@ -445,12 +446,13 @@ def _implicit_rows(block: SlotBlock, c: np.ndarray, d: np.ndarray, z: np.ndarray
     raise NoConvergence("implicit step did not reach tolerance")
 
 
-def implicit_step_solve(cond_mean: float, delta_A: float, slot: SlotView,
+def implicit_step_solve(cond_mean: float, delta_A: float, slot: SlotBlock,
                         zeta: np.ndarray, f: Generator) -> float:
     """Unique root of ``y = cond_mean + delta_A * f(slot, y, zeta)``.
 
-    The one-row call of ``_implicit_rows``: a safeguarded secant for the
-    contraction factor ``q = delta_A * lip_y < 1``, within
+    The call of ``_implicit_rows`` on the one-row block ``slot`` (any other
+    row count is a ``ValueError``): a safeguarded secant for the contraction
+    factor ``q = delta_A * lip_y < 1``, within
     ``q / (1 - q) * max(STEP_TOL, ROUNDING * |y|)`` of the root.  At
     ``delta_A = 0`` the root is ``cond_mean``, and the driver must be
     finite there too.
@@ -462,7 +464,7 @@ def implicit_step_solve(cond_mean: float, delta_A: float, slot: SlotView,
         NonFinite: a driver value or an iterate is not finite.
         NoConvergence: tolerance not met within the step budget.
     """
-    y = _implicit_rows(SlotBlock.of_view(slot), np.array([cond_mean], dtype=float),
+    y = _implicit_rows(_one_slot(slot), np.array([cond_mean], dtype=float),
                        np.array([delta_A], dtype=float),
                        np.asarray(zeta, dtype=float).reshape(1, -1), f)
     return float(y[0])
@@ -564,10 +566,9 @@ def _monitor(tree: ScenarioTree, beta: float, setup: _Setup, check_hypothesis: b
     ``beta > 0`` as ``picard_solve`` does, unless ``check_hypothesis`` is
     False.
     """
-    eps_star, delta, flagged = setup.eps_star, setup.delta, list(setup.flagged)
-    if check_hypothesis and eps_star <= 0.0:
-        raise ConditionViolated(
-            f"main hypothesis violated: slack {eps_star}", flagged=flagged)
+    eps_star, delta = setup.eps_star, setup.delta
+    if check_hypothesis:
+        _refuse_violated(setup)
     if check_hypothesis and beta > 0.0 and delta is not None and not 0.0 < delta < eps_star:
         raise ValueError(f"delta {delta!r} outside (0, {eps_star!r}), "
                          "the range the contraction weights need")
@@ -578,8 +579,15 @@ def _monitor(tree: ScenarioTree, beta: float, setup: _Setup, check_hypothesis: b
     report = SolveReport(
         iterations=0, converged=False, diff_norms=[], ratio_sq=[], residual=np.inf,
         y_sup=[], beta=beta, delta=delta, beta_min=float(beta_min),
-        epsilon_star=eps_star, flagged=flagged)
+        epsilon_star=eps_star, flagged=list(setup.flagged))
     return report, norms._slot_weights(tree, beta, b), norms._slot_weights(tree, beta)
+
+
+def _refuse_violated(setup: _Setup) -> None:
+    """``ConditionViolated``, with the flagged slots, where the set-up's hypothesis fails."""
+    if setup.eps_star <= 0.0:
+        raise ConditionViolated(f"main hypothesis violated: slack {setup.eps_star}",
+                                flagged=setup.flagged)
 
 
 def _picard(problem: BsdeProblem, values: list, tol: float, max_iter: int,

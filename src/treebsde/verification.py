@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import norms, solver
-from .measure_core import ScenarioTree, SlotBlock, _as_path, _check_beta, _doleans_product
+from .measure_core import ScenarioTree, _as_path, _check_beta, _doleans_product, _one_slot
 
 __all__ = [
     "CheckResult",
@@ -243,7 +243,7 @@ def check_norm_equivalence(Z, tree: ScenarioTree, beta: float, gamma: float) -> 
 
 
 def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, seed=0) -> CheckResult:
-    """Sampled Lipschitz bound for a generator at one slot.
+    """Sampled Lipschitz bound for a generator at one slot, a one-row block.
 
     ``samples`` is a count, at least 1, of normal draws (standard
     deviation 2) from the ``lipschitz`` stream of the integer ``seed``:
@@ -253,8 +253,8 @@ def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, seed=0) -> CheckResult
     """
     if not isinstance(samples, int) or samples < 1:
         raise ValueError(f"samples must be a count of at least 1, not {samples!r}")
-    draws = _normal_block(_stream("lipschitz", seed), samples, 2 + 2 * slot.phi.size, 2.0)
-    block = SlotBlock.of_view(slot).take(np.zeros(samples, dtype=np.int64))
+    block = _one_slot(slot).take(np.zeros(samples, dtype=np.int64))
+    draws = _normal_block(_stream("lipschitz", seed), samples, 2 + 2 * slot.phi.shape[1], 2.0)
     return _lipschitz_rows(f, block, draws, hat_lz_sq, samples)
 
 

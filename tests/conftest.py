@@ -16,7 +16,7 @@ from treebsde import (BsdeProblem, Generator, NoConvergence, NonFinite, StepSing
                       build_tree)
 from treebsde.solver import ROUNDING, STEP_FLOOR, STEP_MARGIN, STEP_TOL
 from treebsde import conditions, scenarios
-from treebsde.measure_core import NO_JUMP
+from treebsde.measure_core import NO_JUMP, SlotBlock
 
 
 ROOT_OUTCOME = -2     # incoming-outcome code of the root node
@@ -163,6 +163,72 @@ def brute_expectation_at_depth(tree, values, depth):
                for i in range(sl.start, sl.stop))
 
 
+# -- scalar twins of the slot and rule forms ---------------------------------------
+#
+# The library has one slot form, a row of a ``SlotBlock``, and one rule form,
+# the level rule ``(k, H)`` on a depth's history matrix.  These are their
+# scalar twins, read off the tree's arrays and history matrices alone.
+
+_VIEWS = weakref.WeakKeyDictionary()     # each tree's views, built on first use
+
+
+@dataclasses.dataclass(frozen=True)
+class SlotView:
+    """One slot as Python scalars: the twin of the one-row block ``tree.block([i])``."""
+
+    index: int          # == node index of the parent
+    step: int           # the step from depth step to step + 1
+    history: tuple      # outcomes strictly before the slot
+    delta_A: float
+    phi: np.ndarray
+
+    @property
+    def block(self):
+        """The slot's one-row ``SlotBlock``, for the library's one-slot calls."""
+        return SlotBlock(np.array([self.index]), np.array([self.step]),
+                         np.array([self.delta_A]), self.phi[None, :])
+
+
+def slot_view(tree, i):
+    """View of slot ``i``, from ``slot_step``, ``slot_dA``, ``slot_phi`` and its level's
+    history matrix; built on first use and kept."""
+    views = _VIEWS.setdefault(tree, {})
+    i = int(i)
+    if i not in views:
+        if not 0 <= i < tree.n_slots:
+            raise IndexError(f"slot {i} outside 0..{tree.n_slots - 1}")
+        k = int(tree.slot_step[i])
+        row = tree.level_histories[k][i - int(tree.level_start[k])]
+        views[i] = SlotView(i, k, tuple(row.tolist()), float(tree.slot_dA[i]), tree.slot_phi[i])
+    return views[i]
+
+
+def jump_count(history) -> int:
+    """Number of realized points in a history tuple."""
+    return sum(1 for o in history if o != NO_JUMP)
+
+
+def per_history(rule):
+    """Level form ``(k, H) -> rows`` of a per-history ``rule(k, history)``.
+
+    Calls ``rule`` once per row of ``H``, on a history tuple of Python
+    ints, and stacks the answers in row order.
+    """
+    return lambda k, H: np.array([rule(k, hist) for hist in map(tuple, H.tolist())],
+                                 dtype=float)
+
+
+def per_history_model(K, m, rule, phi=None):
+    """Model of K steps and m marks whose jump size is the per-history ``rule(k, history)``.
+
+    ``phi`` is None (uniform), one probability vector for every slot, or a
+    per-history mark law ``(k, history)``; the rules run through ``per_history``.
+    """
+    model = scenarios.deterministic_grid(K, m, 0.0, None if callable(phi) else phi)
+    law = per_history(phi) if callable(phi) else model.mark_law
+    return dataclasses.replace(model, jump_size=per_history(rule), mark_law=law)
+
+
 # -- scalar twins of the per-slot formulas -------------------------------------
 
 
@@ -267,7 +333,7 @@ def proof_weights(beta, delta, slot, hat_lz_sq):
     ``c = (1-delta)/(2 hat_lz_sq)``, ``d = c + dA``,
     ``a = 2 hat_lz_sq * max(c, d - dA)`` (which equals ``1 - delta`` with
     this choice), and ``b = min(beta - 1/c, beta/(1+beta dA) - 1/d)``.
-    ``slot`` is a slot view or its jump size.
+    ``slot`` is a ``SlotView`` or its jump size.
     """
     if beta <= 0:
         raise ValueError("beta must be strictly positive")
@@ -322,7 +388,7 @@ def random_generator(rng, tree, eps_floor=0.5, forms=(0, 1, 2)):
 
     def fn(slot, y, zeta):
         s = scalar_seminorm(zeta, slot)
-        base = c0 + 0.3 * math.sin(2.0 * slot.step + scenarios.jump_count(slot.history))
+        base = c0 + 0.3 * math.sin(2.0 * slot.step + jump_count(slot.history))
         if form == 0:
             return base + lip_y * y + lip_z * s
         if form == 1:
@@ -368,7 +434,7 @@ def random_linear_problem(rng, K=None, m=None, max_horizon=5, max_marks=3,
     amp, freq = float(rng.uniform(0.2, 1.5)), float(rng.uniform(0.5, 3.0))
 
     def path(slot):
-        return amp * math.cos(freq * slot.step + scenarios.jump_count(slot.history))
+        return amp * math.cos(freq * slot.step + jump_count(slot.history))
 
     beta = float(rng.uniform(0.0, 4.0)) if beta is None else beta
     problem = BsdeProblem(model=model, beta=beta,
@@ -395,12 +461,12 @@ def m1_problem():
 def per_slot(tree, fn, lip_y, lip_z):
     """Generator of the per-slot driver ``fn(slot, y, zeta) -> float`` on ``tree``.
 
-    The level form calls ``fn`` once per row, on the row's slot view
-    ``tree.slot(i)``, its ``y`` and its ``zeta`` row: the scalar twin of a
-    level driver, free to read the slot's history.
+    The level form calls ``fn`` once per row, on the row's ``slot_view``,
+    its ``y`` and its ``zeta`` row: the scalar twin of a level driver, free
+    to read the slot's history.
     """
     def level(block, y, zeta):
-        return np.array([fn(tree.slot(i), a, z) for i, a, z in zip(block.index, y, zeta)],
+        return np.array([fn(slot_view(tree, i), a, z) for i, a, z in zip(block.index, y, zeta)],
                         dtype=float)
 
     return Generator(level, lip_y, lip_z)
@@ -454,8 +520,8 @@ def zigzag(y, h):
 
 def _singular_step(cond_mean, delta_A, slot, zeta, f, q):
     # the singular test and ``degenerate`` probe of ``solver._implicit_rows``
-    r0 = cond_mean + delta_A * f(slot, 0.0, zeta)
-    r1 = cond_mean + delta_A * f(slot, 1.0, zeta) - 1.0
+    r0 = cond_mean + delta_A * f(slot.block, 0.0, zeta)
+    r1 = cond_mean + delta_A * f(slot.block, 1.0, zeta) - 1.0
     tol = 1e-12 * max(1.0, abs(cond_mean))
     return StepSingular(f"one-step map is not a contraction (dA * lip_y = {q})",
                         degenerate=abs(r0) <= tol and abs(r1) <= tol)
@@ -468,18 +534,18 @@ def scalar_implicit_step(cond_mean, delta_A, slot, zeta, f):
     ``cond_mean``, fixed-point second trial, secant slope clipped to
     ``[1 - q, 1 + q]``, ``sqrt(q)`` acceptance test, stopping rule, budget,
     singular test and ``degenerate`` probe, with one one-slot driver call
-    per trial.  Its value is within ``q / (1 - q) * max(STEP_TOL,
-    ROUNDING * |y|)`` of the root.
+    per trial on the block of the ``SlotView`` ``slot``.  Its value is
+    within ``q / (1 - q) * max(STEP_TOL, ROUNDING * |y|)`` of the root.
     """
     q = delta_A * f.lip_y
     if q >= 1.0:
         raise _singular_step(cond_mean, delta_A, slot, zeta, f, q)
     if f.lip_y == 0.0:
-        return cond_mean + delta_A * f(slot, cond_mean, zeta)
+        return cond_mean + delta_A * f(slot.block, cond_mean, zeta)
     lo, hi, sq = 1.0 - q, 1.0 + q, math.sqrt(q)
     t, it, budget = cond_mean, 0, STEP_FLOOR
     while it < budget:
-        g = cond_mean + delta_A * f(slot, t, zeta)
+        g = cond_mean + delta_A * f(slot.block, t, zeta)
         if not math.isfinite(g):
             raise NonFinite("implicit step iterates left the finite range")
         r = t - g
@@ -513,7 +579,7 @@ def fixed_point_step(cond_mean, delta_A, slot, zeta, f):
         raise _singular_step(cond_mean, delta_A, slot, zeta, f, q)
     y = cond_mean
     for _ in range(100_000):
-        y_new = cond_mean + delta_A * f(slot, y, zeta)
+        y_new = cond_mean + delta_A * f(slot.block, y, zeta)
         if not math.isfinite(y_new):
             raise NonFinite("implicit step iterates left the finite range")
         if abs(y_new - y) <= max(STEP_TOL, ROUNDING * abs(y_new)):
@@ -544,7 +610,7 @@ def per_slot_oracle(problem):
         for off, s in enumerate(range(sl.start, sl.stop)):
             da = tree.slot_dA[s]
             Y[s] = cm[off] if da == 0.0 else scalar_implicit_step(
-                cm[off], da, tree.slot(s), Z[s], problem.f)
+                cm[off], da, slot_view(tree, s), Z[s], problem.f)
     return Y, Z
 
 
@@ -712,10 +778,10 @@ def scalar_path(model):
     """The same model evaluated one history at a time.
 
     Each level rule runs on one-row matrices, called per history through
-    the per-history adapter of ``scenarios``.
+    ``per_history``.
     """
     def by_history(rule):
-        return scenarios._per_history(lambda k, hist: rule(k, one_row(hist))[0])
+        return per_history(lambda k, hist: rule(k, one_row(hist))[0])
 
     return dataclasses.replace(model, jump_size=by_history(model.jump_size),
                                mark_law=by_history(model.mark_law))
@@ -739,7 +805,7 @@ def scalar_random_model(rng, K=None, m=None, max_horizon=6, max_marks=3,
             return 1.0
         if zero[k]:
             return 0.0
-        if history_dependent and scenarios.jump_count(hist) % 2 == 1:
+        if history_dependent and jump_count(hist) % 2 == 1:
             return float(alt[k])
         return float(base[k])
 
@@ -748,11 +814,10 @@ def scalar_random_model(rng, K=None, m=None, max_horizon=6, max_marks=3,
     law_dependent = bool(rng.random() < 0.5)
 
     def mark_law(k, hist):
-        return laws[1 if (law_dependent and scenarios.jump_count(hist) % 2 == 1) else 0]
+        return laws[1 if (law_dependent and jump_count(hist) % 2 == 1) else 0]
 
-    return ScenarioModel(m=m, horizon=K,
-                         jump_size=scenarios._per_history(jump_size),
-                         mark_law=scenarios._per_history(mark_law))
+    return ScenarioModel(m=m, horizon=K, jump_size=per_history(jump_size),
+                         mark_law=per_history(mark_law))
 
 
 def scalar_two_state_rule(K, m, a_after_jump, a_after_no_jump, phi=None):
@@ -760,7 +825,7 @@ def scalar_two_state_rule(K, m, a_after_jump, a_after_no_jump, phi=None):
     def rule(k, hist):
         return a_after_no_jump if k == 0 or hist[-1] == NO_JUMP else a_after_jump
 
-    return scenarios.predictable_random_jumps(K=K, m=m, rule=rule, phi=phi)
+    return per_history_model(K, m, rule, phi)
 
 
 def scalar_terminals(m):
@@ -780,7 +845,7 @@ def scalar_terminals(m):
     return {
         "constant": (scenarios.xi_constant(0.37), lambda hist: 0.37),
         "jump_count": (scenarios.xi_jump_count(0.53),
-                       lambda hist: 0.53 * scenarios.jump_count(hist)),
+                       lambda hist: 0.53 * jump_count(hist)),
         "last_mark": (scenarios.xi_last_mark_indicator(min(1, m - 1), 1.3, n_marks=m),
                       last_mark(min(1, m - 1), 1.3)),
     }
@@ -936,13 +1001,12 @@ def per_sample_draws(stream, samples, m):
 def lipschitz_samples(f, slot, samples, hat_lz_sq=None):
     """``check_lipschitz`` on given ``(y, y2, z, z2)`` samples.
 
-    ``verification._lipschitz_rows`` on a block of ``slot`` repeated once
-    per sample.
+    ``verification._lipschitz_rows`` on the block of the ``SlotView``
+    ``slot`` repeated once per sample.
     """
     from treebsde import verification
-    from treebsde.measure_core import SlotBlock
     draws = np.array([np.hstack(d) for d in samples], dtype=float)
-    block = SlotBlock.of_view(slot).take(np.zeros(len(draws), dtype=np.int64))
+    block = slot.block.take(np.zeros(len(draws), dtype=np.int64))
     return verification._lipschitz_rows(f, block, draws, hat_lz_sq, len(draws))
 
 
@@ -963,7 +1027,7 @@ def loop_lipschitz(f, slot, draws, hat_lz_sq=None):
         z, z2 = [float(x) for x in z], [float(x) for x in z2]
         dz = [b - a for a, b in zip(z, z2)]
         s = scalar_seminorm(dz, slot)
-        fbar = f(slot, y2, np.array(z2)) - f(slot, y, np.array(z))
+        fbar = f(slot.block, y2, np.array(z2)) - f(slot.block, y, np.array(z))
         plain = abs(fbar) - (f.lip_y * abs(y2 - y) + f.lip_z * s)
         zh = scalar_hat_z(dz, slot)
         expanded = phi_sum([(d - zh) * (d - zh) for d in dz], slot.phi)
@@ -1037,7 +1101,7 @@ def loop_run_suite(problem, solution, seed=0, c_scale=1.0):
     if tree.n_slots:
         stream = v._stream("lipschitz", seed)
         results.append(scan_worst(
-            [loop_lipschitz(problem.f, tree.slot(int(s)),
+            [loop_lipschitz(problem.f, slot_view(tree, s),
                             per_sample_draws(stream, v.N_SAMPLES, tree.n_marks))
              for s in take], lambda r: r.abs_gap))
     else:

@@ -178,7 +178,7 @@ def test_criterion_6_inequalities_bulk():
         if tree.n_slots == 0:
             continue
         gen = random_generator(rng, tree)
-        slot = tree.slot(int(rng.integers(tree.n_slots)))
+        slot = tree.block([int(rng.integers(tree.n_slots))])
         if not check_lipschitz(gen, slot, samples=25,
                                seed=int(rng.integers(2 ** 31))).passed:
             violations["lipschitz"] += 1

@@ -9,8 +9,9 @@ from treebsde import (BsdeProblem, Generator, NonFinite, StepSingular, backward_
                       build_tree, cli, picard_solve, scenarios, solve_linear)
 from treebsde.measure_core import ScenarioTree
 
-from conftest import (gather_accumulate, leaf_paths, node_histories, on_slots, per_slot,
-                      per_slot_oracle, random_problem, scalar_preset, zigzag)
+from conftest import (gather_accumulate, leaf_paths, node_histories, on_slots, per_history_model,
+                      per_slot, per_slot_oracle, random_problem, scalar_preset, slot_view,
+                      zigzag)
 
 PRESETS = [
     ("zero", {}),
@@ -29,7 +30,7 @@ def mixed_model(m, unit=True):
     def rule(k, hist):
         return (0.0, top, 0.3 if sum(hist) % 2 else 0.7)[k % 3]
 
-    return scenarios.predictable_random_jumps(K=5, m=m, rule=rule)
+    return per_history_model(5, m, rule)
 
 
 def trees_for(seed, unit):
@@ -49,13 +50,13 @@ def test_on_slots_matches_scalar_twin(seed, name, params):
         assert (gen.lip_y, gen.lip_z) == (twin.lip_y, twin.lip_z)
         n, m = tree.n_slots, tree.n_marks
         y, Z = rng.normal(0, 2, n), rng.normal(0, 2, (n, m))
-        ref = np.array([twin(tree.slot(s), y[s], Z[s]) for s in range(n)])
+        ref = np.array([twin(tree.block([s]), y[s], Z[s]) for s in range(n)])
         assert np.max(np.abs(on_slots(gen, tree, slice(0, n), y, Z) - ref)) <= 1e-12
         ids = rng.permutation(n)[: max(1, n // 3)]
         assert np.max(np.abs(on_slots(gen, tree, ids, y[ids], Z[ids]) - ref[ids])) <= 1e-12
         # the one-slot form of a level generator
         s = int(ids[0])
-        assert abs(gen(tree.slot(s), y[s], Z[s]) - ref[s]) <= 1e-12
+        assert abs(gen(tree.block([s]), y[s], Z[s]) - ref[s]) <= 1e-12
     if seed == 0:
         das = np.concatenate([t.slot_dA for t in trees])
         assert np.any(das == 0.0) and np.any((das > 0.0) & (das < 1.0))
@@ -83,7 +84,7 @@ def counting(tree, gen):
 
     def fn(slot, y, zeta):
         calls[slot.index] += 1
-        return gen(slot, y, zeta)
+        return gen(slot.block, y, zeta)
 
     return per_slot(tree, fn, gen.lip_y, gen.lip_z), calls
 
@@ -166,8 +167,7 @@ def test_level_oracle_step_singular_like_per_slot(scale, degenerate):
     # level 1: the slot after a jump contracts (dA = 0.2), the one after no
     # jump has dA * lip_y = 1; a zero terminal makes that step degenerate
     p = 0.5
-    model = scenarios.predictable_random_jumps(
-        K=2, m=1, rule=lambda k, hist: 0.5 if k == 0 or hist[-1] == -1 else 0.2)
+    model = per_history_model(2, 1, lambda k, hist: 0.5 if k == 0 or hist[-1] == -1 else 0.2)
     problem = BsdeProblem(model=model, beta=0.0, xi=scenarios.xi_jump_count(scale),
                           f=Generator(lambda block, y, zeta: y / p, 1.0 / p, 0.0))
     with pytest.raises(StepSingular) as batch:
@@ -209,6 +209,7 @@ def test_a_non_finite_driver_on_dA_zero_slots_fails_alike_on_all_routes(lip_y):
 
 
 def test_slot_views_built_on_demand_only(monkeypatch):
+    # no route builds the list of one-row blocks, each of which is tree.block([i])
     def refuse(self):
         raise AssertionError("slot_views list built")
 
@@ -216,28 +217,19 @@ def test_slot_views_built_on_demand_only(monkeypatch):
     rng = np.random.default_rng(5)
     problem, delta = random_problem(rng, K=3)
     tree = problem.tree()
-    views = [tree.slot(i) for i in range(tree.n_slots)]
-    assert [v.index for v in views] == list(range(tree.n_slots))
-    hists = node_histories(tree)
-    assert all(v.history == hists[v.index] for v in views)
     picard_solve(problem, delta=delta)
     backward_oracle(problem)
     monkeypatch.undo()
-    assert tree.slot_views == views
+    blocks = tree.slot_views
+    assert [b.index.tolist() for b in blocks] == [[i] for i in range(tree.n_slots)]
+    for i, b in enumerate(blocks):
+        one = tree.block([i])
+        assert all(np.array_equal(getattr(b, key), getattr(one, key))
+                   for key in ("index", "step", "delta_A", "phi"))
+    hists = node_histories(tree)
+    assert all(slot_view(tree, i).history == hists[i] for i in range(tree.n_slots))
     with pytest.raises(IndexError):
-        tree.slot(tree.n_slots)
-
-
-def test_slot_views_are_kept_from_first_use():
-    # a build allocates no views; each view is built once, on its first use
-    tree = build_tree(scenarios.deterministic_grid(K=3, m=2, a=0.5))
-    assert tree._views == {}
-    view = tree.slot(4)
-    assert tree.slot(np.int64(4)) is view and list(tree._views) == [4]
-    for i in (-1, tree.n_slots):
-        with pytest.raises(IndexError, match=f"slot {i} outside 0..{tree.n_slots - 1}"):
-            tree.slot(i)
-    assert list(tree._views) == [4]
+        slot_view(tree, tree.n_slots)
 
 
 def test_accumulate_matches_path_sums():

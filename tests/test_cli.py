@@ -799,6 +799,60 @@ def test_a_run_that_does_not_converge_exits_three(tmp_path, capsys):
     assert read_summary(out)["notes"][0].startswith("solver failure: no convergence")
 
 
+def test_a_sweep_whose_rows_do_not_converge_exits_zero(tmp_path):
+    # a sweep records convergence per row (below beta_min none is expected), so
+    # rows that miss tol exit 0, while solve on the same config exits 3
+    relative = {"param": "beta", "values": [1.0, 2.0, 4.0], "relative_to_beta_min": True}
+    cfg = write_config(tmp_path, model={"preset": "two_state_rule",
+                                        "params": {"K": 4, "m": 2, "a_after_jump": 0.3,
+                                                   "a_after_no_jump": 0.6}},
+                       generator={"preset": "saturating",
+                                  "params": {"c0": 0.3, "cy": 0.5, "cz": 0.7}},
+                       max_iter=2, sweep=relative)
+    out = tmp_path / "run"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    rows = list(csv.DictReader((out / "sweep.csv").open()))
+    assert len(rows) == 3
+    assert all(r["converged"] == "0" and r["Y0"] == "" and r["iterations"] == "2" for r in rows)
+    solve = ["solve", "--config", str(cfg), "--out", str(tmp_path / "s")]
+    assert cli.main(solve) == cli.EXIT_SOLVER
+
+
+# the main hypothesis fails: 2 * 0.8^2 * 1^2 = 1.28 on both slots (slack -0.28)
+VIOLATED = {"model": {"preset": "deterministic_grid", "params": {"K": 2, "m": 1, "a": 1.0}},
+            "generator": {"preset": "affine_y", "params": {"c0": 0.1, "c1": 0.8}}}
+
+
+@pytest.mark.parametrize("beta", ["auto", 2.0])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_a_violated_hypothesis_exits_two_under_beta_auto(tmp_path, capsys, command, beta):
+    # auto, the default, reports the violation as an explicit beta does: the
+    # summary with its flagged slots, and beta null, since no beta_min exists
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, **VIOLATED, beta=beta)
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONDITION
+    assert "2 slot(s) flagged" in capsys.readouterr().out
+    summary = read_summary(out)
+    assert summary["conditions"] == {
+        "beta": None if beta == "auto" else 2.0, "beta_min": None, "delta": None,
+        "epsilon_star": 1.0 - 2.0 * 0.8 ** 2,
+        "flagged": [{"delta_A": 1.0, "history": [], "step": 0, "value": 2.0 * 0.8 ** 2},
+                    {"delta_A": 1.0, "history": [0], "step": 1, "value": 2.0 * 0.8 ** 2}]}
+    assert summary["solver"] == {} and summary["checks"] == []
+
+
+@pytest.mark.parametrize("sweep", [
+    {"param": "beta", "values": [1.0, 2.0]},
+    {"param": "beta", "values": [1.0, 2.0], "relative_to_beta_min": True},
+    {"param": "delta", "values": [0.1]},
+    {"param": "K", "values": [1, 2]}], ids=["beta", "relative-beta", "delta", "K"])
+def test_a_violated_hypothesis_exits_two_in_a_sweep_under_beta_auto(tmp_path, capsys, sweep):
+    cfg = write_config(tmp_path, **VIOLATED, sweep=sweep)
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "main hypothesis violated: slack -0.28" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("command,expected", [("solve", 2), ("verify", 1)])
 def test_a_run_reads_the_leaf_values_once_per_solver(tmp_path, monkeypatch, command, expected):
     # the fixed-point iteration reads them once, the oracle of ``solve`` once more;

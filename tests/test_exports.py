@@ -4,6 +4,8 @@ that only tests read live only in conftest."""
 import dataclasses
 import importlib
 import inspect
+import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import treebsde
+
+from conftest import SlotView
 
 MODULES = ["measure_core", "norms", "conditions", "solver", "verification",
            "scenarios", "cli"]
@@ -35,7 +39,11 @@ def test_every_exported_name_resolves(name):
                                          ("lipschitz_seminorm", "norms"),
                                          ("bsde_residual", "solver"),
                                          ("conditional_means", "solver"),
-                                         ("canonical_field", "norms")])
+                                         ("canonical_field", "norms"),
+                                         ("SlotView", "measure_core"),
+                                         ("_per_history", "scenarios"),
+                                         ("predictable_random_jumps", "scenarios"),
+                                         ("jump_count", "scenarios")])
 def test_scalar_twins_left_the_package(name, module):
     assert not hasattr(treebsde, name)
     assert not hasattr(importlib.import_module(f"treebsde.{module}"), name)
@@ -44,9 +52,9 @@ def test_scalar_twins_left_the_package(name, module):
 
 
 def test_a_slot_view_and_a_profile_carry_only_what_is_read():
-    # no atom time on a view; no jump sizes (the tree's slot_dA) and no
-    # 1 - delta (``a`` per slot) on a profile
-    assert [f.name for f in dataclasses.fields(treebsde.SlotView)] == [
+    # no atom time on the conftest view; no jump sizes (the tree's slot_dA)
+    # and no 1 - delta (``a`` per slot) on a profile
+    assert [f.name for f in dataclasses.fields(SlotView)] == [
         "index", "step", "history", "delta_A", "phi"]
     assert [f.name for f in dataclasses.fields(treebsde.ContractionProfile)] == [
         "hat_lz_sq", "c", "d", "a", "b", "epsilon_star", "delta", "beta", "beta_min"]
@@ -72,8 +80,34 @@ def test_a_tree_keeps_no_history_tuples_and_no_merged_flag():
         assert "_histories" not in vars(tree)
 
 
+def test_a_slot_and_a_rule_have_one_form():
+    # a slot is a one-row block, tree.block([i]); a rule is a level rule, and a
+    # preset's phi is one probability vector
+    tree = treebsde.build_tree(treebsde.scenarios.deterministic_grid(K=2, m=1, a=0.5))
+    assert not hasattr(tree, "slot") and "_views" not in vars(tree)
+    assert not hasattr(treebsde.SlotBlock, "of_view")
+    assert [f.name for f in dataclasses.fields(treebsde.SlotBlock)] == [
+        "index", "step", "delta_A", "phi"]
+    with pytest.raises(TypeError):
+        treebsde.scenarios.ModelSpec("two_state_rule", {
+            "K": 2, "m": 2, "a_after_jump": 0.3, "a_after_no_jump": 0.6,
+            "phi": lambda k, hist: [0.5, 0.5]}, "constant").build()
+
+
+def test_the_module_exports_are_pinned():
+    from treebsde import measure_core, scenarios
+    assert measure_core.__all__ == [
+        "NO_JUMP", "MAX_NODES", "ScenarioModel", "SlotBlock", "ScenarioTree", "TreeTooLarge",
+        "build_tree", "doleans_exponential", "doleans_sqrt_factorization"]
+    assert scenarios.__all__ == [
+        "ModelSpec", "deterministic_grid", "two_state_rule", "pdmp_like",
+        "discretized_intensity", "counterexample_model", "random_model", "jump_counts",
+        "last_marks", "preset_state", "xi_constant", "xi_jump_count", "xi_last_mark_indicator"]
+    assert "SlotView" not in vars(treebsde)
+
+
 def test_check_lipschitz_refuses_a_list_of_samples():
-    slot = treebsde.build_tree(treebsde.scenarios.deterministic_grid(K=1, m=1, a=0.5)).slot(0)
+    slot = treebsde.build_tree(treebsde.scenarios.deterministic_grid(K=1, m=1, a=0.5)).block([0])
     f = treebsde.Generator(lambda block, y, zeta: 0.5 * y, 0.5, 0.0)
     with pytest.raises(ValueError, match="count"):
         treebsde.check_lipschitz(f, slot, samples=[(0.0, 1.0, [0.0], [1.0])])
@@ -122,3 +156,47 @@ def test_the_benchmark_tracer_installs_on_the_package():
     run = subprocess.run([sys.executable, "-c", code, str(root / "perfbench"), str(root / "src")],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+TRACED_RUN = """
+import json, math, pathlib, sys, tempfile
+sys.path[:0] = sys.argv[1:3]
+from tracer import Tracer
+import run
+tracer = Tracer()
+tracer.install()
+from treebsde import cli
+config = {"model": {"preset": "two_state_rule",
+                    "params": {"K": 3, "m": 2, "a_after_jump": 0.3, "a_after_no_jump": 0.6}},
+          "generator": {"preset": "saturating", "params": {"c0": 0.2, "cy": 0.4, "cz": 0.5}},
+          "terminal": {"preset": "jump_count"},
+          "sweep": {"param": "beta", "values": [1.0, 2.0], "relative_to_beta_min": True}}
+tmp = pathlib.Path(tempfile.mkdtemp(dir=sys.argv[3]))
+(tmp / "cfg.json").write_text(json.dumps(config))
+codes = [cli.main([command, "--config", str(tmp / "cfg.json"), "--out", str(tmp / command)])
+         for command in ("solve", "verify", "sweep")]
+metrics = tracer.layer_metrics(0)
+print(json.dumps({"codes": codes, "metrics": metrics, "keys": list(run.PER_LAYER)}))
+"""
+
+
+def test_the_benchmark_tracer_runs_the_commands(tmp_path):
+    # a wrapped name whose arguments or result moved would fail a traced run,
+    # which installing alone does not show: solve, verify and a beta sweep of a
+    # tiny config run under the tracer in a fresh process, and every per-layer
+    # metric of the benchmark but the traced-minus-untraced overhead is finite
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, "-c", TRACED_RUN, str(root / "perfbench"),
+                          str(root / "src"), str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0, 0]
+    keys = [k for k in out["keys"] if k != "trace.overhead_s"]
+    assert len(keys) == 29
+    bad = {k: out["metrics"].get(k) for k in keys
+           if not isinstance(out["metrics"].get(k), (int, float))
+           or not math.isfinite(out["metrics"][k])}
+    assert bad == {}
+    assert out["metrics"]["measure_core.build_tree_calls"] > 0

@@ -3,26 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsde import SlotBlock, build_tree, norms, scenarios
+from treebsde import build_tree, norms, scenarios
 
-from conftest import (brute_y_norm, brute_z_norm, canonical_field, jump_second_moment,
-                      leaf_paths, scalar_hat_z, scalar_moments, scalar_seminorm)
+from conftest import (brute_y_norm, brute_z_norm, canonical_field, jump_count,
+                      jump_second_moment, leaf_paths, per_history_model, scalar_hat_z,
+                      scalar_moments, scalar_seminorm, slot_view)
 
 
 def slot_of(K=1, m=1, a=0.5, phi=None):
     model = scenarios.deterministic_grid(K=K, m=m, a=a, phi=phi)
-    return build_tree(model).slot(0)
+    return slot_view(build_tree(model), 0)
 
 
 def hat_z(zeta, slot):
-    """``hat_z_rows`` of one mark vector on the one-row block of ``slot``."""
-    return float(norms.hat_z_rows(np.reshape(zeta, (1, -1)), SlotBlock.of_view(slot))[0])
+    """``hat_z_rows`` of one mark vector on the one-row block of the view ``slot``."""
+    return float(norms.hat_z_rows(np.reshape(zeta, (1, -1)), slot.block)[0])
 
 
 def seminorm(dzeta, slot):
-    """``lipschitz_seminorm_rows`` of one increment on the one-row block of ``slot``."""
-    return float(norms.lipschitz_seminorm_rows(np.reshape(dzeta, (1, -1)),
-                                               SlotBlock.of_view(slot))[0])
+    """``lipschitz_seminorm_rows`` of one increment on the one-row block of the view ``slot``."""
+    return float(norms.lipschitz_seminorm_rows(np.reshape(dzeta, (1, -1)), slot.block)[0])
 
 
 # -- hat_z_rows ----------------------------------------------------------------
@@ -142,8 +142,8 @@ def test_row_forms_equal_scalar_forms(seed):
     n = tree.n_slots
     Z = rng.normal(0, 3, (n, tree.n_marks))
     block = tree.block(slice(0, n))
-    sem = [seminorm(Z[s], tree.slot(s)) for s in range(n)]
-    hat = [hat_z(Z[s], tree.slot(s)) for s in range(n)]
+    sem = [seminorm(Z[s], slot_view(tree, s)) for s in range(n)]
+    hat = [hat_z(Z[s], slot_view(tree, s)) for s in range(n)]
     assert np.array_equal(norms.lipschitz_seminorm_rows(Z, block), sem)
     assert np.array_equal(norms.hat_z_rows(Z, block), hat)
 
@@ -154,9 +154,9 @@ def mixed_regime_tree(rng, m, K=3):
     laws = rng.dirichlet(np.ones(m), (K, 2))
 
     def rule(k, hist):
-        return (inner[k], 1.0, 0.0)[(k + scenarios.jump_count(hist)) % 3]
+        return (inner[k], 1.0, 0.0)[(k + jump_count(hist)) % 3]
 
-    return build_tree(scenarios.predictable_random_jumps(
+    return build_tree(per_history_model(
         K, m, rule, phi=lambda k, hist: laws[k, int(rule(k, hist) == 1.0)]))
 
 
@@ -167,7 +167,7 @@ def test_row_forms_are_the_scalar_twins_to_the_bit(m):
     assert {0.0, 1.0} < set(tree.slot_dA.tolist())
     Z = rng.normal(0, 3, (tree.n_slots, m))
     block = tree.block(slice(None))
-    views = [tree.slot(s) for s in range(tree.n_slots)]
+    views = [slot_view(tree, s) for s in range(tree.n_slots)]
     hat = [scalar_hat_z(Z[s], v) for s, v in enumerate(views)]
     sem = [scalar_seminorm(Z[s], v) for s, v in enumerate(views)]
     assert np.array_equal(norms.hat_z_rows(Z, block), hat)
@@ -259,7 +259,7 @@ def test_seminorm_squared_times_da_is_slot_contribution(seed):
     Z = rng.normal(0, 1, (tree.n_slots, tree.n_marks))
     contrib = norms.slot_z_contribution(Z, tree)
     for s in range(tree.n_slots):
-        slot = tree.slot(s)
+        slot = slot_view(tree, s)
         if slot.delta_A > 0:
             sem = scalar_seminorm(Z[s], slot)
             assert sem ** 2 * slot.delta_A == pytest.approx(contrib[s], rel=1e-12, abs=1e-14)
@@ -284,7 +284,7 @@ def test_jump_second_moment_equals_slot_integrand():
     Z = rng.normal(0, 1, (tree.n_slots, tree.n_marks))
     contrib = norms.slot_z_contribution(Z, tree)
     for s in range(tree.n_slots):
-        assert jump_second_moment(Z[s], tree.slot(s)) == pytest.approx(
+        assert jump_second_moment(Z[s], slot_view(tree, s)) == pytest.approx(
             contrib[s], rel=1e-13, abs=1e-15)
 
 
@@ -352,7 +352,7 @@ def test_canonical_field_centers_and_zeroes():
     def rule(k, hist):
         return [0.0, 1.0, 0.5][k]
 
-    tree = build_tree(scenarios.predictable_random_jumps(K=3, m=2, rule=rule))
+    tree = build_tree(per_history_model(3, 2, rule))
     Z = rng.normal(0, 1, (tree.n_slots, tree.n_marks))
     C = canonical_field(Z, tree)
     for s in range(tree.n_slots):

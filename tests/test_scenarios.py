@@ -7,7 +7,7 @@ from treebsde import scenarios
 from treebsde.measure_core import NO_JUMP
 from treebsde.scenarios import ModelSpec
 
-from conftest import node_outcomes
+from conftest import jump_count, node_outcomes, per_history_model
 
 
 # -- deterministic_grid ------------------------------------------------------------
@@ -37,13 +37,12 @@ def test_deterministic_per_step_sizes_and_validation():
         scenarios.deterministic_grid(K=1, m=1, a=1.2)
 
 
-# -- predictable_random_jumps ---------------------------------------------------------
+# -- per-history rules (the conftest twin of a level rule) ------------------------------
 
 
 def test_constant_rule_matches_deterministic_node_for_node():
     det = build_tree(scenarios.deterministic_grid(K=3, m=2, a=0.4))
-    rul = build_tree(scenarios.predictable_random_jumps(K=3, m=2,
-                                                        rule=lambda k, h: 0.4))
+    rul = build_tree(per_history_model(3, 2, lambda k, h: 0.4))
     assert det.n_nodes == rul.n_nodes
     assert np.array_equal(det.prob, rul.prob)
     assert np.array_equal(node_outcomes(det), node_outcomes(rul))
@@ -55,7 +54,7 @@ def test_two_state_rule_weight_differs_across_depth_three_nodes():
             return 0.6
         return 0.3
 
-    tree = build_tree(scenarios.predictable_random_jumps(K=3, m=1, rule=rule))
+    tree = build_tree(per_history_model(3, 1, rule))
     E = tree.doleans(1.0)
     sl = tree.depth_slice(3)
     assert len(np.unique(np.round(E[sl], 12))) > 1
@@ -63,18 +62,31 @@ def test_two_state_rule_weight_differs_across_depth_three_nodes():
 
 def test_rule_hitting_one_after_two_jumps_mixes_unit_slots():
     def rule(k, hist):
-        jumps = scenarios.jump_count(hist)
-        return 1.0 if jumps >= 2 else 0.5
+        return 1.0 if jump_count(hist) >= 2 else 0.5
 
-    tree = build_tree(scenarios.predictable_random_jumps(K=4, m=1, rule=rule))
+    tree = build_tree(per_history_model(4, 1, rule))
     assert np.any(tree.slot_dA == 1.0)
     assert np.any(tree.slot_dA == 0.5)
 
 
 def test_rule_out_of_range_rejected():
     with pytest.raises(ValueError):
-        build_tree(scenarios.predictable_random_jumps(K=1, m=1,
-                                                      rule=lambda k, h: 1.7))
+        build_tree(per_history_model(1, 1, lambda k, h: 1.7))
+
+
+@pytest.mark.parametrize("K,m,after_jump,after_none", [(3, 1, 0.3, 0.6), (4, 2, 1.0, 0.55)])
+def test_two_state_rule_is_its_per_history_rule(K, m, after_jump, after_none):
+    # the level rules demos 01 and 04 use build the trees of their per-history rules
+    def rule(k, hist):
+        return after_jump if hist and hist[-1] != NO_JUMP else after_none
+
+    level = build_tree(scenarios.two_state_rule(K, m, after_jump, after_none))
+    per = build_tree(per_history_model(K, m, rule))
+    for name in ("slot_dA", "prob", "slot_phi"):
+        assert getattr(level, name).tobytes() == getattr(per, name).tobytes()
+    assert len(level.level_histories) == len(per.level_histories) == K + 1
+    for a, b in zip(level.level_histories, per.level_histories):
+        assert np.array_equal(a, b)
 
 
 # -- pdmp_like --------------------------------------------------------------------------
@@ -171,7 +183,7 @@ def test_random_model_always_valid(seed):
 
 def test_jump_count_and_terminal_presets():
     hist = (0, NO_JUMP, 2, NO_JUMP)
-    assert scenarios.jump_count(hist) == 2
+    assert jump_count(hist) == 2
     H = np.array([hist, (NO_JUMP,) * 4, (2, 0, NO_JUMP, NO_JUMP)], dtype=np.int8)
     assert scenarios.jump_counts(H).tolist() == [2, 0, 2]
     assert scenarios.xi_constant(3.0)(H).tolist() == [3.0, 3.0, 3.0]

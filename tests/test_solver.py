@@ -16,14 +16,20 @@ from treebsde.verification import check_solution_jump_identity
 from conftest import (bsde_residual, canonical_field, conditional_means, fixed_point_step,
                       full_matrix_jump_identity, gather_accumulate, gather_child_values,
                       gather_doleans, gather_linear_sweep, gather_parent_broadcast,
-                      level_jump_identity, masked_canonical_rows, node_children, per_slot, random_linear_problem,
-                      random_problem, random_terminal, represent_martingale, scalar_hat_z,
-                      zigzag)
+                      jump_count, level_jump_identity, masked_canonical_rows, node_children,
+                      per_slot, random_linear_problem, random_problem, random_terminal,
+                      represent_martingale, scalar_hat_z, slot_view, zigzag)
 from conftest import signed_values as _signed_values
 
 
 def slot_of(K=1, m=1, a=0.5, phi=None):
-    return build_tree(scenarios.deterministic_grid(K=K, m=m, a=a, phi=phi)).slot(0)
+    """The ``SlotView`` of slot 0 of a grid."""
+    return slot_view(build_tree(scenarios.deterministic_grid(K=K, m=m, a=a, phi=phi)), 0)
+
+
+def block_of(a=0.5):
+    """Slot 0 of a one-mark grid as the library's one-slot form, a one-row block."""
+    return build_tree(scenarios.deterministic_grid(K=1, m=1, a=a)).block([0])
 
 
 # -- represent_martingale ---------------------------------------------------------
@@ -60,7 +66,7 @@ def test_represent_reconstruction_error_is_rounding_level():
     rng = np.random.default_rng(3)
     tree = build_tree(scenarios.random_model(rng, K=3))
     for s in range(tree.n_slots):
-        slot = tree.slot(s)
+        slot = slot_view(tree, s)
         vals = rng.normal(0, 2, tree.n_marks + 1)
         _, check = represent_martingale(vals, slot)
         assert check < 1e-13
@@ -77,7 +83,7 @@ def test_level_representation_matches_the_slot_oracle():
                             for k in range(tree.horizon)])
         Z, cm = _represent_block(rows, V), _cond_means(rows, V)
         for s in range(tree.n_slots):
-            slot = tree.slot(s)
+            slot = slot_view(tree, s)
             seen.add(slot.delta_A if slot.delta_A in (0.0, 1.0) else "inner")
             Zo, check = represent_martingale(V[s], slot)
             assert check < 1e-13
@@ -359,14 +365,15 @@ def test_solve_linear_is_linear_in_data():
     tree = build_tree(model)
     xi1, xi2 = random_terminal(rng, model.m), random_terminal(rng, model.m)
     f1 = Generator(lambda block, y, z: 0.4 * block.step + 0.1, 0.0, 0.0)
-    f2 = per_slot(tree, lambda slot, y, z: -0.3 + 0.2 * scenarios.jump_count(slot.history),
+    f2 = per_slot(tree, lambda slot, y, z: -0.3 + 0.2 * jump_count(slot.history),
                   0.0, 0.0)
     lam = 1.7
 
     def combo_xi(h):
         return xi1(h) + lam * xi2(h)
 
-    combo_f = per_slot(tree, lambda slot, y, z: f1(slot, y, z) + lam * f2(slot, y, z), 0.0, 0.0)
+    combo_f = per_slot(tree, lambda slot, y, z: f1(slot.block, y, z) + lam * f2(slot.block, y, z),
+                       0.0, 0.0)
     s1 = solve_linear(BsdeProblem(model=model, beta=1.0, xi=xi1, f=f1, _tree=tree))
     s2 = solve_linear(BsdeProblem(model=model, beta=1.0, xi=xi2, f=f2, _tree=tree))
     s = solve_linear(BsdeProblem(model=model, beta=1.0, xi=combo_xi, f=combo_f, _tree=tree))
@@ -379,12 +386,26 @@ def test_solve_linear_is_linear_in_data():
 
 def test_implicit_zero_jump_returns_conditional_mean():
     f = Generator(lambda block, y, z: np.full(y.shape, 99.0), 0.0, 0.0)
-    assert implicit_step_solve(0.25, 0.0, slot_of(), None, f) == 0.25
+    assert implicit_step_solve(0.25, 0.0, block_of(), None, f) == 0.25
+
+
+def test_one_slot_entry_points_refuse_any_other_row_count():
+    # a slot is a one-row block: two rows, none, and a scalar view are refused
+    tree = build_tree(scenarios.deterministic_grid(K=2, m=1, a=0.5))
+    f = Generator(lambda block, y, z: 0.5 * y, 0.5, 0.0)
+    for slot in (tree.block([0, 1]), tree.block([]), slot_view(tree, 0)):
+        with pytest.raises(ValueError, match="one-row SlotBlock"):
+            f(slot, 0.0, np.zeros(1))
+        with pytest.raises(ValueError, match="one-row SlotBlock"):
+            implicit_step_solve(0.25, 0.5, slot, np.zeros(1), f)
+        with pytest.raises(ValueError, match="one-row SlotBlock"):
+            verification.check_lipschitz(f, slot, samples=5)
+    assert f(tree.block([1]), 2.0, np.zeros(1)) == 1.0
 
 
 def test_implicit_affine_fixed_point():
     f = Generator(lambda block, y, z: y, 1.0, 0.0)
-    got = implicit_step_solve(0.5, 0.5, slot_of(), np.zeros(1), f)
+    got = implicit_step_solve(0.5, 0.5, block_of(), np.zeros(1), f)
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
@@ -393,14 +414,14 @@ def test_implicit_refuses_a_non_finite_path_driver(delta_A):
     # lip_y = 0 evaluates the driver once; its value must be finite, as on the oracle
     f = Generator(lambda b, y, z: np.full(y.shape, np.nan), 0.0, 0.0)
     with pytest.raises(NonFinite, match="generator value nan at slot 0"):
-        implicit_step_solve(0.25, delta_A, slot_of(), np.zeros(1), f)
+        implicit_step_solve(0.25, delta_A, block_of(), np.zeros(1), f)
 
 
 def test_implicit_blows_up_at_unit_contraction():
     p = 0.5
     f = Generator(lambda block, y, z: y / p, 1.0 / p, 0.0)
     with pytest.raises(StepSingular) as exc:
-        implicit_step_solve(1.0, p, slot_of(a=p), np.zeros(1), f)
+        implicit_step_solve(1.0, p, block_of(a=p), np.zeros(1), f)
     assert not exc.value.degenerate
 
 
@@ -408,7 +429,7 @@ def test_implicit_degenerate_when_mean_vanishes():
     p = 0.5
     f = Generator(lambda block, y, z: y / p, 1.0 / p, 0.0)
     with pytest.raises(StepSingular) as exc:
-        implicit_step_solve(0.0, p, slot_of(a=p), np.zeros(1), f)
+        implicit_step_solve(0.0, p, block_of(a=p), np.zeros(1), f)
     assert exc.value.degenerate
 
 
@@ -419,7 +440,7 @@ def test_implicit_degenerate_up_to_rounding():
     f = Generator(lambda block, y, z: y / p, 1.0 / p, 0.0)
     for mean, degenerate in [(1e-14, True), (1e-10, False)]:
         with pytest.raises(StepSingular) as exc:
-            implicit_step_solve(mean, p, slot_of(a=p), np.zeros(1), f)
+            implicit_step_solve(mean, p, block_of(a=p), np.zeros(1), f)
         assert exc.value.degenerate == degenerate
 
 
@@ -440,8 +461,8 @@ def test_implicit_step_agrees_with_the_fixed_point_reference():
                                    "params": {"c0": c0, "cy": -lip, "cz": 0.5}}, tree)
              ][rng.integers(3)]
         cm, zeta = rng.normal(0, 3), rng.normal(0, 1, 2)
-        y = implicit_step_solve(cm, dA, tree.slot(0), zeta, f)
-        ref = fixed_point_step(cm, dA, tree.slot(0), zeta, f)
+        y = implicit_step_solve(cm, dA, tree.block([0]), zeta, f)
+        ref = fixed_point_step(cm, dA, slot_view(tree, 0), zeta, f)
         assert abs(y - ref) <= 2 * max(STEP_TOL, ROUNDING * max(abs(y), abs(ref))) / (1 - q)
 
 
@@ -685,7 +706,7 @@ def test_oracle_step_budget_follows_the_contraction_factor():
     assert sol.Y[0] == pytest.approx(9.6031991564, abs=1e-9)
     assert bsde_residual(tree, sol.Y, _eval_path(tree, f, sol.Y, sol.Z)) <= 1e-12
     # the one-slot form: a root at pi, where the step map contracts by 0.95
-    y = implicit_step_solve(2.84, 1.0, tree.slot(0), np.zeros(2), f)
+    y = implicit_step_solve(2.84, 1.0, tree.block([0]), np.zeros(2), f)
     assert abs(y - 2.84 - (0.3 + 0.95 * np.sin(y))) <= 1e-12
 
 
@@ -789,7 +810,7 @@ def _value_bits(sol, rep):
 
     return (_bits(sol.Y), _bits(sol.Z), rep.iterations, rep.converged, hexes(rep.diff_norms),
             hexes(rep.ratio_sq), hexes(rep.y_sup), rep.residual.hex(), rep.beta_min.hex(),
-            rep.beta, rep.delta, rep.epsilon_star, [(s.index, v) for s, v in rep.flagged])
+            rep.beta, rep.delta, rep.epsilon_star, rep.flagged)
 
 
 @pytest.mark.parametrize("seed", range(4))

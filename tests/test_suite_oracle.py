@@ -22,7 +22,7 @@ from treebsde.verification import (_integral_inequality_rows, _normal_block, _ra
 from conftest import (block_paths, full_matrix_jump_identity, loop_identity_lemma,
                       lipschitz_samples, loop_integral_inequality, loop_lipschitz,
                       loop_run_suite, per_sample_draws, random_generator, random_linear_problem,
-                      random_problem)
+                      random_problem, slot_view)
 
 
 def _bits(r):
@@ -224,10 +224,10 @@ def test_lipschitz_block_draw_is_the_per_sample_stream(m):
 
     tree = build_tree(scenarios.deterministic_grid(K=2, m=m, a=0.4))
     f = random_generator(np.random.default_rng(m), tree)
-    r_block = check_lipschitz(f, tree.slot(0), samples=50, seed=7)
+    r_block = check_lipschitz(f, tree.block([0]), samples=50, seed=7)
     draws = per_sample_draws(_stream("lipschitz", 7), 50, m)
-    r_loop = lipschitz_samples(f, tree.slot(0), draws)
-    assert _bits(r_block) == _bits(r_loop) == _bits(loop_lipschitz(f, tree.slot(0), draws))
+    r_loop = lipschitz_samples(f, slot_view(tree, 0), draws)
+    assert _bits(r_block) == _bits(r_loop) == _bits(loop_lipschitz(f, slot_view(tree, 0), draws))
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -15,9 +15,9 @@ from treebsde import (BsdeProblem, Generator, ScenarioModel, TreeTooLarge,
                       solve_linear)
 from treebsde.measure_core import NO_JUMP, ScenarioTree
 
-from conftest import (node_children, node_histories, node_outcomes, node_parents, one_row,
-                      per_leaf, random_problem, scalar_path, scalar_random_model, scalar_terminals,
-                      scalar_two_state_rule)
+from conftest import (jump_count, node_children, node_histories, node_outcomes, node_parents,
+                      one_row, per_history, per_leaf, random_problem, scalar_path,
+                      scalar_random_model, scalar_terminals, scalar_two_state_rule, slot_view)
 
 TREE_ARRAYS = ("level_start", "prob", "slot_dA", "slot_phi", "slot_step")
 NODE_LAYOUTS = (node_parents, node_outcomes, node_children)
@@ -93,9 +93,11 @@ def test_presets_match_their_scalar_twins(seed):
 
 def test_scalar_mark_law_keeps_a_preset_on_the_scalar_path():
     def law(k, hist):
-        return np.array([0.2, 0.8]) if scenarios.jump_count(hist) else np.array([0.5, 0.5])
+        return np.array([0.2, 0.8]) if jump_count(hist) else np.array([0.5, 0.5])
 
-    tree = build_tree(scenarios.deterministic_grid(K=3, m=2, a=0.5, phi=law))
+    # a preset's phi is one probability vector: a rule goes in the model's mark law
+    model = scenarios.deterministic_grid(K=3, m=2, a=0.5)
+    tree = build_tree(dataclasses.replace(model, mark_law=per_history(law)))
     assert np.array_equal(tree.slot_phi[0], [0.5, 0.5])
     assert np.array_equal(tree.slot_phi[node_children(tree)[0, 0]], [0.2, 0.8])
 
@@ -158,14 +160,6 @@ def test_bad_rules_raise_the_same_message_on_both_paths(model, match):
     assert str(level.value) == str(scalar.value)
 
 
-def test_a_per_history_law_of_ragged_rows_names_the_slot():
-    def law(k, hist):
-        return [1.0] if k == 1 and hist[-1] == NO_JUMP else [0.5, 0.5]
-
-    with pytest.raises(ValueError, match="answers of different shapes at slot 1"):
-        build_tree(scenarios.deterministic_grid(K=2, m=2, a=0.5, phi=law))
-
-
 def test_too_many_marks_rejected():
     with pytest.raises(ValueError, match="127 marks"):
         build_tree(scenarios.pdmp_like(K=1, m=128))
@@ -196,7 +190,7 @@ def test_histories_are_python_int_tuples_built_on_demand():
             column = np.nonzero(branches)[1]
             assert H_next[:, k].tolist() == np.where(column == m, NO_JUMP, column).tolist()
         assert node_histories(tree) == [tree.history(i) for i in range(tree.n_nodes)]
-        assert tree.slot(4).history == tree.history(4)
+        assert slot_view(tree, 4).history == tree.history(4)
 
 
 def test_level_rows_see_only_earlier_outcomes():

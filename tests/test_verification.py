@@ -11,8 +11,9 @@ from treebsde import scenarios, verification
 from treebsde.verification import _sandwich_rows
 
 from conftest import (brute_doleans, leaf_paths, lipschitz_samples, loop_norm_sandwich,
-                      node_children, node_outcomes, per_sample_draws, per_slot, phi_sum,
-                      random_linear_problem, random_problem, scalar_hat_z, scalar_seminorm)
+                      node_children, node_outcomes, per_history_model, per_sample_draws,
+                      per_slot, phi_sum, random_linear_problem, random_problem, scalar_hat_z,
+                      scalar_seminorm, slot_view)
 
 
 # -- energy identity --------------------------------------------------------------
@@ -300,13 +301,13 @@ def test_sandwich_fails_a_seminorm_with_a_shrunk_atom_term(monkeypatch):
 
 
 def test_lipschitz_constant_generator():
-    slot = build_tree(scenarios.deterministic_grid(K=1, m=2, a=0.5)).slot(0)
+    slot = build_tree(scenarios.deterministic_grid(K=1, m=2, a=0.5)).block([0])
     f = Generator(lambda b, y, z: np.full(y.shape, 3.0), 0.0, 0.0)
     assert check_lipschitz(f, slot, samples=50).passed
 
 
 def test_lipschitz_linear_in_y_is_tight():
-    slot = build_tree(scenarios.deterministic_grid(K=1, m=1, a=0.5)).slot(0)
+    slot = build_tree(scenarios.deterministic_grid(K=1, m=1, a=0.5)).block([0])
     f = Generator(lambda b, y, z: 0.8 * y, 0.8, 0.0)
     r = check_lipschitz(f, slot, samples=100)
     assert r.passed
@@ -314,13 +315,13 @@ def test_lipschitz_linear_in_y_is_tight():
 
 
 def test_lipschitz_seminorm_generator_tight():
-    slot = build_tree(scenarios.deterministic_grid(K=1, m=2, a=0.7)).slot(0)
+    slot = build_tree(scenarios.deterministic_grid(K=1, m=2, a=0.7)).block([0])
     f = Generator(lambda b, y, z: 1.2 * norms.lipschitz_seminorm_rows(z, b), 0.0, 1.2)
     assert check_lipschitz(f, slot, samples=100).passed
 
 
 def test_lipschitz_detects_understated_constant():
-    slot = build_tree(scenarios.deterministic_grid(K=1, m=1, a=0.5)).slot(0)
+    slot = build_tree(scenarios.deterministic_grid(K=1, m=1, a=0.5)).block([0])
     f = Generator(lambda b, y, z: 2.0 * y, 0.5, 0.0)    # true constant is 2
     r = check_lipschitz(f, slot, samples=100, seed=0)
     assert not r.passed
@@ -330,7 +331,7 @@ def test_lipschitz_detects_understated_constant():
 @pytest.mark.parametrize("samples", [0, -3, []])
 def test_lipschitz_refuses_no_samples(samples):
     # a check that sampled nothing would pass vacuously
-    slot = build_tree(scenarios.deterministic_grid(2, 1, 0.5)).slot(0)
+    slot = build_tree(scenarios.deterministic_grid(2, 1, 0.5)).block([0])
     f = Generator(lambda b, y, z: 2.0 * y, 0.5, 0.0)
     with pytest.raises(ValueError, match="sample"):
         check_lipschitz(f, slot, samples=samples)
@@ -339,13 +340,13 @@ def test_lipschitz_refuses_no_samples(samples):
 def block_and_scalar_twins(tree, fn, lip_y, lip_z):
     """The level driver ``fn`` and its per-slot twin on ``tree``: one one-slot call per row."""
     level = Generator(fn, lip_y, lip_z)
-    return level, per_slot(tree, level, lip_y, lip_z)
+    return level, per_slot(tree, lambda slot, y, z: level(slot.block, y, z), lip_y, lip_z)
 
 
 @pytest.mark.parametrize("a", [0.0, 0.35, 1.0])
 def test_lipschitz_block_is_the_same_check_for_both_forms(a):
     tree = build_tree(scenarios.deterministic_grid(K=2, m=3, a=a))
-    slot = tree.slot(1)
+    slot = tree.block([1])
     pair = block_and_scalar_twins(
         tree, lambda block, y, zeta: 0.4 * np.sin(y)
         + 0.9 * np.tanh(norms.lipschitz_seminorm_rows(zeta, block)), 0.4, 0.9)
@@ -358,7 +359,7 @@ def test_lipschitz_block_is_the_same_check_for_both_forms(a):
 def test_lipschitz_block_nan_sample_is_the_witness_for_both_forms():
     # sample 1 is NaN; sample 2 has the largest finite margin and must not win
     tree = build_tree(scenarios.deterministic_grid(K=1, m=2, a=0.5))
-    slot = tree.slot(0)
+    slot = slot_view(tree, 0)
     draws = [(0.0, 1.0, [0.0, 0.0], [0.1, 0.0]), (2.0, 1.0, [0.0, 1.0], [0.0, 0.0]),
              (0.0, 3.0, [1.0, 0.0], [0.0, 0.0]), (1.0, 0.5, [0.0, 0.0], [0.0, 0.0])]
     pair = block_and_scalar_twins(
@@ -371,7 +372,7 @@ def test_lipschitz_block_nan_sample_is_the_witness_for_both_forms():
 
 
 def test_lipschitz_rejects_hat_below_lip_z():
-    slot = build_tree(scenarios.deterministic_grid(K=1, m=1, a=0.5)).slot(0)
+    slot = build_tree(scenarios.deterministic_grid(K=1, m=1, a=0.5)).block([0])
     f = Generator(lambda b, y, z: np.zeros(y.shape), 0.0, 1.0)
     with pytest.raises(ValueError):
         check_lipschitz(f, slot, hat_lz_sq=0.5)
@@ -439,9 +440,9 @@ def test_seminorm_expanded_form_is_algebraic_identity():
     def rule(k, hist):
         return [0.0, 0.3, 1.0, 0.85][k]
 
-    tree = build_tree(scenarios.predictable_random_jumps(K=4, m=3, rule=rule))
+    tree = build_tree(per_history_model(4, 3, rule))
     for s in range(tree.n_slots):
-        slot = tree.slot(s)
+        slot = slot_view(tree, s)
         for _ in range(20):
             dz = rng.normal(0, 2, 3)
             zh = scalar_hat_z(dz, slot)
@@ -453,15 +454,16 @@ def test_seminorm_expanded_form_is_algebraic_identity():
 
 
 def test_lipschitz_fails_on_a_nan_driver():
-    slot = build_tree(scenarios.deterministic_grid(K=1, m=2, a=0.5)).slot(0)
-    r = check_lipschitz(Generator(lambda b, y, z: np.full(y.shape, np.nan), 0.1, 0.1), slot)
+    tree = build_tree(scenarios.deterministic_grid(K=1, m=2, a=0.5))
+    r = check_lipschitz(Generator(lambda b, y, z: np.full(y.shape, np.nan), 0.1, 0.1),
+                        tree.block([0]))
     assert not r.passed and np.isnan(r.lhs)
     assert r.detail["witness"] is not None
     # the first non-finite sample is the witness, whatever follows it
     draws = [(0.0, 1.0, [0.0, 0.0], [0.1, 0.0]), (2.0, 1.0, [0.0, 1.0], [0.0, 0.0]),
              (0.0, 3.0, [1.0, 0.0], [0.0, 0.0])]
     f = Generator(lambda b, y, z: np.where(y == 2.0, np.nan, 0.0), 0.1, 0.1)
-    r = lipschitz_samples(f, slot, draws)
+    r = lipschitz_samples(f, slot_view(tree, 0), draws)
     assert not r.passed and np.isnan(r.lhs)
     assert r.detail["witness"] == {"y": 2.0, "y2": 1.0, "z": [0.0, 1.0], "z2": [0.0, 0.0]}
 
@@ -506,7 +508,7 @@ def test_suite_lipschitz_witness_is_the_first_nan_slot():
     assert not row.passed and np.isnan(row.lhs)
     assert row.detail["n_samples"] == verification.N_SAMPLES
     stream = verification._stream("lipschitz", 0)
-    per_slot_rows = {int(s): lipschitz_samples(f, tree.slot(s), per_sample_draws(
+    per_slot_rows = {int(s): lipschitz_samples(f, slot_view(tree, s), per_sample_draws(
         stream, verification.N_SAMPLES, tree.n_marks)) for s in take}
     assert np.isnan(per_slot_rows[20].lhs)
     assert row.detail == per_slot_rows[6].detail != per_slot_rows[20].detail

@@ -70,6 +70,10 @@ The case list:
   m=2, ``a = 0.9`` with a ``saturating`` ``cy`` of 0.78, so ``dA * lip_y``
   is 0.702 on every slot, the longest implicit steps of the corpus (on the
   CLI's merged tree);
+* a ``solve`` that violates the main hypothesis (``deterministic_grid`` K=2,
+  m=1, ``a`` 1, with an ``affine_y`` ``c1`` of 0.8), at ``beta`` 2 and at
+  ``beta`` ``"auto"``: each exits 2 with a summary whose ``flagged`` rows
+  carry their histories;
 * the built-in ``counterexample`` run.
 
 Reports carry no timings, so a case whose code did not change must match to
@@ -258,6 +262,11 @@ def cases() -> list[tuple[str, str, dict | None]]:
                                "params": {"c0": 0.05, "cy": 0.78, "cz": 0.5}},
                  "terminal": {"preset": "last_mark", "params": {"mark": 0, "scale": -0.3}},
                  "beta": 2.0, "seed": 3}))
+    violated = {"model": {"preset": "deterministic_grid", "params": {"K": 2, "m": 1, "a": 1.0}},
+                "generator": {"preset": "affine_y", "params": {"c0": 0.1, "c1": 0.8}},
+                "terminal": {"preset": "jump_count"}}
+    for beta in (2.0, "auto"):
+        out.append((f"solve-violated-beta-{beta}", "solve", {**violated, "beta": beta}))
     out.append(("counterexample", "counterexample", None))
     return out
 

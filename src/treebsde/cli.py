@@ -15,13 +15,12 @@ fixed-point Y0 misses the backward oracle's by more than ``Y0_GAP_TOL``.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -409,7 +408,7 @@ def _solved(cfg: RunConfig, noun: str, oracle: bool = False):
             code = EXIT_SOLVER
             note = message = f"solver failure: {exc}"
     report.notes.append(note)
-    _write_json(out / "summary.json", asdict(report))
+    _write_json(out / "summary.json", vars(report))
     print(message)
     return code, problem, report, out, None
 
@@ -431,7 +430,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if not agrees:
         report.notes.append(f"oracle gap {sdict['y0_gap']!r} exceeds {Y0_GAP_TOL:g}: "
                             "the fixed-point solution disagrees with the backward oracle")
-    _write_json(out / "summary.json", asdict(report))
+    _write_json(out / "summary.json", vars(report))
     _write_csv(out / "iterations.csv", ITER_HEADER, _iteration_rows(rep))
     elapsed = time.perf_counter() - t0
     print(f"Y0 = {float(sol.Y[0])!r}  iterations = {rep.iterations}  "
@@ -449,11 +448,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     c_scale = 0.0 if cfg.debug.get("wrong_c_beta") else 1.0
     checks = verification.run_suite(problem, sol, seed=cfg.seed, c_scale=c_scale)
     report.solver = _solver_dict(sol, rep, problem.tree(), problem.beta)
-    report.checks = [asdict(c) for c in checks]
+    report.checks = [vars(c) for c in checks]
     if problem.beta == 0:
         report.notes.append("beta = 0: integral inequality and a priori "
                             "estimate skipped (they need beta > 0)")
-    _write_json(out / "summary.json", asdict(report))
+    _write_json(out / "summary.json", vars(report))
     _write_csv(out / "checks.csv", CHECK_HEADER, _check_rows(checks))
     failed = [c for c in checks if not c.passed]
     elapsed = time.perf_counter() - t0
@@ -611,19 +610,58 @@ def cmd_counterexample(cfg: RunConfig) -> int:
 # -- entry point -----------------------------------------------------------------
 
 
-def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="treebsde",
-                                 description="Backward equations on exact scenario trees")
-    ap.add_argument("command", choices=("solve", "verify", "sweep", "counterexample"))
-    ap.add_argument("--config", default=None, help="JSON config (optional for counterexample)")
-    ap.add_argument("--out", default=None, help="output directory")
-    # values are read as JSON and parsed with the config, so a malformed one is a
-    # config error
-    ap.add_argument("--seed", default=None, type=_flag)
-    ap.add_argument("--beta", default=None, type=_flag, help="'auto' or a number")
-    ap.add_argument("--delta", default=None, type=_flag)
-    ap.add_argument("--tol", default=None, type=_flag)
-    return ap
+COMMANDS = ("solve", "verify", "sweep", "counterexample")
+# every flag and its help; each takes one value, as ``--flag value`` or ``--flag=value``
+FLAGS = {"config": "JSON config (optional for counterexample)",
+         "out": "output directory",
+         "seed": "seed of the checks' random draws",
+         "beta": "'auto' or a number",
+         "delta": "contraction margin, in (0, epsilon_star)",
+         "tol": "fixed-point residual tolerance"}
+USAGE = (f"usage: treebsde [-h] {{{','.join(COMMANDS)}}}"
+         + "".join(f" [--{name} {name.upper()}]" for name in FLAGS))
+
+
+def _usage_error(problem: str):
+    print(f"{USAGE}\ntreebsde: error: {problem}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _read_argv(argv: list) -> tuple:
+    """``(command, {flag name: value or None})`` of a command line.
+
+    Flags go anywhere, the last of a name winning.  No abbreviation is
+    read.  ``-h``/``--help`` prints the help and exits 0; any other misuse
+    exits 2 with the usage line and the problem on stderr.
+    """
+    command, values = None, dict.fromkeys(FLAGS)
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            print(f"{USAGE}\n\nBackward equations on exact scenario trees\n\nflags:")
+            for name, text in FLAGS.items():
+                print(f"  {f'--{name} {name.upper()}':<17} {text}")
+            raise SystemExit(0)
+        if not arg.startswith("-"):
+            if command is not None:
+                _usage_error(f"extra argument {arg!r} after the command {command!r}")
+            if arg not in COMMANDS:
+                _usage_error(f"unknown command {arg!r} (choose from {', '.join(COMMANDS)})")
+            command = arg
+            continue
+        name, eq, value = arg[2:].partition("=")
+        if not arg.startswith("--") or name not in FLAGS:
+            _usage_error(f"unknown flag {arg.partition('=')[0]}")
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
+                _usage_error(f"flag --{name} needs a value")
+        # a number flag is read as JSON and parsed with the config, so a
+        # malformed one is a config error
+        values[name] = value if name in ("config", "out") else _flag(value)
+    if command is None:
+        _usage_error(f"missing command (choose from {', '.join(COMMANDS)})")
+    return command, values
 
 
 def _flag(text: str):
@@ -636,19 +674,19 @@ def _flag(text: str):
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    overrides = {"out": args.out, "seed": args.seed, "beta": args.beta,
-                 "delta": args.delta, "tol": args.tol}
+    command, overrides = _read_argv(sys.argv[1:] if argv is None else argv)
+    config = overrides.pop("config")
     try:
-        if args.config is None and args.command != "counterexample":
+        if config is None and command != "counterexample":
             raise ConfigError("--config is required")
         flags = [f"--{k}" for k in ("beta", "delta", "tol") if overrides[k] is not None]
-        if args.command == "counterexample" and flags:
+        if command == "counterexample" and flags:
             raise ConfigError(f"counterexample ignores {', '.join(flags)}")
-        cfg = RunConfig.load(args.config, overrides)
+        cfg = RunConfig.load(config, overrides)
+        # built per call, so a command rebound in this module (by a tracer) runs rebound
         handler = {"solve": cmd_solve, "verify": cmd_verify,
                    "sweep": cmd_sweep, "counterexample": cmd_counterexample}
-        return handler[args.command](cfg)
+        return handler[command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

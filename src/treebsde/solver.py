@@ -521,7 +521,9 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
     the hypothesis slack).  Iteration stops when the one-step recursion
     residual drops to ``tol``.  The successive-iterate mixed-norm distance
     is reported but never stops it: with every b-weight 0 (``beta`` far
-    below ``beta_min``) that distance vanishes away from the solution.
+    below ``beta_min``) that distance vanishes away from the solution.  A
+    sweep that returns its input bit for bit at a residual above ``tol``
+    stops it unconverged, since every later sweep would do the same.
     The one-value call of ``_picard``.
 
     Args:
@@ -539,8 +541,9 @@ def picard_solve(problem: BsdeProblem, tol: float = 1e-10, max_iter: int = 100,
         ValueError: an explicit ``delta`` outside ``(0, eps_star)`` (see
             ``delta``); it never falls back to unit b-weights.  Also a
             ``tol`` that is not finite and ``>= 0``, or ``max_iter < 1``.
-        NoConvergence: ``max_iter`` sweeps without meeting ``tol`` (the
-            report so far is attached to the exception).
+        NoConvergence: ``max_iter`` sweeps without meeting ``tol``, or a
+            sweep that returned its input above ``tol`` (the report so far
+            is attached to the exception).
     """
     return _picard_at(problem, _setup_of(problem, delta), tol, max_iter, initial,
                       check_hypothesis)
@@ -550,6 +553,11 @@ def _picard_at(problem, setup: _Setup, tol, max_iter, initial=None, check_hypoth
     """``picard_solve`` at ``setup``, a set-up of ``problem`` (``_setup_of``)."""
     sol, (report,) = _picard(problem, [(problem.beta, setup)], tol, max_iter, initial,
                              check_hypothesis)
+    if report.iterations < max_iter and not report.converged:
+        raise NoConvergence(
+            f"no convergence: sweep {report.iterations} returned its input exactly at "
+            f"residual {report.residual!r} above tol {tol!r} (y_sup {report.y_sup[-1]!r})",
+            report=report, last=sol)
     if not report.converged:
         last = report.diff_norms[-1] if report.diff_norms else np.nan
         raise NoConvergence(f"no convergence after {max_iter} sweeps (last distance {last})",
@@ -602,7 +610,8 @@ def _picard(problem: BsdeProblem, values: list, tol: float, max_iter: int,
     its two slot-weight arrays (``_monitor``) and its report.
 
     Returns ``(Solution, [SolveReport per value])``; a report that is not
-    ``converged`` holds the iteration so far.  Raises as ``picard_solve``
+    ``converged`` holds the iteration so far, which ends before ``max_iter``
+    only at a sweep that returned its input.  Raises as ``picard_solve``
     does, but for ``NoConvergence``.
     """
     if not (0.0 <= tol < math.inf and max_iter >= 1):
@@ -634,11 +643,16 @@ def _picard(problem: BsdeProblem, values: list, tol: float, max_iter: int,
             report.y_sup.append(sup)
         if not np.isfinite(sup):
             raise NonFinite("fixed-point iterates left the finite range")
+        # a zero distance alone is no fixed point: zero b-weights make it vanish
+        # away from the solution, so only then are the iterates compared
+        stalled = 0.0 in prev_dsq and np.array_equal(Y, U) and np.array_equal(Z, V)
         U, V = Y, Z
         f_path = _eval_path(tree, f, U, V)
         residual = _residual(tree, U, cm, f_path)
         if residual <= tol:
             converged = True
+            break
+        if stalled:   # every later sweep would return its input again
             break
     for report, _, _ in monitors:
         report.iterations, report.converged, report.residual = it, converged, float(residual)

@@ -90,13 +90,47 @@ def test_bad_config_exits_one(tmp_path):
     assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
 
 
-@pytest.mark.parametrize("argv", [["simulate", "--config", "cfg.json"], [], ["--config", "cfg.json"]])
-def test_an_unknown_or_missing_command_exits_two(tmp_path, capsys, argv):
+USAGE_ERRORS = [
+    (["simulate", "--config", "cfg.json"], "unknown command 'simulate'"),
+    ([], "missing command"),
+    (["--config", "cfg.json"], "missing command"),
+    (["solve", "--config", "cfg.json", "--bogus", "1"], "unknown flag --bogus"),
+    (["solve", "--config"], "flag --config needs a value"),
+    (["solve", "verify", "--config", "cfg.json"], "extra argument 'verify'"),
+    # no abbreviation is read (argparse's prefix matching read this as --config)
+    (["solve", "--conf", "cfg.json"], "unknown flag --conf"),
+]
+
+
+@pytest.mark.parametrize("argv,problem", USAGE_ERRORS,
+                         ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))])
+def test_an_unknown_or_missing_command_exits_two(tmp_path, capsys, argv, problem):
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
+        cli.main(["--out", str(tmp_path / "run")] + argv)
     assert exc.value.code == 2
-    assert "command" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: treebsde ") and f"error: {problem}" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_flags_take_either_form_anywhere_and_the_last_one_wins(tmp_path, capsys):
+    cfg = write_config(tmp_path, beta=1.0)
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(spaced), "--beta", "2.5"]) == 0
+    assert cli.main(["--beta=1.5", f"--out={joined}", "--beta", "3", "solve",
+                     f"--config={cfg}", "--beta=2.5"]) == 0
+    assert read_summary(joined)["conditions"]["beta"] == 2.5
+    for name in ("summary.json", "iterations.csv"):
+        assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+    capsys.readouterr()
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", flag, "--config", str(cfg)])
+        assert exc.value.code == 0
+        shown = capsys.readouterr().out
+        assert shown.startswith("usage: treebsde ")
+        assert all(f"\n  --{name} " in shown
+                   for name in ("config", "out", "seed", "beta", "delta", "tol"))
 
 
 # -- verify --------------------------------------------------------------------
@@ -799,6 +833,32 @@ def test_a_run_that_does_not_converge_exits_three(tmp_path, capsys):
     assert read_summary(out)["notes"][0].startswith("solver failure: no convergence")
 
 
+def test_a_picard_sweep_that_returns_its_input_above_tol_stops_the_iteration(tmp_path):
+    # values near 1e7 round at about 1e-9: from sweep 3 on a sweep returns its
+    # input bit for bit while the residual stays above tol 1e-10, so the
+    # iteration stops there instead of running out its 100 sweeps
+    def solve(c, *flags):
+        cfg = write_config(tmp_path, model={"preset": "deterministic_grid",
+                                            "params": {"K": 3, "m": 2, "a": 0.4}},
+                           generator={"preset": "saturating",
+                                      "params": {"c0": 0.1, "cy": 0.3, "cz": 0.2}},
+                           terminal={"preset": "constant", "params": {"c": c}})
+        out = tmp_path / f"run-{c:g}{''.join(flags)}"
+        return cli.main(["solve", "--config", str(cfg), "--out", str(out), *flags]), read_summary(out)
+
+    code, summary = solve(1e6)
+    assert code == cli.EXIT_OK and summary["solver"]["iterations"] == 2
+    code, summary = solve(1e7)
+    assert code == cli.EXIT_SOLVER
+    found = re.fullmatch(r"solver failure: no convergence: sweep 3 returned its input exactly "
+                         r"at residual (\S+) above tol 1e-10 \(y_sup 10000000\.48\)",
+                         summary["notes"][0])
+    assert found and 1e-10 < float(found[1]) < 1e-9
+    # a tol the rounding meets converges where the iteration stopped
+    code, summary = solve(1e7, "--tol", "1e-9")
+    assert code == cli.EXIT_OK and summary["solver"]["iterations"] == 2
+
+
 def test_a_sweep_whose_rows_do_not_converge_exits_zero(tmp_path):
     # a sweep records convergence per row (below beta_min none is expected), so
     # rows that miss tol exit 0, while solve on the same config exits 3
@@ -897,8 +957,9 @@ def test_sweep_iterates_once(tmp_path, monkeypatch, param, values):
 
 def test_the_commands_load_no_random_or_masked_array_modules(tmp_path):
     # numpy.random pulls in secrets, hmac and _hashlib (OpenSSL) at its first
-    # use, and np.unique pulls in numpy.ma; a fresh process runs each command
-    # on a small config and must load none of them
+    # use, np.unique pulls in numpy.ma, and argparse pulls in gettext and
+    # locale; a fresh process runs each command on a small config and must
+    # load none of them
     cfg = write_config(tmp_path, generator={"preset": "affine_y",
                                             "params": {"c0": 0.3, "c1": 0.4}},
                        sweep={"param": "beta", "values": [1.0, 2.0],
@@ -909,8 +970,8 @@ def test_the_commands_load_no_random_or_masked_array_modules(tmp_path):
         "for command in ('verify', 'solve', 'sweep'):\n"
         "    out = sys.argv[2] + '/' + command\n"
         "    assert cli.main([command, '--config', sys.argv[1], '--out', out]) == 0\n"
-        "print(sorted(m for m in ('numpy.random', 'secrets', '_hashlib', 'numpy.ma')\n"
-        "             if m in sys.modules))\n")
+        "print(sorted(m for m in ('numpy.random', 'secrets', '_hashlib', 'numpy.ma',\n"
+        "                         'argparse', 'gettext', 'locale') if m in sys.modules))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}

@@ -42,7 +42,7 @@ def test_one_ulp_edits_report_one_ulp(tmp_path):
 
 def test_every_case_config_builds_its_model():
     # a case whose model is a config error compares two identical error exits
-    for name, _, config in report_diff.cases():
+    for name, _, config, _ in report_diff.cases():
         if config is not None:
             model = config["model"]
             assert scenarios.ModelSpec(model["preset"], model["params"]).build(), name

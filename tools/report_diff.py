@@ -74,7 +74,18 @@ The case list:
   m=1, ``a`` 1, with an ``affine_y`` ``c1`` of 0.8), at ``beta`` 2 and at
   ``beta`` ``"auto"``: each exits 2 with a summary whose ``flagged`` rows
   carry their histories;
+* a ``solve`` with a ``constant`` terminal of 1e6 and one of 1e7
+  (``deterministic_grid`` K=3, m=2, ``a`` 0.4, a ``saturating`` driver):
+  near 1e7 a fixed-point sweep returns its input bit for bit while the
+  residual stays above ``tol``, so that run stops unconverged at sweep 3;
+* ``verify`` runs that set ``--tol``, ``--beta auto``, ``--seed`` and
+  ``--delta`` on the command line, each as ``--flag value`` and as
+  ``--flag=value``; one whose flags come before the command; and one with
+  an unknown flag (exit 2, no reports);
 * the built-in ``counterexample`` run.
+
+Every case but the command-line ones runs ``COMMAND --out out --config
+config.json`` (no ``--config`` for the built-in run).
 
 Reports carry no timings, so a case whose code did not change must match to
 the byte.  Console output is not compared.
@@ -139,8 +150,9 @@ def _workloads():
     return module.WORKLOADS
 
 
-def cases() -> list[tuple[str, str, dict | None]]:
-    """``(name, command, config)`` of every case; ``None`` is the built-in config."""
+def cases() -> list[tuple[str, str, dict | None, tuple | None]]:
+    """``(name, command, config, argv)`` of every case; ``None`` is the built-in
+    config, and the default command line (``run_case``)."""
     out = []
     for name, (command, config_of, _, _) in _workloads().items():
         for seed in (5, 31):
@@ -267,17 +279,43 @@ def cases() -> list[tuple[str, str, dict | None]]:
                 "terminal": {"preset": "jump_count"}}
     for beta in (2.0, "auto"):
         out.append((f"solve-violated-beta-{beta}", "solve", {**violated, "beta": beta}))
-    out.append(("counterexample", "counterexample", None))
+    for c in ("1e6", "1e7"):
+        out.append((f"solve-fixed-point-c{c}", "solve",
+                    {"model": {"preset": "deterministic_grid",
+                               "params": {"K": 3, "m": 2, "a": 0.4}},
+                     "generator": {"preset": "saturating",
+                                   "params": {"c0": 0.1, "cy": 0.3, "cz": 0.2}},
+                     "terminal": {"preset": "constant", "params": {"c": float(c)}}}))
+    out = [(name, command, config, None) for name, command, config in out]
+    line = ("--out", "out", "--config", "config.json")
+    for name, flags in (("tol", ("--tol", "1e-12")), ("beta-auto", ("--beta", "auto")),
+                        ("seed", ("--seed", "9")), ("delta", ("--delta", "0.1"))):
+        out.append((f"verify-flag-{name}", "verify", {**base, "beta": 8.0},
+                    ("verify", *line, *flags)))
+        out.append((f"verify-flag-{name}-joined", "verify", {**base, "beta": 8.0},
+                    ("verify", *line, "=".join(flags))))
+    out.append(("verify-flags-before-command", "verify", base,
+                ("--seed=9", "--tol", "1e-12", "verify", "--out=out", "--config", "config.json")))
+    out.append(("verify-unknown-flag", "verify", base, ("verify", *line, "--bogus", "1")))
+    out.append(("counterexample", "counterexample", None, None))
     return out
 
 
-def run_case(tree: Path, command: str, config: dict | None, workdir: Path) -> int:
-    """Run one case against the source tree ``tree``; reports go to ``workdir/out``."""
+def run_case(tree: Path, command: str, config: dict | None, workdir: Path,
+             argv: tuple | None = None) -> int:
+    """Run one case against the source tree ``tree`` in ``workdir``; reports go to ``out``.
+
+    ``argv`` is the command line after ``python -m treebsde.cli``, by
+    default ``command --out out --config config.json``; the config is
+    written to ``config.json`` unless it is ``None`` (the built-in run).
+    """
     workdir.mkdir(parents=True)
-    argv = [sys.executable, "-m", "treebsde.cli", command, "--out", str(workdir / "out")]
     if config is not None:
         (workdir / "config.json").write_text(json.dumps(config), encoding="utf-8")
-        argv += ["--config", str(workdir / "config.json")]
+    if argv is None:
+        argv = (command, "--out", "out")
+        argv += ("--config", "config.json") if config is not None else ()
+    argv = [sys.executable, "-m", "treebsde.cli", *argv]
     env = {**os.environ, "PYTHONPATH": str(tree / "src"),
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     done = subprocess.run(argv, cwd=workdir, env=env, stdout=subprocess.DEVNULL,
@@ -410,8 +448,8 @@ def main(argv=None) -> int:
     identical, moved, exits, headroom = 0, {}, [], {}
     try:
         all_cases = cases()
-        for name, command, config in all_cases:
-            codes = {side: run_case(tree, command, config, work / side / name)
+        for name, command, config, argv in all_cases:
+            codes = {side: run_case(tree, command, config, work / side / name, argv)
                      for side, tree in trees.items()}
             diffs = compare_dirs(work / "old" / name / "out", work / "new" / name / "out")
             if codes["old"] != codes["new"]:

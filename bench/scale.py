@@ -259,8 +259,12 @@ def _child(config_path: str, full: bool, traced: bool) -> None:
         if isinstance(a, np.ndarray):
             owners[id(a)] = a
     tree_bytes = sum(a.nbytes for a in owners.values())
+    # the CLI's problem set-up, on the tree just built: its one builder reads
+    # the tree through cli._build_tree, rebound for this stage only
+    build, cli._build_tree = cli._build_tree, lambda _cfg: built
     with stage("build_problem"):
-        problem, diag = cli._build_problem(cfg, built)
+        problem, diag = cli._build_problem(cfg)
+    cli._build_tree = build
     with stage("picard_solve"):
         sol, rep = solver.picard_solve(problem, tol=cfg.tol, max_iter=cfg.max_iter,
                                        delta=diag["delta"])

@@ -96,27 +96,18 @@ class RunConfig:
         if isinstance(cfg.sweep, dict):
             _check_keys("sweep", cfg.sweep,
                         {"param": object, "values": list, "relative_to_beta_min": bool})
-        if not isinstance(cfg.out, str):
+        if not isinstance(cfg.out, str) or not cfg.out:
             raise ConfigError(f"out must be a path, not {cfg.out!r}")
         for key, kind, valid, why in (
-                ("beta_margin", float, None, ""),
-                ("tol", float, lambda v: 0.0 <= v < math.inf, "is not finite and >= 0"),
+                ("beta_margin", float, None, "is not finite"),
+                ("tol", float, lambda v: v >= 0.0, "is not finite and >= 0"),
                 ("max_iter", _whole, lambda v: v >= 1, "is below 1"),
                 ("seed", _whole, lambda v: v >= 0, "is negative"),
-                ("delta", float, None, ""),
-                ("beta", float, None, "")):
+                ("delta", float, None, "is not finite"),
+                ("beta", float, None, "is not finite")):
             value = getattr(cfg, key)
-            if (key, value) in (("delta", None), ("beta", "auto")):
-                continue
-            try:
-                if _not_number(value):
-                    raise ValueError("not a JSON number")
-                num = kind(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"bad numeric field: {key} {value!r}: {exc}") from exc
-            if valid is not None and not valid(num):
-                raise ConfigError(f"bad numeric field: {key} {num!r} {why}")
-            setattr(cfg, key, num)
+            if (key, value) not in (("delta", None), ("beta", "auto")):
+                setattr(cfg, key, _number(f"bad numeric field: {key}", value, kind, valid, why))
         return cfg
 
 
@@ -146,25 +137,28 @@ def _check_keys(name: str, section: dict, reads: dict) -> None:
             raise ConfigError(f"{name} {key} must be {kinds[kind]}, not {section[key]!r}")
 
 
-def _not_number(value) -> bool:
-    """Not a JSON number, nor a list of them: ``float()`` would read a boolean as 1 or 0
-    and a string as the number it spells."""
-    items = value if isinstance(value, list) else [value]
-    return not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)
+def _number(what: str, value, kind, valid, why: str):
+    """``kind(value)`` of a finite JSON number that ``valid`` (None: any) accepts.
+
+    Anything else is a ``ConfigError`` that begins with ``what``: a boolean or
+    a string (``float()`` would read them as 1, 0 or the number spelled), a
+    value ``kind`` refuses, and a value that is not finite or that ``valid``
+    refuses, which ``why`` words.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} {value!r} is not a JSON number")
+    try:
+        num = kind(value)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} {value!r}: {exc}") from exc
+    if (isinstance(num, float) and not math.isfinite(num)) or (valid and not valid(num)):
+        raise ConfigError(f"{what} {num!r} {why}")
+    return num
 
 
 def _num(params, key, default, kind=float):
     """``kind(params.get(key, default))``; a malformed or non-finite value is a config error."""
-    value = params.get(key, default)
-    try:
-        if _not_number(value):
-            raise TypeError(f"{value!r} is not a number")
-        num = kind(value)
-        if math.isfinite(num):
-            return num
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad parameter {key}: {value!r}") from exc
-    raise ConfigError(f"bad parameter {key}: {value!r} is not finite")
+    return _number(f"bad parameter {key}:", params.get(key, default), kind, None, "is not finite")
 
 
 def _preset(spec, kind: str, default: str, reads: dict):
@@ -249,9 +243,9 @@ def _build_tree(cfg: RunConfig):
     agree on it.  A bad model section, an invalid rule value and a tree
     over the node budget (``TreeTooLarge``) are config errors.
     """
-    bad = sorted(key for key, value in cfg.model.get("params", {}).items() if _not_number(value))
-    if bad:
-        raise ConfigError(f"bad model spec: not a JSON number: {', '.join(bad)}")
+    for k, value in cfg.model.get("params", {}).items():
+        for v in value if isinstance(value, list) else [value]:
+            _number(f"bad model spec: {k}", v, float, None, f"is not finite ({k} must be finite)")
     try:
         model = scenarios.ModelSpec(cfg.model["preset"], cfg.model.get("params", {}),
                                     cfg.terminal.get("preset", "constant")).build()
@@ -264,61 +258,66 @@ def _build_tree(cfg: RunConfig):
         raise ConfigError(f"bad model: {exc}") from exc
 
 
-def _base_problem(cfg: RunConfig, built=None, base=None):
-    """``(problem at beta 0, its solver._setup_of)``: all of a config's problem but beta.
+def _problems(cfg: RunConfig, param=None, values=(None,)):
+    """``(value, problem, diag, setup)`` of ``cfg`` with ``param`` at each of ``values``.
 
-    ``built`` as in ``_build_problem``.  ``base``, the pair of a config that
-    differs at most in ``beta`` and ``delta``, lends its problem and its
-    delta-free set-up; ``built`` is then not read.  Threshold data the
-    set-up cannot represent (``conditions.DenominatorNonpositive``) is a
-    config error naming the generator preset.
+    ``param`` is a field of ``cfg`` or its model's horizon ``"K"``; without
+    it the one item is ``cfg``'s.  ``setup`` is ``solver._setup_of`` at the
+    problem's ``delta``: items share a tree and a set-up across ``beta`` and
+    ``beta_margin``, and a tree and the delta-free part across ``delta``; a
+    ``K`` item builds its tree when it is asked for.  Threshold data the
+    set-up cannot represent, a ``delta`` the contraction weights cannot use
+    and a ``beta`` that is not finite and >= 0 are config errors.
     """
-    if base is not None:
-        problem, setup = base
-    else:
-        model, tree = built or _build_tree(cfg)
-        gen = _build_generator(cfg.generator, tree)
-        xi = _build_terminal(cfg.terminal, tree.n_marks)
-        problem = solver.BsdeProblem(model=model, beta=0.0, xi=xi, f=gen, _tree=tree)
-        setup = None
-    try:
-        return problem, solver._setup_of(problem, cfg.delta, setup)
-    except conditions.DenominatorNonpositive as exc:
-        raise ConfigError(f"generator preset {cfg.generator.get('preset', 'zero')!r} with params "
-                          f"{cfg.generator.get('params', {})}: {exc}") from exc
+    base = setup = None
+    for value in values:
+        change = {param: value} if param != "K" else {"model": {
+            **cfg.model, "params": {**cfg.model.get("params", {}), "K": _whole(value)}}}
+        sub = cfg if param is None else replace(cfg, **change)
+        if base is None or param == "K":
+            model, tree = _build_tree(sub)
+            gen = _build_generator(sub.generator, tree)
+            xi = _build_terminal(sub.terminal, tree.n_marks)
+            base = solver.BsdeProblem(model=model, beta=0.0, xi=xi, f=gen, _tree=tree)
+            setup = None
+        if setup is None or param == "delta":
+            try:
+                setup = solver._setup_of(base, sub.delta, setup)
+            except conditions.DenominatorNonpositive as exc:
+                raise ConfigError(f"generator preset {cfg.generator.get('preset', 'zero')!r} with "
+                                  f"params {cfg.generator.get('params', {})}: {exc}") from exc
+        eps_star, delta, beta_min = setup.eps_star, setup.delta, setup.beta_min
+        # an explicit delta the contraction weights cannot use is refused, as picard_solve
+        # refuses it; a violated hypothesis is reported, at beta None under auto
+        beta = sub.beta
+        if beta == "auto":
+            beta = None if beta_min is None else beta_min * sub.beta_margin
+        if eps_star > 0 and beta_min is None and (beta is None or beta > 0):
+            raise ConfigError(f"delta {delta!r} outside (0, {eps_star!r})")
+        # BsdeProblem refuses a beta that is not finite and >= 0
+        try:
+            problem = base if beta is None else replace(base, beta=beta)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        diag = {"epsilon_star": eps_star, "beta_min": beta_min, "beta": beta, "delta": delta,
+                "flagged": _flagged_rows(tree, setup.flagged, history=True)}
+        yield value, problem, diag, setup
 
 
-def _build_problem(cfg: RunConfig, built=None, base=None):
-    """Construct the problem and the condition diagnostics from a config.
-
-    Reused parts must come from a config like ``cfg``: ``built`` (a
-    ``(model, tree)`` pair from ``_build_tree``) from one with the same
-    model section, ``base`` (a ``_base_problem`` pair) from one that
-    differs at most in ``beta`` and ``beta_margin``.
-    """
-    base_problem, setup = base or _base_problem(cfg, built)
-    eps_star, delta, beta_min = setup.eps_star, setup.delta, setup.beta_min
-    # an explicit delta the contraction weights cannot use is refused, as picard_solve
-    # refuses it; a violated hypothesis is reported, at beta None under auto
-    bad_delta = eps_star > 0 and beta_min is None
-    beta = cfg.beta
-    if beta == "auto":
-        beta = None if beta_min is None else beta_min * cfg.beta_margin
-    if bad_delta and (beta is None or beta > 0):
-        raise ConfigError(f"delta {delta!r} outside (0, {eps_star!r})")
-    # BsdeProblem refuses a beta that is not finite and >= 0
-    try:
-        problem = base_problem if beta is None else replace(base_problem, beta=beta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    diag = {
-        "epsilon_star": eps_star,
-        "beta_min": beta_min,
-        "beta": beta,
-        "delta": delta,
-        "flagged": _flagged_rows(problem.tree(), setup.flagged, history=True),
-    }
+def _build_problem(cfg: RunConfig):
+    """``(problem, diag)`` of a config: the one item of ``_problems``."""
+    [(_, problem, diag, _)] = _problems(cfg)
     return problem, diag
+
+
+def _out_dir(cfg: RunConfig) -> Path:
+    """``cfg.out``, made a directory if it is none; one it cannot be is a config error."""
+    out = Path(cfg.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out {cfg.out!r} cannot be a directory: {exc}") from exc
+    return out
 
 
 def _flagged_rows(tree, flagged, history: bool) -> list:
@@ -389,10 +388,8 @@ def _solved(cfg: RunConfig, noun: str, oracle: bool = False):
     Returns ``(code, problem, report, out, (solution, solve_report, oracle))``;
     a nonzero ``code`` comes with the summary written and no solution.
     """
-    base = _base_problem(cfg)
-    problem, diag = _build_problem(cfg, base=base)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    [(_, problem, diag, setup)] = _problems(cfg)
+    out = _out_dir(cfg)
     report = RunReport(seed=cfg.seed, conditions=diag)
     if diag["epsilon_star"] <= 0:
         code, note = EXIT_CONDITION, f"main hypothesis violated; no {noun} attempted"
@@ -400,8 +397,8 @@ def _solved(cfg: RunConfig, noun: str, oracle: bool = False):
                    f"{len(diag['flagged'])} slot(s) flagged")
     else:
         try:
-            # the set-up _base_problem made: picard_solve would make it again
-            sol, rep = solver._picard_at(problem, base[1], cfg.tol, cfg.max_iter)
+            # the set-up the diagnostics came from: picard_solve would make it again
+            sol, rep = solver._picard_at(problem, setup, cfg.tol, cfg.max_iter)
             solved = (sol, rep, solver.backward_oracle(problem) if oracle else None)
             return EXIT_OK, problem, report, out, solved
         except solver.SolverError as exc:
@@ -464,16 +461,15 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _sweep_rows(param: str, runs: list, cfg: RunConfig) -> list:
-    """``sweep.csv`` rows of ``runs``, ``(value, setup, problem, diag)`` of one problem.
+    """``sweep.csv`` rows of ``runs``, items of ``_problems`` that share a tree.
 
-    The problems differ at most in ``beta`` and ``delta``, and each
-    ``setup`` is its problem's ``solver._setup_of`` at its ``delta``, so one
-    ``solver._picard`` serves them all.
+    The problems differ at most in ``beta`` and ``delta``, and each set-up
+    is its problem's at its ``delta``, so one ``solver._picard`` serves them all.
     """
-    sol, reports = solver._picard(runs[0][2], [(p.beta, setup) for _, setup, p, _ in runs],
+    sol, reports = solver._picard(runs[0][1], [(p.beta, setup) for _, p, _, setup in runs],
                                   cfg.tol, cfg.max_iter, None, True)
     rows = []
-    for (v, _, _, diag), rep in zip(runs, reports):
+    for (v, _, diag, _), rep in zip(runs, reports):
         worst = max(rep.ratio_sq) if rep.ratio_sq else ""
         solved = (float(sol.Y[0]), rep.residual) if rep.converged else ("", "")
         rows.append((param, v, diag["beta"], diag["delta"], int(rep.converged),
@@ -499,41 +495,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep param must be one of beta, delta, K")
     if param != "beta" and "relative_to_beta_min" in cfg.sweep:
         raise ConfigError(f"relative_to_beta_min applies to a beta sweep, not to a {param} sweep")
-    try:
-        if _not_number(cfg.sweep.get("values", [])):
-            raise ValueError(f"not a JSON number: values {cfg.sweep['values']!r}")
-        values = [float(v) for v in cfg.sweep.get("values", [])]
-        if param == "K":
-            horizons = [_whole(v) for v in values]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad sweep value: {exc}") from exc
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    # beta leaves the set-up alone: one serves every value
-    base = _base_problem(cfg) if param == "beta" and values else None
-    relative = param == "beta" and values and cfg.sweep.get("relative_to_beta_min")
-    if relative:
-        beta_min = _build_problem(cfg, base=base)[1]["beta_min"]
-        if beta_min is None:
-            solver._refuse_violated(base[1])   # exit 2, as a sweep of explicit betas
-            raise ConfigError("relative beta sweep needs a valid beta_min")
-    rows, runs = [], []
-    for i, v in enumerate(values):
-        if param == "beta":
-            sub = replace(cfg, beta=v * beta_min if relative else v)
-        elif param == "delta":
-            # of the set-up only the threshold depends on delta: one tree serves all
-            sub = replace(cfg, delta=v)
-            base = _base_problem(sub, base=base)
-        else:
-            sub = replace(cfg, model={**cfg.model,
-                                      "params": {**cfg.model.get("params", {}), "K": horizons[i]}})
-            base = _base_problem(sub)
-        runs.append((v, base[1], *_build_problem(sub, base=base)))
-        # a K sweep has a tree per value, each solved before the next is built
-        if param == "K" or i == len(values) - 1:
-            rows += _sweep_rows(param, runs, cfg)
-            runs = []
+    kind = (lambda v: float(_whole(v))) if param == "K" else float   # a K row shows a float
+    values = [_number("bad sweep values:", v, kind, None, "is not finite")
+              for v in cfg.sweep.get("values", [])]
+    out = _out_dir(cfg)
+    # a beta relative to beta_min is beta "auto" at a beta_margin of the value
+    problems = (_problems(replace(cfg, beta="auto"), "beta_margin", values)
+                if cfg.sweep.get("relative_to_beta_min") else _problems(cfg, param, values))
+    batches = ([item] for item in problems) if param == "K" else [list(problems)]
+    rows = [row for runs in batches if runs for row in _sweep_rows(param, runs, cfg)]
     _write_csv(out / "sweep.csv", SWEEP_HEADER, rows)
     elapsed = time.perf_counter() - t0
     print(f"swept {param} over {len(values)} value(s) -> {out / 'sweep.csv'} "
@@ -541,16 +511,18 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _refuse_ignored(cfg: RunConfig) -> None:
+def _refuse_ignored(cfg: RunConfig, flags: dict) -> None:
     """``ConfigError`` on any input the counterexample run would not read.
 
     It reads the ``counterexample`` model's ``p``, ``K`` and ``t0_index``, a
-    constant terminal's ``c``, ``seed`` and ``out``; it solves its own driver.
+    constant terminal's ``c``, ``seed`` and ``out``; it solves its own driver,
+    so a ``--beta``, ``--delta`` or ``--tol`` in ``flags`` is refused at any value.
     """
     default = RunConfig(model={})
-    ignored = [key for key in ("generator", "beta", "beta_margin", "delta", "tol",
-                               "max_iter", "sweep", "debug")
-               if getattr(cfg, key) != getattr(default, key)]
+    ignored = [f"--{key}" if flags.get(key) is not None else key
+               for key in ("generator", "beta", "beta_margin", "delta", "tol", "max_iter",
+                           "sweep", "debug")
+               if flags.get(key) is not None or getattr(cfg, key) != getattr(default, key)]
     for key, preset, read in (("model", "counterexample", {"p", "K", "t0_index"}),
                               ("terminal", "constant", {"c"})):
         spec = getattr(cfg, key)
@@ -564,7 +536,6 @@ def _refuse_ignored(cfg: RunConfig) -> None:
 def cmd_counterexample(cfg: RunConfig) -> int:
     """Reproduce the blow-up regime end to end and report what happened."""
     t0 = time.perf_counter()
-    _refuse_ignored(cfg)
     params = cfg.model.get("params", {})
     p = _num(params, "p", 0.5)
     K = _num(params, "K", 1, _whole)
@@ -596,8 +567,7 @@ def cmd_counterexample(cfg: RunConfig) -> int:
                               "iterations": exc.report.iterations,
                               "y_sup": exc.report.y_sup}
         blew_up = sup > 1e6
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     _write_json(out / "summary.json",
                 {"seed": cfg.seed, "p": p, "observed": observed})
     reproduced = bool(flagged) and oracle_singular and blew_up
@@ -679,10 +649,9 @@ def main(argv=None) -> int:
     try:
         if config is None and command != "counterexample":
             raise ConfigError("--config is required")
-        flags = [f"--{k}" for k in ("beta", "delta", "tol") if overrides[k] is not None]
-        if command == "counterexample" and flags:
-            raise ConfigError(f"counterexample ignores {', '.join(flags)}")
         cfg = RunConfig.load(config, overrides)
+        if command == "counterexample":
+            _refuse_ignored(cfg, overrides)
         # built per call, so a command rebound in this module (by a tracer) runs rebound
         handler = {"solve": cmd_solve, "verify": cmd_verify,
                    "sweep": cmd_sweep, "counterexample": cmd_counterexample}

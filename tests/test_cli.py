@@ -275,6 +275,14 @@ def test_counterexample_reproduces_blowup(tmp_path):
     assert summary["observed"]["picard"]["max_y_sup"] > 1e6
 
 
+def test_counterexample_with_an_empty_out_writes_nothing(tmp_path, monkeypatch, capsys):
+    # an empty out is the working directory to Path: summary.json went there, with exit 0
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["counterexample", "--out="]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: out ")
+    assert not any(tmp_path.iterdir())
+
+
 # -- determinism --------------------------------------------------------------------
 
 
@@ -443,7 +451,8 @@ def refused(tmp_path, capsys, command, config):
     path.write_text(json.dumps({"beta": 1.0, **config} if command != "counterexample"
                                else config))
     out = tmp_path / "run"
-    assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    argv = [command, "--config", str(path)] + ([] if "out" in config else ["--out", str(out)])
+    assert cli.main(argv) == cli.EXIT_CONFIG
     assert not out.exists() or not any(out.iterdir())
     return capsys.readouterr().err
 
@@ -538,6 +547,11 @@ CONTROL_CASES = {
     "delta-x": ("verify", {"model": GRID, "delta": "x"}),
     "seed-x": ("verify", {"model": GRID, "seed": "x"}),
     "max_iter-x": ("solve", {"model": GRID, "max_iter": "x"}),
+    # at beta 0 a non-finite delta ran to exit 0 and wrote "delta": NaN, which is not
+    # JSON; a NaN beta_margin was refused only as the NaN beta it resolved to
+    "delta-nan": ("solve", {"model": GRID, "beta": 0.0, "delta": math.nan}),
+    "delta-inf": ("verify", {"model": GRID, "beta": 0.0, "delta": math.inf}),
+    "beta_margin-nan": ("solve", {"model": GRID, "beta": "auto", "beta_margin": math.nan}),
 }
 
 
@@ -689,6 +703,10 @@ MISREAD_CASES = {
     "debug-flag": ("verify", {"model": GRID, "debug": {"wrong_c_beta": "no"}}, "wrong_c_beta"),
     "debug-unread-key": ("verify", {"model": GRID, "debug": {"wrong_cbeta": True}},
                          "wrong_cbeta"),
+    # an empty out wrote the reports into the working directory, and an out that
+    # is a file ended in a FileExistsError traceback
+    "out-empty": ("solve", {"model": GRID, "out": ""}, "out"),
+    "out-file": ("verify", {"model": GRID, "out": __file__}, "out"),
     **{f"preset-{command}": (command, {"model": {
         "preset": "predictable_random_jumps", "params": {"K": 2, "m": 1, "rule": 0.5}}},
         "unknown model preset 'predictable_random_jumps'")

@@ -82,6 +82,9 @@ The case list:
   ``--delta`` on the command line, each as ``--flag value`` and as
   ``--flag=value``; one whose flags come before the command; and one with
   an unknown flag (exit 2, no reports);
+* config errors that exit 1 with no reports: a ``solve`` with ``delta`` NaN at
+  ``beta`` 0, the built-in ``counterexample`` run with an empty ``--out=``, and
+  a ``verify`` whose ``--out`` is its own ``config.json``, a file;
 * the built-in ``counterexample`` run.
 
 Every case but the command-line ones runs ``COMMAND --out out --config
@@ -297,6 +300,11 @@ def cases() -> list[tuple[str, str, dict | None, tuple | None]]:
     out.append(("verify-flags-before-command", "verify", base,
                 ("--seed=9", "--tol", "1e-12", "verify", "--out=out", "--config", "config.json")))
     out.append(("verify-unknown-flag", "verify", base, ("verify", *line, "--bogus", "1")))
+    out.append(("solve-delta-nan-beta-0", "solve", {**base, "beta": 0.0, "delta": math.nan},
+                None))
+    out.append(("counterexample-out-empty", "counterexample", None, ("counterexample", "--out=")))
+    out.append(("verify-out-file", "verify", base,
+                ("verify", "--out", "config.json", "--config", "config.json")))
     out.append(("counterexample", "counterexample", None, None))
     return out
 

@@ -9,11 +9,16 @@ Run from the root of a checkout:
 Each case runs ``--repeat`` times per tree, every run in a fresh process
 with ``PYTHONPATH`` set to that tree's ``src`` and one BLAS thread; the
 trees alternate, and so does which of them runs first.  Each tree's ``src``
-is byte-compiled once before the runs, so that no run compiles it: with
-``PYTHONDONTWRITEBYTECODE`` set, the compile's allocations moved the later
-stages' fault counts with the length of the source text (a 20-line comment
-in ``measure_core.py`` moved ``two_state_k10_full``'s ``picard_solve``
-faults from 2,307 to 3,298).  A run
+is byte-compiled once before the runs, into a temporary
+``PYTHONPYCACHEPREFIX`` that its runs share, so that no run compiles it
+and no ``__pycache__`` lands in the checkout: a compiled checkout measured
+less ``peak_rss_mb`` and ``setup_s`` in ``perfbench`` than a fresh one, and
+with ``PYTHONDONTWRITEBYTECODE`` set, the compile's allocations moved the
+later stages' fault counts with the length of the source text (a 20-line
+comment in ``measure_core.py`` moved ``two_state_k10_full``'s
+``picard_solve`` faults from 2,307 to 3,298).  One untimed run of a small
+config then fills the prefix with the rest of what a run imports (numpy
+and the standard library, whose bytecode the prefix holds apart too).  A run
 times, once each and in this order:
 
 * ``build_tree``: enumerating the config's tree;
@@ -112,6 +117,7 @@ FULL_TREE = {"two_state_k10_full", "pdmp_k10_full", "grid_k10_boundary_full"}
 
 def _cases() -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.dont_write_bytecode = True      # no __pycache__ in the checkout's perfbench
     import workloads
     verify_cfg, _ = workloads.verify_intensity(7)
 
@@ -153,20 +159,24 @@ def _cases() -> dict:
             "two_state_k256_m2": lattice, "grid_k10_boundary_full": boundary}
 
 
-# the functions run_suite calls for each check; a tree has some of them
-# (older trees name the norm sandwich ``_worst_norm_equivalence``, and newer
-# ones reduce its solution field apart, in ``_solution_sandwich``; older trees
-# run the Lipschitz samples through ``check_lipschitz``, newer ones call
-# ``_lipschitz_rows`` on one block)
+# the functions run_suite calls for each check: its check_* kernel, and for the
+# norm sandwich the solution field's reduction ``_solution_sandwich``.  Older
+# trees called private kernels, named after the check_* name of each, beside
+# check_* wrappers that run_suite did not call (and, older still, the norm
+# sandwich ``_worst_norm_equivalence``); a tree is timed on the names it has
 CHECKS = {
     "identity_lemma": ("check_identity_lemma", "_identity_lemma_rows"),
     "integral_inequality": ("check_integral_inequality", "_worst_integral_inequality"),
     "apriori_estimate": ("check_apriori_estimate", "_apriori_estimate"),
-    "norm_equivalence": ("check_norm_equivalence", "_worst_norm_equivalence",
-                         "_solution_sandwich", "_norm_sandwich"),
+    "norm_equivalence": ("check_norm_equivalence", "_solution_sandwich", "_norm_sandwich",
+                         "_worst_norm_equivalence"),
     "lipschitz_bound": ("check_lipschitz", "_lipschitz_rows"),
     "jump_identity": ("check_solution_jump_identity", "_jump_identity"),
 }
+# the untimed run that fills a tree's bytecode prefix: every stage, on a small tree
+WARM_UP = {"model": {"preset": "deterministic_grid", "params": {"K": 2, "m": 2, "a": 0.4}},
+           "generator": {"preset": "saturating", "params": {"c0": 0.3, "cy": 0.5, "cz": 0.7}},
+           "beta": 8.0}
 
 
 def _child(config_path: str, full: bool, traced: bool) -> None:
@@ -308,10 +318,13 @@ def _child(config_path: str, full: bool, traced: bool) -> None:
     print(json.dumps(record))
 
 
-def _run(src: Path, config_path: Path, full: bool, traced: bool = False) -> dict:
+def _run(src: Path, prefix: Path, config_path: Path, full: bool, traced: bool = False) -> dict:
+    """One run of a case in a fresh process on the tree ``src``, with its bytecode in ``prefix``."""
     env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     env.update({var: "1" for var in THREAD_VARS})
     env["PYTHONPATH"] = str(src / "src")
+    env["PYTHONPYCACHEPREFIX"] = str(prefix)
     proc = subprocess.run([sys.executable, str(Path(__file__).resolve()),
                            "--child", str(config_path)] + ["--full"] * full
                           + ["--tracemalloc"] * traced,
@@ -360,10 +373,15 @@ def main(argv=None) -> int:
                     "python": platform.python_version(), "numpy": np.__version__,
                     "platform": platform.platform()},
            "repeat": args.repeat, "cases": {}}
-    for tree in trees.values():
-        subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree.resolve() / "src")],
-                       check=True, capture_output=True)
     with tempfile.TemporaryDirectory() as tmp:
+        prefixes = {key: Path(tmp) / f"pycache-{key}" for key in trees}
+        warm_up = Path(tmp) / "warm_up.json"
+        warm_up.write_text(json.dumps(WARM_UP))
+        for key, tree in trees.items():
+            env = {**os.environ, "PYTHONPYCACHEPREFIX": str(prefixes[key])}
+            subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree.resolve() / "src")],
+                           env=env, check=True, capture_output=True)
+            _run(tree.resolve(), prefixes[key], warm_up, False)
         for name in args.case or cases:
             path = Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(cases[name]))
@@ -371,9 +389,10 @@ def main(argv=None) -> int:
             full = name in FULL_TREE
             for i in range(args.repeat):      # alternate the trees run by run, and which goes first
                 for key in list(trees)[::1 if i % 2 == 0 else -1]:
-                    runs[key].append(_run(trees[key].resolve(), path, full))
+                    runs[key].append(_run(trees[key].resolve(), prefixes[key], path, full))
             out["cases"][name] = {"config": cases[name], **{
-                key: _summary(r, _run(trees[key].resolve(), path, full, traced=True))
+                key: _summary(r, _run(trees[key].resolve(), prefixes[key], path, full,
+                                      traced=True))
                 for key, r in runs.items()}}
             print(f"{name}: " + "  ".join(
                 f"{key} refused" if "refused" in out["cases"][name][key] else

@@ -13,11 +13,10 @@ Three routes to the same solution pair (Y, Z):
   slot of a level at once.  It is the reference the other routes are
   checked against.
 
-The implicit step has one home, the safeguarded secant ``_implicit_rows``
-on a block of rows: the oracle calls it on each level,
-``implicit_step_solve`` on one slot.  Each value is within
-``q / (1 - q) * max(STEP_TOL, ROUNDING * |y|)`` of the root, with
-``q = dA * lip_y``.
+The implicit step has one home, the safeguarded secant
+``implicit_step_solve`` on a block of rows, which the oracle calls on each
+level.  Each value is within ``q / (1 - q) * max(STEP_TOL, ROUNDING * |y|)``
+of the root, with ``q = dA * lip_y``.
 
 Every route reads the terminal functional once, as ``xi(H)`` on the leaf
 history matrix (``BsdeProblem.terminal_values``).  It evaluates the driver
@@ -30,7 +29,8 @@ children's values (``_represent_block``); its rows follow the
 canonical-row rule of ``norms._canonical_rows``, so fields returned by all
 solvers are canonical.  Every route sweeps a node-value buffer of the tree
 (``ScenarioTree._node_values``) from the leaves, one level plan at a time
-(``_backward``).  The oracle represents Z level by level, before the
+(``_backward``), which refuses a non-finite value with ``NonFinite`` on
+every route.  The oracle represents Z level by level, before the
 implicit step reads it; the linear sweep, whose Y needs no Z, recurses on
 Y alone and then represents Z for every slot in one block.
 """
@@ -288,12 +288,20 @@ def _residual(tree, Y, cm, f_path) -> float:
 
 def _backward(tree: ScenarioTree, xi_leaf: np.ndarray, parent_values) -> np.ndarray:
     """Leaf-to-root sweep of every route, filling a node-value buffer: ``Y`` on the
-    slots of each level plan is ``parent_values(level, its children's values)``."""
+    slots of each level plan is ``parent_values(level, its children's values)``.
+
+    The one finiteness check of every route's values: a buffer that holds a
+    non-finite value, leaf or not, raises ``NonFinite``.
+    """
     Y = tree._node_values()
     Y[tree.leaf_slice] = xi_leaf
     for k in range(tree.horizon - 1, -1, -1):
         lv = tree._levels[k]
         Y[lv.slots] = parent_values(lv, tree._child_values(Y, k))
+    finite = np.isfinite(Y)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise NonFinite(f"value {Y[j]} at node {j} left the finite range")
     return Y
 
 
@@ -358,7 +366,7 @@ def _step_budget(q: float, first: float) -> int:
 
     ``first`` is the largest residual at the start ``y = c``.  Every second
     evaluation at the latest cuts the kept residual by ``sqrt(q)``
-    (``_implicit_rows``), so it falls to ``STEP_TOL`` within twice
+    (``implicit_step_solve``), so it falls to ``STEP_TOL`` within twice
     ``log(STEP_TOL / first) / log(sqrt(q))`` evaluations; a margin absorbs
     rounding, and the budget is never below ``STEP_FLOOR``.
     """
@@ -368,8 +376,8 @@ def _step_budget(q: float, first: float) -> int:
     return max(STEP_FLOOR, 2 * need + STEP_MARGIN)
 
 
-def _implicit_rows(block: SlotBlock, c: np.ndarray, d: np.ndarray, z: np.ndarray,
-                   f: Generator) -> np.ndarray:
+def implicit_step_solve(block: SlotBlock, c: np.ndarray, d: np.ndarray, z: np.ndarray,
+                        f: Generator) -> np.ndarray:
     """Root of ``y = c + d * f(block, y, z)`` on every row of ``block``.
 
     The one implicit-step iteration: a safeguarded secant on the residual
@@ -446,30 +454,6 @@ def _implicit_rows(block: SlotBlock, c: np.ndarray, d: np.ndarray, z: np.ndarray
     raise NoConvergence("implicit step did not reach tolerance")
 
 
-def implicit_step_solve(cond_mean: float, delta_A: float, slot: SlotBlock,
-                        zeta: np.ndarray, f: Generator) -> float:
-    """Unique root of ``y = cond_mean + delta_A * f(slot, y, zeta)``.
-
-    The call of ``_implicit_rows`` on the one-row block ``slot`` (any other
-    row count is a ``ValueError``): a safeguarded secant for the contraction
-    factor ``q = delta_A * lip_y < 1``, within
-    ``q / (1 - q) * max(STEP_TOL, ROUNDING * |y|)`` of the root.  At
-    ``delta_A = 0`` the root is ``cond_mean``, and the driver must be
-    finite there too.
-
-    Raises:
-        StepSingular: when ``delta_A * lip_y >= 1`` (no contraction; the
-            blow-up regime).  ``degenerate=True`` when the one-step map
-            is the identity and every y solves the equation.
-        NonFinite: a driver value or an iterate is not finite.
-        NoConvergence: tolerance not met within the step budget.
-    """
-    y = _implicit_rows(_one_slot(slot), np.array([cond_mean], dtype=float),
-                       np.array([delta_A], dtype=float),
-                       np.asarray(zeta, dtype=float).reshape(1, -1), f)
-    return float(y[0])
-
-
 # -- independent backward oracle ------------------------------------------
 
 
@@ -481,7 +465,7 @@ def backward_oracle(problem: BsdeProblem) -> Solution:
     equations ``y = cond_mean + dA * f(slot, y, Z)``, one level array at a
     time.  A ``dA = 0`` slot is the row with ``q = 0``: its first trial
     stops at ``cond_mean``, after one driver evaluation there.  Exact up
-    to the per-step tolerance of ``_implicit_rows``; propagates
+    to the per-step tolerance of ``implicit_step_solve``; propagates
     ``StepSingular`` from the blow-up regime.
     """
     tree, f = problem.tree(), problem.f
@@ -489,7 +473,7 @@ def backward_oracle(problem: BsdeProblem) -> Solution:
 
     def parent_values(lv, V):
         Zl = Z[lv.slots] = _represent_block(lv, V)
-        return _implicit_rows(lv.block, _cond_means(lv, V), lv.dA, Zl, f)
+        return implicit_step_solve(lv.block, _cond_means(lv, V), lv.dA, Zl, f)
 
     Y = _backward(tree, problem.terminal_values(tree), parent_values)
     return Solution(Y[:tree.n_nodes], Z)
@@ -630,7 +614,10 @@ def _picard(problem: BsdeProblem, values: list, tol: float, max_iter: int,
     residual = np.inf
     converged = False
     for it in range(1, max_iter + 1):   # max_iter >= 1, so ``it`` is the sweep count
-        Y, Z = _linear_sweep(tree, xi_leaf, f_path, cm)
+        try:
+            Y, Z = _linear_sweep(tree, xi_leaf, f_path, cm)
+        except NonFinite:
+            raise NonFinite("fixed-point iterates left the finite range") from None
         # the beta-free parts of the distance; np.sum(w * zc) is _weighted_z_sq, to the bit
         dY, zc = Y - U, norms.slot_z_contribution(Z - V, tree)
         sup = float(np.max(np.abs(Y)))
@@ -641,8 +628,6 @@ def _picard(problem: BsdeProblem, values: list, tol: float, max_iter: int,
                 report.ratio_sq.append(dsq / prev_dsq[i])
             prev_dsq[i] = dsq
             report.y_sup.append(sup)
-        if not np.isfinite(sup):
-            raise NonFinite("fixed-point iterates left the finite range")
         # a zero distance alone is no fixed point: zero b-weights make it vanish
         # away from the solution, so only then are the iterates compared
         stalled = 0.0 in prev_dsq and np.array_equal(Y, U) and np.array_equal(Z, V)

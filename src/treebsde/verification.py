@@ -5,10 +5,11 @@ sums (or closed-form path integrals) and reports a :class:`CheckResult`.
 Identities use a relative tolerance of 1e-10 (rounding accumulated over
 up to ``(m+1)^K`` terms); inequalities use an absolute slack of 1e-12.
 
-``run_suite`` computes each quantity that depends only on the tree, beta
-or the solved pair once and passes it to the private kernels that the
-public ``check_*`` functions also call, so the rows keep their bits.  Each
-randomized check has its own seeded stream of the standard library's
+Each ``check_*`` function is the one kernel of its check, and
+``run_suite`` calls each of them once.  They take what ``run_suite``
+computes once from the tree, beta or the solved pair (the driver along
+the pair, the slot weights, the weighted Z integrand), not a problem.
+Each randomized check has its own seeded stream of the standard library's
 ``random`` (``numpy.random`` is never imported),
 ``random.Random(f"{name}:{seed}")`` for ``name`` in ``paths``,
 ``sandwich`` and ``lipschitz``; it draws its inputs as blocks (a block is
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import norms, solver
-from .measure_core import ScenarioTree, _as_path, _check_beta, _doleans_product, _one_slot
+from .measure_core import ScenarioTree, _doleans_product
 
 __all__ = [
     "CheckResult",
@@ -94,13 +95,18 @@ def _skipped(name, note):
     return CheckResult(name, 0.0, 0.0, 0.0, 0.0, True, 0.0, "skipped", {"note": note})
 
 
-def _identity_lemma_rows(tree, Y, f_path, beta, w, z_part, steps):
-    """Energy identity rows of ``check_identity_lemma``, one per grid time in ``steps``.
+def check_identity_lemma(tree, Y, f_path, beta, w, z_part, steps) -> list[CheckResult]:
+    """Energy identity of a linear solve, one row per grid time in ``steps``.
 
-    ``w`` is the slot weight ``norms._slot_weights`` and ``z_part`` the
-    weighted Z integrand ``w * slot_z_contribution(Z)``; the other per-slot
-    integrands are computed once here.  Slots are stored in step order, so
-    the slots after grid time ``j`` are the slice ``level_start[j]:n_slots``.
+    ``f_path`` is the driver along the pair, one value per slot, ``w`` the
+    slot weight ``norms._slot_weights`` and ``z_part`` the weighted Z
+    integrand ``w * slot_z_contribution(Z)``.  At grid time ``j`` both sides
+    are exact tree sums over the slots after ``j``: the left side carries
+    the weighted square of Y at ``j``, the discounted Y-integral and the Z
+    norm, the right side the weighted terminal square, twice the Y-drift
+    cross term and minus the squared-drift atom correction.  Slots are
+    stored in step order, so the slots after ``j`` are the slice
+    ``level_start[j]:n_slots``.
     """
     E = tree.doleans(beta)
     n = tree.n_slots
@@ -114,6 +120,7 @@ def _identity_lemma_rows(tree, Y, f_path, beta, w, z_part, steps):
         return float(np.sum(tree.prob[nodes] * E[nodes] * Y[nodes] ** 2))
 
     leaf_term = depth_term(tree.leaf_slice)
+    rows = []
     for j in steps:
         j = int(j)
         if not 0 <= j <= tree.horizon:
@@ -125,24 +132,8 @@ def _identity_lemma_rows(tree, Y, f_path, beta, w, z_part, steps):
         rhs = leaf_term
         rhs += 2.0 * float(np.sum(cross[after]))
         rhs -= float(np.sum(atom[after]))
-        yield _identity("identity_lemma", lhs, rhs, detail={"t_index": j, "beta": beta})
-
-
-def check_identity_lemma(problem, solution, t_index: int, beta=None) -> CheckResult:
-    """Energy identity of the linear solve, evaluated at one grid time.
-
-    Both sides are exact tree sums restricted to the slots after
-    ``t_index``; the left side carries the weighted square of Y at the
-    grid time, the discounted Y-integral and the Z norm, the right side
-    the weighted terminal square, twice the Y-drift cross term and minus
-    the squared-drift atom correction.
-    """
-    tree = problem.tree()
-    beta = problem.beta if beta is None else beta
-    f_path = solver._path_values(problem, tree)
-    w = norms._slot_weights(tree, beta)
-    z_part = w * norms.slot_z_contribution(solution.Z, tree)
-    return next(_identity_lemma_rows(tree, solution.Y, f_path, beta, w, z_part, [t_index]))
+        rows.append(_identity("identity_lemma", lhs, rhs, detail={"t_index": j, "beta": beta}))
+    return rows
 
 
 def _integral_inequality_rows(dAc, dA, f_vals, steps, beta: float, j: int):
@@ -166,41 +157,16 @@ def _integral_inequality_rows(dAc, dA, f_vals, steps, beta: float, j: int):
     return lhs, bracket * integral
 
 
-def check_integral_inequality(path, f_path, beta: float, t_index: int = 0) -> CheckResult:
-    """Weighted Cauchy-Schwarz bound for the drift integral on one path.
-
-    ``E_t (int |f| dA)^2 <= (1/beta + beta sum dA^2) int E |f|^2 dA``
-    with the continuous part integrated in closed form for piecewise
-    constant ``f``.
-    """
-    _check_beta(beta, positive=True)
-    dAc, dA = _as_path(path)
-    f_vals = np.asarray(f_path, dtype=float)
-    if f_vals.shape != dAc.shape:
-        raise ValueError("f_path must hold one value per step")
-    j = int(t_index)
-    lhs, rhs = _integral_inequality_rows(dAc[None], dA[None], f_vals[None], [dAc.size],
-                                        beta, j)
-    return _inequality("integral_inequality", lhs[0], rhs[0], detail={"t_index": j, "beta": beta})
-
-
-def check_apriori_estimate(problem, solution, beta=None, c_scale: float = 1.0) -> CheckResult:
+def check_apriori_estimate(tree, Y, f_path, beta, E_end, lhs, c_scale) -> CheckResult:
     """A priori bound of the solution norms by the data, constant 2 + 4(1+beta)/beta.
 
-    ``c_scale`` rescales the constant; it exists so the checker itself
-    can be falsified (a wrong constant must make the check fail).
+    ``lhs`` is the solution's squared norm ``y_norm_sq + z_norm_sq`` at
+    ``beta > 0``; the data side is computed here from the terminal values
+    ``Y`` on the leaves, the driver ``f_path`` along the pair and the
+    weights ``E_end = tree.doleans_at_slot_end(beta)``.  ``c_scale``
+    rescales the constant; it exists so the checker itself can be
+    falsified (a wrong constant must make the check fail).
     """
-    tree = problem.tree()
-    beta = problem.beta if beta is None else beta
-    _check_beta(beta, positive=True)
-    f_path = solver._path_values(problem, tree)
-    lhs = norms.y_norm_sq(solution.Y, tree, beta) + norms.z_norm_sq(solution.Z, tree, beta)
-    return _apriori_estimate(tree, solution.Y, f_path, beta,
-                             tree.doleans_at_slot_end(beta), lhs, c_scale)
-
-
-def _apriori_estimate(tree, Y, f_path, beta, E_end, lhs, c_scale) -> CheckResult:
-    # lhs is the solution's squared norm; the data side is computed here
     E = tree.doleans(beta)
     leaves = tree.leaf_slice
     term_xi = float(np.sum(tree.prob[leaves] * E[leaves] * Y[leaves] ** 2))
@@ -223,42 +189,7 @@ def _apriori_estimate(tree, Y, f_path, beta, E_end, lhs, c_scale) -> CheckResult
     return _inequality("apriori_estimate", lhs, rhs, detail={"beta": beta, "c_beta": c_beta})
 
 
-def check_norm_equivalence(Z, tree: ScenarioTree, beta: float, gamma: float) -> CheckResult:
-    """Two-sided comparison of the Z norm with the plain weighted L2 norm.
-
-    Requires every jump below ``1 - gamma``; then
-    ``gamma * full <= z_norm_sq <= full`` where ``full`` integrates
-    ``|Z|^2`` against the weighted compensator.  The reported lhs is the
-    worst sandwich violation (0 when both bounds hold).
-    """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
-    if np.any(tree.slot_dA > 1.0 - gamma + 1e-15):
-        raise ValueError("a jump size exceeds 1 - gamma")
-    w = norms._slot_weights(tree, beta)
-    mid = norms._weighted_z_sq(Z, tree, w)
-    full = float(np.sum(w * tree.slot_dA * norms._phi_dot(Z * Z, tree.slot_phi)))
-    return _inequality("norm_equivalence", max(gamma * full - mid, mid - full), 0.0,
-                       detail={"gamma": gamma, "lower": gamma * full, "mid": mid, "upper": full})
-
-
-def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, seed=0) -> CheckResult:
-    """Sampled Lipschitz bound for a generator at one slot, a one-row block.
-
-    ``samples`` is a count, at least 1, of normal draws (standard
-    deviation 2) from the ``lipschitz`` stream of the integer ``seed``:
-    the draws ``run_suite`` makes for its first slot.  The check is
-    ``_lipschitz_rows`` on them.  The reported lhs is the worst margin; a
-    NaN margin fails the check, with the first such sample as the witness.
-    """
-    if not isinstance(samples, int) or samples < 1:
-        raise ValueError(f"samples must be a count of at least 1, not {samples!r}")
-    block = _one_slot(slot).take(np.zeros(samples, dtype=np.int64))
-    draws = _normal_block(_stream("lipschitz", seed), samples, 2 + 2 * slot.phi.shape[1], 2.0)
-    return _lipschitz_rows(f, block, draws, hat_lz_sq, samples)
-
-
-def _lipschitz_rows(f, block, draws, hat_lz_sq, n_samples) -> CheckResult:
+def check_lipschitz(f, block, draws, hat_lz_sq, n_samples) -> CheckResult:
     """Sampled Lipschitz bound on the rows of ``block``, one sample per row.
 
     Row ``i`` of ``draws`` is ``(y, y2, z[m], z2[m])`` on the slot of
@@ -268,8 +199,8 @@ def _lipschitz_rows(f, block, draws, hat_lz_sq, n_samples) -> CheckResult:
     ``lip_z^2 + 0.1``), whose zeta term carries the ``(1 - dA)/dA``
     expansion on rows with ``dA != 0`` and a nonzero hat projection (where
     it is not an exact 0); the two seminorm forms are also compared as an
-    exact algebraic identity.  The driver is called twice,
-    on the whole block.  The reported lhs is the worst margin and its row
+    exact algebraic identity.  The driver's raw values are read, twice, on
+    the whole block.  The reported lhs is the worst margin and its row
     the witness (``_worst_row``: a NaN margin fails the check);
     ``n_samples`` is reported as the samples per slot.
     """
@@ -309,21 +240,16 @@ def _worst_row(v) -> int:
     return int(np.argmax(np.isnan(v)) if np.isnan(v).any() else np.argmax(v))
 
 
-def check_solution_jump_identity(solution, problem) -> CheckResult:
-    """Per-slot jump identity of a solved pair.
+def check_solution_jump_identity(tree, Y, Z, f_path) -> CheckResult:
+    """Per-slot jump identity of a solved pair ``(Y, Z)``.
 
     For each slot and each existing child:
     ``Y_child - Y_parent = g(outcome) - f * dA`` with ``g`` the centered
-    representation increment of the solution's field row.
+    representation increment of the field row and ``f_path`` the driver
+    along the pair, one value per slot.  Every child (the last column the
+    no-jump one) minus its expected value, in one block; the reported lhs
+    is the worst absolute residual.
     """
-    tree = problem.tree()
-    f_path = solver._eval_path(tree, problem.f, solution.Y, solution.Z)
-    return _jump_identity(tree, solution.Y, solution.Z, f_path)
-
-
-def _jump_identity(tree, Y, Z, f_path) -> CheckResult:
-    # f_path: the driver along (Y, Z), one value per slot.  Every child (the last column
-    # the no-jump one) minus its expected value Y + g(outcome) - f dA, in one block
     rows = tree._slot_rows
     zh = norms.hat_z_rows(Z, rows.block)
     res = np.concatenate([Z - zh[:, None], -zh[:, None]], axis=1)   # g
@@ -371,9 +297,16 @@ def _random_paths(r, n):
     return dAc, dA, f_vals, steps
 
 
-def _worst_integral_inequality(seed, beta: float) -> CheckResult:
-    # the worst row among the paths with an increment: a path with dAc = dA = 0
-    # has lhs = rhs = 0, which says nothing of the margin; they are counted
+def check_integral_inequality(seed, beta: float) -> CheckResult:
+    """Weighted Cauchy-Schwarz bound for the drift integral on ``N_PATHS`` paths.
+
+    ``E_t (int |f| dA)^2 <= (1/beta + beta sum dA^2) int E |f|^2 dA`` with
+    the continuous part integrated in closed form for piecewise constant
+    ``f``, at ``t = 0`` on the drift paths of the ``paths`` stream of
+    ``seed`` (``_random_paths``).  The row is the worst among the paths
+    with an increment: a path with ``dAc = dA = 0`` has ``lhs = rhs = 0``,
+    which says nothing of the margin; such paths are counted.
+    """
     dAc, dA, f_vals, steps = _random_paths(_stream("paths", seed), N_PATHS)
     lhs, rhs = _integral_inequality_rows(dAc, dA, f_vals, steps, beta, 0)
     trivial = ~np.any(dAc + dA, axis=1)
@@ -412,12 +345,20 @@ def _solution_sandwich(Z, tree: ScenarioTree, w, z_sem):
     return _field_worst("solution", v), float(np.sum(w * da * lo)), float(np.sum(w * da * sq))
 
 
-def _norm_sandwich(solution, z_sq: float, tree: ScenarioTree, take, r) -> CheckResult:
-    # the solution Z (its _solution_sandwich; Z norm z_sq), then every slot of
-    # the constant 1 (lower end met), of a normal field R and of R centred
-    # (upper end met when m > 1), then N_FIELDS normal rows on each slot of
-    # take, one field at a time.  The row: _worst_row of the fields' worst
-    # rows; the solution's sums.
+def check_norm_equivalence(solution, z_sq: float, tree: ScenarioTree, take, r) -> CheckResult:
+    """Two-sided comparison of the Z seminorm with the plain weighted L2 norm, per slot.
+
+    On a slot of jump size ``dA`` a row ``F`` satisfies
+    ``(1 - dA) sum(F^2 phi) <= seminorm^2 <= sum(F^2 phi)``.  Checked on
+    the solution field (``solution``, its ``_solution_sandwich``; ``z_sq``
+    its Z norm), then on every slot of the constant 1 (lower end met), of
+    a normal field R and of R centred (upper end met when m > 1), all
+    drawn from the stream ``r``, then on ``N_FIELDS`` normal rows on each
+    slot of ``take``, one field at a time.  The reported lhs is the worst
+    violation scaled by ``max(sum(F^2 phi), 1)`` (``_worst_row`` of the
+    fields' worst rows; 0 when every bound holds); the detail holds the
+    solution's lower and upper sums.
+    """
     da, phi = tree.slot_dA, tree.slot_phi
     rows = np.repeat(take, N_FIELDS)
     solution_worst, lower, upper = solution
@@ -472,17 +413,17 @@ def run_suite(problem, solution, seed=0, c_scale=1.0):
     del z_sem
 
     # energy identity at every grid time
-    rows = list(_identity_lemma_rows(tree, Y, f_path, beta, w, z_part, range(tree.horizon + 1)))
+    rows = check_identity_lemma(tree, Y, f_path, beta, w, z_part, range(tree.horizon + 1))
     results.append(rows[_worst_row([r.rel_gap for r in rows])])
     del z_part
 
     # path inequality and a priori bound need beta > 0
     if beta > 0:
-        results.append(_worst_integral_inequality(seed, beta))
+        results.append(check_integral_inequality(seed, beta))
         # y_norm_sq + z_norm_sq
         lhs = norms._weighted_y_sq(Y, tree, w) + z_sq
-        results.append(_apriori_estimate(tree, Y, f_path, beta, tree.doleans_at_slot_end(beta),
-                                         lhs, c_scale))
+        results.append(check_apriori_estimate(tree, Y, f_path, beta,
+                                              tree.doleans_at_slot_end(beta), lhs, c_scale))
     else:
         results.append(_skipped("integral_inequality", "needs beta > 0"))
         results.append(_skipped("apriori_estimate", "needs beta > 0"))
@@ -490,16 +431,17 @@ def run_suite(problem, solution, seed=0, c_scale=1.0):
     # the norm sandwich per slot, and the Lipschitz bound on a spread of slots
     # increasing as it is (np.unique would only import numpy.ma: 15 ms, 0.5 MiB)
     take = np.linspace(0, tree.n_slots - 1, min(MAX_SLOTS, tree.n_slots)).astype(int)
-    results.append(_norm_sandwich(solution_sandwich, z_sq, tree, take, _stream("sandwich", seed)))
+    results.append(check_norm_equivalence(solution_sandwich, z_sq, tree, take,
+                                          _stream("sandwich", seed)))
     if tree.n_slots:
         # N_SAMPLES rows per slot of take, slot after slot, as one block of the stream
         draws = _normal_block(_stream("lipschitz", seed), take.size * N_SAMPLES,
                               2 + 2 * tree.n_marks, 2.0)
-        results.append(_lipschitz_rows(problem.f, tree.block(np.repeat(take, N_SAMPLES)),
+        results.append(check_lipschitz(problem.f, tree.block(np.repeat(take, N_SAMPLES)),
                                        draws, None, N_SAMPLES))
     else:
         results.append(_skipped("lipschitz_bound", "no slots"))
 
     del w
-    results.append(_jump_identity(tree, Y, Z, f_path))
+    results.append(check_solution_jump_identity(tree, Y, Z, f_path))
     return results

@@ -519,7 +519,7 @@ def zigzag(y, h):
 
 
 def _singular_step(cond_mean, delta_A, slot, zeta, f, q):
-    # the singular test and ``degenerate`` probe of ``solver._implicit_rows``
+    # the singular test and ``degenerate`` probe of ``solver.implicit_step_solve``
     r0 = cond_mean + delta_A * f(slot.block, 0.0, zeta)
     r1 = cond_mean + delta_A * f(slot.block, 1.0, zeta) - 1.0
     tol = 1e-12 * max(1.0, abs(cond_mean))
@@ -530,7 +530,7 @@ def _singular_step(cond_mean, delta_A, slot, zeta, f, q):
 def scalar_implicit_step(cond_mean, delta_A, slot, zeta, f):
     """Root of ``y = cond_mean + delta_A * f(slot, y, zeta)`` by a scalar safeguarded secant.
 
-    The one-slot twin of ``solver._implicit_rows``: the same first trial
+    The one-slot twin of ``solver.implicit_step_solve``: the same first trial
     ``cond_mean``, fixed-point second trial, secant slope clipped to
     ``[1 - q, 1 + q]``, ``sqrt(q)`` acceptance test, stopping rule, budget,
     singular test and ``degenerate`` probe, with one one-slot driver call
@@ -851,6 +851,120 @@ def scalar_terminals(m):
     }
 
 
+# -- one-call forms of the check and implicit-step kernels ------------------------------
+#
+# Each twin calls a library kernel (``verification.check_*``,
+# ``solver.implicit_step_solve``) on one item: one grid time, one deterministic
+# path, a problem's a priori data, the gamma-sandwich of a given field, a sampled
+# slot, one solved pair and one implicit row.  Tests call a twin by its bare name
+# and the kernel by its module's, ``verification.check_lipschitz``.
+
+
+def check_identity_lemma(problem, solution, t_index: int, beta=None):
+    """Energy identity of the linear solve at one grid time: the kernel's row of ``t_index``."""
+    from treebsde import norms, solver, verification
+    tree = problem.tree()
+    beta = problem.beta if beta is None else beta
+    f_path = solver._path_values(problem, tree)
+    w = norms._slot_weights(tree, beta)
+    z_part = w * norms.slot_z_contribution(solution.Z, tree)
+    [row] = verification.check_identity_lemma(tree, solution.Y, f_path, beta, w, z_part,
+                                              [t_index])
+    return row
+
+
+def check_integral_inequality(path, f_path, beta: float, t_index: int = 0):
+    """The drift-integral bound on one deterministic path of ``(dAc, dA)`` steps.
+
+    The kernel's rows (``verification._integral_inequality_rows``) on a block
+    of that one path.
+    """
+    from treebsde import verification
+    from treebsde.measure_core import _as_path, _check_beta
+    _check_beta(beta, positive=True)
+    dAc, dA = _as_path(path)
+    f_vals = np.asarray(f_path, dtype=float)
+    if f_vals.shape != dAc.shape:
+        raise ValueError("f_path must hold one value per step")
+    j = int(t_index)
+    lhs, rhs = verification._integral_inequality_rows(dAc[None], dA[None], f_vals[None],
+                                                      [dAc.size], beta, j)
+    return verification._inequality("integral_inequality", lhs[0], rhs[0],
+                                    detail={"t_index": j, "beta": beta})
+
+
+def check_apriori_estimate(problem, solution, beta=None, c_scale: float = 1.0):
+    """A priori bound of a (y, zeta)-free problem's solution, with its norms as the lhs."""
+    from treebsde import norms, solver, verification
+    from treebsde.measure_core import _check_beta
+    tree = problem.tree()
+    beta = problem.beta if beta is None else beta
+    _check_beta(beta, positive=True)
+    f_path = solver._path_values(problem, tree)
+    lhs = norms.y_norm_sq(solution.Y, tree, beta) + norms.z_norm_sq(solution.Z, tree, beta)
+    return verification.check_apriori_estimate(tree, solution.Y, f_path, beta,
+                                               tree.doleans_at_slot_end(beta), lhs, c_scale)
+
+
+def check_norm_equivalence(Z, tree, beta: float, gamma: float):
+    """Two-sided comparison of the Z norm of a given field with the plain weighted L2 norm.
+
+    Requires every jump below ``1 - gamma``; then
+    ``gamma * full <= z_norm_sq <= full`` where ``full`` integrates
+    ``|Z|^2`` against the weighted compensator.  The reported lhs is the
+    worst sandwich violation (0 when both bounds hold).
+    """
+    from treebsde import norms, verification
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError("gamma must lie in (0, 1]")
+    if np.any(tree.slot_dA > 1.0 - gamma + 1e-15):
+        raise ValueError("a jump size exceeds 1 - gamma")
+    w = norms._slot_weights(tree, beta)
+    mid = norms._weighted_z_sq(Z, tree, w)
+    full = float(np.sum(w * tree.slot_dA * norms._phi_dot(Z * Z, tree.slot_phi)))
+    return verification._inequality(
+        "norm_equivalence", max(gamma * full - mid, mid - full), 0.0,
+        detail={"gamma": gamma, "lower": gamma * full, "mid": mid, "upper": full})
+
+
+def check_lipschitz(f, slot, samples=100, hat_lz_sq=None, seed=0):
+    """Sampled Lipschitz bound for a generator at one slot, a one-row block.
+
+    ``samples`` is a count, at least 1, of normal draws (standard
+    deviation 2) from the ``lipschitz`` stream of the integer ``seed``:
+    the draws ``run_suite`` makes for its first slot, checked by the
+    kernel on the slot's row repeated once per sample.
+    """
+    from treebsde import verification as v
+    from treebsde.measure_core import _one_slot
+    if not isinstance(samples, int) or samples < 1:
+        raise ValueError(f"samples must be a count of at least 1, not {samples!r}")
+    block = _one_slot(slot).take(np.zeros(samples, dtype=np.int64))
+    draws = v._normal_block(v._stream("lipschitz", seed), samples, 2 + 2 * slot.phi.shape[1], 2.0)
+    return v.check_lipschitz(f, block, draws, hat_lz_sq, samples)
+
+
+def check_solution_jump_identity(solution, problem):
+    """Per-slot jump identity of a solved pair, with the problem's driver along it."""
+    from treebsde import solver, verification
+    tree = problem.tree()
+    f_path = solver._eval_path(tree, problem.f, solution.Y, solution.Z)
+    return verification.check_solution_jump_identity(tree, solution.Y, solution.Z, f_path)
+
+
+def implicit_step_solve(cond_mean, delta_A, slot, zeta, f) -> float:
+    """Root of ``y = cond_mean + delta_A * f(slot, y, zeta)`` on one slot, a one-row block.
+
+    The kernel on that one row (any other row count is a ``ValueError``).
+    """
+    from treebsde import solver
+    from treebsde.measure_core import _one_slot
+    y = solver.implicit_step_solve(_one_slot(slot), np.array([cond_mean], dtype=float),
+                                   np.array([delta_A], dtype=float),
+                                   np.asarray(zeta, dtype=float).reshape(1, -1), f)
+    return float(y[0])
+
+
 # -- per-item loop forms of the check suite ---------------------------------------
 
 
@@ -1001,13 +1115,13 @@ def per_sample_draws(stream, samples, m):
 def lipschitz_samples(f, slot, samples, hat_lz_sq=None):
     """``check_lipschitz`` on given ``(y, y2, z, z2)`` samples.
 
-    ``verification._lipschitz_rows`` on the block of the ``SlotView``
+    ``verification.check_lipschitz`` on the block of the ``SlotView``
     ``slot`` repeated once per sample.
     """
     from treebsde import verification
     draws = np.array([np.hstack(d) for d in samples], dtype=float)
     block = slot.block.take(np.zeros(len(draws), dtype=np.int64))
-    return verification._lipschitz_rows(f, block, draws, hat_lz_sq, len(draws))
+    return verification.check_lipschitz(f, block, draws, hat_lz_sq, len(draws))
 
 
 def _nan_max(a, b):
@@ -1090,7 +1204,7 @@ def loop_run_suite(problem, solution, seed=0, c_scale=1.0):
                            lambda r: r.abs_gap)
         results.append(dataclasses.replace(worst, detail={
             **worst.detail, "trivial_paths": len(paths) - len(live)}))
-        results.append(v.check_apriori_estimate(frozen, solution, c_scale=c_scale))
+        results.append(check_apriori_estimate(frozen, solution, c_scale=c_scale))
     else:
         results.append(v._skipped("integral_inequality", "needs beta > 0"))
         results.append(v._skipped("apriori_estimate", "needs beta > 0"))

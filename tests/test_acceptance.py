@@ -9,13 +9,13 @@ import time
 import numpy as np
 
 from treebsde import (BsdeProblem, NoConvergence, StepSingular,
-                      backward_oracle, build_tree, check_apriori_estimate,
-                      check_identity_lemma, check_integral_inequality,
-                      check_lipschitz, check_norm_equivalence, conditions,
+                      backward_oracle, build_tree, conditions,
                       doleans_exponential, doleans_sqrt_factorization, norms,
                       picard_map, picard_solve, solve_linear)
 from treebsde import cli, scenarios
 
+from conftest import (check_apriori_estimate, check_identity_lemma, check_integral_inequality,
+                      check_lipschitz, check_norm_equivalence)
 from conftest import (contraction_profile_H, random_generator, random_linear_problem,
                       random_path, random_problem)
 

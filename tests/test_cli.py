@@ -711,6 +711,14 @@ MISREAD_CASES = {
         "preset": "predictable_random_jumps", "params": {"K": 2, "m": 1, "rule": 0.5}}},
         "unknown model preset 'predictable_random_jumps'")
        for command in ("solve", "verify", "sweep")},
+    # a name no run reads
+    "unknown-key": ("solve", {"model": GRID, "modle": GRID}, "unknown config keys: ['modle']"),
+    "generator-preset": ("solve", {"model": GRID, "generator": {"preset": "cubic"}},
+                         "unknown generator preset 'cubic'"),
+    "terminal-preset": ("verify", {"model": GRID, "terminal": {"preset": "put"}},
+                        "unknown terminal preset 'put'"),
+    "sweep-param": ("sweep", {"model": GRID, "sweep": {"param": "gamma", "values": [1.0]}},
+                    "sweep param must be one of beta, delta, K"),
 }
 
 
@@ -894,6 +902,31 @@ def test_a_sweep_whose_rows_do_not_converge_exits_zero(tmp_path):
     assert all(r["converged"] == "0" and r["Y0"] == "" and r["iterations"] == "2" for r in rows)
     solve = ["solve", "--config", str(cfg), "--out", str(tmp_path / "s")]
     assert cli.main(solve) == cli.EXIT_SOLVER
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+def test_a_run_without_a_config_is_a_config_error(tmp_path, capsys, command):
+    # only counterexample has a built-in config
+    assert cli.main([command, "--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: --config is required\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_sweep_whose_iterates_overflow_is_a_solver_failure(tmp_path, capsys):
+    # 1e308 + 0.9 * 1e308 is inf at the root: a sweep has no summary to note the
+    # failure in, so main reports it on stderr and exits 3
+    cfg = write_config(tmp_path, model={"preset": "deterministic_grid",
+                                        "params": {"K": 1, "m": 1, "a": 0.9}},
+                       generator={"preset": "constant", "params": {"c0": 1e308}},
+                       terminal={"preset": "constant", "params": {"c": 1e308}},
+                       sweep={"param": "beta", "values": [1.0, 2.0]})
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "overflow", RuntimeWarning)
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err == "solver failure: fixed-point iterates left the finite range\n"
+    assert not (out / "sweep.csv").exists()
 
 
 # the main hypothesis fails: 2 * 0.8^2 * 1^2 = 1.28 on both slots (slack -0.28)

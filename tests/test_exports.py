@@ -15,7 +15,7 @@ import pytest
 
 import treebsde
 
-from conftest import SlotView
+from conftest import SlotView, check_lipschitz
 
 MODULES = ["measure_core", "norms", "conditions", "solver", "verification",
            "scenarios", "cli"]
@@ -110,7 +110,7 @@ def test_check_lipschitz_refuses_a_list_of_samples():
     slot = treebsde.build_tree(treebsde.scenarios.deterministic_grid(K=1, m=1, a=0.5)).block([0])
     f = treebsde.Generator(lambda block, y, zeta: 0.5 * y, 0.5, 0.0)
     with pytest.raises(ValueError, match="count"):
-        treebsde.check_lipschitz(f, slot, samples=[(0.0, 1.0, [0.0], [1.0])])
+        check_lipschitz(f, slot, samples=[(0.0, 1.0, [0.0], [1.0])])
 
 
 def test_a_model_has_one_form():
@@ -141,9 +141,9 @@ def test_a_driver_and_a_solution_have_one_form():
 
 
 def test_the_implicit_step_has_no_tuning_options():
-    # one slot of the level kernel: its tolerance and step floor are constants
+    # the level kernel: its tolerance and step floor are constants
     params = inspect.signature(treebsde.implicit_step_solve).parameters
-    assert list(params) == ["cond_mean", "delta_A", "slot", "zeta", "f"]
+    assert list(params) == ["block", "c", "d", "z", "f"]
 
 
 def test_the_benchmark_tracer_installs_on_the_package():
@@ -174,10 +174,21 @@ config = {"model": {"preset": "two_state_rule",
 tmp = pathlib.Path(tempfile.mkdtemp(dir=sys.argv[3]))
 (tmp / "cfg.json").write_text(json.dumps(config))
 codes = [cli.main([command, "--config", str(tmp / "cfg.json"), "--out", str(tmp / command)])
-         for command in ("solve", "verify", "sweep")]
+         for command in sys.argv[4:]]
 metrics = tracer.layer_metrics(0)
 print(json.dumps({"codes": codes, "metrics": metrics, "keys": list(run.PER_LAYER)}))
 """
+
+
+def traced_run(tmp_path, *commands):
+    """``{"codes", "metrics", "keys"}`` of ``commands`` run under one tracer in a fresh process."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, "-c", TRACED_RUN, str(root / "perfbench"),
+                          str(root / "src"), str(tmp_path), *commands],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
 
 
 def test_the_benchmark_tracer_runs_the_commands(tmp_path):
@@ -185,13 +196,7 @@ def test_the_benchmark_tracer_runs_the_commands(tmp_path):
     # which installing alone does not show: solve, verify and a beta sweep of a
     # tiny config run under the tracer in a fresh process, and every per-layer
     # metric of the benchmark but the traced-minus-untraced overhead is finite
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    run = subprocess.run([sys.executable, "-c", TRACED_RUN, str(root / "perfbench"),
-                          str(root / "src"), str(tmp_path)],
-                         capture_output=True, text=True, env=env, timeout=120)
-    assert run.returncode == 0, run.stderr
-    out = json.loads(run.stdout.splitlines()[-1])
+    out = traced_run(tmp_path, "solve", "verify", "sweep")
     assert out["codes"] == [0, 0, 0]
     keys = [k for k in out["keys"] if k != "trace.overhead_s"]
     assert len(keys) == 29
@@ -200,3 +205,18 @@ def test_the_benchmark_tracer_runs_the_commands(tmp_path):
            or not math.isfinite(out["metrics"][k])}
     assert bad == {}
     assert out["metrics"]["measure_core.build_tree_calls"] > 0
+
+
+@pytest.mark.parametrize("command,nonzero", [
+    ("verify", [f"verification.{name}_s" for name in (
+        "identity_lemma", "integral_inequality", "apriori", "norm_equivalence", "lipschitz",
+        "jump_identity")]),
+    ("solve", ["solver.implicit_steps"]),
+])
+def test_the_benchmark_tracer_sees_the_kernels_that_run(tmp_path, command, nonzero):
+    # the tracer wraps the public check_* and implicit_step_solve names, and
+    # run_suite and the oracle call those names: each wrapped kernel of a
+    # command is timed or counted, not left at 0
+    out = traced_run(tmp_path, command)
+    assert out["codes"] == [0]
+    assert {k: out["metrics"][k] for k in nonzero if not out["metrics"][k] > 0} == {}

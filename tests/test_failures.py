@@ -2,18 +2,19 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsde import (BsdeProblem, Generator, NonFinite, backward_oracle,
-                      check_apriori_estimate, check_integral_inequality, cli, conditions,
+from treebsde import (BsdeProblem, Generator, NonFinite, backward_oracle, cli, conditions,
                       measure_core, picard_solve, scenarios, solve_linear)
 from treebsde import NoConvergence
 
-from conftest import random_linear_problem, random_problem
+from conftest import (check_apriori_estimate, check_integral_inequality, random_linear_problem,
+                      random_problem)
 
 
 def affine_y_problem(beta=1.0):
@@ -203,6 +204,23 @@ def test_three_routes_agree_and_fail_alike(seed, linear):
     for route in [picard_solve, backward_oracle] + [solve_linear] * broken.is_path:
         with pytest.raises(NonFinite, match=f"at slot {bad} "):
             route(nan_problem)
+
+
+def _constant(c):
+    return Generator(lambda b, y, z: np.full(y.shape, c), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("model,f,c", [
+    # a NaN terminal: Y0 was NaN on the linear route and the oracle
+    (scenarios.deterministic_grid(2, 1, 0.5), Generator.zero(), math.nan),
+    # 1e308 + 0.9 * 1e308 overflows at the root: Y0 was inf on both
+    (scenarios.deterministic_grid(1, 1, 0.9), _constant(1e308), 1e308),
+], ids=["nan-terminal", "overflow"])
+@pytest.mark.parametrize("route", [solve_linear, backward_oracle, picard_solve])
+def test_every_route_refuses_a_non_finite_value(model, f, c, route):
+    problem = BsdeProblem(model=model, beta=0.0, xi=scenarios.xi_constant(c), f=f)
+    with np.errstate(over="ignore"), pytest.raises(NonFinite, match="left the finite range"):
+        route(problem)
 
 
 COUNTEREXAMPLE = {"model": {"preset": "counterexample", "params": {"p": 0.5, "K": 2}},

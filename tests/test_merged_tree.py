@@ -85,10 +85,10 @@ def assert_equivalent(full_problem, merged_problem, state, linear=False):
         E_end = tree.doleans_at_slot_end(beta)
         w = tree.prob[:tree.n_slots] * E_end
         z_part = w * norms.slot_z_contribution(Z, tree)
-        rows = verification._identity_lemma_rows(tree, Y, f_path, beta, w, z_part,
+        rows = verification.check_identity_lemma(tree, Y, f_path, beta, w, z_part,
                                                  range(tree.horizon + 1))
         lhs = norms.y_norm_sq(Y, tree, beta) + norms.z_norm_sq(Z, tree, beta)
-        apriori = verification._apriori_estimate(tree, Y, f_path, beta, E_end, lhs, 1.0)
+        apriori = verification.check_apriori_estimate(tree, Y, f_path, beta, E_end, lhs, 1.0)
         sides.append([norms.y_norm_sq(Y, tree, beta), norms.z_norm_sq(Z, tree, beta),
                       norms.mixed_norm_sq(Y, Z, tree, beta, bw),
                       *[v for r in rows for v in (r.lhs, r.rhs)], apriori.lhs, apriori.rhs])
@@ -218,9 +218,9 @@ def test_a_node_of_zero_probability_takes_its_first_edge_weight():
 
 
 def _apriori_data(tree, f_path, beta):
-    # the data side of _apriori_estimate: with Y = 0 its terminal term is 0
-    est = verification._apriori_estimate(tree, np.zeros(tree.n_nodes), f_path, beta,
-                                         tree.doleans_at_slot_end(beta), 0.0, 1.0)
+    # the data side of check_apriori_estimate: with Y = 0 its terminal term is 0
+    est = verification.check_apriori_estimate(tree, np.zeros(tree.n_nodes), f_path, beta,
+                                              tree.doleans_at_slot_end(beta), 0.0, 1.0)
     return est.rhs / est.detail["c_beta"]
 
 
@@ -364,7 +364,7 @@ def test_the_one_block_jump_identity_is_the_level_loop(model):
     for nan in (False, True):
         if nan:
             Y[-1] = np.nan       # a leaf: the worst residual is NaN both ways
-        got = verification._jump_identity(tree, Y, Z, f_path).lhs
+        got = verification.check_solution_jump_identity(tree, Y, Z, f_path).lhs
         want = level_jump_identity(tree, Y, Z, f_path, edge_child_values)
         assert got.hex() == want.hex()
         assert math.isnan(got) == (nan and tree.n_slots > 0)

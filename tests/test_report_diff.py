@@ -74,3 +74,30 @@ def test_headroom_keeps_each_checks_largest_gap_to_tolerance_ratio(tmp_path):
     assert math.isnan(worst["integral_inequality"][0])              # a NaN gap fails: worst
     assert worst["integral_inequality"][1] == "b"
     assert "apriori_estimate" not in worst
+
+
+@pytest.mark.parametrize("stderr,ending", [
+    ("config error: unknown config keys: ['modle']\n", "config error"),
+    ("Traceback (most recent call last):\n  File \"cli.py\", line 1, in <module>\n"
+     "ValueError: bad\n", "Traceback (most recent call last)"),
+    # a warning printed before the run ends is not its ending
+    ("/a/src/treebsde/norms.py:125: RuntimeWarning: overflow encountered in multiply\n"
+     "  return float(np.sum(w))\nsolver failure: no convergence\n", "solver failure"),
+    ("usage: treebsde [-h] {solve}\ntreebsde: error: unknown flag --bogus\n", "usage"),
+    ("", ""),
+])
+def test_the_ending_is_the_first_line_that_is_not_a_warning(stderr, ending):
+    assert report_diff.ending(stderr) == ending
+
+
+def test_a_traceback_in_place_of_a_config_error_is_a_changed_ending(tmp_path):
+    # both exit 1 and write no reports: only the ending tells them apart
+    for side, stderr in (("old", "config error: bad model spec: x\n"),
+                         ("new", "Traceback (most recent call last):\nTypeError: x\n")):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "stderr.txt").write_text(stderr)
+    diffs = report_diff.compare_runs(tmp_path / "old", tmp_path / "new", {"old": 1, "new": 1})
+    assert diffs == [report_diff.Diff("ending", "ending", "config error",
+                                      "Traceback (most recent call last)", None)]
+    same = report_diff.compare_runs(tmp_path / "old", tmp_path / "old", {"old": 1, "new": 3})
+    assert same == [report_diff.Diff("exit code", "exit code", 1, 3, None)]

@@ -170,6 +170,17 @@ def test_counterexample_rejects_bad_p():
         scenarios.counterexample_model(1.0)
 
 
+@pytest.mark.parametrize("t0_index", [-1, 3, 7])
+def test_counterexample_rejects_a_jump_step_outside_the_model(t0_index):
+    with pytest.raises(ValueError, match="t0_index must address a step of the model"):
+        scenarios.counterexample_model(0.5, t0_index=t0_index, K=3)
+
+
+def test_intensity_rejects_a_negative_rate():
+    with pytest.raises(ValueError, match="intensity must be nonnegative"):
+        scenarios.discretized_intensity(lam=-0.1, K=2, m=1)
+
+
 # -- random_model and terminal helpers -------------------------------------------------------
 
 

@@ -6,13 +6,14 @@ import pytest
 
 from treebsde import (BsdeProblem, ConditionViolated, Generator, NoConvergence, NonFinite,
                       StepSingular, backward_oracle, build_tree, cli, conditions,
-                      implicit_step_solve, norms, picard_map, picard_solve, solve_linear)
+                      norms, picard_map, picard_solve, solve_linear)
 from treebsde import scenarios
 from treebsde.solver import (Solution, _cond_means,
                              _eval_path, _linear_sweep, _represent_block)
 from treebsde import verification
-from treebsde.verification import check_solution_jump_identity
 
+from conftest import (check_lipschitz, check_norm_equivalence, check_solution_jump_identity,
+                      implicit_step_solve)
 from conftest import (bsde_residual, canonical_field, conditional_means, fixed_point_step,
                       full_matrix_jump_identity, gather_accumulate, gather_child_values,
                       gather_doleans, gather_linear_sweep, gather_parent_broadcast,
@@ -246,7 +247,7 @@ def test_the_one_block_jump_identity_is_the_level_loop_on_full_trees(model):
     for nan in (False, True):
         if nan:
             Y[-1] = np.nan       # a leaf: the worst residual is NaN both ways
-        got = verification._jump_identity(tree, Y, Z, f_path).lhs
+        got = verification.check_solution_jump_identity(tree, Y, Z, f_path).lhs
         want = level_jump_identity(tree, Y, Z, f_path)
         assert got.hex() == want.hex()
         assert np.isnan(got) == (nan and tree.n_slots > 0)
@@ -284,6 +285,18 @@ def test_routes_agree_on_levels_that_mix_branch_kinds(m, a_jump):
         r = check_solution_jump_identity(case, problem)
         full = full_matrix_jump_identity(case, problem)
         assert (r.lhs.hex(), r.passed) == (full.lhs.hex(), full.passed)
+
+
+def test_a_terminal_of_the_wrong_shape_is_refused():
+    # one value per leaf: a scalar, or one value too many, is refused on every route
+    model = scenarios.deterministic_grid(2, 1, 0.5)
+    for xi, shape in [(lambda H: np.float64(1.0), r"\(\)"),
+                      (lambda H: np.zeros(H.shape[0] + 1), r"\(5,\)")]:
+        problem = BsdeProblem(model=model, beta=1.0, xi=xi, f=Generator.zero())
+        for route in (solve_linear, backward_oracle, picard_solve):
+            with pytest.raises(ValueError, match=rf"terminal returned shape {shape}, "
+                                                 r"expected \(4,\)"):
+                route(problem)
 
 
 # -- solve_linear --------------------------------------------------------------------
@@ -399,7 +412,7 @@ def test_one_slot_entry_points_refuse_any_other_row_count():
         with pytest.raises(ValueError, match="one-row SlotBlock"):
             implicit_step_solve(0.25, 0.5, slot, np.zeros(1), f)
         with pytest.raises(ValueError, match="one-row SlotBlock"):
-            verification.check_lipschitz(f, slot, samples=5)
+            check_lipschitz(f, slot, samples=5)
     assert f(tree.block([1]), 2.0, np.zeros(1)) == 1.0
 
 
@@ -466,6 +479,16 @@ def test_implicit_step_agrees_with_the_fixed_point_reference():
         assert abs(y - ref) <= 2 * max(STEP_TOL, ROUNDING * max(abs(y), abs(ref))) / (1 - q)
 
 
+def test_implicit_step_refuses_a_driver_that_breaks_its_lip_y():
+    # 1.1 sin y declared 0.01-Lipschitz: the budget of the declared contraction
+    # runs out short of the tolerance
+    f = Generator(lambda block, y, z: 1.1 * np.sin(y), 0.01, 0.0)
+    problem = BsdeProblem(model=scenarios.deterministic_grid(1, 1, 0.9), beta=1.0,
+                          xi=scenarios.xi_constant(3.0), f=f)
+    with pytest.raises(NoConvergence, match="implicit step did not reach tolerance"):
+        backward_oracle(problem)
+
+
 # -- backward_oracle --------------------------------------------------------------------
 
 
@@ -523,8 +546,8 @@ def test_the_oracle_evaluates_the_driver_only_in_the_implicit_step(monkeypatch):
 
     monkeypatch.setattr(Generator, "_checked", counting)
     backward_oracle(problem)
-    assert "_implicit_rows" in callers
-    assert [c for c in callers if c != "_implicit_rows"] == []
+    assert "implicit_step_solve" in callers
+    assert [c for c in callers if c != "implicit_step_solve"] == []
 
 
 # -- picard -------------------------------------------------------------------------------
@@ -655,7 +678,6 @@ def test_empty_tree_results_of_every_layer():
     # the K=0 model above: one node, no slots; every layer answers with
     # empty float arrays, exact zeros and passing checks
     from treebsde import ScenarioModel, conditions, run_suite
-    from treebsde.verification import check_norm_equivalence
     model = ScenarioModel(m=2, horizon=0,
                           jump_size=lambda k, H: np.full(H.shape[0], 0.5),
                           mark_law=lambda k, H: np.full((H.shape[0], 2), 0.5))

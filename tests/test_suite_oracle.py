@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from treebsde import (BsdeProblem, Generator, Solution, backward_oracle, build_tree,
-                      check_identity_lemma, check_integral_inequality,
-                      check_lipschitz, check_solution_jump_identity, run_suite,
-                      scenarios, verification)
+                      run_suite, scenarios, verification)
 from treebsde.verification import (_integral_inequality_rows, _normal_block, _random_paths,
-                                   _stream, _worst_integral_inequality)
+                                   _stream)
 
+from conftest import (check_identity_lemma, check_integral_inequality, check_lipschitz,
+                      check_solution_jump_identity)
 from conftest import (block_paths, full_matrix_jump_identity, loop_identity_lemma,
                       lipschitz_samples, loop_integral_inequality, loop_lipschitz,
                       loop_run_suite, per_sample_draws, random_generator, random_linear_problem,
@@ -88,7 +88,7 @@ def test_each_randomized_check_draws_from_its_own_stream(seed, monkeypatch):
             k: v for k, v in base.items() if k != name}
 
     base = rows()
-    assert base["integral_inequality"] == _bits(_worst_integral_inequality(seed, problem.beta))
+    assert base["integral_inequality"] == _bits(verification.check_integral_inequality(seed, problem.beta))
     for name, attr in (("integral_inequality", "N_PATHS"), ("norm_equivalence", "N_FIELDS"),
                        ("lipschitz_bound", "N_SAMPLES")):
         with monkeypatch.context() as mp:
@@ -195,7 +195,7 @@ def test_integral_inequality_row_skips_the_paths_without_increment(seed):
     dAc, dA, f_vals, steps = _random_paths(_stream("paths", seed), verification.N_PATHS)
     trivial = ~np.any(dAc + dA, axis=1)
     lhs, rhs = _integral_inequality_rows(dAc, dA, f_vals, steps, 1.0, 0)
-    row = _worst_integral_inequality(seed, 1.0)
+    row = verification.check_integral_inequality(seed, 1.0)
     assert row.detail["trivial_paths"] == int(trivial.sum())
     assert row.passed and row.lhs - row.rhs < 0.0 and row.lhs > 0.0
     assert row.lhs - row.rhs == np.max((lhs - rhs)[~trivial])
@@ -206,7 +206,7 @@ def test_integral_inequality_row_of_only_trivial_paths(monkeypatch):
     zeros = np.zeros((4, 6))
     monkeypatch.setattr(verification, "_random_paths",
                         lambda r, n: (zeros, zeros, np.ones((4, 6)), np.full(4, 6)))
-    row = _worst_integral_inequality(0, 1.0)
+    row = verification.check_integral_inequality(0, 1.0)
     assert (row.lhs, row.rhs, row.passed) == (0.0, 0.0, True)
     assert row.detail["trivial_paths"] == 4
 

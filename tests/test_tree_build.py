@@ -160,6 +160,14 @@ def test_bad_rules_raise_the_same_message_on_both_paths(model, match):
     assert str(level.value) == str(scalar.value)
 
 
+def test_jump_sizes_of_the_wrong_shape_are_refused():
+    # one jump size per history of the level: a scalar or one size too many is refused
+    for jump_size in (lambda k, H: 0.5, lambda k, H: np.full(H.shape[0] + 1, 0.5)):
+        model = ScenarioModel(2, 3, jump_size, lambda k, H: np.full((H.shape[0], 2), 0.5))
+        with pytest.raises(ValueError, match=r"jump sizes must have shape \(1,\) at slot 0"):
+            build_tree(model)
+
+
 def test_too_many_marks_rejected():
     with pytest.raises(ValueError, match="127 marks"):
         build_tree(scenarios.pdmp_like(K=1, m=128))

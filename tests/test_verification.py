@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from treebsde import (BsdeProblem, Generator, backward_oracle, build_tree,
-                      check_apriori_estimate, check_identity_lemma,
-                      check_integral_inequality, check_lipschitz,
-                      check_norm_equivalence, check_solution_jump_identity,
                       norms, picard_solve, run_suite, solve_linear)
 from treebsde import scenarios, verification
 
 from treebsde.verification import _sandwich_rows
 
+from conftest import (check_apriori_estimate, check_identity_lemma, check_integral_inequality,
+                      check_lipschitz, check_norm_equivalence, check_solution_jump_identity)
 from conftest import (brute_doleans, leaf_paths, lipschitz_samples, loop_norm_sandwich,
                       node_children, node_outcomes, per_history_model, per_sample_draws,
                       per_slot, phi_sum, random_linear_problem, random_problem, scalar_hat_z,

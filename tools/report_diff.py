@@ -7,12 +7,17 @@ Run from the root of a checkout:
 ``--old`` and ``--new`` are checkout roots (each holds ``src/treebsde``).
 Every case of a fixed list runs once per tree, as ``python -m treebsde.cli``
 in a fresh process with ``PYTHONPATH`` set to that tree's ``src``.
-Then every report file and the exit code are compared.  A differing
-number is printed with its JSON path or CSV cell and its distance in units
-in the last place (ulp); any other difference is printed as text.  The
-last lines summarise the cases, the moved fields with their largest
-distance in ulp and in absolute value, and the changed exit codes.  The
-exit status is 0 when every case is identical.
+Then every report file, the exit code and the ending are compared.  The
+ending says how a run ended: the first line of its standard error that is
+not a warning, up to its first colon (``config error``, ``condition
+violated``, ``solver failure``, ``Traceback (most recent call last)``,
+``usage``), or nothing.  It tells a traceback from a config error, which
+both exit 1.  A differing number is printed with its JSON path or CSV cell
+and its distance in units in the last place (ulp); any other difference
+is printed as text.  The last lines summarise the cases, the moved fields
+with their largest distance in ulp and in absolute value, and the changed
+exit codes and endings.  The exit status is 0 when every case is
+identical.
 
 The case list:
 
@@ -91,7 +96,8 @@ Every case but the command-line ones runs ``COMMAND --out out --config
 config.json`` (no ``--config`` for the built-in run).
 
 Reports carry no timings, so a case whose code did not change must match to
-the byte.  Console output is not compared.
+the byte.  Standard output is not compared, nor standard error beyond its
+ending.
 
 After the summary, the headroom of the ``--new`` tree's checks: for each
 check, its largest gap-to-tolerance ratio over the corpus and the case it
@@ -107,6 +113,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -334,6 +341,18 @@ def run_case(tree: Path, command: str, config: dict | None, workdir: Path,
 
 # -- comparison ------------------------------------------------------------------
 
+# a warning as Python prints it: "file:line: category: message", then its source line
+_WARNING = re.compile(r".*:\d+: \w*Warning: ")
+
+
+def ending(stderr: str) -> str:
+    """How a run ended: its first standard-error line that is not part of a warning,
+    up to its first colon; "" when there is none."""
+    for line in stderr.splitlines():
+        if not (line.startswith(" ") or _WARNING.match(line)):
+            return line.partition(":")[0]
+    return ""
+
 
 def ulp_distance(a: float, b: float) -> int:
     """Number of doubles from ``a`` to ``b`` (0.0 and -0.0 coincide)."""
@@ -426,6 +445,18 @@ def compare_dirs(old: Path, new: Path) -> list[Diff]:
     return out
 
 
+def compare_runs(old: Path, new: Path, codes: dict) -> list[Diff]:
+    """Every difference of two runs of one case (``run_case`` directories):
+    the exit codes ``codes["old"]`` and ``codes["new"]``, the endings, the reports."""
+    def end(d):
+        path = d / "stderr.txt"
+        return ending(path.read_text(encoding="utf-8")) if path.is_file() else ""
+
+    diffs = [Diff(what, what, a, b, None) for what, a, b in (
+        ("exit code", codes["old"], codes["new"]), ("ending", end(old), end(new))) if a != b]
+    return diffs + compare_dirs(old / "out", new / "out")
+
+
 def fold_headroom(out: Path, case: str, worst: dict) -> None:
     """Fold the check rows of one run's ``summary.json`` into ``worst``: per check
     name, its largest gap-to-tolerance ratio and the case of that ratio."""
@@ -453,22 +484,21 @@ def main(argv=None) -> int:
         if not (tree / "src" / "treebsde").is_dir():
             ap.error(f"--{side} {tree} holds no src/treebsde")
     work = args.work or Path(tempfile.mkdtemp(prefix="report_diff_"))
-    identical, moved, exits, headroom = 0, {}, [], {}
+    identical, moved, ends, headroom = 0, {}, [], {}
     try:
         all_cases = cases()
         for name, command, config, argv in all_cases:
             codes = {side: run_case(tree, command, config, work / side / name, argv)
                      for side, tree in trees.items()}
-            diffs = compare_dirs(work / "old" / name / "out", work / "new" / name / "out")
-            if codes["old"] != codes["new"]:
-                diffs.insert(0, Diff("exit code", "exit code", codes["old"], codes["new"], None))
-                exits.append((name, codes["old"], codes["new"]))
+            diffs = compare_runs(work / "old" / name, work / "new" / name, codes)
             identical += not diffs
             fold_headroom(work / "new" / name / "out", name, headroom)
             for d in diffs:
                 dist = "" if d.ulps is None else f"  ({d.ulps} ulp, change {d.new - d.old:.3g})"
                 print(f"{name}  {d.where}: {d.old!r} -> {d.new!r}{dist}")
-                if d.where != "exit code":
+                if d.where in ("exit code", "ending"):
+                    ends.append((name, d))
+                else:
                     moved.setdefault(d.field, []).append(d)
     finally:
         if args.work is None:
@@ -484,8 +514,8 @@ def main(argv=None) -> int:
         other = len(ds) - len(num)
         print(f"moved: {field}  {len(ds)} value(s){worst}"
               + (f", {other} non-float" if other else ""))
-    for name, old, new in exits:
-        print(f"exit code: {name}  {old} -> {new}")
+    for name, d in ends:
+        print(f"{d.where}: {name}  {d.old!r} -> {d.new!r}")
     for check, (ratio, name) in sorted(headroom.items()):
         print(f"headroom: {check}  {ratio:.3g} of its gate, in {name}")
     return 0 if identical == len(all_cases) else 1
